@@ -1,5 +1,6 @@
-(* Call-sequence automaton: construction cost and DFA size on a real
-   subject, then the enforce gate's payoff — classify throughput with
+(* Call-sequence automaton: construction cost (build time and
+   major-heap words) and DFA size on a real subject and on a wide
+   generated program, then the enforce gate's payoff — classify throughput with
    the gate off vs enforcing, on in-language windows (gate overhead:
    every window walks the DFA and none is rejected) and on
    out-of-language windows (gate payoff: the DFA walk short-circuits
@@ -12,6 +13,7 @@ module Profile = Adprom.Profile
 module Symbol = Analysis.Symbol
 
 let passes () = if !Common.smoke then 10 else 100
+let builds () = if !Common.smoke then 1 else 5
 let tampered_count () = if !Common.smoke then 200 else 2000
 
 type row = {
@@ -60,18 +62,64 @@ let measure ~name ~profile ~auto ws =
   let rejected = Scoring.gate_rejections enf / passes () in
   { workload = name; windows = List.length ws; rejected; off_ms; enforce_ms }
 
+type construction = {
+  program : string;
+  stats : Analysis.Seqauto.stats;
+  build_ms : float;  (** median over [builds ()] builds *)
+  major_words : float;  (** major-heap words one build allocates *)
+}
+
+(* Build the automaton [builds ()] times; construction is deterministic,
+   so every build allocates the same, and the time is the median. *)
+let construct ~program build =
+  let runs =
+    List.init (builds ()) (fun _ ->
+        let before = (Gc.quick_stat ()).Gc.major_words in
+        let auto, seconds = Common.time build in
+        (auto, seconds, (Gc.quick_stat ()).Gc.major_words -. before))
+  in
+  let auto, _, major_words = List.hd runs in
+  let times = Array.of_list (List.map (fun (_, s, _) -> 1000.0 *. s) runs) in
+  let c =
+    {
+      program;
+      stats = auto.Analysis.Seqauto.stats;
+      build_ms = Mlkit.Stats.quantile times 0.5;
+      major_words;
+    }
+  in
+  Printf.printf "%-12s %s  (built in %.1f ms, %.2f M major words)\n" program
+    (Analysis.Seqauto.stats_to_string c.stats)
+    c.build_ms (major_words /. 1e6);
+  (auto, c)
+
+(* The wide generated program: bash-like, narrowed to 24 functions of 7
+   statements — a 150-call alphabet and a DFA of several hundred
+   states, compiled as a default-params profile would compile it. *)
+let wide_program () =
+  let spec =
+    { Dataset.Proggen.bash_like with Dataset.Proggen.functions = 24; statements_per_function = 7 }
+  in
+  let app = Dataset.Sir.app4 ~cases:120 ~spec () in
+  let a =
+    Analysis.Analyzer.analyze (Applang.Parser.parse_program app.Adprom.Pipeline.source)
+  in
+  fun () ->
+    Analysis.Seqauto.build
+      ~use_labels:Adprom.Pipeline.adprom_params.Profile.use_labels
+      a.Analysis.Analyzer.pruned_cfgs a.Analysis.Analyzer.callgraph
+
 let run () =
   Common.heading "seqauto: static DFA gate short-circuit";
   let trained = Lazy.force Common.ca_hospital in
   let profile = Lazy.force trained.Common.adprom in
   let analysis = trained.Common.dataset.Adprom.Pipeline.analysis in
-  let auto, build_seconds =
-    Common.time (fun () -> Adprom.Profile_check.automaton profile analysis)
+  let auto, hospital =
+    construct ~program:"ca_hospital" (fun () ->
+        Adprom.Profile_check.automaton profile analysis)
   in
-  let stats = auto.Analysis.Seqauto.stats in
-  Printf.printf "automaton: %s  (built in %.1f ms)\n"
-    (Analysis.Seqauto.stats_to_string stats)
-    (1000.0 *. build_seconds);
+  let _, wide = construct ~program:"gen-wide" (wide_program ()) in
+  let constructions = [ hospital; wide ] in
   let rng = Mlkit.Rng.create 42 in
   let normal = trained.Common.dataset.Adprom.Pipeline.windows in
   let tampered = tampered_windows rng profile (tampered_count ()) in
@@ -90,13 +138,20 @@ let run () =
     rows;
   let oc = open_out "BENCH_seqauto.json" in
   Printf.fprintf oc "{\n  \"smoke\": %b,\n" !Common.smoke;
-  Printf.fprintf oc
-    "  \"automaton\": {\"functions\": %d, \"nfa_states\": %d, \"dfa_states\": %d, \
-     \"alphabet\": %d, \"flat\": %b, \"build_ms\": %.3f},\n"
-    stats.Analysis.Seqauto.functions stats.Analysis.Seqauto.nfa_states
-    stats.Analysis.Seqauto.dfa_states stats.Analysis.Seqauto.dfa_width
-    stats.Analysis.Seqauto.flat
-    (1000.0 *. build_seconds);
+  Printf.fprintf oc "  \"construction\": [\n";
+  List.iteri
+    (fun i c ->
+      let s = c.stats in
+      Printf.fprintf oc
+        "    {\"program\": \"%s\", \"functions\": %d, \"nfa_states\": %d, \
+         \"dfa_states\": %d, \"alphabet\": %d, \"flat\": %b, \"build_ms\": %.3f, \
+         \"major_words\": %.0f}%s\n"
+        c.program s.Analysis.Seqauto.functions s.Analysis.Seqauto.nfa_states
+        s.Analysis.Seqauto.dfa_states s.Analysis.Seqauto.dfa_width s.Analysis.Seqauto.flat
+        c.build_ms c.major_words
+        (if i = List.length constructions - 1 then "" else ","))
+    constructions;
+  Printf.fprintf oc "  ],\n";
   Printf.fprintf oc "  \"rows\": [\n";
   List.iteri
     (fun i r ->

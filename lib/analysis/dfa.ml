@@ -34,7 +34,6 @@ module Bits = struct
   let create n = Array.make ((n + 62) / 63) 0
   let get b i = b.(i / 63) land (1 lsl (i mod 63)) <> 0
   let set b i = b.(i / 63) <- b.(i / 63) lor (1 lsl (i mod 63))
-  let is_empty b = Array.for_all (fun w -> w = 0) b
 
   let iter f b =
     Array.iteri
@@ -62,83 +61,110 @@ end)
 
 (* --- subset construction over the factor language ----------------------- *)
 
+(* Grow [a] to hold at least [need] cells, doubling, new cells [fill]. *)
+let ensure a need fill =
+  if need <= Array.length !a then ()
+  else begin
+    let grown = Array.make (max need (2 * Array.length !a)) fill in
+    Array.blit !a 0 grown 0 (Array.length !a);
+    a := grown
+  end
+
+(* Subsets get ids in discovery order: breadth-first from the start
+   subset, each subset's successors in ascending symbol code. One walk
+   over a subset's members fills a scratch bitset per symbol that
+   occurs; only genuinely new subsets are copied out of the scratch. *)
 let determinize ?(max_states = 100_000) (nfa : Nfa.t) =
   let syms = Array.of_list nfa.Nfa.alphabet in
   let w = Array.length syms in
+  let n = nfa.Nfa.nstates in
   let index = Symbol.Table.create (max 1 (2 * w)) in
   Array.iteri (fun i s -> Symbol.Table.replace index s i) syms;
-  (* per (state, symbol) NFA move table *)
-  let moves = Array.make (max 1 (nfa.Nfa.nstates * max 1 w)) [] in
+  (* coded move lists, flat: state [s] moves on [code.(k)] to [dest.(k)]
+     for [k] in [first.(s) .. first.(s + 1) - 1] *)
+  let first = Array.make (n + 1) 0 in
+  Array.iteri (fun s l -> first.(s + 1) <- first.(s) + List.length l) nfa.Nfa.delta;
+  let code = Array.make first.(n) 0 and dest = Array.make first.(n) 0 in
   Array.iteri
     (fun s l ->
-      List.iter
-        (fun (sym, d) ->
-          let c = Symbol.Table.find index sym in
-          moves.((s * w) + c) <- d :: moves.((s * w) + c))
+      List.iteri
+        (fun i (sym, d) ->
+          code.(first.(s) + i) <- Symbol.Table.find index sym;
+          dest.(first.(s) + i) <- d)
         l)
     nfa.Nfa.delta;
+  (* ε-closure in place: the members, then each state as it joins the
+     set, are pushed once each, so the stack never holds more than [n] *)
+  let stack = Array.make (max 1 n) 0 in
   let close set =
-    let stack = ref [] in
-    Bits.iter (fun s -> stack := s :: !stack) set;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | s :: rest ->
-          stack := rest;
-          List.iter
-            (fun d ->
-              if not (Bits.get set d) then begin
-                Bits.set set d;
-                stack := d :: !stack
-              end)
-            nfa.Nfa.eps.(s)
+    let top = ref 0 in
+    let push s =
+      stack.(!top) <- s;
+      incr top
+    in
+    Bits.iter push set;
+    while !top > 0 do
+      decr top;
+      List.iter
+        (fun d ->
+          if not (Bits.get set d) then begin
+            Bits.set set d;
+            push d
+          end)
+        nfa.Nfa.eps.(stack.(!top))
     done
   in
   let ids = Set_tbl.create 256 in
-  let subsets = ref [] and nsubsets = ref 0 in
-  let work = Queue.create () in
-  let intern set =
-    match Set_tbl.find_opt ids set with
+  let sets = ref [||] and nsubsets = ref 0 in
+  let intern scratch =
+    match Set_tbl.find_opt ids scratch with
     | Some id -> id
     | None ->
         let id = !nsubsets in
         if id >= max_states then
           invalid_arg "Dfa.of_nfa: subset construction exceeded max_states";
         incr nsubsets;
+        let set = Array.copy scratch in
         Set_tbl.replace ids set id;
-        subsets := set :: !subsets;
-        Queue.add (id, set) work;
+        ensure sets (id + 1) [||];
+        !sets.(id) <- set;
         id
   in
   (* a factor can start anywhere: the initial subset is every state *)
-  let start_set = Bits.create nfa.Nfa.nstates in
-  for s = 0 to nfa.Nfa.nstates - 1 do
+  let start_set = Bits.create n in
+  for s = 0 to n - 1 do
     Bits.set start_set s
   done;
   close start_set;
   let start = intern start_set in
-  let rows = ref [] in
-  while not (Queue.is_empty work) do
-    let id, set = Queue.pop work in
-    let row = Array.make w (-1) in
+  let row = max 1 w in
+  let trans = ref (Array.make (16 * row) (-1)) in
+  let scratch = Array.init w (fun _ -> Bits.create n) in
+  let hit = Array.make w false in
+  let next = ref 0 in
+  while !next < !nsubsets do
+    let id = !next in
+    incr next;
+    ensure trans ((id + 1) * row) (-1);
+    Bits.iter
+      (fun s ->
+        for k = first.(s) to first.(s + 1) - 1 do
+          hit.(code.(k)) <- true;
+          Bits.set scratch.(code.(k)) dest.(k)
+        done)
+      !sets.(id);
     for c = 0 to w - 1 do
-      let next = Bits.create nfa.Nfa.nstates in
-      Bits.iter
-        (fun s -> List.iter (fun d -> Bits.set next d) moves.((s * w) + c))
-        set;
-      if not (Bits.is_empty next) then begin
-        close next;
-        row.(c) <- intern next
+      if hit.(c) then begin
+        hit.(c) <- false;
+        let succ = scratch.(c) in
+        close succ;
+        !trans.((id * w) + c) <- intern succ;
+        Array.fill succ 0 (Array.length succ) 0
       end
-    done;
-    rows := (id, row) :: !rows
+    done
   done;
-  let n = !nsubsets in
-  let trans = Array.make (max 1 (n * max 1 w)) (-1) in
-  List.iter
-    (fun (id, row) -> Array.blit row 0 trans (id * w) w)
-    !rows;
-  { syms; index; start; nstates = n; trans }
+  let nstates = !nsubsets in
+  { syms; index; start; nstates; trans = Array.sub !trans 0 (nstates * row) }
 
 (* --- Hopcroft minimization ---------------------------------------------- *)
 
@@ -153,12 +179,26 @@ let minimize dfa =
     let total = n + 1 in
     let dead = n in
     let delta s c = if s = dead then dead else match dfa.trans.((s * w) + c) with -1 -> dead | d -> d in
-    (* inverse transitions: inv.(c * total + q) = predecessors of q on c *)
-    let inv = Array.make (w * total) [] in
+    (* inverse transitions, flat: the predecessors of q on c are
+       pred.(k) for k in [pfirst.(c * total + q) .. pfirst.(c * total + q + 1) - 1];
+       counted per bucket, then placed back to front *)
+    let m = w * total in
+    let pfirst = Array.make (m + 1) 0 in
     for s = 0 to total - 1 do
       for c = 0 to w - 1 do
-        let q = delta s c in
-        inv.((c * total) + q) <- s :: inv.((c * total) + q)
+        let i = (c * total) + delta s c in
+        pfirst.(i) <- pfirst.(i) + 1
+      done
+    done;
+    for i = 1 to m do
+      pfirst.(i) <- pfirst.(i) + pfirst.(i - 1)
+    done;
+    let pred = Array.make m 0 in
+    for s = 0 to total - 1 do
+      for c = 0 to w - 1 do
+        let i = (c * total) + delta s c in
+        pfirst.(i) <- pfirst.(i) - 1;
+        pred.(pfirst.(i)) <- s
       done
     done;
     let class_of = Array.make total 0 in
@@ -170,11 +210,12 @@ let minimize dfa =
     sizes.(0) <- n;
     sizes.(1) <- 1;
     let nblocks = ref 2 in
-    let in_w = Array.make (total * w) false in
+    let in_w = Bytes.make (total * w) '\000' in
+    let queued b c = Bytes.get in_w ((b * w) + c) <> '\000' in
     let work = Queue.create () in
     let push b c =
-      if not (in_w.((b * w) + c)) then begin
-        in_w.((b * w) + c) <- true;
+      if not (queued b c) then begin
+        Bytes.set in_w ((b * w) + c) '\001';
         Queue.add (b, c) work
       end
     in
@@ -182,23 +223,35 @@ let minimize dfa =
       push (if sizes.(0) <= sizes.(1) then 0 else 1) c
     done;
     let marked = Array.make total 0 in
+    (* membership in the current splitter's X, cleared through the
+       touched list after each splitter *)
+    let x_mem = Array.make total false in
     while not (Queue.is_empty work) do
       let a, c = Queue.pop work in
-      in_w.((a * w) + c) <- false;
+      Bytes.set in_w ((a * w) + c) '\000';
       (* X = states leading into block [a] on symbol [c] *)
-      let x_mem = Array.make total false in
+      let touched = ref [] in
       List.iter
-        (fun q -> List.iter (fun p -> x_mem.(p) <- true) inv.((c * total) + q))
+        (fun q ->
+          let i = (c * total) + q in
+          for k = pfirst.(i) to pfirst.(i + 1) - 1 do
+            let p = pred.(k) in
+            if not x_mem.(p) then begin
+              x_mem.(p) <- true;
+              touched := p :: !touched
+            end
+          done)
         members.(a);
+      (* ascending state order: blocks split, and so are numbered, in
+         the order a full scan of the states would meet them *)
+      let touched = List.sort Int.compare !touched in
       let affected = ref [] in
-      Array.iteri
-        (fun p in_x ->
-          if in_x then begin
-            let y = class_of.(p) in
-            if marked.(y) = 0 then affected := y :: !affected;
-            marked.(y) <- marked.(y) + 1
-          end)
-        x_mem;
+      List.iter
+        (fun p ->
+          let y = class_of.(p) in
+          if marked.(y) = 0 then affected := y :: !affected;
+          marked.(y) <- marked.(y) + 1)
+        touched;
       List.iter
         (fun y ->
           let hits = marked.(y) in
@@ -214,11 +267,12 @@ let minimize dfa =
             sizes.(z) <- List.length outside;
             List.iter (fun p -> class_of.(p) <- z) outside;
             for c' = 0 to w - 1 do
-              if in_w.((y * w) + c') then push z c'
+              if queued y c' then push z c'
               else push (if sizes.(y) <= sizes.(z) then y else z) c'
             done
           end)
-        !affected
+        !affected;
+      List.iter (fun p -> x_mem.(p) <- false) touched
     done;
     (* rebuild: live blocks (not the dead state's) renumbered densely *)
     let dead_block = class_of.(dead) in

@@ -42,10 +42,12 @@ let qsig_policy_of_mode = function
 module Oclock = Adprom_obs.Clock
 
 (* Items are stamped with the monotonic clock at admission so workers
-   can report queue wait and ingest→verdict (end-to-end) latency. *)
+   can report queue wait and ingest→verdict (end-to-end) latency. The
+   stamp is an immediate int (63 bits of ns outlast any uptime), so a
+   queued item carries no boxed int64. *)
 type message =
-  | Event of Codec.event * int64  (* payload, enqueue monotonic ns *)
-  | Query of Codec.query * int64
+  | Event of Codec.event * int  (* payload, enqueue monotonic ns *)
+  | Query of Codec.query * int
   | Shed of int  (* discard this session's scorer; ignore later events *)
 
 (* End-to-end latency spans queueing, so it needs headroom past the
@@ -54,7 +56,8 @@ type message =
 let e2e_buckets =
   Array.append Metrics.default_buckets [| 2.5; 5.0; 10.0 |]
 
-let ns_to_s ns = Int64.to_float ns /. 1e9
+let now_ns () = Int64.to_int (Oclock.monotonic_ns ())
+let ns_to_s ns = float_of_int ns /. 1e9
 
 type shard = {
   mutex : Mutex.t;
@@ -273,7 +276,7 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
   in
   let handle deq_ns = function
     | Event ({ Codec.session; event }, enq_ns) ->
-        Metrics.observe h_queue_wait (ns_to_s (Int64.sub deq_ns enq_ns));
+        Metrics.observe h_queue_wait (ns_to_s (deq_ns - enq_ns));
         if not (Hashtbl.mem shed_here session) then begin
           (match event.Runtime.Collector.symbol with
           | Analysis.Symbol.Lib { label = Some b; _ }
@@ -298,7 +301,7 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
               (* the verdict-completing event pays one extra clock read
                  to date the whole ingest→verdict path *)
               Metrics.observe h_e2e
-                (ns_to_s (Int64.sub (Oclock.monotonic_ns ()) enq_ns))
+                (ns_to_s (now_ns () - enq_ns))
           | Ok None -> ()
           | Error _ ->
               (* a protocol slip (event after end-of-session), handled
@@ -307,7 +310,7 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
           Metrics.observe h_latency (Unix.gettimeofday () -. t0)
         end
     | Query ({ Codec.q_session = session; rows; sql }, enq_ns) -> (
-        Metrics.observe h_queue_wait (ns_to_s (Int64.sub deq_ns enq_ns));
+        Metrics.observe h_queue_wait (ns_to_s (deq_ns - enq_ns));
         match qsig_engine with
         | None -> ()
         | Some qe ->
@@ -375,7 +378,7 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
     if not (Queue.is_empty batch) then begin
       (* one clock read dates the whole batch's dequeue: per-message
          reads would double the clock cost for no extra signal *)
-      let deq_ns = Oclock.monotonic_ns () in
+      let deq_ns = now_ns () in
       Otrace.with_span "daemon.batch"
         ~attrs:(fun () ->
           [ ("shard", string_of_int idx); ("events", string_of_int (Queue.length batch)) ])
@@ -617,7 +620,7 @@ let ingest t ev =
       Rejected { newly_shed = true }
     end
     else begin
-      Queue.add (Event (ev, Oclock.monotonic_ns ())) shard.queue;
+      Queue.add (Event (ev, now_ns ())) shard.queue;
       Metrics.set_gauge shard.depth (depth + 1);
       Condition.signal shard.nonempty;
       Mutex.unlock shard.mutex;
@@ -641,7 +644,7 @@ let ingest_query t (q : Codec.query) =
        are exempt from the shedding bound, like the control message. *)
     let shard = t.shards.(shard_of t q.Codec.q_session) in
     Mutex.lock shard.mutex;
-    Queue.add (Query (q, Oclock.monotonic_ns ())) shard.queue;
+    Queue.add (Query (q, now_ns ())) shard.queue;
     Condition.signal shard.nonempty;
     Mutex.unlock shard.mutex;
     Accepted

@@ -3,7 +3,7 @@ module Symbol = Analysis.Symbol
 
 let protocol_version = 2
 let magic = "\xad\x51"
-let max_payload = 1 lsl 24
+let max_payload = Transport.max_item_bytes
 
 type node_summary = {
   node : string;

@@ -42,8 +42,9 @@ val magic : string
     {!detect} tells a binary record file from a text one. *)
 
 val max_payload : int
-(** Upper bound on a frame's payload length; longer frames are
-    rejected as {!error.Frame_too_large} before any allocation. *)
+(** Upper bound on a frame's payload length ({!Transport.max_item_bytes},
+    the cap the text wire puts on a line); longer frames are rejected
+    as {!error.Frame_too_large} before any allocation. *)
 
 type node_summary = {
   node : string;  (** the node's self-chosen name *)

@@ -39,6 +39,8 @@ end
 
 type wire = Line | Binary
 
+let max_item_bytes = 1 lsl 24
+
 let wire_to_string = function Line -> "text" | Binary -> "binary"
 
 let wire_of_string = function
@@ -135,6 +137,7 @@ module Text = struct
 
   let encoder () = ()
   let decoder () = { pending = Buffer.create 80; lineno = 1; dead = None }
+  let pending_bytes dec = Buffer.length dec.pending
 
   let encode () buf it =
     Buffer.add_string buf (encode_line it);
@@ -161,6 +164,17 @@ module Text = struct
             dec.dead <- Some msg;
             Error msg)
 
+  (* A line longer than [max_item_bytes] poisons the decoder before its
+     bytes are buffered: a newline-free peer cannot grow [pending]
+     without bound. *)
+  let too_long dec =
+    let msg =
+      Printf.sprintf "line %d: longer than %d bytes" dec.lineno max_item_bytes
+    in
+    Buffer.reset dec.pending;
+    dec.dead <- Some msg;
+    Error msg
+
   let fold dec ?(pos = 0) ?len s ~init ~f =
     match dec.dead with
     | Some e -> Error e
@@ -170,25 +184,33 @@ module Text = struct
         let rec go acc i =
           if i >= stop then Ok acc
           else
-            match String.index_from_opt s i '\n' with
-            | Some j when j < stop ->
-                let line =
-                  if Buffer.length dec.pending = 0 then String.sub s i (j - i)
-                  else begin
-                    Buffer.add_substring dec.pending s i (j - i);
-                    let l = Buffer.contents dec.pending in
-                    Buffer.clear dec.pending;
-                    l
-                  end
-                in
-                (match process_line dec line acc ~f with
-                | Error e -> Error e
-                | Ok acc ->
-                    dec.lineno <- dec.lineno + 1;
-                    go acc (j + 1))
-            | _ ->
-                Buffer.add_substring dec.pending s i (stop - i);
-                Ok acc
+            (* [j]: end of this line's bytes in the chunk ([stop] when the
+               line continues in a later chunk) *)
+            let j =
+              match String.index_from_opt s i '\n' with
+              | Some j when j < stop -> j
+              | _ -> stop
+            in
+            if Buffer.length dec.pending + (j - i) > max_item_bytes then too_long dec
+            else if j = stop then begin
+              Buffer.add_substring dec.pending s i (stop - i);
+              Ok acc
+            end
+            else
+              let line =
+                if Buffer.length dec.pending = 0 then String.sub s i (j - i)
+                else begin
+                  Buffer.add_substring dec.pending s i (j - i);
+                  let l = Buffer.contents dec.pending in
+                  Buffer.clear dec.pending;
+                  l
+                end
+              in
+              match process_line dec line acc ~f with
+              | Error e -> Error e
+              | Ok acc ->
+                  dec.lineno <- dec.lineno + 1;
+                  go acc (j + 1)
         in
         go init pos)
 

@@ -81,6 +81,11 @@ end
 
 type wire = Line | Binary
 
+val max_item_bytes : int
+(** Upper bound on one item's encoding on either wire: a text line
+    (without its newline) or a binary frame payload ({!Frame.max_payload}
+    is this value). 16 MiB. *)
+
 val wire_to_string : wire -> string
 val wire_of_string : string -> wire option
 (** ["text"] / ["binary"]. *)
@@ -109,4 +114,9 @@ module Text : sig
   val parse_event_line : string -> (event, string) result
   val parse_query_line : string -> (query, string) result
   val is_query_line : string -> bool
+
+  val pending_bytes : dec -> int
+  (** Bytes of an incomplete line buffered across feeds. A line that
+      would grow past {!max_item_bytes} is a [line N:] error instead, so
+      this never exceeds the cap. *)
 end

@@ -438,6 +438,35 @@ let test_text_chunked_feed () =
   | Error e -> Alcotest.failf "finish failed: %s" e);
   Alcotest.(check bool) "byte-at-a-time = whole buffer" true (!got = whole)
 
+(* A peer that never sends a newline: the partial line is capped at
+   [max_item_bytes], the overflowing feed is a [line N:] error, and the
+   decoder stays dead. *)
+let test_text_line_cap () =
+  let cap = Transport.max_item_bytes in
+  Alcotest.(check int) "one cap for both wires" cap Frame.max_payload;
+  let dec = Transport.Text.decoder () in
+  (match Transport.Text.feed dec "1\tmain\t3\tentry\n" with
+  | Ok [ _ ] -> ()
+  | _ -> Alcotest.fail "a complete line decodes");
+  let chunk = String.make (1 lsl 20) 'x' in
+  let rec go fed =
+    let r = Transport.Text.feed dec chunk in
+    Alcotest.(check bool) "pending within the cap" true
+      (Transport.Text.pending_bytes dec <= cap);
+    match r with
+    | Ok [] when fed < 2 * cap -> go (fed + String.length chunk)
+    | Ok _ -> Alcotest.failf "no error after %d newline-free bytes" fed
+    | Error e -> (fed, e)
+  in
+  let fed, err = go 0 in
+  Alcotest.(check bool) "error only past the cap" true (fed + String.length chunk > cap);
+  Alcotest.(check bool) ("line-numbered: " ^ err) true
+    (String.length err > 7 && String.sub err 0 7 = "line 2:");
+  Alcotest.(check bool) "poisoned" true
+    (Result.is_error (Transport.Text.feed dec "\n1\tmain\t3\tentry\n"));
+  Alcotest.(check bool) "finish reports it" true
+    (Result.is_error (Transport.Text.finish dec))
+
 (* --- consistent-hash ring ---------------------------------------------------- *)
 
 let test_ring_deterministic () =
@@ -687,6 +716,7 @@ let () =
           Alcotest.test_case "negative binary varints rejected" `Quick
             test_negative_varints_rejected;
           Alcotest.test_case "text byte-at-a-time feed" `Quick test_text_chunked_feed;
+          Alcotest.test_case "text partial line is capped" `Quick test_text_line_cap;
         ] );
       ( "ring",
         [

@@ -3,8 +3,10 @@
    inlining context-sensitivity, loop repetition, branch pruning
    precision, label views and the budget fallback — plus QCheck2
    properties: soundness (every window an interpreter run produces is
-   accepted), NFA/DFA agreement, and the enforce gate only rejecting
-   windows the reference detector already finds anomalous. *)
+   accepted), NFA/DFA agreement, DFA minimality on random NFAs, and the
+   enforce gate only rejecting windows the reference detector already
+   finds anomalous — and the construction's golden output and
+   allocation budget. *)
 
 module Seqauto = Analysis.Seqauto
 module Nfa = Analysis.Nfa
@@ -237,6 +239,146 @@ let prop_nfa_dfa_agree =
       Nfa.accepts_factor Seqauto.(auto.nfa) word
       = Dfa.accepts_factor Seqauto.(auto.dfa) word)
 
+(* --- construction: fixed output, minimality, allocation ------------------ *)
+
+(* The gen-wide benchmark program: a generated bash-like program
+   narrowed to 24 functions of 7 statements (a 150-call alphabet). *)
+let gen_wide_analysis =
+  lazy
+    (let spec =
+       {
+         Dataset.Proggen.bash_like with
+         Dataset.Proggen.functions = 24;
+         statements_per_function = 7;
+       }
+     in
+     let app = Dataset.Sir.app4 ~cases:120 ~spec () in
+     Analyzer.analyze (Parser.parse_program app.Pipeline.source))
+
+(* What [Profile_check.automaton] compiles for a default-params profile:
+   the pruned CFGs, the default entry, the params' label view. *)
+let default_automaton (a : Analyzer.t) =
+  Seqauto.build ~use_labels:Pipeline.adprom_params.Profile.use_labels
+    a.Analyzer.pruned_cfgs a.Analyzer.callgraph
+
+(* Digests of the DFAs the straightforward (quadratic-allocation)
+   construction produced: construction may get cheaper, but the start
+   state, the state numbering and every transition must not change. *)
+let test_golden_digests () =
+  let digest a =
+    Digest.to_hex (Digest.string (Dfa.to_dot (default_automaton a).Seqauto.dfa))
+  in
+  let banking =
+    Analyzer.analyze
+      (Parser.parse_program (Dataset.Ca_banking.app ()).Pipeline.source)
+  in
+  Alcotest.(check string) "banking" "726aa538c9066700971eed8c99315761" (digest banking);
+  Alcotest.(check string) "gen-wide" "8c14b311d5f8f69e752a0d20020a6da2"
+    (digest (Lazy.force gen_wide_analysis))
+
+(* Build cost is bounded by the automaton, not by splitters × states:
+   a single-domain build's major-heap allocation stays well under the
+   ≈53 M words the quadratic construction took on this program. *)
+let test_build_allocation () =
+  let a = Lazy.force gen_wide_analysis in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let auto = default_automaton a in
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  Printf.printf "gen-wide build: %s, %.0f major words\n"
+    (Seqauto.stats_to_string auto.Seqauto.stats) words;
+  Alcotest.(check bool)
+    (Printf.sprintf "major words %.0f under 4 M" words)
+    true (words < 4e6)
+
+(* Random NFAs straight from the builder: ε-cycles, self-loops,
+   unreachable states and a three-letter alphabet all arise. *)
+let tiny_alphabet = [| "a"; "b"; "c" |]
+
+let gen_nfa =
+  QCheck2.Gen.(
+    let* n = int_range 1 10 in
+    let state = int_bound (n - 1) in
+    let* eps = list_size (int_bound (2 * n)) (pair state state) in
+    let* sym =
+      list_size (int_bound (3 * n))
+        (triple state (int_bound (Array.length tiny_alphabet - 1)) state)
+    in
+    let* start = state in
+    return (n, eps, sym, start))
+
+let nfa_of (n, eps, sym, start) =
+  let b = Nfa.create_builder () in
+  for _ = 1 to n do
+    ignore (Nfa.fresh b)
+  done;
+  List.iter (fun (s, d) -> Nfa.add_eps b s d) eps;
+  List.iter (fun (s, c, d) -> Nfa.add_sym b s (Symbol.lib tiny_alphabet.(c)) d) sym;
+  Nfa.finish b ~start
+
+(* Naive Moore refinement over the live states plus the dead state
+   (numbered [nstates]); returns the number of equivalence classes. *)
+let moore_classes dfa =
+  let n = Dfa.nstates dfa and w = Dfa.width dfa in
+  let succ s c = if s = n then n else match Dfa.step dfa s c with -1 -> n | d -> d in
+  let cls = Array.init (n + 1) (fun s -> if s = n then 1 else 0) in
+  let rec refine count =
+    let ids = Hashtbl.create 16 in
+    let next =
+      Array.init (n + 1) (fun s ->
+          let key = (cls.(s), List.init w (fun c -> cls.(succ s c))) in
+          match Hashtbl.find_opt ids key with
+          | Some id -> id
+          | None ->
+              let id = Hashtbl.length ids in
+              Hashtbl.replace ids key id;
+              id)
+    in
+    let count' = Hashtbl.length ids in
+    Array.blit next 0 cls 0 (n + 1);
+    if count' = count then count else refine count'
+  in
+  refine (if n = 0 then 1 else 2)
+
+let reachable_count dfa =
+  let n = Dfa.nstates dfa in
+  let seen = Array.make n false in
+  let rec go s =
+    if s >= 0 && not seen.(s) then begin
+      seen.(s) <- true;
+      for c = 0 to Dfa.width dfa - 1 do
+        go (Dfa.step dfa s c)
+      done
+    end
+  in
+  go (Dfa.start dfa);
+  Array.fold_left (fun k b -> if b then k + 1 else k) 0 seen
+
+let prop_random_nfa_minimal =
+  QCheck2.Test.make ~name:"DFA of a random NFA: same factor language, minimal"
+    ~count:300
+    QCheck2.Gen.(
+      pair gen_nfa
+        (list_size (int_range 1 12)
+           (list_size (int_range 0 8) (int_bound (Array.length tiny_alphabet)))))
+    (fun (spec, words) ->
+      let nfa = nfa_of spec in
+      let dfa = Dfa.of_nfa nfa in
+      let word picks =
+        List.map
+          (fun p ->
+            (* the last pick is a symbol outside the alphabet *)
+            Symbol.lib
+              (if p < Array.length tiny_alphabet then tiny_alphabet.(p) else "zzz_alien"))
+          picks
+      in
+      List.for_all
+        (fun picks ->
+          let w = word picks in
+          Nfa.accepts_factor nfa w = Dfa.accepts_factor dfa w)
+        words
+      && moore_classes dfa = Dfa.nstates dfa + 1
+      && reachable_count dfa = Dfa.nstates dfa)
+
 (* --- the runtime gate on a trained profile ------------------------------- *)
 
 let fixture =
@@ -372,6 +514,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_trace_soundness;
           QCheck_alcotest.to_alcotest prop_nfa_dfa_agree;
           QCheck_alcotest.to_alcotest prop_enforce_subset_of_anomalous;
+          QCheck_alcotest.to_alcotest prop_random_nfa_minimal;
+        ] );
+      ( "build",
+        [
+          Alcotest.test_case "DFA digests match the goldens" `Quick test_golden_digests;
+          Alcotest.test_case "gen-wide build allocation budget" `Quick
+            test_build_allocation;
         ] );
       ( "gate",
         [
