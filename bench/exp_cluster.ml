@@ -424,7 +424,11 @@ let integrity profile stream =
       [ "alpha"; "beta" ]
   in
   let merged, _ = route_burst nodes stream in
-  let single = Replay.run ~shards:2 ~queue_capacity:ample profile stream in
+  let single =
+    Replay.run
+      (Daemon.create ~shards:2 ~queue_capacity:ample profile)
+      (Array.map (fun ev -> Transport.Call ev) stream)
+  in
   let s = single.Replay.summary and m = merged.Frame.summary in
   let ok =
     s.Daemon.events_ingested = m.Daemon.events_ingested

@@ -33,7 +33,7 @@ let run () =
     Common.time (fun () -> Qstatic.infer analysis.Analysis.Analyzer.pruned_cfgs)
   in
   let qsig = Adprom.Pipeline.train_qsig ~analysis app in
-  let trained_sigs = Adprom_qsig.Profile.signatures (Adprom.Qsig.profile qsig) in
+  let trained_sigs = Adprom_qsig.Profile.signatures qsig in
   let contained =
     List.for_all (fun s -> List.mem s static.Qstatic.signatures) trained_sigs
   in
@@ -43,7 +43,7 @@ let run () =
       (Adprom.Pipeline.collect_outcomes app)
   in
   let engine mode =
-    let e = Adprom.Qsig.engine qsig in
+    let e = Engine.create qsig in
     (match mode with
     | `Off -> ()
     | `Explain | `Enforce ->

@@ -61,7 +61,7 @@ let reference_pass profile stream =
     }
   in
   Array.iter
-    (fun { Service.Codec.session; event } ->
+    (fun { Service.Transport.session; event } ->
       let buf, pushed =
         match Hashtbl.find_opt scorers session with
         | Some s -> s
@@ -83,7 +83,7 @@ let engine_pass engine stream =
   let scorers : (int, Adprom.Scoring.Stream.t) Hashtbl.t = Hashtbl.create 64 in
   let out = ref [] in
   Array.iter
-    (fun { Service.Codec.session; event } ->
+    (fun { Service.Transport.session; event } ->
       let st =
         match Hashtbl.find_opt scorers session with
         | Some s -> s
@@ -168,13 +168,17 @@ let scoring_showdown profile stream =
    noise; the traced run's span tree and incident log are dumped as CI
    artifacts. *)
 
+(* the daemon, fresh per run, over the whole burst *)
+let replay ~shards profile stream =
+  Service.Replay.run
+    (Service.Daemon.create ~shards ~queue_capacity:capacity ~keep_verdicts:false
+       profile)
+    (Array.map (fun ev -> Service.Transport.Call ev) stream)
+
 let obs_overhead profile stream =
   Common.heading "Observability: daemon throughput, tracing off vs on (4 domains)";
   let shards = 4 in
-  let run_once () =
-    Service.Replay.run ~shards ~queue_capacity:capacity ~keep_verdicts:false profile
-      stream
-  in
+  let run_once () = replay ~shards profile stream in
   let best_of n =
     let rec go k best =
       if k = 0 then best
@@ -256,11 +260,7 @@ let run () =
   let results =
     List.map
       (fun shards ->
-        let outcome =
-          Service.Replay.run ~shards ~queue_capacity:capacity ~keep_verdicts:false
-            profile stream
-        in
-        (shards, outcome))
+        (shards, replay ~shards profile stream))
       [ 1; 2; 4 ]
   in
   let rate (_, o) =

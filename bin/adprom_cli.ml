@@ -934,6 +934,31 @@ let decode_any data =
     (Service.Frame.transport_of_wire (Service.Frame.detect data))
     data
 
+let call_events items =
+  Array.of_list
+    (List.filter_map
+       (function Service.Transport.Call ev -> Some ev | Query _ -> None)
+       (Array.to_list items))
+
+(* A host stream as wire items: the interleaved call events, then the
+   executed queries of each session (session [i] ran the [i]th
+   outcome). Only per-session query order matters, so the queries ride
+   along at the end. *)
+let host_items stream (outcomes : Runtime.Interp.outcome list) =
+  let queries =
+    List.concat
+      (List.mapi
+         (fun i (o : Runtime.Interp.outcome) ->
+           List.map
+             (fun (sql, rows) ->
+               Service.Transport.Query { q_session = i; rows; sql })
+             o.Runtime.Interp.query_log)
+         outcomes)
+  in
+  Array.append
+    (Array.map (fun ev -> Service.Transport.Call ev) stream)
+    (Array.of_list queries)
+
 let record_cmd_run app_name output sessions seed wire =
   match List.assoc_opt app_name (builtin_apps ()) with
   | None -> `Error (false, Printf.sprintf "unknown app %S; try `adprom list-apps`" app_name)
@@ -949,31 +974,15 @@ let record_cmd_run app_name output sessions seed wire =
         in
         let rng = Mlkit.Rng.create seed in
         let stream = Adprom.Sessions.interleave ~rng (List.map fst runs) in
-        (* executed-query lines ride along after the call events: only
-           per-session query order matters, and pre-qsig consumers skip
-           them at decode *)
-        let queries =
-          List.concat
-            (List.mapi
-               (fun i (_, (o : Runtime.Interp.outcome)) ->
-                 List.map
-                   (fun (sql, rows) ->
-                     Service.Codec.Query
-                       { Service.Codec.q_session = i; rows; sql })
-                   o.Runtime.Interp.query_log)
-               runs)
-        in
-        let items =
-          Array.append
-            (Array.map (fun ev -> Service.Codec.Call ev) stream)
-            (Array.of_list queries)
-        in
+        let items = host_items stream (List.map snd runs) in
         let oc = open_out_bin output in
         output_string oc
           (Service.Transport.encode_all (Service.Frame.transport_of_wire wire) items);
         close_out oc;
         Printf.printf "%d sessions, %d events, %d queries -> %s (%s)\n" sessions
-          (Array.length stream) (List.length queries) output
+          (Array.length stream)
+          (Array.length items - Array.length stream)
+          output
           (Service.Transport.wire_to_string wire);
         `Ok ()
       end
@@ -994,21 +1003,20 @@ let record_cmd =
         (const record_cmd_run $ app_arg $ output_arg $ sessions_arg $ seed_arg
        $ wire_arg))
 
+(* --leakage-policy, as replay and serve load it *)
+let load_leakage_policy path =
+  Result.map_error
+    (Printf.sprintf "cannot load --leakage-policy: %s")
+    (Applang.Libspec.Sensitivity.load path)
+
 (* sink block -> rendered leak capability, precomputed once so the
    daemon workers never touch analysis types *)
 let leak_capabilities (analysis : Analysis.Analyzer.t) policy =
   let cfgs = analysis.Analysis.Analyzer.pruned_cfgs in
-  let sq = Analysis.Qstatic.infer cfgs in
-  let schema = Applang.Libspec.Sensitivity.schema policy in
-  let summary = Analysis.Leakage.analyze ~schema ~static:sq cfgs in
-  List.map
-    (fun (s : Analysis.Leakage.sink) ->
-      ( s.Analysis.Leakage.block,
-        Printf.sprintf "%s <- %s" s.Analysis.Leakage.callee
-          (String.concat ", "
-             (List.map Analysis.Flowdom.atom_to_string
-                s.Analysis.Leakage.atoms)) ))
-    summary.Analysis.Leakage.sinks
+  Analysis.Leakage.capabilities
+    (Analysis.Leakage.analyze
+       ~schema:(Applang.Libspec.Sensitivity.schema policy)
+       ~static:(Analysis.Qstatic.infer cfgs) cfgs)
 
 let replay_cmd_run profile_path events_path shards capacity verify vet_program
     vet_policy static_gate qsig_mode qsig_profile_path qsig_static_gate
@@ -1020,12 +1028,6 @@ let replay_cmd_run profile_path events_path shards capacity verify vet_program
       match decode_any (read_file events_path) with
       | Error msg -> `Error (false, Printf.sprintf "cannot load events: %s" msg)
       | Ok items -> (
-          let stream =
-            Array.of_list
-              (List.filter_map
-                 (function Service.Codec.Call ev -> Some ev | _ -> None)
-                 (Array.to_list items))
-          in
           let vet_against =
             match vet_program with
             | None -> Ok None
@@ -1049,11 +1051,10 @@ let replay_cmd_run profile_path events_path shards capacity verify vet_program
             | None, _ -> Ok None
             | Some _, (Error _ | Ok None) ->
                 Error "--leakage-policy needs --vet-program (the program whose sinks it judges)"
-            | Some p, Ok (Some analysis) -> (
-                match Applang.Libspec.Sensitivity.load p with
-                | Ok pol -> Ok (Some (leak_capabilities analysis pol))
-                | Error e ->
-                    Error (Printf.sprintf "cannot load --leakage-policy: %s" e))
+            | Some p, Ok (Some analysis) ->
+                Result.map
+                  (fun pol -> Some (leak_capabilities analysis pol))
+                  (load_leakage_policy p)
           in
           match (vet_against, qsig_profile, leakage) with
           | Error msg, _, _ ->
@@ -1063,16 +1064,11 @@ let replay_cmd_run profile_path events_path shards capacity verify vet_program
           | _, _, Error msg -> `Error (false, msg)
           | Ok vet_against, Ok qsig_profile, Ok leakage ->
           match
-            (* with the axis off, run over the pure event stream: the
-               outcome is bit-for-bit the pre-qsig replay *)
-            match qsig_mode with
-            | Service.Daemon.Qsig_off ->
-                Service.Replay.run ~shards ~queue_capacity:capacity ?vet_against
-                  ~vet_policy ~static_gate ?leakage profile stream
-            | _ ->
-                Service.Replay.run_items ~shards ~queue_capacity:capacity
-                  ?vet_against ~vet_policy ~static_gate ~qsig_mode ?qsig_profile
-                  ~qsig_static_gate ?leakage profile items
+            Service.Replay.run
+              (Service.Daemon.create ~shards ~queue_capacity:capacity ?vet_against
+                 ~vet_policy ~static_gate ~qsig_mode ?qsig_profile
+                 ~qsig_static_gate ?leakage profile)
+              items
           with
           | exception Invalid_argument msg -> `Error (false, msg)
           | outcome ->
@@ -1080,7 +1076,7 @@ let replay_cmd_run profile_path events_path shards capacity verify vet_program
           obs_finish trace_out;
           if verify then begin
             let mismatches =
-              Service.Replay.verify_against_batch profile stream
+              Service.Replay.verify_against_batch profile (call_events items)
                 outcome.Service.Replay.summary
             in
             if mismatches = [] then begin
@@ -1140,13 +1136,9 @@ let serve_cmd_run app_name shards capacity seed vet_policy static_gate qsig_mode
   match
     match leakage_policy_path with
     | None -> Ok None
-    | Some p -> (
-        match Applang.Libspec.Sensitivity.load p with
-        | Ok pol -> Ok (Some pol)
-        | Error e -> Error e)
+    | Some p -> Result.map Option.some (load_leakage_policy p)
   with
-  | Error msg ->
-      `Error (false, Printf.sprintf "cannot load --leakage-policy: %s" msg)
+  | Error msg -> `Error (false, msg)
   | Ok leak_policy -> (
   let leakage_of analysis =
     Option.map (leak_capabilities analysis) leak_policy
@@ -1171,8 +1163,8 @@ let serve_cmd_run app_name shards capacity seed vet_policy static_gate qsig_mode
           match
             Service.Server.serve ~socket ~name:node_name ~shards
               ~queue_capacity:capacity ~vet_against:analysis ~vet_policy
-              ~static_gate ~qsig_mode ~qsig_profile:(Adprom.Qsig.profile qsig)
-              ~qsig_static_gate ?leakage:(leakage_of analysis) profile
+              ~static_gate ~qsig_mode ~qsig_profile:qsig ~qsig_static_gate
+              ?leakage:(leakage_of analysis) profile
           with
           | exception Invalid_argument msg -> `Error (false, msg)
           | outcome ->
@@ -1190,12 +1182,10 @@ let serve_cmd_run app_name shards capacity seed vet_policy static_gate qsig_mode
         List.map
           (fun tc ->
             let trace, outcome = Adprom.Pipeline.run_case ~analysis app tc in
-            ("normal", trace, Some outcome))
+            ("normal", trace, outcome))
           app.Adprom.Pipeline.test_cases
       in
-      let qsig =
-        Adprom.Audit.learn (List.filter_map (fun (_, _, o) -> o) normal)
-      in
+      let qsig = Adprom.Audit.learn (List.map (fun (_, _, o) -> o) normal) in
       (* Malicious tenants: every built-in attack on this app joins the
          same host stream, audited against the query-signature profile. *)
       let attacks =
@@ -1217,7 +1207,7 @@ let serve_cmd_run app_name shards capacity seed vet_policy static_gate qsig_mode
                   Adprom.Pipeline.run_case ~patches ?query_rewriter:rewriter
                     ~analysis:analysis' app' tc
                 in
-                (c.Dataset.Ca_attacks.label, trace, Some outcome))
+                (c.Dataset.Ca_attacks.label, trace, outcome))
               app'.Adprom.Pipeline.test_cases)
           attacks
       in
@@ -1232,38 +1222,21 @@ let serve_cmd_run app_name shards capacity seed vet_policy static_gate qsig_mode
         (Array.length stream) shards;
       let alerts = Service.Alerts.create () in
       List.iteri
-        (fun i (_, _, outcome) ->
-          match outcome with
-          | Some o ->
-              List.iter
-                (Service.Alerts.record_finding alerts ~session:i)
-                (Adprom.Audit.audit ~qsig o)
-          | None -> ())
+        (fun i (_, _, o) ->
+          List.iter
+            (Service.Alerts.record_finding alerts ~session:i)
+            (Adprom.Audit.audit ~qsig o))
         sessions;
       (* the executed queries of every session join the host stream, so
          the daemon's query axis sees the same traffic the auditor did *)
-      let items =
-        Array.append
-          (Array.map (fun ev -> Service.Codec.Call ev) stream)
-          (Array.of_list
-             (List.concat
-                (List.mapi
-                   (fun i (_, _, outcome) ->
-                     match outcome with
-                     | None -> []
-                     | Some (o : Runtime.Interp.outcome) ->
-                         List.map
-                           (fun (sql, rows) ->
-                             Service.Codec.Query
-                               { Service.Codec.q_session = i; rows; sql })
-                           o.Runtime.Interp.query_log)
-                   sessions)))
-      in
+      let items = host_items stream (List.map (fun (_, _, o) -> o) sessions) in
       match
-        Service.Replay.run_items ~shards ~queue_capacity:capacity ~alerts
-          ~vet_against:analysis ~vet_policy ~static_gate ~qsig_mode
-          ~qsig_profile:(Adprom.Qsig.profile qsig) ~qsig_static_gate
-          ?leakage:(leakage_of analysis) profile items
+        Service.Replay.run
+          (Service.Daemon.create ~shards ~queue_capacity:capacity ~alerts
+             ~vet_against:analysis ~vet_policy ~static_gate ~qsig_mode
+             ~qsig_profile:qsig ~qsig_static_gate
+             ?leakage:(leakage_of analysis) profile)
+          items
       with
       | exception Invalid_argument msg -> `Error (false, msg)
       | outcome ->
@@ -1865,13 +1838,9 @@ let explain_cmd_run profile_path events_path session window_idx top =
       match decode_any (read_file events_path) with
       | Error msg -> `Error (false, Printf.sprintf "cannot load events: %s" msg)
       | Ok items -> (
-          let stream =
-            Array.of_list
-              (List.filter_map
-                 (function Service.Codec.Call ev -> Some ev | _ -> None)
-                 (Array.to_list items))
-          in
-          match List.assoc_opt session (Adprom.Sessions.demux stream) with
+          match
+            List.assoc_opt session (Adprom.Sessions.demux (call_events items))
+          with
           | None -> `Error (false, Printf.sprintf "no session %d in %s" session events_path)
           | Some trace ->
               let engine = Adprom.Scoring.create profile in
@@ -1941,8 +1910,7 @@ let qsig_train_cmd_run app_name output =
   | Some app ->
       Printf.printf "Collecting query logs and training %s ...\n%!"
         app.Adprom.Pipeline.name;
-      let qsig = Adprom.Pipeline.train_qsig app in
-      let profile = Adprom.Qsig.profile qsig in
+      let profile = Adprom.Pipeline.train_qsig app in
       Adprom_qsig.Profile.save profile output;
       Printf.printf
         "Query-signature profile written to %s (%d signatures, %d malformed)\n"

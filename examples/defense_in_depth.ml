@@ -4,7 +4,7 @@
    1. An attacker rewrites the query so it returns the SAME number of
       rows (equal selectivity): the call sequence is unchanged, so the
       HMM detector stays silent — exactly the limitation the paper
-      acknowledges. The query-signature profile (Qsig) catches it.
+      acknowledges. The query-signature profile catches it.
    2. An attacker stages targeted data into a file and ships it with a
       shell command: the staging writes are normal-looking, but the file
       is labeled by the dynamic data-flow tracking, and the audit flags
@@ -66,7 +66,7 @@ let () =
   in
   let qsig = Adprom.Audit.learn outcomes in
   Printf.printf "Trained: HMM profile (threshold %.3f) + %d query signature(s)\n\n"
-    profile.Adprom.Profile.threshold (Adprom.Qsig.cardinality qsig);
+    profile.Adprom.Profile.threshold (Adprom_qsig.Profile.cardinality qsig);
 
   let examine label input =
     let tc = Runtime.Testcase.make ~input:[ input ] label in
@@ -116,7 +116,7 @@ let () =
      blowup, out-of-band literals) against this app: the call sequence
      stays intact in every variant, so only the query axis can see it. *)
   print_newline ();
-  let qengine = Adprom.Qsig.engine qsig in
+  let qengine = Adprom_qsig.Engine.create qsig in
   let caught_of scenario =
     List.exists
       (fun (_, qlog) ->

@@ -342,3 +342,11 @@ let analyze ?schema ~(static : Qstatic.result) cfgs =
     sinks = List.sort compare !sinks;
     complete = static.Qstatic.complete;
   }
+
+let capabilities r =
+  List.map
+    (fun s ->
+      ( s.block,
+        Printf.sprintf "%s <- %s" s.callee
+          (String.concat ", " (List.map Flowdom.atom_to_string s.atoms)) ))
+    r.sinks

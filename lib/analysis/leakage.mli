@@ -42,3 +42,8 @@ val analyze :
 (** [static] must come from {!Qstatic.infer} over the {e same} CFG
     list. Without a schema, [SELECT *] atoms keep the whole-row ["*"]
     column and no cardinality bound from key predicates applies. *)
+
+val capabilities : result -> (int * string) list
+(** Each sink's block with its rendered capability,
+    ["callee <- atom, atom"]: the note a runtime monitor attaches to an
+    incident once the session has fired that block. *)

@@ -12,7 +12,23 @@ let learn outcomes =
       List.iter (Adprom_qsig.Profile.learn_shape profile) o.Runtime.Interp.queries;
       Adprom_qsig.Profile.learn_log profile o.Runtime.Interp.query_log)
     outcomes;
-  Qsig.of_profile profile
+  profile
+
+let unknown_in_run qsig queries =
+  let seen = Hashtbl.create 8 in
+  List.filter_map
+    (fun sql ->
+      let name, known =
+        match Adprom_qsig.Signature.of_sql sql with
+        | Ok s -> (Adprom_qsig.Signature.to_string s, Adprom_qsig.Profile.mem qsig s)
+        | Error _ -> ("<malformed>", Adprom_qsig.Profile.malformed_count qsig > 0)
+      in
+      if known || Hashtbl.mem seen name then None
+      else begin
+        Hashtbl.replace seen name ();
+        Some name
+      end)
+    queries
 
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
@@ -47,9 +63,9 @@ let audit ?policy ~qsig (outcome : Runtime.Interp.outcome) =
   let query_findings =
     List.map
       (fun s -> Unknown_query_signature s)
-      (Qsig.unknown_in_run qsig outcome.Runtime.Interp.queries)
+      (unknown_in_run qsig outcome.Runtime.Interp.queries)
   in
-  let engine = Qsig.engine ?policy qsig in
+  let engine = Adprom_qsig.Engine.create ?policy qsig in
   let constraint_findings =
     List.concat_map
       (fun (sql, rows) ->

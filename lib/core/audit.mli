@@ -4,7 +4,7 @@
     cannot see are covered here:
 
     - queries whose structure changed while the call sequence did not
-      (query-signature profiles, {!Qsig});
+      (query-signature profiles, {!Adprom_qsig.Profile});
     - queries that keep a trained structure but drift in their literals,
       widen their WHERE clause toward a tautology, or return far more
       rows than training ever saw (the constraint-aware query axis,
@@ -23,14 +23,20 @@ type finding =
   | Tainted_file_command of { path : string; command : string }
       (** a [system] command touching a file that holds targeted data *)
 
-val learn : Runtime.Interp.outcome list -> Qsig.t
+val learn : Runtime.Interp.outcome list -> Adprom_qsig.Profile.t
 (** Query-signature profile from the training runs' outcomes:
     prepare-time texts register their shape, executed queries train the
     slot constraints and cardinality bands. *)
 
+val unknown_in_run : Adprom_qsig.Profile.t -> string list -> string list
+(** Signatures of the run's queries not in the profile, deduplicated,
+    in first-appearance order. Unparseable texts share one
+    ["<malformed>"] bucket, which is known when training saw malformed
+    text too. *)
+
 val audit :
   ?policy:Adprom_qsig.Constraints.policy ->
-  qsig:Qsig.t ->
+  qsig:Adprom_qsig.Profile.t ->
   Runtime.Interp.outcome ->
   finding list
 (** Findings for one monitored run (default policy [Strict]). *)

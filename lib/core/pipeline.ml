@@ -77,4 +77,5 @@ let collect_outcomes ?analysis app =
 
 let train_qsig ?analysis app = Audit.learn (collect_outcomes ?analysis app)
 
-let train_qsig_engine ?policy ?analysis app = Qsig.engine ?policy (train_qsig ?analysis app)
+let train_qsig_engine ?policy ?analysis app =
+  Adprom_qsig.Engine.create ?policy (train_qsig ?analysis app)

@@ -59,7 +59,7 @@ val collect_outcomes :
 (** Run every test case for its outcome only (no trace windowing) —
     the training input of the query-signature axis. *)
 
-val train_qsig : ?analysis:Analysis.Analyzer.t -> app -> Qsig.t
+val train_qsig : ?analysis:Analysis.Analyzer.t -> app -> Adprom_qsig.Profile.t
 (** Query-signature profile over all training outcomes ({!Audit.learn}
     on {!collect_outcomes}). *)
 

@@ -46,8 +46,8 @@ module Oclock = Adprom_obs.Clock
    stamp is an immediate int (63 bits of ns outlast any uptime), so a
    queued item carries no boxed int64. *)
 type message =
-  | Event of Codec.event * int  (* payload, enqueue monotonic ns *)
-  | Query of Codec.query * int
+  | Event of Transport.event * int  (* payload, enqueue monotonic ns *)
+  | Query of Transport.query * int
   | Shed of int  (* discard this session's scorer; ignore later events *)
 
 (* End-to-end latency spans queueing, so it needs headroom past the
@@ -122,18 +122,65 @@ let flag_severity = function
   | Detector.Out_of_context -> 2
   | Detector.Data_leak -> 3
 
-let flag_counter_names =
-  [|
-    "adprom_verdicts_normal_total";
-    "adprom_verdicts_anomalous_total";
-    "adprom_verdicts_out_of_context_total";
-    "adprom_verdicts_data_leak_total";
-  |]
+(* The series the workers report into, registered once by [create] —
+   so the dump shows them before the first event arrives — and shared
+   by every worker. *)
+type series = {
+  windows : Metrics.counter;
+  flags : Metrics.counter array;  (* indexed by [flag_severity] *)
+  cache_hits : Metrics.counter;
+  cache_misses : Metrics.counter;
+  scorer_errors : Metrics.counter;
+  gate_checks : Metrics.counter;
+  gate_rejections : Metrics.counter;
+  qsig_checks : Metrics.counter;
+  qsig_anomalies : Metrics.counter;
+  qgate_checks : Metrics.counter;
+  qgate_rejections : Metrics.counter;
+  leak_capable : Metrics.counter;
+  latency : Metrics.histogram;
+  queue_wait : Metrics.histogram;
+  e2e : Metrics.histogram;
+}
+
+let register_series metrics =
+  let c = Metrics.counter metrics in
+  {
+    windows = c "adprom_windows_scored_total";
+    flags =
+      Array.map c
+        [|
+          "adprom_verdicts_normal_total";
+          "adprom_verdicts_anomalous_total";
+          "adprom_verdicts_out_of_context_total";
+          "adprom_verdicts_data_leak_total";
+        |];
+    cache_hits = c "adprom_score_cache_hits_total";
+    cache_misses = c "adprom_score_cache_misses_total";
+    scorer_errors = c "adprom_scorer_errors_total";
+    gate_checks = c "adprom_dfa_gate_checks_total";
+    gate_rejections = c "adprom_dfa_gate_rejections_total";
+    qsig_checks = c "adprom_qsig_checks_total";
+    qsig_anomalies = c "adprom_qsig_anomalies_total";
+    qgate_checks = c "adprom_qsig_gate_checks_total";
+    qgate_rejections = c "adprom_qsig_gate_rejections_total";
+    leak_capable = c "adprom_leak_capable_incidents_total";
+    latency =
+      Metrics.histogram metrics "adprom_score_latency_seconds"
+        ~help:"Per-event scorer push latency";
+    queue_wait =
+      Metrics.histogram metrics "adprom_queue_wait_seconds"
+        ~help:"Time items spend queued between admission and dequeue";
+    e2e =
+      Metrics.histogram ~buckets:e2e_buckets metrics
+        "adprom_e2e_latency_seconds"
+        ~help:"Ingest-to-verdict latency of verdict-completing events";
+  }
 
 let shard_of t session = Hashtbl.hash session mod Array.length t.shards
 
 let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
-    ~qsig ~qsig_static ~leakage ~metrics ~alerts ~ring shard =
+    ~qsig ~qsig_static ~leakage ~series:m ~alerts ~ring shard =
   (* one compiled engine per worker domain: every session of this shard
      shares its interned tables and verdict memo *)
   let engine = Scoring.create profile in
@@ -168,68 +215,33 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
   let fired_sinks : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
   let shed_here : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let discarded = ref [] in
-  let c_windows = Metrics.counter metrics "adprom_windows_scored_total" in
-  let c_flags = Array.map (Metrics.counter metrics) flag_counter_names in
-  let h_latency = Metrics.histogram metrics "adprom_score_latency_seconds" in
-  let h_queue_wait = Metrics.histogram metrics "adprom_queue_wait_seconds" in
-  let h_e2e =
-    Metrics.histogram ~buckets:e2e_buckets metrics "adprom_e2e_latency_seconds"
-  in
-  let c_hits = Metrics.counter metrics "adprom_score_cache_hits_total" in
-  let c_misses = Metrics.counter metrics "adprom_score_cache_misses_total" in
-  let c_scorer_errors = Metrics.counter metrics "adprom_scorer_errors_total" in
-  let c_gate_checks = Metrics.counter metrics "adprom_dfa_gate_checks_total" in
-  let c_gate_rejections =
-    Metrics.counter metrics "adprom_dfa_gate_rejections_total"
-  in
-  let c_qsig_checks = Metrics.counter metrics "adprom_qsig_checks_total" in
-  let c_qsig_anomalies =
-    Metrics.counter metrics "adprom_qsig_anomalies_total"
-  in
-  let c_qgate_checks =
-    Metrics.counter metrics "adprom_qsig_gate_checks_total"
-  in
-  let c_qgate_rejections =
-    Metrics.counter metrics "adprom_qsig_gate_rejections_total"
-  in
-  let c_leak_capable =
-    Metrics.counter metrics "adprom_leak_capable_incidents_total"
-  in
-  let seen_hits = ref 0 and seen_misses = ref 0 in
-  let seen_gate_checks = ref 0 and seen_gate_rejections = ref 0 in
-  let seen_qgate_checks = ref 0 and seen_qgate_rejections = ref 0 in
-  let sync_cache_counters () =
-    let h = Scoring.cache_hits engine and m = Scoring.cache_misses engine in
-    if h > !seen_hits then begin
-      Metrics.incr ~by:(h - !seen_hits) c_hits;
-      seen_hits := h
-    end;
-    if m > !seen_misses then begin
-      Metrics.incr ~by:(m - !seen_misses) c_misses;
-      seen_misses := m
-    end;
-    let gc = Scoring.gate_checks engine and gr = Scoring.gate_rejections engine in
-    if gc > !seen_gate_checks then begin
-      Metrics.incr ~by:(gc - !seen_gate_checks) c_gate_checks;
-      seen_gate_checks := gc
-    end;
-    if gr > !seen_gate_rejections then begin
-      Metrics.incr ~by:(gr - !seen_gate_rejections) c_gate_rejections;
-      seen_gate_rejections := gr
-    end;
+  (* engine-side tallies, mirrored into their counters as deltas *)
+  let tallies =
+    [
+      ((fun () -> Scoring.cache_hits engine), m.cache_hits);
+      ((fun () -> Scoring.cache_misses engine), m.cache_misses);
+      ((fun () -> Scoring.gate_checks engine), m.gate_checks);
+      ((fun () -> Scoring.gate_rejections engine), m.gate_rejections);
+    ]
+    @
     match qsig_engine with
-    | None -> ()
+    | None -> []
     | Some qe ->
-        let qc = Adprom_qsig.Engine.gate_checks qe
-        and qr = Adprom_qsig.Engine.gate_rejections qe in
-        if qc > !seen_qgate_checks then begin
-          Metrics.incr ~by:(qc - !seen_qgate_checks) c_qgate_checks;
-          seen_qgate_checks := qc
-        end;
-        if qr > !seen_qgate_rejections then begin
-          Metrics.incr ~by:(qr - !seen_qgate_rejections) c_qgate_rejections;
-          seen_qgate_rejections := qr
-        end
+        [
+          ((fun () -> Adprom_qsig.Engine.gate_checks qe), m.qgate_checks);
+          ((fun () -> Adprom_qsig.Engine.gate_rejections qe), m.qgate_rejections);
+        ]
+  in
+  let synced = List.map (fun (get, c) -> (get, c, ref 0)) tallies in
+  let sync () =
+    List.iter
+      (fun (get, c, seen) ->
+        let x = get () in
+        if x > !seen then begin
+          Metrics.incr ~by:(x - !seen) c;
+          seen := x
+        end)
+      synced
   in
   let leak_capability session =
     match Hashtbl.find_opt fired_sinks session with
@@ -244,8 +256,8 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
         | caps -> Some (String.concat "; " caps))
   in
   let account session scorer verdict =
-    Metrics.incr c_windows;
-    Metrics.incr c_flags.(flag_severity verdict.Detector.flag);
+    Metrics.incr m.windows;
+    Metrics.incr m.flags.(flag_severity verdict.Detector.flag);
     match verdict.Detector.flag with
     | Detector.Normal | Detector.Anomalous -> ()
     | Detector.Data_leak | Detector.Out_of_context ->
@@ -259,7 +271,7 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
             ~window_index:(Scorer.windows_scored scorer - 1)
             verdict
         in
-        if logged && leak <> None then Metrics.incr c_leak_capable;
+        if logged && leak <> None then Metrics.incr m.leak_capable;
         if Olog.enabled Olog.Warn then
           Olog.emit ~ring Olog.Warn ~scope:"daemon"
             ~fields:
@@ -275,8 +287,8 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
             "incident"
   in
   let handle deq_ns = function
-    | Event ({ Codec.session; event }, enq_ns) ->
-        Metrics.observe h_queue_wait (ns_to_s (deq_ns - enq_ns));
+    | Event ({ Transport.session; event }, enq_ns) ->
+        Metrics.observe m.queue_wait (ns_to_s (deq_ns - enq_ns));
         if not (Hashtbl.mem shed_here session) then begin
           (match event.Runtime.Collector.symbol with
           | Analysis.Symbol.Lib { label = Some b; _ }
@@ -300,17 +312,17 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
               account session scorer verdict;
               (* the verdict-completing event pays one extra clock read
                  to date the whole ingest→verdict path *)
-              Metrics.observe h_e2e
+              Metrics.observe m.e2e
                 (ns_to_s (now_ns () - enq_ns))
           | Ok None -> ()
           | Error _ ->
               (* a protocol slip (event after end-of-session), handled
                  like a codec-level incident — never a dead shard *)
-              Metrics.incr c_scorer_errors);
-          Metrics.observe h_latency (Unix.gettimeofday () -. t0)
+              Metrics.incr m.scorer_errors);
+          Metrics.observe m.latency (Unix.gettimeofday () -. t0)
         end
-    | Query ({ Codec.q_session = session; rows; sql }, enq_ns) -> (
-        Metrics.observe h_queue_wait (ns_to_s (deq_ns - enq_ns));
+    | Query ({ Transport.q_session = session; rows; sql }, enq_ns) -> (
+        Metrics.observe m.queue_wait (ns_to_s (deq_ns - enq_ns));
         match qsig_engine with
         | None -> ()
         | Some qe ->
@@ -324,9 +336,9 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
                     s
               in
               let verdict = Adprom_qsig.Engine.Scorer.push qs ~rows sql in
-              Metrics.incr c_qsig_checks;
+              Metrics.incr m.qsig_checks;
               if verdict.Adprom_qsig.Engine.anomalous then begin
-                Metrics.incr c_qsig_anomalies;
+                Metrics.incr m.qsig_anomalies;
                 ignore
                   (Alerts.record_query_verdict alerts ~session
                      ~query_index:
@@ -384,7 +396,7 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
           [ ("shard", string_of_int idx); ("events", string_of_int (Queue.length batch)) ])
         (fun () -> Queue.iter (handle deq_ns) batch)
     end;
-    sync_cache_counters ();
+    sync ();
     if finished then begin
       let qsig_stats session =
         match Hashtbl.find_opt qsig_scorers session with
@@ -431,7 +443,7 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
               :: acc)
           qsig_scorers reports
       in
-      sync_cache_counters ();
+      sync ();
       { reports; discarded = !discarded }
     end
     else loop ()
@@ -492,30 +504,7 @@ let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
         (* Explanations can now name statically impossible pairs. *)
         Some (Adprom.Profile_check.static_pairs analysis)
   in
-  (* register the shared series up front so the dump shows them even
-     before the first event arrives *)
-  ignore (Metrics.counter metrics "adprom_windows_scored_total");
-  Array.iter (fun n -> ignore (Metrics.counter metrics n)) flag_counter_names;
-  ignore
-    (Metrics.histogram metrics "adprom_score_latency_seconds"
-       ~help:"Per-event scorer push latency");
-  ignore
-    (Metrics.histogram metrics "adprom_queue_wait_seconds"
-       ~help:"Time items spend queued between admission and dequeue");
-  ignore
-    (Metrics.histogram ~buckets:e2e_buckets metrics
-       "adprom_e2e_latency_seconds"
-       ~help:"Ingest-to-verdict latency of verdict-completing events");
-  ignore (Metrics.counter metrics "adprom_score_cache_hits_total");
-  ignore (Metrics.counter metrics "adprom_score_cache_misses_total");
-  ignore (Metrics.counter metrics "adprom_scorer_errors_total");
-  ignore (Metrics.counter metrics "adprom_dfa_gate_checks_total");
-  ignore (Metrics.counter metrics "adprom_dfa_gate_rejections_total");
-  ignore (Metrics.counter metrics "adprom_qsig_checks_total");
-  ignore (Metrics.counter metrics "adprom_qsig_anomalies_total");
-  ignore (Metrics.counter metrics "adprom_qsig_gate_checks_total");
-  ignore (Metrics.counter metrics "adprom_qsig_gate_rejections_total");
-  ignore (Metrics.counter metrics "adprom_leak_capable_incidents_total");
+  let series = register_series metrics in
   (* The query axis needs both a mode and a trained profile; workers
      snapshot the profile before any domain spawns so later mutation by
      the caller cannot race the checkers. *)
@@ -561,7 +550,7 @@ let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
         Domain.spawn (fun () ->
             worker ~idx ~profile ~static_pairs ~static_auto
               ~gate_enforce:(static_gate = Gate_enforce) ~keep_verdicts ~qsig
-              ~qsig_static ~leakage ~metrics ~alerts ~ring:rings.(idx) shard))
+              ~qsig_static ~leakage ~series ~alerts ~ring:rings.(idx) shard))
       shard_array
   in
   {
@@ -589,21 +578,21 @@ let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
 let drop t ev =
   t.dropped <- t.dropped + 1;
   Metrics.incr t.c_dropped;
-  match Hashtbl.find_opt t.shed_at_door ev.Codec.session with
+  match Hashtbl.find_opt t.shed_at_door ev.Transport.session with
   | Some n -> incr n
-  | None -> Hashtbl.replace t.shed_at_door ev.Codec.session (ref 1)
+  | None -> Hashtbl.replace t.shed_at_door ev.Transport.session (ref 1)
 
 let ingest t ev =
   if t.draining then invalid_arg "Daemon.ingest: daemon already drained";
-  if ev.Codec.session < 0 then invalid_arg "Daemon.ingest: negative session id";
+  if ev.Transport.session < 0 then invalid_arg "Daemon.ingest: negative session id";
   t.offered <- t.offered + 1;
   Metrics.incr t.c_offered;
-  if Hashtbl.mem t.shed_at_door ev.Codec.session then begin
+  if Hashtbl.mem t.shed_at_door ev.Transport.session then begin
     drop t ev;
     Rejected { newly_shed = false }
   end
   else begin
-    let shard = t.shards.(shard_of t ev.Codec.session) in
+    let shard = t.shards.(shard_of t ev.Transport.session) in
     Mutex.lock shard.mutex;
     let depth = Queue.length shard.queue in
     if depth >= t.capacity then begin
@@ -612,7 +601,7 @@ let ingest t ev =
          no program run produced (see Core.Sessions). The control
          message is exempt from the bound so the worker can discard the
          session's partial state. *)
-      Queue.add (Shed ev.Codec.session) shard.queue;
+      Queue.add (Shed ev.Transport.session) shard.queue;
       Condition.signal shard.nonempty;
       Mutex.unlock shard.mutex;
       Metrics.incr t.c_shed_sessions;
@@ -630,19 +619,19 @@ let ingest t ev =
     end
   end
 
-let ingest_query t (q : Codec.query) =
+let ingest_query t (q : Transport.query) =
   if t.draining then invalid_arg "Daemon.ingest_query: daemon already drained";
-  if q.Codec.q_session < 0 then
+  if q.Transport.q_session < 0 then
     invalid_arg "Daemon.ingest_query: negative session id";
   if not t.qsig_active then Accepted
-  else if Hashtbl.mem t.shed_at_door q.Codec.q_session then
+  else if Hashtbl.mem t.shed_at_door q.Transport.q_session then
     (* the session is already gone; its queries follow its events out *)
     Rejected { newly_shed = false }
   else begin
     (* Queries are low-volume side traffic (one per DB call, not one
        per library call) and never fabricate call transitions, so they
        are exempt from the shedding bound, like the control message. *)
-    let shard = t.shards.(shard_of t q.Codec.q_session) in
+    let shard = t.shards.(shard_of t q.Transport.q_session) in
     Mutex.lock shard.mutex;
     Queue.add (Query (q, now_ns ())) shard.queue;
     Condition.signal shard.nonempty;
@@ -651,8 +640,8 @@ let ingest_query t (q : Codec.query) =
   end
 
 let ingest_item t = function
-  | Codec.Call ev -> ingest t ev
-  | Codec.Query q -> ingest_query t q
+  | Transport.Call ev -> ingest t ev
+  | Transport.Query q -> ingest_query t q
 
 let drain t =
   if t.draining then invalid_arg "Daemon.drain: daemon already drained";

@@ -147,13 +147,13 @@ val create :
     @raise Invalid_argument on [shards < 1], a negative capacity, or a
     profile failing vet under [Enforce]. *)
 
-val ingest : t -> Codec.event -> admission
+val ingest : t -> Transport.event -> admission
 (** Route one event (not thread-safe: one acceptor thread). [Rejected]
     is the explicit backpressure signal; [newly_shed] marks the
     admission that tripped the overload policy.
     @raise Invalid_argument after {!drain} or on a negative session id. *)
 
-val ingest_query : t -> Codec.query -> admission
+val ingest_query : t -> Transport.query -> admission
 (** Route one executed-query record to its session's shard. A no-op
     [Accepted] when the query axis is off; [Rejected] only when the
     session was already shed (queries are exempt from the shedding
@@ -161,7 +161,7 @@ val ingest_query : t -> Codec.query -> admission
     transitions).
     @raise Invalid_argument after {!drain} or on a negative session id. *)
 
-val ingest_item : t -> Codec.item -> admission
+val ingest_item : t -> Transport.item -> admission
 (** {!ingest} or {!ingest_query} by the wire line's kind. *)
 
 val drain : t -> summary

@@ -9,7 +9,9 @@ type outcome = {
   events_tail : Adprom_obs.Log.event list;
 }
 
-let finish daemon t0 =
+let run daemon items =
+  let t0 = Unix.gettimeofday () in
+  Array.iter (fun it -> ignore (Daemon.ingest_item daemon it)) items;
   let summary =
     Adprom_obs.Trace.with_span "daemon.drain" (fun () -> Daemon.drain daemon)
   in
@@ -21,53 +23,6 @@ let finish daemon t0 =
     alerts = Daemon.alerts daemon;
     events_tail = Daemon.recent_events daemon;
   }
-
-let run ?shards ?queue_capacity ?keep_verdicts ?metrics ?alerts ?vet_against
-    ?vet_policy ?static_gate ?qsig_mode ?qsig_profile ?qsig_static_gate
-    ?leakage profile stream =
-  let daemon =
-    Daemon.create ?shards ?queue_capacity ?keep_verdicts ?metrics ?alerts
-      ?vet_against ?vet_policy ?static_gate ?qsig_mode ?qsig_profile
-      ?qsig_static_gate ?leakage profile
-  in
-  let t0 = Unix.gettimeofday () in
-  Array.iter (fun ev -> ignore (Daemon.ingest daemon ev)) stream;
-  finish daemon t0
-
-let run_items ?shards ?queue_capacity ?keep_verdicts ?metrics ?alerts
-    ?vet_against ?vet_policy ?static_gate ?qsig_mode ?qsig_profile
-    ?qsig_static_gate ?leakage profile items =
-  let daemon =
-    Daemon.create ?shards ?queue_capacity ?keep_verdicts ?metrics ?alerts
-      ?vet_against ?vet_policy ?static_gate ?qsig_mode ?qsig_profile
-      ?qsig_static_gate ?leakage profile
-  in
-  let t0 = Unix.gettimeofday () in
-  Array.iter (fun it -> ignore (Daemon.ingest_item daemon it)) items;
-  finish daemon t0
-
-let of_text ?shards ?queue_capacity ?keep_verdicts ?qsig_mode ?qsig_profile
-    profile text =
-  match qsig_mode with
-  | None | Some Daemon.Qsig_off -> (
-      (* plain decode drops query lines, so the event stream — and with
-         it every sequence verdict — is bit-for-bit the pre-qsig one *)
-      match
-        Adprom_obs.Trace.with_span "codec.decode" (fun () -> Codec.decode text)
-      with
-      | Error e -> Error e
-      | Ok stream ->
-          Ok (run ?shards ?queue_capacity ?keep_verdicts profile stream))
-  | Some _ -> (
-      match
-        Adprom_obs.Trace.with_span "codec.decode" (fun () ->
-            Codec.decode_mixed text)
-      with
-      | Error e -> Error e
-      | Ok items ->
-          Ok
-            (run_items ?shards ?queue_capacity ?keep_verdicts ?qsig_mode
-               ?qsig_profile profile items))
 
 let throughput o =
   if o.seconds > 0.0 then

@@ -1,6 +1,6 @@
-(** End-to-end stream replay: feed a multi-tenant tagged event stream
-    (the {!Codec} wire format, or a {!Adprom.Sessions.interleave}d host
-    stream — same type) through a fresh {!Daemon} and collect the
+(** End-to-end stream replay: feed a multi-tenant stream of wire items
+    (decoded by a {!Transport}, or a {!Adprom.Sessions.interleave}d host
+    stream wrapped as [Call]s) through a fresh {!Daemon} and collect the
     summary, timing, metrics and incidents. Also the referee for the
     daemon's correctness claim: surviving sessions must score exactly
     like batch [Detector.monitor] on the demultiplexed traces. *)
@@ -15,62 +15,13 @@ type outcome = {
           from the per-shard rings — what the CLI prints on request *)
 }
 
-val run :
-  ?shards:int ->
-  ?queue_capacity:int ->
-  ?keep_verdicts:bool ->
-  ?metrics:Metrics.t ->
-  ?alerts:Alerts.t ->
-  ?vet_against:Analysis.Analyzer.t ->
-  ?vet_policy:Adprom.Profile_check.policy ->
-  ?static_gate:Daemon.gate_mode ->
-  ?qsig_mode:Daemon.qsig_mode ->
-  ?qsig_profile:Adprom_qsig.Profile.t ->
-  ?qsig_static_gate:Daemon.gate_mode ->
-  ?leakage:(int * string) list ->
-  Adprom.Profile.t ->
-  Codec.event array ->
-  outcome
-(** [vet_against]/[vet_policy]/[static_gate]/[leakage] are passed through to
-    {!Daemon.create}: the profile is vetted against the program's static
-    analysis (and, under [Gate_explain]/[Gate_enforce], its
-    call-sequence automaton is loaded into the workers) before replay
-    starts. [qsig_mode]/[qsig_profile] likewise arm the query axis —
-    inert on a pure event stream; use {!run_items} or {!of_text} for
-    mixed streams. [qsig_static_gate] arms the query axis' static
-    signature gate (needs [vet_against] and an armed query axis). *)
-
-val run_items :
-  ?shards:int ->
-  ?queue_capacity:int ->
-  ?keep_verdicts:bool ->
-  ?metrics:Metrics.t ->
-  ?alerts:Alerts.t ->
-  ?vet_against:Analysis.Analyzer.t ->
-  ?vet_policy:Adprom.Profile_check.policy ->
-  ?static_gate:Daemon.gate_mode ->
-  ?qsig_mode:Daemon.qsig_mode ->
-  ?qsig_profile:Adprom_qsig.Profile.t ->
-  ?qsig_static_gate:Daemon.gate_mode ->
-  ?leakage:(int * string) list ->
-  Adprom.Profile.t ->
-  Codec.item array ->
-  outcome
-(** {!run} over a mixed call-event/executed-query stream. *)
-
-val of_text :
-  ?shards:int ->
-  ?queue_capacity:int ->
-  ?keep_verdicts:bool ->
-  ?qsig_mode:Daemon.qsig_mode ->
-  ?qsig_profile:Adprom_qsig.Profile.t ->
-  Adprom.Profile.t ->
-  string ->
-  (outcome, string) result
-(** Decode the wire text first; [Error "line N: ..."] on a bad line.
-    With [qsig_mode] off (the default) query lines are skipped at
-    decode, so outcomes are bit-for-bit the pre-qsig ones; otherwise
-    the mixed stream is replayed through the armed daemon. *)
+val run : Daemon.t -> Transport.item array -> outcome
+(** Ingest every item into [daemon] (built by the caller with
+    {!Daemon.create}, which declares every option), drain it and collect
+    the outcome. Query items are a no-op unless the daemon's query axis
+    is armed, so a mixed stream replayed with the axis off scores
+    exactly like its call events alone. The daemon cannot be used
+    afterwards. *)
 
 val throughput : outcome -> float
 (** Ingested events per second. *)
@@ -83,7 +34,7 @@ type mismatch = {
 }
 
 val verify_against_batch :
-  Adprom.Profile.t -> Codec.event array -> Daemon.summary -> mismatch list
+  Adprom.Profile.t -> Transport.event array -> Daemon.summary -> mismatch list
 (** Compare each surviving session's live verdict flags against the
     batch detection loop on the demuxed stream; [[]] means the daemon
     reproduced batch detection exactly. Requires [keep_verdicts]. *)

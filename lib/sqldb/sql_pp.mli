@@ -26,7 +26,7 @@ val signature : Sql_ast.statement -> string
     had no IN operator — every IN query was unparseable and mapped to
     the profile's malformed bucket — and no statement in the shipped
     datasets uses LIMIT with trained profiles persisted, so signatures
-    learned by earlier [Core.Qsig] profiles are unchanged; only
+    learned by earlier query-signature profiles are unchanged; only
     previously-malformed IN queries gain real signatures. *)
 
 val signature_of_sql : string -> string option

@@ -5,7 +5,6 @@
    cluster whose merged verdicts must be bit-for-bit the single-node
    replay's. *)
 
-module Codec = Adprom_service.Codec
 module Transport = Adprom_service.Transport
 module Frame = Adprom_service.Frame
 module Server = Adprom_service.Server
@@ -352,15 +351,15 @@ let test_negative_rows_rejected () =
       Alcotest.(check bool) "names the defect" true
         (contains ~needle:"negative row count" e));
   (* through the streaming decoder, with the line number *)
-  (match Codec.decode_mixed "q\t1\t2\tSELECT name FROM t\nq\t1\t-3\tSELECT name FROM t" with
+  (match
+     Transport.decode_all
+       (module Transport.Text)
+       "q\t1\t2\tSELECT name FROM t\nq\t1\t-3\tSELECT name FROM t"
+   with
   | Ok _ -> Alcotest.fail "negative row count accepted by decode"
   | Error e ->
       Alcotest.(check bool) (Printf.sprintf "%S names line 2" e) true
         (contains ~needle:"line 2:" e));
-  (* plain Codec.decode (call events only) validates query lines too *)
-  (match Codec.decode "q\t1\t-3\tSELECT name FROM t" with
-  | Ok _ -> Alcotest.fail "negative row count accepted by Codec.decode"
-  | Error _ -> ());
   (* and the binary encoder refuses to emit one *)
   let enc = Frame.Encoder.create () in
   let buf = Buffer.create 16 in
@@ -557,7 +556,7 @@ let fixture =
        }
      in
      let ds = Pipeline.collect app in
-     (Pipeline.train ds, Adprom.Qsig.profile (Pipeline.train_qsig app),
+     (Pipeline.train ds, Pipeline.train_qsig app,
       List.map snd ds.Pipeline.traces))
 
 let cluster_items () =
@@ -651,7 +650,8 @@ let test_two_node_cluster_matches_single () =
   let merged = Cluster.merge summaries in
   (* now the reference: the same items through one local daemon *)
   let single =
-    Replay.run_items ~shards:2 ~qsig_mode:Daemon.Qsig_warn ~qsig_profile profile
+    Replay.run
+      (Daemon.create ~shards:2 ~qsig_mode:Daemon.Qsig_warn ~qsig_profile profile)
       items
   in
   let s = single.Replay.summary in

@@ -4,7 +4,7 @@
    adaptive-threshold monitor. *)
 
 module Sql_pp = Sqldb.Sql_pp
-module Qsig = Adprom.Qsig
+module Qprofile = Adprom_qsig.Profile
 module Audit = Adprom.Audit
 module Profile = Adprom.Profile
 module Profile_io = Adprom.Profile_io
@@ -52,16 +52,19 @@ let test_sql_signature_erases_literals () =
     (Sql_pp.signature_of_sql "DROP EVERYTHING" = None)
 
 let test_qsig_profile () =
-  let q = Qsig.of_runs [ [ "SELECT * FROM t WHERE a = 1" ]; [ "SELECT COUNT(*) FROM t" ] ] in
-  Alcotest.(check int) "two signatures learned" 2 (Qsig.cardinality q);
+  let q = Qprofile.of_runs [ [ "SELECT * FROM t WHERE a = 1" ]; [ "SELECT COUNT(*) FROM t" ] ] in
+  Alcotest.(check int) "two signatures learned" 2 (Qprofile.cardinality q);
+  let known sql = Audit.unknown_in_run q [ sql ] = [] in
   Alcotest.(check bool) "constant change stays known" true
-    (Qsig.known q "SELECT * FROM t WHERE a = 42");
+    (known "SELECT * FROM t WHERE a = 42");
   Alcotest.(check bool) "structural change is unknown" false
-    (Qsig.known q "SELECT * FROM t WHERE a = 1 OR a = 2");
+    (known "SELECT * FROM t WHERE a = 1 OR a = 2");
   Alcotest.(check int) "unknown_in_run dedups" 1
     (List.length
-       (Qsig.unknown_in_run q
-          [ "SELECT * FROM t WHERE a = 1 OR a = 2"; "SELECT * FROM t WHERE a = 9 OR a = 3" ]))
+       (Audit.unknown_in_run q
+          [ "SELECT * FROM t WHERE a = 1 OR a = 2"; "SELECT * FROM t WHERE a = 9 OR a = 3" ]));
+  Alcotest.(check (list string)) "malformed texts share one bucket" [ "<malformed>" ]
+    (Audit.unknown_in_run q [ "DROP EVERYTHING"; "SELECT FROM FROM (" ])
 
 (* --- audit ------------------------------------------------------------------ *)
 
@@ -95,7 +98,7 @@ let test_outcome_tracks_queries_and_files () =
 let test_audit_findings () =
   let out = run_exfil () in
   (* Training knew a different query shape and no file exfiltration. *)
-  let qsig = Qsig.of_runs [ [ "SELECT COUNT(*) FROM secrets" ] ] in
+  let qsig = Qprofile.of_runs [ [ "SELECT COUNT(*) FROM secrets" ] ] in
   let findings = Audit.audit ~qsig out in
   let has_query =
     List.exists (function Audit.Unknown_query_signature _ -> true | _ -> false) findings

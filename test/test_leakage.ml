@@ -1,8 +1,9 @@
 (* Tests for the static leakage summaries (Flowdom/Leakage) and the
    sensitivity-policy vet checks: golden outputs on the leaky fixtures,
-   deterministic flow cases, and the QCheck2 soundness property — every
+   deterministic flow cases, the QCheck2 soundness property — every
    dynamic sink flow the tagged-value interpreter observes is covered by
-   the static summary when the analysis is complete. *)
+   the static summary when the analysis is complete — and the runtime
+   fusion: the daemon's leak-capability note on banking incidents. *)
 
 module Parser = Applang.Parser
 module Analyzer = Analysis.Analyzer
@@ -272,6 +273,114 @@ let test_policy_parse_error () =
   | Ok _ -> Alcotest.fail "accepted a rule without a column"
   | Error _ -> ()
 
+(* --- runtime fusion: incidents carry the capability of the fired sink ------- *)
+
+module Service = Adprom_service
+
+let banking_policy =
+  "table clients(id, name, balance)\n\
+   key clients.id\n\
+   secret clients.balance\n\
+   internal clients.name\n"
+
+(* Banking's normal sessions plus one session per test case of every
+   banking attack, interleaved into one host stream. *)
+let banking_sessions app analysis =
+  let normal =
+    List.map
+      (fun tc -> fst (Adprom.Pipeline.run_case ~analysis app tc))
+      app.Adprom.Pipeline.test_cases
+  in
+  let attacks =
+    List.concat_map
+      (fun (c : Dataset.Ca_attacks.case) ->
+        if c.Dataset.Ca_attacks.app.Adprom.Pipeline.name <> app.Adprom.Pipeline.name
+        then []
+        else
+          let app', patches, query_rewriter =
+            Attack.Scenario.apply c.Dataset.Ca_attacks.scenario app
+          in
+          let analysis' = Adprom.Pipeline.analyze_app app' in
+          List.map
+            (fun tc ->
+              fst
+                (Adprom.Pipeline.run_case ~patches ?query_rewriter
+                   ~analysis:analysis' app' tc))
+            app'.Adprom.Pipeline.test_cases)
+      (Dataset.Ca_attacks.all ())
+  in
+  Adprom.Sessions.interleave ~rng:(Mlkit.Rng.create 3) (normal @ attacks)
+
+let test_runtime_leak_annotation () =
+  let app = Dataset.Ca_banking.app () in
+  let dataset = Adprom.Pipeline.collect app in
+  let profile = Adprom.Pipeline.train dataset in
+  let analysis = dataset.Adprom.Pipeline.analysis in
+  let items =
+    Array.map
+      (fun ev -> Service.Transport.Call ev)
+      (banking_sessions app analysis)
+  in
+  let leakage =
+    match Sens.parse banking_policy with
+    | Error e -> Alcotest.failf "banking policy: %s" e
+    | Ok pol ->
+        let cfgs = analysis.Analyzer.pruned_cfgs in
+        Leakage.capabilities
+          (Leakage.analyze ~schema:(Sens.schema pol) ~static:(Qstatic.infer cfgs) cfgs)
+  in
+  (* a queue bound no burst can reach: a shed session would make the
+     two runs differ by scheduling, not by the annotation *)
+  let replay ?leakage () =
+    Service.Replay.run
+      (Service.Daemon.create ~shards:2 ~queue_capacity:(Array.length items)
+         ~vet_against:analysis ?leakage profile)
+      items
+  in
+  let plain = replay () and annotated = replay ~leakage () in
+  (* scores compared as IEEE-754 bits: [=] is false on NaN scores *)
+  let reports (o : Service.Replay.outcome) =
+    let verdict (v : Adprom.Detector.verdict) =
+      ({ v with score = 0.0 }, Int64.bits_of_float v.Adprom.Detector.score)
+    in
+    List.map
+      (fun (r : Service.Daemon.session_report) ->
+        ({ r with verdicts = [] }, List.map verdict r.Service.Daemon.verdicts))
+      o.Service.Replay.summary.Service.Daemon.sessions
+  in
+  Alcotest.(check bool) "nothing shed" true
+    (plain.Service.Replay.summary.Service.Daemon.shed = []
+    && annotated.Service.Replay.summary.Service.Daemon.shed = []);
+  Alcotest.(check bool) "session reports unchanged by the annotation" true
+    (reports plain = reports annotated);
+  let leaks (o : Service.Replay.outcome) =
+    List.filter_map
+      (fun (i : Service.Alerts.incident) ->
+        match i.Service.Alerts.source with
+        | Service.Alerts.Verdict { verdict; leak; _ }
+          when verdict.Adprom.Detector.flag = Adprom.Detector.Data_leak ->
+            Some leak
+        | _ -> None)
+      (Service.Alerts.incidents o.Service.Replay.alerts)
+  in
+  Alcotest.(check bool) "data-leak incidents without the map carry no note" true
+    (List.for_all Option.is_none (leaks plain));
+  Alcotest.(check bool) "data-leak incidents exist" true (leaks annotated <> []);
+  let balance = "printf <- clients.balance ?{1}" in
+  Alcotest.(check bool) "every data-leak incident names the balance printf" true
+    (List.for_all
+       (function Some l -> String.starts_with ~prefix:balance l | None -> false)
+       (leaks annotated));
+  let leak_capable (o : Service.Replay.outcome) =
+    Service.Metrics.counter_value
+      (Service.Metrics.counter o.Service.Replay.metrics
+         "adprom_leak_capable_incidents_total")
+  in
+  Alcotest.(check int) "no leak-capable incidents without the map" 0
+    (leak_capable plain);
+  Alcotest.(check bool) "leak-capable incidents counted" true
+    (leak_capable annotated > 0)
+
 (* -------------------------------------------------------------------------- *)
 
 let () =
@@ -297,4 +406,9 @@ let () =
         ] );
       ( "soundness",
         [ QCheck_alcotest.to_alcotest prop_soundness ] );
+      ( "runtime",
+        [
+          Alcotest.test_case "incidents carry the fired sink's capability" `Quick
+            test_runtime_leak_annotation;
+        ] );
     ]

@@ -5,7 +5,6 @@
    verdicts bit-for-bit), log-file rotation, and the multi-process
    Chrome trace merge. *)
 
-module Codec = Adprom_service.Codec
 module Transport = Adprom_service.Transport
 module Frame = Adprom_service.Frame
 module Server = Adprom_service.Server
@@ -355,7 +354,7 @@ let test_version_skew () =
   Cluster.wait_local a;
   Cluster.wait_local b;
   let merged = Cluster.merge summaries in
-  let single = Replay.run_items ~shards:2 profile items in
+  let single = Replay.run (Daemon.create ~shards:2 profile) items in
   Alcotest.(check bool) "verdicts bit-for-bit across the skew" true
     (List.map session_key single.Replay.summary.Daemon.sessions
     = List.map session_key merged.Frame.summary.Daemon.sessions)

@@ -295,23 +295,27 @@ let test_engine_reasons () =
 let mk_event ~caller name =
   { Runtime.Collector.symbol = Analysis.Symbol.lib name; caller; block = 0 }
 
+module Transport = Service.Transport
+
 let test_codec_mixed_roundtrip () =
   let items =
     [|
-      Service.Codec.Call { Service.Codec.session = 1; event = mk_event ~caller:"main" "read" };
-      Service.Codec.Query
-        { Service.Codec.q_session = 1; rows = 3; sql = "SELECT a FROM t WHERE a = 1" };
-      Service.Codec.Call { Service.Codec.session = 2; event = mk_event ~caller:"main" "printf" };
+      Transport.Call { Transport.session = 1; event = mk_event ~caller:"main" "read" };
+      Transport.Query
+        { Transport.q_session = 1; rows = 3; sql = "SELECT a FROM t WHERE a = 1" };
+      Transport.Call { Transport.session = 2; event = mk_event ~caller:"main" "printf" };
     |]
   in
-  let text = Service.Codec.encode_items items in
-  (match Service.Codec.decode_mixed text with
-  | Error e -> Alcotest.failf "decode_mixed: %s" e
+  let text = Transport.encode_all (module Transport.Text) items in
+  match Transport.decode_all (module Transport.Text) text with
+  | Error e -> Alcotest.failf "decode_all: %s" e
   | Ok items' ->
-      Alcotest.(check bool) "mixed round-trip" true (items = items'));
-  match Service.Codec.decode text with
-  | Error e -> Alcotest.failf "decode skips query lines: %s" e
-  | Ok events -> Alcotest.(check int) "plain decode sees only calls" 2 (Array.length events)
+      Alcotest.(check bool) "mixed round-trip" true (items = items');
+      Alcotest.(check int) "two of them calls" 2
+        (List.length
+           (List.filter
+              (function Transport.Call _ -> true | Transport.Query _ -> false)
+              (Array.to_list items')))
 
 let fused_app () = Dataset.Ca_banking.app ()
 
@@ -319,28 +323,30 @@ let test_daemon_query_axis () =
   let app = fused_app () in
   let dataset = Adprom.Pipeline.collect app in
   let profile = Adprom.Pipeline.train dataset in
-  let qprofile = Adprom.Qsig.profile (Adprom.Pipeline.train_qsig app) in
+  let qprofile = Adprom.Pipeline.train_qsig app in
   let events =
     Array.init 6 (fun i ->
-        Service.Codec.Call
-          { Service.Codec.session = 7; event = mk_event ~caller:"main" (Printf.sprintf "sym%d" i) })
+        Transport.Call
+          { Transport.session = 7; event = mk_event ~caller:"main" (Printf.sprintf "sym%d" i) })
   in
   let items =
     Array.append events
       [|
-        Service.Codec.Query
+        Transport.Query
           {
-            Service.Codec.q_session = 7;
+            Transport.q_session = 7;
             rows = 4000;
             sql = "SELECT id, name, balance FROM clients WHERE id = '1' OR '1' = '1'";
           };
-        Service.Codec.Query
-          { Service.Codec.q_session = 9; rows = 1; sql = "SELECT balance FROM clients WHERE id = 105" };
+        Transport.Query
+          { Transport.q_session = 9; rows = 1; sql = "SELECT balance FROM clients WHERE id = 105" };
       |]
   in
   let outcome =
-    Service.Replay.run_items ~shards:2 ~qsig_mode:Service.Daemon.Qsig_warn
-      ~qsig_profile:qprofile profile items
+    Service.Replay.run
+      (Service.Daemon.create ~shards:2 ~qsig_mode:Service.Daemon.Qsig_warn
+         ~qsig_profile:qprofile profile)
+      items
   in
   let report s =
     List.find
@@ -366,7 +372,7 @@ let test_daemon_query_axis () =
 
 let test_qsig_off_bit_for_bit () =
   (* the acceptance gate: with the axis off, a mixed stream yields
-     byte-identical session reports to the stripped event stream *)
+     byte-identical session reports to its call events alone *)
   let app = fused_app () in
   let dataset = Adprom.Pipeline.collect app in
   let profile = Adprom.Pipeline.train dataset in
@@ -376,15 +382,23 @@ let test_qsig_off_bit_for_bit () =
     |> List.map (fun tc -> fst (Adprom.Pipeline.run_case ~analysis app tc))
   in
   let rng = Mlkit.Rng.create 5 in
-  let stream = Adprom.Sessions.interleave ~rng traces in
+  let calls =
+    Array.map (fun ev -> Transport.Call ev) (Adprom.Sessions.interleave ~rng traces)
+  in
   let qlines =
     "q\t0\t4000\tSELECT id, name, balance FROM clients WHERE id = '1' OR '1' = '1'\n"
   in
-  let mixed_text = Service.Codec.encode stream ^ qlines in
-  let pure = Service.Replay.run ~shards:2 profile stream in
-  match Service.Replay.of_text ~shards:2 profile mixed_text with
-  | Error e -> Alcotest.failf "of_text: %s" e
-  | Ok off ->
+  let mixed_text = Transport.encode_all (module Transport.Text) calls ^ qlines in
+  let replay items =
+    Service.Replay.run (Service.Daemon.create ~shards:2 profile) items
+  in
+  let pure = replay calls in
+  match Transport.decode_all (module Transport.Text) mixed_text with
+  | Error e -> Alcotest.failf "decode_all: %s" e
+  | Ok mixed ->
+      Alcotest.(check int) "the query line decoded"
+        (Array.length calls + 1) (Array.length mixed);
+      let off = replay mixed in
       Alcotest.(check bool)
         "session reports identical with qsig off" true
         (off.Service.Replay.summary.Service.Daemon.sessions
@@ -392,7 +406,16 @@ let test_qsig_off_bit_for_bit () =
       Alcotest.(check int)
         "no incidents from the ignored query line"
         (Service.Alerts.count pure.Service.Replay.alerts)
-        (Service.Alerts.count off.Service.Replay.alerts)
+        (Service.Alerts.count off.Service.Replay.alerts);
+      let counter (o : Service.Replay.outcome) name =
+        Service.Metrics.counter_value
+          (Service.Metrics.counter o.Service.Replay.metrics name)
+      in
+      List.iter
+        (fun name ->
+          Alcotest.(check int) (name ^ " unchanged") (counter pure name)
+            (counter off name))
+        [ "adprom_events_offered_total"; "adprom_events_ingested_total" ]
 
 let () =
   Alcotest.run "qsig"

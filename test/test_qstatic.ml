@@ -211,7 +211,7 @@ let gate_src =
 
 let gate_setup () =
   let outs = List.map (fun i -> run_src ~input:[ string_of_int i ] gate_src) [ 1; 2; 3 ] in
-  let profile = Adprom.Qsig.profile (Adprom.Audit.learn outs) in
+  let profile = Adprom.Audit.learn outs in
   let static = infer_src gate_src in
   (* the traffic mix: in-profile bound texts, an out-of-program shape,
      and a malformed text *)
@@ -310,7 +310,7 @@ let test_banking_static_profile () =
   let static = Qstatic.infer analysis.Analysis.Analyzer.pruned_cfgs in
   Alcotest.(check bool) "banking inference complete" true static.Qstatic.complete;
   let qsig = Pipeline.train_qsig ~analysis app in
-  let trained = Adprom_qsig.Profile.signatures (Adprom.Qsig.profile qsig) in
+  let trained = Adprom_qsig.Profile.signatures qsig in
   Alcotest.(check bool) "trained signatures all statically emittable" true
     (subset trained static.Qstatic.signatures);
   (* the Attack 5 surface: lookup_client concatenates the account id *)

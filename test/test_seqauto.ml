@@ -23,6 +23,7 @@ module Profile_check = Adprom.Profile_check
 module Sessions = Adprom.Sessions
 module Daemon = Adprom_service.Daemon
 module Replay = Adprom_service.Replay
+module Transport = Adprom_service.Transport
 
 let build_src ?entry ?(use_labels = true) ?state_budget ?(pruned = true) src =
   let a = Analyzer.analyze ?entry (Parser.parse_program src) in
@@ -473,8 +474,10 @@ let test_replay_explain_identical () =
   let rng = Mlkit.Rng.create 7 in
   let stream = Sessions.interleave ~rng (List.map snd ds.Pipeline.traces) in
   let run gate =
-    Replay.run ~shards:2 ~vet_against:ds.Pipeline.analysis ~static_gate:gate
-      profile stream
+    Replay.run
+      (Daemon.create ~shards:2 ~vet_against:ds.Pipeline.analysis ~static_gate:gate
+         profile)
+      (Array.map (fun ev -> Transport.Call ev) stream)
   in
   let off = run Daemon.Gate_off in
   let explain = run Daemon.Gate_explain in
@@ -487,8 +490,10 @@ let test_replay_enforce_matches_batch () =
   let rng = Mlkit.Rng.create 11 in
   let stream = Sessions.interleave ~rng (List.map snd ds.Pipeline.traces) in
   let outcome =
-    Replay.run ~shards:2 ~vet_against:ds.Pipeline.analysis
-      ~static_gate:Daemon.Gate_enforce profile stream
+    Replay.run
+      (Daemon.create ~shards:2 ~vet_against:ds.Pipeline.analysis
+         ~static_gate:Daemon.Gate_enforce profile)
+      (Array.map (fun ev -> Transport.Call ev) stream)
   in
   let mismatches = Replay.verify_against_batch profile stream outcome.Replay.summary in
   Alcotest.(check int) "no divergence from batch detection" 0

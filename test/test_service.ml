@@ -5,7 +5,7 @@
    properties for Core.Sessions (demux inverts interleave; per-session
    windowing equals per-trace windowing). *)
 
-module Codec = Adprom_service.Codec
+module Transport = Adprom_service.Transport
 module Scorer = Adprom_service.Scorer
 module Metrics = Adprom_service.Metrics
 module Alerts = Adprom_service.Alerts
@@ -73,7 +73,25 @@ let interleaved seed =
   let rng = Mlkit.Rng.create seed in
   Sessions.interleave ~rng (traces ())
 
+let calls stream = Array.map (fun ev -> Transport.Call ev) stream
+
+(* a fresh daemon over a pure call-event stream *)
+let replay ?shards ?queue_capacity profile stream =
+  Replay.run (Daemon.create ?shards ?queue_capacity profile) (calls stream)
+
 (* --- codec ----------------------------------------------------------------- *)
+
+(* the text line format over call events only *)
+let encode stream = Transport.encode_all (module Transport.Text) (calls stream)
+
+let decode text =
+  Result.map
+    (fun items ->
+      Array.of_list
+        (List.filter_map
+           (function Transport.Call ev -> Some ev | Transport.Query _ -> None)
+           (Array.to_list items)))
+    (Transport.decode_all (module Transport.Text) text)
 
 let mk_event ?(label = None) ?(site = None) ?(caller = "main") ?(block = 3) name =
   {
@@ -85,13 +103,13 @@ let mk_event ?(label = None) ?(site = None) ?(caller = "main") ?(block = 3) name
 let test_codec_roundtrip () =
   let stream =
     [|
-      { Codec.session = 0; event = mk_event "read" };
-      { Codec.session = 7; event = mk_event ~label:(Some 4) ~site:(Some 9) "pq_getvalue" };
-      { Codec.session = 0; event = { Runtime.Collector.symbol = Symbol.Entry; caller = "f"; block = -1 } };
-      { Codec.session = 12; event = { Runtime.Collector.symbol = Symbol.Func "helper"; caller = "g"; block = 2 } };
+      { Transport.session = 0; event = mk_event "read" };
+      { Transport.session = 7; event = mk_event ~label:(Some 4) ~site:(Some 9) "pq_getvalue" };
+      { Transport.session = 0; event = { Runtime.Collector.symbol = Symbol.Entry; caller = "f"; block = -1 } };
+      { Transport.session = 12; event = { Runtime.Collector.symbol = Symbol.Func "helper"; caller = "g"; block = 2 } };
     |]
   in
-  match Codec.decode (Codec.encode stream) with
+  match decode (encode stream) with
   | Error e -> Alcotest.failf "decode failed: %s" e
   | Ok stream' ->
       Alcotest.(check int) "length" (Array.length stream) (Array.length stream');
@@ -101,12 +119,12 @@ let test_codec_roundtrip () =
 
 let test_codec_roundtrip_real_stream () =
   let stream = interleaved 11 in
-  match Codec.decode (Codec.encode stream) with
+  match decode (encode stream) with
   | Error e -> Alcotest.failf "decode failed: %s" e
   | Ok stream' -> Alcotest.(check bool) "identical" true (stream = stream')
 
 let expect_error_line n text =
-  match Codec.decode text with
+  match decode text with
   | Ok _ -> Alcotest.failf "expected a parse error for %S" text
   | Error e ->
       let prefix = Printf.sprintf "line %d:" n in
@@ -117,7 +135,10 @@ let expect_error_line n text =
         && String.sub e 0 (String.length prefix) = prefix)
 
 let test_codec_errors () =
-  let good = Codec.encode_event { Codec.session = 1; event = mk_event "read" } in
+  let good =
+    Transport.Text.encode_line
+      (Transport.Call { Transport.session = 1; event = mk_event "read" })
+  in
   (* bad session id *)
   expect_error_line 1 "x\tmain\t3\tlib:read:-:-";
   (* negative session id *)
@@ -129,7 +150,7 @@ let test_codec_errors () =
   (* bad symbol *)
   expect_error_line 1 "1\tmain\t3\tnonsense";
   (* blank lines and comments are fine and keep line numbering honest *)
-  (match Codec.decode ("# header\n\n" ^ good ^ "\n\n") with
+  (match decode ("# header\n\n" ^ good ^ "\n\n") with
   | Ok s -> Alcotest.(check int) "one event" 1 (Array.length s)
   | Error e -> Alcotest.failf "unexpected error: %s" e);
   expect_error_line 4 ("# header\n\n" ^ good ^ "\nbroken")
@@ -221,7 +242,7 @@ let test_scorer_push_after_flush () =
 let test_daemon_matches_batch () =
   let profile = profile () in
   let stream = interleaved 23 in
-  let outcome = Replay.run ~shards:3 profile stream in
+  let outcome = replay ~shards:3 profile stream in
   let summary = outcome.Replay.summary in
   Alcotest.(check int) "nothing shed" 0 (List.length summary.Daemon.shed);
   Alcotest.(check int) "all ingested"
@@ -244,9 +265,9 @@ let test_daemon_shard_determinism () =
         (r.Daemon.session, List.map (fun v -> v.Detector.flag) r.Daemon.verdicts))
       outcome.Replay.summary.Daemon.sessions
   in
-  let a = Replay.run ~shards:4 profile stream in
-  let b = Replay.run ~shards:4 profile stream in
-  let c = Replay.run ~shards:1 profile stream in
+  let a = replay ~shards:4 profile stream in
+  let b = replay ~shards:4 profile stream in
+  let c = replay ~shards:1 profile stream in
   Alcotest.(check bool) "same shards, same verdicts" true (flags a = flags b);
   Alcotest.(check bool) "shard count does not change verdicts" true (flags a = flags c)
 
@@ -255,7 +276,7 @@ let test_daemon_sheds_whole_sessions () =
   let stream = interleaved 7 in
   (* capacity 0: every admission overflows, so every session is shed on
      its first event and every single event must be counted as dropped *)
-  let outcome = Replay.run ~shards:2 ~queue_capacity:0 profile stream in
+  let outcome = replay ~shards:2 ~queue_capacity:0 profile stream in
   let summary = outcome.Replay.summary in
   Alcotest.(check int) "no survivors" 0 (List.length summary.Daemon.sessions);
   Alcotest.(check int) "every session shed"
@@ -281,7 +302,7 @@ let test_daemon_conservation_under_pressure () =
   let stream = interleaved 13 in
   (* tiny queues: whether a given session survives depends on worker
      timing, but accounting must balance exactly either way *)
-  let outcome = Replay.run ~shards:2 ~queue_capacity:1 profile stream in
+  let outcome = replay ~shards:2 ~queue_capacity:1 profile stream in
   let summary = outcome.Replay.summary in
   Alcotest.(check int) "offered = ingested + dropped"
     summary.Daemon.events_offered
@@ -507,9 +528,9 @@ let test_daemon_feeds_alerts () =
      alarms and land in the incident log *)
   let foreign =
     Array.init 20 (fun i ->
-        { Codec.session = 0; event = mk_event ~caller:"intruder" (Printf.sprintf "evil%d" (i mod 3)) })
+        { Transport.session = 0; event = mk_event ~caller:"intruder" (Printf.sprintf "evil%d" (i mod 3)) })
   in
-  let outcome = Replay.run ~shards:1 profile foreign in
+  let outcome = replay ~shards:1 profile foreign in
   Alcotest.(check bool) "incidents recorded" true (Alerts.count outcome.Replay.alerts > 0);
   let worst =
     List.map
@@ -523,9 +544,9 @@ let test_daemon_explains_incidents () =
   let profile = profile () in
   let foreign =
     Array.init 20 (fun i ->
-        { Codec.session = 0; event = mk_event ~caller:"intruder" (Printf.sprintf "evil%d" (i mod 3)) })
+        { Transport.session = 0; event = mk_event ~caller:"intruder" (Printf.sprintf "evil%d" (i mod 3)) })
   in
-  let outcome = Replay.run ~shards:2 profile foreign in
+  let outcome = replay ~shards:2 profile foreign in
   let verdict_incidents =
     List.filter
       (fun (i : Alerts.incident) ->
