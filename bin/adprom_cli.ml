@@ -15,6 +15,11 @@ let read_file path =
   close_in ic;
   s
 
+(* an optional file, loaded when its flag was given *)
+let load_opt load = function
+  | None -> Ok None
+  | Some path -> Result.map Option.some (load path)
+
 let builtin_apps () =
   [
     ("hospital", Dataset.Ca_hospital.app ());
@@ -161,29 +166,14 @@ let vet_cmd_run paths format strict entry profile_path qsig_profile_path
     leakage_policy_path =
   let module Diag = Analysis.Diag in
   let module Json = Adprom_obs.Json in
-  let profile =
-    match profile_path with
-    | None -> Ok None
-    | Some p -> (
-        match Adprom.Profile_io.load p with
-        | Ok pr -> Ok (Some pr)
-        | Error e -> Error e)
-  in
+  let profile = load_opt Adprom.Profile_io.load profile_path in
   let qsig_signatures =
-    match qsig_profile_path with
-    | None -> Ok None
-    | Some p -> (
-        match Adprom_qsig.Profile.load p with
-        | Ok qp -> Ok (Some (Adprom_qsig.Profile.signatures qp))
-        | Error e -> Error e)
+    load_opt
+      (fun p -> Result.map Adprom_qsig.Profile.signatures (Adprom_qsig.Profile.load p))
+      qsig_profile_path
   in
   let leakage_policy =
-    match leakage_policy_path with
-    | None -> Ok None
-    | Some p -> (
-        match Applang.Libspec.Sensitivity.load p with
-        | Ok pol -> Ok (Some pol)
-        | Error e -> Error e)
+    load_opt Applang.Libspec.Sensitivity.load leakage_policy_path
   in
   match (profile, qsig_signatures, leakage_policy) with
   | Error msg, _, _ -> `Error (false, Printf.sprintf "cannot load profile: %s" msg)
@@ -320,13 +310,7 @@ let leakage_cmd_run target entry policy_path format witness =
   let module F = Analysis.Flowdom in
   let module Sens = Applang.Libspec.Sensitivity in
   let module Json = Adprom_obs.Json in
-  let policy =
-    match policy_path with
-    | None -> Ok None
-    | Some p -> (
-        match Sens.load p with Ok pol -> Ok (Some pol) | Error e -> Error e)
-  in
-  match policy with
+  match load_opt Sens.load policy_path with
   | Error msg ->
       `Error (false, Printf.sprintf "cannot load leakage policy: %s" msg)
   | Ok policy -> (
@@ -719,8 +703,8 @@ let static_gate_arg =
     & opt static_gate_conv Service.Daemon.Gate_explain
     & info [ "static-gate" ] ~docv:"MODE"
         ~doc:
-          "Call-sequence automaton gate (needs a vetted program): $(b,off) (PR 4 \
-           behaviour), $(b,explain) (load the DFA for explanations and gate metrics, \
+          "Call-sequence automaton gate (needs a vetted program): $(b,off) (no \
+           automaton), $(b,explain) (load the DFA for explanations and gate metrics, \
            verdicts unchanged), or $(b,enforce) (statically impossible windows \
            short-circuit to an anomalous verdict without a forward pass).")
 
@@ -766,6 +750,47 @@ let qsig_static_gate_arg =
            rejections, query verdicts unchanged), or $(b,enforce) (a query whose \
            signature the program provably cannot emit short-circuits to an \
            anomalous verdict before constraint checking).")
+
+(* The daemon flags replay, serve and serve --listen share, with the
+   leakage policy loaded once. *)
+type daemon_flags = {
+  shards : int;
+  capacity : int;
+  vet_policy : Adprom.Profile_check.policy;
+  static_gate : Service.Daemon.gate_mode;
+  qsig_mode : Service.Daemon.qsig_mode;
+  qsig_static_gate : Service.Daemon.gate_mode;
+  leakage_policy : Applang.Libspec.Sensitivity.t option;
+}
+
+let daemon_flags_term =
+  let make shards capacity vet_policy static_gate qsig_mode qsig_static_gate
+      leakage_policy_path =
+    match load_opt Applang.Libspec.Sensitivity.load leakage_policy_path with
+    | Error msg ->
+        `Error (false, Printf.sprintf "cannot load --leakage-policy: %s" msg)
+    | Ok leakage_policy ->
+        `Ok
+          {
+            shards;
+            capacity;
+            vet_policy;
+            static_gate;
+            qsig_mode;
+            qsig_static_gate;
+            leakage_policy;
+          }
+  in
+  Term.(
+    ret
+      (const make $ shards_arg $ capacity_arg $ vet_policy_arg $ static_gate_arg
+     $ qsig_mode_arg $ qsig_static_gate_arg $ leakage_policy_path_arg))
+
+let daemon_create f ?alerts ?vet_against ?qsig_profile profile =
+  Service.Daemon.create ~shards:f.shards ~queue_capacity:f.capacity ?alerts
+    ?vet_against ~vet_policy:f.vet_policy ~static_gate:f.static_gate
+    ~qsig_mode:f.qsig_mode ?qsig_profile ~qsig_static_gate:f.qsig_static_gate
+    ?leakage_policy:f.leakage_policy profile
 
 (* --- observability flags (shared by replay / serve) -------------------- *)
 
@@ -1003,24 +1028,8 @@ let record_cmd =
         (const record_cmd_run $ app_arg $ output_arg $ sessions_arg $ seed_arg
        $ wire_arg))
 
-(* --leakage-policy, as replay and serve load it *)
-let load_leakage_policy path =
-  Result.map_error
-    (Printf.sprintf "cannot load --leakage-policy: %s")
-    (Applang.Libspec.Sensitivity.load path)
-
-(* sink block -> rendered leak capability, precomputed once so the
-   daemon workers never touch analysis types *)
-let leak_capabilities (analysis : Analysis.Analyzer.t) policy =
-  let cfgs = analysis.Analysis.Analyzer.pruned_cfgs in
-  Analysis.Leakage.capabilities
-    (Analysis.Leakage.analyze
-       ~schema:(Applang.Libspec.Sensitivity.schema policy)
-       ~static:(Analysis.Qstatic.infer cfgs) cfgs)
-
-let replay_cmd_run profile_path events_path shards capacity verify vet_program
-    vet_policy static_gate qsig_mode qsig_profile_path qsig_static_gate
-    leakage_policy_path log_level log_tail trace_out =
+let replay_cmd_run profile_path events_path daemon verify vet_program
+    qsig_profile_path log_level log_tail trace_out =
   obs_setup log_level trace_out;
   match Adprom.Profile_io.load profile_path with
   | Error msg -> `Error (false, Printf.sprintf "cannot load profile: %s" msg)
@@ -1029,45 +1038,30 @@ let replay_cmd_run profile_path events_path shards capacity verify vet_program
       | Error msg -> `Error (false, Printf.sprintf "cannot load events: %s" msg)
       | Ok items -> (
           let vet_against =
-            match vet_program with
-            | None -> Ok None
-            | Some f -> (
+            load_opt
+              (fun f ->
                 match
                   Analysis.Analyzer.analyze (Applang.Parser.parse_program (read_file f))
                 with
-                | analysis -> Ok (Some analysis)
+                | analysis -> Ok analysis
                 | exception e -> Error (Printexc.to_string e))
+              vet_program
           in
-          let qsig_profile =
-            match qsig_profile_path with
-            | None -> Ok None
-            | Some p -> (
-                match Adprom_qsig.Profile.load p with
-                | Ok qp -> Ok (Some qp)
-                | Error e -> Error e)
-          in
-          let leakage =
-            match (leakage_policy_path, vet_against) with
-            | None, _ -> Ok None
-            | Some _, (Error _ | Ok None) ->
-                Error "--leakage-policy needs --vet-program (the program whose sinks it judges)"
-            | Some p, Ok (Some analysis) ->
-                Result.map
-                  (fun pol -> Some (leak_capabilities analysis pol))
-                  (load_leakage_policy p)
-          in
-          match (vet_against, qsig_profile, leakage) with
-          | Error msg, _, _ ->
+          let qsig_profile = load_opt Adprom_qsig.Profile.load qsig_profile_path in
+          match (vet_against, qsig_profile) with
+          | Error msg, _ ->
               `Error (false, Printf.sprintf "cannot analyze --vet-program: %s" msg)
-          | _, Error msg, _ ->
+          | _, Error msg ->
               `Error (false, Printf.sprintf "cannot load --qsig-profile: %s" msg)
-          | _, _, Error msg -> `Error (false, msg)
-          | Ok vet_against, Ok qsig_profile, Ok leakage ->
+          | Ok None, _ when daemon.leakage_policy <> None ->
+              `Error
+                ( false,
+                  "--leakage-policy needs --vet-program (the program whose sinks it \
+                   judges)" )
+          | Ok vet_against, Ok qsig_profile ->
           match
             Service.Replay.run
-              (Service.Daemon.create ~shards ~queue_capacity:capacity ?vet_against
-                 ~vet_policy ~static_gate ~qsig_mode ?qsig_profile
-                 ~qsig_static_gate ?leakage profile)
+              (daemon_create daemon ?vet_against ?qsig_profile profile)
               items
           with
           | exception Invalid_argument msg -> `Error (false, msg)
@@ -1122,27 +1116,15 @@ let replay_cmd =
           print per-session verdicts, incidents and metrics.")
     Term.(
       ret
-        (const replay_cmd_run $ profile_arg $ events_file_arg $ shards_arg $ capacity_arg
-       $ verify_flag $ vet_program_arg $ vet_policy_arg $ static_gate_arg
-       $ qsig_mode_arg $ qsig_profile_path_arg $ qsig_static_gate_arg
-       $ leakage_policy_path_arg $ log_level_arg $ log_tail_arg $ trace_out_arg))
+        (const replay_cmd_run $ profile_arg $ events_file_arg $ daemon_flags_term
+       $ verify_flag $ vet_program_arg $ qsig_profile_path_arg $ log_level_arg
+       $ log_tail_arg $ trace_out_arg))
 
-let serve_cmd_run app_name shards capacity seed vet_policy static_gate qsig_mode
-    qsig_static_gate leakage_policy_path listen node_name log_level log_file
+let serve_cmd_run app_name daemon seed listen node_name log_level log_file
     log_max_bytes log_tail trace_out =
   match obs_setup ?log_file ?log_max_bytes log_level trace_out with
   | exception Invalid_argument msg -> `Error (false, msg)
   | () -> (
-  match
-    match leakage_policy_path with
-    | None -> Ok None
-    | Some p -> Result.map Option.some (load_leakage_policy p)
-  with
-  | Error msg -> `Error (false, msg)
-  | Ok leak_policy -> (
-  let leakage_of analysis =
-    Option.map (leak_capabilities analysis) leak_policy
-  in
   match List.assoc_opt app_name (builtin_apps ()) with
   | None -> `Error (false, Printf.sprintf "unknown app %S; try `adprom list-apps`" app_name)
   | Some app when listen <> None -> (
@@ -1161,10 +1143,12 @@ let serve_cmd_run app_name shards capacity seed vet_policy static_gate qsig_mode
       | socket, port -> (
           Printf.printf "node %s listening on 127.0.0.1:%d ...\n%!" node_name port;
           match
-            Service.Server.serve ~socket ~name:node_name ~shards
-              ~queue_capacity:capacity ~vet_against:analysis ~vet_policy
-              ~static_gate ~qsig_mode ~qsig_profile:qsig ~qsig_static_gate
-              ?leakage:(leakage_of analysis) profile
+            Service.Server.serve ~socket ~name:node_name ~shards:daemon.shards
+              ~queue_capacity:daemon.capacity ~vet_against:analysis
+              ~vet_policy:daemon.vet_policy ~static_gate:daemon.static_gate
+              ~qsig_mode:daemon.qsig_mode ~qsig_profile:qsig
+              ~qsig_static_gate:daemon.qsig_static_gate
+              ?leakage_policy:daemon.leakage_policy profile
           with
           | exception Invalid_argument msg -> `Error (false, msg)
           | outcome ->
@@ -1219,7 +1203,7 @@ let serve_cmd_run app_name shards capacity seed vet_policy static_gate qsig_mode
       in
       Printf.printf "Serving %d sessions (%d normal, %d attack), %d events, %d shards ...\n%!"
         (List.length sessions) (List.length normal) (List.length malicious)
-        (Array.length stream) shards;
+        (Array.length stream) daemon.shards;
       let alerts = Service.Alerts.create () in
       List.iteri
         (fun i (_, _, o) ->
@@ -1232,17 +1216,15 @@ let serve_cmd_run app_name shards capacity seed vet_policy static_gate qsig_mode
       let items = host_items stream (List.map (fun (_, _, o) -> o) sessions) in
       match
         Service.Replay.run
-          (Service.Daemon.create ~shards ~queue_capacity:capacity ~alerts
-             ~vet_against:analysis ~vet_policy ~static_gate ~qsig_mode
-             ~qsig_profile:qsig ~qsig_static_gate
-             ?leakage:(leakage_of analysis) profile)
+          (daemon_create daemon ~alerts ~vet_against:analysis
+             ~qsig_profile:qsig profile)
           items
       with
       | exception Invalid_argument msg -> `Error (false, msg)
       | outcome ->
           print_outcome ~labels ~log_tail outcome;
           obs_finish trace_out;
-          `Ok ()))
+          `Ok ())
 
 let listen_arg =
   Arg.(
@@ -1271,12 +1253,26 @@ let serve_cmd =
           port as one node of a cluster instead (see `adprom route`).")
     Term.(
       ret
-        (const serve_cmd_run $ app_arg $ shards_arg $ capacity_arg $ seed_arg
-       $ vet_policy_arg $ static_gate_arg $ qsig_mode_arg $ qsig_static_gate_arg
-       $ leakage_policy_path_arg $ listen_arg $ node_name_arg $ log_level_arg
+        (const serve_cmd_run $ app_arg $ daemon_flags_term $ seed_arg
+       $ listen_arg $ node_name_arg $ log_level_arg
        $ log_file_arg $ log_max_bytes_arg $ log_tail_arg $ trace_out_arg))
 
 (* --- route: spray a recorded stream across serve nodes ----------------- *)
+
+let connect_fleet node_specs replicas =
+  let peers, bad =
+    List.partition_map
+      (fun s ->
+        match Service.Cluster.peer_of_string s with
+        | Ok p -> Left p
+        | Error e -> Right e)
+      node_specs
+  in
+  match bad with
+  | e :: _ -> Error e
+  | [] ->
+      Result.map_error (Printf.sprintf "cannot connect: %s")
+        (Service.Cluster.Router.connect ~replicas peers)
 
 let route_cmd_run events_path node_specs replicas trace_out =
   obs_setup None trace_out;
@@ -1284,93 +1280,82 @@ let route_cmd_run events_path node_specs replicas trace_out =
   match decode_any data with
   | Error msg -> `Error (false, Printf.sprintf "cannot load events: %s" msg)
   | Ok items -> (
-      let peers, bad =
-        List.partition_map
-          (fun s ->
-            match Service.Cluster.peer_of_string s with
-            | Ok p -> Left p
-            | Error e -> Right e)
-          node_specs
-      in
-      match bad with
-      | e :: _ -> `Error (false, e)
-      | [] -> (
-          match Service.Cluster.Router.connect ~replicas peers with
-          | Error e -> `Error (false, Printf.sprintf "cannot connect: %s" e)
-          | Ok router -> (
-              let t0 = Unix.gettimeofday () in
-              match Service.Cluster.Router.send_stream router items with
-              | Error e -> `Error (false, Printf.sprintf "send failed: %s" e)
-              | Ok () -> (
-                  (* aggregate metrics while the connections are still up *)
-                  let dump = Service.Cluster.Router.metrics router in
-                  (* span collection needs live connections too: refine the
-                     clock offsets, then pull each node's spans *)
-                  let node_spans =
-                    if trace_out = None then []
-                    else begin
-                      (match Service.Cluster.Router.clock_sync router with
-                      | Ok () -> ()
-                      | Error e ->
-                          Printf.eprintf "(clock sync failed: %s)\n" e);
-                      match Service.Cluster.Router.spans router with
-                      | Ok groups -> groups
-                      | Error e ->
-                          Printf.eprintf "(span collection failed: %s)\n" e;
-                          []
-                    end
-                  in
-                  match Service.Cluster.Router.finish router with
-                  | Error e -> `Error (false, Printf.sprintf "shutdown failed: %s" e)
-                  | Ok summaries ->
-                      let seconds = Unix.gettimeofday () -. t0 in
-                      List.iter
-                        (fun (s : Service.Frame.node_summary) ->
-                          Printf.printf "node %-12s %d sessions, %d events ingested\n"
-                            s.Service.Frame.node
-                            (List.length s.Service.Frame.summary.Service.Daemon.sessions)
-                            s.Service.Frame.summary.Service.Daemon.events_ingested)
-                        summaries;
-                      let merged = Service.Cluster.merge summaries in
-                      print_newline ();
-                      print_summary merged.Service.Frame.summary;
-                      Printf.printf "\n--- incident log (%d incidents, cluster-wide) ---\n"
-                        (List.length merged.Service.Frame.incidents);
-                      if merged.Service.Frame.incidents = [] then print_endline "(empty)"
-                      else
-                        List.iter
-                          (fun (session, text) ->
-                            Printf.printf "session %d: %s\n" session text)
-                          merged.Service.Frame.incidents;
-                      (match dump with
-                      | Ok d -> Printf.printf "\n--- metrics (aggregated) ---\n%s" d
-                      | Error e ->
-                          Printf.printf "\n(metrics aggregation failed: %s)\n" e);
-                      let lost = Service.Cluster.Router.lost_items router in
-                      if lost > 0 then
-                        Printf.printf
-                          "\nWARNING: %d item(s) lost across reconnects — verdicts \
-                           are not comparable to a single-node replay\n"
-                          lost;
-                      Printf.printf "\nthroughput: %.0f events/sec (%.3fs, %d nodes)\n"
-                        (float_of_int
-                           merged.Service.Frame.summary.Service.Daemon.events_ingested
-                        /. seconds)
-                        seconds (List.length summaries);
-                      (match trace_out with
-                      | None -> ()
-                      | Some path ->
-                          let groups =
-                            ("router", 0L, Adprom_obs.Trace.spans ())
-                            :: node_spans
-                          in
-                          Adprom_obs.Trace.dump_chrome_cluster path groups;
-                          Printf.printf "%d spans across %d processes -> %s\n"
-                            (List.fold_left
-                               (fun acc (_, _, ss) -> acc + List.length ss)
-                               0 groups)
-                            (List.length groups) path);
-                      `Ok ()))))
+      match connect_fleet node_specs replicas with
+      | Error e -> `Error (false, e)
+      | Ok router -> (
+          let t0 = Unix.gettimeofday () in
+          match Service.Cluster.Router.send_stream router items with
+          | Error e -> `Error (false, Printf.sprintf "send failed: %s" e)
+          | Ok () -> (
+              (* aggregate metrics while the connections are still up *)
+              let dump = Service.Cluster.Router.metrics router in
+              (* span collection needs live connections too: refine the
+                 clock offsets, then pull each node's spans *)
+              let node_spans =
+                if trace_out = None then []
+                else begin
+                  (match Service.Cluster.Router.clock_sync router with
+                  | Ok () -> ()
+                  | Error e ->
+                      Printf.eprintf "(clock sync failed: %s)\n" e);
+                  match Service.Cluster.Router.spans router with
+                  | Ok groups -> groups
+                  | Error e ->
+                      Printf.eprintf "(span collection failed: %s)\n" e;
+                      []
+                end
+              in
+              match Service.Cluster.Router.finish router with
+              | Error e -> `Error (false, Printf.sprintf "shutdown failed: %s" e)
+              | Ok summaries ->
+                  let seconds = Unix.gettimeofday () -. t0 in
+                  List.iter
+                    (fun (s : Service.Frame.node_summary) ->
+                      Printf.printf "node %-12s %d sessions, %d events ingested\n"
+                        s.Service.Frame.node
+                        (List.length s.Service.Frame.summary.Service.Daemon.sessions)
+                        s.Service.Frame.summary.Service.Daemon.events_ingested)
+                    summaries;
+                  let merged = Service.Cluster.merge summaries in
+                  print_newline ();
+                  print_summary merged.Service.Frame.summary;
+                  Printf.printf "\n--- incident log (%d incidents, cluster-wide) ---\n"
+                    (List.length merged.Service.Frame.incidents);
+                  if merged.Service.Frame.incidents = [] then print_endline "(empty)"
+                  else
+                    List.iter
+                      (fun (session, text) ->
+                        Printf.printf "session %d: %s\n" session text)
+                      merged.Service.Frame.incidents;
+                  (match dump with
+                  | Ok d -> Printf.printf "\n--- metrics (aggregated) ---\n%s" d
+                  | Error e ->
+                      Printf.printf "\n(metrics aggregation failed: %s)\n" e);
+                  let lost = Service.Cluster.Router.lost_items router in
+                  if lost > 0 then
+                    Printf.printf
+                      "\nWARNING: %d item(s) lost across reconnects — verdicts \
+                       are not comparable to a single-node replay\n"
+                      lost;
+                  Printf.printf "\nthroughput: %.0f events/sec (%.3fs, %d nodes)\n"
+                    (float_of_int
+                       merged.Service.Frame.summary.Service.Daemon.events_ingested
+                    /. seconds)
+                    seconds (List.length summaries);
+                  (match trace_out with
+                  | None -> ()
+                  | Some path ->
+                      let groups =
+                        ("router", 0L, Adprom_obs.Trace.spans ())
+                        :: node_spans
+                      in
+                      Adprom_obs.Trace.dump_chrome_cluster path groups;
+                      Printf.printf "%d spans across %d processes -> %s\n"
+                        (List.fold_left
+                           (fun acc (_, _, ss) -> acc + List.length ss)
+                           0 groups)
+                        (List.length groups) path);
+                  `Ok ())))
 
 let route_events_arg =
   Arg.(
@@ -1408,22 +1393,6 @@ let route_cmd =
        $ route_replicas_arg $ trace_out_arg))
 
 (* --- status / top: the fleet operations plane -------------------------- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* quantiles as JSON: [nan] (no observations yet) -> null, overflow
    bucket -> the string "+Inf" *)
@@ -1493,22 +1462,6 @@ let fleet_stats (nodes : (string * Service.Frame.health) list) =
   in
   (status, merged)
 
-let connect_fleet node_specs replicas =
-  let peers, bad =
-    List.partition_map
-      (fun s ->
-        match Service.Cluster.peer_of_string s with
-        | Ok p -> Left p
-        | Error e -> Right e)
-      node_specs
-  in
-  match bad with
-  | e :: _ -> Error e
-  | [] -> (
-      match Service.Cluster.Router.connect ~replicas peers with
-      | Error e -> Error (Printf.sprintf "cannot connect: %s" e)
-      | Ok router -> Ok router)
-
 let status_json nodes =
   let stats = List.map node_stats nodes in
   let status, merged = fleet_stats nodes in
@@ -1519,7 +1472,7 @@ let status_json nodes =
       "{\"node\":\"%s\",\"status\":\"%s\",\"uptime_s\":%.1f,\
        \"events_offered\":%d,\"events_dropped\":%d,\"queue_depth\":%d,\
        \"queue_hwm\":%d,\"e2e_p50_s\":%s,\"e2e_p99_s\":%s,\"incidents\":%d}"
-      (json_escape n.ns_name)
+      (Adprom_obs.Json.escape n.ns_name)
       (Service.Health.status_to_string n.ns_status)
       n.ns_uptime n.ns_offered n.ns_dropped n.ns_depth n.ns_hwm
       (jq_float n.ns_p50) (jq_float n.ns_p99)

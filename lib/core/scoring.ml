@@ -236,15 +236,12 @@ let set_static_dfa t auto =
   (* memoized verdicts may predate the gate *)
   cache_clear t.cache
 
-let static_dfa_loaded t = t.static_dfa <> None
-
 let set_gate_enforce t on =
   if on <> t.gate_enforce then begin
     t.gate_enforce <- on;
     cache_clear t.cache
   end
 
-let gate_enforced t = t.gate_enforce
 let gate_checks t = t.gate_checks
 let gate_rejections t = t.gate_rejections
 

@@ -87,13 +87,9 @@ val set_static_dfa : t -> Analysis.Seqauto.t option -> unit
     @raise Invalid_argument when the automaton was built under a
     different label view than the profile's. *)
 
-val static_dfa_loaded : t -> bool
-
 val set_gate_enforce : t -> bool -> unit
 (** Toggle enforce mode (default off); flushes the memo on change.
     Without a loaded automaton, enforce mode gates nothing. *)
-
-val gate_enforced : t -> bool
 
 val gate_checks : t -> int
 (** DFA walks performed — enforce-mode [classify] gates plus

@@ -215,10 +215,6 @@ let set_static_signatures t ~complete keys =
      set; their cached gate verdicts are stale. *)
   invalidate t
 
-let clear_static_signatures t =
-  t.static <- None;
-  invalidate t
-
 let static_signatures_loaded t = t.static <> None
 let set_gate_enforce t on = t.gate_enforce <- on
 let gate_enforced t = t.gate_enforce

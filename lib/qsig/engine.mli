@@ -87,9 +87,6 @@ val set_static_signatures : t -> complete:bool -> string list -> unit
 (** Install the static signature set (flushes the memo — cached gate
     verdicts would be stale). *)
 
-val clear_static_signatures : t -> unit
-(** Remove the static set; the gate becomes inert. *)
-
 val static_signatures_loaded : t -> bool
 
 val set_gate_enforce : t -> bool -> unit

@@ -17,7 +17,7 @@ type source =
       leak : string option;
           (** the statically-known leak capability of the sink site
               that fired (rendered {!Analysis.Leakage} atoms), when the
-              daemon was given a leakage summary *)
+              daemon was given a leakage policy *)
     }
   | Finding of Adprom.Audit.finding
   | Query_verdict of {

@@ -179,32 +179,125 @@ let register_series metrics =
 
 let shard_of t session = Hashtbl.hash session mod Array.length t.shards
 
-let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
-    ~qsig ~qsig_static ~leakage ~series:m ~alerts ~ring shard =
-  (* one compiled engine per worker domain: every session of this shard
-     shares its interned tables and verdict memo *)
-  let engine = Scoring.create profile in
-  Scoring.set_static_pairs engine static_pairs;
-  (match static_auto with
-  | Some auto ->
-      Scoring.set_static_dfa engine (Some auto);
-      Scoring.set_gate_enforce engine gate_enforce
-  | None -> ());
-  (* the query axis mirrors the sequence axis: one compiled qsig engine
-     per worker (interned signature codes, shared memo), one streaming
-     scorer per session *)
-  let qsig_engine =
-    match qsig with
-    | None -> None
-    | Some (qprofile, policy) ->
-        let qe = Adprom_qsig.Engine.create ~policy qprofile in
-        (match qsig_static with
-        | Some (sigs, complete, enforce) ->
-            Adprom_qsig.Engine.set_static_signatures qe ~complete sigs;
-            Adprom_qsig.Engine.set_gate_enforce qe enforce
-        | None -> ());
-        Some qe
+(* The static stage: everything the program's analysis tells the
+   monitor, built once by [build_stage] before any domain spawns and
+   installed into every worker's engines by [install]. *)
+type stage = {
+  pairs : (string * Analysis.Symbol.t) list option;
+      (* statically possible (caller, call) pairs, named by explanations *)
+  dfa : (Analysis.Seqauto.t * gate_mode) option;  (* call-sequence gate *)
+  qsig : (Adprom_qsig.Profile.t * Adprom_qsig.Constraints.policy) option;
+      (* the query axis, on a snapshot of the trained profile so later
+         mutation by the caller cannot race the checkers *)
+  signatures : (string list * bool * gate_mode) option;
+      (* query-signature gate: emittable set, its complete bit, mode *)
+  sinks : (int * string) list;  (* sink block -> leak capability *)
+}
+
+(* Under [Enforce] a failing profile raises here, before any worker
+   exists; under [Warn] findings are logged and counted. *)
+let vet_profile ~metrics ~policy ?automaton profile analysis =
+  let module Diag = Analysis.Diag in
+  let diags = Adprom.Profile_check.apply policy ?automaton profile analysis in
+  let errors = List.length (Diag.errors diags) in
+  let warnings = List.length (Diag.warnings diags) in
+  let c_err = Metrics.counter metrics "adprom_profile_vet_errors_total" in
+  let c_warn = Metrics.counter metrics "adprom_profile_vet_warnings_total" in
+  if errors > 0 then Metrics.incr ~by:errors c_err;
+  if warnings > 0 then Metrics.incr ~by:warnings c_warn;
+  List.iter
+    (fun d ->
+      let level =
+        match d.Diag.severity with
+        | Diag.Error -> Olog.Warn
+        | Diag.Warning -> Olog.Info
+        | Diag.Hint -> Olog.Debug
+      in
+      if Olog.enabled level then
+        Olog.emit level ~scope:"daemon"
+          ~fields:[ ("code", Olog.Str d.Diag.code) ]
+          (Diag.to_string d))
+    diags
+
+let build_stage ~metrics ?vet_against ~vet_policy ~static_gate ~qsig_mode
+    ?qsig_profile ~qsig_static_gate ?leakage_policy profile =
+  let qsig =
+    match (qsig_mode, qsig_profile) with
+    | Qsig_off, _ | _, None -> None
+    | (Qsig_warn | Qsig_enforce), Some qprofile ->
+        Some (Adprom_qsig.Profile.copy qprofile, qsig_policy_of_mode qsig_mode)
   in
+  match vet_against with
+  | None ->
+      if leakage_policy <> None then
+        invalid_arg
+          "Daemon.create: a leakage policy needs vet_against (the program \
+           whose sinks it judges)";
+      { pairs = None; dfa = None; qsig; signatures = None; sinks = [] }
+  | Some analysis ->
+      let armed = function Gate_off -> None | mode -> Some mode in
+      let dfa =
+        Option.map
+          (fun mode -> (Adprom.Profile_check.automaton profile analysis, mode))
+          (armed static_gate)
+      in
+      vet_profile ~metrics ~policy:vet_policy
+        ?automaton:(Option.map fst dfa) profile analysis;
+      (* one signature inference feeds both the query gate and the
+         leakage summary *)
+      let cfgs = analysis.Analysis.Analyzer.pruned_cfgs in
+      let inferred = lazy (Analysis.Qstatic.infer cfgs) in
+      let signatures =
+        match (qsig, armed qsig_static_gate) with
+        | Some _, Some mode ->
+            let sq = Lazy.force inferred in
+            Some (sq.Analysis.Qstatic.signatures, sq.Analysis.Qstatic.complete, mode)
+        | None, _ | _, None -> None
+      in
+      let sinks =
+        match leakage_policy with
+        | None -> []
+        | Some policy ->
+            Analysis.Leakage.capabilities
+              (Analysis.Leakage.analyze
+                 ~schema:(Applang.Libspec.Sensitivity.schema policy)
+                 ~static:(Lazy.force inferred) cfgs)
+      in
+      {
+        pairs = Some (Adprom.Profile_check.static_pairs analysis);
+        dfa;
+        qsig;
+        signatures;
+        sinks;
+      }
+
+(* One compiled engine per axis per worker domain, loaded with the
+   stage: every session of the shard shares its interned tables and
+   verdict memo. *)
+let install stage profile =
+  let engine = Scoring.create profile in
+  Scoring.set_static_pairs engine stage.pairs;
+  Option.iter
+    (fun (auto, mode) ->
+      Scoring.set_static_dfa engine (Some auto);
+      Scoring.set_gate_enforce engine (mode = Gate_enforce))
+    stage.dfa;
+  let qsig_engine =
+    Option.map
+      (fun (qprofile, policy) ->
+        let qe = Adprom_qsig.Engine.create ~policy qprofile in
+        Option.iter
+          (fun (sigs, complete, mode) ->
+            Adprom_qsig.Engine.set_static_signatures qe ~complete sigs;
+            Adprom_qsig.Engine.set_gate_enforce qe (mode = Gate_enforce))
+          stage.signatures;
+        qe)
+      stage.qsig
+  in
+  (engine, qsig_engine)
+
+let worker ~idx ~profile ~stage ~keep_verdicts ~series:m ~alerts ~ring shard =
+  let engine, qsig_engine = install stage profile in
   let qsig_scorers : (int, Adprom_qsig.Engine.Scorer.t) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -249,7 +342,7 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
     | Some blocks -> (
         match
           List.sort compare !blocks
-          |> List.filter_map (fun b -> List.assoc_opt b leakage)
+          |> List.filter_map (fun b -> List.assoc_opt b stage.sinks)
           |> List.sort_uniq compare
         with
         | [] -> None
@@ -292,7 +385,7 @@ let worker ~idx ~profile ~static_pairs ~static_auto ~gate_enforce ~keep_verdicts
         if not (Hashtbl.mem shed_here session) then begin
           (match event.Runtime.Collector.symbol with
           | Analysis.Symbol.Lib { label = Some b; _ }
-            when leakage <> [] && List.mem_assoc b leakage -> (
+            when stage.sinks <> [] && List.mem_assoc b stage.sinks -> (
               match Hashtbl.find_opt fired_sinks session with
               | Some blocks ->
                   if not (List.mem b !blocks) then blocks := b :: !blocks
@@ -456,80 +549,17 @@ let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
     ?(ring_capacity = default_ring_capacity) ?metrics ?alerts ?vet_against
     ?(vet_policy = Adprom.Profile_check.Warn) ?(static_gate = Gate_explain)
     ?(qsig_mode = Qsig_off) ?qsig_profile
-    ?(qsig_static_gate = Gate_explain) ?(leakage = []) profile =
+    ?(qsig_static_gate = Gate_explain) ?leakage_policy profile =
   if shards < 1 then invalid_arg "Daemon.create: need at least one shard";
   if queue_capacity < 0 then invalid_arg "Daemon.create: negative queue capacity";
   if ring_capacity < 0 then invalid_arg "Daemon.create: negative ring capacity";
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let alerts = match alerts with Some a -> a | None -> Alerts.create () in
-  (* The call-sequence automaton is built once, before any domain
-     spawns; workers load the compiled DFA into their engines. *)
-  let static_auto =
-    match (vet_against, static_gate) with
-    | Some analysis, (Gate_explain | Gate_enforce) ->
-        Some (Adprom.Profile_check.automaton profile analysis)
-    | Some _, Gate_off | None, _ -> None
-  in
-  (* Vet the profile against the program before any domain spawns:
-     under [Enforce] a failing profile raises here (no workers to tear
-     down yet); under [Warn] findings are logged and counted. *)
-  let static_pairs =
-    match vet_against with
-    | None -> None
-    | Some analysis ->
-        let module Diag = Analysis.Diag in
-        let diags =
-          Adprom.Profile_check.apply vet_policy ?automaton:static_auto profile
-            analysis
-        in
-        let errors = List.length (Diag.errors diags) in
-        let warnings = List.length (Diag.warnings diags) in
-        let c_err = Metrics.counter metrics "adprom_profile_vet_errors_total" in
-        let c_warn = Metrics.counter metrics "adprom_profile_vet_warnings_total" in
-        if errors > 0 then Metrics.incr ~by:errors c_err;
-        if warnings > 0 then Metrics.incr ~by:warnings c_warn;
-        List.iter
-          (fun d ->
-            let level =
-              match d.Diag.severity with
-              | Diag.Error -> Olog.Warn
-              | Diag.Warning -> Olog.Info
-              | Diag.Hint -> Olog.Debug
-            in
-            if Olog.enabled level then
-              Olog.emit level ~scope:"daemon"
-                ~fields:[ ("code", Olog.Str d.Diag.code) ]
-                (Diag.to_string d))
-          diags;
-        (* Explanations can now name statically impossible pairs. *)
-        Some (Adprom.Profile_check.static_pairs analysis)
+  let stage =
+    build_stage ~metrics ?vet_against ~vet_policy ~static_gate ~qsig_mode
+      ?qsig_profile ~qsig_static_gate ?leakage_policy profile
   in
   let series = register_series metrics in
-  (* The query axis needs both a mode and a trained profile; workers
-     snapshot the profile before any domain spawns so later mutation by
-     the caller cannot race the checkers. *)
-  let qsig =
-    match (qsig_mode, qsig_profile) with
-    | Qsig_off, _ | _, None -> None
-    | (Qsig_warn | Qsig_enforce), Some qprofile ->
-        Some (Adprom_qsig.Profile.copy qprofile, qsig_policy_of_mode qsig_mode)
-  in
-  (* The static query-signature set (the query axis' analogue of the
-     call-sequence DFA) is inferred once before any domain spawns;
-     workers install it into their qsig engines. Inert without both a
-     program to infer from and an active query axis. *)
-  let qsig_static =
-    match (vet_against, qsig, qsig_static_gate) with
-    | Some analysis, Some _, (Gate_explain | Gate_enforce) ->
-        let sq =
-          Analysis.Qstatic.infer analysis.Analysis.Analyzer.pruned_cfgs
-        in
-        Some
-          ( sq.Analysis.Qstatic.signatures,
-            sq.Analysis.Qstatic.complete,
-            qsig_static_gate = Gate_enforce )
-    | (None, _, _ | _, None, _ | _, _, Gate_off) -> None
-  in
   let shard_array =
     Array.init shards (fun i ->
         {
@@ -548,16 +578,15 @@ let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
     Array.mapi
       (fun idx shard ->
         Domain.spawn (fun () ->
-            worker ~idx ~profile ~static_pairs ~static_auto
-              ~gate_enforce:(static_gate = Gate_enforce) ~keep_verdicts ~qsig
-              ~qsig_static ~leakage ~series ~alerts ~ring:rings.(idx) shard))
+            worker ~idx ~profile ~stage ~keep_verdicts ~series ~alerts
+              ~ring:rings.(idx) shard))
       shard_array
   in
   {
     profile;
     capacity = queue_capacity;
     keep_verdicts;
-    qsig_active = qsig <> None;
+    qsig_active = stage.qsig <> None;
     shards = shard_array;
     workers;
     metrics;

@@ -42,7 +42,7 @@ type summary = {
 type admission = Accepted | Rejected of { newly_shed : bool }
 
 type gate_mode =
-  | Gate_off  (** no automaton: PR 4 behaviour exactly *)
+  | Gate_off  (** the gate is not built: nothing checked, nothing counted *)
   | Gate_explain
       (** load the DFA for explanations and gate metrics only — classify
           verdicts stay bit-for-bit identical to [Gate_off] *)
@@ -84,7 +84,7 @@ val create :
   ?qsig_mode:qsig_mode ->
   ?qsig_profile:Adprom_qsig.Profile.t ->
   ?qsig_static_gate:gate_mode ->
-  ?leakage:(int * string) list ->
+  ?leakage_policy:Applang.Libspec.Sensitivity.t ->
   Adprom.Profile.t ->
   t
 (** Spawn the worker domains. Defaults: 4 shards, queue capacity 4096,
@@ -99,18 +99,7 @@ val create :
     the program's static analysis before any domain spawns, under
     [vet_policy] (default [Warn]: findings are logged with scope
     [daemon] and counted as [adprom_profile_vet_{errors,warnings}_total];
-    [Enforce] refuses a profile with error-class findings). It also
-    loads the statically possible pairs into every worker engine, so
-    incident explanations can name [statically-impossible-pair] gates.
-
-    With [vet_against] and [static_gate] (default [Gate_explain]), the
-    program's call-sequence automaton ({!Analysis.Seqauto}) is compiled
-    once before the domains spawn, loaded into every worker engine, and
-    used for the vet's n-gram coverage cross-check. DFA walks and
-    rejections are exported as [adprom_dfa_gate_checks_total] /
-    [adprom_dfa_gate_rejections_total] (their ratio is the gate hit
-    rate). Without [vet_against] there is no program to build the
-    automaton from and [static_gate] is inert.
+    [Enforce] refuses a profile with error-class findings).
 
     With [qsig_mode] (default [Qsig_off]) and [qsig_profile], every
     worker compiles the query-signature profile into an
@@ -121,31 +110,31 @@ val create :
     [adprom_qsig_checks_total] / [adprom_qsig_anomalies_total];
     sequence-axis verdicts are bit-for-bit unaffected by the mode.
 
-    [qsig_static_gate] (default [Gate_explain]) is the query axis'
-    analogue of [static_gate]: with [vet_against] and an active query
-    axis, the program's statically inferable signature set
-    ({!Analysis.Qstatic}) is computed once before the domains spawn and
-    loaded into every worker's qsig engine
-    ({!Adprom_qsig.Engine.set_static_signatures}). Gate traffic is
-    exported as [adprom_qsig_gate_checks_total] /
-    [adprom_qsig_gate_rejections_total]. Under [Gate_explain] query
-    verdicts stay bit-for-bit identical to [Gate_off]; under
-    [Gate_enforce] a query whose signature the program provably cannot
-    emit short-circuits to an [Impossible_signature] anomaly. Inert
-    without [vet_against] or without [qsig_mode]+[qsig_profile].
+    The {e static stage} is what [vet_against] tells the running
+    monitor. It is built once before the domains spawn, with at most one
+    {!Analysis.Qstatic} inference, and installed into every worker's
+    engines. The statically possible call pairs let explanations name
+    [statically-impossible-pair] gates. Under [static_gate] (default
+    [Gate_explain]) the call-sequence automaton ({!Analysis.Seqauto})
+    gates windows and drives the vet's n-gram cross-check; its traffic
+    is counted as [adprom_dfa_gate_{checks,rejections}_total]. Under
+    [qsig_static_gate] (default [Gate_explain]) and an active query
+    axis, the program's emittable signature set gates queries, counted
+    as [adprom_qsig_gate_{checks,rejections}_total]; under
+    [Gate_enforce] a signature the program provably cannot emit
+    short-circuits to an [Impossible_signature] anomaly. With
+    [leakage_policy], each labeled sink block maps to its
+    {!Analysis.Leakage} capability (e.g.
+    ["printf <- clients.balance ?{1}"]): once a session fires that sink,
+    its actionable verdicts carry the capability
+    ({!Alerts.source.Verdict}[.leak]) and count toward
+    [adprom_leak_capable_incidents_total]. [Gate_explain] and the policy
+    leave verdicts bit-for-bit those of [Gate_off] without a policy.
+    Without [vet_against] the gates are inert.
 
-    [leakage] maps labeled sink blocks to their statically-known leak
-    capability (rendered {!Analysis.Leakage} atoms, e.g.
-    ["customers.ssn ?{many}"]). When a session's event stream fires a
-    mapped sink label, the session's actionable verdicts carry the
-    capability string ({!Alerts.source.Verdict}[.leak]) and count
-    toward [adprom_leak_capable_incidents_total] — the runtime fusion
-    of the static summary: {e what} the anomalous session was capable
-    of exfiltrating, next to {e that} it was anomalous. Sequence- and
-    query-axis verdicts are bit-for-bit unaffected.
-
-    @raise Invalid_argument on [shards < 1], a negative capacity, or a
-    profile failing vet under [Enforce]. *)
+    @raise Invalid_argument on [shards < 1], a negative capacity, a
+    profile failing vet under [Enforce], or a [leakage_policy] without
+    [vet_against]. *)
 
 val ingest : t -> Transport.event -> admission
 (** Route one event (not thread-safe: one acceptor thread). [Rejected]

@@ -115,7 +115,7 @@ let incidents_json ~node ~limit alerts =
 
 let serve ~socket ?(name = "node") ?(version = Frame.protocol_version) ?shards
     ?queue_capacity ?keep_verdicts ?metrics ?alerts ?vet_against ?vet_policy
-    ?static_gate ?qsig_mode ?qsig_profile ?qsig_static_gate ?leakage profile =
+    ?static_gate ?qsig_mode ?qsig_profile ?qsig_static_gate ?leakage_policy profile =
   if version < 1 || version > Frame.protocol_version then
     invalid_arg "Server.serve: unsupported protocol version";
   (* a reply to a client that already hung up must raise EPIPE (handled
@@ -125,7 +125,7 @@ let serve ~socket ?(name = "node") ?(version = Frame.protocol_version) ?shards
   let daemon =
     Daemon.create ?shards ?queue_capacity ?keep_verdicts ~metrics ?alerts
       ?vet_against ?vet_policy ?static_gate ?qsig_mode ?qsig_profile
-      ?qsig_static_gate ?leakage profile
+      ?qsig_static_gate ?leakage_policy profile
   in
   let c_conns = Metrics.counter metrics "adprom_wire_connections_total" in
   let c_frames = Metrics.counter metrics "adprom_wire_frames_total" in

@@ -53,7 +53,7 @@ val serve :
   ?qsig_mode:Daemon.qsig_mode ->
   ?qsig_profile:Adprom_qsig.Profile.t ->
   ?qsig_static_gate:Daemon.gate_mode ->
-  ?leakage:(int * string) list ->
+  ?leakage_policy:Applang.Libspec.Sensitivity.t ->
   Adprom.Profile.t ->
   Replay.outcome
 (** Create the daemon (options as {!Daemon.create}), serve [socket]

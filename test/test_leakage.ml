@@ -283,94 +283,73 @@ let banking_policy =
    secret clients.balance\n\
    internal clients.name\n"
 
-(* Banking's normal sessions plus one session per test case of every
-   banking attack, interleaved into one host stream. *)
-let banking_sessions app analysis =
-  let normal =
-    List.map
-      (fun tc -> fst (Adprom.Pipeline.run_case ~analysis app tc))
-      app.Adprom.Pipeline.test_cases
-  in
-  let attacks =
-    List.concat_map
-      (fun (c : Dataset.Ca_attacks.case) ->
-        if c.Dataset.Ca_attacks.app.Adprom.Pipeline.name <> app.Adprom.Pipeline.name
-        then []
-        else
-          let app', patches, query_rewriter =
-            Attack.Scenario.apply c.Dataset.Ca_attacks.scenario app
-          in
-          let analysis' = Adprom.Pipeline.analyze_app app' in
-          List.map
-            (fun tc ->
-              fst
-                (Adprom.Pipeline.run_case ~patches ?query_rewriter
-                   ~analysis:analysis' app' tc))
-            app'.Adprom.Pipeline.test_cases)
-      (Dataset.Ca_attacks.all ())
-  in
-  Adprom.Sessions.interleave ~rng:(Mlkit.Rng.create 3) (normal @ attacks)
+type banking = {
+  profile : Adprom.Profile.t;
+  analysis : Analyzer.t;
+  calls : Service.Transport.item array;
+  mixed : Service.Transport.item array;
+      (* [calls], then each session's executed queries *)
+  qsig : Adprom_qsig.Profile.t;
+  pol : Sens.t;
+}
+
+let banking =
+  lazy
+    (let app = Dataset.Ca_banking.app () in
+     let dataset = Adprom.Pipeline.collect app in
+     let analysis = dataset.Adprom.Pipeline.analysis in
+     let calls, mixed = Banking_stream.items (Banking_stream.runs app analysis) in
+     {
+       profile = Adprom.Pipeline.train dataset;
+       analysis;
+       calls;
+       mixed;
+       qsig = Adprom.Pipeline.train_qsig ~analysis app;
+       pol =
+         (match Sens.parse banking_policy with
+         | Ok pol -> pol
+         | Error e -> failwith ("banking policy: " ^ e));
+     })
+
+let leaks (o : Service.Replay.outcome) =
+  List.filter_map
+    (fun (i : Service.Alerts.incident) ->
+      match i.Service.Alerts.source with
+      | Service.Alerts.Verdict { verdict; leak; _ }
+        when verdict.Adprom.Detector.flag = Adprom.Detector.Data_leak ->
+          Some leak
+      | _ -> None)
+    (Service.Alerts.incidents o.Service.Replay.alerts)
+
+let balance = "printf <- clients.balance ?{1}"
+
+let names_balance o =
+  List.for_all
+    (function Some l -> String.starts_with ~prefix:balance l | None -> false)
+    (leaks o)
 
 let test_runtime_leak_annotation () =
-  let app = Dataset.Ca_banking.app () in
-  let dataset = Adprom.Pipeline.collect app in
-  let profile = Adprom.Pipeline.train dataset in
-  let analysis = dataset.Adprom.Pipeline.analysis in
-  let items =
-    Array.map
-      (fun ev -> Service.Transport.Call ev)
-      (banking_sessions app analysis)
-  in
-  let leakage =
-    match Sens.parse banking_policy with
-    | Error e -> Alcotest.failf "banking policy: %s" e
-    | Ok pol ->
-        let cfgs = analysis.Analyzer.pruned_cfgs in
-        Leakage.capabilities
-          (Leakage.analyze ~schema:(Sens.schema pol) ~static:(Qstatic.infer cfgs) cfgs)
-  in
+  let b = Lazy.force banking in
+  let items = b.calls in
   (* a queue bound no burst can reach: a shed session would make the
      two runs differ by scheduling, not by the annotation *)
-  let replay ?leakage () =
+  let replay ?leakage_policy () =
     Service.Replay.run
       (Service.Daemon.create ~shards:2 ~queue_capacity:(Array.length items)
-         ~vet_against:analysis ?leakage profile)
+         ~vet_against:b.analysis ?leakage_policy b.profile)
       items
   in
-  let plain = replay () and annotated = replay ~leakage () in
-  (* scores compared as IEEE-754 bits: [=] is false on NaN scores *)
-  let reports (o : Service.Replay.outcome) =
-    let verdict (v : Adprom.Detector.verdict) =
-      ({ v with score = 0.0 }, Int64.bits_of_float v.Adprom.Detector.score)
-    in
-    List.map
-      (fun (r : Service.Daemon.session_report) ->
-        ({ r with verdicts = [] }, List.map verdict r.Service.Daemon.verdicts))
-      o.Service.Replay.summary.Service.Daemon.sessions
-  in
+  let plain = replay () and annotated = replay ~leakage_policy:b.pol () in
   Alcotest.(check bool) "nothing shed" true
     (plain.Service.Replay.summary.Service.Daemon.shed = []
     && annotated.Service.Replay.summary.Service.Daemon.shed = []);
   Alcotest.(check bool) "session reports unchanged by the annotation" true
-    (reports plain = reports annotated);
-  let leaks (o : Service.Replay.outcome) =
-    List.filter_map
-      (fun (i : Service.Alerts.incident) ->
-        match i.Service.Alerts.source with
-        | Service.Alerts.Verdict { verdict; leak; _ }
-          when verdict.Adprom.Detector.flag = Adprom.Detector.Data_leak ->
-            Some leak
-        | _ -> None)
-      (Service.Alerts.incidents o.Service.Replay.alerts)
-  in
+    (Banking_stream.reports plain = Banking_stream.reports annotated);
   Alcotest.(check bool) "data-leak incidents without the map carry no note" true
     (List.for_all Option.is_none (leaks plain));
   Alcotest.(check bool) "data-leak incidents exist" true (leaks annotated <> []);
-  let balance = "printf <- clients.balance ?{1}" in
   Alcotest.(check bool) "every data-leak incident names the balance printf" true
-    (List.for_all
-       (function Some l -> String.starts_with ~prefix:balance l | None -> false)
-       (leaks annotated));
+    (names_balance annotated);
   let leak_capable (o : Service.Replay.outcome) =
     Service.Metrics.counter_value
       (Service.Metrics.counter o.Service.Replay.metrics
@@ -380,6 +359,45 @@ let test_runtime_leak_annotation () =
     (leak_capable plain);
   Alcotest.(check bool) "leak-capable incidents counted" true
     (leak_capable annotated > 0)
+
+let test_runtime_policy_needs_program () =
+  let b = Lazy.force banking in
+  match Service.Daemon.create ~leakage_policy:b.pol b.profile with
+  | exception Invalid_argument _ -> ()
+  | d ->
+      ignore (Service.Daemon.drain d);
+      Alcotest.fail "a leakage policy without vet_against was accepted"
+
+(* The whole static stage armed at once — DFA and query-signature gates
+   on explain, the leakage policy on — over calls and queries: the
+   shared signature inference must leave every session report (both
+   axes) bit-for-bit those of a run with no static artifact. *)
+let test_runtime_stage_armed () =
+  let b = Lazy.force banking in
+  let items = b.mixed in
+  let replay ~gate ?leakage_policy () =
+    Service.Replay.run
+      (Service.Daemon.create ~shards:2 ~queue_capacity:(Array.length items)
+         ~vet_against:b.analysis ~static_gate:gate ~qsig_mode:Service.Daemon.Qsig_warn
+         ~qsig_profile:b.qsig ~qsig_static_gate:gate ?leakage_policy b.profile)
+      items
+  in
+  let off = replay ~gate:Service.Daemon.Gate_off ()
+  and armed =
+    replay ~gate:Service.Daemon.Gate_explain ~leakage_policy:b.pol ()
+  in
+  Alcotest.(check bool) "nothing shed" true
+    (off.Service.Replay.summary.Service.Daemon.shed = []
+    && armed.Service.Replay.summary.Service.Daemon.shed = []);
+  Alcotest.(check bool) "queries checked" true
+    (List.exists
+       (fun (r : Service.Daemon.session_report) -> r.Service.Daemon.qsig_checks > 0)
+       armed.Service.Replay.summary.Service.Daemon.sessions);
+  Alcotest.(check bool) "session reports unchanged by the static stage" true
+    (Banking_stream.reports off = Banking_stream.reports armed);
+  Alcotest.(check bool) "data-leak incidents exist" true (leaks armed <> []);
+  Alcotest.(check bool) "every data-leak incident names the balance printf" true
+    (names_balance armed)
 
 (* -------------------------------------------------------------------------- *)
 
@@ -410,5 +428,8 @@ let () =
         [
           Alcotest.test_case "incidents carry the fired sink's capability" `Quick
             test_runtime_leak_annotation;
+          Alcotest.test_case "policy needs a program" `Quick
+            test_runtime_policy_needs_program;
+          Alcotest.test_case "whole stage armed" `Quick test_runtime_stage_armed;
         ] );
     ]

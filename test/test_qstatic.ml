@@ -302,6 +302,63 @@ let test_gate_load_flushes_memo () =
           | _ -> "");
       ])
 
+(* --- the daemon installs the gate: explain is bit-for-bit, enforce adds --- *)
+
+module Service = Adprom_service
+
+let test_daemon_gate () =
+  let app = Dataset.Ca_banking.app () in
+  let dataset = Pipeline.collect app in
+  let analysis = dataset.Pipeline.analysis in
+  let profile = Pipeline.train dataset in
+  let qsig = Pipeline.train_qsig ~analysis app in
+  let _, items = Banking_stream.items (Banking_stream.runs app analysis) in
+  (* a queue bound no burst reaches: no session is shed by scheduling *)
+  let replay gate =
+    Service.Replay.run
+      (Service.Daemon.create ~shards:2 ~queue_capacity:(Array.length items)
+         ~vet_against:analysis ~qsig_mode:Service.Daemon.Qsig_warn
+         ~qsig_profile:qsig ~qsig_static_gate:gate profile)
+      items
+  in
+  let off = replay Service.Daemon.Gate_off
+  and explain = replay Service.Daemon.Gate_explain
+  and enforce = replay Service.Daemon.Gate_enforce in
+  let counter (o : Service.Replay.outcome) name =
+    Service.Metrics.counter_value
+      (Service.Metrics.counter o.Service.Replay.metrics name)
+  in
+  let checked (o : Service.Replay.outcome) =
+    List.fold_left
+      (fun n (r : Service.Daemon.session_report) -> n + r.Service.Daemon.qsig_checks)
+      0 o.Service.Replay.summary.Service.Daemon.sessions
+  in
+  let anomalies (o : Service.Replay.outcome) =
+    List.filter_map
+      (fun (i : Service.Alerts.incident) ->
+        match i.Service.Alerts.source with
+        | Service.Alerts.Query_verdict { query_index; _ } ->
+            Some (i.Service.Alerts.session, query_index)
+        | _ -> None)
+      (Service.Alerts.incidents o.Service.Replay.alerts)
+  in
+  Alcotest.(check bool) "nothing shed" true
+    (List.for_all
+       (fun (o : Service.Replay.outcome) ->
+         o.Service.Replay.summary.Service.Daemon.shed = [])
+       [ off; explain; enforce ]);
+  Alcotest.(check bool) "explain reports bit-for-bit off's" true
+    (Banking_stream.reports off = Banking_stream.reports explain);
+  Alcotest.(check int) "off: no gate checks" 0
+    (counter off "adprom_qsig_gate_checks_total");
+  Alcotest.(check bool) "queries checked" true (checked explain > 0);
+  Alcotest.(check int) "explain: every checked query gated" (checked explain)
+    (counter explain "adprom_qsig_gate_checks_total");
+  Alcotest.(check bool) "enforce: the injected query is gate-rejected" true
+    (counter enforce "adprom_qsig_gate_rejections_total" > 0);
+  Alcotest.(check bool) "enforce anomalies superset of explain's" true
+    (subset (anomalies explain) (anomalies enforce))
+
 (* --- the banking corpus: complete, contained, and the sqli site found ------- *)
 
 let test_banking_static_profile () =
@@ -367,6 +424,7 @@ let () =
             test_gate_incomplete_never_rejects;
           Alcotest.test_case "load flushes memo" `Quick
             test_gate_load_flushes_memo;
+          Alcotest.test_case "daemon installs the gate" `Quick test_daemon_gate;
         ] );
       ( "corpus",
         [ Alcotest.test_case "banking static profile" `Quick test_banking_static_profile ] );
