@@ -6,7 +6,12 @@
    - table8/*: CFG construction, probability forecast and aggregation on
      App_h (the steps of Table VIII);
    - fig10/*: one scaled-forward evaluation and one Baum-Welch round on
-     a mid-sized model (the kernels dominating Fig. 10 / Table VII). *)
+     a mid-sized model (the kernels dominating Fig. 10 / Table VII);
+   - kernel/*: the training and scoring kernels at the sizes the serve
+     benchmark trains: a compiled window score on the 126-state banking
+     model, one Baum-Welch step over banking's deduplicated windows, and
+     the Jacobi eigensolver on the generated wide program's 270 x 270
+     call-transition-vector covariance. *)
 
 open Bechamel
 open Toolkit
@@ -57,26 +62,77 @@ let hmm_tests () =
       (Staged.stage (fun () -> ignore (Hmm.baum_welch_step model weighted)));
   ]
 
-let run () =
-  Common.heading "Micro-benchmarks (Bechamel): kernels behind Tables VI/VIII and Fig. 10";
-  let tests =
-    Test.make_grouped ~name:"adprom"
-      (collector_tests () @ analysis_tests () @ hmm_tests ())
+(* The banking profile as the serve benchmark trains it (four rounds),
+   and the generated wide program's CTV covariance as [Pca.fit] builds
+   it. *)
+let kernel_tests () =
+  let dataset = Adprom.Pipeline.collect (Dataset.Ca_banking.app ()) in
+  let params = { Adprom.Pipeline.adprom_params with Adprom.Profile.max_rounds = 4 } in
+  let profile = Adprom.Pipeline.train ~params dataset in
+  let model = profile.Adprom.Profile.model in
+  let index = Analysis.Symbol.Table.find_opt profile.Adprom.Profile.obs_index in
+  let weighted =
+    List.filter_map
+      (fun (w, weight) ->
+        Option.map (fun codes -> (codes, weight)) (Adprom.Window.encode ~index w))
+      (Adprom.Window.dedup dataset.Adprom.Pipeline.windows)
   in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
+  let scorer = Hmm.Compiled.of_model model in
+  let window = fst (List.hd weighted) in
+  let gen =
+    Dataset.Sir.app4
+      ~spec:
+        { Dataset.Proggen.bash_like with
+          Dataset.Proggen.functions = 24;
+          statements_per_function = 7 }
+      ()
+  in
+  let _, ctvs =
+    Adprom.Reduction.ctv_matrix (Adprom.Pipeline.analyze_app gen).Analysis.Analyzer.pctm
+  in
+  let rows, cols = Mlkit.Matrix.dims ctvs in
+  let mean =
+    Array.init cols (fun j ->
+        Array.fold_left ( +. ) 0.0 (Mlkit.Matrix.col ctvs j) /. float_of_int rows)
+  in
+  let cov = Mlkit.Pca.covariance ctvs mean in
+  [
+    Test.make
+      ~name:(Printf.sprintf "kernel/compiled-score-%dstate" model.Hmm.n)
+      (Staged.stage (fun () -> ignore (Hmm.Compiled.per_symbol_score scorer window)));
+    Test.make
+      ~name:(Printf.sprintf "kernel/baum-welch-step-banking-%dwin" (List.length weighted))
+      (Staged.stage (fun () -> ignore (Hmm.baum_welch_step model weighted)));
+    Test.make
+      ~name:(Printf.sprintf "kernel/jacobi-gen-wide-ctv-%dx%d" cols cols)
+      (Staged.stage (fun () -> ignore (Mlkit.Pca.jacobi_eigen cov)));
+  ]
+
+(* OLS estimate of ns per run for every test of [tests]. *)
+let measure cfg tests =
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
   let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name est ->
+  Hashtbl.fold
+    (fun name est rows ->
       let ns =
         match Analyze.OLS.estimates est with
         | Some (v :: _) -> Printf.sprintf "%.1f" v
         | Some [] | None -> "n/a"
       in
-      rows := [ name; ns ] :: !rows)
-    results;
-  Adprom.Report.print
-    ~header:[ "kernel"; "ns/run" ]
-    (List.sort compare !rows)
+      [ name; ns ] :: rows)
+    results []
+
+let run () =
+  Common.heading "Micro-benchmarks (Bechamel): kernels behind Tables VI/VIII and Fig. 10";
+  let quick =
+    Test.make_grouped ~name:"adprom" (collector_tests () @ analysis_tests () @ hmm_tests ())
+  in
+  (* The training kernels run for up to a second each: a longer quota
+     gives the regression more than one sample. *)
+  let slow = Test.make_grouped ~name:"adprom" (kernel_tests ()) in
+  let rows =
+    measure (Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ()) quick
+    @ measure (Benchmark.cfg ~limit:50 ~quota:(Time.second 3.0) ()) slow
+  in
+  Adprom.Report.print ~header:[ "kernel"; "ns/run" ] (List.sort compare rows)

@@ -60,12 +60,17 @@ let encode_or_fail index (w : Window.t) =
   | Some codes -> codes
   | None -> invalid_arg "Profile.train: training window outside alphabet"
 
+(* Per-symbol scores of encoded windows, through the compiled scorer
+   (bit-for-bit [Hmm.per_symbol_score]). *)
+let scores model weighted =
+  let scorer = Hmm.Compiled.of_model model in
+  List.map (fun (codes, _) -> Hmm.Compiled.per_symbol_score scorer codes) weighted
+
 (* Weighted mean per-symbol score over deduplicated windows. *)
 let mean_score model weighted =
   let num = ref 0.0 and den = ref 0.0 in
-  List.iter
-    (fun (codes, w) ->
-      let s = Hmm.per_symbol_score model codes in
+  List.iter2
+    (fun (_, w) s ->
       if Float.is_finite s then begin
         num := !num +. (w *. s);
         den := !den +. w
@@ -76,7 +81,7 @@ let mean_score model weighted =
         num := !num +. (w *. -50.0);
         den := !den +. w
       end)
-    weighted;
+    weighted (scores model weighted);
   if !den = 0.0 then neg_infinity else !num /. !den
 
 let train ?(params = default_params) ~analysis windows =
@@ -169,11 +174,7 @@ let train ?(params = default_params) ~analysis windows =
   let final_model = !best_model in
   let threshold =
     Otrace.with_span "profile.threshold" (fun () ->
-        let all_scores =
-          List.map
-            (fun (codes, _) -> Hmm.per_symbol_score final_model codes)
-            (train_weighted @ csds_weighted)
-        in
+        let all_scores = scores final_model (train_weighted @ csds_weighted) in
         Threshold.select params.threshold_strategy (Array.of_list all_scores))
   in
   let known_pairs = Hashtbl.create 256 in
@@ -217,9 +218,7 @@ let extend t windows =
     in
     let rounds = max 1 (t.params.max_rounds / 4) in
     let model, _ = Hmm.fit ~max_iterations:rounds t.model weighted in
-    let new_scores =
-      List.map (fun (codes, _) -> Hmm.per_symbol_score model codes) weighted
-    in
+    let new_scores = scores model weighted in
     (* The threshold may only move down here: new legitimate behaviour
        widens the normal region, it never shrinks it. *)
     let candidate =

@@ -46,7 +46,7 @@ let encode ~index w =
       | Some k -> out.(i) <- k
       | None -> ok := false)
     w.obs;
-  if !ok && n > 0 then Some out else if n = 0 then None else None
+  if !ok && n > 0 then Some out else None
 
 let contains_labeled_output w = Array.exists Symbol.is_labeled w.obs
 

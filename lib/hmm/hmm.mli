@@ -36,13 +36,18 @@ val per_symbol_score : t -> int array -> float
     sequence. *)
 
 module Compiled : sig
-  (** Compiled evaluation for the detection hot path (Sec. IV-D): the
-      same scaled forward pass with the transition table flattened, the
-      emission table transposed (one observation's column contiguous)
-      and the forward rows preallocated, so steady-state scoring
-      allocates nothing. Scores are bit-for-bit equal to
-      {!log_likelihood} / {!per_symbol_score}; a compiled scorer is not
-      thread-safe (it owns its scratch rows) — use one per domain. *)
+  (** Compiled evaluation for the detection hot path (Sec. IV-D) and
+      for training's window scoring (the CSDS score of every round, the
+      threshold pass, [Profile.extend]): the same scaled forward pass
+      with the transition table split into rows, the emission table
+      transposed (one observation's column contiguous) and the forward
+      rows preallocated, so steady-state scoring allocates nothing. Each
+      transition step folds four rows of A into the next forward row per
+      pass, and every element still sums its terms in the same order,
+      so scores are bit-for-bit equal to {!log_likelihood} /
+      {!per_symbol_score}, which stay the row-at-a-time reference. A
+      compiled scorer is not thread-safe (it owns its scratch rows) —
+      use one per domain. *)
 
   type model := t
 
@@ -89,7 +94,16 @@ val baum_welch_step : t -> (int array * float) list -> t * float
     {e previous} model's total weighted log-likelihood. Emission and
     transition rows are floored by a small epsilon and renormalized so
     unseen events keep non-zero mass. Sequences impossible under the
-    current model are skipped. *)
+    current model are skipped; every sequence is still range-checked.
+
+    The step's scratch tables (forward, backward, backward row sums, ξ
+    factors, scales) are sized for the longest sequence and allocated
+    once per call, so nothing is shared between calls.
+    Its kernels are blocked four rows or four steps at a time, but each
+    accumulator takes the same floating-point operations in the same
+    order as the textbook step over {!forward} and {!backward}: the
+    result is bit-for-bit equal to it.
+    @raise Invalid_argument on an observation outside [\[0, m)]. *)
 
 val fit :
   ?max_iterations:int ->

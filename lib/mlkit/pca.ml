@@ -5,45 +5,54 @@ type model = {
 }
 
 (* Cyclic Jacobi rotations: repeatedly zero the largest off-diagonal
-   element until the off-diagonal mass is negligible. *)
+   element until the off-diagonal mass is negligible. [a] is the working
+   matrix, one array per row, and [vt] holds the accumulated rotations
+   transposed ([vt.(p).(k)] is V's element (k, p)), so a rotation's row
+   update of A and its column update of V both run along a row. *)
 let jacobi_eigen m =
   let n, cols = Matrix.dims m in
   if n <> cols then invalid_arg "Pca.jacobi_eigen: matrix must be square";
   let a = Matrix.to_arrays m in
-  let v = Matrix.to_arrays (Matrix.identity n) in
+  let vt = Matrix.to_arrays (Matrix.identity n) in
   let off_diagonal_mass () =
     let acc = ref 0.0 in
     for i = 0 to n - 1 do
+      let ai = a.(i) in
       for j = i + 1 to n - 1 do
-        acc := !acc +. (a.(i).(j) *. a.(i).(j))
+        let x = Array.unsafe_get ai j in
+        acc := !acc +. (x *. x)
       done
     done;
     !acc
   in
+  (* rows p and q of [x] *)
+  let rotate_rows x p q c s =
+    let xp = x.(p) and xq = x.(q) in
+    for k = 0 to n - 1 do
+      let xpk = Array.unsafe_get xp k and xqk = Array.unsafe_get xq k in
+      Array.unsafe_set xp k ((c *. xpk) -. (s *. xqk));
+      Array.unsafe_set xq k ((s *. xpk) +. (c *. xqk))
+    done
+  in
   let rotate p q =
-    if Float.abs a.(p).(q) > 1e-14 then begin
-      let theta = (a.(q).(q) -. a.(p).(p)) /. (2.0 *. a.(p).(q)) in
+    let apq = a.(p).(q) in
+    if Float.abs apq > 1e-14 then begin
+      let theta = (a.(q).(q) -. a.(p).(p)) /. (2.0 *. apq) in
       let t =
         let sign = if theta >= 0.0 then 1.0 else -1.0 in
         sign /. (Float.abs theta +. sqrt ((theta *. theta) +. 1.0))
       in
       let c = 1.0 /. sqrt ((t *. t) +. 1.0) in
       let s = t *. c in
+      (* columns p and q of A *)
       for k = 0 to n - 1 do
-        let akp = a.(k).(p) and akq = a.(k).(q) in
-        a.(k).(p) <- (c *. akp) -. (s *. akq);
-        a.(k).(q) <- (s *. akp) +. (c *. akq)
+        let ak = Array.unsafe_get a k in
+        let akp = Array.unsafe_get ak p and akq = Array.unsafe_get ak q in
+        Array.unsafe_set ak p ((c *. akp) -. (s *. akq));
+        Array.unsafe_set ak q ((s *. akp) +. (c *. akq))
       done;
-      for k = 0 to n - 1 do
-        let apk = a.(p).(k) and aqk = a.(q).(k) in
-        a.(p).(k) <- (c *. apk) -. (s *. aqk);
-        a.(q).(k) <- (s *. apk) +. (c *. aqk)
-      done;
-      for k = 0 to n - 1 do
-        let vkp = v.(k).(p) and vkq = v.(k).(q) in
-        v.(k).(p) <- (c *. vkp) -. (s *. vkq);
-        v.(k).(q) <- (s *. vkp) +. (c *. vkq)
-      done
+      rotate_rows a p q c s;
+      rotate_rows vt p q c s
     end
   in
   let max_sweeps = 100 in
@@ -60,27 +69,32 @@ let jacobi_eigen m =
   Array.sort (fun i j -> compare a.(j).(j) a.(i).(i)) order;
   let values = Array.map (fun i -> a.(i).(i)) order in
   (* Eigenvectors as rows: row r of the result is the eigenvector for
-     [values.(r)], i.e. column [order.(r)] of the accumulated rotations. *)
-  let vectors = Matrix.init n n (fun r c -> v.(c).(order.(r))) in
+     [values.(r)], i.e. row [order.(r)] of [vt]. *)
+  let vectors = Matrix.init n n (fun r c -> vt.(order.(r)).(c)) in
   (values, vectors)
 
 let covariance data mean =
   let rows, cols = Matrix.dims data in
-  let cov = Matrix.create cols cols in
+  if Array.length mean <> cols then invalid_arg "Pca.covariance: one mean per column";
+  let d = data.Matrix.data in
+  let cov = Array.make (cols * cols) 0.0 in
   let denom = float_of_int (max 1 (rows - 1)) in
   for i = 0 to rows - 1 do
+    let r = i * cols in
     for a = 0 to cols - 1 do
-      let da = Matrix.get data i a -. mean.(a) in
-      if da <> 0.0 then
+      let da = Array.unsafe_get d (r + a) -. Array.unsafe_get mean a in
+      if da <> 0.0 then begin
+        let ca = a * cols in
         for b = a to cols - 1 do
-          let db = Matrix.get data i b -. mean.(b) in
-          Matrix.set cov a b (Matrix.get cov a b +. (da *. db))
+          let db = Array.unsafe_get d (r + b) -. Array.unsafe_get mean b in
+          Array.unsafe_set cov (ca + b) (Array.unsafe_get cov (ca + b) +. (da *. db))
         done
+      end
     done
   done;
   Matrix.init cols cols (fun a b ->
       let a', b' = if a <= b then (a, b) else (b, a) in
-      Matrix.get cov a' b' /. denom)
+      cov.((a' * cols) + b') /. denom)
 
 let fit ?(variance_kept = 0.95) ?max_components data =
   let rows, cols = Matrix.dims data in

@@ -232,6 +232,22 @@ let test_profile_training () =
   Alcotest.(check bool) "ran at least one round" true (profile.Profile.rounds_run >= 1);
   Alcotest.(check bool) "profile size estimate positive" true (Profile.size_estimate profile > 0)
 
+(* Training reuses per-call scratch in its kernels: a second training
+   run in the same process must give the identical serialized profile. *)
+let test_profile_retrain_identical () =
+  let ds = Pipeline.collect (Dataset.Ca_banking.app ()) in
+  let params = { Pipeline.adprom_params with Profile.max_rounds = 4 } in
+  let p1 = Pipeline.train ~params ds and p2 = Pipeline.train ~params ds in
+  let bits (p : Profile.t) =
+    List.map Int64.bits_of_float
+      ((p.Profile.threshold :: p.Profile.csds_history)
+      @ Array.to_list p.Profile.model.Hmm.a.Mlkit.Matrix.data
+      @ Array.to_list p.Profile.model.Hmm.b.Mlkit.Matrix.data)
+  in
+  Alcotest.(check string) "identical serialized profiles" (Adprom.Profile_io.to_string p1)
+    (Adprom.Profile_io.to_string p2);
+  Alcotest.(check bool) "identical model, threshold and CSDS bits" true (bits p1 = bits p2)
+
 let test_profile_scores_normals_high () =
   let ds, profile = Lazy.force trained in
   List.iter
@@ -334,6 +350,7 @@ let () =
       ( "profile+detector",
         [
           Alcotest.test_case "training" `Quick test_profile_training;
+          Alcotest.test_case "retraining is reproducible" `Quick test_profile_retrain_identical;
           Alcotest.test_case "normals above threshold" `Quick test_profile_scores_normals_high;
           Alcotest.test_case "flags" `Quick test_detector_flags;
           Alcotest.test_case "explain ranks surprisals" `Quick test_detector_explain;

@@ -1,6 +1,7 @@
 (* Tests for the HMM library: validation, forward vs brute-force
    enumeration, Viterbi vs brute force, Baum-Welch monotonicity and
-   convergence. *)
+   convergence, and bit-identity of the blocked kernels (Baum-Welch,
+   compiled scoring) against row-at-a-time oracles. *)
 
 module Matrix = Mlkit.Matrix
 module Rng = Mlkit.Rng
@@ -202,6 +203,173 @@ let test_stochastic_after_em () =
   Alcotest.(check bool) "re-estimated model is valid" true
     (match Hmm.validate t1 with Ok () -> true | Error _ -> false)
 
+(* --- bit-identity oracles -------------------------------------------- *)
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+let same_floats xs ys = Array.length xs = Array.length ys && Array.for_all2 same_bits xs ys
+
+(* The textbook Baum-Welch step over [Hmm.forward]/[Hmm.backward], one
+   row at a time: the oracle the blocked [Hmm.baum_welch_step] must
+   match bit for bit. *)
+let reference_normalize_with_floor row =
+  let k = Array.length row in
+  let s = Array.fold_left ( +. ) 0.0 row in
+  if s <= 0.0 then Array.make k (1.0 /. float_of_int k)
+  else
+    let denom = s +. (1e-6 *. float_of_int k) in
+    Array.map (fun v -> (v +. 1e-6) /. denom) row
+
+let reference_baum_welch_step (t : Hmm.t) weighted =
+  let n = t.Hmm.n and m = t.Hmm.m in
+  let adata = t.Hmm.a.Matrix.data and bdata = t.Hmm.b.Matrix.data in
+  let a_acc = Array.make_matrix n n 0.0 in
+  let b_acc = Array.make_matrix n m 0.0 in
+  let pi_acc = Array.make n 0.0 in
+  let total_loglik = ref 0.0 in
+  let gamma_u = Array.make n 0.0 in
+  let bb = Array.make n 0.0 in
+  let accumulate (obs, weight) =
+    let len = Array.length obs in
+    if len > 0 then begin
+      let alpha, scale = Hmm.forward t obs in
+      if not (Array.exists (fun s -> s <= 0.0) scale) then begin
+        total_loglik :=
+          !total_loglik +. (weight *. Array.fold_left (fun acc s -> acc +. log s) 0.0 scale);
+        let beta = Hmm.backward t obs scale in
+        for step = 0 to len - 1 do
+          let s = ref 0.0 in
+          for i = 0 to n - 1 do
+            let u = alpha.(step).(i) *. beta.(step).(i) in
+            gamma_u.(i) <- u;
+            s := !s +. u
+          done;
+          if !s > 0.0 then
+            for i = 0 to n - 1 do
+              let g = gamma_u.(i) /. !s in
+              b_acc.(i).(obs.(step)) <- b_acc.(i).(obs.(step)) +. (weight *. g);
+              if step = 0 then pi_acc.(i) <- pi_acc.(i) +. (weight *. g)
+            done
+        done;
+        for step = 0 to len - 2 do
+          let next = beta.(step + 1) and cur = alpha.(step) in
+          let o = obs.(step + 1) in
+          for j = 0 to n - 1 do
+            bb.(j) <- bdata.((j * m) + o) *. next.(j)
+          done;
+          let s = ref 0.0 in
+          for i = 0 to n - 1 do
+            let ai = cur.(i) in
+            if ai > 0.0 then begin
+              let acc = ref 0.0 in
+              for j = 0 to n - 1 do
+                acc := !acc +. (adata.((i * n) + j) *. bb.(j))
+              done;
+              s := !s +. (ai *. !acc)
+            end
+          done;
+          if !s > 0.0 then
+            for i = 0 to n - 1 do
+              let coef = weight *. cur.(i) /. !s in
+              if coef > 0.0 then
+                for j = 0 to n - 1 do
+                  a_acc.(i).(j) <- a_acc.(i).(j) +. (coef *. adata.((i * n) + j) *. bb.(j))
+                done
+            done
+        done
+      end
+    end
+  in
+  List.iter accumulate weighted;
+  let a' = Matrix.of_arrays (Array.map reference_normalize_with_floor a_acc) in
+  let b' = Matrix.of_arrays (Array.map reference_normalize_with_floor b_acc) in
+  let pi' = reference_normalize_with_floor pi_acc in
+  ({ t with Hmm.a = a'; b = b'; pi = pi' }, !total_loglik)
+
+(* A random model with zero entries (at rate [sparsity]) and, now and
+   then, an all-zero row, built as a record: such a model fails
+   [Hmm.create]'s row-sum check but makes some sequences impossible,
+   which the step must skip. *)
+let sparse_model rng ~n ~m ~sparsity =
+  let row k =
+    if Rng.float rng 1.0 < 0.1 then Array.make k 0.0
+    else begin
+      let r =
+        Array.init k (fun _ ->
+            if Rng.float rng 1.0 < sparsity then 0.0 else 0.05 +. Rng.float rng 1.0)
+      in
+      if Array.for_all (fun v -> v = 0.0) r then r.(Rng.int rng k) <- 1.0;
+      let s = Array.fold_left ( +. ) 0.0 r in
+      Array.map (fun v -> v /. s) r
+    end
+  in
+  {
+    Hmm.n;
+    m;
+    a = Matrix.of_arrays (Array.init n (fun _ -> row n));
+    b = Matrix.of_arrays (Array.init n (fun _ -> row m));
+    pi = row n;
+  }
+
+(* n in 1..9 covers n < 4 and every n mod 4; lengths 1..20 cover step
+   counts that are not a multiple of four; weights are not all 1. *)
+let model_and_sequences_gen =
+  QCheck2.Gen.(
+    map
+      (fun (seed, n, m) ->
+        let rng = Rng.create seed in
+        let sparsity = [| 0.0; 0.15; 0.4 |].(Rng.int rng 3) in
+        let model = sparse_model rng ~n ~m ~sparsity in
+        let seqs =
+          List.init
+            (1 + Rng.int rng 8)
+            (fun _ ->
+              ( Array.init (1 + Rng.int rng 20) (fun _ -> Rng.int rng m),
+                0.25 +. Rng.float rng 4.0 ))
+        in
+        (model, seqs))
+      (triple (int_range 0 1_000_000) (int_range 1 9) (int_range 1 6)))
+
+let prop_baum_welch_matches_reference =
+  QCheck2.Test.make ~name:"baum_welch_step = row-at-a-time reference, bit for bit" ~count:300
+    model_and_sequences_gen (fun (model, seqs) ->
+      let t1, ll1 = Hmm.baum_welch_step model seqs in
+      let t2, ll2 = reference_baum_welch_step model seqs in
+      same_bits ll1 ll2
+      && same_floats t1.Hmm.a.Matrix.data t2.Hmm.a.Matrix.data
+      && same_floats t1.Hmm.b.Matrix.data t2.Hmm.b.Matrix.data
+      && same_floats t1.Hmm.pi t2.Hmm.pi)
+
+let prop_compiled_matches_reference =
+  QCheck2.Test.make ~name:"Compiled.log_likelihood = log_likelihood, bit for bit" ~count:300
+    model_and_sequences_gen (fun (model, seqs) ->
+      let c = Hmm.Compiled.of_model model in
+      List.for_all
+        (fun (obs, _) ->
+          same_bits (Hmm.Compiled.log_likelihood c obs) (Hmm.log_likelihood model obs)
+          && same_bits (Hmm.Compiled.per_symbol_score c obs) (Hmm.per_symbol_score model obs))
+        seqs)
+
+let test_baum_welch_rejects_out_of_range () =
+  (* symbol 1 is never emitted, so the first sequence is impossible and
+     skipped; the second is still range-checked *)
+  let t =
+    Hmm.create
+      ~a:(Matrix.of_arrays [| [| 0.5; 0.5 |]; [| 0.5; 0.5 |] |])
+      ~b:(Matrix.of_arrays [| [| 1.0; 0.0 |]; [| 1.0; 0.0 |] |])
+      ~pi:[| 0.5; 0.5 |]
+  in
+  let raises seqs =
+    match Hmm.baum_welch_step t seqs with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "observation past the alphabet" true
+    (raises [ ([| 1; 0 |], 1.0); ([| 0; 2 |], 1.0) ]);
+  Alcotest.(check bool) "negative observation" true (raises [ ([| -1 |], 2.0) ]);
+  Alcotest.(check bool) "past an impossible prefix" true (raises [ ([| 1; 5 |], 1.0) ]);
+  Alcotest.(check bool) "in-range sequences accepted" false
+    (raises [ ([| 1; 0 |], 1.0); ([| 0; 0 |], 1.0) ])
+
 let () =
   Alcotest.run "hmm"
     [
@@ -231,5 +399,9 @@ let () =
           Alcotest.test_case "EM keeps the model stochastic" `Quick test_stochastic_after_em;
           Alcotest.test_case "fit learns an alternating pattern" `Quick test_fit_learns_pattern;
           QCheck_alcotest.to_alcotest prop_baum_welch_monotone;
+          Alcotest.test_case "EM rejects out-of-range observations" `Quick
+            test_baum_welch_rejects_out_of_range;
+          QCheck_alcotest.to_alcotest prop_baum_welch_matches_reference;
+          QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
         ] );
     ]

@@ -205,6 +205,87 @@ let prop_jacobi_reconstructs =
       let trace = Matrix.get m 0 0 +. Matrix.get m 1 1 +. Matrix.get m 2 2 in
       Float.abs (Array.fold_left ( +. ) 0.0 values -. trace) < 1e-6)
 
+(* The Jacobi routine as it stood, with V kept untransposed and every
+   access bounds-checked: the oracle [Pca.jacobi_eigen] must match bit
+   for bit. *)
+let reference_jacobi_eigen m =
+  let n, _ = Matrix.dims m in
+  let a = Matrix.to_arrays m in
+  let v = Matrix.to_arrays (Matrix.identity n) in
+  let off_diagonal_mass () =
+    let acc = ref 0.0 in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        acc := !acc +. (a.(i).(j) *. a.(i).(j))
+      done
+    done;
+    !acc
+  in
+  let rotate p q =
+    if Float.abs a.(p).(q) > 1e-14 then begin
+      let theta = (a.(q).(q) -. a.(p).(p)) /. (2.0 *. a.(p).(q)) in
+      let t =
+        let sign = if theta >= 0.0 then 1.0 else -1.0 in
+        sign /. (Float.abs theta +. sqrt ((theta *. theta) +. 1.0))
+      in
+      let c = 1.0 /. sqrt ((t *. t) +. 1.0) in
+      let s = t *. c in
+      for k = 0 to n - 1 do
+        let akp = a.(k).(p) and akq = a.(k).(q) in
+        a.(k).(p) <- (c *. akp) -. (s *. akq);
+        a.(k).(q) <- (s *. akp) +. (c *. akq)
+      done;
+      for k = 0 to n - 1 do
+        let apk = a.(p).(k) and aqk = a.(q).(k) in
+        a.(p).(k) <- (c *. apk) -. (s *. aqk);
+        a.(q).(k) <- (s *. apk) +. (c *. aqk)
+      done;
+      for k = 0 to n - 1 do
+        let vkp = v.(k).(p) and vkq = v.(k).(q) in
+        v.(k).(p) <- (c *. vkp) -. (s *. vkq);
+        v.(k).(q) <- (s *. vkp) +. (c *. vkq)
+      done
+    end
+  in
+  let sweep = ref 0 in
+  while off_diagonal_mass () > 1e-18 && !sweep < 100 do
+    incr sweep;
+    for p = 0 to n - 1 do
+      for q = p + 1 to n - 1 do
+        rotate p q
+      done
+    done
+  done;
+  let order = Array.init n (fun i -> i) in
+  Array.sort (fun i j -> compare a.(j).(j) a.(i).(i)) order;
+  let values = Array.map (fun i -> a.(i).(i)) order in
+  let vectors = Matrix.init n n (fun r c -> v.(c).(order.(r))) in
+  (values, vectors)
+
+let same_floats xs ys =
+  Array.length xs = Array.length ys
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       xs ys
+
+(* Random symmetric matrices, n in 1..12, some with all-zero rows (and
+   the matching columns). *)
+let prop_jacobi_matches_reference =
+  QCheck2.Test.make ~name:"jacobi = untransposed reference, bit for bit" ~count:100
+    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 1 12))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let zero = Array.init n (fun _ -> Rng.float rng 1.0 < 0.2) in
+      let raw = Array.init (n * n) (fun _ -> Rng.float rng 10.0 -. 5.0) in
+      let m =
+        Matrix.init n n (fun i j ->
+            if zero.(i) || zero.(j) then 0.0
+            else (raw.((i * n) + j) +. raw.((j * n) + i)) /. 2.0)
+      in
+      let values, vectors = Pca.jacobi_eigen m in
+      let values', vectors' = reference_jacobi_eigen m in
+      same_floats values values' && same_floats vectors.Matrix.data vectors'.Matrix.data)
+
 (* --- kmeans ------------------------------------------------------------ *)
 
 let test_kmeans_separated_clusters () =
@@ -303,6 +384,7 @@ let () =
           Alcotest.test_case "recovers the principal axis" `Quick test_pca_recovers_principal_axis;
           Alcotest.test_case "transform shape and ratios" `Quick test_pca_transform_shape;
           QCheck_alcotest.to_alcotest prop_jacobi_reconstructs;
+          QCheck_alcotest.to_alcotest prop_jacobi_matches_reference;
         ] );
       ( "kmeans",
         [
