@@ -10,8 +10,8 @@
    - kernel/*: the training and scoring kernels at the sizes the serve
      benchmark trains: a compiled window score on the 126-state banking
      model, one Baum-Welch step over banking's deduplicated windows, and
-     the Jacobi eigensolver on the generated wide program's 270 x 270
-     call-transition-vector covariance. *)
+     the PCA fit of the generated wide program's call-transition vectors
+     (134 sites x 270 features) as [Reduction.cluster] runs it. *)
 
 open Bechamel
 open Toolkit
@@ -63,8 +63,8 @@ let hmm_tests () =
   ]
 
 (* The banking profile as the serve benchmark trains it (four rounds),
-   and the generated wide program's CTV covariance as [Pca.fit] builds
-   it. *)
+   and the generated wide program's CTV matrix as [Reduction.cluster]
+   builds it. *)
 let kernel_tests () =
   let dataset = Adprom.Pipeline.collect (Dataset.Ca_banking.app ()) in
   let params = { Adprom.Pipeline.adprom_params with Adprom.Profile.max_rounds = 4 } in
@@ -91,11 +91,7 @@ let kernel_tests () =
     Adprom.Reduction.ctv_matrix (Adprom.Pipeline.analyze_app gen).Analysis.Analyzer.pctm
   in
   let rows, cols = Mlkit.Matrix.dims ctvs in
-  let mean =
-    Array.init cols (fun j ->
-        Array.fold_left ( +. ) 0.0 (Mlkit.Matrix.col ctvs j) /. float_of_int rows)
-  in
-  let cov = Mlkit.Pca.covariance ctvs mean in
+  let variance_kept = Adprom.Profile.default_params.Adprom.Profile.pca_variance in
   [
     Test.make
       ~name:(Printf.sprintf "kernel/compiled-score-%dstate" model.Hmm.n)
@@ -104,8 +100,8 @@ let kernel_tests () =
       ~name:(Printf.sprintf "kernel/baum-welch-step-banking-%dwin" (List.length weighted))
       (Staged.stage (fun () -> ignore (Hmm.baum_welch_step model weighted)));
     Test.make
-      ~name:(Printf.sprintf "kernel/jacobi-gen-wide-ctv-%dx%d" cols cols)
-      (Staged.stage (fun () -> ignore (Mlkit.Pca.jacobi_eigen cov)));
+      ~name:(Printf.sprintf "kernel/pca-fit-gen-wide-ctv-%dx%d" rows cols)
+      (Staged.stage (fun () -> ignore (Mlkit.Pca.fit ~variance_kept ctvs)));
   ]
 
 (* OLS estimate of ns per run for every test of [tests]. *)

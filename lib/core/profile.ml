@@ -66,8 +66,10 @@ let scores model weighted =
   let scorer = Hmm.Compiled.of_model model in
   List.map (fun (codes, _) -> Hmm.Compiled.per_symbol_score scorer codes) weighted
 
-(* Weighted mean per-symbol score over deduplicated windows. *)
+(* Weighted mean per-symbol score over deduplicated windows, with the
+   per-window scores it averages. *)
 let mean_score model weighted =
+  let window_scores = scores model weighted in
   let num = ref 0.0 and den = ref 0.0 in
   List.iter2
     (fun (_, w) s ->
@@ -81,8 +83,8 @@ let mean_score model weighted =
         num := !num +. (w *. -50.0);
         den := !den +. w
       end)
-    weighted (scores model weighted);
-  if !den = 0.0 then neg_infinity else !num /. !den
+    weighted window_scores;
+  ((if !den = 0.0 then neg_infinity else !num /. !den), window_scores)
 
 let train ?(params = default_params) ~analysis windows =
   Otrace.with_span "profile.train"
@@ -137,17 +139,20 @@ let train ?(params = default_params) ~analysis windows =
   let train_weighted = encode_weighted training in
   let csds_weighted = if csds = [] then train_weighted else encode_weighted csds in
   (* Baum-Welch rounds with CSDS-based early stopping; keep the best
-     model seen (the paper stops on no improvement). *)
+     model seen (the paper stops on no improvement), and its CSDS window
+     scores for the threshold pass. *)
+  let score0, csds_scores0 = mean_score model0 csds_weighted in
   let best_model = ref model0 in
-  let best_score = ref (mean_score model0 csds_weighted) in
-  let history = ref [ !best_score ] in
+  let best_score = ref score0 in
+  let best_csds_scores = ref csds_scores0 in
+  let history = ref [ score0 ] in
   let rounds = ref 0 in
   let no_improvement = ref 0 in
   let model = ref model0 in
   while !rounds < params.max_rounds && !no_improvement < params.patience do
     incr rounds;
     let csds_trace = ref nan in
-    let next =
+    let next, csds_scores =
       (* one span per Baum-Welch round: the CSDS log-likelihood
          trajectory, readable straight off the trace dump *)
       Otrace.with_span "profile.bw_round"
@@ -158,8 +163,9 @@ let train ?(params = default_params) ~analysis windows =
           ])
         (fun () ->
           let next, _ = Hmm.baum_welch_step !model train_weighted in
-          csds_trace := mean_score next csds_weighted;
-          next)
+          let s, csds_scores = mean_score next csds_weighted in
+          csds_trace := s;
+          (next, csds_scores))
     in
     model := next;
     let s = !csds_trace in
@@ -167,6 +173,7 @@ let train ?(params = default_params) ~analysis windows =
     if s > !best_score +. 1e-6 then begin
       best_score := s;
       best_model := next;
+      best_csds_scores := csds_scores;
       no_improvement := 0
     end
     else incr no_improvement
@@ -174,7 +181,7 @@ let train ?(params = default_params) ~analysis windows =
   let final_model = !best_model in
   let threshold =
     Otrace.with_span "profile.threshold" (fun () ->
-        let all_scores = scores final_model (train_weighted @ csds_weighted) in
+        let all_scores = scores final_model train_weighted @ !best_csds_scores in
         Threshold.select params.threshold_strategy (Array.of_list all_scores))
   in
   let known_pairs = Hashtbl.create 256 in

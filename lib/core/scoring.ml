@@ -428,7 +428,7 @@ let explain ?(top = 3) t window =
         match
           Window.encode ~index:(Symbol.Table.find_opt t.profile.Profile.obs_index) w
         with
-        | Some codes -> Hmm.step_surprisals t.profile.Profile.model codes
+        | Some codes -> Hmm.Compiled.step_surprisals t.compiled codes
         | None ->
             (* unknown symbols dominate: infinite surprisal, known
                positions fall back to zero so the unknowns rank first *)

@@ -178,6 +178,30 @@ let test_reduction_clusters_when_large () =
   Alcotest.(check bool) "fewer states than sites" true
     (c.Reduction.states < Array.length c.Reduction.sites)
 
+(* The generated wide program the gen-wide benchmark trains on: its
+   134 sites are more than [max_states], and their CTVs (2(n+1) wide)
+   take the Gram-side PCA. K-means under the same seed must assign
+   every site as it does on the covariance-side projection. *)
+let test_reduction_gram_matches_oracle () =
+  let spec =
+    { Dataset.Proggen.bash_like with Dataset.Proggen.functions = 24; statements_per_function = 7 }
+  in
+  let pctm = (Pipeline.analyze_app (Dataset.Sir.app4 ~spec ())).Analysis.Analyzer.pctm in
+  let c =
+    Reduction.cluster ~rng:(Mlkit.Rng.create 42) ~max_states:100 ~cluster_fraction:0.3
+      ~pca_variance:0.95 pctm
+  in
+  let _, ctvs = Reduction.ctv_matrix pctm in
+  let n, cols = Mlkit.Matrix.dims ctvs in
+  Alcotest.(check bool) "wide CTVs" true (n < cols && c.Reduction.reduced);
+  let oracle = Pca_oracle.fit ~variance_kept:0.95 ctvs in
+  let k = max 2 (int_of_float (0.3 *. float_of_int n)) in
+  let expected =
+    Mlkit.Kmeans.cluster ~rng:(Mlkit.Rng.create 42) ~k (Mlkit.Pca.transform oracle ctvs)
+  in
+  Alcotest.(check (array int)) "oracle's assignment" expected.Mlkit.Kmeans.assignment
+    c.Reduction.assignment
+
 let test_reduction_init_hmm_valid () =
   let pctm = fig_pctm () in
   let rng = Mlkit.Rng.create 3 in
@@ -247,6 +271,35 @@ let test_profile_retrain_identical () =
   Alcotest.(check string) "identical serialized profiles" (Adprom.Profile_io.to_string p1)
     (Adprom.Profile_io.to_string p2);
   Alcotest.(check bool) "identical model, threshold and CSDS bits" true (bits p1 = bits p2)
+
+(* With [Min_margin m] the threshold is the final model's lowest finite
+   score over every training window, minus [m]. Training and CSDS
+   windows together are all of them, so this holds whichever round's
+   CSDS scores the threshold pass reuses, if they are the final
+   model's. *)
+let test_profile_threshold_from_final_model () =
+  let check name (ds : Pipeline.dataset) (profile : Profile.t) =
+    let margin =
+      match profile.Profile.params.Profile.threshold_strategy with
+      | Threshold.Min_margin m -> m
+      | Threshold.Fixed _ | Threshold.Quantile _ -> Alcotest.fail "expected Min_margin"
+    in
+    let lo =
+      List.fold_left
+        (fun acc w ->
+          let s = Profile.score profile w in
+          if Float.is_finite s then Float.min acc s else acc)
+        infinity ds.Pipeline.windows
+    in
+    Alcotest.(check int64) name
+      (Int64.bits_of_float (lo -. margin))
+      (Int64.bits_of_float profile.Profile.threshold)
+  in
+  let ds, profile = Lazy.force trained in
+  check "small app" ds profile;
+  let ds = Pipeline.collect (Dataset.Ca_banking.app ()) in
+  let params = { Pipeline.adprom_params with Profile.max_rounds = 4 } in
+  check "banking, 4 rounds" ds (Pipeline.train ~params ds)
 
 let test_profile_scores_normals_high () =
   let ds, profile = Lazy.force trained in
@@ -345,6 +398,8 @@ let () =
           Alcotest.test_case "ctv shape" `Quick test_reduction_ctv_shape;
           Alcotest.test_case "identity when small" `Quick test_reduction_identity_when_small;
           Alcotest.test_case "clusters when large" `Quick test_reduction_clusters_when_large;
+          Alcotest.test_case "gen-wide clustering = covariance-side oracle" `Quick
+            test_reduction_gram_matches_oracle;
           Alcotest.test_case "initialized HMM is valid" `Quick test_reduction_init_hmm_valid;
         ] );
       ( "profile+detector",
@@ -352,6 +407,8 @@ let () =
           Alcotest.test_case "training" `Quick test_profile_training;
           Alcotest.test_case "retraining is reproducible" `Quick test_profile_retrain_identical;
           Alcotest.test_case "normals above threshold" `Quick test_profile_scores_normals_high;
+          Alcotest.test_case "threshold from the final model's scores" `Quick
+            test_profile_threshold_from_final_model;
           Alcotest.test_case "flags" `Quick test_detector_flags;
           Alcotest.test_case "explain ranks surprisals" `Quick test_detector_explain;
           Alcotest.test_case "worst ordering" `Quick test_detector_worst_ordering;
