@@ -9,9 +9,10 @@
      a mid-sized model (the kernels dominating Fig. 10 / Table VII);
    - kernel/*: the training and scoring kernels at the sizes the serve
      benchmark trains: a compiled window score on the 126-state banking
-     model, one Baum-Welch step over banking's deduplicated windows, and
-     the PCA fit of the generated wide program's call-transition vectors
-     (134 sites x 270 features) as [Reduction.cluster] runs it. *)
+     model and on the 40-state generated wide program's model, one
+     Baum-Welch step over banking's deduplicated windows, and the PCA
+     fit of the generated wide program's call-transition vectors (134
+     sites x 270 features) as [Reduction.cluster] runs it. *)
 
 open Bechamel
 open Toolkit
@@ -62,14 +63,11 @@ let hmm_tests () =
       (Staged.stage (fun () -> ignore (Hmm.baum_welch_step model weighted)));
   ]
 
-(* The banking profile as the serve benchmark trains it (four rounds),
-   and the generated wide program's CTV matrix as [Reduction.cluster]
-   builds it. *)
-let kernel_tests () =
-  let dataset = Adprom.Pipeline.collect (Dataset.Ca_banking.app ()) in
-  let params = { Adprom.Pipeline.adprom_params with Adprom.Profile.max_rounds = 4 } in
+(* A profile as the serve benchmark trains it (four rounds), with its
+   deduplicated, encoded training windows. *)
+let bench_profile app params =
+  let dataset = Adprom.Pipeline.collect app in
   let profile = Adprom.Pipeline.train ~params dataset in
-  let model = profile.Adprom.Profile.model in
   let index = Analysis.Symbol.Table.find_opt profile.Adprom.Profile.obs_index in
   let weighted =
     List.filter_map
@@ -77,25 +75,35 @@ let kernel_tests () =
         Option.map (fun codes -> (codes, weight)) (Adprom.Window.encode ~index w))
       (Adprom.Window.dedup dataset.Adprom.Pipeline.windows)
   in
+  (profile.Adprom.Profile.model, weighted)
+
+(* Compiled scoring of a model's first training window. *)
+let compiled_score_test (model, weighted) =
   let scorer = Hmm.Compiled.of_model model in
   let window = fst (List.hd weighted) in
-  let gen =
-    Dataset.Sir.app4
-      ~spec:
-        { Dataset.Proggen.bash_like with
-          Dataset.Proggen.functions = 24;
-          statements_per_function = 7 }
-      ()
+  Test.make
+    ~name:(Printf.sprintf "kernel/compiled-score-%dstate" model.Hmm.n)
+    (Staged.stage (fun () -> ignore (Hmm.Compiled.per_symbol_score scorer window)))
+
+(* The banking and generated wide programs as the serve benchmark trains
+   them, and the wide program's CTV matrix as [Reduction.cluster] builds
+   it. *)
+let kernel_tests () =
+  let params = { Adprom.Pipeline.adprom_params with Adprom.Profile.max_rounds = 4 } in
+  let ((model, weighted) as banking) = bench_profile (Dataset.Ca_banking.app ()) params in
+  let spec =
+    { Dataset.Proggen.bash_like with Dataset.Proggen.functions = 24; statements_per_function = 7 }
   in
+  let gen = Dataset.Sir.app4 ~cases:120 ~spec () in
+  let gen_wide = bench_profile gen { params with Adprom.Profile.patience = 2; max_states = 100 } in
   let _, ctvs =
     Adprom.Reduction.ctv_matrix (Adprom.Pipeline.analyze_app gen).Analysis.Analyzer.pctm
   in
   let rows, cols = Mlkit.Matrix.dims ctvs in
   let variance_kept = Adprom.Profile.default_params.Adprom.Profile.pca_variance in
   [
-    Test.make
-      ~name:(Printf.sprintf "kernel/compiled-score-%dstate" model.Hmm.n)
-      (Staged.stage (fun () -> ignore (Hmm.Compiled.per_symbol_score scorer window)));
+    compiled_score_test banking;
+    compiled_score_test gen_wide;
     Test.make
       ~name:(Printf.sprintf "kernel/baum-welch-step-banking-%dwin" (List.length weighted))
       (Staged.stage (fun () -> ignore (Hmm.baum_welch_step model weighted)));

@@ -211,18 +211,19 @@ let extend t windows =
     if t.params.use_labels then windows else List.map Window.strip_labels windows
   in
   let index s = Symbol.Table.find_opt t.obs_index s in
-  (* Windows with unseen symbols are not legitimate-drift material. *)
-  let usable = List.filter (fun w -> Window.encode ~index w <> None) windows in
+  (* Windows with unseen symbols are not legitimate-drift material.
+     Usability depends only on a window's calls, which [Window.dedup]
+     keys on, so dropping them after deduplication leaves the same
+     weighted list as dropping them before. *)
+  let weighted, usable =
+    List.split
+      (List.filter_map
+         (fun (w, weight) ->
+           Option.map (fun codes -> ((codes, weight), w)) (Window.encode ~index w))
+         (Window.dedup windows))
+  in
   if usable = [] then t
   else begin
-    let weighted =
-      List.map
-        (fun (w, weight) ->
-          match Window.encode ~index w with
-          | Some codes -> (codes, weight)
-          | None -> assert false)
-        (Window.dedup usable)
-    in
     let rounds = max 1 (t.params.max_rounds / 4) in
     let model, _ = Hmm.fit ~max_iterations:rounds t.model weighted in
     let new_scores = scores model weighted in
@@ -232,6 +233,8 @@ let extend t windows =
       Threshold.select t.params.threshold_strategy (Array.of_list new_scores)
     in
     let threshold = Float.min t.threshold candidate in
+    (* one window per distinct key: the same pairs, first inserted in
+       the same order as over every usable window *)
     let known_pairs = Hashtbl.copy t.known_pairs in
     List.iter
       (fun w -> List.iter (fun p -> Hashtbl.replace known_pairs p ()) (Window.pairs w))

@@ -74,12 +74,13 @@ let sparse_row_of_line ~n l =
               | _ -> failwith ("bad sparse entry: " ^ tok))
           rest
       in
-      let row = Array.make n nan in
-      List.iter (fun (j, v) -> row.(j) <- v) entries;
       let explicit_mass = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 entries in
       let implicit = n - List.length entries in
       let fill = if implicit = 0 then 0.0 else (1.0 -. explicit_mass) /. float_of_int implicit in
-      Array.map (fun v -> if Float.is_nan v then fill else v) row
+      (* an explicit NaN stays NaN, for [Hmm.validate] to reject *)
+      let row = Array.make n fill in
+      List.iter (fun (j, v) -> row.(j) <- v) entries;
+      row
   | _ -> failwith ("bad row line: " ^ l)
 
 let to_string (p : Profile.t) =

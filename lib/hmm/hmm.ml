@@ -9,6 +9,8 @@ type t = {
   pi : float array;
 }
 
+(* Every check is written so that NaN fails it: a non-finite entry is
+   rejected, as the compiled kernels' skip of zero-weight terms needs. *)
 let row_stochastic m =
   let rows, cols = Matrix.dims m in
   let ok = ref true in
@@ -16,10 +18,10 @@ let row_stochastic m =
     let s = ref 0.0 in
     for j = 0 to cols - 1 do
       let v = Matrix.get m i j in
-      if v < -.1e-12 then ok := false;
+      if not (v >= -.1e-12) then ok := false;
       s := !s +. v
     done;
-    if Float.abs (!s -. 1.0) > 1e-6 then ok := false
+    if not (Float.abs (!s -. 1.0) <= 1e-6) then ok := false
   done;
   !ok
 
@@ -29,12 +31,12 @@ let validate t =
   if an <> t.n || am <> t.n then Error "A must be n x n"
   else if bn <> t.n || bm <> t.m then Error "B must be n x m"
   else if Array.length t.pi <> t.n then Error "pi must have n entries"
-  else if not (row_stochastic t.a) then Error "A rows must sum to 1"
-  else if not (row_stochastic t.b) then Error "B rows must sum to 1"
+  else if not (row_stochastic t.a) then Error "A rows must be non-negative and sum to 1"
+  else if not (row_stochastic t.b) then Error "B rows must be non-negative and sum to 1"
   else begin
     let s = Array.fold_left ( +. ) 0.0 t.pi in
-    if Array.exists (fun p -> p < -.1e-12) t.pi then Error "pi must be non-negative"
-    else if Float.abs (s -. 1.0) > 1e-6 then Error "pi must sum to 1"
+    if Array.exists (fun p -> not (p >= -.1e-12)) t.pi then Error "pi must be non-negative"
+    else if not (Float.abs (s -. 1.0) <= 1e-6) then Error "pi must sum to 1"
     else Ok ()
   end
 
@@ -69,57 +71,46 @@ let check_observations t obs =
         invalid_arg (Printf.sprintf "Hmm: observation %d outside alphabet of size %d" o t.m))
     obs
 
-(* The kernels below keep every table as one float array per row. The
-   native backend folds a bare loop index into a load's addressing
-   mode, while a flat [base + j] index costs an add and a shift per
-   access: on x86-64 at n = 128, the row-per-array forward kernel runs
-   twice as fast as the same loop over one flat table. *)
+(* The compiled kernels read every table as one float array per row:
+   the transition rows, and for the backward pass their transpose. *)
 
 (* Rows of A. *)
 let transition_rows t = Array.init t.n (fun i -> Array.sub t.a.Matrix.data (i * t.n) t.n)
+
+(* Columns of A: row [j] holds [a_ij] for every state [i]. *)
+let transition_columns t =
+  let adata = t.a.Matrix.data in
+  Array.init t.n (fun j -> Array.init t.n (fun i -> adata.((i * t.n) + j)))
 
 (* Emissions transposed: row [o] holds [b_i(o)] for every state [i]. *)
 let emissions_by_symbol t =
   let bdata = t.b.Matrix.data in
   Array.init t.m (fun o -> Array.init t.n (fun i -> bdata.((i * t.m) + o)))
 
-(* The forward kernel: [dst.(j) += Σ_i src.(i) · a.(i).(j)] over the
-   rows [i] whose weight is positive, four rows of A per pass over
-   [dst]. Every [dst] element still sums its terms in increasing [i]; a
-   non-positive weight becomes 0.0, whose term (+0.0) leaves a sum
-   unchanged, so the result is bit-for-bit the row-at-a-time loop of
-   [forward] that skips those rows. *)
-let propagate ~n a src dst =
-  let i = ref 0 in
-  while !i + 3 < n do
-    let i0 = !i in
-    let p0 = Array.unsafe_get src i0 and p1 = Array.unsafe_get src (i0 + 1) in
-    let p2 = Array.unsafe_get src (i0 + 2) and p3 = Array.unsafe_get src (i0 + 3) in
-    if p0 > 0.0 || p1 > 0.0 || p2 > 0.0 || p3 > 0.0 then begin
-      let p0 = if p0 > 0.0 then p0 else 0.0 and p1 = if p1 > 0.0 then p1 else 0.0 in
-      let p2 = if p2 > 0.0 then p2 else 0.0 and p3 = if p3 > 0.0 then p3 else 0.0 in
-      let a0 = Array.unsafe_get a i0 and a1 = Array.unsafe_get a (i0 + 1) in
-      let a2 = Array.unsafe_get a (i0 + 2) and a3 = Array.unsafe_get a (i0 + 3) in
-      for j = 0 to n - 1 do
-        Array.unsafe_set dst j
-          (Array.unsafe_get dst j
-          +. (p0 *. Array.unsafe_get a0 j)
-          +. (p1 *. Array.unsafe_get a1 j)
-          +. (p2 *. Array.unsafe_get a2 j)
-          +. (p3 *. Array.unsafe_get a3 j))
-      done
-    end;
-    i := i0 + 4
-  done;
-  for i = !i to n - 1 do
-    let p = Array.unsafe_get src i in
-    if p > 0.0 then begin
-      let ai = Array.unsafe_get a i in
-      for j = 0 to n - 1 do
-        Array.unsafe_set dst j (Array.unsafe_get dst j +. (p *. Array.unsafe_get ai j))
-      done
-    end
-  done
+(* The O(n²)-per-step kernels, in [hmm_kernels.c]. Each output element
+   adds its terms in the reference's order, so results are bit for bit
+   those of the row-at-a-time loops. *)
+
+(* [propagate a src dst]: [dst.(j) <- Σ_i src.(i) · a.(i).(j)] over the
+   rows whose weight is positive, in increasing [i], each sum starting
+   from 0.0: the transition step of [forward]. *)
+external propagate : float array array -> float array -> float array -> unit
+  = "adprom_hmm_propagate"
+[@@noalloc]
+
+(* [row_sums at x sums]: [sums.(i) <- Σ_j a_ij · x.(j)] in increasing
+   [j], from the columns [at] of A: the inner sums of [backward]. *)
+external row_sums : float array array -> float array -> float array -> unit
+  = "adprom_hmm_row_sums"
+[@@noalloc]
+
+(* [xi_row steps coef bb ai row]: for every [s < steps] with
+   [coef.(s) > 0], in increasing [s],
+   [row.(j) <- row.(j) + (coef.(s) · ai.(j)) · bb.(s).(j)]. *)
+external xi_row :
+  int -> float array -> float array array -> float array -> float array -> unit
+  = "adprom_hmm_xi_row"
+[@@noalloc]
 
 (* Scaled forward pass: [alpha.(t).(i)] is normalized per step and
    [scale.(t)] holds the pre-normalization sums, so
@@ -248,8 +239,7 @@ module Compiled = struct
         let step = ref 1 in
         while (not !impossible) && !step < len do
           let cur = c.cur and nxt = c.nxt in
-          Array.fill nxt 0 n 0.0;
-          propagate ~n c.a cur nxt;
+          propagate c.a cur nxt;
           let b = c.bt.(obs.(pos + !step)) in
           let total = ref 0.0 in
           for j = 0 to n - 1 do
@@ -301,8 +291,7 @@ module Compiled = struct
         total := 0.0;
         incr step;
         if !step < len then begin
-          Array.fill nxt 0 n 0.0;
-          propagate ~n c.a cur nxt;
+          propagate c.a cur nxt;
           let b = c.bt.(obs.(!step)) in
           for j = 0 to n - 1 do
             let v = nxt.(j) *. b.(j) in
@@ -438,15 +427,15 @@ let normalize_with_floor row =
    the textbook step over [forward]/[backward], so the re-estimated
    model is bit-for-bit the same:
    - the forward rows come from [propagate];
-   - the backward pass runs four rows' dot products side by side, each
-     row summing over [j] in order, and keeps each row's sum before the
-     [1 / c_t] scale: that sum is the inner sum of the ξ normaliser of
-     the same step, which then costs O(n) instead of O(n²);
-   - each [a_acc] element takes the terms of its contributing steps in
-     step order, four per load and store. *)
+   - the backward pass takes each step's row sums from [row_sums] and
+     keeps them before the [1 / c_t] scale: such a sum is the inner sum
+     of the ξ normaliser of the same step, which then costs O(n)
+     instead of O(n²);
+   - each [a_acc] row takes the terms of its contributing steps in step
+     order, one [xi_row] call per row and sequence. *)
 let baum_welch_step t weighted =
   let n = t.n and m = t.m in
-  let a = transition_rows t and bt = emissions_by_symbol t in
+  let a = transition_rows t and at = transition_columns t and bt = emissions_by_symbol t in
   let a_acc = Array.make_matrix n n 0.0 in
   let b_acc = Array.make_matrix n m 0.0 in
   let pi_acc = Array.make n 0.0 in
@@ -461,7 +450,8 @@ let baum_welch_step t weighted =
   let scale = Array.make maxlen 0.0 in
   let xi_norm = Array.make maxlen 0.0 in
   let gamma_u = Array.make n 0.0 in
-  let coefs = Array.make 4 0.0 and terms = Array.make 4 [||] in
+  (* one row's ξ coefficients per step; 0.0 where a step adds nothing *)
+  let coefs = Array.make maxlen 0.0 in
   (* [forward]'s scaled pass into [alpha]/[scale]; once a prefix is
      impossible the remaining scales are zero, as there. *)
   let forward_into obs len =
@@ -482,8 +472,7 @@ let baum_welch_step t weighted =
       let st = !step in
       if scale.(st - 1) > 0.0 then begin
         let cur = alpha.(st) and b = bt.(obs.(st)) in
-        Array.fill cur 0 n 0.0;
-        propagate ~n a alpha.(st - 1) cur;
+        propagate a alpha.(st - 1) cur;
         let total = ref 0.0 in
         for j = 0 to n - 1 do
           let v = Array.unsafe_get cur j *. Array.unsafe_get b j in
@@ -514,38 +503,10 @@ let baum_welch_step t weighted =
         Array.unsafe_set x j (Array.unsafe_get b j *. Array.unsafe_get next j)
       done;
       let sums = rsum.(step) and cur = beta.(step) in
+      row_sums at x sums;
       let inv = 1.0 /. scale.(step) in
-      let i = ref 0 in
-      while !i + 3 < n do
-        let i0 = !i in
-        let a0 = Array.unsafe_get a i0 and a1 = Array.unsafe_get a (i0 + 1) in
-        let a2 = Array.unsafe_get a (i0 + 2) and a3 = Array.unsafe_get a (i0 + 3) in
-        let acc0 = ref 0.0 and acc1 = ref 0.0 and acc2 = ref 0.0 and acc3 = ref 0.0 in
-        for j = 0 to n - 1 do
-          let xj = Array.unsafe_get x j in
-          acc0 := !acc0 +. (Array.unsafe_get a0 j *. xj);
-          acc1 := !acc1 +. (Array.unsafe_get a1 j *. xj);
-          acc2 := !acc2 +. (Array.unsafe_get a2 j *. xj);
-          acc3 := !acc3 +. (Array.unsafe_get a3 j *. xj)
-        done;
-        Array.unsafe_set sums i0 !acc0;
-        Array.unsafe_set sums (i0 + 1) !acc1;
-        Array.unsafe_set sums (i0 + 2) !acc2;
-        Array.unsafe_set sums (i0 + 3) !acc3;
-        Array.unsafe_set cur i0 (!acc0 *. inv);
-        Array.unsafe_set cur (i0 + 1) (!acc1 *. inv);
-        Array.unsafe_set cur (i0 + 2) (!acc2 *. inv);
-        Array.unsafe_set cur (i0 + 3) (!acc3 *. inv);
-        i := i0 + 4
-      done;
-      for i = !i to n - 1 do
-        let ai = Array.unsafe_get a i in
-        let acc = ref 0.0 in
-        for j = 0 to n - 1 do
-          acc := !acc +. (Array.unsafe_get ai j *. Array.unsafe_get x j)
-        done;
-        Array.unsafe_set sums i !acc;
-        Array.unsafe_set cur i (!acc *. inv)
+      for i = 0 to n - 1 do
+        Array.unsafe_set cur i (Array.unsafe_get sums i *. inv)
       done
     done
   in
@@ -596,41 +557,14 @@ let baum_welch_step t weighted =
         (* xi: row i of [a_acc] takes (coef · a_ij) · bb_j from every
            step with a positive coefficient, in step order *)
         for i = 0 to n - 1 do
-          let row = a_acc.(i) and ai = a.(i) in
-          let pending = ref 0 in
+          let any = ref false in
           for step = 0 to len - 2 do
             let s = xi_norm.(step) in
-            if s > 0.0 then begin
-              let coef = weight *. alpha.(step).(i) /. s in
-              if coef > 0.0 then begin
-                coefs.(!pending) <- coef;
-                terms.(!pending) <- bb.(step);
-                incr pending;
-                if !pending = 4 then begin
-                  pending := 0;
-                  let c0 = coefs.(0) and c1 = coefs.(1) and c2 = coefs.(2) and c3 = coefs.(3) in
-                  let x0 = terms.(0) and x1 = terms.(1) and x2 = terms.(2) and x3 = terms.(3) in
-                  for j = 0 to n - 1 do
-                    let aij = Array.unsafe_get ai j in
-                    Array.unsafe_set row j
-                      (Array.unsafe_get row j
-                      +. (c0 *. aij *. Array.unsafe_get x0 j)
-                      +. (c1 *. aij *. Array.unsafe_get x1 j)
-                      +. (c2 *. aij *. Array.unsafe_get x2 j)
-                      +. (c3 *. aij *. Array.unsafe_get x3 j))
-                  done
-                end
-              end
-            end
+            let coef = if s > 0.0 then weight *. alpha.(step).(i) /. s else 0.0 in
+            if coef > 0.0 then any := true;
+            coefs.(step) <- coef
           done;
-          for k = 0 to !pending - 1 do
-            let c = coefs.(k) and x = terms.(k) in
-            for j = 0 to n - 1 do
-              Array.unsafe_set row j
-                (Array.unsafe_get row j
-                +. (c *. Array.unsafe_get ai j *. Array.unsafe_get x j))
-            done
-          done
+          if !any then xi_row (len - 1) coefs bb a.(i) a_acc.(i)
         done
       end
     end

@@ -15,8 +15,9 @@ type t = {
 }
 
 val create : a:Mlkit.Matrix.t -> b:Mlkit.Matrix.t -> pi:float array -> t
-(** @raise Invalid_argument on inconsistent dimensions, negative
-    entries, or rows that do not sum to 1 (within tolerance). *)
+(** @raise Invalid_argument on inconsistent dimensions, negative or
+    non-finite entries, or rows that do not sum to 1 (within
+    tolerance). *)
 
 val random : rng:Mlkit.Rng.t -> n:int -> m:int -> t
 (** Random initialization — the Rand-HMM baseline of Sec. V-D. *)
@@ -24,6 +25,9 @@ val random : rng:Mlkit.Rng.t -> n:int -> m:int -> t
 val uniform : n:int -> m:int -> t
 
 val validate : t -> (unit, string) result
+(** [Error] unless the dimensions agree and every row of A and B and
+    [pi] is finite, non-negative (to within 1e-12) and sums to 1 (to
+    within 1e-6). A NaN entry fails. *)
 
 val log_likelihood : t -> int array -> float
 (** [log P(O | λ)] by the scaled forward algorithm; [neg_infinity] when
@@ -44,12 +48,13 @@ module Compiled : sig
       with the transition table split into rows, the emission table
       transposed (one observation's column contiguous) and the forward
       rows preallocated, so steady-state scoring allocates nothing. Each
-      transition step folds four rows of A into the next forward row per
-      pass, and every element still sums its terms in the same order,
-      so scores are bit-for-bit equal to {!log_likelihood} /
-      {!per_symbol_score}, which stay the row-at-a-time reference. A
-      compiled scorer is not thread-safe (it owns its scratch rows) —
-      use one per domain. *)
+      transition step runs in a C kernel whose SIMD lanes run across the
+      next forward row's elements, and every element still adds its
+      terms one at a time in increasing state order, so scores are
+      bit-for-bit equal to {!log_likelihood} / {!per_symbol_score},
+      which stay the row-at-a-time reference. That needs finite table
+      entries, which {!validate} enforces. A compiled scorer is not
+      thread-safe (it owns its scratch rows) — use one per domain. *)
 
   type model := t
 
@@ -107,7 +112,8 @@ val baum_welch_step : t -> (int array * float) list -> t * float
     The step's scratch tables (forward, backward, backward row sums, ξ
     factors, scales) are sized for the longest sequence and allocated
     once per call, so nothing is shared between calls.
-    Its kernels are blocked four rows or four steps at a time, but each
+    Its O(n²)-per-step kernels (forward step, backward row sums, ξ rows)
+    run in C with SIMD lanes across independent outputs, but each
     accumulator takes the same floating-point operations in the same
     order as the textbook step over {!forward} and {!backward}: the
     result is bit-for-bit equal to it.

@@ -301,6 +301,78 @@ let test_profile_threshold_from_final_model () =
   let params = { Pipeline.adprom_params with Profile.max_rounds = 4 } in
   check "banking, 4 rounds" ds (Pipeline.train ~params ds)
 
+(* The two profiles the serve benchmark trains, pinned by the MD5 of
+   their serialised form (x86-64 Linux, glibc libm): the training
+   kernels must keep them byte for byte. *)
+let test_profile_bench_digests () =
+  let digest app params =
+    Digest.to_hex
+      (Digest.string (Adprom.Profile_io.to_string (Pipeline.train ~params (Pipeline.collect app))))
+  in
+  Alcotest.(check string) "banking, 4 rounds" "c0dff9a06b5fb5a9e9095d6730230768"
+    (digest (Dataset.Ca_banking.app ()) { Pipeline.adprom_params with Profile.max_rounds = 4 });
+  let spec =
+    { Dataset.Proggen.bash_like with Dataset.Proggen.functions = 24; statements_per_function = 7 }
+  in
+  Alcotest.(check string) "gen-wide: 24x7, 100 states, 4 rounds"
+    "caf01298c01fc400c68ee3249045e590"
+    (digest
+       (Dataset.Sir.app4 ~cases:120 ~spec ())
+       { Pipeline.adprom_params with Profile.max_rounds = 4; patience = 2; max_states = 100 })
+
+(* A stored profile with a NaN in pi, in an A row or in a B row must
+   not load: NaN passes no comparison, so every model check has to be
+   one that NaN fails. *)
+let test_profile_io_rejects_nan () =
+  let _, profile = Lazy.force trained in
+  let lines = String.split_on_char '\n' (Adprom.Profile_io.to_string profile) in
+  let loads ls =
+    match Adprom.Profile_io.of_string (String.concat "\n" ls) with Ok _ -> true | Error _ -> false
+  in
+  Alcotest.(check bool) "the unmodified profile loads" true (loads lines);
+  (* [lines] with [f] applied to the first line that starts with
+     [prefix] or, with [~after], to the line after it: a table's first
+     row *)
+  let edit ?(after = false) prefix f =
+    let seen = ref false and armed = ref false in
+    List.map
+      (fun l ->
+        if !armed then begin
+          armed := false;
+          f l
+        end
+        else if (not !seen) && String.starts_with ~prefix l then begin
+          seen := true;
+          if after then begin
+            armed := true;
+            l
+          end
+          else f l
+        end
+        else l)
+      lines
+  in
+  (* the first value of a [pi], dense ([d]) or sparse ([s]) row line *)
+  let poison l =
+    match String.split_on_char ' ' l with
+    | ("pi" | "d") as tag :: _ :: rest -> String.concat " " (tag :: "nan" :: rest)
+    | "s" :: entry :: rest ->
+        let j = List.hd (String.split_on_char ':' entry) in
+        String.concat " " ("s" :: (j ^ ":nan") :: rest)
+    | _ -> Alcotest.fail ("not a row line: " ^ l)
+  in
+  let rejected label ls = Alcotest.(check bool) label false (loads ls) in
+  rejected "NaN in pi" (edit "pi " poison);
+  rejected "NaN in an A row" (edit ~after:true "a " poison);
+  rejected "NaN in a B row" (edit ~after:true "b " poison);
+  (* a sparse row that lists every entry and sums to 1 without its NaN:
+     the NaN must stay NaN, not become the implicit-entry fill *)
+  let n = profile.Profile.model.Hmm.n in
+  let explicit_nan_row =
+    "s 0:nan 1:1 " ^ String.concat " " (List.init (n - 2) (fun k -> Printf.sprintf "%d:0" (k + 2)))
+  in
+  rejected "NaN in a fully explicit sparse row" (edit ~after:true "a " (fun _ -> explicit_nan_row))
+
 let test_profile_scores_normals_high () =
   let ds, profile = Lazy.force trained in
   List.iter
@@ -407,6 +479,9 @@ let () =
           Alcotest.test_case "training" `Quick test_profile_training;
           Alcotest.test_case "retraining is reproducible" `Quick test_profile_retrain_identical;
           Alcotest.test_case "normals above threshold" `Quick test_profile_scores_normals_high;
+          Alcotest.test_case "bench-config profiles pinned by digest" `Quick
+            test_profile_bench_digests;
+          Alcotest.test_case "profile io rejects NaN entries" `Quick test_profile_io_rejects_nan;
           Alcotest.test_case "threshold from the final model's scores" `Quick
             test_profile_threshold_from_final_model;
           Alcotest.test_case "flags" `Quick test_detector_flags;

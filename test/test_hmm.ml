@@ -67,7 +67,27 @@ let test_create_validation () =
     (match Hmm.validate (Hmm.uniform ~n:3 ~m:4) with Ok () -> true | Error _ -> false);
   let rng = Rng.create 1 in
   Alcotest.(check bool) "random model valid" true
-    (match Hmm.validate (Hmm.random ~rng ~n:5 ~m:7) with Ok () -> true | Error _ -> false)
+    (match Hmm.validate (Hmm.random ~rng ~n:5 ~m:7) with Ok () -> true | Error _ -> false);
+  (* NaN fails every comparison, so each check must be one that NaN
+     fails; infinities break the row sums *)
+  let t = tiny () in
+  let with_entry (tbl : Matrix.t) i v =
+    let data = Array.copy tbl.Matrix.data in
+    data.(i) <- v;
+    { tbl with Matrix.data }
+  in
+  List.iter
+    (fun v ->
+      let rejected (t : Hmm.t) = match Hmm.validate t with Ok () -> false | Error _ -> true in
+      let label = Printf.sprintf "%g" v in
+      Alcotest.(check bool) (label ^ " in A rejected") true
+        (rejected { t with Hmm.a = with_entry t.Hmm.a 1 v });
+      Alcotest.(check bool) (label ^ " in B rejected") true
+        (rejected { t with Hmm.b = with_entry t.Hmm.b 4 v });
+      let pi = Array.copy t.Hmm.pi in
+      pi.(0) <- v;
+      Alcotest.(check bool) (label ^ " in pi rejected") true (rejected { t with Hmm.pi }))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
 
 let test_forward_matches_brute_force () =
   let t = tiny () in
@@ -310,8 +330,10 @@ let sparse_model rng ~n ~m ~sparsity =
     pi = row n;
   }
 
-(* n in 1..9 covers n < 4 and every n mod 4; lengths 1..20 cover step
-   counts that are not a multiple of four; weights are not all 1. *)
+(* n in 1..40 covers every n mod 16, so every remainder path of the
+   kernels' 16-, 8-, 4- and 2-wide blocks and the last odd column, and
+   up to two full 16-wide blocks; lengths 1..20 give a varying number of
+   contributing steps per row; weights are not all 1. *)
 let model_and_sequences_gen =
   QCheck2.Gen.(
     map
@@ -327,7 +349,7 @@ let model_and_sequences_gen =
                 0.25 +. Rng.float rng 4.0 ))
         in
         (model, seqs))
-      (triple (int_range 0 1_000_000) (int_range 1 9) (int_range 1 6)))
+      (triple (int_range 0 1_000_000) (int_range 1 40) (int_range 1 6)))
 
 let prop_baum_welch_matches_reference =
   QCheck2.Test.make ~name:"baum_welch_step = row-at-a-time reference, bit for bit" ~count:300
@@ -376,13 +398,17 @@ let test_compiled_step_surprisals_impossible_suffix () =
     (same_floats s (Hmm.step_surprisals t obs))
 
 let test_nan_scale_is_impossible () =
-  (* a non-finite emission (as a corrupt profile could carry) makes the
-     scale NaN wherever symbol 1 is read *)
+  (* a non-finite emission makes the scale NaN wherever symbol 1 is
+     read; [Hmm.create] rejects such a model, so it is built as a
+     record *)
   let t =
-    Hmm.create
-      ~a:(Matrix.of_arrays [| [| 0.5; 0.5 |]; [| 0.5; 0.5 |] |])
-      ~b:(Matrix.of_arrays [| [| 1.0; Float.nan |]; [| 1.0; Float.nan |] |])
-      ~pi:[| 0.5; 0.5 |]
+    {
+      Hmm.n = 2;
+      m = 2;
+      a = Matrix.of_arrays [| [| 0.5; 0.5 |]; [| 0.5; 0.5 |] |];
+      b = Matrix.of_arrays [| [| 1.0; Float.nan |]; [| 1.0; Float.nan |] |];
+      pi = [| 0.5; 0.5 |];
+    }
   in
   let c = Hmm.Compiled.of_model t in
   List.iter
@@ -394,6 +420,35 @@ let test_nan_scale_is_impossible () =
       Alcotest.(check bool) (label ^ ": surprisals bit for bit") true
         (same_floats (Hmm.Compiled.step_surprisals c obs) (Hmm.step_surprisals t obs)))
     [ [| 1 |]; [| 0; 0; 1 |]; [| 0; 1; 0 |] ]
+
+(* The real size: banking's 126-state model, as pCTM initialisation
+   leaves it (sparse A and B) and after one round (dense), over
+   banking's deduplicated windows. 126 = 7·16 + 14, so every step also
+   takes the kernels' 8-, 4- and 2-wide remainder blocks. *)
+let test_baum_welch_banking_matches_reference () =
+  let dataset = Adprom.Pipeline.collect (Dataset.Ca_banking.app ()) in
+  List.iter
+    (fun rounds ->
+      let params = { Adprom.Pipeline.adprom_params with Adprom.Profile.max_rounds = rounds } in
+      let profile = Adprom.Pipeline.train ~params dataset in
+      let model = profile.Adprom.Profile.model in
+      let index = Analysis.Symbol.Table.find_opt profile.Adprom.Profile.obs_index in
+      let weighted =
+        List.filter_map
+          (fun (w, weight) ->
+            Option.map (fun codes -> (codes, weight)) (Adprom.Window.encode ~index w))
+          (Adprom.Window.dedup dataset.Adprom.Pipeline.windows)
+      in
+      let label = Printf.sprintf "after %d rounds" rounds in
+      Alcotest.(check int) (label ^ ": states") 126 model.Hmm.n;
+      let t1, ll1 = Hmm.baum_welch_step model weighted in
+      let t2, ll2 = reference_baum_welch_step model weighted in
+      Alcotest.(check bool) (label ^ ": bit for bit the reference") true
+        (same_bits ll1 ll2
+        && same_floats t1.Hmm.a.Matrix.data t2.Hmm.a.Matrix.data
+        && same_floats t1.Hmm.b.Matrix.data t2.Hmm.b.Matrix.data
+        && same_floats t1.Hmm.pi t2.Hmm.pi))
+    [ 0; 1 ]
 
 let test_baum_welch_rejects_out_of_range () =
   (* symbol 1 is never emitted, so the first sequence is impossible and
@@ -448,6 +503,8 @@ let () =
           Alcotest.test_case "EM rejects out-of-range observations" `Quick
             test_baum_welch_rejects_out_of_range;
           QCheck_alcotest.to_alcotest prop_baum_welch_matches_reference;
+          Alcotest.test_case "baum_welch_step on banking = reference, bit for bit" `Quick
+            test_baum_welch_banking_matches_reference;
           QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
           QCheck_alcotest.to_alcotest prop_compiled_step_surprisals_matches_reference;
           Alcotest.test_case "Compiled.step_surprisals past an impossible step" `Quick
