@@ -10,7 +10,7 @@
    - kernel/*: the training and scoring kernels at the sizes the serve
      benchmark trains: a compiled window score on the 126-state banking
      model and on the 40-state generated wide program's model, one
-     Baum-Welch step over banking's deduplicated windows, and the PCA
+     Baum-Welch step over each one's deduplicated windows, and the PCA
      fit of the generated wide program's call-transition vectors (134
      sites x 270 features) as [Reduction.cluster] runs it. *)
 
@@ -85,12 +85,18 @@ let compiled_score_test (model, weighted) =
     ~name:(Printf.sprintf "kernel/compiled-score-%dstate" model.Hmm.n)
     (Staged.stage (fun () -> ignore (Hmm.Compiled.per_symbol_score scorer window)))
 
+(* One Baum-Welch step of a trained model over its training windows. *)
+let baum_welch_step_test label (model, weighted) =
+  Test.make
+    ~name:(Printf.sprintf "kernel/baum-welch-step-%s-%dwin" label (List.length weighted))
+    (Staged.stage (fun () -> ignore (Hmm.baum_welch_step model weighted)))
+
 (* The banking and generated wide programs as the serve benchmark trains
    them, and the wide program's CTV matrix as [Reduction.cluster] builds
    it. *)
 let kernel_tests () =
   let params = { Adprom.Pipeline.adprom_params with Adprom.Profile.max_rounds = 4 } in
-  let ((model, weighted) as banking) = bench_profile (Dataset.Ca_banking.app ()) params in
+  let banking = bench_profile (Dataset.Ca_banking.app ()) params in
   let spec =
     { Dataset.Proggen.bash_like with Dataset.Proggen.functions = 24; statements_per_function = 7 }
   in
@@ -104,9 +110,8 @@ let kernel_tests () =
   [
     compiled_score_test banking;
     compiled_score_test gen_wide;
-    Test.make
-      ~name:(Printf.sprintf "kernel/baum-welch-step-banking-%dwin" (List.length weighted))
-      (Staged.stage (fun () -> ignore (Hmm.baum_welch_step model weighted)));
+    baum_welch_step_test "banking" banking;
+    baum_welch_step_test "gen-wide" gen_wide;
     Test.make
       ~name:(Printf.sprintf "kernel/pca-fit-gen-wide-ctv-%dx%d" rows cols)
       (Staged.stage (fun () -> ignore (Mlkit.Pca.fit ~variance_kept ctvs)));

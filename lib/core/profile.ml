@@ -98,7 +98,11 @@ let train ?(params = default_params) ~analysis windows =
     if params.use_labels then windows else List.map Window.strip_labels windows
   in
   if windows = [] then invalid_arg "Profile.train: no training windows";
-  let alphabet = observable_alphabet pctm windows in
+  (* The alphabet and the known pairs need only the distinct windows:
+     the first window of each dedup key inserts each pair first in the
+     same order as a walk over all windows would. *)
+  let distinct = List.map fst (Window.dedup windows) in
+  let alphabet = observable_alphabet pctm distinct in
   if Array.length alphabet = 0 then invalid_arg "Profile.train: empty alphabet";
   let obs_index = Symbol.Table.create 64 in
   Array.iteri (fun i o -> Symbol.Table.replace obs_index o i) alphabet;
@@ -187,7 +191,7 @@ let train ?(params = default_params) ~analysis windows =
   let known_pairs = Hashtbl.create 256 in
   List.iter
     (fun w -> List.iter (fun p -> Hashtbl.replace known_pairs p ()) (Window.pairs w))
-    windows;
+    distinct;
   {
     params;
     alphabet;

@@ -71,46 +71,40 @@ let check_observations t obs =
         invalid_arg (Printf.sprintf "Hmm: observation %d outside alphabet of size %d" o t.m))
     obs
 
-(* The compiled kernels read every table as one float array per row:
-   the transition rows, and for the backward pass their transpose. *)
-
-(* Rows of A. *)
-let transition_rows t = Array.init t.n (fun i -> Array.sub t.a.Matrix.data (i * t.n) t.n)
-
-(* Columns of A: row [j] holds [a_ij] for every state [i]. *)
-let transition_columns t =
-  let adata = t.a.Matrix.data in
-  Array.init t.n (fun j -> Array.init t.n (fun i -> adata.((i * t.n) + j)))
-
 (* Emissions transposed: row [o] holds [b_i(o)] for every state [i]. *)
 let emissions_by_symbol t =
   let bdata = t.b.Matrix.data in
   Array.init t.m (fun o -> Array.init t.n (fun i -> bdata.((i * t.m) + o)))
 
-(* The O(n²)-per-step kernels, in [hmm_kernels.c]. Each output element
-   adds its terms in the reference's order, so results are bit for bit
-   those of the row-at-a-time loops. *)
+(* The C side, in [hmm_kernels.c]. Each output element adds its terms in
+   the reference's order, so results are bit for bit those of the
+   row-at-a-time loops. *)
 
-(* [propagate a src dst]: [dst.(j) <- Σ_i src.(i) · a.(i).(j)] over the
-   rows whose weight is positive, in increasing [i], each sum starting
-   from 0.0: the transition step of [forward]. *)
-external propagate : float array array -> float array -> float array -> unit
+(* [propagate a src dst]: [dst.(j) <- Σ_i src.(i) · a_ij] over the rows
+   whose weight is positive, in increasing [i], each sum starting from
+   0.0, with [a] the flat row-major transition table: the transition
+   step of [forward]. *)
+external propagate : float array -> float array -> float array -> unit
   = "adprom_hmm_propagate"
 [@@noalloc]
 
-(* [row_sums at x sums]: [sums.(i) <- Σ_j a_ij · x.(j)] in increasing
-   [j], from the columns [at] of A: the inner sums of [backward]. *)
-external row_sums : float array array -> float array -> float array -> unit
-  = "adprom_hmm_row_sums"
-[@@noalloc]
-
-(* [xi_row steps coef bb ai row]: for every [s < steps] with
-   [coef.(s) > 0], in increasing [s],
-   [row.(j) <- row.(j) + (coef.(s) · ai.(j)) · bb.(s).(j)]. *)
-external xi_row :
-  int -> float array -> float array array -> float array -> float array -> unit
-  = "adprom_hmm_xi_row"
-[@@noalloc]
+(* [e_step a b pi obs off weights a_acc b_acc pi_acc ll]: the E-step of
+   [baum_welch_step] over the windows [obs.(off.(w)) .. obs.(off.(w+1) - 1)]
+   of weights [weights], on the flat tables of A, B and π; adds into the
+   zeroed flat accumulators and stores the weighted log-likelihood in
+   [ll.(0)]. Every observation must lie in [\[0, m)]. *)
+external e_step :
+  float array ->
+  float array ->
+  float array ->
+  int array ->
+  int array ->
+  float array ->
+  float array ->
+  float array ->
+  float array ->
+  float array ->
+  unit = "adprom_hmm_e_step_byte" "adprom_hmm_e_step"
 
 (* Scaled forward pass: [alpha.(t).(i)] is normalized per step and
    [scale.(t)] holds the pre-normalization sums, so
@@ -178,7 +172,7 @@ module Compiled = struct
     model : model;
     n : int;
     m : int;
-    a : float array array;  (* rows of A *)
+    a : float array;  (* A, flat and row-major: the model's own data *)
     bt : float array array;  (* emissions transposed: row [o] is the
                                 column of observation symbol [o] *)
     pi : float array;
@@ -192,7 +186,7 @@ module Compiled = struct
       model;
       n;
       m = model.m;
-      a = transition_rows model;
+      a = model.a.Matrix.data;
       bt = emissions_by_symbol model;
       pi = model.pi;
       cur = Array.make n 0.0;
@@ -420,160 +414,33 @@ let normalize_with_floor row =
     let denom = s +. (smoothing_epsilon *. float_of_int k) in
     Array.map (fun v -> (v +. smoothing_epsilon) /. denom) row
 
-(* One EM iteration. Its scratch tables (forward, backward, backward row
-   sums, ξ factors, scales) are sized for the longest sequence and
-   allocated once per call, one array per time step. Every accumulator
-   receives the same floating-point operations, in the same order, as
-   the textbook step over [forward]/[backward], so the re-estimated
-   model is bit-for-bit the same:
-   - the forward rows come from [propagate];
-   - the backward pass takes each step's row sums from [row_sums] and
-     keeps them before the [1 / c_t] scale: such a sum is the inner sum
-     of the ξ normaliser of the same step, which then costs O(n)
-     instead of O(n²);
-   - each [a_acc] row takes the terms of its contributing steps in step
-     order, one [xi_row] call per row and sequence. *)
+(* One EM iteration. The E-step runs in C ([e_step]) over every window
+   at once, on every allowed CPU; it gives every accumulator the same
+   floating-point operations, in the same order, as the textbook step
+   over [forward]/[backward], so the re-estimated model is bit-for-bit
+   the same. OCaml range-checks the observations first, flattens the
+   windows and normalises the accumulators. *)
 let baum_welch_step t weighted =
   let n = t.n and m = t.m in
-  let a = transition_rows t and at = transition_columns t and bt = emissions_by_symbol t in
-  let a_acc = Array.make_matrix n n 0.0 in
-  let b_acc = Array.make_matrix n m 0.0 in
-  let pi_acc = Array.make n 0.0 in
-  let total_loglik = ref 0.0 in
-  let maxlen = List.fold_left (fun acc (obs, _) -> max acc (Array.length obs)) 0 weighted in
-  let alpha = Array.make_matrix maxlen n 0.0 in
-  let beta = Array.make_matrix maxlen n 0.0 in
-  (* [rsum.(step).(i)] = Σ_j a_ij · bb.(step).(j), before the backward scale *)
-  let rsum = Array.make_matrix maxlen n 0.0 in
-  (* ξ factors: [bb.(step).(j)] = b_j(o_{step+1}) · β_{step+1}(j) *)
-  let bb = Array.make_matrix maxlen n 0.0 in
-  let scale = Array.make maxlen 0.0 in
-  let xi_norm = Array.make maxlen 0.0 in
-  let gamma_u = Array.make n 0.0 in
-  (* one row's ξ coefficients per step; 0.0 where a step adds nothing *)
-  let coefs = Array.make maxlen 0.0 in
-  (* [forward]'s scaled pass into [alpha]/[scale]; once a prefix is
-     impossible the remaining scales are zero, as there. *)
-  let forward_into obs len =
-    let row0 = alpha.(0) and b0 = bt.(obs.(0)) in
-    let s0 = ref 0.0 in
-    for i = 0 to n - 1 do
-      let v = t.pi.(i) *. Array.unsafe_get b0 i in
-      Array.unsafe_set row0 i v;
-      s0 := !s0 +. v
-    done;
-    scale.(0) <- !s0;
-    if !s0 > 0.0 then
-      for i = 0 to n - 1 do
-        Array.unsafe_set row0 i (Array.unsafe_get row0 i /. !s0)
-      done;
-    let step = ref 1 in
-    while !step < len do
-      let st = !step in
-      if scale.(st - 1) > 0.0 then begin
-        let cur = alpha.(st) and b = bt.(obs.(st)) in
-        propagate a alpha.(st - 1) cur;
-        let total = ref 0.0 in
-        for j = 0 to n - 1 do
-          let v = Array.unsafe_get cur j *. Array.unsafe_get b j in
-          Array.unsafe_set cur j v;
-          total := !total +. v
-        done;
-        scale.(st) <- !total;
-        if !total > 0.0 then
-          for j = 0 to n - 1 do
-            Array.unsafe_set cur j (Array.unsafe_get cur j /. !total)
-          done;
-        incr step
-      end
-      else begin
-        Array.fill scale st (len - st) 0.0;
-        step := len
-      end
-    done
+  if
+    Array.length t.a.Matrix.data <> n * n
+    || Array.length t.b.Matrix.data <> n * m
+    || Array.length t.pi <> n
+  then invalid_arg "Hmm.baum_welch_step: inconsistent dimensions";
+  List.iter (fun (obs, _) -> check_observations t obs) weighted;
+  let windows = Array.of_list weighted in
+  let off = Array.make (Array.length windows + 1) 0 in
+  Array.iteri (fun w (obs, _) -> off.(w + 1) <- off.(w) + Array.length obs) windows;
+  let obs = Array.concat (List.map fst weighted) in
+  let weights = Array.map snd windows in
+  let a_acc = Array.make (n * n) 0.0 and b_acc = Array.make (n * m) 0.0 in
+  let pi_acc = Array.make n 0.0 and loglik = [| 0.0 |] in
+  e_step t.a.Matrix.data t.b.Matrix.data t.pi obs off weights a_acc b_acc pi_acc loglik;
+  let normalized acc k =
+    Matrix.of_arrays (Array.init n (fun i -> normalize_with_floor (Array.sub acc (i * k) k)))
   in
-  (* Runs only when no scale is [<= 0], so [backward]'s guards have
-     nothing to skip. *)
-  let backward_into obs len =
-    let last = len - 1 in
-    Array.fill beta.(last) 0 n (1.0 /. scale.(last));
-    for step = last - 1 downto 0 do
-      let x = bb.(step) and next = beta.(step + 1) and b = bt.(obs.(step + 1)) in
-      for j = 0 to n - 1 do
-        Array.unsafe_set x j (Array.unsafe_get b j *. Array.unsafe_get next j)
-      done;
-      let sums = rsum.(step) and cur = beta.(step) in
-      row_sums at x sums;
-      let inv = 1.0 /. scale.(step) in
-      for i = 0 to n - 1 do
-        Array.unsafe_set cur i (Array.unsafe_get sums i *. inv)
-      done
-    done
-  in
-  let accumulate (obs, weight) =
-    let len = Array.length obs in
-    if len > 0 then begin
-      check_observations t obs;
-      forward_into obs len;
-      let impossible = ref false in
-      for step = 0 to len - 1 do
-        if scale.(step) <= 0.0 then impossible := true
-      done;
-      if not !impossible then begin
-        let ll = ref 0.0 in
-        for step = 0 to len - 1 do
-          ll := !ll +. log scale.(step)
-        done;
-        total_loglik := !total_loglik +. (weight *. !ll);
-        backward_into obs len;
-        (* gamma, normalized explicitly per step *)
-        for step = 0 to len - 1 do
-          let al = alpha.(step) and be = beta.(step) in
-          let s = ref 0.0 in
-          for i = 0 to n - 1 do
-            let u = Array.unsafe_get al i *. Array.unsafe_get be i in
-            gamma_u.(i) <- u;
-            s := !s +. u
-          done;
-          if !s > 0.0 then begin
-            let o = obs.(step) in
-            for i = 0 to n - 1 do
-              let g = gamma_u.(i) /. !s in
-              b_acc.(i).(o) <- b_acc.(i).(o) +. (weight *. g);
-              if step = 0 then pi_acc.(i) <- pi_acc.(i) +. (weight *. g)
-            done
-          end
-        done;
-        (* xi normaliser per step, from the backward row sums *)
-        for step = 0 to len - 2 do
-          let al = alpha.(step) and sums = rsum.(step) in
-          let s = ref 0.0 in
-          for i = 0 to n - 1 do
-            let ai = Array.unsafe_get al i in
-            if ai > 0.0 then s := !s +. (ai *. Array.unsafe_get sums i)
-          done;
-          xi_norm.(step) <- !s
-        done;
-        (* xi: row i of [a_acc] takes (coef · a_ij) · bb_j from every
-           step with a positive coefficient, in step order *)
-        for i = 0 to n - 1 do
-          let any = ref false in
-          for step = 0 to len - 2 do
-            let s = xi_norm.(step) in
-            let coef = if s > 0.0 then weight *. alpha.(step).(i) /. s else 0.0 in
-            if coef > 0.0 then any := true;
-            coefs.(step) <- coef
-          done;
-          if !any then xi_row (len - 1) coefs bb a.(i) a_acc.(i)
-        done
-      end
-    end
-  in
-  List.iter accumulate weighted;
-  let a' = Matrix.of_arrays (Array.map normalize_with_floor a_acc) in
-  let b' = Matrix.of_arrays (Array.map normalize_with_floor b_acc) in
-  let pi' = normalize_with_floor pi_acc in
-  ({ t with a = a'; b = b'; pi = pi' }, !total_loglik)
+  ({ t with a = normalized a_acc n; b = normalized b_acc m; pi = normalize_with_floor pi_acc },
+   loglik.(0))
 
 let fit ?(max_iterations = 50) ?(tolerance = 1e-4) t weighted =
   let total_weight = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 weighted in

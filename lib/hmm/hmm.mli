@@ -44,8 +44,8 @@ module Compiled : sig
   (** Compiled evaluation for the detection hot path (Sec. IV-D) and
       for training's window scoring (the CSDS score of every round, the
       threshold pass, [Profile.extend]) and the surprisals behind
-      [Scoring.explain]: the same scaled forward pass
-      with the transition table split into rows, the emission table
+      [Scoring.explain]: the same scaled forward pass over the
+      model's own flat transition table, with the emission table
       transposed (one observation's column contiguous) and the forward
       rows preallocated, so steady-state scoring allocates nothing. Each
       transition step runs in a C kernel whose SIMD lanes run across the
@@ -109,15 +109,23 @@ val baum_welch_step : t -> (int array * float) list -> t * float
     unseen events keep non-zero mass. Sequences impossible under the
     current model are skipped; every sequence is still range-checked.
 
-    The step's scratch tables (forward, backward, backward row sums, ξ
-    factors, scales) are sized for the longest sequence and allocated
-    once per call, so nothing is shared between calls.
-    Its O(n²)-per-step kernels (forward step, backward row sums, ξ rows)
-    run in C with SIMD lanes across independent outputs, but each
-    accumulator takes the same floating-point operations in the same
-    order as the textbook step over {!forward} and {!backward}: the
-    result is bit-for-bit equal to it.
-    @raise Invalid_argument on an observation outside [\[0, m)]. *)
+    The E-step runs in one C call on as many threads as the caller's
+    CPU affinity mask allows (capped at the number of sequences):
+    POSIX threads created and joined inside the call, never OCaml
+    domains, so the process can still [Unix.fork] afterwards. The
+    sequences go in blocks of at most about 1 MiB of scratch; in each
+    block the threads first split the sequences (forward, backward, γ,
+    ξ normaliser), then the state rows of the accumulators. Every
+    accumulator element takes the same floating-point operations, in
+    the same order (sequence order, then step order), as the textbook
+    step over {!forward} and {!backward}, and the log-likelihood is
+    summed in sequence order: the result is bit-for-bit equal to it,
+    whatever the thread count. The calling domain holds the runtime
+    lock throughout, so other domains wait for the step before a
+    stop-the-world collection. Every observation is range-checked
+    before the call.
+    @raise Invalid_argument on an observation outside [\[0, m)], or
+    when A, B or [pi] does not have the size [n] and [m] give it. *)
 
 val fit :
   ?max_iterations:int ->

@@ -1,23 +1,32 @@
-/* The three O(n^2)-per-step kernels of the HMM library: the forward
-   step, the backward pass's row sums and the xi row update.
+/* The HMM library's C side: the forward step of compiled scoring, and
+   the whole E-step of one Baum-Welch iteration (forward and backward
+   passes, γ, ξ and their accumulation), run on every allowed CPU.
 
-   Each one computes a set of independent outputs, and SIMD lanes run
-   only across those outputs, never along one output's sum: every
-   output element adds its terms one at a time, in the same order as
-   the row-at-a-time OCaml reference, so every result is bit for bit
-   the reference's. This holds only while the compiler neither fuses a
-   multiply into an add nor reassociates: the file is built with
-   -ffp-contract=off, without -ffast-math, and with no host-specific
-   instruction-set flag. Skipping a term whose weight is zero is exact
-   only for finite table entries, which [Hmm.validate] guarantees.
+   Each O(n^2)-per-step kernel computes a set of independent outputs,
+   and SIMD lanes run only across those outputs, never along one
+   output's sum: every output element adds its terms one at a time, in
+   the same order as the row-at-a-time OCaml reference, so every result
+   is bit for bit the reference's. This holds only while the compiler
+   neither fuses a multiply into an add nor reassociates: the file is
+   built with -ffp-contract=off, without -ffast-math, and with no
+   host-specific instruction-set flag. Skipping a term whose weight is
+   zero is exact only for finite table entries, which [Hmm.validate]
+   guarantees.
 
-   The tables come in as OCaml values: a [float array] is a flat block
-   of doubles, a [float array array] a block of pointers to such rows.
-   None of the kernels allocates, raises or releases the runtime lock,
-   so they are [@@noalloc] externals. */
+   Tables are flat row-major blocks of doubles: an OCaml [float array]
+   is one, and so is the data of a [Mlkit.Matrix.t]. */
 
+#define _GNU_SOURCE
+#include <caml/fail.h>
 #include <caml/mlvalues.h>
+#include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
+#include <stdlib.h>
 #include <string.h>
+#include <unistd.h>
 
 typedef double v2d __attribute__((vector_size(16)));
 
@@ -40,20 +49,21 @@ static inline mlsize_t float_length(value v)
 }
 
 /* dst[j0 .. j0+2nv) <- Σ_i w[i] · m[i][j0 ..], terms in increasing i,
-   each output's sum starting from 0.0. With [skip], rows whose weight
-   is not positive (or NaN) add no term; their term would be ±0.0,
-   which leaves a sum that starts at +0.0 unchanged. [nv] is a
-   compile-time constant at every call, so [acc] lives in registers. */
+   each output's sum starting from 0.0; row i of [m] starts at
+   m + i·n. With [skip], rows whose weight is not positive (or NaN) add
+   no term; their term would be ±0.0, which leaves a sum that starts at
+   +0.0 unchanged. [nv] is a compile-time constant at every call, so
+   [acc] lives in registers. */
 static inline __attribute__((always_inline)) void
-weighted_rows_tile(const int nv, const int skip, mlsize_t rows, value m,
-                   const double *w, double *dst, mlsize_t j0)
+weighted_rows_tile(const int nv, const int skip, size_t rows, const double *m, size_t n,
+                   const double *w, double *dst, size_t j0)
 {
   v2d acc[8];
   for (int k = 0; k < nv; k++) acc[k] = (v2d){ 0.0, 0.0 };
-  for (mlsize_t i = 0; i < rows; i++) {
+  for (size_t i = 0; i < rows; i++) {
     double p = w[i];
     if (skip && !(p > 0.0)) continue;
-    const double *mi = (const double *)Field(m, i) + j0;
+    const double *mi = m + (i * n) + j0;
     v2d pv = { p, p };
     for (int k = 0; k < nv; k++) acc[k] += pv * load2(mi + (2 * k));
   }
@@ -63,20 +73,20 @@ weighted_rows_tile(const int nv, const int skip, mlsize_t rows, value m,
 /* The same over all [n] outputs: blocks of 16, then one block each of
    8, 4 and 2 as the remainder needs, then a last odd column. */
 static inline __attribute__((always_inline)) void
-weighted_rows(const int skip, mlsize_t rows, value m, const double *w, double *dst,
-              mlsize_t n)
+weighted_rows(const int skip, size_t rows, const double *m, const double *w, double *dst,
+              size_t n)
 {
-  mlsize_t j0 = 0;
-  for (; j0 + 16 <= n; j0 += 16) weighted_rows_tile(8, skip, rows, m, w, dst, j0);
-  if (j0 + 8 <= n) { weighted_rows_tile(4, skip, rows, m, w, dst, j0); j0 += 8; }
-  if (j0 + 4 <= n) { weighted_rows_tile(2, skip, rows, m, w, dst, j0); j0 += 4; }
-  if (j0 + 2 <= n) { weighted_rows_tile(1, skip, rows, m, w, dst, j0); j0 += 2; }
+  size_t j0 = 0;
+  for (; j0 + 16 <= n; j0 += 16) weighted_rows_tile(8, skip, rows, m, n, w, dst, j0);
+  if (j0 + 8 <= n) { weighted_rows_tile(4, skip, rows, m, n, w, dst, j0); j0 += 8; }
+  if (j0 + 4 <= n) { weighted_rows_tile(2, skip, rows, m, n, w, dst, j0); j0 += 4; }
+  if (j0 + 2 <= n) { weighted_rows_tile(1, skip, rows, m, n, w, dst, j0); j0 += 2; }
   if (j0 < n) {
     double acc = 0.0;
-    for (mlsize_t i = 0; i < rows; i++) {
+    for (size_t i = 0; i < rows; i++) {
       double p = w[i];
       if (skip && !(p > 0.0)) continue;
-      acc += p * ((const double *)Field(m, i))[j0];
+      acc += p * m[(i * n) + j0];
     }
     dst[j0] = acc;
   }
@@ -84,61 +94,452 @@ weighted_rows(const int skip, mlsize_t rows, value m, const double *w, double *d
 
 /* Forward step: dst[j] <- Σ_i src[i] · a[i][j] over the rows i with
    src[i] > 0, in increasing i; lanes across j. */
-value adprom_hmm_propagate(value a, value src, value dst)
+static void propagate(const double *a, const double *src, double *dst, size_t n)
 {
-  mlsize_t n = float_length(dst);
-  weighted_rows(1, n, a, (const double *)src, (double *)dst, n);
-  return Val_unit;
+  weighted_rows(1, n, a, src, dst, n);
 }
 
 /* Backward row sums: sums[i] <- Σ_j a[i][j] · x[j], in increasing j,
    read from the transposed table [at] (at[j][i] = a[i][j]) so that the
    lanes run across rows i. No term is skipped, as in the reference. */
-value adprom_hmm_row_sums(value at, value x, value sums)
+static void row_sums(const double *at, const double *x, double *sums, size_t n)
 {
-  mlsize_t n = float_length(sums);
-  weighted_rows(0, n, at, (const double *)x, (double *)sums, n);
+  weighted_rows(0, n, at, x, sums, n);
+}
+
+/* [Hmm.Compiled]'s forward step over the model's flat transition
+   table. It does not allocate, raise or release the runtime lock, so
+   it is a [@@noalloc] external. */
+value adprom_hmm_propagate(value a, value src, value dst)
+{
+  propagate((const double *)a, (const double *)src, (double *)dst, float_length(dst));
   return Val_unit;
 }
 
-/* xi row update: for each step s < steps with coef[s] > 0, in
-   increasing s, row[j] <- row[j] + (coef[s] · a_i[j]) · bb[s][j]; lanes
-   across j. */
-static inline __attribute__((always_inline)) void
-xi_tile(const int nv, mlsize_t steps, const double *coef, value bb, const double *ai,
-        double *row, mlsize_t j0)
+/* ---- The E-step -------------------------------------------------------
+
+   One call runs the E-step of [Hmm.baum_welch_step] over all windows.
+   The windows go in blocks whose scratch stays under [BLOCK_BYTES]
+   unless one window alone needs more; each block runs two phases, with
+   a barrier after each:
+
+   - phase A, split by window: the forward pass, the backward pass, γ
+     and the ξ normaliser of each window, stored per window as
+     weight·γ (with a flag for the steps whose γ sum is positive), the
+     ξ coefficients weight·α_t(i)/s_t, the ξ factors bb_t(j) =
+     b_j(o_{t+1})·β_{t+1}(j) and the log-likelihood;
+   - phase B, split by state row: the thread that claims row i walks
+     the block's windows in order and adds their terms to a_acc[i],
+     b_acc[i] and pi_acc[i].
+
+   Every accumulator element therefore takes its terms in window order,
+   then step order, whichever thread runs a window or a row and wherever
+   the blocks are cut; the weighted log-likelihood is summed in window
+   order after the join. The bits depend on neither the thread count
+   nor the block size.
+
+   Helper threads are plain POSIX threads, created and joined inside the
+   call, with every signal blocked. They read and write raw memory only
+   and never call the OCaml runtime. The calling domain keeps the
+   runtime lock throughout, so no GC runs in it and no OCaml value
+   moves while the helpers read the tables. */
+
+#define BLOCK_BYTES (1u << 20)
+#define ROW_CHUNK 4
+
+/* A barrier whose party count is fixed while its mutex is held, so the
+   caller can settle it after the helpers have started. */
+struct barrier {
+  pthread_mutex_t mu;
+  pthread_cond_t cv;
+  int parties, waiting;
+  unsigned long generation;
+};
+
+static void barrier_wait(struct barrier *b)
 {
+  pthread_mutex_lock(&b->mu);
+  if (b->parties > 1) {
+    unsigned long generation = b->generation;
+    if (++b->waiting == b->parties) {
+      b->waiting = 0;
+      b->generation++;
+      pthread_cond_broadcast(&b->cv);
+    }
+    else
+      while (generation == b->generation) pthread_cond_wait(&b->cv, &b->mu);
+  }
+  pthread_mutex_unlock(&b->mu);
+}
+
+struct estep {
+  size_t n, m;
+  const double *a;   /* n×n transitions */
+  double *at;        /* A's columns: at[j·n + i] = a[i·n + j] */
+  double *bt;        /* emissions by symbol: bt[o·n + i] = b_i(o) */
+  const double *pi;
+  size_t *off;       /* window w is obs[off[w] .. off[w+1]) */
+  size_t *obs;
+  const double *weight;
+  double *a_acc, *b_acc, *pi_acc;
+  double *ll;              /* per window */
+  unsigned char *possible; /* per window */
+  size_t blocks;
+  size_t *block;           /* block k is windows [block[k], block[k+1]) */
+  atomic_size_t *next_window, *next_row; /* per block */
+  /* Block scratch, indexed by the block-relative step t = off[w] -
+     off[block start] + s. Window w's part of [wg] and [coef] is an
+     n×len table at t·n (row i, step s at t·n + i·len + s), its part of
+     [bb] the rows t·n .. (t+len)·n. */
+  double *wg, *coef, *bb;
+  unsigned char *gflag;
+  struct barrier bar;
+};
+
+struct worker {
+  struct estep *e;
+  pthread_t thread;
+  double *alpha, *beta, *rsum, *scale; /* maxlen·n, 2n, n, maxlen */
+};
+
+/* Phase A for window [w] of the block starting at window [w0]: the
+   arithmetic of the OCaml reference, operation for operation. */
+static void window_pass(const struct estep *e, const struct worker *wk, size_t w0, size_t w)
+{
+  const size_t n = e->n, base = e->off[w], len = e->off[w + 1] - base;
+  const size_t *obs = e->obs + base;
+  double *alpha = wk->alpha, *scale = wk->scale;
+  e->possible[w] = 0;
+  if (len == 0) return;
+  /* forward: once a prefix is impossible the remaining scales are 0 */
+  const double *b0 = e->bt + (obs[0] * n);
+  double s0 = 0.0;
+  for (size_t i = 0; i < n; i++) {
+    double v = e->pi[i] * b0[i];
+    alpha[i] = v;
+    s0 += v;
+  }
+  scale[0] = s0;
+  if (s0 > 0.0)
+    for (size_t i = 0; i < n; i++) alpha[i] = alpha[i] / s0;
+  for (size_t st = 1; st < len; st++) {
+    if (!(scale[st - 1] > 0.0)) {
+      for (; st < len; st++) scale[st] = 0.0;
+      break;
+    }
+    double *cur = alpha + (st * n);
+    const double *b = e->bt + (obs[st] * n);
+    propagate(e->a, cur - n, cur, n);
+    double total = 0.0;
+    for (size_t j = 0; j < n; j++) {
+      double v = cur[j] * b[j];
+      cur[j] = v;
+      total += v;
+    }
+    scale[st] = total;
+    if (total > 0.0)
+      for (size_t j = 0; j < n; j++) cur[j] = cur[j] / total;
+  }
+  for (size_t st = 0; st < len; st++)
+    if (scale[st] <= 0.0) return;
+  double ll = 0.0;
+  for (size_t st = 0; st < len; st++) ll += log(scale[st]);
+  e->ll[w] = ll;
+  e->possible[w] = 1;
+
+  /* backward, with γ and the ξ terms of each step as soon as β_t is
+     known; no scale is <= 0 here, so the reference's guards skip
+     nothing */
+  const double weight = e->weight[w];
+  const size_t t0 = base - e->off[w0];
+  double *wg = e->wg + (t0 * n), *coef = e->coef + (t0 * n);
+  unsigned char *gflag = e->gflag + t0;
+  double *next = wk->beta, *cur = wk->beta + n, *rsum = wk->rsum;
+  const double last_beta = 1.0 / scale[len - 1];
+  for (size_t i = 0; i < n; i++) cur[i] = last_beta;
+  for (size_t st = len; st-- > 0;) {
+    const double *al = alpha + (st * n);
+    if (st + 1 < len) {
+      double *x = e->bb + ((t0 + st) * n);
+      const double *b = e->bt + (obs[st + 1] * n);
+      for (size_t j = 0; j < n; j++) x[j] = b[j] * next[j];
+      row_sums(e->at, x, rsum, n);
+      const double inv = 1.0 / scale[st];
+      for (size_t i = 0; i < n; i++) cur[i] = rsum[i] * inv;
+      /* ξ normaliser from the row sums before the scale */
+      double s = 0.0;
+      for (size_t i = 0; i < n; i++) {
+        double ai = al[i];
+        if (ai > 0.0) s += ai * rsum[i];
+      }
+      for (size_t i = 0; i < n; i++)
+        coef[(i * len) + st] = s > 0.0 ? weight * al[i] / s : 0.0;
+    }
+    /* γ, normalised explicitly; rsum holds the unnormalised terms */
+    double s = 0.0;
+    for (size_t i = 0; i < n; i++) {
+      double u = al[i] * cur[i];
+      rsum[i] = u;
+      s += u;
+    }
+    gflag[st] = s > 0.0;
+    if (s > 0.0)
+      for (size_t i = 0; i < n; i++) wg[(i * len) + st] = weight * (rsum[i] / s);
+    double *t = next;
+    next = cur;
+    cur = t;
+  }
+}
+
+/* Phase B's ξ update of a_acc[i][j0 .. j0+2nv): for each window of
+   [w0, w1) and each of its steps whose coefficient is positive, in that
+   order, row[j] += (coef · a_i[j]) · bb[j]; lanes across j. */
+static inline __attribute__((always_inline)) void
+xi_tile(const int nv, const struct estep *e, size_t w0, size_t w1, size_t i, double *row,
+        size_t j0)
+{
+  const size_t n = e->n;
+  const double *ai = e->a + (i * n) + j0;
   v2d acc[8];
   for (int k = 0; k < nv; k++) acc[k] = load2(row + j0 + (2 * k));
-  for (mlsize_t s = 0; s < steps; s++) {
-    double c = coef[s];
-    if (!(c > 0.0)) continue;
-    const double *x = (const double *)Field(bb, s) + j0;
-    v2d cv = { c, c };
-    for (int k = 0; k < nv; k++)
-      acc[k] += (cv * load2(ai + j0 + (2 * k))) * load2(x + (2 * k));
+  for (size_t w = w0; w < w1; w++) {
+    if (!e->possible[w]) continue;
+    const size_t len = e->off[w + 1] - e->off[w], t0 = e->off[w] - e->off[w0];
+    const double *coef = e->coef + (t0 * n) + (i * len);
+    const double *bb = e->bb + (t0 * n) + j0;
+    for (size_t st = 0; st + 1 < len; st++) {
+      double c = coef[st];
+      if (!(c > 0.0)) continue;
+      const double *x = bb + (st * n);
+      v2d cv = { c, c };
+      for (int k = 0; k < nv; k++) acc[k] += (cv * load2(ai + (2 * k))) * load2(x + (2 * k));
+    }
   }
   for (int k = 0; k < nv; k++) store2(row + j0 + (2 * k), acc[k]);
 }
 
-value adprom_hmm_xi_row(value vsteps, value vcoef, value bb, value vai, value vrow)
+static void xi_col(const struct estep *e, size_t w0, size_t w1, size_t i, double *row,
+                   size_t j)
 {
-  mlsize_t steps = Long_val(vsteps), n = float_length(vrow);
-  const double *coef = (const double *)vcoef, *ai = (const double *)vai;
-  double *row = (double *)vrow;
-  mlsize_t j0 = 0;
-  for (; j0 + 16 <= n; j0 += 16) xi_tile(8, steps, coef, bb, ai, row, j0);
-  if (j0 + 8 <= n) { xi_tile(4, steps, coef, bb, ai, row, j0); j0 += 8; }
-  if (j0 + 4 <= n) { xi_tile(2, steps, coef, bb, ai, row, j0); j0 += 4; }
-  if (j0 + 2 <= n) { xi_tile(1, steps, coef, bb, ai, row, j0); j0 += 2; }
-  if (j0 < n) {
-    double acc = row[j0];
-    for (mlsize_t s = 0; s < steps; s++) {
-      double c = coef[s];
+  const size_t n = e->n;
+  const double aij = e->a[(i * n) + j];
+  double acc = row[j];
+  for (size_t w = w0; w < w1; w++) {
+    if (!e->possible[w]) continue;
+    const size_t len = e->off[w + 1] - e->off[w], t0 = e->off[w] - e->off[w0];
+    const double *coef = e->coef + (t0 * n) + (i * len);
+    const double *bb = e->bb + (t0 * n) + j;
+    for (size_t st = 0; st + 1 < len; st++) {
+      double c = coef[st];
       if (!(c > 0.0)) continue;
-      acc += (c * ai[j0]) * ((const double *)Field(bb, s))[j0];
+      acc += (c * aij) * bb[st * n];
     }
-    row[j0] = acc;
   }
+  row[j] = acc;
+}
+
+/* Phase B for row [i] over the windows [w0, w1). */
+static void row_pass(const struct estep *e, size_t w0, size_t w1, size_t i)
+{
+  const size_t n = e->n, m = e->m;
+  double *brow = e->b_acc + (i * m);
+  for (size_t w = w0; w < w1; w++) {
+    if (!e->possible[w]) continue;
+    const size_t base = e->off[w], len = e->off[w + 1] - base, t0 = base - e->off[w0];
+    const double *wg = e->wg + (t0 * n) + (i * len);
+    const unsigned char *gflag = e->gflag + t0;
+    for (size_t st = 0; st < len; st++)
+      if (gflag[st]) brow[e->obs[base + st]] += wg[st];
+    if (gflag[0]) e->pi_acc[i] += wg[0];
+  }
+  double *row = e->a_acc + (i * n);
+  size_t j0 = 0;
+  for (; j0 + 16 <= n; j0 += 16) xi_tile(8, e, w0, w1, i, row, j0);
+  if (j0 + 8 <= n) { xi_tile(4, e, w0, w1, i, row, j0); j0 += 8; }
+  if (j0 + 4 <= n) { xi_tile(2, e, w0, w1, i, row, j0); j0 += 4; }
+  if (j0 + 2 <= n) { xi_tile(1, e, w0, w1, i, row, j0); j0 += 2; }
+  if (j0 < n) xi_col(e, w0, w1, i, row, j0);
+}
+
+static void run_blocks(struct worker *wk)
+{
+  struct estep *e = wk->e;
+  for (size_t k = 0; k < e->blocks; k++) {
+    const size_t w0 = e->block[k], w1 = e->block[k + 1];
+    for (;;) {
+      size_t w = w0 + atomic_fetch_add(&e->next_window[k], 1);
+      if (w >= w1) break;
+      window_pass(e, wk, w0, w);
+    }
+    barrier_wait(&e->bar);
+    for (;;) {
+      size_t r0 = atomic_fetch_add(&e->next_row[k], ROW_CHUNK);
+      if (r0 >= e->n) break;
+      size_t r1 = r0 + ROW_CHUNK < e->n ? r0 + ROW_CHUNK : e->n;
+      for (size_t i = r0; i < r1; i++) row_pass(e, w0, w1, i);
+    }
+    barrier_wait(&e->bar);
+  }
+}
+
+static void *helper_main(void *arg)
+{
+  run_blocks(arg);
+  return NULL;
+}
+
+/* The CPUs the calling thread may run on. */
+static size_t allowed_cpus(void)
+{
+#ifdef CPU_COUNT
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    int count = CPU_COUNT(&set);
+    return count > 0 ? (size_t)count : 1;
+  }
+#endif
+  long online = sysconf(_SC_NPROCESSORS_ONLN);
+  return online > 0 ? (size_t)online : 1;
+}
+
+/* [adprom_hmm_e_step a b pi obs off weights a_acc b_acc pi_acc ll]
+   adds the E-step of the windows obs[off[w] .. off[w+1]) with weights
+   [weights] into the zeroed accumulators and stores the weighted
+   log-likelihood in ll[0]. [Hmm.baum_welch_step] checks the dimensions
+   and the range of every observation before the call. */
+value adprom_hmm_e_step(value va, value vb, value vpi, value vobs, value voff, value vweights,
+                        value va_acc, value vb_acc, value vpi_acc, value vll)
+{
+  struct estep e;
+  const size_t n = float_length(vpi), m = n ? float_length(vb) / n : 0;
+  const size_t windows = float_length(vweights), total = Wosize_val(vobs);
+  memset(&e, 0, sizeof e);
+  e.n = n;
+  e.m = m;
+  e.a = (const double *)va;
+  e.pi = (const double *)vpi;
+  e.weight = (const double *)vweights;
+  e.a_acc = (double *)va_acc;
+  e.b_acc = (double *)vb_acc;
+  e.pi_acc = (double *)vpi_acc;
+  size_t threads = allowed_cpus();
+  if (threads > windows) threads = windows;
+  if (threads < 1) threads = 1;
+  struct worker *wk = NULL;
+  double *per_thread = NULL;
+  int ok = 0;
+
+  e.off = malloc((windows + 1) * sizeof *e.off);
+  e.block = malloc((windows + 1) * sizeof *e.block);
+  e.next_window = malloc((windows + 1) * sizeof *e.next_window);
+  e.next_row = malloc((windows + 1) * sizeof *e.next_row);
+  e.ll = malloc((windows + 1) * sizeof *e.ll);
+  e.possible = malloc(windows + 1);
+  if (!(e.off && e.block && e.next_window && e.next_row && e.ll && e.possible)) goto out;
+  /* blocks: whole windows while their scratch fits BLOCK_BYTES; a
+     longer window gets a block of its own */
+  const size_t cap = BLOCK_BYTES / ((3 * n * sizeof(double)) + 1);
+  size_t maxlen = 0, steps = 0, max_steps = 0;
+  e.off[0] = Long_val(Field(voff, 0));
+  for (size_t w = 0; w < windows; w++) {
+    e.off[w + 1] = Long_val(Field(voff, w + 1));
+    const size_t len = e.off[w + 1] - e.off[w];
+    if (len > maxlen) maxlen = len;
+    if (w == 0 || steps + len > cap) {
+      atomic_init(&e.next_window[e.blocks], 0);
+      atomic_init(&e.next_row[e.blocks], 0);
+      e.block[e.blocks++] = w;
+      steps = 0;
+    }
+    steps += len;
+    if (steps > max_steps) max_steps = steps;
+  }
+  e.block[e.blocks] = windows;
+
+  e.obs = malloc((total + 1) * sizeof *e.obs);
+  e.at = malloc((n * n + 1) * sizeof *e.at);
+  e.bt = malloc((m * n + 1) * sizeof *e.bt);
+  e.wg = malloc((max_steps * n + 1) * sizeof *e.wg);
+  e.coef = malloc((max_steps * n + 1) * sizeof *e.coef);
+  e.bb = malloc((max_steps * n + 1) * sizeof *e.bb);
+  e.gflag = malloc(max_steps + 1);
+  wk = calloc(threads, sizeof *wk);
+  per_thread = malloc((threads * ((2 * maxlen) + (maxlen * n) + (3 * n)) + 1)
+                      * sizeof *per_thread);
+  if (!(e.obs && e.at && e.bt && e.wg && e.coef && e.bb && e.gflag && wk && per_thread))
+    goto out;
+  ok = 1;
+  for (size_t k = 0; k < total; k++) e.obs[k] = Long_val(Field(vobs, k));
+  const double *a = e.a, *b = (const double *)vb;
+  for (size_t i = 0; i < n; i++)
+    for (size_t j = 0; j < n; j++) e.at[(j * n) + i] = a[(i * n) + j];
+  for (size_t i = 0; i < n; i++)
+    for (size_t o = 0; o < m; o++) e.bt[(o * n) + i] = b[(i * m) + o];
+  double *p = per_thread;
+  for (size_t t = 0; t < threads; t++) {
+    wk[t].e = &e;
+    wk[t].alpha = p;
+    p += maxlen * n;
+    wk[t].scale = p;
+    p += maxlen;
+    wk[t].beta = p;
+    p += 2 * n;
+    wk[t].rsum = p;
+    p += n;
+  }
+  pthread_mutex_init(&e.bar.mu, NULL);
+  pthread_cond_init(&e.bar.cv, NULL);
+
+  /* The helpers start with every signal blocked, so signals keep going
+     to threads the runtime knows. The party count is settled before
+     the mutex is released: a helper that could not be created simply
+     leaves its share to the others. */
+  size_t started = 1;
+  pthread_mutex_lock(&e.bar.mu);
+  if (threads > 1) {
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    for (; started < threads; started++)
+      if (pthread_create(&wk[started].thread, NULL, helper_main, &wk[started]) != 0) break;
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+  }
+  e.bar.parties = (int)started;
+  pthread_mutex_unlock(&e.bar.mu);
+  run_blocks(&wk[0]);
+  for (size_t t = 1; t < started; t++) pthread_join(wk[t].thread, NULL);
+  pthread_cond_destroy(&e.bar.cv);
+  pthread_mutex_destroy(&e.bar.mu);
+
+  double total_ll = 0.0;
+  for (size_t w = 0; w < windows; w++)
+    if (e.possible[w]) total_ll += e.weight[w] * e.ll[w];
+  Store_double_flat_field(vll, 0, total_ll);
+
+out:
+  free(per_thread);
+  free(wk);
+  free(e.gflag);
+  free(e.bb);
+  free(e.coef);
+  free(e.wg);
+  free(e.bt);
+  free(e.at);
+  free(e.obs);
+  free(e.possible);
+  free(e.ll);
+  free(e.next_row);
+  free(e.next_window);
+  free(e.block);
+  free(e.off);
+  if (!ok) caml_raise_out_of_memory();
   return Val_unit;
+}
+
+value adprom_hmm_e_step_byte(value *argv, int argn)
+{
+  (void)argn;
+  return adprom_hmm_e_step(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6],
+                           argv[7], argv[8], argv[9]);
 }

@@ -320,6 +320,38 @@ let test_profile_bench_digests () =
        (Dataset.Sir.app4 ~cases:120 ~spec ())
        { Pipeline.adprom_params with Profile.max_rounds = 4; patience = 2; max_states = 100 })
 
+(* Training's E-steps run on C threads that each step joins before it
+   returns, and on no OCaml domain: a process can still fork once it has
+   trained, as [serve --listen], [route] and the benchmark's TCP
+   workload do. *)
+let test_fork_after_training () =
+  let tasks () =
+    match Sys.readdir "/proc/self/task" with
+    | names -> Some (Array.length names)
+    | exception Sys_error _ -> None
+  in
+  let before = tasks () in
+  let params = { Pipeline.adprom_params with Profile.max_rounds = 4 } in
+  ignore (Pipeline.train ~params (Pipeline.collect (Dataset.Ca_banking.app ())));
+  (match before with
+  | None -> ()
+  | Some n ->
+      (* a joined thread can stay listed for a moment while the kernel
+         tears it down *)
+      let rec settled tries =
+        match tasks () with
+        | Some k when k <> n && tries > 0 ->
+            Unix.sleepf 0.01;
+            settled (tries - 1)
+        | k -> k
+      in
+      Alcotest.(check (option int)) "threads after training" (Some n) (settled 100));
+  match Unix.fork () with
+  | 0 -> Unix._exit 0
+  | pid ->
+      let _, status = Unix.waitpid [] pid in
+      Alcotest.(check bool) "child exits 0" true (status = Unix.WEXITED 0)
+
 (* A stored profile with a NaN in pi, in an A row or in a B row must
    not load: NaN passes no comparison, so every model check has to be
    one that NaN fails. *)
@@ -482,6 +514,7 @@ let () =
           Alcotest.test_case "bench-config profiles pinned by digest" `Quick
             test_profile_bench_digests;
           Alcotest.test_case "profile io rejects NaN entries" `Quick test_profile_io_rejects_nan;
+          Alcotest.test_case "fork after training" `Quick test_fork_after_training;
           Alcotest.test_case "threshold from the final model's scores" `Quick
             test_profile_threshold_from_final_model;
           Alcotest.test_case "flags" `Quick test_detector_flags;

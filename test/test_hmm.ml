@@ -361,6 +361,69 @@ let prop_baum_welch_matches_reference =
       && same_floats t1.Hmm.b.Matrix.data t2.Hmm.b.Matrix.data
       && same_floats t1.Hmm.pi t2.Hmm.pi)
 
+(* The C E-step cuts the windows into blocks of about 1 MiB of scratch
+   (1212 steps at n = 36, 1091 at n = 40) and shares each block's
+   windows and state rows among the allowed CPUs. At n >= 36, 120 to 150
+   sequences of length 0..20 cross one or two block boundaries; none or
+   one sequence leaves fewer windows than threads. Weights include 0,
+   whole multiplicities and fractions; sparse models make some windows
+   impossible. The result must depend on none of this. *)
+let blocked_step_gen =
+  QCheck2.Gen.(
+    map
+      (fun (seed, (n, m, count)) ->
+        let rng = Rng.create seed in
+        let sparsity = [| 0.0; 0.15; 0.4 |].(Rng.int rng 3) in
+        let model = sparse_model rng ~n ~m ~sparsity in
+        let weight () =
+          match Rng.int rng 4 with
+          | 0 -> float_of_int (1 + Rng.int rng 5)
+          | 1 -> if Rng.int rng 8 = 0 then 0.0 else 1.0
+          | _ -> 0.25 +. Rng.float rng 4.0
+        in
+        let seqs =
+          List.init count (fun _ ->
+              let obs = Array.init (Rng.int rng 21) (fun _ -> Rng.int rng m) in
+              (obs, weight ()))
+        in
+        (model, seqs))
+      (pair (int_range 0 1_000_000)
+         (oneof
+            [
+              triple (int_range 1 40) (int_range 1 6) (int_range 0 1);
+              triple (int_range 1 40) (int_range 1 6) (int_range 2 20);
+              triple (int_range 36 40) (int_range 1 6) (int_range 120 150);
+            ])))
+
+let prop_blocked_step_matches_reference =
+  QCheck2.Test.make ~name:"baum_welch_step across blocks and schedules = reference, bit for bit"
+    ~count:100 blocked_step_gen (fun (model, seqs) ->
+      let t1, ll1 = Hmm.baum_welch_step model seqs in
+      let t2, ll2 = reference_baum_welch_step model seqs in
+      same_bits ll1 ll2
+      && same_floats t1.Hmm.a.Matrix.data t2.Hmm.a.Matrix.data
+      && same_floats t1.Hmm.b.Matrix.data t2.Hmm.b.Matrix.data
+      && same_floats t1.Hmm.pi t2.Hmm.pi)
+
+(* A sequence longer than a block's step budget (1091 steps at n = 40)
+   gets a block of its own, between blocks of short ones. *)
+let test_long_sequence_own_block () =
+  let rng = Rng.create 17 in
+  let model = Hmm.random ~rng ~n:40 ~m:5 in
+  let short () = (Array.init 15 (fun _ -> Rng.int rng 5), 2.0) in
+  let seqs =
+    List.init 80 (fun _ -> short ())
+    @ [ (Array.init 1500 (fun _ -> Rng.int rng 5), 0.5) ]
+    @ List.init 80 (fun _ -> short ())
+  in
+  let t1, ll1 = Hmm.baum_welch_step model seqs in
+  let t2, ll2 = reference_baum_welch_step model seqs in
+  Alcotest.(check bool) "bit for bit the reference" true
+    (same_bits ll1 ll2
+    && same_floats t1.Hmm.a.Matrix.data t2.Hmm.a.Matrix.data
+    && same_floats t1.Hmm.b.Matrix.data t2.Hmm.b.Matrix.data
+    && same_floats t1.Hmm.pi t2.Hmm.pi)
+
 let prop_compiled_matches_reference =
   QCheck2.Test.make ~name:"Compiled.log_likelihood = log_likelihood, bit for bit" ~count:300
     model_and_sequences_gen (fun (model, seqs) ->
@@ -469,7 +532,13 @@ let test_baum_welch_rejects_out_of_range () =
   Alcotest.(check bool) "negative observation" true (raises [ ([| -1 |], 2.0) ]);
   Alcotest.(check bool) "past an impossible prefix" true (raises [ ([| 1; 5 |], 1.0) ]);
   Alcotest.(check bool) "in-range sequences accepted" false
-    (raises [ ([| 1; 0 |], 1.0); ([| 0; 0 |], 1.0) ])
+    (raises [ ([| 1; 0 |], 1.0); ([| 0; 0 |], 1.0) ]);
+  (* the C E-step reads the tables by [n] and [m]: a record whose
+     tables do not match them is refused before the call *)
+  Alcotest.(check bool) "inconsistent dimensions" true
+    (match Hmm.baum_welch_step { t with Hmm.m = 3 } [ ([| 0 |], 1.0) ] with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
 
 let () =
   Alcotest.run "hmm"
@@ -503,6 +572,9 @@ let () =
           Alcotest.test_case "EM rejects out-of-range observations" `Quick
             test_baum_welch_rejects_out_of_range;
           QCheck_alcotest.to_alcotest prop_baum_welch_matches_reference;
+          QCheck_alcotest.to_alcotest prop_blocked_step_matches_reference;
+          Alcotest.test_case "a sequence longer than a block" `Quick
+            test_long_sequence_own_block;
           Alcotest.test_case "baum_welch_step on banking = reference, bit for bit" `Quick
             test_baum_welch_banking_matches_reference;
           QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
