@@ -1,29 +1,21 @@
-(* The scale-out tier: wire codec showdown and 2-node cluster scaling.
+(* The scale-out tier: 2-node cluster scaling.
 
-   Two claims land in BENCH_cluster.json. First, the length-prefixed
-   binary frame format beats the tab-separated text format by >= 5x on
-   encode+decode throughput over the same mixed item stream (interning
-   turns the Collector's endlessly repeated caller/symbol strings into
-   one-byte back-references; decoding is byte arithmetic instead of
-   split/int_of_string). Round-trip equality is asserted on both codecs
-   before any rate is reported.
-
-   Second, two serve nodes absorb a tenant burst a single node must
-   shed. Nodes run a FIXED per-shard queue capacity — bounded queue
-   memory is the daemon's operating constraint — and the burst is sized
-   so one node's queue overflows and drops tenants at the door, while
-   two nodes (double the aggregate capacity, sessions split by the
+   Two serve nodes absorb a tenant burst a single node must shed. Nodes
+   run a FIXED per-shard queue capacity — bounded queue memory is the
+   daemon's operating constraint — and the burst is sized so one node's
+   queue overflows and drops tenants at the door, while two nodes
+   (double the aggregate capacity, sessions split by the
    consistent-hash ring) keep them. The figure of merit is accepted
-   events/sec: events that made it into a detector queue, per second
-   of the ingest window; the bar is >= 1.7x. This is a capacity
-   result, not a parallelism result — it holds on one core.
+   events/sec: events that made it into a detector queue, per second of
+   the ingest window, written to BENCH_cluster.json. This is a capacity
+   result, not a parallelism result. It is a single-shot figure: the
+   serve-path layers are timed with medians and quartiles by
+   bench/perf, which has no two-node workload yet.
 
-   Verdict integrity is checked separately under ample capacity (no
-   shedding anywhere): the merged 2-node summary must be bit-for-bit
-   the single-node replay's — same session reports, verdict flags,
-   IEEE-754 score bits and incident multiset. The nodes are forked
-   BEFORE the parent runs its reference replay: a process that has
-   spawned domains must not fork. *)
+   The correctness side lives in dune runtest: the merged 2-node
+   summary equals the single-node replay bit for bit (test_cluster),
+   and tracing plus a /metrics scrape leave the verdicts unchanged
+   (test_ops). *)
 
 module Service = Adprom_service
 module Transport = Service.Transport
@@ -31,12 +23,9 @@ module Frame = Service.Frame
 module Server = Service.Server
 module Cluster = Service.Cluster
 module Daemon = Service.Daemon
-module Replay = Service.Replay
-module Alerts = Service.Alerts
 
 let sessions_count () = if !Common.smoke then 16 else 64
 let repeats () = if !Common.smoke then 2 else 4
-let codec_rounds () = if !Common.smoke then 20 else 40
 let capacity = 256 (* per-shard queue bound of the scaling runs *)
 
 let workload () =
@@ -50,123 +39,6 @@ let workload () =
   in
   let rng = Mlkit.Rng.create 4242 in
   (Lazy.force t.Common.adprom, Adprom.Sessions.interleave ~rng sessions)
-
-(* --- codec showdown ---------------------------------------------------- *)
-
-let items_of_stream stream =
-  (* a mixed stream: the interleaved call events plus an executed-query
-     record every 50 events, like a session that talks to the DBMS *)
-  let items = ref [] in
-  Array.iteri
-    (fun i (ev : Adprom.Sessions.tagged) ->
-      if i mod 50 = 49 then
-        items :=
-          Transport.Query
-            {
-              Transport.q_session = ev.Adprom.Sessions.session;
-              rows = 2;
-              sql = "SELECT name, balance FROM accounts WHERE id = 17";
-            }
-          :: !items;
-      items := Transport.Call ev :: !items)
-    stream;
-  Array.of_list (List.rev !items)
-
-let chunk = 65536
-
-(* Fastest of [rounds] runs of [f]: the peak the codec sustains when
-   the box isn't preempting or scaling us — the standard way to time a
-   sub-millisecond kernel on a shared machine (one slow round must not
-   tank the figure). One untimed warmup round heats the caches. *)
-let best_of rounds f =
-  f ();
-  let best = ref infinity in
-  for _ = 1 to rounds do
-    let ((), s) = Common.time f in
-    if s < !best then best := s
-  done;
-  !best
-
-let codec_pass (module C : Transport.S) items rounds =
-  (* The streaming shape the router and server actually run: encode
-     into a connection buffer flushed at transport-size boundaries,
-     decode 64 KiB reads and consume each chunk's items as they
-     complete (they die in the minor heap, like the server's ingest
-     loop). A fresh codec per round models a fresh connection. *)
-  let bytes = Transport.encode_all (module C) items in
-  (match Transport.decode_all (module C) bytes with
-  | Ok back when back = items -> ()
-  | Ok _ -> failwith (C.id ^ " round-trip diverged")
-  | Error e -> failwith (C.id ^ " round-trip failed: " ^ e));
-  let enc_s =
-    best_of rounds (fun () ->
-        let enc = C.encoder () in
-        let buf = Buffer.create (2 * chunk) in
-        Array.iter
-          (fun it ->
-            C.encode enc buf it;
-            if Buffer.length buf >= chunk then Buffer.clear buf (* "flush" *))
-          items;
-        C.flush enc buf)
-  in
-  let consumed = ref 0 in
-  let eat () it = consumed := !consumed + Transport.item_session it in
-  let dec_s =
-    best_of rounds (fun () ->
-        let dec = C.decoder () in
-        let n = String.length bytes in
-        let pos = ref 0 in
-        while !pos < n do
-          let len = min chunk (n - !pos) in
-          (match C.fold dec ~pos:!pos ~len bytes ~init:() ~f:eat with
-          | Ok () -> ()
-          | Error e -> failwith (C.id ^ " decode failed: " ^ e));
-          pos := !pos + len
-        done;
-        match C.finish dec with
-        | Ok its -> List.iter (eat ()) its
-        | Error e -> failwith (C.id ^ " finish failed: " ^ e))
-  in
-  if !consumed < 0 then failwith "unreachable";
-  (String.length bytes, enc_s, dec_s)
-
-let codec_showdown stream =
-  Common.heading "Wire codec: binary frames vs text lines (encode + decode)";
-  let items = items_of_stream stream in
-  let rounds = codec_rounds () in
-  let n = Array.length items in
-  let text_bytes, text_enc, text_dec = codec_pass (module Transport.Text) items rounds in
-  let bin_bytes, bin_enc, bin_dec = codec_pass (module Frame.T) items rounds in
-  let text_s = text_enc +. text_dec and bin_s = bin_enc +. bin_dec in
-  let rate s = float_of_int n /. s in
-  let speedup = rate bin_s /. rate text_s in
-  let per_item bytes = float_of_int bytes /. float_of_int (Array.length items) in
-  Adprom.Report.print
-    ~header:
-      [ "codec"; "encode items/s"; "decode items/s"; "combined"; "speedup"; "bytes/item" ]
-    [
-      [
-        "text lines";
-        Printf.sprintf "%.0f" (rate text_enc);
-        Printf.sprintf "%.0f" (rate text_dec);
-        Printf.sprintf "%.0f" (rate text_s);
-        "1.00x";
-        Printf.sprintf "%.1f" (per_item text_bytes);
-      ];
-      [
-        "binary frames";
-        Printf.sprintf "%.0f" (rate bin_enc);
-        Printf.sprintf "%.0f" (rate bin_dec);
-        Printf.sprintf "%.0f" (rate bin_s);
-        Printf.sprintf "%.2fx" speedup;
-        Printf.sprintf "%.1f" (per_item bin_bytes);
-      ];
-    ];
-  Printf.printf "round-trips asserted equal on %d items per round\n"
-    (Array.length items);
-  (rate text_s, rate bin_s, speedup, per_item text_bytes, per_item bin_bytes)
-
-(* --- cluster scaling ---------------------------------------------------- *)
 
 let spawn_nodes profile ~queue_capacity names =
   List.map
@@ -255,231 +127,17 @@ let scaling profile stream =
     offered scale;
   (accepted_rate one one_s, accepted_rate two two_s, scale)
 
-(* --- observability overhead ---------------------------------------------- *)
-
-let http_get ~port target =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let b =
-        Bytes.of_string
-          (Printf.sprintf "GET %s HTTP/1.1\r\nHost: bench\r\n\r\n" target)
-      in
-      let rec write pos =
-        if pos < Bytes.length b then
-          write (pos + Unix.write fd b pos (Bytes.length b - pos))
-      in
-      write 0;
-      let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
-      let rec read () =
-        match Unix.read fd chunk 0 4096 with
-        | 0 -> ()
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            read ()
-      in
-      read ();
-      Buffer.contents buf)
-
-(* a forked 1 Hz Prometheus scraper: what a real deployment aims at the
-   nodes' /metrics + /healthz endpoints while they ingest *)
-let spawn_scraper ports =
-  match Unix.fork () with
-  | 0 ->
-      (try
-         while true do
-           List.iter
-             (fun port ->
-               List.iter
-                 (fun target ->
-                   match http_get ~port target with
-                   | _ -> ()
-                   | exception _ -> ())
-                 [ "/metrics"; "/healthz" ])
-             ports;
-           Unix.sleepf 1.0
-         done
-       with _ -> ());
-      Unix._exit 0
-  | pid -> pid
-
-let verdict_key (v : Adprom.Detector.verdict) =
-  ( v.Adprom.Detector.flag,
-    Int64.bits_of_float v.Adprom.Detector.score,
-    v.Adprom.Detector.unknown_symbol,
-    v.Adprom.Detector.unknown_pair )
-
-let session_key (r : Daemon.session_report) =
-  ( r.Daemon.session,
-    r.Daemon.events,
-    r.Daemon.windows,
-    r.Daemon.worst,
-    List.map verdict_key r.Daemon.verdicts,
-    r.Daemon.qsig_checks,
-    r.Daemon.qsig_anomalies )
-
-(* [observability] prices the whole operations plane at once: the
-   router propagates Trace_marks (so every node materializes wire
-   spans) while a forked scraper hits both nodes' HTTP endpoints at
-   1 Hz, and the instrumented ingest rate is compared to a bare run.
-   Ample queue capacity keeps both configurations shed-free, so the
-   instrumented verdicts must also be bit-for-bit the bare run's —
-   observation must never change what the detector says. *)
-let observability profile stream =
-  Common.heading
-    "Observability overhead: trace propagation + 1 Hz HTTP scraper vs bare";
-  let ample = 1 lsl 20 in
-  (* tile the stream to a >= 100k-event burst: a sub-10ms ingest window
-     would price one scrape against the whole run and report noise, not
-     overhead (tiling extends every session, which is fine — both
-     configurations replay the identical stream) *)
-  let stream =
-    let tiles =
-      max 1 ((100_000 + Array.length stream - 1) / Array.length stream)
-    in
-    Array.concat (List.init tiles (fun _ -> stream))
-  in
-  let burst ~observed () =
-    let nodes =
-      List.map
-        (fun name ->
-          Cluster.spawn_local ~name (fun socket ->
-              ignore
-                (Server.serve ~socket ~name ~shards:1 ~queue_capacity:ample
-                   profile)))
-        [ "alpha"; "beta" ]
-    in
-    let scraper =
-      if observed then
-        Some
-          (spawn_scraper
-             (List.map (fun (l : Cluster.local) -> l.Cluster.port) nodes))
-      else None
-    in
-    if observed then Adprom_obs.Trace.set_enabled true;
-    Fun.protect
-      ~finally:(fun () ->
-        Adprom_obs.Trace.set_enabled false;
-        Adprom_obs.Trace.clear ();
-        match scraper with
-        | None -> ()
-        | Some pid -> (
-            try
-              Unix.kill pid Sys.sigterm;
-              ignore (Unix.waitpid [] pid)
-            with Unix.Unix_error _ -> ()))
-      (fun () -> route_burst nodes stream)
-  in
-  let median f =
-    let runs = List.init 3 (fun _ -> f ()) in
-    match List.sort (fun (_, a) (_, b) -> compare a b) runs with
-    | [ _; mid; _ ] -> mid
-    | _ -> assert false
-  in
-  let bare, bare_s = median (burst ~observed:false) in
-  let obs, obs_s = median (burst ~observed:true) in
-  if
-    List.map session_key bare.Frame.summary.Daemon.sessions
-    <> List.map session_key obs.Frame.summary.Daemon.sessions
-  then failwith "observability changed the verdicts";
-  let bare_rate = accepted_rate bare bare_s
-  and obs_rate = accepted_rate obs obs_s in
-  let overhead = (bare_rate -. obs_rate) /. bare_rate in
-  Adprom.Report.print
-    ~header:[ "configuration"; "ingested"; "events/sec"; "overhead" ]
-    [
-      [
-        "bare";
-        Printf.sprintf "%d" bare.Frame.summary.Daemon.events_ingested;
-        Printf.sprintf "%.0f" bare_rate;
-        "-";
-      ];
-      [
-        "traced + scraped";
-        Printf.sprintf "%d" obs.Frame.summary.Daemon.events_ingested;
-        Printf.sprintf "%.0f" obs_rate;
-        Printf.sprintf "%.1f%%" (100. *. overhead);
-      ];
-    ];
-  Printf.printf
-    "%d events per burst; verdicts bit-for-bit identical under observation; \
-     bar: overhead <= 3%%\n"
-    (Array.length stream);
-  (bare_rate, obs_rate, overhead)
-
-(* --- verdict integrity under ample capacity ------------------------------ *)
-
-let integrity profile stream =
-  Common.heading "Verdict integrity: merged 2-node summary vs single-node replay";
-  let ample = 1 lsl 20 in
-  (* fork first: the parent's reference replay spawns domains *)
-  let nodes =
-    List.map
-      (fun name ->
-        Cluster.spawn_local ~name (fun socket ->
-            ignore
-              (Server.serve ~socket ~name ~shards:2 ~queue_capacity:ample profile)))
-      [ "alpha"; "beta" ]
-  in
-  let merged, _ = route_burst nodes stream in
-  let single =
-    Replay.run
-      (Daemon.create ~shards:2 ~queue_capacity:ample profile)
-      (Array.map (fun ev -> Transport.Call ev) stream)
-  in
-  let s = single.Replay.summary and m = merged.Frame.summary in
-  let ok =
-    s.Daemon.events_ingested = m.Daemon.events_ingested
-    && s.Daemon.events_dropped = 0
-    && m.Daemon.events_dropped = 0
-    && List.map session_key s.Daemon.sessions
-       = List.map session_key m.Daemon.sessions
-    && List.sort compare
-         (List.map
-            (fun (i : Alerts.incident) ->
-              (i.Alerts.session, Alerts.source_to_string i.Alerts.source))
-            (Alerts.incidents single.Replay.alerts))
-       = List.sort compare merged.Frame.incidents
-  in
-  if not ok then failwith "cluster verdicts diverged from the single-node replay";
-  Printf.printf
-    "%d sessions, %d events: session reports, verdict score bits and the\n\
-     incident multiset are identical across the 2-node and 1-node paths\n"
-    (List.length s.Daemon.sessions)
-    s.Daemon.events_ingested;
-  ok
-
 let run () =
   let profile, stream = workload () in
-  let text_rate, bin_rate, codec_speedup, text_bpi, bin_bpi =
-    codec_showdown stream
-  in
   let one_rate, two_rate, scale = scaling profile stream in
-  (* observability before integrity: integrity's reference replay spawns
-     domains in this process, after which forking nodes is unsafe *)
-  let bare_rate, obs_rate, overhead = observability profile stream in
-  let bit_for_bit = integrity profile stream in
   let oc = open_out "BENCH_cluster.json" in
   Printf.fprintf oc
     "{\n\
     \  \"smoke\": %b,\n\
-    \  \"codec_items_per_sec_text\": %.1f,\n\
-    \  \"codec_items_per_sec_binary\": %.1f,\n\
-    \  \"codec_speedup\": %.2f,\n\
-    \  \"bytes_per_item_text\": %.1f,\n\
-    \  \"bytes_per_item_binary\": %.1f,\n\
     \  \"events_per_sec_1node\": %.1f,\n\
     \  \"events_per_sec_2node\": %.1f,\n\
-    \  \"cluster_scale_factor\": %.2f,\n\
-    \  \"events_per_sec_bare\": %.1f,\n\
-    \  \"events_per_sec_observed\": %.1f,\n\
-    \  \"observability_overhead_frac\": %.4f,\n\
-    \  \"observability_overhead_ok\": %b,\n\
-    \  \"verdicts_bit_for_bit\": %b\n\
+    \  \"cluster_scale_factor\": %.2f\n\
      }\n"
-    !Common.smoke text_rate bin_rate codec_speedup text_bpi bin_bpi one_rate
-    two_rate scale bare_rate obs_rate overhead (overhead <= 0.03) bit_for_bit;
+    !Common.smoke one_rate two_rate scale;
   close_out oc;
   Printf.printf "wrote BENCH_cluster.json\n"

@@ -21,7 +21,6 @@ let experiments =
     ("fig10", Exp_fig10.run);
     ("crossval", Exp_crossval.run);
     ("interleaved-sessions", Exp_operations.sessions);
-    ("service-throughput", Exp_service.run);
     ("cluster", Exp_cluster.run);
     ("vet", Exp_vet.run);
     ("seqauto", Exp_seqauto.run);

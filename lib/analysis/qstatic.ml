@@ -257,13 +257,13 @@ let analyze_site ~summary_of env (id : int) (site : Cfg.call_site) func arg_idx 
       List.iter
         (fun s ->
           match Sqldb.Sql_parser.parse s with
-          | stmt ->
+          | Ok stmt ->
               let sg = Sqldb.Sql_pp.signature stmt in
               if not (SS.mem sg !sigs) then begin
                 sigs := SS.add sg !sigs;
                 stmts := stmt :: !stmts
               end
-          | exception (Sqldb.Sql_parser.Error _ | Sqldb.Sql_lexer.Error _) ->
+          | Error _ ->
               if r.Strdom.constant then malformed := true
               else
                 (* A hole or repetition hid the real statement shape. *)

@@ -49,11 +49,9 @@ let reads_rows = function
    widens reads, it does not break writes. *)
 let mutate_sql ?variant kind sql =
   match Sqldb.Sql_parser.parse sql with
-  | stmt when reads_rows stmt ->
+  | Ok stmt when reads_rows stmt ->
       Sqldb.Sql_pp.to_string (mutate_statement ?variant kind stmt)
-  | _ -> sql
-  | exception Sqldb.Sql_parser.Error _ -> sql
-  | exception Sqldb.Sql_lexer.Error _ -> sql
+  | Ok _ | Error _ -> sql
 
 let scenario ?(variant = 0) kind =
   {

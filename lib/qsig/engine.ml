@@ -109,15 +109,12 @@ let gate_verdict t key =
 
 let compile t sql =
   match Sqldb.Sql_parser.parse sql with
-  | exception Sqldb.Sql_parser.Error msg ->
+  | Error msg ->
       t.parse_errors <- t.parse_errors + 1;
       (* Malformed texts are never gate-rejected: they already carry a
          Malformed anomaly and have no canonical signature to test. *)
       { static_reasons = [ Malformed msg ]; band = None; gate_impossible = None }
-  | exception Sqldb.Sql_lexer.Error msg ->
-      t.parse_errors <- t.parse_errors + 1;
-      { static_reasons = [ Malformed msg ]; band = None; gate_impossible = None }
-  | stmt -> (
+  | Ok stmt -> (
       let widening =
         List.map
           (function

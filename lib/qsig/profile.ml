@@ -49,21 +49,19 @@ let learn_statement ?rows t stmt =
 
 let learn ?rows t sql =
   match Sqldb.Sql_parser.parse sql with
-  | stmt -> learn_statement ?rows t stmt
-  | exception Sqldb.Sql_parser.Error _ -> t.malformed <- t.malformed + 1
-  | exception Sqldb.Sql_lexer.Error _ -> t.malformed <- t.malformed + 1
+  | Ok stmt -> learn_statement ?rows t stmt
+  | Error _ -> t.malformed <- t.malformed + 1
 
 (* Register the signature without observing slot values — for texts
    seen at prepare time, whose [?] placeholders would otherwise widen
    the slots of the bound executions sharing the signature to Top. *)
 let learn_shape t sql =
   match Sqldb.Sql_parser.parse sql with
-  | stmt ->
+  | Ok stmt ->
       let signature = Signature.of_statement stmt in
       let observed = Signature.slots stmt in
       ignore (entry_for t signature (Array.length observed))
-  | exception Sqldb.Sql_parser.Error _ -> t.malformed <- t.malformed + 1
-  | exception Sqldb.Sql_lexer.Error _ -> t.malformed <- t.malformed + 1
+  | Error _ -> t.malformed <- t.malformed + 1
 
 let learn_run t sqls = List.iter (fun sql -> learn t sql) sqls
 

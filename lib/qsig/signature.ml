@@ -7,10 +7,7 @@ let malformed = "<malformed>"
 let of_statement stmt = Sqldb.Sql_pp.signature stmt
 
 let of_sql sql =
-  match Sqldb.Sql_parser.parse sql with
-  | stmt -> Ok (of_statement stmt)
-  | exception Sqldb.Sql_parser.Error msg -> Error msg
-  | exception Sqldb.Sql_lexer.Error msg -> Error msg
+  Result.map of_statement (Sqldb.Sql_parser.parse sql)
 
 let to_string s = s
 let compare = String.compare

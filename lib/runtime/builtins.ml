@@ -114,8 +114,8 @@ let tags_of_statement stmt (result : Client.exec_result) =
 
 let tags_of_sql sql result =
   match Sqldb.Sql_parser.parse sql with
-  | stmt -> tags_of_statement stmt result
-  | exception (Sqldb.Sql_parser.Error _ | Sqldb.Sql_lexer.Error _) -> []
+  | Ok stmt -> tags_of_statement stmt result
+  | Error _ -> []
 
 (* Files opened for reading see the seed contents plus anything the
    program already wrote to the same path in this run. *)

@@ -35,14 +35,11 @@ let exec conn sql =
   | Engine.Rows r -> Result r
   | Engine.Affected n -> Command_ok n
   | exception Engine.Sql_error msg -> Error msg
-  | exception Sql_parser.Error msg -> Error msg
-  | exception Sql_lexer.Error msg -> Error msg
 
 let prepare _conn sql =
-  match Sql_parser.parse sql with
-  | statement -> Ok { statement; nparams = Sql_ast.param_count statement }
-  | exception Sql_parser.Error msg -> Stdlib.Error msg
-  | exception Sql_lexer.Error msg -> Stdlib.Error msg
+  Result.map
+    (fun statement -> { statement; nparams = Sql_ast.param_count statement })
+    (Sql_parser.parse sql)
 
 let exec_prepared conn prepared params =
   if List.length params <> prepared.nparams then

@@ -201,7 +201,10 @@ let execute ?(params = [||]) t stmt =
       tbl.trows <- keep;
       Affected (List.length gone)
 
-let exec t sql = execute t (Sql_parser.parse sql)
+let exec t sql =
+  match Sql_parser.parse sql with
+  | Ok stmt -> execute t stmt
+  | Error msg -> raise (Sql_error msg)
 
 let table_names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.tables []
 

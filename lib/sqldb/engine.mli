@@ -26,7 +26,7 @@ val execute : ?params:Value.t array -> t -> Sql_ast.statement -> outcome
 val exec : t -> string -> outcome
 (** Parse then execute, with no parameters (the unsafe, injectable path
     used by the vulnerable clients).
-    @raise Sql_error / [Sql_parser.Error] / [Sql_lexer.Error]. *)
+    @raise Sql_error on a lexical, syntax or semantic error. *)
 
 val table_names : t -> string list
 val row_count : t -> string -> int

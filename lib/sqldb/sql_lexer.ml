@@ -12,7 +12,7 @@ type token =
   | T_semi
   | T_eof
 
-exception Error of string
+exception Lex_error of string
 
 let keywords =
   [
@@ -25,7 +25,7 @@ let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
-let tokenize src =
+let tokenize_exn src =
   let n = String.length src in
   let pos = ref 0 in
   let peek () = if !pos < n then Some src.[!pos] else None in
@@ -37,7 +37,7 @@ let tokenize src =
     let buf = Buffer.create 16 in
     let rec loop () =
       match peek () with
-      | None -> raise (Error "unterminated string literal")
+      | None -> raise (Lex_error "unterminated string literal")
       | Some '\'' when peek2 () = Some '\'' ->
           Buffer.add_char buf '\'';
           pos := !pos + 2;
@@ -60,7 +60,10 @@ let tokenize src =
         while !pos < n && is_digit src.[!pos] do
           incr pos
         done;
-        emit (T_int (int_of_string (String.sub src start (!pos - start))))
+        let digits = String.sub src start (!pos - start) in
+        (match int_of_string_opt digits with
+        | Some i -> emit (T_int i)
+        | None -> raise (Lex_error ("integer literal out of range: " ^ digits)))
     | c when is_ident_start c ->
         let start = !pos in
         while !pos < n && is_ident_char src.[!pos] do
@@ -89,7 +92,9 @@ let tokenize src =
     | '!' -> (
         match peek2 () with
         | Some '=' -> emit T_ne; pos := !pos + 2
-        | _ -> raise (Error "expected '!='"))
-    | c -> raise (Error (Printf.sprintf "unexpected character '%c' in SQL" c))
+        | _ -> raise (Lex_error "expected '!='"))
+    | c -> raise (Lex_error (Printf.sprintf "unexpected character '%c' in SQL" c))
   done;
   List.rev (T_eof :: !tokens)
+
+let tokenize src = try Ok (tokenize_exn src) with Lex_error msg -> Error msg

@@ -19,7 +19,6 @@ type token =
   | T_semi
   | T_eof
 
-exception Error of string
-
-val tokenize : string -> token list
-(** @raise Error on a lexical error (e.g. unterminated string). *)
+val tokenize : string -> (token list, string) result
+(** [Error msg] on a lexical error: an unterminated string, a stray
+    character, or an integer literal outside [0, max_int]. *)

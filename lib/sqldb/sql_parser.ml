@@ -1,14 +1,13 @@
 open Sql_lexer
 
-(* Declared after the open so it is not shadowed by [Sql_lexer.Error]. *)
-exception Error of string
+exception Parse_error of string
 
 type state = { mutable toks : token list; mutable next_param : int }
 
 let peek st = match st.toks with t :: _ -> t | [] -> T_eof
 let advance st = match st.toks with _ :: rest -> st.toks <- rest | [] -> ()
 
-let fail msg = raise (Error msg)
+let fail msg = raise (Parse_error msg)
 
 let expect st tok msg = if peek st = tok then advance st else fail msg
 
@@ -265,8 +264,7 @@ let parse_create st =
   expect st T_rparen "expected ')'";
   Sql_ast.Create { table; columns }
 
-let parse src =
-  let st = { toks = Sql_lexer.tokenize src; next_param = 0 } in
+let parse_statement st =
   let stmt =
     match peek st with
     | T_kw "SELECT" -> parse_select st
@@ -279,3 +277,10 @@ let parse src =
   if peek st = T_semi then advance st;
   (match peek st with T_eof -> () | _ -> fail "trailing tokens after statement");
   stmt
+
+let parse src =
+  match Sql_lexer.tokenize src with
+  | Error msg -> Error msg
+  | Ok toks -> (
+      try Ok (parse_statement { toks; next_param = 0 })
+      with Parse_error msg -> Error msg)

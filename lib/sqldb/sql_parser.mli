@@ -1,9 +1,6 @@
 (** Recursive-descent parser for the SQL dialect. *)
 
-exception Error of string
-
-val parse : string -> Sql_ast.statement
+val parse : string -> (Sql_ast.statement, string) result
 (** Parse a single statement; a trailing [;] is allowed.
     [?] placeholders are numbered left to right starting at 0.
-    @raise Error on a syntax error.
-    @raise Sql_lexer.Error on a lexical error. *)
+    [Error msg] on a lexical or syntax error. *)

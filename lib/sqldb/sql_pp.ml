@@ -113,6 +113,5 @@ let signature stmt = render ~erase:true stmt
 
 let signature_of_sql sql =
   match Sql_parser.parse sql with
-  | stmt -> Some (signature stmt)
-  | exception Sql_parser.Error _ -> None
-  | exception Sql_lexer.Error _ -> None
+  | Ok stmt -> Some (signature stmt)
+  | Error _ -> None

@@ -31,9 +31,13 @@ let test_sql_pp_roundtrip () =
   in
   List.iter
     (fun src ->
-      let stmt = Sqldb.Sql_parser.parse src in
-      let printed = Sql_pp.to_string stmt in
-      let reparsed = Sqldb.Sql_parser.parse printed in
+      let parse sql =
+        match Sqldb.Sql_parser.parse sql with
+        | Ok stmt -> stmt
+        | Error e -> Alcotest.failf "unparseable %S: %s" sql e
+      in
+      let printed = Sql_pp.to_string (parse src) in
+      let reparsed = parse printed in
       Alcotest.(check string)
         (Printf.sprintf "stable rendering of %S" src)
         printed

@@ -1,9 +1,10 @@
 (* Tests for the cluster operations plane: the HTTP exposition served
    on the same port as both wires (/metrics, /healthz, /incidents), the
    fleet health rollup (merge_snapshots as a QCheck2 property against a
-   manual fold), version skew (a new router against an old node keeps
-   verdicts bit-for-bit), log-file rotation, and the multi-process
-   Chrome trace merge. *)
+   manual fold), observation (trace propagation plus a mid-stream
+   scrape keeps verdicts bit-for-bit), version skew (a new router
+   against an old node keeps verdicts bit-for-bit), log-file rotation,
+   and the multi-process Chrome trace merge. *)
 
 module Transport = Adprom_service.Transport
 module Frame = Adprom_service.Frame
@@ -13,6 +14,7 @@ module Daemon = Adprom_service.Daemon
 module Replay = Adprom_service.Replay
 module Metrics = Adprom_service.Metrics
 module Health = Adprom_service.Health
+module Alerts = Adprom_service.Alerts
 module Log = Adprom_obs.Log
 module Trace = Adprom_obs.Trace
 module Detector = Adprom.Detector
@@ -296,7 +298,7 @@ let prop_rollup_equals_fold =
               a = b || (Float.is_nan a && Float.is_nan b))
             [ 0.5; 0.9; 0.99 ])
 
-(* --- version skew: new router, old node -------------------------------------- *)
+(* --- observation leaves verdicts unchanged ------------------------------------ *)
 
 let verdict_key (v : Detector.verdict) =
   ( v.Detector.flag,
@@ -310,6 +312,134 @@ let session_key (r : Daemon.session_report) =
     r.Daemon.windows,
     r.Daemon.worst,
     List.map verdict_key r.Daemon.verdicts )
+
+(* [f ()] computed in a forked child and marshalled back: a process
+   that has spawned domains may not fork, and the later cases still
+   fork nodes. The child never returns into the test runner. *)
+let in_child (f : unit -> 'a) : 'a =
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 -> (
+      Unix.close r;
+      match f () with
+      | v ->
+          let oc = Unix.out_channel_of_descr w in
+          Marshal.to_channel oc v [];
+          close_out oc;
+          Unix._exit 0
+      | exception e ->
+          prerr_endline (Printexc.to_string e);
+          Unix._exit 1)
+  | pid ->
+      Unix.close w;
+      let ic = Unix.in_channel_of_descr r in
+      Fun.protect
+        ~finally:(fun () ->
+          close_in ic;
+          ignore (Unix.waitpid [] pid))
+        (fun () -> Marshal.from_channel ic)
+
+(* The router traces, so every batch to a v2 node is followed by a
+   Trace_mark that the node turns into a wire.batch span, and one node's
+   /metrics is scraped while the stream is half sent. None of it may
+   change what the detector says: the merged summary must equal an
+   untraced single-node replay. An intruder session makes the incident
+   comparison non-empty. *)
+let test_observation_keeps_verdicts () =
+  let profile, _ = Lazy.force fixture in
+  let intruder =
+    Array.init 20 (fun i ->
+        Transport.Call
+          {
+            Transport.session = 97;
+            event =
+              {
+                Runtime.Collector.caller = "intruder";
+                block = 3;
+                symbol =
+                  Symbol.Lib
+                    { name = Printf.sprintf "evil%d" (i mod 3); label = None; site = None };
+              };
+          })
+  in
+  let items = Array.append (stream_items ()) intruder in
+  let node name =
+    Cluster.spawn_local ~name (fun socket ->
+        ignore (Server.serve ~socket ~name ~shards:2 profile))
+  in
+  let nodes = [ node "alpha"; node "beta" ] in
+  let send router part =
+    match Cluster.Router.send_stream router part with
+    | Error e -> Alcotest.failf "send: %s" e
+    | Ok () -> (
+        match Cluster.Router.flush_all router with
+        | Error e -> Alcotest.failf "flush: %s" e
+        | Ok () -> ())
+  in
+  let summaries, node_spans =
+    Trace.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.set_enabled false;
+        Trace.clear ())
+      (fun () ->
+        let peers =
+          List.map
+            (fun (l : Cluster.local) ->
+              { Cluster.peer_name = l.Cluster.name; host = "127.0.0.1"; port = l.Cluster.port })
+            nodes
+        in
+        match Cluster.Router.connect peers with
+        | Error e -> Alcotest.failf "connect: %s" e
+        | Ok router -> (
+            let half = Array.length items / 2 in
+            send router (Array.sub items 0 half);
+            let m = http_get ~port:(List.hd nodes).Cluster.port "/metrics" in
+            check_status "mid-stream /metrics" 200 m;
+            Alcotest.(check bool) "mid-stream scrape sees ingest" true
+              (contains ~needle:"adprom_events_ingested_total" (body_of_response m));
+            send router (Array.sub items half (Array.length items - half));
+            let spans =
+              match Cluster.Router.spans router with
+              | Error e -> Alcotest.failf "spans: %s" e
+              | Ok groups -> groups
+            in
+            Alcotest.(check int) "no items lost" 0 (Cluster.Router.lost_items router);
+            match Cluster.Router.finish router with
+            | Error e -> Alcotest.failf "finish: %s" e
+            | Ok summaries -> (summaries, spans)))
+  in
+  List.iter Cluster.wait_local nodes;
+  List.iter
+    (fun (name, _, spans) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s recorded wire.batch spans" name)
+        true
+        (List.exists (fun (s : Trace.span) -> s.Trace.name = "wire.batch") spans))
+    node_spans;
+  Alcotest.(check int) "every node answered spans" 2 (List.length node_spans);
+  let merged = Cluster.merge summaries in
+  let m = merged.Frame.summary in
+  let ingested, sessions, incidents =
+    in_child (fun () ->
+        let single = Replay.run (Daemon.create ~shards:2 profile) items in
+        let s = single.Replay.summary in
+        ( s.Daemon.events_ingested,
+          List.map session_key s.Daemon.sessions,
+          List.sort compare
+            (List.map
+               (fun (i : Alerts.incident) ->
+                 (i.Alerts.session, Alerts.source_to_string i.Alerts.source))
+               (Alerts.incidents single.Replay.alerts)) ))
+  in
+  Alcotest.(check int) "events ingested" ingested m.Daemon.events_ingested;
+  Alcotest.(check bool) "session reports bit-for-bit equal" true
+    (sessions = List.map session_key m.Daemon.sessions);
+  Alcotest.(check bool) "incidents exist" true (incidents <> []);
+  Alcotest.(check bool) "incident multiset equal" true
+    (incidents = List.sort compare merged.Frame.incidents)
+
+(* --- version skew: new router, old node -------------------------------------- *)
 
 let test_version_skew () =
   let profile, _ = Lazy.force fixture in
@@ -446,6 +576,11 @@ let () =
         [ Alcotest.test_case "exposition endpoints" `Quick test_http_endpoints ] );
       ( "rollup",
         [ QCheck_alcotest.to_alcotest prop_rollup_equals_fold ] );
+      ( "obs",
+        [
+          Alcotest.test_case "traced, scraped, verdicts pinned" `Quick
+            test_observation_keeps_verdicts;
+        ] );
       ( "skew",
         [
           Alcotest.test_case "new router, old node, verdicts pinned" `Quick

@@ -66,6 +66,11 @@ let sig_of_exn sql =
   | Ok s -> Signature.to_string s
   | Error e -> Alcotest.failf "unparseable %S: %s" sql e
 
+let parse_exn sql =
+  match Sqldb.Sql_parser.parse sql with
+  | Ok stmt -> stmt
+  | Error e -> Alcotest.failf "unparseable %S: %s" sql e
+
 (* --- signature canonicalization ---------------------------------------- *)
 
 let test_signature_case_whitespace () =
@@ -106,14 +111,14 @@ let prop_print_parse_roundtrip =
     QCheck2.Gen.(gen_template >>= fun idx -> pair (pure idx) (gen_lits idx))
     (fun (idx, lits) ->
       let sql = render idx lits in
-      let printed = Sqldb.Sql_pp.to_string (Sqldb.Sql_parser.parse sql) in
-      let reprinted = Sqldb.Sql_pp.to_string (Sqldb.Sql_parser.parse printed) in
+      let printed = Sqldb.Sql_pp.to_string (parse_exn sql) in
+      let reprinted = Sqldb.Sql_pp.to_string (parse_exn printed) in
       printed = reprinted && sig_of_exn printed = sig_of_exn sql)
 
 (* --- predicate widening ------------------------------------------------ *)
 
 let test_widening_tautology () =
-  let w sql = Signature.widening_warnings (Sqldb.Sql_parser.parse sql) in
+  let w sql = Signature.widening_warnings (parse_exn sql) in
   Alcotest.(check bool)
     "OR '1'='1' is a tautology" true
     (List.mem Signature.Tautology

@@ -540,6 +540,48 @@ let test_daemon_feeds_alerts () =
   Alcotest.(check bool) "session flagged" true
     (List.exists (fun f -> f = Detector.Out_of_context || f = Detector.Data_leak) worst)
 
+(* A literal wider than an OCaml int must not escape the SQL lexer as
+   [Failure "int_of_string"]: that kills the shard checking it, so one
+   hostile wire item would take a worker down. It is a Malformed query
+   anomaly, on the learn path too. *)
+let test_daemon_oversize_literal () =
+  let probe = "SELECT name FROM clients WHERE id = 99999999999999999999" in
+  let qprofile = Adprom_qsig.Profile.of_runs [ [ "SELECT name FROM t" ] ] in
+  Adprom_qsig.Profile.learn qprofile probe;
+  Alcotest.(check int) "learn counts it malformed" 1
+    (Adprom_qsig.Profile.malformed_count qprofile);
+  let session = 3 in
+  let items =
+    Array.append
+      (Array.map
+         (fun event -> Transport.Call { Transport.session; event })
+         (List.hd (traces ())))
+      [| Transport.Query { Transport.q_session = session; rows = 1; sql = probe } |]
+  in
+  let outcome =
+    Replay.run
+      (Daemon.create ~shards:1 ~qsig_mode:Daemon.Qsig_warn ~qsig_profile:qprofile
+         (profile ()))
+      items
+  in
+  let report =
+    List.find
+      (fun (r : Daemon.session_report) -> r.Daemon.session = session)
+      outcome.Replay.summary.Daemon.sessions
+  in
+  Alcotest.(check int) "query checked" 1 report.Daemon.qsig_checks;
+  Alcotest.(check int) "query anomalous" 1 report.Daemon.qsig_anomalies;
+  Alcotest.(check bool) "incident names a Malformed reason" true
+    (List.exists
+       (function
+         | { Alerts.source = Alerts.Query_verdict { sql; verdict; _ }; _ } ->
+             sql = probe
+             && List.exists
+                  (function Adprom_qsig.Engine.Malformed _ -> true | _ -> false)
+                  verdict.Adprom_qsig.Engine.reasons
+         | _ -> false)
+       (Alerts.incidents outcome.Replay.alerts))
+
 let test_daemon_explains_incidents () =
   let profile = profile () in
   let foreign =
@@ -662,6 +704,8 @@ let () =
           Alcotest.test_case "alerts flow from verdicts" `Quick test_daemon_feeds_alerts;
           Alcotest.test_case "incidents carry explanations" `Quick
             test_daemon_explains_incidents;
+          Alcotest.test_case "oversize literal is a Malformed query" `Quick
+            test_daemon_oversize_literal;
         ] );
       ( "metrics",
         [

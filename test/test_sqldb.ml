@@ -23,41 +23,69 @@ let affected = function
   | Engine.Affected n -> n
   | Engine.Rows _ -> Alcotest.fail "expected an affected-count"
 
+let parse_ok src =
+  match Parser.parse src with
+  | Ok stmt -> stmt
+  | Error e -> Alcotest.failf "unexpected parse error on %S: %s" src e
+
 (* --- lexer / parser ----------------------------------------------------- *)
 
 let test_sql_lexer () =
   Alcotest.(check bool) "case-insensitive keywords and quoted strings" true
     (Lexer.tokenize "select * from T where name = 'O''Brien'"
-    = [
-        Lexer.T_kw "SELECT"; Lexer.T_star; Lexer.T_kw "FROM"; Lexer.T_ident "t";
-        Lexer.T_kw "WHERE"; Lexer.T_ident "name"; Lexer.T_eq; Lexer.T_str "O'Brien";
-        Lexer.T_eof;
-      ])
+    = Ok
+        [
+          Lexer.T_kw "SELECT"; Lexer.T_star; Lexer.T_kw "FROM"; Lexer.T_ident "t";
+          Lexer.T_kw "WHERE"; Lexer.T_ident "name"; Lexer.T_eq; Lexer.T_str "O'Brien";
+          Lexer.T_eof;
+        ])
 
 let test_sql_lexer_error () =
-  (match Lexer.tokenize "'open" with
-  | _ -> Alcotest.fail "expected lexer error"
-  | exception Lexer.Error _ -> ());
-  match Lexer.tokenize "a @ b" with
-  | _ -> Alcotest.fail "expected lexer error"
-  | exception Lexer.Error _ -> ()
+  List.iter
+    (fun src ->
+      match Lexer.tokenize src with
+      | Ok _ -> Alcotest.failf "expected a lexer error on %S" src
+      | Error _ -> ())
+    [ "'open"; "a @ b" ]
+
+(* An integer literal is an OCaml [int]: [max_int] still lexes, and
+   anything wider is refused as a lexical error instead of escaping as
+   [int_of_string]'s [Failure]. *)
+let test_sql_int_literal_range () =
+  let where_id src =
+    match parse_ok src with
+    | Ast.Select { where = Some (Ast.Cmp (_, _, Ast.Lit (Ast.L_int n))); _ } -> n
+    | _ -> Alcotest.failf "unexpected shape of %S" src
+  in
+  Alcotest.(check int) "max_int parses" max_int
+    (where_id (Printf.sprintf "SELECT a FROM t WHERE id = %d" max_int));
+  List.iter
+    (fun lit ->
+      let src = "SELECT a FROM t WHERE id = " ^ lit in
+      match Parser.parse src with
+      | Ok _ -> Alcotest.failf "accepted the oversize literal in %S" src
+      | Error e ->
+          Alcotest.(check string) "lexer message"
+            ("integer literal out of range: " ^ lit) e)
+    [ Printf.sprintf "%Lu" (Int64.succ (Int64.of_int max_int));
+      "99999999999999999999" ]
 
 let test_sql_parser_select () =
-  match Parser.parse "SELECT id, name FROM users WHERE age >= 30 AND NOT name = 'bob' ORDER BY id DESC LIMIT 2" with
+  match parse_ok "SELECT id, name FROM users WHERE age >= 30 AND NOT name = 'bob' ORDER BY id DESC LIMIT 2" with
   | Ast.Select { projection = Ast.Columns [ "id"; "name" ]; table = "users";
                  where = Some _; order_by = Some ("id", Ast.Desc); limit = Some 2 } ->
       ()
   | _ -> Alcotest.fail "select shape"
 
 let test_sql_parser_params () =
-  let stmt = Parser.parse "SELECT * FROM t WHERE a = ? AND b = ?" in
+  let stmt = parse_ok "SELECT * FROM t WHERE a = ? AND b = ?" in
   Alcotest.(check int) "two placeholders" 2 (Ast.param_count stmt)
 
 let test_sql_parser_errors () =
   let fails src =
     match Parser.parse src with
-    | _ -> Alcotest.failf "expected parse error on %S" src
-    | exception Parser.Error _ -> ()
+    | Ok _ -> Alcotest.failf "expected parse error on %S" src
+    | Error _ -> ()
   in
   fails "SELECT FROM t";
   fails "INSERT t VALUES (1)";
@@ -128,7 +156,7 @@ let test_engine_errors () =
 
 let test_engine_prepared () =
   let e = fresh () in
-  let stmt = Parser.parse "SELECT name FROM users WHERE id = ?" in
+  let stmt = parse_ok "SELECT name FROM users WHERE id = ?" in
   (match Engine.execute ~params:[| Value.Int 2 |] e stmt with
   | Engine.Rows r -> Alcotest.(check string) "bound param" "bob" (Value.to_string r.Engine.rows.(0).(0))
   | Engine.Affected _ -> Alcotest.fail "expected rows");
@@ -172,7 +200,7 @@ let test_injection_cardinality () =
 (* Prepared statements are immune: the payload stays a literal. *)
 let test_prepared_immune_to_injection () =
   let e = fresh () in
-  let stmt = Parser.parse "SELECT * FROM users WHERE name = ?" in
+  let stmt = parse_ok "SELECT * FROM users WHERE name = ?" in
   match Engine.execute ~params:[| Value.Str "x' OR '1'='1" |] e stmt with
   | Engine.Rows r -> Alcotest.(check int) "no rows match the weird literal" 0 (Array.length r.Engine.rows)
   | Engine.Affected _ -> Alcotest.fail "expected rows"
@@ -237,6 +265,7 @@ let () =
         [
           Alcotest.test_case "lexer" `Quick test_sql_lexer;
           Alcotest.test_case "lexer errors" `Quick test_sql_lexer_error;
+          Alcotest.test_case "integer literal range" `Quick test_sql_int_literal_range;
           Alcotest.test_case "select" `Quick test_sql_parser_select;
           Alcotest.test_case "placeholders" `Quick test_sql_parser_params;
           Alcotest.test_case "parse errors" `Quick test_sql_parser_errors;
