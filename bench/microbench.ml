@@ -9,8 +9,9 @@
      a mid-sized model (the kernels dominating Fig. 10 / Table VII);
    - kernel/*: the training and scoring kernels at the sizes the serve
      benchmark trains: a compiled window score on the 126-state banking
-     model and on the 40-state generated wide program's model, one
-     Baum-Welch step over each one's deduplicated windows, and the PCA
+     model and on the 40-state generated wide program's model, the batch
+     scores and one Baum-Welch step over each one's deduplicated
+     windows, and the PCA
      fit of the generated wide program's call-transition vectors (134
      sites x 270 features) as [Reduction.cluster] runs it. *)
 
@@ -85,6 +86,14 @@ let compiled_score_test (model, weighted) =
     ~name:(Printf.sprintf "kernel/compiled-score-%dstate" model.Hmm.n)
     (Staged.stage (fun () -> ignore (Hmm.Compiled.per_symbol_score scorer window)))
 
+(* The scores of all of a trained model's distinct training windows, in
+   one batch call. *)
+let window_scores_test label (model, weighted) =
+  let windows = Array.of_list (List.map fst weighted) in
+  Test.make
+    ~name:(Printf.sprintf "kernel/window-scores-%s-%dwin" label (Array.length windows))
+    (Staged.stage (fun () -> ignore (Hmm.per_symbol_scores model windows)))
+
 (* One Baum-Welch step of a trained model over its training windows. *)
 let baum_welch_step_test label (model, weighted) =
   Test.make
@@ -110,6 +119,8 @@ let kernel_tests () =
   [
     compiled_score_test banking;
     compiled_score_test gen_wide;
+    window_scores_test "banking" banking;
+    window_scores_test "gen-wide" gen_wide;
     baum_welch_step_test "banking" banking;
     baum_welch_step_test "gen-wide" gen_wide;
     Test.make

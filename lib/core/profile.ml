@@ -60,19 +60,18 @@ let encode_or_fail index (w : Window.t) =
   | Some codes -> codes
   | None -> invalid_arg "Profile.train: training window outside alphabet"
 
-(* Per-symbol scores of encoded windows, through the compiled scorer
-   (bit-for-bit [Hmm.per_symbol_score]). *)
-let scores model weighted =
-  let scorer = Hmm.Compiled.of_model model in
-  List.map (fun (codes, _) -> Hmm.Compiled.per_symbol_score scorer codes) weighted
+(* Per-symbol scores of encoded windows, in one batch call (bit-for-bit
+   [Hmm.per_symbol_score]). *)
+let scores model weighted = Hmm.per_symbol_scores model (Array.of_list (List.map fst weighted))
 
 (* Weighted mean per-symbol score over deduplicated windows, with the
    per-window scores it averages. *)
 let mean_score model weighted =
   let window_scores = scores model weighted in
   let num = ref 0.0 and den = ref 0.0 in
-  List.iter2
-    (fun (_, w) s ->
+  List.iteri
+    (fun k (_, w) ->
+      let s = window_scores.(k) in
       if Float.is_finite s then begin
         num := !num +. (w *. s);
         den := !den +. w
@@ -83,7 +82,7 @@ let mean_score model weighted =
         num := !num +. (w *. -50.0);
         den := !den +. w
       end)
-    weighted window_scores;
+    weighted;
   ((if !den = 0.0 then neg_infinity else !num /. !den), window_scores)
 
 let train ?(params = default_params) ~analysis windows =
@@ -185,8 +184,8 @@ let train ?(params = default_params) ~analysis windows =
   let final_model = !best_model in
   let threshold =
     Otrace.with_span "profile.threshold" (fun () ->
-        let all_scores = scores final_model train_weighted @ !best_csds_scores in
-        Threshold.select params.threshold_strategy (Array.of_list all_scores))
+        let all_scores = Array.append (scores final_model train_weighted) !best_csds_scores in
+        Threshold.select params.threshold_strategy all_scores)
   in
   let known_pairs = Hashtbl.create 256 in
   List.iter
@@ -233,9 +232,7 @@ let extend t windows =
     let new_scores = scores model weighted in
     (* The threshold may only move down here: new legitimate behaviour
        widens the normal region, it never shrinks it. *)
-    let candidate =
-      Threshold.select t.params.threshold_strategy (Array.of_list new_scores)
-    in
+    let candidate = Threshold.select t.params.threshold_strategy new_scores in
     let threshold = Float.min t.threshold candidate in
     (* one window per distinct key: the same pairs, first inserted in
        the same order as over every usable window *)

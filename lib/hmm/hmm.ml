@@ -106,6 +106,31 @@ external e_step :
   float array ->
   unit = "adprom_hmm_e_step_byte" "adprom_hmm_e_step"
 
+(* [window_scores a b pi obs off scores]: [scores.(w) <-] the per-symbol
+   score of the window [obs.(off.(w)) .. obs.(off.(w+1) - 1)], by the
+   operations [Compiled.per_symbol_score] does on it, with each prefix
+   the sorted windows share computed once, on every allowed CPU. Every
+   observation must lie in [\[0, m)]. *)
+external window_scores :
+  float array -> float array -> float array -> int array -> int array -> float array -> unit
+  = "adprom_hmm_window_scores_byte" "adprom_hmm_window_scores"
+
+(* The C entry points read the tables by [n] and [m], and every
+   observation, unchecked: refuse a record whose tables do not have the
+   sizes [n] and [m] give them, or an observation outside [\[0, m)],
+   then lay the windows end to end with their offsets. *)
+let flatten_windows name t windows =
+  let n = t.n and m = t.m in
+  if
+    Array.length t.a.Matrix.data <> n * n
+    || Array.length t.b.Matrix.data <> n * m
+    || Array.length t.pi <> n
+  then invalid_arg (name ^ ": inconsistent dimensions");
+  Array.iter (check_observations t) windows;
+  let off = Array.make (Array.length windows + 1) 0 in
+  Array.iteri (fun w obs -> off.(w + 1) <- off.(w) + Array.length obs) windows;
+  (Array.concat (Array.to_list windows), off)
+
 (* Scaled forward pass: [alpha.(t).(i)] is normalized per step and
    [scale.(t)] holds the pre-normalization sums, so
    [log P(O) = sum (log scale.(t))]. A zero scale means the prefix is
@@ -335,6 +360,12 @@ let per_symbol_score t obs =
   let len = Array.length obs in
   if len = 0 then 0.0 else log_likelihood t obs /. float_of_int len
 
+let per_symbol_scores t windows =
+  let obs, off = flatten_windows "Hmm.per_symbol_scores" t windows in
+  let scores = Array.make (Array.length windows) 0.0 in
+  window_scores t.a.Matrix.data t.b.Matrix.data t.pi obs off scores;
+  scores
+
 (* Scaled backward pass sharing the forward scaling factors, so
    gamma/xi can be formed from products of the two without overflow. *)
 let backward t obs scale =
@@ -422,16 +453,8 @@ let normalize_with_floor row =
    windows and normalises the accumulators. *)
 let baum_welch_step t weighted =
   let n = t.n and m = t.m in
-  if
-    Array.length t.a.Matrix.data <> n * n
-    || Array.length t.b.Matrix.data <> n * m
-    || Array.length t.pi <> n
-  then invalid_arg "Hmm.baum_welch_step: inconsistent dimensions";
-  List.iter (fun (obs, _) -> check_observations t obs) weighted;
   let windows = Array.of_list weighted in
-  let off = Array.make (Array.length windows + 1) 0 in
-  Array.iteri (fun w (obs, _) -> off.(w + 1) <- off.(w) + Array.length obs) windows;
-  let obs = Array.concat (List.map fst weighted) in
+  let obs, off = flatten_windows "Hmm.baum_welch_step" t (Array.map fst windows) in
   let weights = Array.map snd windows in
   let a_acc = Array.make (n * n) 0.0 and b_acc = Array.make (n * m) 0.0 in
   let pi_acc = Array.make n 0.0 and loglik = [| 0.0 |] in

@@ -40,18 +40,34 @@ val per_symbol_score : t -> int array -> float
     threshold. [neg_infinity] on impossible sequences; 0.0 on the empty
     sequence. *)
 
+val per_symbol_scores : t -> int array array -> float array
+(** [per_symbol_scores t windows] is [Array.map (per_symbol_score t)
+    windows], bit for bit, in one C call: training's window scoring
+    (the CSDS score of every round, the threshold pass,
+    [Profile.extend]). The call sorts the windows lexicographically and
+    walks them in that order, so each window starts from the forward
+    rows of its longest common prefix with the window before it. A
+    forward row depends only on the prefix it ends, and each window's
+    score takes exactly the operations {!Compiled.per_symbol_score}
+    does on it, so sharing changes no bit. Threads claim fixed runs of
+    the sorted order, each from an empty stack of rows, so the scores
+    depend on neither the thread count nor the run size. The threads
+    start and join inside the call as {!baum_welch_step}'s do: one per
+    CPU in the affinity mask, never an OCaml domain.
+    @raise Invalid_argument on an observation outside [\[0, m)], or
+    when A, B or [pi] does not have the size [n] and [m] give it,
+    before any thread starts. *)
+
 module Compiled : sig
   (** Compiled evaluation for the detection hot path (Sec. IV-D) and
-      for training's window scoring (the CSDS score of every round, the
-      threshold pass, [Profile.extend]) and the surprisals behind
-      [Scoring.explain]: the same scaled forward pass over the
-      model's own flat transition table, with the emission table
-      transposed (one observation's column contiguous) and the forward
-      rows preallocated, so steady-state scoring allocates nothing. Each
-      transition step runs in a C kernel whose SIMD lanes run across the
-      next forward row's elements, and every element still adds its
-      terms one at a time in increasing state order, so scores are
-      bit-for-bit equal to {!log_likelihood} / {!per_symbol_score},
+      the surprisals behind [Scoring.explain]: the same scaled forward
+      pass over the model's own flat transition table, with the
+      emission table transposed (one observation's column contiguous)
+      and the forward rows preallocated, so steady-state scoring
+      allocates nothing. Each transition step runs in a C kernel whose
+      SIMD lanes run across the next forward row's elements, and every
+      element still adds its terms one at a time in increasing state
+      order, so scores are bit-for-bit equal to {!log_likelihood} / {!per_symbol_score},
       which stay the row-at-a-time reference. That needs finite table
       entries, which {!validate} enforces. A compiled scorer is not
       thread-safe (it owns its scratch rows) — use one per domain. *)

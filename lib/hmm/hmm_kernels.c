@@ -1,6 +1,8 @@
-/* The HMM library's C side: the forward step of compiled scoring, and
-   the whole E-step of one Baum-Welch iteration (forward and backward
-   passes, γ, ξ and their accumulation), run on every allowed CPU.
+/* The HMM library's C side: the forward step of compiled scoring, the
+   per-symbol scores of a batch of windows (each shared prefix computed
+   once), and the whole E-step of one Baum-Welch iteration (forward and
+   backward passes, γ, ξ and their accumulation); the two batch entry
+   points run on every allowed CPU.
 
    Each O(n^2)-per-step kernel computes a set of independent outputs,
    and SIMD lanes run only across those outputs, never along one
@@ -116,36 +118,16 @@ value adprom_hmm_propagate(value a, value src, value dst)
   return Val_unit;
 }
 
-/* ---- The E-step -------------------------------------------------------
+/* ---- Threads ----------------------------------------------------------
 
-   One call runs the E-step of [Hmm.baum_welch_step] over all windows.
-   The windows go in blocks whose scratch stays under [BLOCK_BYTES]
-   unless one window alone needs more; each block runs two phases, with
-   a barrier after each:
-
-   - phase A, split by window: the forward pass, the backward pass, γ
-     and the ξ normaliser of each window, stored per window as
-     weight·γ (with a flag for the steps whose γ sum is positive), the
-     ξ coefficients weight·α_t(i)/s_t, the ξ factors bb_t(j) =
-     b_j(o_{t+1})·β_{t+1}(j) and the log-likelihood;
-   - phase B, split by state row: the thread that claims row i walks
-     the block's windows in order and adds their terms to a_acc[i],
-     b_acc[i] and pi_acc[i].
-
-   Every accumulator element therefore takes its terms in window order,
-   then step order, whichever thread runs a window or a row and wherever
-   the blocks are cut; the weighted log-likelihood is summed in window
-   order after the join. The bits depend on neither the thread count
-   nor the block size.
-
-   Helper threads are plain POSIX threads, created and joined inside the
-   call, with every signal blocked. They read and write raw memory only
-   and never call the OCaml runtime. The calling domain keeps the
-   runtime lock throughout, so no GC runs in it and no OCaml value
-   moves while the helpers read the tables. */
-
-#define BLOCK_BYTES (1u << 20)
-#define ROW_CHUNK 4
+   Both batch entry points run on every CPU the caller may use. Their
+   helper threads are plain POSIX threads, created and joined inside
+   the call, with every signal blocked: signals keep going to threads
+   the runtime knows, no OCaml domain starts, and the process can still
+   fork once the call has returned. The helpers read and write raw
+   memory only and never call the OCaml runtime. The calling domain
+   keeps the runtime lock throughout, so no GC runs in it and no OCaml
+   value moves while the helpers read the tables. */
 
 /* A barrier whose party count is fixed while its mutex is held, so the
    caller can settle it after the helpers have started. */
@@ -171,6 +153,289 @@ static void barrier_wait(struct barrier *b)
   }
   pthread_mutex_unlock(&b->mu);
 }
+
+/* The CPUs the calling thread may run on. */
+static size_t allowed_cpus(void)
+{
+#ifdef CPU_COUNT
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    int count = CPU_COUNT(&set);
+    return count > 0 ? (size_t)count : 1;
+  }
+#endif
+  long online = sysconf(_SC_NPROCESSORS_ONLN);
+  return online > 0 ? (size_t)online : 1;
+}
+
+/* Copies [len] OCaml ints to [dst]. */
+static void copy_ints(value v, size_t *dst, size_t len)
+{
+  for (size_t k = 0; k < len; k++) dst[k] = Long_val(Field(v, k));
+}
+
+/* dst[c·rows + r] <- src[r·cols + c] */
+static void transpose(const double *src, size_t rows, size_t cols, double *dst)
+{
+  for (size_t r = 0; r < rows; r++)
+    for (size_t c = 0; c < cols; c++) dst[(c * rows) + r] = src[(r * cols) + c];
+}
+
+struct helper {
+  pthread_t thread;
+  void (*run)(void *);
+  void *arg;
+};
+
+static void *helper_main(void *arg)
+{
+  struct helper *h = arg;
+  h->run(h->arg);
+  return NULL;
+}
+
+/* Runs run(args + t·size) for every t below [threads]: t = 0 on the
+   calling thread, the others on helpers, all joined before the return.
+   A helper that cannot be created leaves its share to the others, so
+   [run] must claim its work as it goes. When [bar] is not NULL, its
+   party count is settled under its mutex, before any thread can wait
+   on it. */
+static void run_threads(size_t threads, void (*run)(void *), void *args, size_t size,
+                        struct barrier *bar)
+{
+  struct helper *h = threads > 1 ? malloc((threads - 1) * sizeof *h) : NULL;
+  size_t started = 1;
+  if (bar) pthread_mutex_lock(&bar->mu);
+  if (h) {
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    for (; started < threads; started++) {
+      h[started - 1].run = run;
+      h[started - 1].arg = (char *)args + (started * size);
+      if (pthread_create(&h[started - 1].thread, NULL, helper_main, &h[started - 1]) != 0)
+        break;
+    }
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+  }
+  if (bar) {
+    bar->parties = (int)started;
+    pthread_mutex_unlock(&bar->mu);
+  }
+  run(args);
+  for (size_t t = 1; t < started; t++) pthread_join(h[t - 1].thread, NULL);
+  free(h);
+}
+
+/* ---- Window scores ----------------------------------------------------
+
+   One call scores a batch of windows as [Hmm.Compiled.per_symbol_score]
+   scores each one: the same scaled forward pass, with the same
+   [propagate], then each step's emission products, sum and
+   normalisation in the same order; the log-likelihood starts as
+   0.0 + log s_0 and takes the later log s_t one step at a time; a
+   scale that is not positive makes the window -inf; and the sum is
+   divided by the length last.
+
+   Training windows share many prefixes: banking's training windows
+   hold 5,785 steps but 3,275 distinct prefixes. The call sorts the
+   windows lexicographically and walks them in that order with a stack
+   of forward rows and partial log-likelihoods indexed by depth, so each
+   window starts from the rows of its longest common prefix with the
+   window before it. The row at depth d depends on the first d + 1
+   observations alone, so a reused row has the bits a fresh pass would
+   give it. Threads claim fixed runs of SCORE_RUN windows of the sorted
+   order, and each run starts from an empty stack: the bits depend on
+   neither the thread count nor the run size. */
+
+#define SCORE_RUN 32
+
+struct window_key {
+  const size_t *obs;
+  size_t len, w;
+};
+
+static int compare_windows(const void *x, const void *y)
+{
+  const struct window_key *p = x, *q = y;
+  const size_t len = p->len < q->len ? p->len : q->len;
+  for (size_t k = 0; k < len; k++)
+    if (p->obs[k] != q->obs[k]) return p->obs[k] < q->obs[k] ? -1 : 1;
+  return (p->len > q->len) - (p->len < q->len);
+}
+
+struct scorer {
+  size_t n, windows;
+  const double *a, *bt, *pi; /* bt: emissions by symbol */
+  const struct window_key *sorted;
+  atomic_size_t next_run;
+  double *scores; /* by window */
+};
+
+struct score_worker {
+  struct scorer *s;
+  double *alpha, *ll; /* maxlen·n, maxlen */
+};
+
+/* Scores the sorted windows [k0, k1). Below [depth], the stack holds the
+   normalised forward rows and partial log-likelihoods of the previous
+   window's prefix, every step of which had a positive scale; [dead]
+   says that the previous window's step [depth] had not. */
+static void score_run(const struct scorer *s, const struct score_worker *wk, size_t k0,
+                      size_t k1)
+{
+  const size_t n = s->n;
+  double *alpha = wk->alpha, *ll = wk->ll;
+  size_t depth = 0;
+  int dead = 0;
+  for (size_t k = k0; k < k1; k++) {
+    const size_t *obs = s->sorted[k].obs, len = s->sorted[k].len;
+    size_t common = 0;
+    if (k > k0) {
+      const struct window_key *prev = &s->sorted[k - 1];
+      const size_t limit = len < prev->len ? len : prev->len;
+      while (common < limit && prev->obs[common] == obs[common]) common++;
+    }
+    if (dead && common > depth) {
+      /* it shares the step that made the previous window impossible */
+      s->scores[s->sorted[k].w] = -INFINITY;
+      continue;
+    }
+    if (common < depth) depth = common;
+    dead = 0;
+    for (; depth < len; depth++) {
+      double *row = alpha + (depth * n);
+      const double *b = s->bt + (obs[depth] * n);
+      double total = 0.0;
+      if (depth == 0)
+        for (size_t i = 0; i < n; i++) {
+          double v = s->pi[i] * b[i];
+          row[i] = v;
+          total += v;
+        }
+      else {
+        propagate(s->a, row - n, row, n);
+        for (size_t j = 0; j < n; j++) {
+          double v = row[j] * b[j];
+          row[j] = v;
+          total += v;
+        }
+      }
+      if (!(total > 0.0)) {
+        dead = 1;
+        break;
+      }
+      for (size_t j = 0; j < n; j++) row[j] = row[j] / total;
+      ll[depth] = (depth > 0 ? ll[depth - 1] : 0.0) + log(total);
+    }
+    s->scores[s->sorted[k].w] =
+      len == 0 ? 0.0 : dead ? -INFINITY : ll[len - 1] / (double)len;
+  }
+}
+
+static void score_runs(void *arg)
+{
+  const struct score_worker *wk = arg;
+  struct scorer *s = wk->s;
+  for (;;) {
+    const size_t k0 = atomic_fetch_add(&s->next_run, SCORE_RUN);
+    if (k0 >= s->windows) break;
+    score_run(s, wk, k0, k0 + SCORE_RUN < s->windows ? k0 + SCORE_RUN : s->windows);
+  }
+}
+
+/* [adprom_hmm_window_scores a b pi obs off scores] stores in scores[w]
+   the per-symbol score of the window obs[off[w] .. off[w+1]).
+   [Hmm.per_symbol_scores] checks the dimensions and the range of every
+   observation before the call. */
+value adprom_hmm_window_scores(value va, value vb, value vpi, value vobs, value voff,
+                               value vscores)
+{
+  struct scorer s;
+  const size_t n = float_length(vpi), m = n ? float_length(vb) / n : 0;
+  const size_t windows = float_length(vscores), total = Wosize_val(vobs);
+  size_t *obs = malloc((total + 1) * sizeof *obs);
+  size_t *off = malloc((windows + 1) * sizeof *off);
+  struct window_key *sorted = malloc((windows + 1) * sizeof *sorted);
+  double *bt = malloc((m * n + 1) * sizeof *bt);
+  struct score_worker *wk = NULL;
+  double *per_thread = NULL;
+  size_t threads = allowed_cpus(), maxlen = 0;
+  const size_t runs = (windows + SCORE_RUN - 1) / SCORE_RUN;
+  if (threads > runs) threads = runs;
+  if (threads < 1) threads = 1;
+  int ok = obs && off && sorted && bt;
+  if (ok) {
+    copy_ints(vobs, obs, total);
+    copy_ints(voff, off, windows + 1);
+    for (size_t w = 0; w < windows; w++) {
+      const size_t len = off[w + 1] - off[w];
+      sorted[w] = (struct window_key){ obs + off[w], len, w };
+      if (len > maxlen) maxlen = len;
+    }
+    qsort(sorted, windows, sizeof *sorted, compare_windows);
+    wk = malloc(threads * sizeof *wk);
+    per_thread = malloc(((threads * maxlen * (n + 1)) + 1) * sizeof *per_thread);
+    ok = wk && per_thread;
+  }
+  if (ok) {
+    transpose((const double *)vb, n, m, bt);
+    s.n = n;
+    s.windows = windows;
+    s.a = (const double *)va;
+    s.bt = bt;
+    s.pi = (const double *)vpi;
+    s.sorted = sorted;
+    s.scores = (double *)vscores;
+    atomic_init(&s.next_run, 0);
+    for (size_t t = 0; t < threads; t++) {
+      wk[t].s = &s;
+      wk[t].alpha = per_thread + (t * maxlen * (n + 1));
+      wk[t].ll = wk[t].alpha + (maxlen * n);
+    }
+    run_threads(threads, score_runs, wk, sizeof *wk, NULL);
+  }
+  free(per_thread);
+  free(wk);
+  free(bt);
+  free(sorted);
+  free(off);
+  free(obs);
+  if (!ok) caml_raise_out_of_memory();
+  return Val_unit;
+}
+
+value adprom_hmm_window_scores_byte(value *argv, int argn)
+{
+  (void)argn;
+  return adprom_hmm_window_scores(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5]);
+}
+
+/* ---- The E-step -------------------------------------------------------
+
+   One call runs the E-step of [Hmm.baum_welch_step] over all windows.
+   The windows go in blocks whose scratch stays under [BLOCK_BYTES]
+   unless one window alone needs more; each block runs two phases, with
+   a barrier after each:
+
+   - phase A, split by window: the forward pass, the backward pass, γ
+     and the ξ normaliser of each window, stored per window as
+     weight·γ (with a flag for the steps whose γ sum is positive), the
+     ξ coefficients weight·α_t(i)/s_t, the ξ factors bb_t(j) =
+     b_j(o_{t+1})·β_{t+1}(j) and the log-likelihood;
+   - phase B, split by state row: the thread that claims row i walks
+     the block's windows in order and adds their terms to a_acc[i],
+     b_acc[i] and pi_acc[i].
+
+   Every accumulator element therefore takes its terms in window order,
+   then step order, whichever thread runs a window or a row and wherever
+   the blocks are cut; the weighted log-likelihood is summed in window
+   order after the join. The bits depend on neither the thread count
+   nor the block size. */
+
+#define BLOCK_BYTES (1u << 20)
+#define ROW_CHUNK 4
 
 struct estep {
   size_t n, m;
@@ -198,7 +463,6 @@ struct estep {
 
 struct worker {
   struct estep *e;
-  pthread_t thread;
   double *alpha, *beta, *rsum, *scale; /* maxlen·n, 2n, n, maxlen */
 };
 
@@ -361,8 +625,9 @@ static void row_pass(const struct estep *e, size_t w0, size_t w1, size_t i)
   if (j0 < n) xi_col(e, w0, w1, i, row, j0);
 }
 
-static void run_blocks(struct worker *wk)
+static void run_blocks(void *arg)
 {
+  struct worker *wk = arg;
   struct estep *e = wk->e;
   for (size_t k = 0; k < e->blocks; k++) {
     const size_t w0 = e->block[k], w1 = e->block[k + 1];
@@ -380,27 +645,6 @@ static void run_blocks(struct worker *wk)
     }
     barrier_wait(&e->bar);
   }
-}
-
-static void *helper_main(void *arg)
-{
-  run_blocks(arg);
-  return NULL;
-}
-
-/* The CPUs the calling thread may run on. */
-static size_t allowed_cpus(void)
-{
-#ifdef CPU_COUNT
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof set, &set) == 0) {
-    int count = CPU_COUNT(&set);
-    return count > 0 ? (size_t)count : 1;
-  }
-#endif
-  long online = sysconf(_SC_NPROCESSORS_ONLN);
-  return online > 0 ? (size_t)online : 1;
 }
 
 /* [adprom_hmm_e_step a b pi obs off weights a_acc b_acc pi_acc ll]
@@ -441,9 +685,8 @@ value adprom_hmm_e_step(value va, value vb, value vpi, value vobs, value voff, v
      longer window gets a block of its own */
   const size_t cap = BLOCK_BYTES / ((3 * n * sizeof(double)) + 1);
   size_t maxlen = 0, steps = 0, max_steps = 0;
-  e.off[0] = Long_val(Field(voff, 0));
+  copy_ints(voff, e.off, windows + 1);
   for (size_t w = 0; w < windows; w++) {
-    e.off[w + 1] = Long_val(Field(voff, w + 1));
     const size_t len = e.off[w + 1] - e.off[w];
     if (len > maxlen) maxlen = len;
     if (w == 0 || steps + len > cap) {
@@ -470,12 +713,9 @@ value adprom_hmm_e_step(value va, value vb, value vpi, value vobs, value voff, v
   if (!(e.obs && e.at && e.bt && e.wg && e.coef && e.bb && e.gflag && wk && per_thread))
     goto out;
   ok = 1;
-  for (size_t k = 0; k < total; k++) e.obs[k] = Long_val(Field(vobs, k));
-  const double *a = e.a, *b = (const double *)vb;
-  for (size_t i = 0; i < n; i++)
-    for (size_t j = 0; j < n; j++) e.at[(j * n) + i] = a[(i * n) + j];
-  for (size_t i = 0; i < n; i++)
-    for (size_t o = 0; o < m; o++) e.bt[(o * n) + i] = b[(i * m) + o];
+  copy_ints(vobs, e.obs, total);
+  transpose(e.a, n, n, e.at);
+  transpose((const double *)vb, n, m, e.bt);
   double *p = per_thread;
   for (size_t t = 0; t < threads; t++) {
     wk[t].e = &e;
@@ -490,25 +730,7 @@ value adprom_hmm_e_step(value va, value vb, value vpi, value vobs, value voff, v
   }
   pthread_mutex_init(&e.bar.mu, NULL);
   pthread_cond_init(&e.bar.cv, NULL);
-
-  /* The helpers start with every signal blocked, so signals keep going
-     to threads the runtime knows. The party count is settled before
-     the mutex is released: a helper that could not be created simply
-     leaves its share to the others. */
-  size_t started = 1;
-  pthread_mutex_lock(&e.bar.mu);
-  if (threads > 1) {
-    sigset_t all, old;
-    sigfillset(&all);
-    pthread_sigmask(SIG_SETMASK, &all, &old);
-    for (; started < threads; started++)
-      if (pthread_create(&wk[started].thread, NULL, helper_main, &wk[started]) != 0) break;
-    pthread_sigmask(SIG_SETMASK, &old, NULL);
-  }
-  e.bar.parties = (int)started;
-  pthread_mutex_unlock(&e.bar.mu);
-  run_blocks(&wk[0]);
-  for (size_t t = 1; t < started; t++) pthread_join(wk[t].thread, NULL);
+  run_threads(threads, run_blocks, wk, sizeof *wk, &e.bar);
   pthread_cond_destroy(&e.bar.cv);
   pthread_mutex_destroy(&e.bar.mu);
 
