@@ -11,9 +11,10 @@
      benchmark trains: a compiled window score on the 126-state banking
      model and on the 40-state generated wide program's model, the batch
      scores and one Baum-Welch step over each one's deduplicated
-     windows, and the PCA
-     fit of the generated wide program's call-transition vectors (134
-     sites x 270 features) as [Reduction.cluster] runs it. *)
+     windows, and the hidden-state clustering of the generated wide
+     program: the PCA fit of its call-transition vectors (134 sites x
+     270 features), k-means on their projection, and the whole
+     [Reduction.cluster] call (CTV build, PCA and k-means). *)
 
 open Bechamel
 open Toolkit
@@ -101,8 +102,8 @@ let baum_welch_step_test label (model, weighted) =
     (Staged.stage (fun () -> ignore (Hmm.baum_welch_step model weighted)))
 
 (* The banking and generated wide programs as the serve benchmark trains
-   them, and the wide program's CTV matrix as [Reduction.cluster] builds
-   it. *)
+   them, and the wide program's hidden-state clustering as
+   [Profile.train] runs it. *)
 let kernel_tests () =
   let params = { Adprom.Pipeline.adprom_params with Adprom.Profile.max_rounds = 4 } in
   let banking = bench_profile (Dataset.Ca_banking.app ()) params in
@@ -110,12 +111,17 @@ let kernel_tests () =
     { Dataset.Proggen.bash_like with Dataset.Proggen.functions = 24; statements_per_function = 7 }
   in
   let gen = Dataset.Sir.app4 ~cases:120 ~spec () in
-  let gen_wide = bench_profile gen { params with Adprom.Profile.patience = 2; max_states = 100 } in
-  let _, ctvs =
-    Adprom.Reduction.ctv_matrix (Adprom.Pipeline.analyze_app gen).Analysis.Analyzer.pctm
-  in
+  let gen_params = { params with Adprom.Profile.patience = 2; max_states = 100 } in
+  let gen_wide = bench_profile gen gen_params in
+  let pctm = (Adprom.Pipeline.analyze_app gen).Analysis.Analyzer.pctm in
+  let _, ctvs = Adprom.Reduction.ctv_matrix pctm in
   let rows, cols = Mlkit.Matrix.dims ctvs in
-  let variance_kept = Adprom.Profile.default_params.Adprom.Profile.pca_variance in
+  let variance_kept = gen_params.Adprom.Profile.pca_variance in
+  let cluster_fraction = gen_params.Adprom.Profile.cluster_fraction in
+  let _, projected = Mlkit.Pca.fit_transform ~variance_kept ctvs in
+  let kept = snd (Mlkit.Matrix.dims projected) in
+  let k = max 2 (int_of_float (cluster_fraction *. float_of_int rows)) in
+  let seed = gen_params.Adprom.Profile.seed in
   [
     compiled_score_test banking;
     compiled_score_test gen_wide;
@@ -126,6 +132,16 @@ let kernel_tests () =
     Test.make
       ~name:(Printf.sprintf "kernel/pca-fit-gen-wide-ctv-%dx%d" rows cols)
       (Staged.stage (fun () -> ignore (Mlkit.Pca.fit ~variance_kept ctvs)));
+    Test.make
+      ~name:(Printf.sprintf "kernel/kmeans-gen-wide-%dx%d-k%d" rows kept k)
+      (Staged.stage (fun () ->
+           ignore (Mlkit.Kmeans.cluster ~rng:(Mlkit.Rng.create seed) ~k projected)));
+    Test.make ~name:"kernel/reduction-cluster-gen-wide"
+      (Staged.stage (fun () ->
+           ignore
+             (Adprom.Reduction.cluster ~rng:(Mlkit.Rng.create seed)
+                ~max_states:gen_params.Adprom.Profile.max_states ~cluster_fraction
+                ~pca_variance:variance_kept pctm)));
   ]
 
 (* OLS estimate of ns per run for every test of [tests]. *)

@@ -35,6 +35,16 @@ let run_case ?(patches = []) ?query_rewriter ?analysis app tc =
   Runtime.Interp.collect_trace ~patches ?query_rewriter ~analysis
     ~engine:(fresh_engine app) tc
 
+(* [f tc run] over the test cases [tc] of [app], each [run] on its own
+   copy of one seeded engine: the runs [run_case] gives, with the
+   seeding paid once. *)
+let map_cases ~analysis app f =
+  let template = fresh_engine app in
+  List.map
+    (fun tc ->
+      f tc (Runtime.Interp.collect_trace ~analysis ~engine:(Sqldb.Engine.copy template) tc))
+    app.test_cases
+
 let collect ?(window = 15) app =
   Otrace.with_span "pipeline.collect"
     ~attrs:(fun () ->
@@ -43,7 +53,7 @@ let collect ?(window = 15) app =
   let analysis = analyze_app app in
   let traces =
     Otrace.with_span "pipeline.run_cases" (fun () ->
-        List.map (fun tc -> (tc, fst (run_case ~analysis app tc))) app.test_cases)
+        map_cases ~analysis app (fun tc (trace, _) -> (tc, trace)))
   in
   let windows =
     Otrace.with_span "pipeline.windows" (fun () ->
@@ -73,7 +83,7 @@ let train_engine ?params ?cache_capacity dataset =
 
 let collect_outcomes ?analysis app =
   let analysis = match analysis with Some a -> a | None -> analyze_app app in
-  List.map (fun tc -> snd (run_case ~analysis app tc)) app.test_cases
+  map_cases ~analysis app (fun _ (_, outcome) -> outcome)
 
 let train_qsig ?analysis app = Audit.learn (collect_outcomes ?analysis app)
 

@@ -9,28 +9,44 @@ type clustering = {
   reduced : bool;
 }
 
+(* Row i: column 0 holds site i's edge to Exit, column 1 + j its edge to
+   site j, column n + 1 the edge from Entry to it and column n + 2 + j
+   the edge from site j to it. Each nonzero of the pCTM lands in at most
+   two cells; a self-call fills both site i's successor column i and its
+   predecessor column i. *)
+let ctvs_of_sites pctm sites =
+  let n = Array.length sites in
+  let index = Symbol.Table.create (2 * n) in
+  Array.iteri (fun i site -> Symbol.Table.replace index site i) sites;
+  let matrix = Matrix.create n (2 * (n + 1)) in
+  Ctm.iter
+    (fun x y v ->
+      let from = Symbol.Table.find_opt index x and into = Symbol.Table.find_opt index y in
+      (match (from, y) with
+      | Some i, Symbol.Exit -> Matrix.set matrix i 0 v
+      | Some i, _ -> Option.iter (fun j -> Matrix.set matrix i (1 + j) v) into
+      | None, _ -> ());
+      match (into, x) with
+      | Some j, Symbol.Entry -> Matrix.set matrix j (n + 1) v
+      | Some j, _ -> Option.iter (fun i -> Matrix.set matrix j (n + 2 + i) v) from
+      | None, _ -> ())
+    pctm;
+  matrix
+
 let ctv_matrix pctm =
   let sites = Array.of_list (Ctm.calls pctm) in
-  let n = Array.length sites in
-  let dim = 2 * (n + 1) in
-  let matrix =
-    Matrix.init n dim (fun i j ->
-        let c = sites.(i) in
-        if j = 0 then Ctm.get pctm c Symbol.Exit
-        else if j <= n then Ctm.get pctm c sites.(j - 1)
-        else if j = n + 1 then Ctm.get pctm Symbol.Entry c
-        else Ctm.get pctm sites.(j - n - 2) c)
-  in
-  (sites, matrix)
+  (sites, ctvs_of_sites pctm sites)
 
 let cluster ~rng ~max_states ~cluster_fraction ~pca_variance pctm =
-  let sites, ctvs = ctv_matrix pctm in
+  let sites = Array.of_list (Ctm.calls pctm) in
   let n = Array.length sites in
   if n = 0 then { sites; assignment = [||]; states = 0; reduced = false }
   else if n <= max_states then
     { sites; assignment = Array.init n (fun i -> i); states = n; reduced = false }
   else begin
-    let _, projected = Mlkit.Pca.fit_transform ~variance_kept:pca_variance ctvs in
+    let _, projected =
+      Mlkit.Pca.fit_transform ~variance_kept:pca_variance (ctvs_of_sites pctm sites)
+    in
     let k = max 2 (int_of_float (cluster_fraction *. float_of_int n)) in
     let result = Mlkit.Kmeans.cluster ~rng ~k projected in
     let states, _ = Matrix.dims result.Mlkit.Kmeans.centroids in

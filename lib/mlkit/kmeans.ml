@@ -14,20 +14,22 @@ let squared_distance a b =
   !acc
 
 (* k-means++: the first centroid is uniform; each next one is sampled
-   proportionally to the squared distance to the closest chosen centroid. *)
+   proportionally to the squared distance to the closest chosen
+   centroid. Each row keeps that distance, and only the newest centroid
+   is folded in: [Float.min] returns one of its arguments, so the
+   running minimum is the minimum over all chosen centroids, exactly. *)
 let seed_centroids rng k rows =
   let n = Array.length rows in
-  let chosen = ref [ rows.(Rng.int rng n) ] in
-  let dist_to_chosen p =
-    List.fold_left (fun acc c -> Float.min acc (squared_distance p c)) Float.max_float !chosen
-  in
-  while List.length !chosen < k do
-    let weights = Array.map dist_to_chosen rows in
-    let total = Array.fold_left ( +. ) 0.0 weights in
-    let idx = if total <= 0.0 then Rng.int rng n else Rng.choose_weighted rng weights in
-    chosen := rows.(idx) :: !chosen
+  let chosen = Array.make k rows.(Rng.int rng n) in
+  let nearest = Array.make n Float.max_float in
+  for c = 1 to k - 1 do
+    let newest = chosen.(c - 1) in
+    Array.iteri (fun i p -> nearest.(i) <- Float.min nearest.(i) (squared_distance p newest)) rows;
+    let total = Array.fold_left ( +. ) 0.0 nearest in
+    let idx = if total <= 0.0 then Rng.int rng n else Rng.choose_weighted rng nearest in
+    chosen.(c) <- rows.(idx)
   done;
-  Array.of_list (List.rev !chosen)
+  chosen
 
 let cluster ~rng ~k data =
   let n, dim = Matrix.dims data in

@@ -11,6 +11,13 @@ type result = {
   iterations : int;
 }
 
+val seed_centroids : Rng.t -> int -> float array array -> float array array
+(** [seed_centroids rng k rows] picks [k] of [rows] (k >= 1) by
+    k-means++: the first uniformly, each next one with probability
+    proportional to its squared distance to the nearest one picked so
+    far, or uniformly when every such distance is zero. The rows picked
+    are returned in order, as the rows themselves, not copies. *)
+
 val cluster : rng:Rng.t -> k:int -> Matrix.t -> result
 (** [cluster ~rng ~k data] clusters the rows of [data] into at most [k]
     groups. If [k] exceeds the number of distinct rows, the effective

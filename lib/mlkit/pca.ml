@@ -4,73 +4,33 @@ type model = {
   eigenvalues : float array;
 }
 
-(* Cyclic Jacobi rotations: repeatedly zero the largest off-diagonal
-   element until the off-diagonal mass is negligible. [a] is the working
-   matrix, one array per row, and [vt] holds the accumulated rotations
-   transposed ([vt.(p).(k)] is V's element (k, p)), so a rotation's row
-   update of A and its column update of V both run along a row. *)
+(* [jacobi_sweeps a vt n max_sweeps]: cyclic Jacobi rotations, in place
+   on the flat n x n matrix [a] and the accumulated rotations [vt], kept
+   transposed ([vt.(p * n + k)] is V's element (k, p)), until the
+   off-diagonal mass is at most 1e-18 or [max_sweeps] sweeps have run.
+   Each rotation zeroes one off-diagonal element, in row order, and
+   updates A's columns p and q, then A's rows p and q and Vᵀ's rows p
+   and q, so two of its three updates run along a contiguous row. *)
+external jacobi_sweeps : float array -> float array -> int -> int -> unit
+  = "adprom_mlkit_jacobi_sweeps"
+[@@noalloc]
+
 let jacobi_eigen m =
   let n, cols = Matrix.dims m in
   if n <> cols then invalid_arg "Pca.jacobi_eigen: matrix must be square";
-  let a = Matrix.to_arrays m in
-  let vt = Matrix.to_arrays (Matrix.identity n) in
-  let off_diagonal_mass () =
-    let acc = ref 0.0 in
-    for i = 0 to n - 1 do
-      let ai = a.(i) in
-      for j = i + 1 to n - 1 do
-        let x = Array.unsafe_get ai j in
-        acc := !acc +. (x *. x)
-      done
-    done;
-    !acc
-  in
-  (* rows p and q of [x] *)
-  let rotate_rows x p q c s =
-    let xp = x.(p) and xq = x.(q) in
-    for k = 0 to n - 1 do
-      let xpk = Array.unsafe_get xp k and xqk = Array.unsafe_get xq k in
-      Array.unsafe_set xp k ((c *. xpk) -. (s *. xqk));
-      Array.unsafe_set xq k ((s *. xpk) +. (c *. xqk))
-    done
-  in
-  let rotate p q =
-    let apq = a.(p).(q) in
-    if Float.abs apq > 1e-14 then begin
-      let theta = (a.(q).(q) -. a.(p).(p)) /. (2.0 *. apq) in
-      let t =
-        let sign = if theta >= 0.0 then 1.0 else -1.0 in
-        sign /. (Float.abs theta +. sqrt ((theta *. theta) +. 1.0))
-      in
-      let c = 1.0 /. sqrt ((t *. t) +. 1.0) in
-      let s = t *. c in
-      (* columns p and q of A *)
-      for k = 0 to n - 1 do
-        let ak = Array.unsafe_get a k in
-        let akp = Array.unsafe_get ak p and akq = Array.unsafe_get ak q in
-        Array.unsafe_set ak p ((c *. akp) -. (s *. akq));
-        Array.unsafe_set ak q ((s *. akp) +. (c *. akq))
-      done;
-      rotate_rows a p q c s;
-      rotate_rows vt p q c s
-    end
-  in
-  let max_sweeps = 100 in
-  let sweep = ref 0 in
-  while off_diagonal_mass () > 1e-18 && !sweep < max_sweeps do
-    incr sweep;
-    for p = 0 to n - 1 do
-      for q = p + 1 to n - 1 do
-        rotate p q
-      done
-    done
-  done;
+  (* the kernel reads n * n elements unchecked *)
+  if Array.length m.Matrix.data <> n * n then
+    invalid_arg "Pca.jacobi_eigen: inconsistent dimensions";
+  let a = Array.copy m.Matrix.data in
+  let vt = (Matrix.identity n).Matrix.data in
+  jacobi_sweeps a vt n 100;
+  let diagonal i = a.((i * n) + i) in
   let order = Array.init n (fun i -> i) in
-  Array.sort (fun i j -> compare a.(j).(j) a.(i).(i)) order;
-  let values = Array.map (fun i -> a.(i).(i)) order in
+  Array.sort (fun i j -> compare (diagonal j) (diagonal i)) order;
+  let values = Array.map diagonal order in
   (* Eigenvectors as rows: row r of the result is the eigenvector for
      [values.(r)], i.e. row [order.(r)] of [vt]. *)
-  let vectors = Matrix.init n n (fun r c -> vt.(order.(r)).(c)) in
+  let vectors = Matrix.init n n (fun r c -> vt.((order.(r) * n) + c)) in
   (values, vectors)
 
 (* Eigenvalues within this fraction of the largest one are a tie: a
@@ -133,33 +93,58 @@ let axis_of_gram xc u r =
   if norm > 0.0 then Array.map (fun x -> x /. norm) v
   else Array.init cols (fun j -> if j = r then 1.0 else 0.0)
 
-let fit ?(variance_kept = 0.95) ?max_components data =
+(* The rows of [data] less [mean]. *)
+let centre mean data =
+  let rows, cols = Matrix.dims data in
+  Array.init rows (fun i ->
+      Array.init cols (fun j -> data.Matrix.data.((i * cols) + j) -. mean.(j)))
+
+(* The model and the centred rows it was fitted on. *)
+let fit_centred ?(variance_kept = 0.95) ?max_components data =
   let rows, cols = Matrix.dims data in
   if rows = 0 then invalid_arg "Pca.fit: no observations";
   let mean = Array.init cols (fun j -> Array.fold_left ( +. ) 0.0 (Matrix.col data j) /. float_of_int rows) in
-  let xc = Array.init rows (fun i -> Array.init cols (fun j -> Matrix.get data i j -. mean.(j))) in
+  let xc = centre mean data in
   let values, vectors = jacobi_eigen (gram xc) in
   (* at most min rows cols eigenvalues are nonzero *)
   let n = min rows cols in
   let cap = match max_components with Some c -> min c n | None -> n in
   let keep = keep_count ~variance_kept ~cap values in
   let axis r = axis_of_gram xc (Matrix.row vectors r) r in
-  { mean; components = Matrix.of_arrays (Array.init keep axis); eigenvalues = Array.sub values 0 keep }
+  let components = Matrix.of_arrays (Array.init keep axis) in
+  ({ mean; components; eigenvalues = Array.sub values 0 keep }, xc)
+
+let fit ?variance_kept ?max_components data = fst (fit_centred ?variance_kept ?max_components data)
+
+(* Row i of the result holds the centred row [xc.(i)]'s coordinate on
+   each axis of [components]: a sum over the features in order, from
+   0.0. *)
+let project xc components =
+  let k, cols = Matrix.dims components in
+  let axes = components.Matrix.data in
+  let out = Matrix.create (Array.length xc) k in
+  Array.iteri
+    (fun i xi ->
+      for c = 0 to k - 1 do
+        let base = c * cols in
+        let acc = ref 0.0 in
+        for j = 0 to cols - 1 do
+          acc := !acc +. (Array.unsafe_get xi j *. Array.unsafe_get axes (base + j))
+        done;
+        out.Matrix.data.((i * k) + c) <- !acc
+      done)
+    xc;
+  out
 
 let transform model data =
-  let rows, cols = Matrix.dims data in
-  if cols <> Array.length model.mean then invalid_arg "Pca.transform: dimension mismatch";
-  let k, _ = Matrix.dims model.components in
-  Matrix.init rows k (fun i c ->
-      let acc = ref 0.0 in
-      for j = 0 to cols - 1 do
-        acc := !acc +. ((Matrix.get data i j -. model.mean.(j)) *. Matrix.get model.components c j)
-      done;
-      !acc)
+  let cols = Array.length model.mean in
+  if snd (Matrix.dims data) <> cols || snd (Matrix.dims model.components) <> cols then
+    invalid_arg "Pca.transform: dimension mismatch";
+  project (centre model.mean data) model.components
 
 let fit_transform ?variance_kept ?max_components data =
-  let model = fit ?variance_kept ?max_components data in
-  (model, transform model data)
+  let model, xc = fit_centred ?variance_kept ?max_components data in
+  (model, project xc model.components)
 
 let explained_variance_ratio model =
   let total = Array.fold_left (fun acc x -> acc +. Float.max 0.0 x) 0.0 model.eigenvalues in

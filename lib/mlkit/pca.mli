@@ -17,11 +17,15 @@ type model = {
 val jacobi_eigen : Matrix.t -> float array * Matrix.t
 (** [jacobi_eigen m] for a symmetric matrix returns [(values, vectors)]
     with eigenvalues in descending order and the corresponding unit
-    eigenvectors as the {e rows} of [vectors]. Cyclic Jacobi sweeps
-    with the accumulated rotations kept transposed, so two of each
-    rotation's three updates (A's rows, V's columns) run along a
-    contiguous row. The rotations, and so the results, are bit for bit
-    those of the textbook routine.
+    eigenvectors as the {e rows} of [vectors]. Cyclic Jacobi sweeps,
+    run by a C kernel in place on flat row-major copies of A and of the
+    accumulated rotations, kept transposed, so two of each rotation's
+    three updates (A's rows, V's columns) run along a contiguous row and
+    only A's column update is strided. The kernel is built without
+    fused multiply-adds and keeps the rotation order and every
+    per-element expression, so the results are bit for bit those of the
+    textbook routine. The sort of the spectrum and the assembly of the
+    result stay in OCaml.
     @raise Invalid_argument if [m] is not square. *)
 
 val fit : ?variance_kept:float -> ?max_components:int -> Matrix.t -> model
@@ -42,8 +46,13 @@ val fit : ?variance_kept:float -> ?max_components:int -> Matrix.t -> model
     few observations, however many features. *)
 
 val transform : model -> Matrix.t -> Matrix.t
-(** Project observations (rows) into the principal subspace. *)
+(** Project observations (rows) into the principal subspace: each
+    coordinate is the sum of [(x_j - mean_j) * axis_j] over the features
+    in order.
+    @raise Invalid_argument if [data]'s width is not the model's. *)
 
 val fit_transform : ?variance_kept:float -> ?max_components:int -> Matrix.t -> model * Matrix.t
+(** [fit data] and the projection of [data], from the centred rows the
+    fit built: bit for bit [transform (fit data) data]. *)
 
 val explained_variance_ratio : model -> float array

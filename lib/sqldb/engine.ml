@@ -12,6 +12,14 @@ exception Sql_error of string
 
 let create () = { tables = Hashtbl.create 8 }
 
+let copy t =
+  let tables = Hashtbl.copy t.tables in
+  Hashtbl.filter_map_inplace
+    (fun _ (tbl : table) ->
+      Some { columns = Array.copy tbl.columns; trows = List.map Array.copy tbl.trows })
+    tables;
+  { tables }
+
 let find_table t name =
   match Hashtbl.find_opt t.tables name with
   | Some tbl -> tbl

@@ -19,6 +19,11 @@ exception Sql_error of string
 
 val create : unit -> t
 
+val copy : t -> t
+(** A deep copy: no statement run on either engine changes the other
+    (UPDATE writes rows in place), and the copy lists its tables in the
+    original's order. *)
+
 val execute : ?params:Value.t array -> t -> Sql_ast.statement -> outcome
 (** Run a parsed statement; [params] feeds [?] placeholders.
     @raise Sql_error on semantic errors. *)

@@ -163,6 +163,68 @@ let test_reduction_ctv_shape () =
   Alcotest.(check int) "one row per site" n rows;
   Alcotest.(check int) "dimension 2(n+1)" (2 * (n + 1)) cols
 
+(* [Reduction.ctv_matrix] as it stood: one [Ctm.get] per cell. *)
+let dense_ctv_matrix pctm =
+  let sites = Array.of_list (Analysis.Ctm.calls pctm) in
+  let n = Array.length sites in
+  let get = Analysis.Ctm.get pctm in
+  ( sites,
+    Mlkit.Matrix.init n (2 * (n + 1)) (fun i j ->
+        let c = sites.(i) in
+        if j = 0 then get c Symbol.Exit
+        else if j <= n then get c sites.(j - 1)
+        else if j = n + 1 then get Symbol.Entry c
+        else get sites.(j - n - 2) c) )
+
+let database_apps () =
+  [
+    Dataset.Ca_hospital.app ();
+    Dataset.Ca_banking.app ();
+    Dataset.Ca_supermarket.app ();
+    Dataset.Web_portal.app ();
+  ]
+
+let builtin_apps () = database_apps () @ List.map snd (Dataset.Sir.all ())
+
+(* The sparse fill lands every pCTM entry where the dense reference
+   reads it, bit for bit, on every built-in app, on the figure program
+   and on a pCTM with a self-call, which fills a successor and a
+   predecessor column of the same row. *)
+let test_reduction_ctv_sparse_matches_dense () =
+  let self_call =
+    let t = Analysis.Ctm.create () in
+    let a = Symbol.lib "a" and b = Symbol.lib "b" in
+    Analysis.Ctm.set t Symbol.Entry a 1.0;
+    Analysis.Ctm.set t a a 0.5;
+    Analysis.Ctm.set t a b 0.5;
+    Analysis.Ctm.set t b a 0.25;
+    Analysis.Ctm.set t b Symbol.Exit 0.75;
+    Analysis.Ctm.set t Symbol.Entry Symbol.Exit 0.125;
+    t
+  in
+  let pctms =
+    ("figure", fig_pctm ())
+    :: ("self-call", self_call)
+    :: List.map
+         (fun app -> (app.Pipeline.name, (Pipeline.analyze_app app).Analysis.Analyzer.pctm))
+         (builtin_apps ())
+  in
+  List.iter
+    (fun (name, pctm) ->
+      let sites, ctvs = Reduction.ctv_matrix pctm in
+      let sites', expected = dense_ctv_matrix pctm in
+      Alcotest.(check bool) (name ^ ": same sites") true (sites = sites');
+      Alcotest.(check bool) (name ^ ": same shape") true
+        (Mlkit.Matrix.dims ctvs = Mlkit.Matrix.dims expected);
+      Alcotest.(check bool) (name ^ ": same cells, bit for bit") true
+        (Array.for_all2
+           (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+           ctvs.Mlkit.Matrix.data expected.Mlkit.Matrix.data))
+    pctms;
+  let _, ctvs = Reduction.ctv_matrix self_call in
+  Alcotest.(check (float 0.0)) "self-call successor cell" 0.5 (Mlkit.Matrix.get ctvs 0 1);
+  Alcotest.(check (float 0.0)) "self-call predecessor cell" 0.5 (Mlkit.Matrix.get ctvs 0 4)
+
 let test_reduction_identity_when_small () =
   let pctm = fig_pctm () in
   let rng = Mlkit.Rng.create 3 in
@@ -484,6 +546,22 @@ let test_detector_worst_ordering () =
     = Detector.Data_leak);
   Alcotest.(check bool) "empty list is normal" true (Detector.worst [] = Detector.Normal)
 
+(* [Pipeline.collect] and [collect_outcomes] seed each app's database
+   once and run every case on a copy: for every built-in database app,
+   each trace and outcome must be the one a fresh engine gives. *)
+let test_pipeline_copies_match_fresh_engines () =
+  List.iter
+    (fun app ->
+      let analysis = Pipeline.analyze_app app in
+      let fresh = List.map (Pipeline.run_case ~analysis app) app.Pipeline.test_cases in
+      let dataset = Pipeline.collect app in
+      let name = app.Pipeline.name in
+      Alcotest.(check bool) (name ^ ": traces") true
+        (List.map snd dataset.Pipeline.traces = List.map fst fresh);
+      Alcotest.(check bool) (name ^ ": outcomes") true
+        (Pipeline.collect_outcomes ~analysis app = List.map snd fresh))
+    (database_apps ())
+
 let test_pipeline_presets () =
   Alcotest.(check bool) "cmarkov drops labels" false
     Pipeline.cmarkov_params.Profile.use_labels;
@@ -527,6 +605,8 @@ let () =
       ( "reduction",
         [
           Alcotest.test_case "ctv shape" `Quick test_reduction_ctv_shape;
+          Alcotest.test_case "sparse ctvs = dense reference" `Quick
+            test_reduction_ctv_sparse_matches_dense;
           Alcotest.test_case "identity when small" `Quick test_reduction_identity_when_small;
           Alcotest.test_case "clusters when large" `Quick test_reduction_clusters_when_large;
           Alcotest.test_case "gen-wide clustering = covariance-side oracle" `Quick
@@ -548,6 +628,8 @@ let () =
           Alcotest.test_case "explain ranks surprisals" `Quick test_detector_explain;
           Alcotest.test_case "worst ordering" `Quick test_detector_worst_ordering;
           Alcotest.test_case "pipeline presets" `Quick test_pipeline_presets;
+          Alcotest.test_case "collect on engine copies = fresh engines" `Quick
+            test_pipeline_copies_match_fresh_engines;
           Alcotest.test_case "report formatting" `Quick test_report_table;
         ] );
     ]

@@ -268,18 +268,21 @@ let same_floats xs ys =
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        xs ys
 
-(* Random symmetric matrices, n in 1..12, some with all-zero rows (and
-   the matching columns). *)
+(* Random symmetric matrices, n in 0..12, some with all-zero rows (and
+   the matching columns) and some with exact-zero off-diagonal pairs,
+   whose rotation the sweep skips. *)
 let prop_jacobi_matches_reference =
-  QCheck2.Test.make ~name:"jacobi = untransposed reference, bit for bit" ~count:100
-    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 1 12))
+  QCheck2.Test.make ~name:"jacobi = untransposed reference, bit for bit" ~count:200
+    ~print:QCheck2.Print.(pair int int)
+    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 12))
     (fun (seed, n) ->
       let rng = Rng.create seed in
       let zero = Array.init n (fun _ -> Rng.float rng 1.0 < 0.2) in
       let raw = Array.init (n * n) (fun _ -> Rng.float rng 10.0 -. 5.0) in
+      let skip = Array.init (n * n) (fun _ -> Rng.float rng 1.0 < 0.3) in
       let m =
         Matrix.init n n (fun i j ->
-            if zero.(i) || zero.(j) then 0.0
+            if zero.(i) || zero.(j) || (i <> j && skip.(min i j * n + max i j)) then 0.0
             else (raw.((i * n) + j) +. raw.((j * n) + i)) /. 2.0)
       in
       let values, vectors = Pca.jacobi_eigen m in
@@ -323,6 +326,38 @@ let prop_gram_fit_matches_covariance =
            (fun x y -> Float.abs (x -. y) <= 1e-9 *. scale)
            model.Pca.eigenvalues oracle.Pca.eigenvalues
       && Array.for_all2 (fun x y -> Float.abs (x -. y) <= (1e-6 *. spread) +. 1e-15) d d')
+
+(* [Pca.transform] as it stood: each coordinate sums
+   [(x_ij - mean_j) * axis_cj] over the features in order. *)
+let reference_transform model data =
+  let rows, cols = Matrix.dims data in
+  let k, _ = Matrix.dims model.Pca.components in
+  Matrix.init rows k (fun i c ->
+      let acc = ref 0.0 in
+      for j = 0 to cols - 1 do
+        let x = Matrix.get data i j -. model.Pca.mean.(j) in
+        acc := !acc +. (x *. Matrix.get model.Pca.components c j)
+      done;
+      !acc)
+
+(* [fit_transform] projects the centred rows [fit] built, and
+   [transform] centres the data again: both must give the reference's
+   projection bit for bit, from the model [fit] gives. *)
+let prop_fit_transform_matches_transform =
+  QCheck2.Test.make ~name:"fit_transform = transform of fit, bit for bit" ~count:200
+    ~print:QCheck2.Print.(triple int int int)
+    QCheck2.Gen.(triple (int_range 0 1_000_000) (int_range 1 10) (int_range 1 30))
+    (fun params ->
+      let variance_kept, data = random_data params in
+      let model, projected = Pca.fit_transform ~variance_kept data in
+      let fitted = Pca.fit ~variance_kept data in
+      let expected = reference_transform fitted data in
+      let transformed = Pca.transform fitted data in
+      same_floats model.Pca.components.Matrix.data fitted.Pca.components.Matrix.data
+      && Matrix.dims projected = Matrix.dims expected
+      && Matrix.dims transformed = Matrix.dims expected
+      && same_floats projected.Matrix.data expected.Matrix.data
+      && same_floats transformed.Matrix.data expected.Matrix.data)
 
 (* Variances 18, 2, 2 and 0.02 (over rows - 1) along the axes of a
    4 x 4 Hadamard rotation: 85% of the variance is reached after two
@@ -405,6 +440,63 @@ let test_kmeans_deterministic () =
   Alcotest.(check (array int)) "same seed, same clustering" r1.Kmeans.assignment
     r2.Kmeans.assignment
 
+(* k-means++ seeding as it stood: every row refolds its distance to
+   every chosen centroid, newest first. *)
+let reference_seed_centroids rng k rows =
+  let n = Array.length rows in
+  let squared_distance a b =
+    let acc = ref 0.0 in
+    for i = 0 to Array.length a - 1 do
+      let d = a.(i) -. b.(i) in
+      acc := !acc +. (d *. d)
+    done;
+    !acc
+  in
+  let chosen = ref [ rows.(Rng.int rng n) ] in
+  let dist_to_chosen p =
+    List.fold_left (fun acc c -> Float.min acc (squared_distance p c)) Float.max_float !chosen
+  in
+  while List.length !chosen < k do
+    let weights = Array.map dist_to_chosen rows in
+    let total = Array.fold_left ( +. ) 0.0 weights in
+    let idx = if total <= 0.0 then Rng.int rng n else Rng.choose_weighted rng weights in
+    chosen := rows.(idx) :: !chosen
+  done;
+  Array.of_list (List.rev !chosen)
+
+(* n rows of [dim] features, some copies of earlier rows; with [same],
+   all rows are one row, so every draw after the first has total
+   weight 0. k runs from 1 to n. The seeds must be the reference's bit
+   for bit, so must the nearest-seed assignment, and the generator must
+   be left in the same state. *)
+let prop_seeding_matches_reference =
+  QCheck2.Test.make ~name:"kmeans++ seeding = list-fold reference, bit for bit" ~count:300
+    ~print:QCheck2.Print.(quad int int int bool)
+    QCheck2.Gen.(quad (int_range 0 1_000_000) (int_range 1 30) (int_range 1 5) bool)
+    (fun (seed, n, dim, same) ->
+      let rng = Rng.create seed in
+      let k = 1 + Rng.int rng n in
+      let rows = Array.make n [||] in
+      for i = 0 to n - 1 do
+        rows.(i) <-
+          (if i > 0 && (same || Rng.float rng 1.0 < 0.3) then Array.copy rows.(Rng.int rng i)
+           else Array.init dim (fun _ -> Float.round (Rng.float rng 8.0)))
+      done;
+      let r1 = Rng.copy rng and r2 = Rng.copy rng in
+      let seeds = Kmeans.seed_centroids r1 k rows in
+      let expected = reference_seed_centroids r2 k rows in
+      let nearest centroids p =
+        Stats.argmin
+          (Array.map
+             (fun c ->
+               Array.fold_left ( +. ) 0.0 (Array.map2 (fun x y -> (x -. y) *. (x -. y)) p c))
+             centroids)
+      in
+      Array.length seeds = k
+      && same_floats (Array.concat (Array.to_list seeds)) (Array.concat (Array.to_list expected))
+      && Array.for_all (fun p -> nearest seeds p = nearest expected p) rows
+      && Rng.int r1 1_000_000 = Rng.int r2 1_000_000)
+
 let prop_kmeans_assignment_dense =
   QCheck2.Test.make ~name:"kmeans: assignments cover a dense range" ~count:50
     QCheck2.Gen.(pair (int_range 1 8) (int_range 1 40))
@@ -457,6 +549,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_jacobi_reconstructs;
           QCheck_alcotest.to_alcotest prop_jacobi_matches_reference;
           QCheck_alcotest.to_alcotest prop_gram_fit_matches_covariance;
+          QCheck_alcotest.to_alcotest prop_fit_transform_matches_transform;
           Alcotest.test_case "a cut inside a tie keeps the tie" `Quick test_pca_cut_inside_tie;
         ] );
       ( "kmeans",
@@ -465,5 +558,6 @@ let () =
           Alcotest.test_case "centroids are member means" `Quick test_kmeans_centroids_are_means;
           Alcotest.test_case "deterministic under a seed" `Quick test_kmeans_deterministic;
           QCheck_alcotest.to_alcotest prop_kmeans_assignment_dense;
+          QCheck_alcotest.to_alcotest prop_seeding_matches_reference;
         ] );
     ]

@@ -105,6 +105,32 @@ let test_engine_crud () =
   Alcotest.(check int) "delete count" 1 (affected (Engine.exec e "DELETE FROM users WHERE id = 1"));
   Alcotest.(check int) "two rows left" 2 (Engine.row_count e "users")
 
+(* UPDATE writes rows in place, INSERT and DELETE rebuild the row
+   list, CREATE adds a table: none of them may reach the template. *)
+let test_engine_copy () =
+  let template = fresh () in
+  ignore (Engine.exec template "CREATE TABLE orders (id, user)");
+  let snapshot e = rows_of (Engine.exec e "SELECT * FROM users") in
+  let before = snapshot template in
+  let copy = Engine.copy template in
+  Alcotest.(check (list string)) "tables in the template's order" (Engine.table_names template)
+    (Engine.table_names copy);
+  ignore (Engine.exec copy "INSERT INTO users VALUES (4, 'dave', 40)");
+  ignore (Engine.exec copy "UPDATE users SET age = 99");
+  ignore (Engine.exec copy "DELETE FROM users WHERE id = 1");
+  ignore (Engine.exec copy "INSERT INTO orders VALUES (1, 2)");
+  ignore (Engine.exec copy "CREATE TABLE audit (id)");
+  Alcotest.(check bool) "template rows untouched" true (snapshot template = before);
+  Alcotest.(check int) "template orders untouched" 0 (Engine.row_count template "orders");
+  Alcotest.(check bool) "template has no new table" false
+    (List.mem "audit" (Engine.table_names template));
+  Alcotest.(check int) "copy saw its writes" 3 (Engine.row_count copy "users");
+  Alcotest.(check bool) "copy updated" true
+    (Array.for_all (fun r -> Value.equal r.(2) (Value.Int 99)) (snapshot copy));
+  ignore (Engine.exec template "UPDATE users SET age = 1");
+  Alcotest.(check bool) "copy untouched by template writes" true
+    (Array.for_all (fun r -> Value.equal r.(2) (Value.Int 99)) (snapshot copy))
+
 let test_engine_where_semantics () =
   let e = fresh () in
   ignore (Engine.exec e "INSERT INTO users (id, name) VALUES (4, 'dave')");
@@ -273,6 +299,7 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "crud" `Quick test_engine_crud;
+          Alcotest.test_case "copy is deep" `Quick test_engine_copy;
           Alcotest.test_case "NULL comparison semantics" `Quick test_engine_where_semantics;
           Alcotest.test_case "order by / limit" `Quick test_engine_order_limit;
           Alcotest.test_case "count(*)" `Quick test_engine_count;
