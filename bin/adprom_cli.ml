@@ -1525,9 +1525,6 @@ let status_cmd_run node_specs replicas format =
       Service.Cluster.Router.close router;
       match result with
       | Error e -> `Error (false, e)
-      | Ok [] ->
-          `Error
-            (false, "no node answered a health scrape (all peers are pre-v2?)")
       | Ok nodes ->
           (match format with
           | `Json -> print_endline (status_json nodes)
@@ -1616,10 +1613,6 @@ let top_cmd_run node_specs replicas interval iterations =
           | Error e ->
               Service.Cluster.Router.close router;
               `Error (false, e)
-          | Ok [] ->
-              Service.Cluster.Router.close router;
-              `Error
-                (false, "no node answered a health scrape (all peers are pre-v2?)")
           | Ok nodes ->
               top_render ~interval ~prev nodes;
               if iterations > 0 && i >= iterations then begin

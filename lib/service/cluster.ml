@@ -112,7 +112,6 @@ module Router = struct
     mutable acked : int;
     mutable lost : int;
     mutable reconnects : int;
-    mutable version : int;  (* negotiated: min(ours, the node's hello) *)
     mutable offset_ns : int64;  (* node_mono - router_mono estimate *)
     mutable probe_seq : int;
   }
@@ -186,40 +185,21 @@ module Router = struct
                  (Printf.sprintf "%s: unexpected %s frame (awaiting %s)"
                     p.spec.peer_name (Frame.frame_name f) what)))
 
-  let hello t p =
-    let out = Buffer.create 32 in
-    (* the initiating hello is sample-less, hence v1-shaped and
-       v1-stamped: an old node must be able to decode it. The payload's
-       version field still announces what we speak. *)
-    Frame.Encoder.add p.enc out
-      (Frame.Hello
-         { version = Frame.protocol_version; peer = t.me; sample = None });
-    Frame.Encoder.flush p.enc out;
-    let t_send = Adprom_obs.Clock.monotonic_ns () in
-    write_all p.fd (Buffer.contents out);
-    let version, sample =
-      await t p ~what:"hello"
+  (* The node samples its clock into the hello reply: dating the sample
+     at the round trip's midpoint gives a first offset estimate, refined
+     by {!clock_sync}'s min-RTT probes. *)
+  let rec hello t p =
+    let _rtt, offset_ns =
+      probe t p
+        (Frame.Hello { peer = t.me; sample = None })
+        ~what:"a hello with a clock sample"
         (function
-          | Frame.Hello { version; sample; _ } -> Some (version, sample)
+          | Frame.Hello { sample = Some (mono_ns, _); _ } -> Some mono_ns
           | _ -> None)
     in
-    let t_recv = Adprom_obs.Clock.monotonic_ns () in
-    if version < 1 then
-      raise
-        (Router_error
-           (Printf.sprintf "%s: incompatible protocol version %d"
-              p.spec.peer_name version));
-    p.version <- min Frame.protocol_version version;
-    (* a v2 node samples its clocks into the hello reply: dating the
-       sample at the round-trip's midpoint gives a first offset
-       estimate, refined by {!clock_sync}'s min-RTT probes *)
-    match sample with
-    | Some (mono_ns, _wall_ns) ->
-        p.offset_ns <-
-          Int64.sub mono_ns (Int64.div (Int64.add t_send t_recv) 2L)
-    | None -> ()
+    p.offset_ns <- offset_ns
 
-  let reconnect t p =
+  and reconnect t p =
     (* everything unflushed, plus everything flushed past the last Ack:
        an upper bound — the node may have scored some of it — which is
        the right direction for a "verdicts no longer comparable" flag *)
@@ -237,7 +217,7 @@ module Router = struct
     p.reconnects <- p.reconnects + 1;
     hello t p
 
-  let flush t p =
+  and flush t p =
     Frame.Encoder.flush p.enc p.out;
     if Buffer.length p.out > 0 then begin
       let items = p.out_items in
@@ -246,7 +226,7 @@ module Router = struct
          span runs from our send instant (mapped onto the node's clock
          via [offset_ns]) to the moment the whole batch was ingested. *)
       let mark =
-        if items > 0 && p.version >= 2 && Adprom_obs.Trace.enabled () then begin
+        if items > 0 && Adprom_obs.Trace.enabled () then begin
           let trace_id = Adprom_obs.Trace.fresh_id () in
           let send_mono_ns = Adprom_obs.Clock.monotonic_ns () in
           Frame.Encoder.add p.enc p.out
@@ -277,6 +257,32 @@ module Router = struct
         ->
           reconnect t p
     end
+
+  (* A control exchange whose reply carries the node's monotonic clock:
+     returns the round trip and [node_mono - router_mono] dated at its
+     midpoint. Buffered items go out before the clock starts. *)
+  and probe t p frame ~what pred =
+    flush t p;
+    let t0 = Adprom_obs.Clock.monotonic_ns () in
+    let mono_ns = request_reply t p frame ~what pred in
+    let t1 = Adprom_obs.Clock.monotonic_ns () in
+    (Int64.sub t1 t0, Int64.sub mono_ns (Int64.div (Int64.add t0 t1) 2L))
+
+  (* Every control exchange: [frame] goes out behind the items already
+     buffered for [p], then the reply [pred] accepts is awaited. *)
+  and request_reply :
+        'a. t -> rpeer -> Frame.frame -> what:string ->
+        (Frame.frame -> 'a option) -> 'a =
+   fun t p frame ~what pred ->
+    request t p frame;
+    await t p ~what pred
+
+  and request t p frame =
+    flush t p;
+    let out = Buffer.create 16 in
+    Frame.Encoder.add p.enc out frame;
+    Frame.Encoder.flush p.enc out;
+    write_all p.fd (Buffer.contents out)
 
   (* Opportunistically consume any Acks the node pushed while we were
      writing, so the socket buffer never fills with feedback. *)
@@ -342,7 +348,6 @@ module Router = struct
                  acked = 0;
                  lost = 0;
                  reconnects = 0;
-                 version = 1;
                  offset_ns = 0L;
                  probe_seq = 0;
                }
@@ -364,8 +369,17 @@ module Router = struct
   let peer_of t item =
     List.assoc (Ring.node t.ring (Transport.item_session item)) t.peers
 
-  let send_exn t item =
-    if t.closed then raise (Router_error "router already finished");
+  (* Every public fleet operation: refused once the router is closed,
+     and its failures become [Error]. [f] builds its own [Ok], so the
+     per-item {!send} allocates nothing here. *)
+  let guard t f x =
+    if t.closed then Error "router already finished"
+    else
+      try f t x with
+      | Router_error e -> Error e
+      | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+
+  let send_item t item =
     let p = peer_of t item in
     Frame.Encoder.add p.enc p.out
       (match item with
@@ -378,119 +392,69 @@ module Router = struct
     end
 
   let send t item =
-    match send_exn t item with
-    | () -> Ok ()
-    | exception Router_error e -> Error e
+    guard t
+      (fun t item ->
+        send_item t item;
+        Ok ())
+      item
 
   let send_stream t items =
-    match Array.iter (send_exn t) items with
-    | () -> Ok ()
-    | exception Router_error e -> Error e
+    guard t
+      (fun t items ->
+        Array.iter (send_item t) items;
+        Ok ())
+      items
 
-  let flush_all t =
-    match
-      if t.closed then raise (Router_error "router already finished");
-      List.iter (fun (_, p) -> flush t p) t.peers
-    with
-    | () -> Ok ()
-    | exception Router_error e -> Error e
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  let each_peer t f =
+    guard t (fun t f -> Ok (List.map (fun (_, p) -> f p) t.peers)) f
+
+  let flush_all t = Result.map ignore (each_peer t (flush t))
 
   let lost_items t =
     List.fold_left (fun acc (_, p) -> acc + p.lost) 0 t.peers
-
-  let peer_versions t =
-    List.map (fun (name, p) -> (name, p.version)) t.peers
 
   let clock_offsets t =
     List.map (fun (name, p) -> (name, p.offset_ns)) t.peers
 
   (* ---- operations plane ------------------------------------------- *)
 
-  let request_reply t p frame ~what pred =
-    flush t p;
-    let out = Buffer.create 16 in
-    Frame.Encoder.add p.enc out frame;
-    Frame.Encoder.flush p.enc out;
-    write_all p.fd (Buffer.contents out);
-    await t p ~what pred
-
   let clock_sync ?(probes = 3) t =
-    match
-      if t.closed then raise (Router_error "router already finished");
-      List.iter
-        (fun (_, p) ->
-          if p.version >= 2 then begin
-            let best_rtt = ref Int64.max_int in
-            for _ = 1 to probes do
-              let seq = p.probe_seq in
-              p.probe_seq <- seq + 1;
-              flush t p;
-              let out = Buffer.create 16 in
-              Frame.Encoder.add p.enc out (Frame.Clock_probe { seq });
-              Frame.Encoder.flush p.enc out;
-              let t0 = Adprom_obs.Clock.monotonic_ns () in
-              write_all p.fd (Buffer.contents out);
-              let mono_ns =
-                await t p ~what:"clock-reply" (function
-                  | Frame.Clock_reply { seq = s; mono_ns; _ } when s = seq ->
-                      Some mono_ns
-                  | _ -> None)
-              in
-              let t1 = Adprom_obs.Clock.monotonic_ns () in
-              (* the probe with the smallest round trip spent the least
-                 time queued anywhere, so dating its sample at the
-                 midpoint has the tightest error bound *)
-              let rtt = Int64.sub t1 t0 in
-              if Int64.compare rtt !best_rtt < 0 then begin
-                best_rtt := rtt;
-                p.offset_ns <-
-                  Int64.sub mono_ns (Int64.div (Int64.add t0 t1) 2L)
-              end
-            done
-          end)
-        t.peers
-    with
-    | () -> Ok ()
-    | exception Router_error e -> Error e
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+    Result.map ignore
+      (each_peer t (fun p ->
+           (* the probe with the smallest round trip spent the least
+              time queued anywhere, so dating its sample at the
+              midpoint has the tightest error bound *)
+           let best_rtt = ref Int64.max_int in
+           for _ = 1 to probes do
+             let seq = p.probe_seq in
+             p.probe_seq <- seq + 1;
+             let rtt, offset_ns =
+               probe t p (Frame.Clock_probe { seq }) ~what:"clock-reply"
+                 (function
+                   | Frame.Clock_reply { seq = s; mono_ns; _ } when s = seq ->
+                       Some mono_ns
+                   | _ -> None)
+             in
+             if Int64.compare rtt !best_rtt < 0 then begin
+               best_rtt := rtt;
+               p.offset_ns <- offset_ns
+             end
+           done))
 
   let health t =
-    match
-      if t.closed then raise (Router_error "router already finished");
-      List.filter_map
-        (fun (name, p) ->
-          if p.version < 2 then None
-          else
-            Some
-              ( name,
-                request_reply t p Frame.Health_req ~what:"health" (function
-                  | Frame.Health_resp h -> Some h
-                  | _ -> None) ))
-        t.peers
-    with
-    | healths -> Ok healths
-    | exception Router_error e -> Error e
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+    each_peer t (fun p ->
+        ( p.spec.peer_name,
+          request_reply t p Frame.Health_req ~what:"health" (function
+            | Frame.Health_resp h -> Some h
+            | _ -> None) ))
 
   let spans t =
-    match
-      if t.closed then raise (Router_error "router already finished");
-      List.filter_map
-        (fun (name, p) ->
-          if p.version < 2 then None
-          else
-            Some
-              ( name,
-                p.offset_ns,
-                request_reply t p Frame.Spans_req ~what:"spans" (function
-                  | Frame.Spans_resp spans -> Some spans
-                  | _ -> None) ))
-        t.peers
-    with
-    | groups -> Ok groups
-    | exception Router_error e -> Error e
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+    each_peer t (fun p ->
+        ( p.spec.peer_name,
+          p.offset_ns,
+          request_reply t p Frame.Spans_req ~what:"spans" (function
+            | Frame.Spans_resp spans -> Some spans
+            | _ -> None) ))
 
   let close t =
     (* drop the connections without [Bye]: the observation commands
@@ -552,50 +516,33 @@ module Router = struct
     Buffer.contents buf
 
   let metrics t =
-    match
-      List.map
-        (fun (_, p) ->
-          flush t p;
-          let out = Buffer.create 16 in
-          Frame.Encoder.add p.enc out Frame.Metrics_req;
-          Frame.Encoder.flush p.enc out;
-          write_all p.fd (Buffer.contents out);
-          await t p ~what:"metrics"
-            (function Frame.Metrics_resp d -> Some d | _ -> None))
-        t.peers
-    with
-    | dumps -> Ok (merge_dumps dumps)
-    | exception Router_error e -> Error e
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+    Result.map merge_dumps
+      (each_peer t (fun p ->
+           request_reply t p Frame.Metrics_req ~what:"metrics" (function
+             | Frame.Metrics_resp d -> Some d
+             | _ -> None)))
 
+  (* Every Bye goes out before any Summary is awaited, so the nodes
+     drain in parallel. *)
   let finish t =
-    match
-      if t.closed then raise (Router_error "router already finished");
-      t.closed <- true;
-      List.iter
-        (fun (_, p) ->
-          flush t p;
-          let out = Buffer.create 16 in
-          Frame.Encoder.add p.enc out Frame.Bye;
-          Frame.Encoder.flush p.enc out;
-          write_all p.fd (Buffer.contents out))
-        t.peers;
-      let summaries =
-        List.map
-          (fun (_, p) ->
-            await t p ~what:"summary"
-              (function Frame.Summary s -> Some s | _ -> None))
-          t.peers
-      in
-      List.iter
-        (fun (_, p) ->
-          try Unix.close p.fd with Unix.Unix_error _ -> ())
-        t.peers;
-      summaries
-    with
-    | summaries -> Ok summaries
-    | exception Router_error e -> Error e
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+    guard t
+      (fun t () ->
+        t.closed <- true;
+        Fun.protect
+          ~finally:(fun () ->
+            List.iter
+              (fun (_, p) -> try Unix.close p.fd with Unix.Unix_error _ -> ())
+              t.peers)
+          (fun () ->
+            List.iter (fun (_, p) -> request t p Frame.Bye) t.peers;
+            Ok
+              (List.map
+                 (fun (_, p) ->
+                   await t p ~what:"summary" (function
+                     | Frame.Summary s -> Some s
+                     | _ -> None))
+                 t.peers)))
+      ()
 end
 
 let merge = function

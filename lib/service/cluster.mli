@@ -40,13 +40,18 @@ val peer_of_string : string -> (peer, string) result
 
 module Router : sig
   type t
+  (** Every operation returning a [result] reports a failed exchange or
+      socket as [Error], and answers [Error "router already finished"]
+      once {!finish} or {!close} has run. *)
 
   val connect :
     ?replicas:int -> ?attempts:int -> ?peer:string -> peer list -> (t, string) result
   (** Dial every node (with exponential backoff over [attempts] tries,
       default 10) and exchange [Hello] frames; [peer] (default
-      ["router"]) is the name announced. [Error] if any node stays
-      unreachable or answers with an incompatible protocol version. *)
+      ["router"]) is the name announced, and each node's reply carries
+      the clock sample that seeds {!clock_offsets}. [Error] if any node
+      stays unreachable or refuses the hello (a node of another wire
+      version closes the connection). *)
 
   val send : t -> Transport.item -> (unit, string) result
   (** Route one item to its session's node. Items are buffered per node
@@ -68,32 +73,25 @@ module Router : sig
   (** Items acknowledged as lost across reconnects — nonzero means the
       cluster verdicts are not comparable to a single-node replay. *)
 
-  val peer_versions : t -> (string * int) list
-  (** Per node (connect order): the negotiated wire version —
-      [min Frame.protocol_version (the node's hello)]. Version-2 frames
-      are only ever sent to peers negotiated at ≥ 2. *)
-
   val clock_offsets : t -> (string * int64) list
   (** Per node: the current [node_mono - router_mono] estimate in
-      nanoseconds (0 until a v2 hello or {!clock_sync} refined it) —
-      the alignment {!Adprom_obs.Trace.to_chrome_json_cluster} takes. *)
+      nanoseconds (first from the hello reply's clock sample, then as
+      {!clock_sync} refined it) — the alignment
+      {!Adprom_obs.Trace.to_chrome_json_cluster} takes. *)
 
   val clock_sync : ?probes:int -> t -> (unit, string) result
-  (** Probe every v2 node's monotonic clock [probes] times (default 3)
+  (** Probe every node's monotonic clock [probes] times (default 3)
       and keep, per node, the offset estimated by the round trip with
-      the smallest RTT — the sample least distorted by queueing. v1
-      nodes are skipped (their offsets stay at the hello estimate, or
-      0). *)
+      the smallest RTT — the sample least distorted by queueing. *)
 
   val health : t -> ((string * Frame.health) list, string) result
-  (** Fan a [Health_req] out to every v2 node: each answers its name,
-      {!Health.status}, value-level metrics snapshot, incident tail and
-      uptime. v1 nodes are omitted from the result (use
-      {!peer_versions} to show them as unknown). Fold the snapshots
-      with {!Metrics.merge_snapshots} for the fleet view. *)
+  (** Fan a [Health_req] out to every node (connect order): each
+      answers its name, {!Health.status}, value-level metrics snapshot,
+      incident tail and uptime. Fold the snapshots with
+      {!Metrics.merge_snapshots} for the fleet view. *)
 
   val spans : t -> ((string * int64 * Adprom_obs.Trace.span list) list, string) result
-  (** Collect every v2 node's retained trace spans, each tagged with
+  (** Collect every node's retained trace spans, each tagged with
       the node's name and clock offset — exactly the groups
       {!Adprom_obs.Trace.dump_chrome_cluster} merges onto one
       timeline (prepend the router's own

@@ -21,7 +21,7 @@ type health = {
 }
 
 type frame =
-  | Hello of { version : int; peer : string; sample : (int64 * int64) option }
+  | Hello of { peer : string; sample : (int64 * int64) option }
   | Ack of { count : int }
   | Call of Transport.event
   | Query of Transport.query
@@ -50,8 +50,8 @@ let error_to_string = function
       Printf.sprintf "bad magic 0x%02x 0x%02x (not an adprom binary stream)"
         byte0 byte1
   | Bad_version v ->
-      Printf.sprintf "unsupported protocol version %d (this build speaks <= %d)"
-        v protocol_version
+      Printf.sprintf "unsupported protocol version %d (this build speaks %d)" v
+        protocol_version
   | Bad_frame_type t -> Printf.sprintf "unknown frame type %d" t
   | Frame_too_large { length; limit } ->
       Printf.sprintf "frame payload of %d bytes exceeds the %d-byte limit"
@@ -80,17 +80,6 @@ let tag_of_frame = function
   | Spans_resp _ -> 14
 
 let max_tag = 14
-
-(* Version-1 decoders reject any header stamped > 1, so each frame is
-   stamped with the lowest version that can decode it: the v1 frame set
-   keeps its v1 stamp (a new router still interoperates with an old
-   node), only the v2 extensions — the new tags, and a Hello that
-   carries a clock sample — announce version 2. *)
-let frame_wire_version = function
-  | Hello { sample = Some _; _ } -> 2
-  | f -> if tag_of_frame f >= 8 then 2 else 1
-
-let max_tag_of_version ver = if ver >= 2 then max_tag else 7
 
 let frame_name_of_tag = function
   | 0 -> "hello"
@@ -406,7 +395,7 @@ module Encoder = struct
     e.fstart <- e.w.wpos;
     e.w.wpos <- e.w.wpos + 8
 
-  let end_frame e out ~ver tag =
+  let end_frame e out tag =
     let w = e.w in
     let fs = e.fstart in
     let len = w.wpos - fs - 8 in
@@ -419,7 +408,7 @@ module Encoder = struct
     let b = w.wbuf in
     Bytes.unsafe_set b fs magic.[0];
     Bytes.unsafe_set b (fs + 1) magic.[1];
-    Bytes.unsafe_set b (fs + 2) (Char.unsafe_chr ver);
+    Bytes.unsafe_set b (fs + 2) (Char.unsafe_chr protocol_version);
     Bytes.unsafe_set b (fs + 3) (Char.unsafe_chr tag);
     Bytes.unsafe_set b (fs + 4) (Char.unsafe_chr (len lsr 24 land 0xff));
     Bytes.unsafe_set b (fs + 5) (Char.unsafe_chr (len lsr 16 land 0xff));
@@ -435,7 +424,7 @@ module Encoder = struct
     add_strref e event.Runtime.Collector.caller;
     add_zigzag e.w event.Runtime.Collector.block;
     add_symbol e event.Runtime.Collector.symbol;
-    end_frame e out ~ver:1 2
+    end_frame e out 2
 
   (* [put_varint b p n] writes at [p] (capacity pre-checked) and
      returns the next position — position-passing instead of a ref so
@@ -496,18 +485,18 @@ module Encoder = struct
       | Entry ->
           Bytes.unsafe_set b p '\000';
           w.wpos <- p + 1;
-          end_frame e out ~ver:1 2
+          end_frame e out 2
       | Exit ->
           Bytes.unsafe_set b p '\001';
           w.wpos <- p + 1;
-          end_frame e out ~ver:1 2
+          end_frame e out 2
       | Func name ->
           let nref = cached_ref e name in
           if nref < 0 then add_call_slow e out ev
           else begin
             Bytes.unsafe_set b p '\002';
             w.wpos <- put_varint b (p + 1) nref;
-            end_frame e out ~ver:1 2
+            end_frame e out 2
           end
       | Lib { name; label; site } ->
           let nref = cached_ref e name in
@@ -518,7 +507,7 @@ module Encoder = struct
             let p = put_opt b p label in
             let p = put_opt b p site in
             w.wpos <- p;
-            end_frame e out ~ver:1 2
+            end_frame e out 2
           end
     end
 
@@ -529,7 +518,7 @@ module Encoder = struct
     add_varint e.w q_session;
     add_varint e.w rows;
     add_str e.w sql;
-    end_frame e out ~ver:1 3
+    end_frame e out 3
 
   let add_snapshot buf (s : Metrics.snapshot) =
     add_varint buf (List.length s.Metrics.counters);
@@ -576,14 +565,10 @@ module Encoder = struct
 
   let encode_payload e = function
     | Call _ | Query _ -> assert false (* [add] dispatches those *)
-    | Hello { version; peer; sample } -> (
-        add_varint e.w version;
+    | Hello { peer; sample } -> (
         add_str e.w peer;
-        (* without a sample the payload is exactly the v1 shape (v1
-           decoders reject trailing bytes), and [frame_wire_version]
-           stamps the header v1 to match *)
         match sample with
-        | None -> ()
+        | None -> add_bool e.w false
         | Some (mono_ns, wall_ns) ->
             add_bool e.w true;
             add_fixed64 e.w mono_ns;
@@ -665,7 +650,7 @@ module Encoder = struct
     | _ ->
         begin_frame e;
         encode_payload e frame;
-        end_frame e out ~ver:(frame_wire_version frame) (tag_of_frame frame)
+        end_frame e out (tag_of_frame frame)
 end
 
 module Decoder = struct
@@ -674,14 +659,10 @@ module Decoder = struct
     mutable interned : string array;
     mutable interned_len : int;
     mutable dead : error option;
-    max_version : int;  (* headers stamped above this are rejected —
-                           [create ~max_version:1] behaves like an old
-                           build, which the version-skew tests pin *)
   }
 
-  let create ?(max_version = protocol_version) () =
-    { pending = Buffer.create 256; interned = [||]; interned_len = 0;
-      dead = None; max_version }
+  let create () =
+    { pending = Buffer.create 256; interned = [||]; interned_len = 0; dead = None }
 
   (* The table's memory is bounded by the bytes the peer actually sent
      (an inline definition costs its full length on the wire), so no
@@ -767,42 +748,49 @@ module Decoder = struct
     { Adprom_obs.Trace.name; trace_id; span_id; parent; domain; start_ns;
       dur_ns; attrs }
 
-  let decode_payload d ~ver tag s pos stop =
-    let c = { cbuf = s; p = pos; cstop = stop } in
-    let frame =
-      match tag with
-      | 0 ->
-          let version = varint c in
-          let peer = str c in
-          let sample =
-            (* the v2 extension rides behind the v1 fields; a v2 header
-               with nothing further is a plain sample-less hello *)
-            if ver >= 2 && c.p < stop then
-              if bool c then begin
-                let mono_ns = fixed64 c in
-                let wall_ns = fixed64 c in
-                Some (mono_ns, wall_ns)
-              end
-              else None
-            else None
-          in
-          Hello { version; peer; sample }
+  (* Payload readers shared by the frame and item decoders. Those marked
+     [@inline] run once per item; left as calls, they slowed the item
+     decoder by about 8%. *)
+
+  let[@inline] read_call d c =
+    let session = nonneg c "session id" in
+    let caller = strref d c in
+    let block = zigzag c in
+    let symbol = symbol d c in
+    { Transport.session; event = { Runtime.Collector.caller; block; symbol } }
+
+  let[@inline] read_query c =
+    let q_session = nonneg c "session id" in
+    let rows = nonneg c "row count" in
+    let sql = str c in
+    { Transport.q_session; rows; sql }
+
+  let read_hello c =
+    let peer = str c in
+    let sample =
+      if bool c then begin
+        let mono_ns = fixed64 c in
+        let wall_ns = fixed64 c in
+        Some (mono_ns, wall_ns)
+      end
+      else None
+    in
+    Hello { peer; sample }
+
+  (* [v], provided its reader consumed the whole payload *)
+  let[@inline] whole c v =
+    if c.p <> c.cstop then raise_notrace (Fail "trailing bytes after payload")
+    else v
+
+  let decode_payload d tag c =
+    whole c
+      (match tag with
+      | 0 -> read_hello c
       | 1 -> Ack { count = nonneg c "ack count" }
-      | 2 ->
-          let session = nonneg c "session id" in
-          let caller = strref d c in
-          let block = zigzag c in
-          let symbol = symbol d c in
-          Call { Transport.session; event = { Runtime.Collector.caller; block; symbol } }
-      | 3 ->
-          let q_session = nonneg c "session id" in
-          let rows = nonneg c "row count" in
-          let sql = str c in
-          Query { Transport.q_session; rows; sql }
+      | 2 -> Call (read_call d c)
+      | 3 -> Query (read_query c)
       | 4 -> Metrics_req
-      | 5 ->
-          c.p <- stop;  (* the whole payload is the dump text *)
-          Metrics_resp (String.sub s pos (stop - pos))
+      | 5 -> Metrics_resp (bytes c (c.cstop - c.p)) (* the dump text *)
       | 6 -> Bye
       | 7 ->
           let node = str c in
@@ -877,141 +865,73 @@ module Decoder = struct
           Health_resp { h_node; h_status; h_snapshot; h_incidents; h_uptime_s }
       | 13 -> Spans_req
       | 14 -> Spans_resp (read_list c read_span)
-      | _ -> assert false (* the frame loop rejected the tag already *)
-    in
-    if c.p <> stop then raise (Fail "trailing bytes after payload");
-    frame
+      | _ -> assert false (* [header_error] rejected the tag already *))
 
-  let parse_frames d s pos stop ~init ~f =
-    let rec go acc i =
-      if stop - i < 8 then Ok (acc, i)
-      else begin
-        let b0 = Char.code (String.unsafe_get s i)
-        and b1 = Char.code (String.unsafe_get s (i + 1)) in
-        if b0 <> Char.code magic.[0] || b1 <> Char.code magic.[1] then
-          Error (Bad_magic { byte0 = b0; byte1 = b1 })
-        else begin
-          let ver = Char.code (String.unsafe_get s (i + 2)) in
-          if ver < 1 || ver > d.max_version then Error (Bad_version ver)
-          else begin
-            let tag = Char.code (String.unsafe_get s (i + 3)) in
-            if tag > max_tag_of_version ver then Error (Bad_frame_type tag)
-            else begin
-              let len =
-                (Char.code (String.unsafe_get s (i + 4)) lsl 24)
-                lor (Char.code (String.unsafe_get s (i + 5)) lsl 16)
-                lor (Char.code (String.unsafe_get s (i + 6)) lsl 8)
-                lor Char.code (String.unsafe_get s (i + 7))
-              in
-              if len > max_payload then
-                Error (Frame_too_large { length = len; limit = max_payload })
-              else if stop - i - 8 < len then Ok (acc, i)
-              else
-                match decode_payload d ~ver tag s (i + 8) (i + 8 + len) with
-                | frame -> go (f acc frame) (i + 8 + len)
-                | exception Fail reason ->
-                    Error
-                      (Bad_payload { frame = frame_name_of_tag tag; reason })
-            end
-          end
-        end
-      end
-    in
-    go init pos
+  let[@inline] payload_length s i =
+    (Char.code (String.unsafe_get s (i + 4)) lsl 24)
+    lor (Char.code (String.unsafe_get s (i + 5)) lsl 16)
+    lor (Char.code (String.unsafe_get s (i + 6)) lsl 8)
+    lor Char.code (String.unsafe_get s (i + 7))
 
-  (* [parse_frames] specialized to an item stream: call and query
-     payloads decode straight to {!Transport.item} — no intermediate
-     [frame] box, one cursor reused across the whole chunk. This is the
-     hot loop behind {!T.fold}, which the serve loop and the replay
-     reader drive. *)
-  let parse_items d s pos stop ~init ~f =
+  (* The one header check, on the eight bytes at [i]: [None] — an
+     immediate, so a well-formed frame allocates nothing here. *)
+  let[@inline] header_error s i =
+    let b0 = Char.code (String.unsafe_get s i)
+    and b1 = Char.code (String.unsafe_get s (i + 1))
+    and ver = Char.code (String.unsafe_get s (i + 2))
+    and tag = Char.code (String.unsafe_get s (i + 3))
+    and len = payload_length s i in
+    if b0 <> Char.code magic.[0] || b1 <> Char.code magic.[1] then
+      Some (Bad_magic { byte0 = b0; byte1 = b1 })
+    else if ver <> protocol_version then Some (Bad_version ver)
+    else if tag > max_tag then Some (Bad_frame_type tag)
+    else if len > max_payload then
+      Some (Frame_too_large { length = len; limit = max_payload })
+    else None
+
+  (* The chunk loop of both decoders: check each header, then let [step]
+     read the complete payload through one cursor reused across the
+     chunk and fold it into [acc] with [f]. *)
+  let parse step d s pos stop ~init ~f =
     let c = { cbuf = s; p = 0; cstop = 0 } in
     let rec go acc i =
       if stop - i < 8 then Ok (acc, i)
-      else begin
-        let b0 = Char.code (String.unsafe_get s i)
-        and b1 = Char.code (String.unsafe_get s (i + 1)) in
-        if b0 <> Char.code magic.[0] || b1 <> Char.code magic.[1] then
-          Error (Bad_magic { byte0 = b0; byte1 = b1 })
-        else begin
-          let ver = Char.code (String.unsafe_get s (i + 2)) in
-          if ver < 1 || ver > d.max_version then Error (Bad_version ver)
-          else begin
-            let tag = Char.code (String.unsafe_get s (i + 3)) in
-            if tag > max_tag_of_version ver then Error (Bad_frame_type tag)
+      else
+        match header_error s i with
+        | Some e -> Error e
+        | None -> (
+            let next = i + 8 + payload_length s i in
+            if next > stop then Ok (acc, i)
             else begin
-              let len =
-                (Char.code (String.unsafe_get s (i + 4)) lsl 24)
-                lor (Char.code (String.unsafe_get s (i + 5)) lsl 16)
-                lor (Char.code (String.unsafe_get s (i + 6)) lsl 8)
-                lor Char.code (String.unsafe_get s (i + 7))
-              in
-              if len > max_payload then
-                Error (Frame_too_large { length = len; limit = max_payload })
-              else if stop - i - 8 < len then Ok (acc, i)
-              else begin
-                c.p <- i + 8;
-                c.cstop <- i + 8 + len;
-                if tag = 2 then
-                  match
-                    let session = nonneg c "session id" in
-                    let caller = strref d c in
-                    let block = zigzag c in
-                    let symbol = symbol d c in
-                    if c.p <> c.cstop then
-                      raise_notrace (Fail "trailing bytes after payload");
-                    { Transport.session;
-                      event = { Runtime.Collector.caller; block; symbol } }
-                  with
-                  | ev -> go (f acc (Transport.Call ev)) (i + 8 + len)
-                  | exception Fail reason ->
-                      Error (Bad_payload { frame = "call"; reason })
-                else if tag = 3 then
-                  match
-                    let q_session = nonneg c "session id" in
-                    let rows = nonneg c "row count" in
-                    let sql = str c in
-                    if c.p <> c.cstop then
-                      raise_notrace (Fail "trailing bytes after payload");
-                    { Transport.q_session; rows; sql }
-                  with
-                  | q -> go (f acc (Transport.Query q)) (i + 8 + len)
-                  | exception Fail reason ->
-                      Error (Bad_payload { frame = "query"; reason })
-                else if tag = 0 then
-                  (* record files may open with a hello; validate and skip
-                     (either shape — a v2 one may carry a clock sample) *)
-                  match
-                    ignore (varint c);
-                    ignore (str c);
-                    if ver >= 2 && c.p < c.cstop then
-                      if bool c then begin
-                        ignore (fixed64 c);
-                        ignore (fixed64 c)
-                      end;
-                    if c.p <> c.cstop then
-                      raise_notrace (Fail "trailing bytes after payload")
-                  with
-                  | () -> go acc (i + 8 + len)
-                  | exception Fail reason ->
-                      Error (Bad_payload { frame = "hello"; reason })
-                else
-                  Error
-                    (Bad_payload
-                       { frame = frame_name_of_tag tag;
-                         reason = "control frame in an item stream" })
-              end
-            end
-          end
-        end
-      end
+              let tag = Char.code (String.unsafe_get s (i + 3)) in
+              c.p <- i + 8;
+              c.cstop <- next;
+              match step d c tag acc f with
+              | acc -> go acc next
+              | exception Fail reason ->
+                  Error (Bad_payload { frame = frame_name_of_tag tag; reason })
+            end)
     in
     go init pos
 
+  let frame_step d c tag acc f = f acc (decode_payload d tag c)
+
+  (* An item stream decodes call and query payloads straight to
+     {!Transport.item}, with no intermediate [frame] box: the hot loop
+     behind {!T.fold}. Record files may open with a hello, which is
+     validated and skipped. *)
+  let item_step d c tag acc f =
+    match tag with
+    | 2 -> f acc (Transport.Call (whole c (read_call d c)))
+    | 3 -> f acc (Transport.Query (whole c (read_query c)))
+    | 0 ->
+        ignore (whole c (read_hello c));
+        acc
+    | _ -> raise_notrace (Fail "control frame in an item stream")
+
   (* the generic chunk pump: pending-buffer stitching and poisoning in
-     one place; [parse] is {!parse_frames} or {!parse_items}, [f] folds
-     each completed frame or item *)
-  let feed_gen parse d ?(pos = 0) ?len s ~init ~f =
+     one place; [step] reads each completed frame, [f] folds it *)
+  let feed_gen step d ?(pos = 0) ?len s ~init ~f =
     match d.dead with
     | Some e -> Error e
     | None -> (
@@ -1027,7 +947,7 @@ module Decoder = struct
             (v, 0, String.length v)
           end
         in
-        match parse d view vpos vstop ~init ~f with
+        match parse step d view vpos vstop ~init ~f with
         | Error e ->
             d.dead <- Some e;
             Error e
@@ -1035,8 +955,8 @@ module Decoder = struct
             if i < vstop then Buffer.add_substring d.pending view i (vstop - i);
             Ok acc)
 
-  let feed_fold d ?pos ?len s ~init ~f = feed_gen parse_frames d ?pos ?len s ~init ~f
-  let feed_items d ?pos ?len s ~init ~f = feed_gen parse_items d ?pos ?len s ~init ~f
+  let feed_fold d ?pos ?len s ~init ~f = feed_gen frame_step d ?pos ?len s ~init ~f
+  let feed_items d ?pos ?len s ~init ~f = feed_gen item_step d ?pos ?len s ~init ~f
 
   let feed d ?pos ?len s =
     match feed_fold d ?pos ?len s ~init:[] ~f:(fun acc fr -> fr :: acc) with
@@ -1068,7 +988,7 @@ module T = struct
   type dec = Decoder.t
 
   let encoder = Encoder.create
-  let decoder () = Decoder.create ()
+  let decoder = Decoder.create
 
   let encode e buf = function
     | Transport.Call ev -> Encoder.add_call e buf ev

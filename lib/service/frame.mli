@@ -1,4 +1,4 @@
-(** The versioned binary wire protocol of the scale-out tier.
+(** The binary wire protocol of the scale-out tier.
 
     Every frame is [magic(2) version(1) type(1) length(4, big-endian)]
     followed by [length] payload bytes. Integers inside payloads are
@@ -11,31 +11,31 @@
     times, and this is what keeps the frame for a typical call event
     under ten bytes.
 
-    Frame kinds: [Hello] (version negotiation, exchanged once per
-    connection), [Call]/[Query] (the stream items), [Ack] (periodic
-    ingestion feedback from a node), [Metrics_req]/[Metrics_resp]
-    (cross-node metrics aggregation), [Bye] (end of stream — the node
-    drains its daemon and answers with) [Summary] (per-session verdicts,
-    shed accounting, rendered incidents and fused axes). Version 2 adds
-    the operations plane: [Clock_probe]/[Clock_reply] (per-peer clock
-    offset estimation), [Trace_mark] (cross-node trace propagation
-    ahead of each batch), [Health_req]/[Health_resp] (fleet health
-    rollup carrying a value-level metrics snapshot) and
-    [Spans_req]/[Spans_resp] (collecting node spans for a merged
-    cluster trace).
+    Frame kinds: [Hello] (names the peers and carries the node's clock
+    sample, exchanged once per connection), [Call]/[Query] (the stream
+    items), [Ack] (periodic ingestion feedback from a node),
+    [Metrics_req]/[Metrics_resp] (cross-node metrics aggregation),
+    [Bye] (end of stream — the node drains its daemon and answers with)
+    [Summary] (per-session verdicts, shed accounting, rendered incidents
+    and fused axes), and the operations plane: [Clock_probe]/
+    [Clock_reply] (per-peer clock offset estimation), [Trace_mark]
+    (cross-node trace propagation ahead of each batch),
+    [Health_req]/[Health_resp] (fleet health rollup carrying a
+    value-level metrics snapshot) and [Spans_req]/[Spans_resp]
+    (collecting node spans for a merged cluster trace).
 
-    Each frame's header is stamped with the {e lowest} version that can
-    decode it — the whole v1 frame set keeps its v1 stamp — so a new
-    router interoperates with old nodes by simply not sending v2 frames
-    to a peer whose [Hello] announced version 1.
+    There is one protocol version: every header is stamped with
+    {!protocol_version}, and a frame stamped with any other is refused
+    as {!error.Bad_version} — binary recordings from builds that
+    stamped version 1 must be re-recorded, not guessed at.
 
     Decoding is total: any malformed byte yields a structured {!error},
     never an exception, and the decoder stays dead afterwards (binary
     framing cannot resynchronize). *)
 
 val protocol_version : int
-(** Current wire version (2). A decoder rejects frames stamped with a
-    newer version; {!Hello} lets peers agree on the minimum. *)
+(** The wire version (2) every frame header carries; a decoder refuses
+    every other stamp. *)
 
 val magic : string
 (** The two magic bytes every frame starts with — also how
@@ -68,11 +68,10 @@ type health = {
 }
 
 type frame =
-  | Hello of { version : int; peer : string; sample : (int64 * int64) option }
+  | Hello of { peer : string; sample : (int64 * int64) option }
       (** [sample] is [(monotonic_ns, wall_ns)] read just before the
-          frame was staged — the responder attaches one so the
-          initiator can estimate the peer's clock offset. A sample-less
-          hello is byte-identical to the v1 frame and is stamped v1. *)
+          frame was staged — the responding node attaches one so the
+          initiating router can estimate the node's clock offset. *)
   | Ack of { count : int }  (** events ingested on this connection so far *)
   | Call of Transport.event
   | Query of Transport.query
@@ -130,10 +129,8 @@ end
 module Decoder : sig
   type t
 
-  val create : ?max_version:int -> unit -> t
-  (** [max_version] (default {!protocol_version}) caps the header
-      versions this decoder accepts — [~max_version:1] reproduces an
-      old build's wire behaviour, which the version-skew tests pin. *)
+  val create : unit -> t
+  (** Fresh per-connection state: empty interned-string table. *)
 
   val feed : t -> ?pos:int -> ?len:int -> string -> (frame list, error) result
   (** Consume one chunk (a TCP read, or a whole file) and return the

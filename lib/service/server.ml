@@ -113,11 +113,9 @@ let incidents_json ~node ~limit alerts =
       ("incidents", "[" ^ String.concat "," (List.map render tail) ^ "]");
     ]
 
-let serve ~socket ?(name = "node") ?(version = Frame.protocol_version) ?shards
-    ?queue_capacity ?keep_verdicts ?metrics ?alerts ?vet_against ?vet_policy
-    ?static_gate ?qsig_mode ?qsig_profile ?qsig_static_gate ?leakage_policy profile =
-  if version < 1 || version > Frame.protocol_version then
-    invalid_arg "Server.serve: unsupported protocol version";
+let serve ~socket ?(name = "node") ?shards ?queue_capacity ?keep_verdicts
+    ?metrics ?alerts ?vet_against ?vet_policy ?static_gate ?qsig_mode
+    ?qsig_profile ?qsig_static_gate ?leakage_policy profile =
   (* a reply to a client that already hung up must raise EPIPE (handled
      per connection below), not deliver a process-killing SIGPIPE *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -182,15 +180,9 @@ let serve ~socket ?(name = "node") ?(version = Frame.protocol_version) ?shards
     if List.memq c !conns then begin
       Metrics.incr c_frames;
       match f with
-      | Frame.Hello { version = peer_version; _ } ->
-          (* only a v2 peer may see the sample-carrying (v2-stamped)
-             reply; a v1 peer gets the byte-identical v1 hello *)
-          let sample =
-            if version >= 2 && peer_version >= 2 then
-              Some (Adprom_obs.Clock.monotonic_ns (), wall_ns ())
-            else None
-          in
-          reply enc c (Frame.Hello { version; peer = name; sample })
+      | Frame.Hello _ ->
+          let sample = Some (Adprom_obs.Clock.monotonic_ns (), wall_ns ()) in
+          reply enc c (Frame.Hello { peer = name; sample })
       | Frame.Call ev ->
           ignore (Daemon.ingest daemon ev);
           c.ingested <- c.ingested + 1
@@ -347,10 +339,7 @@ let serve ~socket ?(name = "node") ?(version = Frame.protocol_version) ?shards
           let buffered = Buffer.contents b in
           match Frame.detect buffered with
           | Transport.Binary ->
-              c.codec <-
-                Bin
-                  ( Frame.Decoder.create ~max_version:version (),
-                    Frame.Encoder.create () );
+              c.codec <- Bin (Frame.Decoder.create (), Frame.Encoder.create ());
               process c buffered
           | Transport.Line -> (
               match http_method_prefix buffered with

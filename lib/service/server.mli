@@ -18,14 +18,16 @@
     as JSON. Requests are counted in [adprom_http_requests_total].
 
     Binary connections speak the full {!Frame} protocol: [Hello] is
-    answered with the node's version and name, [Call]/[Query] frames are
-    ingested (with an [Ack] sent back every {!ack_interval} accepted
-    items as flow feedback), [Metrics_req] is answered with the node's
-    {!Metrics.dump}, and [Bye] ends the serve loop — the daemon drains
-    and the node replies with its [Summary] frame on that connection.
-    Text connections can only stream items; they end at EOF.
+    answered with the node's name and a clock sample, [Call]/[Query]
+    frames are ingested (with an [Ack] sent back every {!ack_interval}
+    accepted items as flow feedback), [Metrics_req] is answered with the
+    node's {!Metrics.dump}, and [Bye] ends the serve loop — the daemon
+    drains and the node replies with its [Summary] frame on that
+    connection. Text connections can only stream items; they end at EOF.
 
-    A connection that sends undecodable bytes is closed and counted in
+    A connection that sends undecodable bytes — a frame stamped with
+    another wire version than {!Frame.protocol_version} included — is
+    closed without a reply and counted in
     [adprom_wire_decode_errors_total]; the node keeps serving. *)
 
 val ack_interval : int
@@ -41,7 +43,6 @@ val bind : ?backlog:int -> ?host:string -> int -> Unix.file_descr * int
 val serve :
   socket:Unix.file_descr ->
   ?name:string ->
-  ?version:int ->
   ?shards:int ->
   ?queue_capacity:int ->
   ?keep_verdicts:bool ->
@@ -60,12 +61,4 @@ val serve :
     until a [Bye] frame arrives, then drain and return the node's
     outcome — the same shape {!Replay.run} yields, so the CLI prints
     both identically. [name] (default ["node"]) is what the node calls
-    itself in [Hello] and [Summary] frames.
-
-    [version] (default {!Frame.protocol_version}) caps the node's wire
-    version: the decoder rejects newer-stamped frames and the hello
-    reply announces it, so [~version:1] reproduces an old build's
-    behaviour for version-skew testing. A clock sample rides on the
-    hello reply only when both sides speak ≥ 2.
-    @raise Invalid_argument when [version] is outside
-    [1..Frame.protocol_version]. *)
+    itself in [Hello] and [Summary] frames. *)

@@ -1,9 +1,10 @@
 (* Tests for the binary wire protocol and the scale-out tier: QCheck2
    round-trips of frames under adversarial TCP chunking, totality of the
-   decoder on truncated/corrupted bytes, consistent-hash ring
-   properties, the negative-row-count regression, and a forked 2-node
-   cluster whose merged verdicts must be bit-for-bit the single-node
-   replay's. *)
+   decoder on truncated/corrupted bytes and on frames stamped with
+   another wire version, consistent-hash ring properties, the
+   negative-row-count regression, a closed router's refusal to touch
+   its sockets, and a forked 2-node cluster whose merged verdicts must
+   be bit-for-bit the single-node replay's. *)
 
 module Transport = Adprom_service.Transport
 module Frame = Adprom_service.Frame
@@ -158,10 +159,9 @@ let roundtrip_frame f =
   | Ok fs -> Alcotest.failf "expected one frame, got %d" (List.length fs)
 
 let test_control_frames () =
-  roundtrip_frame (Frame.Hello { version = 1; peer = "router"; sample = None });
+  roundtrip_frame (Frame.Hello { peer = "router"; sample = None });
   roundtrip_frame
-    (Frame.Hello
-       { version = 2; peer = "router"; sample = Some (123_456_789L, 987_654_321L) });
+    (Frame.Hello { peer = "alpha"; sample = Some (123_456_789L, 987_654_321L) });
   roundtrip_frame (Frame.Ack { count = 123_456 });
   roundtrip_frame Frame.Metrics_req;
   roundtrip_frame (Frame.Metrics_resp "adprom_events_ingested_total 42\n");
@@ -307,16 +307,18 @@ let test_decode_errors_are_structured () =
           (Printf.sprintf "error %S mentions %S" e needle)
           true (contains ~needle e)
   in
+  (* the current stamp, so each header below reaches the check it targets *)
+  let stamped = Frame.magic ^ String.make 1 (Char.chr Frame.protocol_version) in
   (* wrong magic: a text line fed to the binary decoder *)
   check_error "bad magic" "1\tmain\t3\tlib:read:-:-\n";
   (* future version *)
   check_error "version" (Frame.magic ^ "\x63\x02\x00\x00\x00\x00");
   (* unknown frame type *)
-  check_error "frame type" (Frame.magic ^ "\x01\x63\x00\x00\x00\x00");
+  check_error "frame type" (stamped ^ "\x63\x00\x00\x00\x00");
   (* oversized payload length *)
-  check_error "exceeds" (Frame.magic ^ "\x01\x02\x7f\xff\xff\xff");
+  check_error "exceeds" (stamped ^ "\x02\x7f\xff\xff\xff");
   (* truncated mid-frame *)
-  check_error "truncated" (Frame.magic ^ "\x01\x02\x00\x00\x00\x10abc");
+  check_error "truncated" (stamped ^ "\x02\x00\x00\x00\x10abc");
   (* a control frame where items are expected *)
   let enc = Frame.Encoder.create () in
   let buf = Buffer.create 16 in
@@ -341,6 +343,41 @@ let test_detect () =
   Alcotest.(check bool) "text detected" true
     (Frame.detect (Transport.encode_all (module Transport.Text) (Array.of_list items)) = Transport.Line);
   Alcotest.(check bool) "empty is text" true (Frame.detect "" = Transport.Line)
+
+(* One wire version: a well-formed frame stamped with any other version
+   is refused by the header check of both decoders, before its payload
+   is read. *)
+let test_other_versions_refused () =
+  let restamp ver frame =
+    let enc = Frame.Encoder.create () in
+    let buf = Buffer.create 64 in
+    Frame.Encoder.add enc buf frame;
+    Frame.Encoder.flush enc buf;
+    let b = Buffer.to_bytes buf in
+    Bytes.set b 2 (Char.chr ver);
+    Bytes.to_string b
+  in
+  let call =
+    Frame.Call
+      { Transport.session = 3;
+        event = { Runtime.Collector.caller = "main"; block = 1; symbol = Symbol.Entry } }
+  in
+  let hello = Frame.Hello { peer = "router"; sample = None } in
+  List.iter
+    (fun (ver, frame) ->
+      let bytes = restamp ver frame in
+      let what = Printf.sprintf "%s stamped %d" (Frame.frame_name frame) ver in
+      (match Frame.Decoder.feed (Frame.Decoder.create ()) bytes with
+      | Error (Frame.Bad_version v) -> Alcotest.(check int) (what ^ ": frame decoder") ver v
+      | Error e -> Alcotest.failf "%s: frame decoder said %s" what (Frame.error_to_string e)
+      | Ok _ -> Alcotest.failf "%s accepted by the frame decoder" what);
+      match Frame.T.feed (Frame.T.decoder ()) bytes with
+      | Error e ->
+          Alcotest.(check string) (what ^ ": item decoder")
+            (Frame.error_to_string (Frame.Bad_version ver))
+            e
+      | Ok _ -> Alcotest.failf "%s accepted by the item decoder" what)
+    [ (1, call); (1, hello); (3, call) ]
 
 (* --- negative row counts (regression) --------------------------------------- *)
 
@@ -378,7 +415,8 @@ let test_negative_varints_rejected () =
   let neg_varint = "\x80\x80\x80\x80\x80\x80\x80\x80\x7f" in
   let frame tag payload =
     let len = String.length payload in
-    Printf.sprintf "%s\x01%c%c%c%c%c%s" Frame.magic (Char.chr tag)
+    Printf.sprintf "%s%c%c%c%c%c%c%s" Frame.magic
+      (Char.chr Frame.protocol_version) (Char.chr tag)
       (Char.chr (len lsr 24 land 0xff))
       (Char.chr (len lsr 16 land 0xff))
       (Char.chr (len lsr 8 land 0xff))
@@ -397,7 +435,11 @@ let test_negative_varints_rejected () =
   let check_items_rejected what bytes =
     match Transport.decode_all (module Frame.T) bytes with
     | Ok _ -> Alcotest.failf "%s accepted by the item decoder" what
-    | Error _ -> ()
+    | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s rejected as malformed (%S)" what e)
+          true
+          (contains ~needle:"malformed" e)
   in
   (* query: negative rows, negative session *)
   let q_neg_rows = frame 3 ("\x01" ^ neg_varint ^ "\x00") in
@@ -608,6 +650,39 @@ let incident_multiset (alerts : Alerts.t) =
        (fun (i : Alerts.incident) -> (i.Alerts.session, Alerts.source_to_string i.Alerts.source))
        (Alerts.incidents alerts))
 
+(* A closed router must not touch its sockets again: their descriptors
+   are closed and may already belong to someone else. *)
+let test_closed_router_refuses () =
+  let profile, _, _ = Lazy.force fixture in
+  let node =
+    Cluster.spawn_local ~name:"solo" (fun socket ->
+        ignore (Server.serve ~socket ~name:"solo" ~shards:1 profile))
+  in
+  let peers =
+    [ { Cluster.peer_name = "solo"; host = "127.0.0.1"; port = node.Cluster.port } ]
+  in
+  let connect () =
+    match Cluster.Router.connect peers with
+    | Ok router -> router
+    | Error e -> Alcotest.failf "connect: %s" e
+  in
+  let router = connect () in
+  Cluster.Router.close router;
+  let after_close = Cluster.Router.metrics router in
+  (* close leaves the node serving: a second router ends it, before
+     any check can fail and leave the node waiting *)
+  (match Cluster.Router.finish (connect ()) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "finish: %s" e);
+  Cluster.wait_local node;
+  match after_close with
+  | Ok _ -> Alcotest.fail "metrics answered after close"
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the closed router" e)
+        true
+        (contains ~needle:"router already finished" e)
+
 let test_two_node_cluster_matches_single () =
   let profile, qsig_profile, _ = Lazy.force fixture in
   let items = cluster_items () in
@@ -709,6 +784,8 @@ let () =
           Alcotest.test_case "score bits survive the wire" `Quick test_score_bits_survive;
           Alcotest.test_case "structured decode errors" `Quick test_decode_errors_are_structured;
           Alcotest.test_case "format autodetection" `Quick test_detect;
+          Alcotest.test_case "other wire versions refused" `Quick
+            test_other_versions_refused;
         ] );
       ( "transport",
         [
@@ -724,6 +801,11 @@ let () =
           Alcotest.test_case "balanced" `Quick test_ring_balance;
           Alcotest.test_case "minimal remap" `Quick test_ring_minimal_remap;
           Alcotest.test_case "peer addresses" `Quick test_peer_of_string;
+        ] );
+      ( "router",
+        [
+          Alcotest.test_case "closed router refuses metrics" `Quick
+            test_closed_router_refuses;
         ] );
       ( "cluster",
         [

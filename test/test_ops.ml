@@ -2,9 +2,10 @@
    on the same port as both wires (/metrics, /healthz, /incidents), the
    fleet health rollup (merge_snapshots as a QCheck2 property against a
    manual fold), observation (trace propagation plus a mid-stream
-   scrape keeps verdicts bit-for-bit), version skew (a new router
-   against an old node keeps verdicts bit-for-bit), log-file rotation,
-   and the multi-process Chrome trace merge. *)
+   scrape keeps verdicts bit-for-bit), the one wire version (a node
+   refuses an earlier build's v1-stamped hello and then serves a
+   current router bit-for-bit), log-file rotation, and the
+   multi-process Chrome trace merge. *)
 
 module Transport = Adprom_service.Transport
 module Frame = Adprom_service.Frame
@@ -339,7 +340,7 @@ let in_child (f : unit -> 'a) : 'a =
           ignore (Unix.waitpid [] pid))
         (fun () -> Marshal.from_channel ic)
 
-(* The router traces, so every batch to a v2 node is followed by a
+(* The router traces, so every batch to a node is followed by a
    Trace_mark that the node turns into a wire.batch span, and one node's
    /metrics is scraped while the stream is half sent. None of it may
    change what the detector says: the merged summary must equal an
@@ -439,53 +440,60 @@ let test_observation_keeps_verdicts () =
   Alcotest.(check bool) "incident multiset equal" true
     (incidents = List.sort compare merged.Frame.incidents)
 
-(* --- version skew: new router, old node -------------------------------------- *)
+(* --- one wire version: an old build's hello is refused --------------------- *)
 
-let test_version_skew () =
+(* The value of one counter line in a /metrics body. *)
+let counter_value name body =
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ n; v ] when n = name -> int_of_string_opt v
+      | _ -> None)
+    (String.split_on_char '\n' body)
+
+(* A raw client sends the hello an earlier build's router sent: stamped
+   version 1, payload [varint 2][str "router"]. The node must answer
+   nothing, close, and count a decode error — and still serve a normal
+   router afterwards, verdicts bit-for-bit the single-node replay's. *)
+let test_v1_hello_refused () =
   let profile, _ = Lazy.force fixture in
   let items = stream_items () in
-  (* alpha reproduces an old (v1) build; beta speaks the current wire *)
-  let node ~version name =
-    Cluster.spawn_local ~name (fun socket ->
-        ignore (Server.serve ~socket ~name ~version ~shards:2 profile))
+  let node =
+    Cluster.spawn_local ~name:"alpha" (fun socket ->
+        ignore (Server.serve ~socket ~name:"alpha" ~shards:2 profile))
   in
-  let a = node ~version:1 "alpha" and b = node ~version:2 "beta" in
-  let peers =
-    [
-      { Cluster.peer_name = "alpha"; host = "127.0.0.1"; port = a.Cluster.port };
-      { Cluster.peer_name = "beta"; host = "127.0.0.1"; port = b.Cluster.port };
-    ]
+  let port = node.Cluster.port in
+  let decode_errors () =
+    match
+      counter_value "adprom_wire_decode_errors_total"
+        (body_of_response (http_get ~port "/metrics"))
+    with
+    | Some n -> n
+    | None -> Alcotest.fail "no adprom_wire_decode_errors_total in /metrics"
   in
+  let before = decode_errors () in
+  let v1_hello = Frame.magic ^ "\x01\x00\x00\x00\x00\x08\x02\x06router" in
+  let answer = http_request ~port v1_hello in
+  let after = decode_errors () in
+  let peers = [ { Cluster.peer_name = "alpha"; host = "127.0.0.1"; port } ] in
   let summaries =
     match Cluster.Router.connect peers with
     | Error e -> Alcotest.failf "connect: %s" e
     | Ok router -> (
-        Alcotest.(check (list (pair string int)))
-          "negotiated versions"
-          [ ("alpha", 1); ("beta", 2) ]
-          (Cluster.Router.peer_versions router);
         (match Cluster.Router.send_stream router items with
         | Ok () -> ()
         | Error e -> Alcotest.failf "send: %s" e);
-        (* v2-only surfaces skip the old node instead of killing it *)
-        (match Cluster.Router.clock_sync router with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "clock_sync: %s" e);
-        (match Cluster.Router.health router with
-        | Error e -> Alcotest.failf "health: %s" e
-        | Ok nodes ->
-            Alcotest.(check (list string))
-              "only the v2 node answers health" [ "beta" ] (List.map fst nodes));
         Alcotest.(check int) "no items lost" 0 (Cluster.Router.lost_items router);
         match Cluster.Router.finish router with
         | Error e -> Alcotest.failf "finish: %s" e
         | Ok summaries -> summaries)
   in
-  Cluster.wait_local a;
-  Cluster.wait_local b;
+  Cluster.wait_local node;
+  Alcotest.(check string) "no hello back, only EOF" "" answer;
+  Alcotest.(check int) "decode error counted" (before + 1) after;
   let merged = Cluster.merge summaries in
   let single = Replay.run (Daemon.create ~shards:2 profile) items in
-  Alcotest.(check bool) "verdicts bit-for-bit across the skew" true
+  Alcotest.(check bool) "verdicts bit-for-bit after the refusal" true
     (List.map session_key single.Replay.summary.Daemon.sessions
     = List.map session_key merged.Frame.summary.Daemon.sessions)
 
@@ -581,10 +589,10 @@ let () =
           Alcotest.test_case "traced, scraped, verdicts pinned" `Quick
             test_observation_keeps_verdicts;
         ] );
-      ( "skew",
+      ( "wire",
         [
-          Alcotest.test_case "new router, old node, verdicts pinned" `Quick
-            test_version_skew;
+          Alcotest.test_case "v1 hello refused, verdicts pinned" `Quick
+            test_v1_hello_refused;
         ] );
       ( "log",
         [ Alcotest.test_case "file sink rotation" `Quick test_log_rotation ] );
