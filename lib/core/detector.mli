@@ -48,9 +48,13 @@ val monitor : Profile.t -> Runtime.Collector.trace -> (Window.t * verdict) list
 (** Slide the profile's window over a run-time trace and classify each
     position — the online detection loop. *)
 
+val severity : flag -> int
+(** The one severity order of flags: [Normal] 0, [Anomalous] 1,
+    [Out_of_context] 2, [Data_leak] 3. *)
+
 val worst : verdict list -> flag
-(** Most severe flag of a run ([Data_leak] > [Out_of_context] >
-    [Anomalous] > [Normal]); [Normal] for the empty list. *)
+(** Most severe flag of a run (by {!severity}); [Normal] for the empty
+    list. *)
 
 type surprise = {
   position : int;  (** index within the window *)

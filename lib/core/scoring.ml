@@ -112,6 +112,31 @@ let cache_clear c =
   c.sentinel.lru_prev <- c.sentinel;
   c.sentinel.lru_next <- c.sentinel
 
+(* --- prepared windows ----------------------------------------------------- *)
+
+(* A ring of prepared slots: position [i] of a window that starts at
+   slot [start] lives in slot [(start + i) mod capacity]. A [Stream]
+   keeps one ring per session; batch [classify] loads its window into
+   an engine-owned ring of exactly the window's length. *)
+type ring = {
+  r_codes : int array;  (* profile alphabet code; -1 = outside the alphabet *)
+  r_syms : Symbol.t array;  (* prepared observable symbols *)
+  r_callers : string array;
+  r_cids : int array;  (* interned caller; -1 unless tracked and the code is known *)
+  r_labeled : bool array;
+  r_pair_known : bool array;  (* always true when callers are not tracked *)
+}
+
+let ring_create n =
+  {
+    r_codes = Array.make n (-1);
+    r_syms = Array.make n Symbol.Entry;
+    r_callers = Array.make n "";
+    r_cids = Array.make n (-1);
+    r_labeled = Array.make n false;
+    r_pair_known = Array.make n false;
+  }
+
 (* --- the compiled engine ----------------------------------------------- *)
 
 type t = {
@@ -138,6 +163,7 @@ type t = {
   cache : cache;
   code_scratch : (int, int array) Hashtbl.t;  (* per-length, reused *)
   key_scratch : (int, int array) Hashtbl.t;
+  ring_scratch : (int, ring) Hashtbl.t;  (* batch [classify]'s windows *)
 }
 
 let intern_caller t caller =
@@ -174,6 +200,7 @@ let create ?(cache_capacity = default_cache_capacity) profile =
       cache = cache_create cache_capacity;
       code_scratch = Hashtbl.create 4;
       key_scratch = Hashtbl.create 4;
+      ring_scratch = Hashtbl.create 4;
     }
   in
   Hashtbl.iter
@@ -245,30 +272,33 @@ let set_gate_enforce t on =
 let gate_checks t = t.gate_checks
 let gate_rejections t = t.gate_rejections
 
-(* Walk the window's profile codes through the DFA; [true] = the walk
-   died, i.e. the static phase proved no execution emits this window. *)
-let dfa_walk_dies t dfa codes ~len =
-  let rec go state i =
-    if i >= len then false
-    else
-      let dc = Array.unsafe_get t.dfa_codes (Array.unsafe_get codes i) in
-      if dc < 0 then true
-      else
-        let state' = Analysis.Dfa.step dfa state dc in
-        if state' < 0 then true else go state' (i + 1)
-  in
-  go (Analysis.Dfa.start dfa) 0
+(* Walk a window's profile codes through the DFA; [true] = the walk
+   died, i.e. the static phase proved no execution emits this window.
+   [codes] is read as a ring from slot [start]. *)
+let dfa_walk_dies t dfa codes ~start ~len =
+  let cap = Array.length codes in
+  let state = ref (Analysis.Dfa.start dfa) and i = ref 0 in
+  while !state >= 0 && !i < len do
+    let dc = Array.unsafe_get t.dfa_codes (Array.unsafe_get codes ((start + !i) mod cap)) in
+    state := if dc < 0 then -1 else Analysis.Dfa.step dfa !state dc;
+    incr i
+  done;
+  !state < 0
 
-(* The enforce-mode gate, consulted by [classify] on the known-symbols
+(* Every DFA walk is counted here: enforce-mode gates in [decide] and
+   explain-mode window checks in [explain]. *)
+let counted_walk t (a : Analysis.Seqauto.t) codes ~start ~len =
+  t.gate_checks <- t.gate_checks + 1;
+  let r = dfa_walk_dies t a.Analysis.Seqauto.dfa codes ~start ~len in
+  if r then t.gate_rejections <- t.gate_rejections + 1;
+  r
+
+(* The enforce-mode gate, consulted by [decide] on the known-symbols
    path before the memo: rejected windows short-circuit to an anomalous
    verdict with no forward pass and never enter the memo. *)
-let gate_rejects t codes ~len =
+let gate_rejects t codes ~start ~len =
   match t.static_dfa with
-  | Some a when t.gate_enforce ->
-      t.gate_checks <- t.gate_checks + 1;
-      let r = dfa_walk_dies t a.Analysis.Seqauto.dfa codes ~len in
-      if r then t.gate_rejections <- t.gate_rejections + 1;
-      r
+  | Some a when t.gate_enforce -> counted_walk t a codes ~start ~len
   | Some _ | None -> false
 
 (* Flag chosen directly (not via the threshold comparison) so a rejected
@@ -287,13 +317,16 @@ let set_threshold t th =
     cache_clear t.cache
   end
 
-let scratch_of tbl len =
+(* The engine's per-length scratch in [tbl], made on first use. *)
+let scratch tbl len make =
   match Hashtbl.find tbl len with
   | a -> a
   | exception Not_found ->
-      let a = Array.make len 0 in
+      let a = make len in
       Hashtbl.replace tbl len a;
       a
+
+let scratch_of tbl len = scratch tbl len (fun n -> Array.make n 0)
 
 (* Exactly the reference flag decision of [Detector.reference_classify]:
    [labeled_any] stands for [Window.contains_labeled_output]. *)
@@ -311,6 +344,89 @@ let pair_known t ~caller ~cid ~code ~sym =
   if code >= 0 then Hashtbl.mem t.pair_codes ((cid * t.pair_stride) + code + 1)
   else Profile.known_pair t.profile caller sym
 
+(* The one slot loader. [sym] is already prepared: observable, under
+   the profile's label view. *)
+let load_slot t r s ~sym ~caller =
+  let code =
+    match Symbol.Table.find t.profile.Profile.obs_index sym with
+    | c -> c
+    | exception Not_found -> -1
+  in
+  let cid = if t.track_callers && code >= 0 then intern_caller t caller else -1 in
+  r.r_codes.(s) <- code;
+  r.r_syms.(s) <- sym;
+  r.r_callers.(s) <- caller;
+  r.r_cids.(s) <- cid;
+  r.r_labeled.(s) <- (if code >= 0 then t.labeled.(code) else Symbol.is_labeled sym);
+  r.r_pair_known.(s) <- (not t.track_callers) || pair_known t ~caller ~cid ~code ~sym
+
+let rec first_unknown_pair r ~cap ~start ~len i =
+  if i >= len then None
+  else
+    let s = (start + i) mod cap in
+    if r.r_pair_known.(s) then first_unknown_pair r ~cap ~start ~len (i + 1)
+    else Some (r.r_callers.(s), r.r_syms.(s))
+
+let unknown_pair t r ~start ~len =
+  if t.track_callers then
+    first_unknown_pair r ~cap:(Array.length r.r_codes) ~start ~len 0
+  else None
+
+(* The window's codes, oldest first, in the engine's contiguous scratch. *)
+let codes_of t r ~start ~len =
+  let cap = Array.length r.r_codes in
+  let codes = scratch_of t.code_scratch len in
+  for i = 0 to len - 1 do
+    codes.(i) <- r.r_codes.((start + i) mod cap)
+  done;
+  codes
+
+(* The one window decision (Sec. IV-D) over the [len] slots of [r]
+   from [start] on: unknown symbols, then the enforce-mode gate, then
+   the memo and the forward pass. Both [classify] and [Stream] score
+   through here. *)
+let decide t r ~start ~len =
+  let cap = Array.length r.r_codes in
+  let unknown = ref false and labeled_any = ref false in
+  for i = 0 to len - 1 do
+    let s = (start + i) mod cap in
+    if r.r_codes.(s) < 0 then unknown := true;
+    if r.r_labeled.(s) then labeled_any := true
+  done;
+  if !unknown then
+    (* Symbols outside the alphabet: neg_infinity without a forward
+       pass, and the verdict names the offending symbol, so these
+       windows bypass the memo (codes collide on -1). *)
+    make_verdict t ~score:neg_infinity ~unknown_symbol:true
+      ~unknown_pair:(unknown_pair t r ~start ~len) ~labeled_any:!labeled_any
+  else if gate_rejects t r.r_codes ~start ~len then
+    gate_verdict ~unknown_pair:(unknown_pair t r ~start ~len) ~labeled_any:!labeled_any
+  else begin
+    let key =
+      if t.track_callers then begin
+        let key = scratch_of t.key_scratch (2 * len) in
+        for i = 0 to len - 1 do
+          let s = (start + i) mod cap in
+          key.(2 * i) <- r.r_codes.(s);
+          key.((2 * i) + 1) <- r.r_cids.(s)
+        done;
+        key
+      end
+      else codes_of t r ~start ~len
+    in
+    match cache_find t.cache key with
+    | Some v -> v
+    | None ->
+        let codes = if t.track_callers then codes_of t r ~start ~len else key in
+        let score = Hmm.Compiled.per_symbol_score_sub t.compiled codes ~pos:0 ~len in
+        let v =
+          make_verdict t ~score ~unknown_symbol:false
+            ~unknown_pair:(unknown_pair t r ~start ~len) ~labeled_any:!labeled_any
+        in
+        cache_insert t.cache (Array.copy key) v;
+        v
+  end
+
 let classify t window =
   let w = Profile.prepare t.profile window in
   let obs = w.Window.obs and callers = w.Window.callers in
@@ -321,60 +437,11 @@ let classify t window =
     make_verdict t ~score:neg_infinity ~unknown_symbol:false ~unknown_pair:None
       ~labeled_any:false
   else begin
-    let codes = scratch_of t.code_scratch len in
-    let unknown = ref false and labeled_any = ref false in
+    let r = scratch t.ring_scratch len ring_create in
     for i = 0 to len - 1 do
-      let sym = obs.(i) in
-      match Symbol.Table.find t.profile.Profile.obs_index sym with
-      | code ->
-          codes.(i) <- code;
-          if t.labeled.(code) then labeled_any := true
-      | exception Not_found ->
-          codes.(i) <- -1;
-          unknown := true;
-          if Symbol.is_labeled sym then labeled_any := true
+      load_slot t r i ~sym:obs.(i) ~caller:callers.(i)
     done;
-    let rec first_unknown_pair i =
-      if i >= len then None
-      else
-        let caller = callers.(i) and sym = obs.(i) in
-        let code = codes.(i) in
-        let cid = if code >= 0 then intern_caller t caller else -1 in
-        if pair_known t ~caller ~cid ~code ~sym then first_unknown_pair (i + 1)
-        else Some (caller, sym)
-    in
-    let unknown_pair () = if t.track_callers then first_unknown_pair 0 else None in
-    if !unknown then
-      (* Symbols outside the alphabet: neg_infinity without a forward
-         pass, and the verdict names the offending symbol, so these
-         windows bypass the memo (codes collide on -1). *)
-      make_verdict t ~score:neg_infinity ~unknown_symbol:true
-        ~unknown_pair:(unknown_pair ()) ~labeled_any:!labeled_any
-    else if gate_rejects t codes ~len then
-      gate_verdict ~unknown_pair:(unknown_pair ()) ~labeled_any:!labeled_any
-    else begin
-      let key =
-        if t.track_callers then begin
-          let key = scratch_of t.key_scratch (2 * len) in
-          for i = 0 to len - 1 do
-            key.(2 * i) <- codes.(i);
-            key.((2 * i) + 1) <- intern_caller t callers.(i)
-          done;
-          key
-        end
-        else codes
-      in
-      match cache_find t.cache key with
-      | Some v -> v
-      | None ->
-          let score = Hmm.Compiled.per_symbol_score_sub t.compiled codes ~pos:0 ~len in
-          let v =
-            make_verdict t ~score ~unknown_symbol:false
-              ~unknown_pair:(unknown_pair ()) ~labeled_any:!labeled_any
-          in
-          cache_insert t.cache (Array.copy key) v;
-          v
-    end
+    decide t r ~start:0 ~len
   end
 
 let monitor t trace =
@@ -422,20 +489,19 @@ let explain ?(top = 3) t window =
   else begin
     let w = Profile.prepare t.profile window in
     let n = Array.length w.Window.obs in
+    let encoded =
+      Window.encode ~index:(Symbol.Table.find_opt t.profile.Profile.obs_index) w
+    in
     let surprisals =
-      if n = 0 then [||]
-      else
-        match
-          Window.encode ~index:(Symbol.Table.find_opt t.profile.Profile.obs_index) w
-        with
-        | Some codes -> Hmm.Compiled.step_surprisals t.compiled codes
-        | None ->
-            (* unknown symbols dominate: infinite surprisal, known
-               positions fall back to zero so the unknowns rank first *)
-            Array.init n (fun i ->
-                if Symbol.Table.mem t.profile.Profile.obs_index w.Window.obs.(i)
-                then 0.0
-                else infinity)
+      match encoded with
+      | Some codes -> Hmm.Compiled.step_surprisals t.compiled codes
+      | None ->
+          (* unknown symbols dominate: infinite surprisal, known
+             positions fall back to zero so the unknowns rank first *)
+          Array.init n (fun i ->
+              if Symbol.Table.mem t.profile.Profile.obs_index w.Window.obs.(i)
+              then 0.0
+              else infinity)
     in
     let entries =
       List.init n (fun i ->
@@ -450,28 +516,15 @@ let explain ?(top = 3) t window =
       List.stable_sort (fun a b -> compare b.surprisal a.surprisal) entries
     in
     (* Walk the prepared window through the call-sequence automaton:
-       [true] = no execution of the program can emit this sequence.
-       Counted into the gate counters — in explain-only deployments this
-       is where the automaton is consulted at all. *)
+       [true] = no execution of the program can emit this sequence. In
+       explain-only deployments this is where the automaton is consulted
+       at all. Reached only when every symbol is known, so the window
+       encodes (an empty one walks nothing). *)
     let window_impossible () =
       match t.static_dfa with
       | None -> false
       | Some a ->
-          let dfa = a.Analysis.Seqauto.dfa in
-          t.gate_checks <- t.gate_checks + 1;
-          let n = Array.length w.Window.obs in
-          let rec go state i =
-            if i >= n then false
-            else
-              match Analysis.Dfa.sym_code dfa w.Window.obs.(i) with
-              | None -> true
-              | Some c ->
-                  let state' = Analysis.Dfa.step dfa state c in
-                  if state' < 0 then true else go state' (i + 1)
-          in
-          let r = go (Analysis.Dfa.start dfa) 0 in
-          if r then t.gate_rejections <- t.gate_rejections + 1;
-          r
+          counted_walk t a (Option.value encoded ~default:[||]) ~start:0 ~len:n
     in
     let gate =
       if v.unknown_symbol then Unknown_symbol
@@ -574,12 +627,7 @@ module Stream = struct
   type t = {
     eng : engine;
     window : int;
-    s_codes : int array;  (* ring, capacity [window]; -1 = outside alphabet *)
-    s_syms : Symbol.t array;  (* prepared observable symbols *)
-    s_callers : string array;
-    s_cids : int array;
-    s_labeled : bool array;
-    s_pair_known : bool array;
+    ring : ring;  (* capacity [window] *)
     mutable pushed : int;
     mutable is_flushed : bool;
   }
@@ -591,115 +639,24 @@ module Stream = struct
       | None -> eng.profile.Profile.params.Profile.window
     in
     if window <= 0 then invalid_arg "Scoring.Stream.create: window must be positive";
-    {
-      eng;
-      window;
-      s_codes = Array.make window (-1);
-      s_syms = Array.make window Symbol.Entry;
-      s_callers = Array.make window "";
-      s_cids = Array.make window (-1);
-      s_labeled = Array.make window false;
-      s_pair_known = Array.make window false;
-      pushed = 0;
-      is_flushed = false;
-    }
+    { eng; window; ring = ring_create window; pushed = 0; is_flushed = false }
 
   let engine st = st.eng
   let window st = st.window
   let events_seen st = st.pushed
   let flushed st = st.is_flushed
 
-  (* Classify the window of the last [len] buffered events, oldest
-     first, straight from the int-coded ring. *)
-  let classify_last st len =
-    let eng = st.eng in
-    let start = st.pushed - len in
-    let slot i = (start + i) mod st.window in
-    let unknown = ref false and labeled_any = ref false in
-    for i = 0 to len - 1 do
-      let s = slot i in
-      if st.s_codes.(s) < 0 then unknown := true;
-      if st.s_labeled.(s) then labeled_any := true
-    done;
-    let rec first_unknown_pair i =
-      if i >= len then None
-      else
-        let s = slot i in
-        if st.s_pair_known.(s) then first_unknown_pair (i + 1)
-        else Some (st.s_callers.(s), st.s_syms.(s))
-    in
-    let unknown_pair () = if eng.track_callers then first_unknown_pair 0 else None in
-    if !unknown then
-      make_verdict eng ~score:neg_infinity ~unknown_symbol:true
-        ~unknown_pair:(unknown_pair ()) ~labeled_any:!labeled_any
-    else if
-      (match eng.static_dfa with
-      | Some _ when eng.gate_enforce ->
-          let codes = scratch_of eng.code_scratch len in
-          for i = 0 to len - 1 do
-            codes.(i) <- st.s_codes.(slot i)
-          done;
-          gate_rejects eng codes ~len
-      | Some _ | None -> false)
-    then gate_verdict ~unknown_pair:(unknown_pair ()) ~labeled_any:!labeled_any
-    else begin
-      let key =
-        if eng.track_callers then begin
-          let key = scratch_of eng.key_scratch (2 * len) in
-          for i = 0 to len - 1 do
-            let s = slot i in
-            key.(2 * i) <- st.s_codes.(s);
-            key.((2 * i) + 1) <- st.s_cids.(s)
-          done;
-          key
-        end
-        else begin
-          let key = scratch_of eng.code_scratch len in
-          for i = 0 to len - 1 do
-            key.(i) <- st.s_codes.(slot i)
-          done;
-          key
-        end
-      in
-      match cache_find eng.cache key with
-      | Some v -> v
-      | None ->
-          let codes = scratch_of eng.code_scratch len in
-          if eng.track_callers then
-            for i = 0 to len - 1 do
-              codes.(i) <- st.s_codes.(slot i)
-            done;
-          let score = Hmm.Compiled.per_symbol_score_sub eng.compiled codes ~pos:0 ~len in
-          let v =
-            make_verdict eng ~score ~unknown_symbol:false
-              ~unknown_pair:(unknown_pair ()) ~labeled_any:!labeled_any
-          in
-          cache_insert eng.cache (Array.copy key) v;
-          v
-    end
+  (* The window of the last [len] buffered events, oldest first. *)
+  let classify_last st len = decide st.eng st.ring ~start:(st.pushed - len) ~len
 
   let push st (event : Runtime.Collector.event) =
     if st.is_flushed then Error "push after flush: scorer already flushed"
     else begin
       let eng = st.eng in
-      let sym0 = Symbol.observable event.Runtime.Collector.symbol in
-      let sym = if eng.use_labels then sym0 else Symbol.strip_label sym0 in
-      let caller = event.Runtime.Collector.caller in
-      let slot = st.pushed mod st.window in
-      let code =
-        match Symbol.Table.find eng.profile.Profile.obs_index sym with
-        | c -> c
-        | exception Not_found -> -1
-      in
-      let cid = if eng.track_callers && code >= 0 then intern_caller eng caller else -1 in
-      st.s_codes.(slot) <- code;
-      st.s_syms.(slot) <- sym;
-      st.s_callers.(slot) <- caller;
-      st.s_cids.(slot) <- cid;
-      st.s_labeled.(slot) <- (if code >= 0 then eng.labeled.(code) else Symbol.is_labeled sym);
-      st.s_pair_known.(slot) <-
-        (if not eng.track_callers then true
-         else pair_known eng ~caller ~cid ~code ~sym);
+      let sym = Symbol.observable event.Runtime.Collector.symbol in
+      let sym = if eng.use_labels then sym else Symbol.strip_label sym in
+      load_slot eng st.ring (st.pushed mod st.window) ~sym
+        ~caller:event.Runtime.Collector.caller;
       st.pushed <- st.pushed + 1;
       if st.pushed >= st.window then Ok (Some (classify_last st st.window)) else Ok None
     end
@@ -730,8 +687,8 @@ module Stream = struct
       let w =
         Window.
           {
-            obs = Array.init len (fun i -> st.s_syms.(slot i));
-            callers = Array.init len (fun i -> st.s_callers.(slot i));
+            obs = Array.init len (fun i -> st.ring.r_syms.(slot i));
+            callers = Array.init len (fun i -> st.ring.r_callers.(slot i));
           }
       in
       explain ?top st.eng w

@@ -176,12 +176,15 @@ val cache_len : t -> int
 val cache_capacity : t -> int
 
 module Stream : sig
-  (** Per-session incremental scoring over the engine: a ring of int
-      codes (symbols are interned once, at [push]), classified on every
-      arrival once full. All sessions of a domain share the engine's
-      verdict memo, so tenants replaying similar windows score each
-      other's work. Feeding a whole trace and flushing yields exactly
-      the verdicts of [monitor] on that trace. *)
+  (** Per-session incremental scoring over the engine: a ring of
+      prepared slots (symbols are interned once, at [push]), classified
+      on every arrival once full, by the same window decision as
+      {!classify}. All sessions of a domain share the engine's verdict
+      memo, so tenants replaying similar windows score each other's
+      work. Feeding a whole trace and flushing yields exactly the
+      verdicts of [monitor] on that trace, and each verdict equals
+      [Detector.reference_classify] on its [Window.of_trace] window
+      under the threshold in force (property-tested). *)
 
   type engine = t
 

@@ -48,7 +48,7 @@ module Oclock = Adprom_obs.Clock
 type message =
   | Event of Transport.event * int  (* payload, enqueue monotonic ns *)
   | Query of Transport.query * int
-  | Shed of int  (* discard this session's scorer; ignore later events *)
+  | Shed of int  (* discard this session's state; ignore later items *)
 
 (* End-to-end latency spans queueing, so it needs headroom past the
    1s scoring-latency ceiling; both nodes registering the same layout
@@ -116,18 +116,12 @@ type t = {
   c_shed_sessions : Metrics.counter;
 }
 
-let flag_severity = function
-  | Detector.Normal -> 0
-  | Detector.Anomalous -> 1
-  | Detector.Out_of_context -> 2
-  | Detector.Data_leak -> 3
-
 (* The series the workers report into, registered once by [create] —
    so the dump shows them before the first event arrives — and shared
    by every worker. *)
 type series = {
   windows : Metrics.counter;
-  flags : Metrics.counter array;  (* indexed by [flag_severity] *)
+  flags : Metrics.counter array;  (* indexed by [Detector.severity] *)
   cache_hits : Metrics.counter;
   cache_misses : Metrics.counter;
   scorer_errors : Metrics.counter;
@@ -296,17 +290,43 @@ let install stage profile =
   in
   (engine, qsig_engine)
 
+(* One session on its shard: the sequence stream and what the summary
+   reports of it, its query-axis scorer, and the labeled sink blocks it
+   fired (the leakage summary turns them into a leak-capability note on
+   its actionable verdicts). A shed session keeps its entry as [Shed_here],
+   so its later items are ignored. *)
+type session = {
+  stream : Scoring.Stream.t;
+  qsig : Adprom_qsig.Engine.Scorer.t option;  (* with the query axis on *)
+  mutable windows : int;
+  mutable worst : Detector.flag;
+  mutable verdicts_rev : Detector.verdict list;  (* when verdicts are kept *)
+  mutable sinks : int list;
+}
+
+type entry = Live of session | Shed_here
+
 let worker ~idx ~profile ~stage ~keep_verdicts ~series:m ~alerts ~ring shard =
   let engine, qsig_engine = install stage profile in
-  let qsig_scorers : (int, Adprom_qsig.Engine.Scorer.t) Hashtbl.t =
-    Hashtbl.create 16
+  let sessions : (int, entry) Hashtbl.t = Hashtbl.create 64 in
+  let entry id =
+    match Hashtbl.find sessions id with
+    | e -> e
+    | exception Not_found ->
+        let e =
+          Live
+            {
+              stream = Scoring.Stream.create engine;
+              qsig = Option.map Adprom_qsig.Engine.Scorer.create qsig_engine;
+              windows = 0;
+              worst = Detector.Normal;
+              verdicts_rev = [];
+              sinks = [];
+            }
+        in
+        Hashtbl.replace sessions id e;
+        e
   in
-  let scorers : (int, Scorer.t) Hashtbl.t = Hashtbl.create 64 in
-  (* session -> labeled sink blocks whose events this shard saw; the
-     static leakage summary turns them into a leak-capability note on
-     the session's actionable verdicts *)
-  let fired_sinks : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let shed_here : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let discarded = ref [] in
   (* engine-side tallies, mirrored into their counters as deltas *)
   let tallies =
@@ -336,33 +356,32 @@ let worker ~idx ~profile ~stage ~keep_verdicts ~series:m ~alerts ~ring shard =
         end)
       synced
   in
-  let leak_capability session =
-    match Hashtbl.find_opt fired_sinks session with
-    | None -> None
-    | Some blocks -> (
-        match
-          List.sort compare !blocks
-          |> List.filter_map (fun b -> List.assoc_opt b stage.sinks)
-          |> List.sort_uniq compare
-        with
-        | [] -> None
-        | caps -> Some (String.concat "; " caps))
+  let leak_capability s =
+    match
+      List.filter_map (fun b -> List.assoc_opt b stage.sinks) s.sinks
+      |> List.sort_uniq compare
+    with
+    | [] -> None
+    | caps -> Some (String.concat "; " caps)
   in
-  let account session scorer verdict =
+  let account id s verdict =
+    let flag = verdict.Detector.flag in
+    s.windows <- s.windows + 1;
+    if Detector.severity flag > Detector.severity s.worst then s.worst <- flag;
+    if keep_verdicts then s.verdicts_rev <- verdict :: s.verdicts_rev;
     Metrics.incr m.windows;
-    Metrics.incr m.flags.(flag_severity verdict.Detector.flag);
-    match verdict.Detector.flag with
+    Metrics.incr m.flags.(Detector.severity flag);
+    match flag with
     | Detector.Normal | Detector.Anomalous -> ()
     | Detector.Data_leak | Detector.Out_of_context ->
         (* actionable verdict: pay for the explanation (one extra
            forward pass) and an event on the shard's recent-events ring
            — both off the Normal fast path *)
-        let explanation = Scorer.explain_last scorer in
-        let leak = leak_capability session in
+        let explanation = Scoring.Stream.explain_last s.stream in
+        let leak = leak_capability s in
         let logged =
-          Alerts.record_verdict ?explanation ?leak alerts ~session
-            ~window_index:(Scorer.windows_scored scorer - 1)
-            verdict
+          Alerts.record_verdict ?explanation ?leak alerts ~session:id
+            ~window_index:(s.windows - 1) verdict
         in
         if logged && leak <> None then Metrics.incr m.leak_capable;
         if Olog.enabled Olog.Warn then
@@ -370,8 +389,8 @@ let worker ~idx ~profile ~stage ~keep_verdicts ~series:m ~alerts ~ring shard =
             ~fields:
               ([
                  ("shard", Olog.Int idx);
-                 ("session", Olog.Int session);
-                 ("flag", Olog.Str (Detector.flag_to_string verdict.Detector.flag));
+                 ("session", Olog.Int id);
+                 ("flag", Olog.Str (Detector.flag_to_string flag));
                ]
               @
               match explanation with
@@ -380,85 +399,60 @@ let worker ~idx ~profile ~stage ~keep_verdicts ~series:m ~alerts ~ring shard =
             "incident"
   in
   let handle deq_ns = function
-    | Event ({ Transport.session; event }, enq_ns) ->
+    | Event ({ Transport.session = id; event }, enq_ns) -> (
         Metrics.observe m.queue_wait (ns_to_s (deq_ns - enq_ns));
-        if not (Hashtbl.mem shed_here session) then begin
-          (match event.Runtime.Collector.symbol with
-          | Analysis.Symbol.Lib { label = Some b; _ }
-            when stage.sinks <> [] && List.mem_assoc b stage.sinks -> (
-              match Hashtbl.find_opt fired_sinks session with
-              | Some blocks ->
-                  if not (List.mem b !blocks) then blocks := b :: !blocks
-              | None -> Hashtbl.replace fired_sinks session (ref [ b ]))
-          | _ -> ());
-          let scorer =
-            match Hashtbl.find_opt scorers session with
-            | Some s -> s
-            | None ->
-                let s = Scorer.create_with ~keep_verdicts engine in
-                Hashtbl.replace scorers session s;
-                s
-          in
-          let t0 = Unix.gettimeofday () in
-          (match Scorer.push scorer event with
-          | Ok (Some verdict) ->
-              account session scorer verdict;
-              (* the verdict-completing event pays one extra clock read
-                 to date the whole ingest→verdict path *)
-              Metrics.observe m.e2e
-                (ns_to_s (now_ns () - enq_ns))
-          | Ok None -> ()
-          | Error _ ->
-              (* a protocol slip (event after end-of-session), handled
-                 like a codec-level incident — never a dead shard *)
-              Metrics.incr m.scorer_errors);
-          Metrics.observe m.latency (Unix.gettimeofday () -. t0)
-        end
-    | Query ({ Transport.q_session = session; rows; sql }, enq_ns) -> (
+        match entry id with
+        | Shed_here -> ()
+        | Live s ->
+            (match event.Runtime.Collector.symbol with
+            | Analysis.Symbol.Lib { label = Some b; _ }
+              when stage.sinks <> [] && List.mem_assoc b stage.sinks ->
+                if not (List.mem b s.sinks) then s.sinks <- b :: s.sinks
+            | _ -> ());
+            let t0 = Unix.gettimeofday () in
+            (match Scoring.Stream.push s.stream event with
+            | Ok (Some verdict) ->
+                account id s verdict;
+                (* the verdict-completing event pays one extra clock read
+                   to date the whole ingest→verdict path *)
+                Metrics.observe m.e2e (ns_to_s (now_ns () - enq_ns))
+            | Ok None -> ()
+            | Error _ ->
+                (* a protocol slip (event after end-of-session), handled
+                   like a codec-level incident — never a dead shard *)
+                Metrics.incr m.scorer_errors);
+            Metrics.observe m.latency (Unix.gettimeofday () -. t0))
+    | Query ({ Transport.q_session = id; rows; sql }, enq_ns) -> (
         Metrics.observe m.queue_wait (ns_to_s (deq_ns - enq_ns));
-        match qsig_engine with
-        | None -> ()
-        | Some qe ->
-            if not (Hashtbl.mem shed_here session) then begin
-              let qs =
-                match Hashtbl.find_opt qsig_scorers session with
-                | Some s -> s
-                | None ->
-                    let s = Adprom_qsig.Engine.Scorer.create qe in
-                    Hashtbl.replace qsig_scorers session s;
-                    s
-              in
+        if Option.is_some qsig_engine then
+          match entry id with
+          | Shed_here | Live { qsig = None; _ } -> ()
+          | Live { qsig = Some qs; _ } ->
               let verdict = Adprom_qsig.Engine.Scorer.push qs ~rows sql in
               Metrics.incr m.qsig_checks;
               if verdict.Adprom_qsig.Engine.anomalous then begin
                 Metrics.incr m.qsig_anomalies;
                 ignore
-                  (Alerts.record_query_verdict alerts ~session
-                     ~query_index:
-                       (Adprom_qsig.Engine.Scorer.queries_seen qs - 1)
+                  (Alerts.record_query_verdict alerts ~session:id
+                     ~query_index:(Adprom_qsig.Engine.Scorer.queries_seen qs - 1)
                      ~sql verdict);
                 if Olog.enabled Olog.Warn then
                   Olog.emit ~ring Olog.Warn ~scope:"daemon"
                     ~fields:
                       [
                         ("shard", Olog.Int idx);
-                        ("session", Olog.Int session);
+                        ("session", Olog.Int id);
                         ( "reasons",
-                          Olog.Str
-                            (Adprom_qsig.Engine.verdict_to_string verdict) );
+                          Olog.Str (Adprom_qsig.Engine.verdict_to_string verdict) );
                       ]
                     "query_incident"
-              end
-            end)
-    | Shed session ->
-        (match Hashtbl.find_opt scorers session with
-        | Some scorer ->
-            discarded := (session, Scorer.events_seen scorer) :: !discarded;
-            Hashtbl.remove scorers session
-        | None -> ());
-        Hashtbl.remove qsig_scorers session;
-        Hashtbl.remove fired_sinks session;
-        Hashtbl.replace shed_here session ()
+              end)
+    | Shed id ->
+        (match Hashtbl.find_opt sessions id with
+        | Some (Live s) ->
+            discarded := (id, Scoring.Stream.events_seen s.stream) :: !discarded
+        | Some Shed_here | None -> ());
+        Hashtbl.replace sessions id Shed_here
   in
   let rec loop () =
     let batch, finished =
@@ -491,50 +485,34 @@ let worker ~idx ~profile ~stage ~keep_verdicts ~series:m ~alerts ~ring shard =
     end;
     sync ();
     if finished then begin
-      let qsig_stats session =
-        match Hashtbl.find_opt qsig_scorers session with
-        | Some qs ->
-            ( Adprom_qsig.Engine.Scorer.queries_seen qs,
-              Adprom_qsig.Engine.Scorer.anomalies qs )
-        | None -> (0, 0)
-      in
+      (* every live session gets a report, including one whose only
+         traffic was queries, so a query-axis alarm is never orphaned
+         from the summary *)
       let reports =
         Hashtbl.fold
-          (fun session scorer acc ->
-            (match Scorer.flush scorer with
-            | Some verdict -> account session scorer verdict
-            | None -> ());
-            let qsig_checks, qsig_anomalies = qsig_stats session in
-            {
-              session;
-              events = Scorer.events_seen scorer;
-              windows = Scorer.windows_scored scorer;
-              worst = Scorer.worst scorer;
-              verdicts = Scorer.verdicts scorer;
-              qsig_checks;
-              qsig_anomalies;
-            }
-            :: acc)
-          scorers []
-      in
-      (* sessions whose only traffic was queries still get a report so
-         a query-axis alarm is never orphaned from the summary *)
-      let reports =
-        Hashtbl.fold
-          (fun session qs acc ->
-            if Hashtbl.mem scorers session then acc
-            else
-              {
-                session;
-                events = 0;
-                windows = 0;
-                worst = Detector.Normal;
-                verdicts = [];
-                qsig_checks = Adprom_qsig.Engine.Scorer.queries_seen qs;
-                qsig_anomalies = Adprom_qsig.Engine.Scorer.anomalies qs;
-              }
-              :: acc)
-          qsig_scorers reports
+          (fun id e acc ->
+            match e with
+            | Shed_here -> acc
+            | Live s ->
+                Option.iter (account id s) (Scoring.Stream.flush s.stream);
+                let qsig_checks, qsig_anomalies =
+                  match s.qsig with
+                  | Some qs ->
+                      ( Adprom_qsig.Engine.Scorer.queries_seen qs,
+                        Adprom_qsig.Engine.Scorer.anomalies qs )
+                  | None -> (0, 0)
+                in
+                {
+                  session = id;
+                  events = Scoring.Stream.events_seen s.stream;
+                  windows = s.windows;
+                  worst = s.worst;
+                  verdicts = List.rev s.verdicts_rev;
+                  qsig_checks;
+                  qsig_anomalies;
+                }
+                :: acc)
+          sessions []
       in
       sync ();
       { reports; discarded = !discarded }

@@ -2,11 +2,12 @@
 
     A single-threaded ingestion front-end routes tagged call events to
     one of N shards (hash of the session id), each served by its own
-    OCaml 5 domain holding the per-session {!Scorer}s. Per-shard queues
-    are bounded; when a queue is full the daemon sheds the {e whole}
-    offending session — dropping individual events would fabricate call
-    transitions no program ever produced (the failure mode
-    {!Adprom.Sessions} documents) — and counts every dropped event.
+    OCaml 5 domain holding one record per session (its
+    {!Adprom.Scoring.Stream}, verdict tally and query-axis scorer).
+    Per-shard queues are bounded; when a queue is full the daemon sheds
+    the {e whole} offending session — dropping individual events would
+    fabricate call transitions no program ever produced (the failure
+    mode {!Adprom.Sessions} documents) — and counts every dropped event.
     Because a session always lands on the same shard, per-session event
     order is preserved and verdicts are independent of how sessions
     interleave: replaying a multiplexed stream yields exactly the
@@ -155,8 +156,8 @@ val ingest_item : t -> Transport.item -> admission
 
 val drain : t -> summary
 (** Close all queues, let the workers finish scoring, flush every
-    scorer (short sessions get their whole-trace verdict) and join the
-    domains. The daemon cannot be used afterwards. *)
+    session's stream (short sessions get their whole-trace verdict) and
+    join the domains. The daemon cannot be used afterwards. *)
 
 val metrics : t -> Metrics.t
 val alerts : t -> Alerts.t

@@ -349,30 +349,27 @@ module Encoder = struct
     land (cache_slots - 1)
 
   let add_strref e s =
-    if String.length s = 0 then begin
-      match Hashtbl.find_opt e.interned s with
-      | Some i -> add_varint e.w (i + 1)
-      | None ->
-          Hashtbl.add e.interned s e.next;
-          e.next <- e.next + 1;
-          add_u8 e.w 0;
-          add_str e.w s
-    end
+    (* the empty string has no slot: it would match the cache's filler *)
+    let slot = if String.length s = 0 then -1 else slot_of s in
+    if slot >= 0 && String.equal (Array.unsafe_get e.cache slot) s then
+      add_varint e.w (Array.unsafe_get e.cache_idx slot + 1)
     else begin
-      let slot = slot_of s in
-      if String.equal (Array.unsafe_get e.cache slot) s then
-        add_varint e.w (Array.unsafe_get e.cache_idx slot + 1)
-      else begin
-        (match Hashtbl.find_opt e.interned s with
-        | Some i -> add_varint e.w (i + 1)
+      let i =
+        match Hashtbl.find_opt e.interned s with
+        | Some i ->
+            add_varint e.w (i + 1);
+            i
         | None ->
-            Hashtbl.add e.interned s e.next;
-            e.next <- e.next + 1;
+            let i = e.next in
+            Hashtbl.add e.interned s i;
+            e.next <- i + 1;
             add_u8 e.w 0;
-            add_str e.w s);
-        (* cache the index the string now has, whoever assigned it *)
+            add_str e.w s;
+            i
+      in
+      if slot >= 0 then begin
         Array.unsafe_set e.cache slot s;
-        Array.unsafe_set e.cache_idx slot (Hashtbl.find e.interned s)
+        Array.unsafe_set e.cache_idx slot i
       end
     end
 
@@ -997,14 +994,7 @@ module T = struct
   let flush = Encoder.flush
 
   let fold d ?pos ?len s ~init ~f =
-    match Decoder.feed_items d ?pos ?len s ~init ~f with
-    | Error e -> Error (error_to_string e)
-    | Ok acc -> Ok acc
-
-  let feed d ?pos ?len s =
-    match fold d ?pos ?len s ~init:[] ~f:(fun its it -> it :: its) with
-    | Error e -> Error e
-    | Ok its -> Ok (List.rev its)
+    Result.map_error error_to_string (Decoder.feed_items d ?pos ?len s ~init ~f)
 
   let finish d =
     match Decoder.finish d with

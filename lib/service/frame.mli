@@ -15,7 +15,7 @@
     sample, exchanged once per connection), [Call]/[Query] (the stream
     items), [Ack] (periodic ingestion feedback from a node),
     [Metrics_req]/[Metrics_resp] (cross-node metrics aggregation),
-    [Bye] (end of stream — the node drains its daemon and answers with)
+    [Bye] (end of stream — the node drains its daemon) and answers with
     [Summary] (per-session verdicts, shed accounting, rendered incidents
     and fused axes), and the operations plane: [Clock_probe]/
     [Clock_reply] (per-peer clock offset estimation), [Trace_mark]
@@ -162,6 +162,6 @@ val transport_of_wire : Transport.wire -> (module Transport.S)
 
 module T : Transport.S
 (** The binary format behind the common transport signature: items
-    become [Call]/[Query] frames. [feed] tolerates interleaved [Hello]
+    become [Call]/[Query] frames. [fold] tolerates interleaved [Hello]
     frames (record files may carry one) and rejects any other control
     frame as out of place in an item stream. *)

@@ -371,14 +371,8 @@ let serve ~socket ?(name = "node") ?shards ?queue_capacity ?keep_verdicts
     | Http _ -> () (* hung up before finishing the request head *)
     | Undecided b when Buffer.length b > 0 -> (
         (* a text stream shorter than the two detect bytes *)
-        let dec = Transport.Text.decoder () in
-        c.codec <- Txt dec;
-        match Transport.Text.feed dec (Buffer.contents b) with
-        | Ok items -> (
-            ingest_items c items;
-            match Transport.Text.finish dec with
-            | Ok items -> ingest_items c items
-            | Error _ -> Metrics.incr c_decode_err)
+        match Transport.decode_all (module Transport.Text) (Buffer.contents b) with
+        | Ok items -> ingest_items c (Array.to_list items)
         | Error _ -> Metrics.incr c_decode_err)
     | Undecided _ -> ());
     close_conn c

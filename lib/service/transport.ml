@@ -23,7 +23,6 @@ module type S = sig
   val decoder : unit -> dec
   val encode : enc -> Buffer.t -> item -> unit
   val flush : enc -> Buffer.t -> unit
-  val feed : dec -> ?pos:int -> ?len:int -> string -> (item list, string) result
 
   val fold :
     dec ->
@@ -57,13 +56,12 @@ let encode_all (module T : S) items =
 
 let decode_all (module T : S) text =
   let dec = T.decoder () in
-  match T.feed dec text with
+  match T.fold dec text ~init:[] ~f:(fun acc it -> it :: acc) with
   | Error e -> Error e
-  | Ok items -> (
+  | Ok rev -> (
       match T.finish dec with
       | Error e -> Error e
-      | Ok [] -> Ok (Array.of_list items) (* don't copy the common case *)
-      | Ok rest -> Ok (Array.of_list (items @ rest)))
+      | Ok rest -> Ok (Array.of_list (List.rev_append rev rest)))
 
 module Text = struct
   let id = "text"
@@ -213,11 +211,6 @@ module Text = struct
                   go acc (j + 1)
         in
         go init pos)
-
-  let feed dec ?pos ?len s =
-    match fold dec ?pos ?len s ~init:[] ~f:(fun acc it -> it :: acc) with
-    | Error e -> Error e
-    | Ok acc -> Ok (List.rev acc)
 
   let finish dec =
     match dec.dead with

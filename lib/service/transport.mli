@@ -55,11 +55,6 @@ module type S = sig
       format; the binary encoder batches staged frames so the item hot
       path pays one buffer copy per ~4 KiB rather than one per frame. *)
 
-  val feed : dec -> ?pos:int -> ?len:int -> string -> (item list, string) result
-  (** Consume one chunk of wire bytes (a TCP read, or a whole file) and
-      return the items it completed, in order. Partial trailing data is
-      buffered for the next call. [Error] poisons the decoder. *)
-
   val fold :
     dec ->
     ?pos:int ->
@@ -68,10 +63,10 @@ module type S = sig
     init:'a ->
     f:('a -> item -> 'a) ->
     ('a, string) result
-  (** Like {!feed}, but apply [f] to each item as it completes instead
-      of building a list — the serve loop and throughput-sensitive
-      consumers use this to skip per-chunk list construction. Same
-      chunking, ordering and poisoning behaviour as {!feed}. *)
+  (** Consume one chunk of wire bytes (a TCP read, or a whole file) and
+      apply [f] to each item it completes, in order. Partial trailing
+      data is buffered for the next call. [Error] poisons the decoder.
+      The one decode entry point: {!decode_all} folds a whole buffer. *)
 
   val finish : dec -> (item list, string) result
   (** Signal end of stream (EOF). Returns the items a final partial
@@ -94,7 +89,7 @@ val encode_all : (module S) -> item array -> string
 (** One fresh encoder over the whole array — what record files hold. *)
 
 val decode_all : (module S) -> string -> (item array, string) result
-(** One fresh decoder over the whole buffer, [feed] then [finish]. *)
+(** One fresh decoder over the whole buffer, [fold] then [finish]. *)
 
 (** {1 The line format}
 

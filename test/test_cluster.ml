@@ -73,6 +73,13 @@ let gen_items =
 let encode_items items =
   Transport.encode_all (module Frame.T) (Array.of_list items)
 
+(* one chunk's items, in order, through a transport's fold *)
+let items_of fold dec ?pos ?len s =
+  Result.map List.rev (fold dec ?pos ?len s ~init:[] ~f:(fun acc it -> it :: acc))
+
+let frame_items dec ?pos ?len s = items_of Frame.T.fold dec ?pos ?len s
+let text_items dec ?pos ?len s = items_of Transport.Text.fold dec ?pos ?len s
+
 (* --- binary round-trip under chunked reads --------------------------------- *)
 
 let prop_binary_roundtrip_chunked =
@@ -90,7 +97,7 @@ let prop_binary_roundtrip_chunked =
             match cs with [] -> n - pos | c :: _ -> min c (n - pos)
           in
           let cs = match cs with [] -> [] | _ :: t -> t in
-          match Frame.T.feed dec ~pos ~len bytes with
+          match frame_items dec ~pos ~len bytes with
           | Ok got -> go (pos + len) cs (acc @ got)
           | Error e -> QCheck2.Test.fail_reportf "feed error: %s" e
         end
@@ -327,10 +334,10 @@ let test_decode_errors_are_structured () =
   check_error "bye" (Buffer.contents buf);
   (* the decoder stays dead after an error *)
   let dec = Frame.T.decoder () in
-  (match Frame.T.feed dec "not a frame at all....." with
+  (match frame_items dec "not a frame at all....." with
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ());
-  match Frame.T.feed dec (encode_items [ ]) with
+  match frame_items dec (encode_items [ ]) with
   | Ok _ -> Alcotest.fail "decoder resurrected after error"
   | Error _ -> ()
 
@@ -371,7 +378,7 @@ let test_other_versions_refused () =
       | Error (Frame.Bad_version v) -> Alcotest.(check int) (what ^ ": frame decoder") ver v
       | Error e -> Alcotest.failf "%s: frame decoder said %s" what (Frame.error_to_string e)
       | Ok _ -> Alcotest.failf "%s accepted by the frame decoder" what);
-      match Frame.T.feed (Frame.T.decoder ()) bytes with
+      match frame_items (Frame.T.decoder ()) bytes with
       | Error e ->
           Alcotest.(check string) (what ^ ": item decoder")
             (Frame.error_to_string (Frame.Bad_version ver))
@@ -470,7 +477,7 @@ let test_text_chunked_feed () =
   let got = ref [] in
   String.iteri
     (fun i _ ->
-      match Transport.Text.feed dec ~pos:i ~len:1 text with
+      match text_items dec ~pos:i ~len:1 text with
       | Ok items -> got := !got @ items
       | Error e -> Alcotest.failf "byte-at-a-time feed failed: %s" e)
     text;
@@ -486,12 +493,12 @@ let test_text_line_cap () =
   let cap = Transport.max_item_bytes in
   Alcotest.(check int) "one cap for both wires" cap Frame.max_payload;
   let dec = Transport.Text.decoder () in
-  (match Transport.Text.feed dec "1\tmain\t3\tentry\n" with
+  (match text_items dec "1\tmain\t3\tentry\n" with
   | Ok [ _ ] -> ()
   | _ -> Alcotest.fail "a complete line decodes");
   let chunk = String.make (1 lsl 20) 'x' in
   let rec go fed =
-    let r = Transport.Text.feed dec chunk in
+    let r = text_items dec chunk in
     Alcotest.(check bool) "pending within the cap" true
       (Transport.Text.pending_bytes dec <= cap);
     match r with
@@ -504,7 +511,7 @@ let test_text_line_cap () =
   Alcotest.(check bool) ("line-numbered: " ^ err) true
     (String.length err > 7 && String.sub err 0 7 = "line 2:");
   Alcotest.(check bool) "poisoned" true
-    (Result.is_error (Transport.Text.feed dec "\n1\tmain\t3\tentry\n"));
+    (Result.is_error (text_items dec "\n1\tmain\t3\tentry\n"));
   Alcotest.(check bool) "finish reports it" true
     (Result.is_error (Transport.Text.finish dec))
 

@@ -2,8 +2,9 @@
    specification (Detector.reference_classify): QCheck2 equivalence on
    random profiles and windows — flag, bit-for-bit score, unknown
    symbol/pair — including memo-hit re-scores and post-extend engines,
-   plus unit tests for the LRU memo, threshold invalidation and the
-   streaming ring. *)
+   plus the streaming ring against the same specification (thresholds
+   moved mid-stream, memo evictions) and unit tests for the LRU memo
+   and threshold invalidation. *)
 
 module Scoring = Adprom.Scoring
 module Detector = Adprom.Detector
@@ -274,6 +275,72 @@ let prop_stream_explain_last_matches_batch =
           end)
         specs)
 
+(* The stream against the specification, window by window: random
+   profiles, unknown symbols and pairs, a memo of 1-8 verdicts so
+   eviction happens, and thresholds moved mid-stream. The sessions of a
+   case share one engine, as a daemon shard's do. Each verdict is
+   compared, score bit for bit, with [reference_classify] under the
+   threshold in force when the stream scored it. *)
+let moves_gen =
+  QCheck2.Gen.(
+    triple (int_range 1 8) (int_range 1 6)
+      (list_size (int_range 0 4) (pair (int_bound 60) (float_range (-12.0) (-1.0)))))
+
+let prop_stream_matches_reference =
+  QCheck2.Test.make
+    ~name:"Stream verdicts = reference_classify on each Window.of_trace window"
+    ~count:120
+    ~print:(fun (case, (cap, window, moves)) ->
+      Printf.sprintf "%s capacity=%d window=%d moves=%d" (print_case case) cap
+        window (List.length moves))
+    QCheck2.Gen.(pair (pair cfg_gen specs_gen) moves_gen)
+    (fun (((seed, m, n, (use_labels, track_callers)), specs), (capacity, window, moves)) ->
+      let base = make_profile ~seed ~m ~n ~use_labels ~track_callers in
+      let profile =
+        { base with Profile.params = { base.Profile.params with Profile.window } }
+      in
+      let engine = Scoring.create ~cache_capacity:capacity profile in
+      let pushed = ref 0 in
+      let bits_eq (a : Detector.verdict) (b : Detector.verdict) =
+        verdict_eq a b
+        && Int64.equal (Int64.bits_of_float a.Detector.score)
+             (Int64.bits_of_float b.Detector.score)
+      in
+      List.for_all
+        (fun spec ->
+          let w = window_of_spec profile.Profile.alphabet spec in
+          let trace =
+            Array.mapi
+              (fun i symbol ->
+                { Runtime.Collector.symbol; caller = w.Window.callers.(i); block = i })
+              w.Window.obs
+          in
+          let stream = Scoring.Stream.create engine in
+          (* (verdict, threshold it was scored under), arrival order *)
+          let live = ref [] in
+          let scored v = live := (v, Scoring.threshold engine) :: !live in
+          Array.iter
+            (fun e ->
+              List.iter
+                (fun (at, th) -> if at = !pushed then Scoring.set_threshold engine th)
+                moves;
+              incr pushed;
+              match Scoring.Stream.push stream e with
+              | Ok (Some v) -> scored v
+              | Ok None -> ()
+              | Error e -> QCheck2.Test.fail_reportf "push rejected: %s" e)
+            trace;
+          Option.iter scored (Scoring.Stream.flush stream);
+          let expected = Window.of_trace ~window trace in
+          List.length expected = List.length !live
+          && List.for_all2
+               (fun w (v, threshold) ->
+                 bits_eq
+                   (Detector.reference_classify { profile with Profile.threshold } w)
+                   v)
+               expected (List.rev !live))
+        specs)
+
 (* --- unit tests -------------------------------------------------------------- *)
 
 let fixed_profile () =
@@ -409,6 +476,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_engine_matches_reference;
           QCheck_alcotest.to_alcotest prop_wrapper_matches_reference;
           QCheck_alcotest.to_alcotest prop_extend_invalidates;
+          QCheck_alcotest.to_alcotest prop_stream_matches_reference;
         ] );
       ( "explainability",
         [

@@ -6,12 +6,12 @@
    windowing equals per-trace windowing). *)
 
 module Transport = Adprom_service.Transport
-module Scorer = Adprom_service.Scorer
 module Metrics = Adprom_service.Metrics
 module Alerts = Adprom_service.Alerts
 module Daemon = Adprom_service.Daemon
 module Replay = Adprom_service.Replay
 module Detector = Adprom.Detector
+module Scoring = Adprom.Scoring
 module Profile = Adprom.Profile
 module Pipeline = Adprom.Pipeline
 module Sessions = Adprom.Sessions
@@ -188,16 +188,18 @@ let test_scorer_matches_batch () =
   List.iter
     (fun trace ->
       let batch = List.map snd (Detector.monitor profile trace) in
-      let scorer = Scorer.create profile in
+      let stream = Scoring.Stream.create (Scoring.of_profile profile) in
       let live = ref [] in
       Array.iter
         (fun e ->
-          match Scorer.push scorer e with
+          match Scoring.Stream.push stream e with
           | Ok (Some v) -> live := v :: !live
           | Ok None -> ()
           | Error e -> Alcotest.failf "push rejected: %s" e)
         trace;
-      (match Scorer.flush scorer with Some v -> live := v :: !live | None -> ());
+      (match Scoring.Stream.flush stream with
+      | Some v -> live := v :: !live
+      | None -> ());
       let live = List.rev !live in
       Alcotest.(check int) "window count" (List.length batch) (List.length live);
       List.iter2
@@ -212,29 +214,45 @@ let test_scorer_matches_batch () =
 let test_scorer_short_trace () =
   let profile = profile () in
   let trace = Array.init 4 (fun i -> mk_event (Printf.sprintf "s%d" i)) in
-  let scorer = Scorer.create profile in
-  Array.iter (fun e -> ignore (Scorer.push scorer e)) trace;
-  Alcotest.(check int) "no window before flush" 0 (Scorer.windows_scored scorer);
-  (match Scorer.flush scorer with
+  let stream = Scoring.Stream.create (Scoring.of_profile profile) in
+  let scored =
+    Array.fold_left
+      (fun n e ->
+        match Scoring.Stream.push stream e with Ok (Some _) -> n + 1 | _ -> n)
+      0 trace
+  in
+  Alcotest.(check int) "no window before flush" 0 scored;
+  (match Scoring.Stream.flush stream with
   | Some _ -> ()
   | None -> Alcotest.fail "short trace must yield its whole-trace window at flush");
-  Alcotest.(check int) "one window" 1 (Scorer.windows_scored scorer);
   (* flush is idempotent *)
-  Alcotest.(check bool) "idempotent" true (Scorer.flush scorer = None)
+  Alcotest.(check bool) "idempotent" true (Scoring.Stream.flush stream = None);
+  (* the daemon's per-session report counts that one window at drain *)
+  let outcome =
+    replay ~shards:1 profile
+      (Array.map (fun event -> { Transport.session = 7; event }) trace)
+  in
+  match outcome.Replay.summary.Daemon.sessions with
+  | [ r ] ->
+      Alcotest.(check int) "events" 4 r.Daemon.events;
+      Alcotest.(check int) "one window" 1 r.Daemon.windows;
+      Alcotest.(check int) "one verdict kept" 1 (List.length r.Daemon.verdicts)
+  | rs -> Alcotest.failf "expected one session report, got %d" (List.length rs)
 
 let test_scorer_push_after_flush () =
   let profile = profile () in
-  let scorer = Scorer.create profile in
-  (match Scorer.push scorer (mk_event "read") with
+  let stream = Scoring.Stream.create (Scoring.of_profile profile) in
+  (match Scoring.Stream.push stream (mk_event "read") with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "live push rejected: %s" e);
-  ignore (Scorer.flush scorer);
+  ignore (Scoring.Stream.flush stream);
   (* the protocol slip is a soft error the daemon can count, never an
      exception that would take the whole shard down *)
-  match Scorer.push scorer (mk_event "read") with
+  match Scoring.Stream.push stream (mk_event "read") with
   | Error msg ->
       Alcotest.(check bool) "error names the flush" true (contains ~needle:"flush" msg);
-      Alcotest.(check int) "rejected event not counted" 1 (Scorer.events_seen scorer)
+      Alcotest.(check int) "rejected event not counted" 1
+        (Scoring.Stream.events_seen stream)
   | Ok _ -> Alcotest.fail "push after flush must return Error"
 
 (* --- daemon ------------------------------------------------------------------ *)
