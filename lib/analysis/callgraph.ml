@@ -1,4 +1,5 @@
 module SM = Map.Make (String)
+module SS = Set.Make (String)
 
 type t = {
   order : string list;  (** program order *)
@@ -33,6 +34,15 @@ let functions t = t.order
 
 let callees t name = match SM.find_opt name t.callees with Some l -> l | None -> []
 let callers t name = match SM.find_opt name t.callers with Some l -> l | None -> []
+
+let reachable cfgs ~entry =
+  if not (List.mem_assoc entry cfgs) then SS.of_list (List.map fst cfgs)
+  else
+    let cg = build cfgs in
+    let rec visit seen f =
+      if SS.mem f seen then seen else List.fold_left visit (SS.add f seen) (callees cg f)
+    in
+    visit SS.empty entry
 
 (* Tarjan's algorithm; the natural output order (a component is emitted
    only after everything it reaches) is exactly leaf-first. *)

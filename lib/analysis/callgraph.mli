@@ -13,6 +13,10 @@ val callees : t -> string -> string list
 
 val callers : t -> string -> string list
 
+val reachable : (string * Cfg.t) list -> entry:string -> Set.Make(String).t
+(** The functions reachable from [entry] through user calls, [entry]
+    included; every function when [entry] is not among them. *)
+
 val sccs : t -> string list list
 (** Strongly connected components in reverse topological order of the
     condensation: every component is listed before any of its

@@ -53,3 +53,76 @@ module Make (L : LATTICE) : sig
   (** Was the node visited by the fixpoint (i.e. reachable from the
       entry through the propagated edge relation)? *)
 end
+
+(** {1 Interprocedural summaries}
+
+    The whole-program half of {!Taint} and {!Leakage}: a value domain
+    and an intraprocedural solve, never another hand-rolled [changed]
+    loop. Each round walks the functions in list order; for each it
+    recomputes the summary, then solves the function under its entry
+    assumptions and joins every user call's argument values into the
+    callee's entry. Rounds repeat until nothing changes under [equal].
+    A summary that changed only where [equal] does not look (a witness
+    path) keeps its old value, so the visiting order is part of the
+    result. *)
+
+type 'v summary = {
+  const : 'v;  (** returned with no parameter bound *)
+  params : bool array;
+      (** [params.(i)]: {!VALUE.marker} bound to parameter [i] reaches
+          the return value; one bit per parameter *)
+}
+
+val flowing_args : 'v summary -> 'a list -> 'a list
+(** The arguments of a call whose parameter can reach the return
+    value. *)
+
+module type VALUE = sig
+  include LATTICE
+
+  val marker : t
+  (** What one parameter is seeded with to compute its [params] bit. *)
+
+  val reached : t -> bool
+  (** Does a returned value carry {!marker}? *)
+end
+
+module type PROCEDURE = sig
+  type value
+  type solution
+
+  val solve :
+    summary_of:(string -> value summary option) ->
+    Cfg.t ->
+    (string * value) list ->
+    solution
+  (** Solve one function with the given parameters bound to the given
+      values, in parameter order; the others stay unbound. *)
+
+  val eval_at :
+    summary_of:(string -> value summary option) -> solution -> int -> Applang.Ast.expr -> value
+  (** The value of an expression on entry to the node with that id: a
+      call argument, or a returned expression. *)
+end
+
+module Summaries (V : VALUE) (P : PROCEDURE with type value = V.t) : sig
+  type t
+
+  val solve : per_param:bool -> (string * Cfg.t) list -> t
+  (** Run the fixpoint. [per_param:false] seeds every parameter at once,
+      so a function's [params] bits are all equal: the coarse
+      whole-function answer. *)
+
+  val summary_of : t -> string -> V.t summary option
+
+  val solve_entry : t -> Cfg.t -> P.solution
+  (** Solve a function under its converged entry assumptions: what an
+      analysis's final pass reads. *)
+
+  val summaries : t -> (string * V.t summary) list
+  (** Sorted by function name. *)
+
+  val entries : t -> (string * V.t array) list
+  (** Each function's parameter values joined over every call site;
+      [bottom] for functions never called. Sorted by function name. *)
+end

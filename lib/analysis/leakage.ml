@@ -3,11 +3,10 @@
    a value reaching a {!Libspec.is_sink} call carry? Atom sets are
    seeded at the query-execution sites {!Qstatic} inferred (select
    lists, [*]-expansion against the declared schema, cardinality from
-   LIMIT / key-equality / IN arity) and propagated with the same
-   fixpoint structure as {!Taint}: per-function summaries with exact
-   per-parameter composition, caller-side argument flows joined into
-   callee entry assumptions, and a final labeling pass that collects
-   the per-program leakage summary. *)
+   LIMIT / key-equality / IN arity) and propagated across functions by
+   {!Dataflow.Summaries}, the solver {!Taint} also instantiates; a final
+   labeling pass under the converged entry assumptions collects the
+   per-program leakage summary. *)
 
 module Ast = Applang.Ast
 module Libspec = Applang.Libspec
@@ -97,12 +96,6 @@ let site_seed ~schema (s : Qstatic.site) =
 (* ------------------------------------------------------------------ *)
 (* Abstract evaluation of applang expressions into atom sets. *)
 
-type summary = { const_flow : Flowdom.t; param_flow : bool array }
-
-(* The marker source of the isolated per-parameter runs; the NUL byte
-   keeps it disjoint from every printable Opaque name. *)
-let param_marker = Flowdom.Opaque "\000param"
-
 let rec eval ~summary_of ~site_atoms env (e : Ast.expr) : Flowdom.t =
   let sub x = eval ~summary_of ~site_atoms env x in
   match e with
@@ -121,18 +114,13 @@ let rec eval ~summary_of ~site_atoms env (e : Ast.expr) : Flowdom.t =
         List.fold_left (fun acc a -> Flowdom.union acc (sub a)) Flowdom.empty args
       in
       match summary_of name with
-      | Some (s : summary) ->
+      | Some s ->
           let from_params =
             List.fold_left
-              (fun (acc, i) a ->
-                ( (if i < Array.length s.param_flow && s.param_flow.(i) then
-                     Flowdom.union acc (sub a)
-                   else acc),
-                  i + 1 ))
-              (Flowdom.empty, 0) args
-            |> fst
+              (fun acc a -> Flowdom.union acc (sub a))
+              Flowdom.empty (Dataflow.flowing_args s args)
           in
-          Flowdom.union s.const_flow
+          Flowdom.union s.Dataflow.const
             (Flowdom.bind_origin (name ^ "()") from_params)
       | None -> (
           match name with
@@ -206,29 +194,17 @@ let intra ~summary_of ~site_atoms_of (cfg : Cfg.t) entry_env =
   in
   (Flow.solve cfg ~entry:entry_env ~transfer, site_atoms)
 
-let returns_flow ~summary_of ~site_atoms_of (cfg : Cfg.t) entry_env =
-  let sol, site_atoms = intra ~summary_of ~site_atoms_of cfg entry_env in
-  List.fold_left
-    (fun acc id ->
-      match (Cfg.node cfg id).Cfg.event with
-      | Cfg.E_return (Some e) ->
-          Flowdom.union acc
-            (eval ~summary_of ~site_atoms (Flow.input sol id) e)
-      | Cfg.E_return None | Cfg.E_entry | Cfg.E_exit | Cfg.E_call _
-      | Cfg.E_bind _ | Cfg.E_cond _ | Cfg.E_join ->
-          acc)
-    Flowdom.empty (Cfg.node_ids cfg)
+module Provenance = struct
+  include Flowdom
 
-let env_of_params (cfg : Cfg.t) (flows : Flowdom.t array) =
-  List.fold_left
-    (fun (env, i) p ->
-      let v = if i < Array.length flows then flows.(i) else Flowdom.empty in
-      (SM.add p (Flowdom.bind_origin p v) env, i + 1))
-    (SM.empty, 0) cfg.Cfg.params
-  |> fst
+  let bottom = empty
+  let join = union
 
-let summary_equal a b =
-  Flowdom.equal a.const_flow b.const_flow && a.param_flow = b.param_flow
+  (* The single atom of the per-parameter runs; the NUL byte keeps its
+     source disjoint from every printable Opaque name. *)
+  let marker = singleton (Opaque "\000param") C_one
+  let reached = mem (Opaque "\000param")
+end
 
 (* ------------------------------------------------------------------ *)
 
@@ -243,87 +219,31 @@ let analyze ?schema ~(static : Qstatic.result) cfgs =
       Hashtbl.replace seeds (s.Qstatic.func, s.Qstatic.block) (site_seed ~schema s))
     static.Qstatic.sites;
   let site_atoms_of func id = Hashtbl.find_opt seeds (func, id) in
-  let summaries = Hashtbl.create 16 in
-  let entry_flow = Hashtbl.create 16 in
-  List.iter
-    (fun (name, cfg) ->
-      let n = List.length cfg.Cfg.params in
-      Hashtbl.replace summaries name
-        { const_flow = Flowdom.empty; param_flow = Array.make n false };
-      Hashtbl.replace entry_flow name (Array.make n Flowdom.empty))
-    cfgs;
-  let summary_of name = Hashtbl.find_opt summaries name in
-  let changed = ref true in
-  let update_summary name s =
-    if not (summary_equal (Hashtbl.find summaries name) s) then begin
-      Hashtbl.replace summaries name s;
-      changed := true
-    end
-  in
-  (* Join caller-side argument flows into callee entry assumptions. *)
-  let propagate_call_sites (cfg : Cfg.t) =
-    let actual = Hashtbl.find entry_flow cfg.Cfg.func in
-    let sol, site_atoms =
-      intra ~summary_of ~site_atoms_of cfg (env_of_params cfg actual)
-    in
-    List.iter
-      (fun (id, (site : Cfg.call_site)) ->
-        if site.Cfg.is_user then
-          match Hashtbl.find_opt entry_flow site.Cfg.callee with
-          | None -> ()
-          | Some flows ->
-              let env = Flow.input sol id in
-              List.iteri
-                (fun i arg ->
-                  if i < Array.length flows then begin
-                    let v = eval ~summary_of ~site_atoms env arg in
-                    let joined = Flowdom.union flows.(i) v in
-                    if not (Flowdom.equal joined flows.(i)) then begin
-                      flows.(i) <- joined;
-                      changed := true
-                    end
-                  end)
-                site.Cfg.args)
-      (Cfg.call_nodes cfg)
-  in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (name, cfg) ->
-        let nparams = List.length cfg.Cfg.params in
-        let const_flow =
-          returns_flow ~summary_of ~site_atoms_of cfg SM.empty
-        in
-        let param_flow =
-          (* each bit in isolation: flow reachability is disjunctive,
-             so single-parameter marker runs compose exactly *)
-          Array.init nparams (fun i ->
-              let flows = Array.make nparams Flowdom.empty in
-              flows.(i) <- Flowdom.singleton param_marker Flowdom.C_one;
-              Flowdom.mem param_marker
-                (returns_flow ~summary_of ~site_atoms_of cfg
-                   (env_of_params cfg flows)))
-        in
-        update_summary name { const_flow; param_flow };
-        propagate_call_sites cfg)
-      cfgs
-  done;
+  let module P = struct
+    type value = Flowdom.t
+    type solution = Flow.solution * (Ast.expr -> Flowdom.t option)
+
+    let solve ~summary_of cfg params =
+      intra ~summary_of ~site_atoms_of cfg
+        (List.fold_left (fun env (p, v) -> SM.add p (Flowdom.bind_origin p v) env) SM.empty params)
+
+    let eval_at ~summary_of (sol, site_atoms) id e =
+      eval ~summary_of ~site_atoms (Flow.input sol id) e
+  end in
+  let module S = Dataflow.Summaries (Provenance) (P) in
+  let fix = S.solve ~per_param:true cfgs in
+  let summary_of = S.summary_of fix in
   (* Final labeling pass: join argument flows at every sink call. *)
   let sinks = ref [] in
   List.iter
     (fun (_name, cfg) ->
-      let actual = Hashtbl.find entry_flow cfg.Cfg.func in
-      let sol, site_atoms =
-        intra ~summary_of ~site_atoms_of cfg (env_of_params cfg actual)
-      in
+      let ((flow, _) as sol) = S.solve_entry fix cfg in
       List.iter
         (fun (id, (site : Cfg.call_site)) ->
-          if Libspec.is_sink site.Cfg.callee && Flow.reachable sol id then begin
-            let env = Flow.input sol id in
+          if Libspec.is_sink site.Cfg.callee && Flow.reachable flow id then begin
             let atoms =
               List.fold_left
-                (fun acc a ->
-                  Flowdom.union acc (eval ~summary_of ~site_atoms env a))
+                (fun acc a -> Flowdom.union acc (P.eval_at ~summary_of sol id a))
                 Flowdom.empty site.Cfg.args
             in
             if not (Flowdom.is_empty atoms) then

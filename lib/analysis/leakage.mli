@@ -8,9 +8,10 @@
     cardinality classes from LIMIT clauses, equality predicates on
     declared key columns, and IN-list arities — then propagated through
     binds, row indexing, string builtins, prepared-statement handles
-    and user-function summaries (the {!Taint} fixpoint structure:
-    per-parameter flow bits composed exactly by isolated marker runs,
-    caller argument flows joined into callee entry assumptions).
+    and user-function summaries (an instance of
+    {!Dataflow.Summaries}, as {!Taint} is: per-parameter flow bits
+    composed exactly by isolated marker runs, caller argument flows
+    joined into callee entry assumptions).
 
     The result is the per-program {e leakage summary}: every reachable
     sink call whose arguments can carry query-derived data, with the

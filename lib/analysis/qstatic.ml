@@ -125,13 +125,8 @@ and eval_call ~summary_of env name args =
       (* User function: value unknown; taint from the injection-polarity
          summary. *)
       let tainted =
-        s.Taint.const_taint
-        || List.exists
-             (fun (i, a) ->
-               i < Array.length s.Taint.param_taint
-               && s.Taint.param_taint.(i)
-               && Strdom.tainted (sub a))
-             (List.mapi (fun i a -> (i, a)) args)
+        s.Dataflow.const
+        || List.exists (fun a -> Strdom.tainted (sub a)) (Dataflow.flowing_args s args)
       in
       Strdom.hole ~tainted ~origin:(name ^ "()") ()
   | None -> (
@@ -220,27 +215,6 @@ let solve_function ~summary_of ~entry_flags (cfg : Cfg.t) =
   in
   Flow.solve cfg ~entry:entry_env ~transfer
 
-let reachable_funcs ~entry cfgs =
-  if not (List.mem_assoc entry cfgs) then
-    List.fold_left (fun acc (name, _) -> SS.add name acc) SS.empty cfgs
-  else begin
-    let cg = Callgraph.build cfgs in
-    let seen = ref (SS.singleton entry) in
-    let work = Queue.create () in
-    Queue.add entry work;
-    while not (Queue.is_empty work) do
-      let f = Queue.pop work in
-      List.iter
-        (fun callee ->
-          if not (SS.mem callee !seen) then begin
-            seen := SS.add callee !seen;
-            Queue.add callee work
-          end)
-        (Callgraph.callees cg f)
-    done;
-    !seen
-  end
-
 let analyze_site ~summary_of env (id : int) (site : Cfg.call_site) func arg_idx prepare =
   let v =
     match List.nth_opt site.Cfg.args arg_idx with
@@ -291,17 +265,12 @@ let infer ?(entry = "main") cfgs =
   let entry_taint = Hashtbl.create 16 in
   List.iter (fun (name, a) -> Hashtbl.replace entry_taint name a) taint.Taint.entry_taint;
   let summary_of name = Hashtbl.find_opt summaries name in
-  let live = reachable_funcs ~entry cfgs in
+  let live = Callgraph.reachable cfgs ~entry in
   let sites = ref [] in
   List.iter
     (fun (name, cfg) ->
       if SS.mem name live then begin
-        let entry_flags =
-          match Hashtbl.find_opt entry_taint name with
-          | Some a -> a
-          | None -> Array.make (List.length cfg.Cfg.params) false
-        in
-        let sol = solve_function ~summary_of ~entry_flags cfg in
+        let sol = solve_function ~summary_of ~entry_flags:(Hashtbl.find entry_taint name) cfg in
         List.iter
           (fun (id, site) ->
             match sql_arg site.Cfg.callee with

@@ -2,7 +2,7 @@ module Ast = Applang.Ast
 module Libspec = Applang.Libspec
 module SS = Set.Make (String)
 
-type summary = { const_taint : bool; param_taint : bool array }
+type summary = bool Dataflow.summary
 
 type result = {
   labeled_blocks : int list;
@@ -10,6 +10,8 @@ type result = {
   entry_taint : (string * bool array) list;
 }
 
+(* May [e] evaluate to targeted data, given the variables' taint and
+   the user functions' summaries? *)
 let rec expr_taint ?(lib_taint = Libspec.taint_of) ~tainted ~summary_of (e : Ast.expr) =
   let sub x = expr_taint ~lib_taint ~tainted ~summary_of x in
   match e with
@@ -20,30 +22,12 @@ let rec expr_taint ?(lib_taint = Libspec.taint_of) ~tainted ~summary_of (e : Ast
   | Ast.Index (a, b) -> sub a || sub b
   | Ast.Call (name, args) -> (
       match summary_of name with
-      | Some s ->
-          let rec arg_taint i = function
-            | [] -> false
-            | a :: rest ->
-                (i < Array.length s.param_taint && s.param_taint.(i) && sub a)
-                || arg_taint (i + 1) rest
-          in
-          s.const_taint || arg_taint 0 args
+      | Some s -> s.Dataflow.const || List.exists sub (Dataflow.flowing_args s args)
       | None -> (
           match lib_taint name with
           | Libspec.Source -> true
           | Libspec.Propagate -> List.exists sub args
           | Libspec.Clean -> false))
-
-(* Fixpoint state of the interprocedural analysis. *)
-type state = {
-  summaries : (string, summary) Hashtbl.t;
-  (* actual may-taint of each function's parameters, joined over all
-     call sites seen so far *)
-  entry_taint : (string, bool array) Hashtbl.t;
-  lib_taint : string -> Libspec.taint_kind;
-}
-
-let summary_of state name = Hashtbl.find_opt state.summaries name
 
 (* The may-taint environment lattice: sets of tainted variables. *)
 module Env = struct
@@ -56,148 +40,68 @@ end
 
 module Flow = Dataflow.Make (Env)
 
-(* Dataflow over one CFG given the taint of its parameters. Back edges
+(* A parameter's or a return value's taint: one bit. *)
+module Bit = struct
+  type t = bool
+
+  let bottom = false
+  let join = ( || )
+  let equal = Bool.equal
+  let marker = true
+  let reached = Fun.id
+end
+
+(* Dataflow over one CFG given its tainted parameters. Back edges
    participate so loop-carried taint converges. Unreachable nodes keep
    the bottom (empty) environment, matching the engine's view. *)
-let intra state (cfg : Cfg.t) (entry_env : SS.t) =
+let intra ~lib_taint ~summary_of (cfg : Cfg.t) (entry_env : SS.t) =
   let transfer (n : Cfg.node) env =
     match n.Cfg.event with
     | Cfg.E_bind (x, e) ->
         let tainted v = SS.mem v env in
-        if expr_taint ~lib_taint:state.lib_taint ~tainted ~summary_of:(summary_of state) e
-        then SS.add x env
+        if expr_taint ~lib_taint ~tainted ~summary_of e then SS.add x env
         else SS.remove x env
     | Cfg.E_entry | Cfg.E_exit | Cfg.E_call _ | Cfg.E_cond _ | Cfg.E_return _ | Cfg.E_join ->
         env
   in
   Flow.solve cfg ~entry:entry_env ~transfer
 
-(* May a tainted value be returned under the solved environments? *)
-let returns_taint state (cfg : Cfg.t) sol =
-  List.exists
-    (fun id ->
-      match (Cfg.node cfg id).Cfg.event with
-      | Cfg.E_return (Some e) ->
-          let env = Flow.input sol id in
-          expr_taint ~lib_taint:state.lib_taint
-            ~tainted:(fun v -> SS.mem v env)
-            ~summary_of:(summary_of state) e
-      | Cfg.E_return None | Cfg.E_entry | Cfg.E_exit | Cfg.E_call _ | Cfg.E_bind _
-      | Cfg.E_cond _ | Cfg.E_join ->
-          false)
-    (Cfg.node_ids cfg)
-
-let env_of_params (cfg : Cfg.t) flags =
-  List.fold_left
-    (fun (env, i) p -> ((if i < Array.length flags && flags.(i) then SS.add p env else env), i + 1))
-    (SS.empty, 0) cfg.Cfg.params
-  |> fst
-
-let summary_equal a b =
-  a.const_taint = b.const_taint && a.param_taint = b.param_taint
-
 let analyze ?(per_arg = true) ?(lib_taint = Libspec.taint_of) ?(label_sinks = true) cfgs =
-  let state =
-    { summaries = Hashtbl.create 16; entry_taint = Hashtbl.create 16; lib_taint }
-  in
-  List.iter
-    (fun (name, cfg) ->
-      let n = List.length cfg.Cfg.params in
-      Hashtbl.replace state.summaries name
-        { const_taint = false; param_taint = Array.make n false };
-      Hashtbl.replace state.entry_taint name (Array.make n false))
-    cfgs;
-  let changed = ref true in
-  let update_summary name s =
-    if not (summary_equal (Hashtbl.find state.summaries name) s) then begin
-      Hashtbl.replace state.summaries name s;
-      changed := true
-    end
-  in
-  (* Propagate taint from a caller's dataflow into callee parameter
-     assumptions. *)
-  let propagate_call_sites (cfg : Cfg.t) sol =
-    List.iter
-      (fun (id, site) ->
-        if site.Cfg.is_user then begin
-          match Hashtbl.find_opt state.entry_taint site.Cfg.callee with
-          | None -> ()
-          | Some flags ->
-              let env = Flow.input sol id in
-              let tainted v = SS.mem v env in
-              List.iteri
-                (fun i arg ->
-                  if
-                    i < Array.length flags && (not flags.(i))
-                    && expr_taint ~lib_taint:state.lib_taint ~tainted
-                         ~summary_of:(summary_of state) arg
-                  then begin
-                    flags.(i) <- true;
-                    changed := true
-                  end)
-                site.Cfg.args
-        end)
-      (Cfg.call_nodes cfg)
-  in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (name, cfg) ->
-        let nparams = List.length cfg.Cfg.params in
-        let const_taint =
-          returns_taint state cfg (intra state cfg SS.empty)
-        in
-        let param_taint =
-          if per_arg then
-            (* Each bit in isolation: taint is a disjunctive reachability
-               property, so single-parameter runs compose exactly. *)
-            Array.init nparams (fun i ->
-                let flags = Array.make nparams false in
-                flags.(i) <- true;
-                returns_taint state cfg (intra state cfg (env_of_params cfg flags)))
-          else
-            let all =
-              returns_taint state cfg
-                (intra state cfg (env_of_params cfg (Array.make nparams true)))
-            in
-            Array.make nparams all
-        in
-        update_summary name { const_taint; param_taint };
-        let actual = Hashtbl.find state.entry_taint name in
-        propagate_call_sites cfg (intra state cfg (env_of_params cfg actual)))
-      cfgs
-  done;
+  let module P = struct
+    type value = bool
+    type solution = Flow.solution
+
+    let solve ~summary_of cfg params =
+      let tainted = List.filter_map (fun (p, t) -> if t then Some p else None) params in
+      intra ~lib_taint ~summary_of cfg (SS.of_list tainted)
+
+    let eval_at ~summary_of sol id e =
+      let env = Flow.input sol id in
+      expr_taint ~lib_taint ~tainted:(fun v -> SS.mem v env) ~summary_of e
+  end in
+  let module S = Dataflow.Summaries (Bit) (P) in
+  let fix = S.solve ~per_param:per_arg cfgs in
+  let summary_of = S.summary_of fix in
   (* Final labeling pass under the converged actual assumptions. *)
   let labeled = ref [] in
   if label_sinks then
-  List.iter
-    (fun (_name, cfg) ->
-      let actual = Hashtbl.find state.entry_taint cfg.Cfg.func in
-      let sol = intra state cfg (env_of_params cfg actual) in
-      List.iter
-        (fun (id, site) ->
-          site.Cfg.label <- None;
-          if Libspec.is_sink site.Cfg.callee then begin
-            let env = Flow.input sol id in
-            let tainted v = SS.mem v env in
+    List.iter
+      (fun (_name, cfg) ->
+        let sol = S.solve_entry fix cfg in
+        List.iter
+          (fun (id, site) ->
+            site.Cfg.label <- None;
             if
-              List.exists
-                (expr_taint ~lib_taint:state.lib_taint ~tainted
-                   ~summary_of:(summary_of state))
-                site.Cfg.args
+              Libspec.is_sink site.Cfg.callee
+              && List.exists (P.eval_at ~summary_of sol id) site.Cfg.args
             then begin
               site.Cfg.label <- Some id;
               labeled := id :: !labeled
-            end
-          end)
-        (Cfg.call_nodes cfg))
-    cfgs;
+            end)
+          (Cfg.call_nodes cfg))
+      cfgs;
   {
     labeled_blocks = List.sort compare !labeled;
-    summaries =
-      Hashtbl.fold (fun name s acc -> (name, s) :: acc) state.summaries []
-      |> List.sort compare;
-    entry_taint =
-      Hashtbl.fold (fun name a acc -> (name, a) :: acc) state.entry_taint []
-      |> List.sort compare;
+    summaries = S.summaries fix;
+    entry_taint = S.entries fix;
   }

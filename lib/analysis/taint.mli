@@ -3,30 +3,28 @@
     A forward may-taint dataflow over each CFG — an instance of the
     generic {!Dataflow} engine, iterated with the real back edges so
     loop-carried flows are found — combined with interprocedural
-    summaries: a user function may return targeted data either
-    unconditionally (it contains a source) or conditionally on specific
-    arguments being tainted.
+    summaries computed by {!Dataflow.Summaries} over one taint bit: a
+    user function may return targeted data either unconditionally (it
+    contains a source) or conditionally on specific arguments being
+    tainted.
 
-    Summaries are {e per argument}: [param_taint.(i)] says whether
-    taint entering through parameter [i] alone can reach the return
-    value. This strictly refines the old whole-function boolean — a
-    call [f(clean, dirty)] where only parameter 0 flows to the return
-    no longer taints the result — so the per-argument labeling marks
-    the same or fewer sinks, never more. [analyze ~per_arg:false]
-    collapses every bit to the joint all-arguments answer, reproducing
-    the coarse semantics (useful as a refinement baseline in tests).
+    Summaries are {e per argument}: [params.(i)] says whether taint
+    entering through parameter [i] alone can reach the return value.
+    This strictly refines a whole-function boolean — a call
+    [f(clean, dirty)] where only parameter 0 flows to the return does
+    not taint the result — so the per-argument labeling marks the same
+    or fewer sinks, never more. [analyze ~per_arg:false] collapses
+    every bit to the joint all-arguments answer, reproducing the coarse
+    semantics (useful as a refinement baseline in tests).
 
     The result of [analyze] is the labeling: every output-statement call
     site whose arguments may carry DB-retrieved data gets
     [site.label <- Some block_id], turning e.g. [printf] into
     [printf_Q6] in both the CTMs and the run-time traces. *)
 
-type summary = {
-  const_taint : bool;  (** returns targeted data regardless of inputs *)
-  param_taint : bool array;
-      (** [param_taint.(i)]: returns targeted data when argument [i]
-          is tainted; length = the function's parameter count *)
-}
+type summary = bool Dataflow.summary
+(** [const]: returns targeted data regardless of inputs;
+    [params.(i)]: returns targeted data when argument [i] is tainted. *)
 
 type result = {
   labeled_blocks : int list;  (** block ids labeled as DB-output sites, sorted *)
@@ -38,16 +36,6 @@ type result = {
           keep all-false. Sorted by function name. *)
 }
 
-val expr_taint :
-  ?lib_taint:(string -> Applang.Libspec.taint_kind) ->
-  tainted:(string -> bool) ->
-  summary_of:(string -> summary option) ->
-  Applang.Ast.expr ->
-  bool
-(** May the expression evaluate to targeted data, given the variable
-    taint environment and user-function summaries? [lib_taint] selects
-    the builtin taint table (default {!Applang.Libspec.taint_of}). *)
-
 val analyze :
   ?per_arg:bool ->
   ?lib_taint:(string -> Applang.Libspec.taint_kind) ->
@@ -57,7 +45,7 @@ val analyze :
 (** Runs the interprocedural fixpoint and {e mutates} the [label] field
     of sink call sites in the given CFGs. Idempotent. [per_arg]
     defaults to [true]; [false] computes whole-function boolean
-    summaries (every [param_taint] bit equal), the pre-refinement
+    summaries (every [params] bit equal), the pre-refinement
     behavior. [lib_taint] swaps the builtin polarity: the default tracks
     DB-retrieved data ({!Applang.Libspec.taint_of}); pass
     {!Applang.Libspec.untrusted_taint_of} to track attacker-controlled

@@ -152,27 +152,6 @@ let check_function (cfg : Cfg.t) =
 
 (* --- whole-program checks --------------------------------------------------- *)
 
-let reachable_funcs ~entry cfgs =
-  if not (List.mem_assoc entry cfgs) then
-    List.fold_left (fun acc (name, _) -> SS.add name acc) SS.empty cfgs
-  else begin
-    let cg = Callgraph.build cfgs in
-    let seen = ref (SS.singleton entry) in
-    let work = Queue.create () in
-    Queue.add entry work;
-    while not (Queue.is_empty work) do
-      let f = Queue.pop work in
-      List.iter
-        (fun callee ->
-          if not (SS.mem callee !seen) then begin
-            seen := SS.add callee !seen;
-            Queue.add callee work
-          end)
-        (Callgraph.callees cg f)
-    done;
-    !seen
-  end
-
 (* Injection findings from the static query inference: call sites where
    attacker-controlled input reaches the SQL text itself rather than a
    bound parameter, reported with the taint witness path. *)
@@ -200,7 +179,7 @@ let check_program ?(entry = "main") ?static_queries cfgs =
       (Diag.make Diag.Warning ~code:"no-entry"
          (Printf.sprintf "no entry function `%s`" entry))
   else begin
-    let live = reachable_funcs ~entry cfgs in
+    let live = Callgraph.reachable cfgs ~entry in
     List.iter
       (fun (name, _) ->
         if not (SS.mem name live) then
@@ -219,7 +198,7 @@ let check_program ?(entry = "main") ?static_queries cfgs =
 (* --- static facts for profile coverage -------------------------------------- *)
 
 let facts ?(entry = "main") cfgs =
-  let live = reachable_funcs ~entry cfgs in
+  let live = Callgraph.reachable cfgs ~entry in
   let symbols = ref Symbol.Set.empty in
   let pairs = ref [] in
   List.iter

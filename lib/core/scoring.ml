@@ -285,8 +285,8 @@ let dfa_walk_dies t dfa codes ~start ~len =
   done;
   !state < 0
 
-(* Every DFA walk is counted here: enforce-mode gates in [decide] and
-   explain-mode window checks in [explain]. *)
+(* Every DFA walk that decides something is counted here: enforce-mode
+   gates in [decide] and explain-mode window checks in [explain]. *)
 let counted_walk t (a : Analysis.Seqauto.t) codes ~start ~len =
   t.gate_checks <- t.gate_checks + 1;
   let r = dfa_walk_dies t a.Analysis.Seqauto.dfa codes ~start ~len in
@@ -483,8 +483,8 @@ let gate_to_string = function
   | Statically_impossible_window -> "statically-impossible-window"
   | Below_threshold -> "below-threshold"
 
-let explain ?(top = 3) t window =
-  let v = classify t window in
+(* Explain verdict [v], already computed on [window]. *)
+let explain_verdict ?(top = 3) t v window =
   if v.flag = Normal then None
   else begin
     let w = Profile.prepare t.profile window in
@@ -518,13 +518,17 @@ let explain ?(top = 3) t window =
     (* Walk the prepared window through the call-sequence automaton:
        [true] = no execution of the program can emit this sequence. In
        explain-only deployments this is where the automaton is consulted
-       at all. Reached only when every symbol is known, so the window
-       encodes (an empty one walks nothing). *)
+       at all, and the walk is counted; under enforce the verdict's own
+       gate already walked and counted it. Reached only when every
+       symbol is known, so the window encodes (an empty one walks
+       nothing). *)
     let window_impossible () =
+      let codes = Option.value encoded ~default:[||] in
       match t.static_dfa with
       | None -> false
-      | Some a ->
-          counted_walk t a (Option.value encoded ~default:[||]) ~start:0 ~len:n
+      | Some a when t.gate_enforce ->
+          dfa_walk_dies t a.Analysis.Seqauto.dfa codes ~start:0 ~len:n
+      | Some a -> counted_walk t a codes ~start:0 ~len:n
     in
     let gate =
       if v.unknown_symbol then Unknown_symbol
@@ -561,6 +565,8 @@ let explain ?(top = 3) t window =
         top = List.filteri (fun i _ -> i < top) sorted;
       }
   end
+
+let explain ?top t window = explain_verdict ?top t (classify t window) window
 
 let float_str f =
   if f = infinity then "inf"
@@ -626,11 +632,15 @@ module Stream = struct
 
   type t = {
     eng : engine;
-    window : int;
-    ring : ring;  (* capacity [window] *)
+    ring : ring;  (* capacity: the window length *)
     mutable pushed : int;
+    mutable last : verdict;  (* of the window [classify_last] scored last *)
     mutable is_flushed : bool;
   }
+
+  (* [last] before any window is scored; shared, so a session costs no
+     extra allocation *)
+  let unscored = { flag = Normal; score = nan; unknown_symbol = false; unknown_pair = None }
 
   let create ?window eng =
     let window =
@@ -639,15 +649,17 @@ module Stream = struct
       | None -> eng.profile.Profile.params.Profile.window
     in
     if window <= 0 then invalid_arg "Scoring.Stream.create: window must be positive";
-    { eng; window; ring = ring_create window; pushed = 0; is_flushed = false }
+    { eng; ring = ring_create window; pushed = 0; last = unscored; is_flushed = false }
 
   let engine st = st.eng
-  let window st = st.window
+  let window st = Array.length st.ring.r_codes
   let events_seen st = st.pushed
   let flushed st = st.is_flushed
 
   (* The window of the last [len] buffered events, oldest first. *)
-  let classify_last st len = decide st.eng st.ring ~start:(st.pushed - len) ~len
+  let classify_last st len =
+    st.last <- decide st.eng st.ring ~start:(st.pushed - len) ~len;
+    st.last
 
   let push st (event : Runtime.Collector.event) =
     if st.is_flushed then Error "push after flush: scorer already flushed"
@@ -655,35 +667,35 @@ module Stream = struct
       let eng = st.eng in
       let sym = Symbol.observable event.Runtime.Collector.symbol in
       let sym = if eng.use_labels then sym else Symbol.strip_label sym in
-      load_slot eng st.ring (st.pushed mod st.window) ~sym
-        ~caller:event.Runtime.Collector.caller;
+      let window = window st in
+      load_slot eng st.ring (st.pushed mod window) ~sym ~caller:event.Runtime.Collector.caller;
       st.pushed <- st.pushed + 1;
-      if st.pushed >= st.window then Ok (Some (classify_last st st.window)) else Ok None
+      if st.pushed >= window then Ok (Some (classify_last st window)) else Ok None
     end
 
   let flush st =
     if st.is_flushed then None
     else begin
       st.is_flushed <- true;
-      if st.pushed > 0 && st.pushed < st.window then Some (classify_last st st.pushed)
+      if st.pushed > 0 && st.pushed < window st then Some (classify_last st st.pushed)
       else None
     end
 
   (* Rebuild the window that [classify_last] most recently scored —
      either the full ring (steady state) or the short flush window —
-     and run the batch explainer on it. The symbols in the ring are
-     already prepared (observable, labels per [use_labels]), and
-     [Profile.prepare] is idempotent on prepared windows. *)
+     and explain the verdict it got there, without classifying it
+     again. The symbols in the ring are already prepared (observable,
+     labels per [use_labels]), and [Profile.prepare] is idempotent on
+     prepared windows. *)
   let explain_last ?top st =
+    let window = window st in
     let len =
-      if st.pushed >= st.window then st.window
-      else if st.is_flushed then st.pushed
-      else 0
+      if st.pushed >= window then window else if st.is_flushed then st.pushed else 0
     in
     if len = 0 then None
     else begin
       let start = st.pushed - len in
-      let slot i = (start + i) mod st.window in
+      let slot i = (start + i) mod window in
       let w =
         Window.
           {
@@ -691,6 +703,6 @@ module Stream = struct
             callers = Array.init len (fun i -> st.ring.r_callers.(slot i));
           }
       in
-      explain ?top st.eng w
+      explain_verdict ?top st.eng st.last w
     end
 end

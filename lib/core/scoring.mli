@@ -212,6 +212,9 @@ module Stream : sig
 
   val explain_last : ?top:int -> t -> explanation option
   (** Explain the window most recently scored by {!push} (the full
-      ring) or {!flush} (the short tail). [None] if that window was
-      [Normal], or if nothing has been classified yet. *)
+      ring) or {!flush} (the short tail), from the verdict it got
+      there: unlike {!explain}, it does not classify the window again,
+      so it adds no memo hit or miss and no enforce-mode gate check.
+      [None] if that window was [Normal], or if nothing has been
+      classified yet. *)
 end

@@ -30,6 +30,8 @@
 #include <string.h>
 #include <unistd.h>
 
+#include "float_guard.h"
+
 typedef double v2d __attribute__((vector_size(16)));
 
 /* OCaml float arrays are 8-byte aligned only. */
@@ -114,7 +116,9 @@ static void row_sums(const double *at, const double *x, double *sums, size_t n)
    it is a [@@noalloc] external. */
 value adprom_hmm_propagate(value a, value src, value dst)
 {
+  GUARD(&a, &src, &dst);
   propagate((const double *)a, (const double *)src, (double *)dst, float_length(dst));
+  UNGUARD();
   return Val_unit;
 }
 
@@ -352,6 +356,7 @@ static void score_runs(void *arg)
 value adprom_hmm_window_scores(value va, value vb, value vpi, value vobs, value voff,
                                value vscores)
 {
+  GUARD(&va, &vb, &vpi, &vscores);
   struct scorer s;
   const size_t n = float_length(vpi), m = n ? float_length(vb) / n : 0;
   const size_t windows = float_length(vscores), total = Wosize_val(vobs);
@@ -402,6 +407,7 @@ value adprom_hmm_window_scores(value va, value vb, value vpi, value vobs, value 
   free(sorted);
   free(off);
   free(obs);
+  UNGUARD();
   if (!ok) caml_raise_out_of_memory();
   return Val_unit;
 }
@@ -655,6 +661,7 @@ static void run_blocks(void *arg)
 value adprom_hmm_e_step(value va, value vb, value vpi, value vobs, value voff, value vweights,
                         value va_acc, value vb_acc, value vpi_acc, value vll)
 {
+  GUARD(&va, &vb, &vpi, &vweights, &va_acc, &vb_acc, &vpi_acc, &vll);
   struct estep e;
   const size_t n = float_length(vpi), m = n ? float_length(vb) / n : 0;
   const size_t windows = float_length(vweights), total = Wosize_val(vobs);
@@ -755,6 +762,7 @@ out:
   free(e.next_window);
   free(e.block);
   free(e.off);
+  UNGUARD();
   if (!ok) caml_raise_out_of_memory();
   return Val_unit;
 }

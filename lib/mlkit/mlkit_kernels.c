@@ -16,6 +16,8 @@
 #include <math.h>
 #include <stddef.h>
 
+#include "float_guard.h"
+
 typedef double v2d __attribute__((vector_size(16)));
 
 /* Σ a[i][j]² over i < j, in row-major order, from 0.0. */
@@ -90,6 +92,7 @@ static void rotate(double *a, double *vt, size_t n, size_t p, size_t q)
    the runtime lock, so it is a [@@noalloc] external. */
 value adprom_mlkit_jacobi_sweeps(value a, value vt, value vn, value vmax)
 {
+  GUARD(&a, &vt);
   double *pa = (double *)a, *pvt = (double *)vt;
   size_t n = Long_val(vn);
   long max_sweeps = Long_val(vmax);
@@ -100,5 +103,6 @@ value adprom_mlkit_jacobi_sweeps(value a, value vt, value vn, value vmax)
       for (size_t q = p + 1; q < n; q++)
         rotate(pa, pvt, n, p, q);
   }
+  UNGUARD();
   return Val_unit;
 }

@@ -521,16 +521,12 @@ let worker ~idx ~profile ~stage ~keep_verdicts ~series:m ~alerts ~ring shard =
   in
   loop ()
 
-let default_ring_capacity = 256
-
-let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
-    ?(ring_capacity = default_ring_capacity) ?metrics ?alerts ?vet_against
-    ?(vet_policy = Adprom.Profile_check.Warn) ?(static_gate = Gate_explain)
-    ?(qsig_mode = Qsig_off) ?qsig_profile
+let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true) ?metrics
+    ?alerts ?vet_against ?(vet_policy = Adprom.Profile_check.Warn)
+    ?(static_gate = Gate_explain) ?(qsig_mode = Qsig_off) ?qsig_profile
     ?(qsig_static_gate = Gate_explain) ?leakage_policy profile =
   if shards < 1 then invalid_arg "Daemon.create: need at least one shard";
   if queue_capacity < 0 then invalid_arg "Daemon.create: negative queue capacity";
-  if ring_capacity < 0 then invalid_arg "Daemon.create: negative ring capacity";
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let alerts = match alerts with Some a -> a | None -> Alerts.create () in
   let stage =
@@ -548,7 +544,8 @@ let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true)
           depth = Metrics.gauge metrics (Printf.sprintf "adprom_queue_depth_shard%d" i);
         })
   in
-  let rings = Array.init shards (fun _ -> Oring.create ring_capacity) in
+  (* the 256 most recent events of each shard *)
+  let rings = Array.init shards (fun _ -> Oring.create 256) in
   (* every span finished while this daemon lives lands in a metrics
      histogram; removed at drain so a later daemon re-registers its own *)
   let span_hook = Otrace.on_span_end (Metrics.span_exporter metrics) in

@@ -76,7 +76,6 @@ val create :
   ?shards:int ->
   ?queue_capacity:int ->
   ?keep_verdicts:bool ->
-  ?ring_capacity:int ->
   ?metrics:Metrics.t ->
   ?alerts:Alerts.t ->
   ?vet_against:Analysis.Analyzer.t ->
@@ -89,9 +88,9 @@ val create :
   Adprom.Profile.t ->
   t
 (** Spawn the worker domains. Defaults: 4 shards, queue capacity 4096,
-    verdicts kept, 256 recent events retained per shard. The profile is
-    shared read-only across domains. [queue_capacity 0] sheds every
-    session on arrival (useful for testing the overload path). Also
+    verdicts kept; each shard retains its 256 most recent events. The
+    profile is shared read-only across domains. [queue_capacity 0] sheds
+    every session on arrival (useful for testing the overload path). Also
     registers a {!Metrics.span_exporter} hook for the daemon's lifetime
     (removed at {!drain}), so span durations aggregate into the metrics
     registry whenever tracing is on.

@@ -7,6 +7,7 @@ module Cfg = Analysis.Cfg
 module Cfg_build = Analysis.Cfg_build
 module Callgraph = Analysis.Callgraph
 module Taint = Analysis.Taint
+module Dataflow = Analysis.Dataflow
 module Symbol = Analysis.Symbol
 
 let build src = Cfg_build.build_program (Parser.parse_program src)
@@ -248,12 +249,12 @@ let test_taint_summaries () =
   in
   let result = Taint.analyze cfgs in
   let summary name = List.assoc name result.Taint.summaries in
-  Alcotest.(check bool) "source has const taint" true (summary "source").Taint.const_taint;
+  Alcotest.(check bool) "source has const taint" true (summary "source").Dataflow.const;
   Alcotest.(check bool) "echo propagates params" true
-    (Array.exists Fun.id (summary "echo").Taint.param_taint);
-  Alcotest.(check bool) "echo has no const taint" false (summary "echo").Taint.const_taint;
+    (Array.exists Fun.id (summary "echo").Dataflow.params);
+  Alcotest.(check bool) "echo has no const taint" false (summary "echo").Dataflow.const;
   Alcotest.(check bool) "konst never returns taint" false
-    (Array.exists Fun.id (summary "konst").Taint.param_taint);
+    (Array.exists Fun.id (summary "konst").Dataflow.params);
   Alcotest.(check int) "only the echo printf is labeled" 1
     (List.length result.Taint.labeled_blocks)
 
@@ -418,13 +419,13 @@ let prop_per_arg_refines_coarse =
       && List.for_all
            (fun (name, (s : Taint.summary)) ->
              let sc = List.assoc name coarse.Taint.summaries in
-             (not s.Taint.const_taint) || sc.Taint.const_taint)
+             (not s.Dataflow.const) || sc.Dataflow.const)
            fine.Taint.summaries
       && List.for_all
            (fun (name, (s : Taint.summary)) ->
              let sc = List.assoc name coarse.Taint.summaries in
              Array.for_all2 (fun fine_bit coarse_bit -> (not fine_bit) || coarse_bit)
-               s.Taint.param_taint sc.Taint.param_taint)
+               s.Dataflow.params sc.Dataflow.params)
            fine.Taint.summaries)
 
 let prop_taint_idempotent =
@@ -435,6 +436,31 @@ let prop_taint_idempotent =
       let second = Taint.analyze cfgs in
       first.Taint.labeled_blocks = second.Taint.labeled_blocks
       && first.Taint.summaries = second.Taint.summaries)
+
+(* The shared summary solver walks the functions in list order; the
+   fixpoint it reaches must not depend on that order, for either of its
+   instances. Witness paths may differ, so sinks are compared as
+   (block, source, cardinality). *)
+let prop_summaries_order_independent =
+  QCheck2.Test.make ~name:"summary fixpoint ignores function order" ~count:100
+    ~print:Fun.id taint_prog_gen (fun src ->
+      let taint order =
+        let r = Taint.analyze (order (fst (build src))) in
+        (r.Taint.labeled_blocks, r.Taint.summaries, r.Taint.entry_taint)
+      in
+      let cfgs = fst (build src) in
+      let static = Analysis.Qstatic.infer cfgs in
+      let sinks order =
+        List.concat_map
+          (fun (s : Analysis.Leakage.sink) ->
+            List.map
+              (fun (a : Analysis.Flowdom.atom) ->
+                (s.Analysis.Leakage.block, a.Analysis.Flowdom.src, a.Analysis.Flowdom.card))
+              s.Analysis.Leakage.atoms)
+          (Analysis.Leakage.analyze ~static (order cfgs)).Analysis.Leakage.sinks
+        |> List.sort compare
+      in
+      taint Fun.id = taint List.rev && sinks Fun.id = sinks List.rev)
 
 let prop_reachability_sane =
   QCheck2.Test.make ~name:"forecast reachability: entry 1.0, values in [0,1]"
@@ -516,6 +542,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_per_arg_refines_coarse;
           QCheck_alcotest.to_alcotest prop_taint_idempotent;
+          QCheck_alcotest.to_alcotest prop_summaries_order_independent;
           QCheck_alcotest.to_alcotest prop_reachability_sane;
         ] );
     ]

@@ -638,6 +638,26 @@ let test_daemon_explains_incidents () =
          e.Adprom_obs.Log.message = "incident" && e.Adprom_obs.Log.level = Adprom_obs.Log.Warn)
        outcome.Replay.events_tail)
 
+(* Explaining an incident must not score its window a second time: one
+   out-of-context window is one window, one memo miss and no hit. *)
+let test_explain_counts_window_once () =
+  let profile = profile () in
+  let window = profile.Profile.params.Profile.window in
+  let trace = List.hd (traces ()) in
+  let items =
+    Array.map
+      (fun (ev : Runtime.Collector.event) ->
+        Transport.Call
+          { Transport.session = 0; event = { ev with Runtime.Collector.caller = "intruder" } })
+      (Array.sub trace 0 (min window (Array.length trace)))
+  in
+  let outcome = Replay.run (Daemon.create ~shards:1 profile) items in
+  let counter name = Metrics.counter_value (Metrics.counter outcome.Replay.metrics name) in
+  Alcotest.(check int) "one incident" 1 (Alerts.count outcome.Replay.alerts);
+  Alcotest.(check int) "windows" 1 (counter "adprom_windows_scored_total");
+  Alcotest.(check int) "memo hits" 0 (counter "adprom_score_cache_hits_total");
+  Alcotest.(check int) "memo misses" 1 (counter "adprom_score_cache_misses_total")
+
 (* --- Core.Sessions properties ------------------------------------------------ *)
 
 let event_gen =
@@ -722,6 +742,8 @@ let () =
           Alcotest.test_case "alerts flow from verdicts" `Quick test_daemon_feeds_alerts;
           Alcotest.test_case "incidents carry explanations" `Quick
             test_daemon_explains_incidents;
+          Alcotest.test_case "explain counts the window once" `Quick
+            test_explain_counts_window_once;
           Alcotest.test_case "oversize literal is a Malformed query" `Quick
             test_daemon_oversize_literal;
         ] );
