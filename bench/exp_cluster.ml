@@ -51,8 +51,8 @@ let spawn_nodes profile ~queue_capacity names =
 
 (* [route_burst] times the {e ingest window}: offering the whole
    stream, flushing every connection, and a metrics round-trip — each
-   node answers [Metrics_req] only after every prior frame on the
-   connection, so when the clock stops every offered event has been
+   node answers the router's [Health_req] only after every prior frame
+   on the connection, so when the clock stops every offered event has been
    accepted or shed by its node. The drain-and-score work behind
    [finish] stays outside the window: on this single-core box the
    scaling claim is a {e capacity} result (two bounded queues accept

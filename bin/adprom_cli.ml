@@ -1394,31 +1394,8 @@ let route_cmd =
 
 (* --- status / top: the fleet operations plane -------------------------- *)
 
-(* quantiles as JSON: [nan] (no observations yet) -> null, overflow
-   bucket -> the string "+Inf" *)
-let jq_float f =
-  if Float.is_nan f then "null"
-  else if f = infinity then "\"+Inf\""
-  else Printf.sprintf "%g" f
-
 let fq_float f =
   if Float.is_nan f then "-" else if f = infinity then ">1s" else Printf.sprintf "%.4fs" f
-
-let snapshot_queue (s : Service.Metrics.snapshot) =
-  let prefix = "adprom_queue_depth_shard" in
-  let plen = String.length prefix in
-  List.fold_left
-    (fun (depth, hwm) (name, v, m) ->
-      if String.length name >= plen && String.sub name 0 plen = prefix then
-        (depth + v, max hwm m)
-      else (depth, hwm))
-    (0, 0) s.Service.Metrics.gauges
-
-let snapshot_e2e (s : Service.Metrics.snapshot) =
-  match Service.Metrics.snapshot_histogram s "adprom_e2e_latency_seconds" with
-  | None -> (Float.nan, Float.nan)
-  | Some h ->
-      (Service.Metrics.hist_quantile h 0.5, Service.Metrics.hist_quantile h 0.99)
 
 type node_stats = {
   ns_name : string;
@@ -1433,40 +1410,41 @@ type node_stats = {
   ns_incidents : (int * string) list;
 }
 
-let node_stats (name, (h : Service.Frame.health)) =
-  let s = h.Service.Frame.h_snapshot in
-  let depth, hwm = snapshot_queue s in
-  let p50, p99 = snapshot_e2e s in
+let stats ~name ~status ~uptime ~incidents s =
+  let depth, hwm = Service.Health.queue s in
+  let p50, p99 = Service.Health.e2e_quantiles s in
   {
     ns_name = name;
-    ns_status = h.Service.Frame.h_status;
-    ns_uptime = h.Service.Frame.h_uptime_s;
+    ns_status = status;
+    ns_uptime = uptime;
     ns_offered = Service.Metrics.snapshot_counter s "adprom_events_offered_total";
     ns_dropped = Service.Metrics.snapshot_counter s "adprom_events_dropped_total";
     ns_depth = depth;
     ns_hwm = hwm;
     ns_p50 = p50;
     ns_p99 = p99;
-    ns_incidents = h.Service.Frame.h_incidents;
+    ns_incidents = incidents;
   }
 
+let node_stats (name, (h : Service.Frame.health)) =
+  stats ~name ~status:h.Service.Frame.h_status ~uptime:h.Service.Frame.h_uptime_s
+    ~incidents:h.Service.Frame.h_incidents h.Service.Frame.h_snapshot
+
+(* the fleet rollup: statuses folded to the worst, figures read off the
+   merged snapshot *)
 let fleet_stats (nodes : (string * Service.Frame.health) list) =
-  let merged =
-    Service.Metrics.merge_snapshots
-      (List.map (fun (_, h) -> h.Service.Frame.h_snapshot) nodes)
-  in
-  let status =
-    List.fold_left
-      (fun acc (_, h) -> Service.Health.worst acc h.Service.Frame.h_status)
-      Service.Health.Healthy nodes
-  in
-  (status, merged)
+  stats ~name:"fleet"
+    ~status:
+      (List.fold_left
+         (fun acc (_, h) -> Service.Health.worst acc h.Service.Frame.h_status)
+         Service.Health.Healthy nodes)
+    ~uptime:0.0 ~incidents:[]
+    (Service.Metrics.merge_snapshots
+       (List.map (fun (_, h) -> h.Service.Frame.h_snapshot) nodes))
 
 let status_json nodes =
   let stats = List.map node_stats nodes in
-  let status, merged = fleet_stats nodes in
-  let depth, hwm = snapshot_queue merged in
-  let p50, p99 = snapshot_e2e merged in
+  let fleet = fleet_stats nodes in
   let node_json n =
     Printf.sprintf
       "{\"node\":\"%s\",\"status\":\"%s\",\"uptime_s\":%.1f,\
@@ -1475,25 +1453,23 @@ let status_json nodes =
       (Adprom_obs.Json.escape n.ns_name)
       (Service.Health.status_to_string n.ns_status)
       n.ns_uptime n.ns_offered n.ns_dropped n.ns_depth n.ns_hwm
-      (jq_float n.ns_p50) (jq_float n.ns_p99)
+      (Service.Health.quantile_json n.ns_p50) (Service.Health.quantile_json n.ns_p99)
       (List.length n.ns_incidents)
   in
   Printf.sprintf
     "{\"fleet\":{\"status\":\"%s\",\"nodes\":%d,\"events_offered\":%d,\
      \"events_dropped\":%d,\"queue_depth\":%d,\"queue_hwm\":%d,\
      \"e2e_p50_s\":%s,\"e2e_p99_s\":%s},\"nodes\":[%s]}"
-    (Service.Health.status_to_string status)
-    (List.length nodes)
-    (Service.Metrics.snapshot_counter merged "adprom_events_offered_total")
-    (Service.Metrics.snapshot_counter merged "adprom_events_dropped_total")
-    depth hwm (jq_float p50) (jq_float p99)
+    (Service.Health.status_to_string fleet.ns_status)
+    (List.length nodes) fleet.ns_offered fleet.ns_dropped fleet.ns_depth
+    fleet.ns_hwm
+    (Service.Health.quantile_json fleet.ns_p50)
+    (Service.Health.quantile_json fleet.ns_p99)
     (String.concat "," (List.map node_json stats))
 
 let status_text nodes =
   let stats = List.map node_stats nodes in
-  let status, merged = fleet_stats nodes in
-  let depth, _ = snapshot_queue merged in
-  let p50, p99 = snapshot_e2e merged in
+  let fleet = fleet_stats nodes in
   Adprom.Report.print
     ~header:
       [ "node"; "status"; "uptime"; "events"; "dropped"; "queue"; "e2e p50"; "e2e p99" ]
@@ -1511,11 +1487,9 @@ let status_text nodes =
          ])
        stats);
   Printf.printf "\nfleet: %s (%d nodes), %d events offered, %d dropped, queue %d, e2e p50 %s p99 %s\n"
-    (Service.Health.status_to_string status)
-    (List.length nodes)
-    (Service.Metrics.snapshot_counter merged "adprom_events_offered_total")
-    (Service.Metrics.snapshot_counter merged "adprom_events_dropped_total")
-    depth (fq_float p50) (fq_float p99)
+    (Service.Health.status_to_string fleet.ns_status)
+    (List.length nodes) fleet.ns_offered fleet.ns_dropped fleet.ns_depth
+    (fq_float fleet.ns_p50) (fq_float fleet.ns_p99)
 
 let status_cmd_run node_specs replicas format =
   match connect_fleet node_specs replicas with
@@ -1559,15 +1533,13 @@ let status_cmd =
 
 let top_render ~interval ~prev nodes =
   let stats = List.map node_stats nodes in
-  let status, merged = fleet_stats nodes in
-  let depth, _ = snapshot_queue merged in
-  let p50, p99 = snapshot_e2e merged in
+  let fleet = fleet_stats nodes in
   (* home + clear-to-end: repaint without scrollback spam *)
   print_string "\027[H\027[J";
   Printf.printf "adprom top — %d nodes, fleet %s, e2e p50 %s p99 %s, queue %d\n\n"
     (List.length stats)
-    (Service.Health.status_to_string status)
-    (fq_float p50) (fq_float p99) depth;
+    (Service.Health.status_to_string fleet.ns_status)
+    (fq_float fleet.ns_p50) (fq_float fleet.ns_p99) fleet.ns_depth;
   Printf.printf "%-12s %-10s %10s %10s %8s %8s %10s %10s\n" "node" "status"
     "events/s" "events" "dropped" "queue" "e2e p50" "e2e p99";
   List.iter

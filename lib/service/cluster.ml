@@ -466,61 +466,14 @@ module Router = struct
         t.peers
     end
 
-  (* ---- metrics merging ------------------------------------------- *)
-
-  let fmt_value v =
-    if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-    else Printf.sprintf "%g" v
-
-  let merge_dumps dumps =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun dump ->
-        List.iter
-          (fun line ->
-            (* # HELP / # TYPE metadata merges by dedup, not by sum —
-               dropped here; the merged dump stays sample lines only *)
-            if line <> "" && line.[0] <> '#' then
-              match String.rindex_opt line ' ' with
-              | None -> ()
-              | Some i -> (
-                  let key = String.sub line 0 i in
-                  match
-                    float_of_string_opt
-                      (String.sub line (i + 1) (String.length line - i - 1))
-                  with
-                  | None -> ()
-                  | Some v ->
-                      let merged =
-                        match Hashtbl.find_opt tbl key with
-                        | None -> v
-                        | Some prev ->
-                            (* high-watermarks don't add up across nodes *)
-                            if
-                              String.length key >= 4
-                              && String.sub key (String.length key - 4) 4
-                                 = "_max"
-                            then Float.max prev v
-                            else prev +. v
-                      in
-                      Hashtbl.replace tbl key merged))
-          (String.split_on_char '\n' dump))
-      dumps;
-    let keys = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
-    let buf = Buffer.create 1024 in
-    List.iter
-      (fun k ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s %s\n" k (fmt_value (Hashtbl.find tbl k))))
-      (List.sort compare keys);
-    Buffer.contents buf
-
+  (* the fleet's Prometheus text: every node's health snapshot, merged *)
   let metrics t =
-    Result.map merge_dumps
-      (each_peer t (fun p ->
-           request_reply t p Frame.Metrics_req ~what:"metrics" (function
-             | Frame.Metrics_resp d -> Some d
-             | _ -> None)))
+    Result.map
+      (fun nodes ->
+        Metrics.render
+          (Metrics.merge_snapshots
+             (List.map (fun (_, h) -> h.Frame.h_snapshot) nodes)))
+      (health t)
 
   (* Every Bye goes out before any Summary is awaited, so the nodes
      drain in parallel. *)

@@ -7,9 +7,9 @@
     consistent-hash ring over node names (~64 virtual replicas each), so
     adding or removing a node only remaps the sessions that hashed to
     it. The {!Router} holds one binary connection per node, sprays a
-    mixed item stream along the ring, aggregates [Metrics_resp] dumps
-    into one registry view, and collects each node's [Summary] at
-    shutdown; {!merge} folds those per-node summaries into one
+    mixed item stream along the ring, merges the nodes' [Health_resp]
+    metrics snapshots into one fleet view, and collects each node's
+    [Summary] at shutdown; {!merge} folds those per-node summaries into one
     cluster-wide view with the exact shape of a single node's.
 
     Because sessions are disjoint across nodes and each node's daemon is
@@ -104,10 +104,13 @@ module Router : sig
       Idempotent; the router is unusable afterwards. *)
 
   val metrics : t -> (string, string) result
-  (** Fan a [Metrics_req] out to every node and merge the dumps: values
-      are summed per metric name, except [*_max] high-watermark lines
-      which take the max. The merged text keeps the dump's sorted,
-      diffable shape. *)
+  (** The fleet's Prometheus text: {!health}'s snapshots folded by
+      {!Metrics.merge_snapshots} (counters and histogram buckets add,
+      gauges and their high-watermarks take the max) and rendered by
+      {!Metrics.render}, so the text has a node dump's sorted shape,
+      [# HELP]/[# TYPE] lines included. Each node answers after every
+      frame sent before on its connection, which makes this a barrier
+      behind {!flush_all}. *)
 
   val finish : t -> (Frame.node_summary list, string) result
   (** Flush everything, send [Bye] to every node, await each node's

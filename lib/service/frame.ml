@@ -25,8 +25,6 @@ type frame =
   | Ack of { count : int }
   | Call of Transport.event
   | Query of Transport.query
-  | Metrics_req
-  | Metrics_resp of string
   | Bye
   | Summary of node_summary
   | Clock_probe of { seq : int }
@@ -67,8 +65,6 @@ let tag_of_frame = function
   | Ack _ -> 1
   | Call _ -> 2
   | Query _ -> 3
-  | Metrics_req -> 4
-  | Metrics_resp _ -> 5
   | Bye -> 6
   | Summary _ -> 7
   | Clock_probe _ -> 8
@@ -79,15 +75,15 @@ let tag_of_frame = function
   | Spans_req -> 13
   | Spans_resp _ -> 14
 
-let max_tag = 14
+(* 4 and 5 are retired, not reused: a frame from a build that still
+   sends them must be refused, not decoded as some other kind *)
+let[@inline] unassigned tag = tag > 14 || tag = 4 || tag = 5
 
 let frame_name_of_tag = function
   | 0 -> "hello"
   | 1 -> "ack"
   | 2 -> "call"
   | 3 -> "query"
-  | 4 -> "metrics-req"
-  | 5 -> "metrics-resp"
   | 6 -> "bye"
   | 7 -> "summary"
   | 8 -> "clock-probe"
@@ -571,7 +567,7 @@ module Encoder = struct
             add_fixed64 e.w mono_ns;
             add_fixed64 e.w wall_ns)
     | Ack { count } -> add_varint e.w count
-    | Metrics_req | Bye | Health_req | Spans_req -> ()
+    | Bye | Health_req | Spans_req -> ()
     | Clock_probe { seq } -> add_varint e.w seq
     | Clock_reply { seq; mono_ns; wall_ns } ->
         add_varint e.w seq;
@@ -596,12 +592,6 @@ module Encoder = struct
     | Spans_resp spans ->
         add_varint e.w (List.length spans);
         List.iter (add_span e.w) spans
-    | Metrics_resp dump ->
-        let w = e.w in
-        let len = String.length dump in
-        writer_need w len;
-        Bytes.blit_string dump 0 w.wbuf w.wpos len;
-        w.wpos <- w.wpos + len
     | Summary { node; summary; incidents; fused = fu } ->
         let buf = e.w in
         add_str buf node;
@@ -786,8 +776,6 @@ module Decoder = struct
       | 1 -> Ack { count = nonneg c "ack count" }
       | 2 -> Call (read_call d c)
       | 3 -> Query (read_query c)
-      | 4 -> Metrics_req
-      | 5 -> Metrics_resp (bytes c (c.cstop - c.p)) (* the dump text *)
       | 6 -> Bye
       | 7 ->
           let node = str c in
@@ -881,7 +869,7 @@ module Decoder = struct
     if b0 <> Char.code magic.[0] || b1 <> Char.code magic.[1] then
       Some (Bad_magic { byte0 = b0; byte1 = b1 })
     else if ver <> protocol_version then Some (Bad_version ver)
-    else if tag > max_tag then Some (Bad_frame_type tag)
+    else if unassigned tag then Some (Bad_frame_type tag)
     else if len > max_payload then
       Some (Frame_too_large { length = len; limit = max_payload })
     else None

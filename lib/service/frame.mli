@@ -14,15 +14,17 @@
     Frame kinds: [Hello] (names the peers and carries the node's clock
     sample, exchanged once per connection), [Call]/[Query] (the stream
     items), [Ack] (periodic ingestion feedback from a node),
-    [Metrics_req]/[Metrics_resp] (cross-node metrics aggregation),
     [Bye] (end of stream — the node drains its daemon) and answers with
     [Summary] (per-session verdicts, shed accounting, rendered incidents
     and fused axes), and the operations plane: [Clock_probe]/
     [Clock_reply] (per-peer clock offset estimation), [Trace_mark]
     (cross-node trace propagation ahead of each batch),
-    [Health_req]/[Health_resp] (fleet health rollup carrying a
-    value-level metrics snapshot) and [Spans_req]/[Spans_resp]
-    (collecting node spans for a merged cluster trace).
+    [Health_req]/[Health_resp] (node health carrying a value-level
+    metrics snapshot — the only way fleet metrics travel; the router
+    merges and renders the snapshots) and [Spans_req]/[Spans_resp]
+    (collecting node spans for a merged cluster trace). Tags 4 and 5
+    are unassigned and refused as {!error.Bad_frame_type}, like any
+    tag past the last.
 
     There is one protocol version: every header is stamped with
     {!protocol_version}, and a frame stamped with any other is refused
@@ -60,8 +62,9 @@ type health = {
   h_node : string;  (** the node's self-chosen name *)
   h_status : Health.status;
   h_snapshot : Metrics.snapshot;
-      (** value-level metrics — the router merges these exactly with
-          {!Metrics.merge_snapshots}, no text re-parsing *)
+      (** value-level metrics, the same snapshot [h_status] was judged
+          from; the router merges these exactly with
+          {!Metrics.merge_snapshots} *)
   h_incidents : (int * string) list;
       (** tail of the node's incident log, (session, rendering) *)
   h_uptime_s : float;
@@ -75,8 +78,6 @@ type frame =
   | Ack of { count : int }  (** events ingested on this connection so far *)
   | Call of Transport.event
   | Query of Transport.query
-  | Metrics_req
-  | Metrics_resp of string  (** a Prometheus-style {!Metrics.dump} *)
   | Bye
   | Summary of node_summary
   | Clock_probe of { seq : int }

@@ -5,34 +5,16 @@ let status_to_string = function
   | Degraded -> "degraded"
   | Unhealthy -> "unhealthy"
 
-let status_of_string = function
-  | "ok" -> Some Healthy
-  | "degraded" -> Some Degraded
-  | "unhealthy" -> Some Unhealthy
-  | _ -> None
-
 let status_to_int = function Healthy -> 0 | Degraded -> 1 | Unhealthy -> 2
 let status_of_int = function 0 -> Some Healthy | 1 -> Some Degraded | 2 -> Some Unhealthy | _ -> None
 
 (* worse-of for folding per-node statuses into a fleet status *)
 let worst a b = if status_to_int a >= status_to_int b then a else b
 
-type thresholds = {
-  shed_degraded : float;  (* dropped/offered ratio *)
-  shed_unhealthy : float;
-  queue_hwm_frac : float;  (* high-watermark / capacity *)
-  scorer_errors : int;
-  e2e_p99_slo : float;  (* seconds *)
-}
-
-let default_thresholds =
-  {
-    shed_degraded = 0.01;
-    shed_unhealthy = 0.10;
-    queue_hwm_frac = 0.9;
-    scorer_errors = 1;
-    e2e_p99_slo = 1.0;
-  }
+let shed_degraded = 0.01  (* dropped/offered ratio *)
+let shed_unhealthy = 0.10
+let queue_hwm_frac = 0.9  (* high-watermark / capacity *)
+let e2e_p99_slo = 1.0  (* seconds *)
 
 type report = {
   status : status;
@@ -51,50 +33,51 @@ let is_depth_gauge name =
   String.length name >= String.length prefix
   && String.sub name 0 (String.length prefix) = prefix
 
-let evaluate ?(thresholds = default_thresholds) ~queue_capacity
-    (s : Metrics.snapshot) =
+let queue (s : Metrics.snapshot) =
+  List.fold_left
+    (fun (d, m) (name, v, hwm) ->
+      if is_depth_gauge name then (d + v, max m hwm) else (d, m))
+    (0, 0) s.Metrics.gauges
+
+let e2e_quantiles s =
+  match Metrics.snapshot_histogram s "adprom_e2e_latency_seconds" with
+  | Some hs -> (Metrics.hist_quantile hs 0.5, Metrics.hist_quantile hs 0.99)
+  | None -> (nan, nan)
+
+let evaluate ~queue_capacity (s : Metrics.snapshot) =
   let offered = Metrics.snapshot_counter s "adprom_events_offered_total" in
   let dropped = Metrics.snapshot_counter s "adprom_events_dropped_total" in
   let scorer_errors = Metrics.snapshot_counter s "adprom_scorer_errors_total" in
   let shed_rate =
     if offered = 0 then 0.0 else float_of_int dropped /. float_of_int offered
   in
-  let queue_depth, queue_hwm =
-    List.fold_left
-      (fun (d, m) (name, v, hwm) ->
-        if is_depth_gauge name then (d + v, max m hwm) else (d, m))
-      (0, 0) s.Metrics.gauges
-  in
-  let e2e_p50, e2e_p99 =
-    match Metrics.snapshot_histogram s "adprom_e2e_latency_seconds" with
-    | Some hs -> (Metrics.hist_quantile hs 0.5, Metrics.hist_quantile hs 0.99)
-    | None -> (nan, nan)
-  in
+  let queue_depth, queue_hwm = queue s in
+  let e2e_p50, e2e_p99 = e2e_quantiles s in
   let checks =
     [
-      ( shed_rate >= thresholds.shed_unhealthy,
+      ( shed_rate >= shed_unhealthy,
         Unhealthy,
         Printf.sprintf "shed rate %.1f%% >= %.1f%%" (100. *. shed_rate)
-          (100. *. thresholds.shed_unhealthy) );
-      ( shed_rate >= thresholds.shed_degraded,
+          (100. *. shed_unhealthy) );
+      ( shed_rate >= shed_degraded,
         Degraded,
         Printf.sprintf "shed rate %.1f%% >= %.1f%%" (100. *. shed_rate)
-          (100. *. thresholds.shed_degraded) );
+          (100. *. shed_degraded) );
       ( queue_capacity > 0
         && float_of_int queue_hwm
-           >= thresholds.queue_hwm_frac *. float_of_int queue_capacity,
+           >= queue_hwm_frac *. float_of_int queue_capacity,
         Degraded,
         Printf.sprintf "queue high-watermark %d >= %.0f%% of capacity %d"
           queue_hwm
-          (100. *. thresholds.queue_hwm_frac)
+          (100. *. queue_hwm_frac)
           queue_capacity );
-      ( scorer_errors >= thresholds.scorer_errors,
+      ( scorer_errors > 0,
         Degraded,
         Printf.sprintf "%d scorer error(s)" scorer_errors );
-      ( (not (Float.is_nan e2e_p99)) && e2e_p99 > thresholds.e2e_p99_slo,
+      ( (not (Float.is_nan e2e_p99)) && e2e_p99 > e2e_p99_slo,
         Degraded,
         Printf.sprintf "e2e p99 %gs over the %gs SLO" e2e_p99
-          thresholds.e2e_p99_slo );
+          e2e_p99_slo );
     ]
   in
   let status, reasons =
@@ -134,23 +117,22 @@ let quantile_json f =
   else if f = infinity then Adprom_obs.Json.string "+Inf"
   else Printf.sprintf "%g" f
 
-let report_to_json ?(extra = []) ~node ~uptime_s r =
+let report_to_json ~node ~uptime_s r =
   let module J = Adprom_obs.Json in
   J.obj
-    ([
-       ("node", J.string node);
-       ("status", J.string (status_to_string r.status));
-       ( "reasons",
-         "[" ^ String.concat "," (List.map J.string r.reasons) ^ "]" );
-       ("uptime_seconds", Printf.sprintf "%.3f" uptime_s);
-       ("shed_rate", Printf.sprintf "%.6f" r.shed_rate);
-       ("queue_depth", string_of_int r.queue_depth);
-       ("queue_high_watermark", string_of_int r.queue_hwm);
-       ("queue_capacity", string_of_int r.queue_capacity);
-       ("scorer_errors", string_of_int r.scorer_errors);
-       ( "e2e_latency_seconds",
-         J.obj
-           [ ("p50", quantile_json r.e2e_p50); ("p99", quantile_json r.e2e_p99) ]
-       );
-     ]
-    @ extra)
+    [
+      ("node", J.string node);
+      ("status", J.string (status_to_string r.status));
+      ( "reasons",
+        "[" ^ String.concat "," (List.map J.string r.reasons) ^ "]" );
+      ("uptime_seconds", Printf.sprintf "%.3f" uptime_s);
+      ("shed_rate", Printf.sprintf "%.6f" r.shed_rate);
+      ("queue_depth", string_of_int r.queue_depth);
+      ("queue_high_watermark", string_of_int r.queue_hwm);
+      ("queue_capacity", string_of_int r.queue_capacity);
+      ("scorer_errors", string_of_int r.scorer_errors);
+      ( "e2e_latency_seconds",
+        J.obj
+          [ ("p50", quantile_json r.e2e_p50); ("p99", quantile_json r.e2e_p99) ]
+      );
+    ]

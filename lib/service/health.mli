@@ -8,8 +8,6 @@ type status = Healthy | Degraded | Unhealthy
 val status_to_string : status -> string
 (** ["ok"], ["degraded"], ["unhealthy"]. *)
 
-val status_of_string : string -> status option
-
 val status_to_int : status -> int
 (** 0 / 1 / 2 — the wire encoding of the status. *)
 
@@ -17,18 +15,6 @@ val status_of_int : int -> status option
 
 val worst : status -> status -> status
 (** The more severe of the two — the fleet fold. *)
-
-type thresholds = {
-  shed_degraded : float;  (** dropped/offered ratio that degrades *)
-  shed_unhealthy : float;  (** dropped/offered ratio that fails *)
-  queue_hwm_frac : float;  (** queue high-watermark / capacity *)
-  scorer_errors : int;
-  e2e_p99_slo : float;  (** seconds of ingest→verdict p99 *)
-}
-
-val default_thresholds : thresholds
-(** 1% shed degrades, 10% fails; watermark at 90% of capacity, any
-    scorer error, or e2e p99 over 1s degrade. *)
 
 type report = {
   status : status;
@@ -42,16 +28,28 @@ type report = {
   e2e_p99 : float;  (** [nan] until the first verdict *)
 }
 
-val evaluate :
-  ?thresholds:thresholds -> queue_capacity:int -> Metrics.snapshot -> report
+val evaluate : queue_capacity:int -> Metrics.snapshot -> report
 (** Derive the node's health from the standard daemon series
     ([adprom_events_{offered,dropped}_total],
     [adprom_queue_depth_shard*], [adprom_scorer_errors_total],
     [adprom_e2e_latency_seconds]). Missing series read as zero /
-    [nan], so a fresh node is [Healthy]. *)
+    [nan], so a fresh node is [Healthy]. The thresholds are fixed: 1%
+    shed degrades and 10% fails; a queue high-watermark at 90% of
+    [queue_capacity], any scorer error, or an e2e p99 over 1 s
+    degrades. *)
 
-val report_to_json :
-  ?extra:(string * string) list -> node:string -> uptime_s:float -> report -> string
-(** The [/healthz] JSON body; [extra] appends pre-rendered fields.
-    Quantiles render as JSON numbers, [null] when empty, ["+Inf"] when
-    in the overflow bucket. *)
+val queue : Metrics.snapshot -> int * int
+(** [(depth, high_watermark)]: the per-shard depth gauges summed, and
+    their largest high-watermark — the report's [queue_depth] and
+    [queue_hwm], for a node's snapshot or a merged fleet one. *)
+
+val e2e_quantiles : Metrics.snapshot -> float * float
+(** [(p50, p99)] of [adprom_e2e_latency_seconds] ([nan] when absent or
+    empty) — the report's [e2e_p50] and [e2e_p99]. *)
+
+val quantile_json : float -> string
+(** A quantile as a JSON value: a number, [null] when empty ([nan]),
+    ["+Inf"] when in the overflow bucket. *)
+
+val report_to_json : node:string -> uptime_s:float -> report -> string
+(** The [/healthz] JSON body, quantiles as {!quantile_json}. *)

@@ -158,18 +158,15 @@ type snapshot = {
   histograms : hist_snapshot list;
 }
 
-let sorted_metrics t =
+(* The registry in one walk, sorted by name, not registration order:
+   the dump is diffable across runs whose shards registered their series
+   in different interleavings. Returns the help table alongside. *)
+let snapshot_with_help t =
   Mutex.lock t.mutex;
-  (* sorted by name, not registration order: the dump is diffable across
-     runs whose shards registered their series in different interleavings *)
   let names = List.sort compare (List.rev t.order) in
   let metrics = List.filter_map (Hashtbl.find_opt t.table) names in
   let help = Hashtbl.copy t.help in
   Mutex.unlock t.mutex;
-  (metrics, help)
-
-let snapshot t =
-  let metrics, _ = sorted_metrics t in
   let counters = ref [] and gauges = ref [] and histograms = ref [] in
   List.iter
     (function
@@ -189,11 +186,14 @@ let snapshot t =
           Mutex.unlock h.h_mutex;
           histograms := hs :: !histograms)
     metrics;
-  {
-    counters = List.rev !counters;
-    gauges = List.rev !gauges;
-    histograms = List.rev !histograms;
-  }
+  ( {
+      counters = List.rev !counters;
+      gauges = List.rev !gauges;
+      histograms = List.rev !histograms;
+    },
+    help )
+
+let snapshot t = fst (snapshot_with_help t)
 
 let hist_quantile hs q =
   quantile_of_buckets hs.hs_bounds hs.hs_buckets hs.hs_count q
@@ -261,44 +261,48 @@ let snapshot_histogram s name =
 
 let fmt_le b = if b = infinity then "+Inf" else Printf.sprintf "%g" b
 
-let dump t =
-  let metrics, help = sorted_metrics t in
+let render ?(help = fun _ -> None) s =
   let buf = Buffer.create 1024 in
   let meta name kind =
-    let h = match Hashtbl.find_opt help name with Some h -> h | None -> name in
+    let h = Option.value ~default:name (help name) in
     Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name h);
     Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
   in
-  List.iter
-    (fun m ->
-      match m with
-      | Counter c ->
-          meta c.c_name "counter";
-          Buffer.add_string buf (Printf.sprintf "%s %d\n" c.c_name (counter_value c))
-      | Gauge g ->
-          meta g.g_name "gauge";
-          Buffer.add_string buf (Printf.sprintf "%s %d\n" g.g_name (gauge_value g));
-          meta (g.g_name ^ "_max") "gauge";
-          Buffer.add_string buf
-            (Printf.sprintf "%s_max %d\n" g.g_name (gauge_max g))
-      | Histogram h ->
-          Mutex.lock h.h_mutex;
-          let count = h.h_count and sum = h.h_sum in
-          let bounds = Array.copy h.bounds and raw = Array.copy h.buckets in
-          Mutex.unlock h.h_mutex;
-          meta h.h_name "histogram";
-          let cumulative = ref 0 in
-          Array.iteri
-            (fun i n ->
-              cumulative := !cumulative + n;
-              let le =
-                if i < Array.length bounds then fmt_le bounds.(i) else "+Inf"
-              in
-              (* a scraper needs every cumulative bucket, zero or not *)
-              Buffer.add_string buf
-                (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" h.h_name le !cumulative))
-            raw;
-          Buffer.add_string buf (Printf.sprintf "%s_sum %g\n" h.h_name sum);
-          Buffer.add_string buf (Printf.sprintf "%s_count %d\n" h.h_name count))
-    metrics;
+  let family (name, m) =
+    match m with
+    | `Counter v ->
+        meta name "counter";
+        Buffer.add_string buf (Printf.sprintf "%s %d\n" name v)
+    | `Gauge (v, hwm) ->
+        meta name "gauge";
+        Buffer.add_string buf (Printf.sprintf "%s %d\n" name v);
+        meta (name ^ "_max") "gauge";
+        Buffer.add_string buf (Printf.sprintf "%s_max %d\n" name hwm)
+    | `Histogram hs ->
+        meta name "histogram";
+        let cumulative = ref 0 in
+        Array.iteri
+          (fun i n ->
+            cumulative := !cumulative + n;
+            let le =
+              if i < Array.length hs.hs_bounds then fmt_le hs.hs_bounds.(i)
+              else "+Inf"
+            in
+            (* a scraper needs every cumulative bucket, zero or not *)
+            Buffer.add_string buf
+              (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" name le !cumulative))
+          hs.hs_buckets;
+        Buffer.add_string buf (Printf.sprintf "%s_sum %g\n" name hs.hs_sum);
+        Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name hs.hs_count)
+  in
+  (* one name-sorted sequence across the three kinds *)
+  List.map (fun (n, v) -> (n, `Counter v)) s.counters
+  @ List.map (fun (n, v, hwm) -> (n, `Gauge (v, hwm))) s.gauges
+  @ List.map (fun hs -> (hs.hs_name, `Histogram hs)) s.histograms
+  |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter family;
   Buffer.contents buf
+
+let dump t =
+  let s, help = snapshot_with_help t in
+  render ~help:(Hashtbl.find_opt help) s

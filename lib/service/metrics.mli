@@ -1,7 +1,8 @@
 (** Daemon observability: a small thread-safe metrics registry
-    (counters, gauges with high-watermarks, latency histograms) with a
-    Prometheus text exposition and a mergeable value-level snapshot
-    (what [Health_resp] frames carry across the cluster). Counters and
+    (counters, gauges with high-watermarks, latency histograms) read
+    out in one form, a mergeable value-level snapshot: [Health_resp]
+    frames carry it across the cluster, and the Prometheus text
+    exposition of a node or of the whole fleet renders it. Counters and
     gauges are lock-free ([Atomic]); histograms take a per-histogram
     mutex. Registering the same name twice returns the existing
     metric. *)
@@ -92,10 +93,17 @@ val snapshot_counter : snapshot -> string -> int
 
 val snapshot_histogram : snapshot -> string -> hist_snapshot option
 
+val render : ?help:(string -> string option) -> snapshot -> string
+(** Prometheus text exposition of a snapshot, metrics sorted by name:
+    [# HELP] / [# TYPE] lines per family, [name value] samples,
+    histograms as full cumulative [_bucket{le="..."}] series (every
+    bucket, [+Inf] included) plus [_sum] / [_count], gauges as the
+    value plus a [_max] high-watermark gauge. The sort keys the text on
+    content, not registration interleaving, so it is diffable across
+    runs. [help] supplies each family's help text (default: none, and
+    the line repeats the metric name). The router renders a merged
+    fleet snapshot this way. *)
+
 val dump : t -> string
-(** Prometheus text exposition, metrics sorted by name: [# HELP] /
-    [# TYPE] lines per family, [name value] samples, histograms as
-    full cumulative [_bucket{le="..."}] series (every bucket, [+Inf]
-    included) plus [_sum] / [_count], gauges as the value plus a
-    [_max] high-watermark gauge. The sort keys the dump on content,
-    not registration interleaving, so it is diffable across runs. *)
+(** [render] of the registry's {!snapshot}, with the help texts given
+    at registration — what [GET /metrics] serves. *)

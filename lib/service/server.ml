@@ -86,14 +86,20 @@ let split_query target =
       in
       (path, v)
 
+(* the last [n] elements of [l]: every bounded tail a node ships *)
+let newest n l =
+  let len = List.length l in
+  if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
+
+(* an incident as frames carry it: (session, rendering) *)
+let rendered (i : Alerts.incident) =
+  (i.Alerts.session, Alerts.source_to_string i.Alerts.source)
+
 let incidents_json ~node ~limit alerts =
   let module J = Adprom_obs.Json in
   let all = Alerts.incidents alerts in
   let total = List.length all in
-  let tail =
-    if total <= limit then all
-    else List.filteri (fun i _ -> i >= total - limit) all
-  in
+  let tail = newest limit all in
   let render (i : Alerts.incident) =
     J.obj
       [
@@ -155,24 +161,11 @@ let serve ~socket ?(name = "node") ?shards ?queue_capacity ?keep_verdicts
     with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> close_conn c
   in
   let wall_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9) in
-  let health_report () =
-    Health.evaluate
-      ~queue_capacity:(Daemon.queue_capacity daemon)
-      (Metrics.snapshot metrics)
-  in
-  let incident_tail limit =
-    let all = Alerts.incidents (Daemon.alerts daemon) in
-    let total = List.length all in
-    (if total <= limit then all
-     else List.filteri (fun i _ -> i >= total - limit) all)
-    |> List.map (fun (i : Alerts.incident) ->
-           (i.Alerts.session, Alerts.source_to_string i.Alerts.source))
-  in
-  let spans_tail () =
-    (* keep the frame far below [max_payload] whatever the ring holds *)
-    let all = Adprom_obs.Trace.spans () in
-    let n = List.length all in
-    if n <= 10_000 then all else List.filteri (fun i _ -> i >= n - 10_000) all
+  (* one snapshot per answer: the status shipped or served is judged
+     from the very numbers shipped with it *)
+  let health () =
+    let s = Metrics.snapshot metrics in
+    (s, Health.evaluate ~queue_capacity:(Daemon.queue_capacity daemon) s)
   in
   let handle_frame c enc (f : Frame.frame) =
     (* [close_conn] mid-chunk must silence the chunk's remaining frames:
@@ -189,8 +182,6 @@ let serve ~socket ?(name = "node") ?shards ?queue_capacity ?keep_verdicts
       | Frame.Query q ->
           ignore (Daemon.ingest_query daemon q);
           c.ingested <- c.ingested + 1
-      | Frame.Metrics_req ->
-          reply enc c (Frame.Metrics_resp (Metrics.dump metrics))
       | Frame.Bye -> stop := Some c
       | Frame.Clock_probe { seq } ->
           reply enc c
@@ -212,16 +203,20 @@ let serve ~socket ?(name = "node") ?shards ?queue_capacity ?keep_verdicts
           Adprom_obs.Trace.record_span ~trace_id ~name:"wire.batch" ~start_ns
             ~dur_ns ()
       | Frame.Health_req ->
-          let r = health_report () in
+          let s, r = health () in
           reply enc c
             (Frame.Health_resp
                { Frame.h_node = name;
                  h_status = r.Health.status;
-                 h_snapshot = Metrics.snapshot metrics;
-                 h_incidents = incident_tail 32;
+                 h_snapshot = s;
+                 h_incidents =
+                   List.map rendered
+                     (newest 32 (Alerts.incidents (Daemon.alerts daemon)));
                  h_uptime_s = Unix.gettimeofday () -. t0 })
-      | Frame.Spans_req -> reply enc c (Frame.Spans_resp (spans_tail ()))
-      | Frame.Ack _ | Frame.Metrics_resp _ | Frame.Summary _
+      | Frame.Spans_req ->
+          (* keep the frame far below [max_payload] whatever the ring holds *)
+          reply enc c (Frame.Spans_resp (newest 10_000 (Adprom_obs.Trace.spans ())))
+      | Frame.Ack _ | Frame.Summary _
       | Frame.Clock_reply _ | Frame.Health_resp _ | Frame.Spans_resp _ ->
           (* replies have no business arriving at a server *)
           Metrics.incr c_decode_err;
@@ -243,7 +238,7 @@ let serve ~socket ?(name = "node") ?shards ?queue_capacity ?keep_verdicts
     match path with
     | "/metrics" -> respond_http c ~head_only 200 (Metrics.dump metrics)
     | "/healthz" ->
-        let r = health_report () in
+        let _, r = health () in
         let status = if r.Health.status = Health.Unhealthy then 503 else 200 in
         respond_http c ~head_only status ~content_type:"application/json"
           (Health.report_to_json ~node:name
@@ -421,11 +416,7 @@ let serve ~socket ?(name = "node") ?shards ?queue_capacity ?keep_verdicts
     {
       Frame.node = name;
       summary;
-      incidents =
-        List.map
-          (fun (i : Alerts.incident) ->
-            (i.Alerts.session, Alerts.source_to_string i.Alerts.source))
-          (Alerts.incidents alerts);
+      incidents = List.map rendered (Alerts.incidents alerts);
       fused =
         List.map
           (fun (r : Daemon.session_report) ->

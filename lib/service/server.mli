@@ -20,9 +20,11 @@
     Binary connections speak the full {!Frame} protocol: [Hello] is
     answered with the node's name and a clock sample, [Call]/[Query]
     frames are ingested (with an [Ack] sent back every {!ack_interval}
-    accepted items as flow feedback), [Metrics_req] is answered with the
-    node's {!Metrics.dump}, and [Bye] ends the serve loop — the daemon
-    drains and the node replies with its [Summary] frame on that
+    accepted items as flow feedback), [Health_req] is answered with the
+    node's status, the one {!Metrics.snapshot} that status was judged
+    from, the newest 32 incidents and the uptime, [Spans_req] with the
+    newest 10,000 retained spans, and [Bye] ends the serve loop — the
+    daemon drains and the node replies with its [Summary] frame on that
     connection. Text connections can only stream items; they end at EOF.
 
     A connection that sends undecodable bytes — a frame stamped with

@@ -170,8 +170,6 @@ let test_control_frames () =
   roundtrip_frame
     (Frame.Hello { peer = "alpha"; sample = Some (123_456_789L, 987_654_321L) });
   roundtrip_frame (Frame.Ack { count = 123_456 });
-  roundtrip_frame Frame.Metrics_req;
-  roundtrip_frame (Frame.Metrics_resp "adprom_events_ingested_total 42\n");
   roundtrip_frame Frame.Bye;
   roundtrip_frame (Frame.Clock_probe { seq = 7 });
   roundtrip_frame
@@ -385,6 +383,27 @@ let test_other_versions_refused () =
             e
       | Ok _ -> Alcotest.failf "%s accepted by the item decoder" what)
     [ (1, call); (1, hello); (3, call) ]
+
+(* Tags 4 and 5 are unassigned: a frame carrying one is refused by the
+   header check of both decoders, as an error value, not an exception
+   out of the payload reader. *)
+let test_unassigned_tags_refused () =
+  let stamped = Frame.magic ^ String.make 1 (Char.chr Frame.protocol_version) in
+  List.iter
+    (fun tag ->
+      let bytes = stamped ^ String.make 1 (Char.chr tag) ^ "\x00\x00\x00\x00" in
+      let what = Printf.sprintf "tag %d" tag in
+      (match Frame.Decoder.feed (Frame.Decoder.create ()) bytes with
+      | Error (Frame.Bad_frame_type t) -> Alcotest.(check int) (what ^ ": frame decoder") tag t
+      | Error e -> Alcotest.failf "%s: frame decoder said %s" what (Frame.error_to_string e)
+      | Ok _ -> Alcotest.failf "%s accepted by the frame decoder" what);
+      match frame_items (Frame.T.decoder ()) bytes with
+      | Error e ->
+          Alcotest.(check string) (what ^ ": item decoder")
+            (Frame.error_to_string (Frame.Bad_frame_type tag))
+            e
+      | Ok _ -> Alcotest.failf "%s accepted by the item decoder" what)
+    [ 4; 5 ]
 
 (* --- negative row counts (regression) --------------------------------------- *)
 
@@ -708,27 +727,48 @@ let test_two_node_cluster_matches_single () =
       { Cluster.peer_name = "beta"; host = "127.0.0.1"; port = b.Cluster.port };
     ]
   in
-  let summaries =
+  let dump, lost, summaries =
     match Cluster.Router.connect peers with
     | Error e -> Alcotest.failf "connect: %s" e
     | Ok router -> (
         (match Cluster.Router.send_stream router items with
         | Ok () -> ()
         | Error e -> Alcotest.failf "send: %s" e);
-        (match Cluster.Router.metrics router with
-        | Ok dump ->
-            Alcotest.(check bool) "aggregated metrics carry ingest totals" true
-              (contains ~needle:"adprom_events_ingested_total" dump)
-        | Error e -> Alcotest.failf "metrics: %s" e);
-        Alcotest.(check int) "no items lost" 0 (Cluster.Router.lost_items router);
+        (* checked once the nodes are down: a failed check must not
+           leave them serving *)
+        let dump = Cluster.Router.metrics router in
+        let lost = Cluster.Router.lost_items router in
         match Cluster.Router.finish router with
         | Error e -> Alcotest.failf "finish: %s" e
-        | Ok summaries ->
-            Alcotest.(check int) "two summaries" 2 (List.length summaries);
-            summaries)
+        | Ok summaries -> (dump, lost, summaries))
   in
   Cluster.wait_local a;
   Cluster.wait_local b;
+  Alcotest.(check int) "no items lost" 0 lost;
+  Alcotest.(check int) "two summaries" 2 (List.length summaries);
+  (match dump with
+  | Ok dump ->
+      Alcotest.(check bool) "aggregated metrics carry ingest totals" true
+        (contains ~needle:"adprom_events_ingested_total" dump);
+      Alcotest.(check bool) "aggregated metrics are an exposition" true
+        (contains ~needle:"# TYPE adprom_events_ingested_total counter" dump);
+      let ingested =
+        List.find_map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | [ "adprom_events_ingested_total"; v ] -> int_of_string_opt v
+            | _ -> None)
+          (String.split_on_char '\n' dump)
+      in
+      (* the counter counts call events; queries go to the query axis *)
+      let calls =
+        Array.fold_left
+          (fun n -> function Transport.Call _ -> n + 1 | Transport.Query _ -> n)
+          0 items
+      in
+      Alcotest.(check (option int)) "fleet ingest total = call items sent"
+        (Some calls) ingested
+  | Error e -> Alcotest.failf "metrics: %s" e);
   let merged = Cluster.merge summaries in
   (* now the reference: the same items through one local daemon *)
   let single =
@@ -793,6 +833,8 @@ let () =
           Alcotest.test_case "format autodetection" `Quick test_detect;
           Alcotest.test_case "other wire versions refused" `Quick
             test_other_versions_refused;
+          Alcotest.test_case "unassigned frame tags refused" `Quick
+            test_unassigned_tags_refused;
         ] );
       ( "transport",
         [

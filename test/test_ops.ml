@@ -497,6 +497,58 @@ let test_v1_hello_refused () =
     (List.map session_key single.Replay.summary.Daemon.sessions
     = List.map session_key merged.Frame.summary.Daemon.sessions)
 
+(* Tags 4 and 5 are unassigned. A raw client sends a frame with each,
+   on its own connection: the node must answer nothing, close, count
+   a decode error per frame, and still answer a router's health
+   exchange afterwards. *)
+let test_unassigned_tags_refused () =
+  let profile, _ = Lazy.force fixture in
+  let node =
+    Cluster.spawn_local ~name:"alpha" (fun socket ->
+        ignore (Server.serve ~socket ~name:"alpha" ~shards:1 profile))
+  in
+  let port = node.Cluster.port in
+  let decode_errors () =
+    match
+      counter_value "adprom_wire_decode_errors_total"
+        (body_of_response (http_get ~port "/metrics"))
+    with
+    | Some n -> n
+    | None -> Alcotest.fail "no adprom_wire_decode_errors_total in /metrics"
+  in
+  let before = decode_errors () in
+  let answers =
+    List.map
+      (fun tag ->
+        http_request ~port
+          (Frame.magic
+          ^ String.make 1 (Char.chr Frame.protocol_version)
+          ^ String.make 1 (Char.chr tag)
+          ^ "\x00\x00\x00\x00"))
+      [ 4; 5 ]
+  in
+  let after = decode_errors () in
+  let peers = [ { Cluster.peer_name = "alpha"; host = "127.0.0.1"; port } ] in
+  let health =
+    match Cluster.Router.connect peers with
+    | Error e -> Alcotest.failf "connect: %s" e
+    | Ok router ->
+        let h = Cluster.Router.health router in
+        (match Cluster.Router.finish router with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "finish: %s" e);
+        h
+  in
+  Cluster.wait_local node;
+  Alcotest.(check (list string)) "no reply, only EOF" [ ""; "" ] answers;
+  Alcotest.(check int) "one decode error per frame" (before + 2) after;
+  match health with
+  | Ok [ (_, h) ] ->
+      Alcotest.(check string) "still serving" "ok"
+        (Health.status_to_string h.Frame.h_status)
+  | Ok _ -> Alcotest.fail "expected one node's health"
+  | Error e -> Alcotest.failf "health: %s" e
+
 (* --- log rotation ------------------------------------------------------------- *)
 
 let test_log_rotation () =
@@ -591,6 +643,10 @@ let () =
         ] );
       ( "wire",
         [
+          (* first: the v1 case replays in this process, and a process
+             that has spawned domains cannot fork another node *)
+          Alcotest.test_case "unassigned tags refused, node serves on" `Quick
+            test_unassigned_tags_refused;
           Alcotest.test_case "v1 hello refused, verdicts pinned" `Quick
             test_v1_hello_refused;
         ] );

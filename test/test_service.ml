@@ -428,6 +428,53 @@ let test_metrics_dump_sorted_golden () =
   in
   Alcotest.(check string) "golden sorted dump" expected (Metrics.dump m)
 
+let test_render_merged_snapshots () =
+  (* the fleet view: two nodes' snapshots merged, then rendered like a
+     node's dump — gauges and watermarks take the max, counters and
+     histogram buckets add *)
+  let snap ~depth ~hwm ~buckets ~sum =
+    {
+      Metrics.counters = [ ("c_total", 3) ];
+      gauges = [ ("g_depth", depth, hwm) ];
+      histograms =
+        [
+          {
+            Metrics.hs_name = "h_lat";
+            hs_bounds = [| 0.1; 1.0 |];
+            hs_buckets = buckets;
+            hs_sum = sum;
+            hs_count = Array.fold_left ( + ) 0 buckets;
+          };
+        ];
+    }
+  in
+  let merged =
+    Metrics.merge_snapshots
+      [
+        snap ~depth:2 ~hwm:9 ~buckets:[| 1; 0; 1 |] ~sum:5.05;
+        snap ~depth:4 ~hwm:3 ~buckets:[| 0; 2; 0 |] ~sum:1.0;
+      ]
+  in
+  let expected =
+    "# HELP c_total c_total\n\
+     # TYPE c_total counter\n\
+     c_total 6\n\
+     # HELP g_depth g_depth\n\
+     # TYPE g_depth gauge\n\
+     g_depth 4\n\
+     # HELP g_depth_max g_depth_max\n\
+     # TYPE g_depth_max gauge\n\
+     g_depth_max 9\n\
+     # HELP h_lat h_lat\n\
+     # TYPE h_lat histogram\n\
+     h_lat_bucket{le=\"0.1\"} 1\n\
+     h_lat_bucket{le=\"1\"} 3\n\
+     h_lat_bucket{le=\"+Inf\"} 4\n\
+     h_lat_sum 6.05\n\
+     h_lat_count 4\n"
+  in
+  Alcotest.(check string) "merged rendering" expected (Metrics.render merged)
+
 let test_gauge_max_two_domains () =
   (* two domains hammer the same gauge; the lock-free CAS loop must
      leave the high-watermark at exactly the largest value either
@@ -752,6 +799,8 @@ let () =
           Alcotest.test_case "registry" `Quick test_metrics_registry;
           Alcotest.test_case "dump is sorted (golden)" `Quick
             test_metrics_dump_sorted_golden;
+          Alcotest.test_case "merged snapshots render max gauges, summed buckets"
+            `Quick test_render_merged_snapshots;
           Alcotest.test_case "gauge watermark under two domains" `Quick
             test_gauge_max_two_domains;
         ] );
