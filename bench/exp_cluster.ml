@@ -40,14 +40,9 @@ let workload () =
   let rng = Mlkit.Rng.create 4242 in
   (Lazy.force t.Common.adprom, Adprom.Sessions.interleave ~rng sessions)
 
-let spawn_nodes profile ~queue_capacity names =
-  List.map
-    (fun name ->
-      Cluster.spawn_local ~name (fun socket ->
-          ignore
-            (Server.serve ~socket ~name ~shards:1 ~queue_capacity
-               ~keep_verdicts:false profile)))
-    names
+let serve_node profile ~queue_capacity name socket =
+  ignore
+    (Server.serve ~socket ~name ~shards:1 ~queue_capacity ~keep_verdicts:false profile)
 
 (* [route_burst] times the {e ingest window}: offering the whole
    stream, flushing every connection, and a metrics round-trip — each
@@ -100,7 +95,8 @@ let scaling profile stream =
   let median names =
     let runs =
       List.init 3 (fun _ ->
-          route_burst (spawn_nodes profile ~queue_capacity:capacity names) stream)
+          Cluster.with_local names (serve_node profile ~queue_capacity:capacity)
+            (fun nodes -> route_burst nodes stream))
     in
     match List.sort (fun (_, a) (_, b) -> compare a b) runs with
     | [ _; mid; _ ] -> mid

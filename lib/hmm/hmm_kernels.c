@@ -10,10 +10,16 @@
    the same order as the row-at-a-time OCaml reference, so every result
    is bit for bit the reference's. This holds only while the compiler
    neither fuses a multiply into an add nor reassociates: the file is
-   built with -ffp-contract=off, without -ffast-math, and with no
-   host-specific instruction-set flag. Skipping a term whose weight is
-   zero is exact only for finite table entries, which [Hmm.validate]
-   guarantees.
+   built with -ffp-contract=off and without -ffast-math, and no build
+   below enables FMA. Skipping a term whose weight is zero is exact
+   only for finite table entries, which [Hmm.validate] guarantees.
+
+   The kernels are written once, lane-generic, in hmm_lanes.h, and
+   built twice from it: two lanes wide (SSE2 on x86-64, NEON on arm64)
+   for every host, and on x86-64 four lanes wide under an AVX2 target
+   pragma. A constructor picks one build when the library loads, by
+   CPUID; since no output's sum depends on the width, the bits do not
+   depend on the pick.
 
    Tables are flat row-major blocks of doubles: an OCaml [float array]
    is one, and so is the data of a [Mlkit.Matrix.t]. */
@@ -32,94 +38,9 @@
 
 #include "float_guard.h"
 
-typedef double v2d __attribute__((vector_size(16)));
-
-/* OCaml float arrays are 8-byte aligned only. */
-static inline v2d load2(const double *p)
-{
-  v2d v;
-  memcpy(&v, p, sizeof v);
-  return v;
-}
-
-static inline void store2(double *p, v2d v)
-{
-  memcpy(p, &v, sizeof v);
-}
-
 static inline mlsize_t float_length(value v)
 {
   return Wosize_val(v) / Double_wosize;
-}
-
-/* dst[j0 .. j0+2nv) <- Σ_i w[i] · m[i][j0 ..], terms in increasing i,
-   each output's sum starting from 0.0; row i of [m] starts at
-   m + i·n. With [skip], rows whose weight is not positive (or NaN) add
-   no term; their term would be ±0.0, which leaves a sum that starts at
-   +0.0 unchanged. [nv] is a compile-time constant at every call, so
-   [acc] lives in registers. */
-static inline __attribute__((always_inline)) void
-weighted_rows_tile(const int nv, const int skip, size_t rows, const double *m, size_t n,
-                   const double *w, double *dst, size_t j0)
-{
-  v2d acc[8];
-  for (int k = 0; k < nv; k++) acc[k] = (v2d){ 0.0, 0.0 };
-  for (size_t i = 0; i < rows; i++) {
-    double p = w[i];
-    if (skip && !(p > 0.0)) continue;
-    const double *mi = m + (i * n) + j0;
-    v2d pv = { p, p };
-    for (int k = 0; k < nv; k++) acc[k] += pv * load2(mi + (2 * k));
-  }
-  for (int k = 0; k < nv; k++) store2(dst + j0 + (2 * k), acc[k]);
-}
-
-/* The same over all [n] outputs: blocks of 16, then one block each of
-   8, 4 and 2 as the remainder needs, then a last odd column. */
-static inline __attribute__((always_inline)) void
-weighted_rows(const int skip, size_t rows, const double *m, const double *w, double *dst,
-              size_t n)
-{
-  size_t j0 = 0;
-  for (; j0 + 16 <= n; j0 += 16) weighted_rows_tile(8, skip, rows, m, n, w, dst, j0);
-  if (j0 + 8 <= n) { weighted_rows_tile(4, skip, rows, m, n, w, dst, j0); j0 += 8; }
-  if (j0 + 4 <= n) { weighted_rows_tile(2, skip, rows, m, n, w, dst, j0); j0 += 4; }
-  if (j0 + 2 <= n) { weighted_rows_tile(1, skip, rows, m, n, w, dst, j0); j0 += 2; }
-  if (j0 < n) {
-    double acc = 0.0;
-    for (size_t i = 0; i < rows; i++) {
-      double p = w[i];
-      if (skip && !(p > 0.0)) continue;
-      acc += p * m[(i * n) + j0];
-    }
-    dst[j0] = acc;
-  }
-}
-
-/* Forward step: dst[j] <- Σ_i src[i] · a[i][j] over the rows i with
-   src[i] > 0, in increasing i; lanes across j. */
-static void propagate(const double *a, const double *src, double *dst, size_t n)
-{
-  weighted_rows(1, n, a, src, dst, n);
-}
-
-/* Backward row sums: sums[i] <- Σ_j a[i][j] · x[j], in increasing j,
-   read from the transposed table [at] (at[j][i] = a[i][j]) so that the
-   lanes run across rows i. No term is skipped, as in the reference. */
-static void row_sums(const double *at, const double *x, double *sums, size_t n)
-{
-  weighted_rows(0, n, at, x, sums, n);
-}
-
-/* [Hmm.Compiled]'s forward step over the model's flat transition
-   table. It does not allocate, raise or release the runtime lock, so
-   it is a [@@noalloc] external. */
-value adprom_hmm_propagate(value a, value src, value dst)
-{
-  GUARD(&a, &src, &dst);
-  propagate((const double *)a, (const double *)src, (double *)dst, float_length(dst));
-  UNGUARD();
-  return Val_unit;
 }
 
 /* ---- Threads ----------------------------------------------------------
@@ -282,142 +203,6 @@ struct score_worker {
   double *alpha, *ll; /* maxlen·n, maxlen */
 };
 
-/* Scores the sorted windows [k0, k1). Below [depth], the stack holds the
-   normalised forward rows and partial log-likelihoods of the previous
-   window's prefix, every step of which had a positive scale; [dead]
-   says that the previous window's step [depth] had not. */
-static void score_run(const struct scorer *s, const struct score_worker *wk, size_t k0,
-                      size_t k1)
-{
-  const size_t n = s->n;
-  double *alpha = wk->alpha, *ll = wk->ll;
-  size_t depth = 0;
-  int dead = 0;
-  for (size_t k = k0; k < k1; k++) {
-    const size_t *obs = s->sorted[k].obs, len = s->sorted[k].len;
-    size_t common = 0;
-    if (k > k0) {
-      const struct window_key *prev = &s->sorted[k - 1];
-      const size_t limit = len < prev->len ? len : prev->len;
-      while (common < limit && prev->obs[common] == obs[common]) common++;
-    }
-    if (dead && common > depth) {
-      /* it shares the step that made the previous window impossible */
-      s->scores[s->sorted[k].w] = -INFINITY;
-      continue;
-    }
-    if (common < depth) depth = common;
-    dead = 0;
-    for (; depth < len; depth++) {
-      double *row = alpha + (depth * n);
-      const double *b = s->bt + (obs[depth] * n);
-      double total = 0.0;
-      if (depth == 0)
-        for (size_t i = 0; i < n; i++) {
-          double v = s->pi[i] * b[i];
-          row[i] = v;
-          total += v;
-        }
-      else {
-        propagate(s->a, row - n, row, n);
-        for (size_t j = 0; j < n; j++) {
-          double v = row[j] * b[j];
-          row[j] = v;
-          total += v;
-        }
-      }
-      if (!(total > 0.0)) {
-        dead = 1;
-        break;
-      }
-      for (size_t j = 0; j < n; j++) row[j] = row[j] / total;
-      ll[depth] = (depth > 0 ? ll[depth - 1] : 0.0) + log(total);
-    }
-    s->scores[s->sorted[k].w] =
-      len == 0 ? 0.0 : dead ? -INFINITY : ll[len - 1] / (double)len;
-  }
-}
-
-static void score_runs(void *arg)
-{
-  const struct score_worker *wk = arg;
-  struct scorer *s = wk->s;
-  for (;;) {
-    const size_t k0 = atomic_fetch_add(&s->next_run, SCORE_RUN);
-    if (k0 >= s->windows) break;
-    score_run(s, wk, k0, k0 + SCORE_RUN < s->windows ? k0 + SCORE_RUN : s->windows);
-  }
-}
-
-/* [adprom_hmm_window_scores a b pi obs off scores] stores in scores[w]
-   the per-symbol score of the window obs[off[w] .. off[w+1]).
-   [Hmm.per_symbol_scores] checks the dimensions and the range of every
-   observation before the call. */
-value adprom_hmm_window_scores(value va, value vb, value vpi, value vobs, value voff,
-                               value vscores)
-{
-  GUARD(&va, &vb, &vpi, &vscores);
-  struct scorer s;
-  const size_t n = float_length(vpi), m = n ? float_length(vb) / n : 0;
-  const size_t windows = float_length(vscores), total = Wosize_val(vobs);
-  size_t *obs = malloc((total + 1) * sizeof *obs);
-  size_t *off = malloc((windows + 1) * sizeof *off);
-  struct window_key *sorted = malloc((windows + 1) * sizeof *sorted);
-  double *bt = malloc((m * n + 1) * sizeof *bt);
-  struct score_worker *wk = NULL;
-  double *per_thread = NULL;
-  size_t threads = allowed_cpus(), maxlen = 0;
-  const size_t runs = (windows + SCORE_RUN - 1) / SCORE_RUN;
-  if (threads > runs) threads = runs;
-  if (threads < 1) threads = 1;
-  int ok = obs && off && sorted && bt;
-  if (ok) {
-    copy_ints(vobs, obs, total);
-    copy_ints(voff, off, windows + 1);
-    for (size_t w = 0; w < windows; w++) {
-      const size_t len = off[w + 1] - off[w];
-      sorted[w] = (struct window_key){ obs + off[w], len, w };
-      if (len > maxlen) maxlen = len;
-    }
-    qsort(sorted, windows, sizeof *sorted, compare_windows);
-    wk = malloc(threads * sizeof *wk);
-    per_thread = malloc(((threads * maxlen * (n + 1)) + 1) * sizeof *per_thread);
-    ok = wk && per_thread;
-  }
-  if (ok) {
-    transpose((const double *)vb, n, m, bt);
-    s.n = n;
-    s.windows = windows;
-    s.a = (const double *)va;
-    s.bt = bt;
-    s.pi = (const double *)vpi;
-    s.sorted = sorted;
-    s.scores = (double *)vscores;
-    atomic_init(&s.next_run, 0);
-    for (size_t t = 0; t < threads; t++) {
-      wk[t].s = &s;
-      wk[t].alpha = per_thread + (t * maxlen * (n + 1));
-      wk[t].ll = wk[t].alpha + (maxlen * n);
-    }
-    run_threads(threads, score_runs, wk, sizeof *wk, NULL);
-  }
-  free(per_thread);
-  free(wk);
-  free(bt);
-  free(sorted);
-  free(off);
-  free(obs);
-  UNGUARD();
-  if (!ok) caml_raise_out_of_memory();
-  return Val_unit;
-}
-
-value adprom_hmm_window_scores_byte(value *argv, int argn)
-{
-  (void)argn;
-  return adprom_hmm_window_scores(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5]);
-}
-
 /* ---- The E-step -------------------------------------------------------
 
    One call runs the E-step of [Hmm.baum_welch_step] over all windows.
@@ -472,185 +257,122 @@ struct worker {
   double *alpha, *beta, *rsum, *scale; /* maxlen·n, 2n, n, maxlen */
 };
 
-/* Phase A for window [w] of the block starting at window [w0]: the
-   arithmetic of the OCaml reference, operation for operation. */
-static void window_pass(const struct estep *e, const struct worker *wk, size_t w0, size_t w)
-{
-  const size_t n = e->n, base = e->off[w], len = e->off[w + 1] - base;
-  const size_t *obs = e->obs + base;
-  double *alpha = wk->alpha, *scale = wk->scale;
-  e->possible[w] = 0;
-  if (len == 0) return;
-  /* forward: once a prefix is impossible the remaining scales are 0 */
-  const double *b0 = e->bt + (obs[0] * n);
-  double s0 = 0.0;
-  for (size_t i = 0; i < n; i++) {
-    double v = e->pi[i] * b0[i];
-    alpha[i] = v;
-    s0 += v;
-  }
-  scale[0] = s0;
-  if (s0 > 0.0)
-    for (size_t i = 0; i < n; i++) alpha[i] = alpha[i] / s0;
-  for (size_t st = 1; st < len; st++) {
-    if (!(scale[st - 1] > 0.0)) {
-      for (; st < len; st++) scale[st] = 0.0;
-      break;
-    }
-    double *cur = alpha + (st * n);
-    const double *b = e->bt + (obs[st] * n);
-    propagate(e->a, cur - n, cur, n);
-    double total = 0.0;
-    for (size_t j = 0; j < n; j++) {
-      double v = cur[j] * b[j];
-      cur[j] = v;
-      total += v;
-    }
-    scale[st] = total;
-    if (total > 0.0)
-      for (size_t j = 0; j < n; j++) cur[j] = cur[j] / total;
-  }
-  for (size_t st = 0; st < len; st++)
-    if (scale[st] <= 0.0) return;
-  double ll = 0.0;
-  for (size_t st = 0; st < len; st++) ll += log(scale[st]);
-  e->ll[w] = ll;
-  e->possible[w] = 1;
+/* ---- The two builds --------------------------------------------------- */
 
-  /* backward, with γ and the ξ terms of each step as soon as β_t is
-     known; no scale is <= 0 here, so the reference's guards skip
-     nothing */
-  const double weight = e->weight[w];
-  const size_t t0 = base - e->off[w0];
-  double *wg = e->wg + (t0 * n), *coef = e->coef + (t0 * n);
-  unsigned char *gflag = e->gflag + t0;
-  double *next = wk->beta, *cur = wk->beta + n, *rsum = wk->rsum;
-  const double last_beta = 1.0 / scale[len - 1];
-  for (size_t i = 0; i < n; i++) cur[i] = last_beta;
-  for (size_t st = len; st-- > 0;) {
-    const double *al = alpha + (st * n);
-    if (st + 1 < len) {
-      double *x = e->bb + ((t0 + st) * n);
-      const double *b = e->bt + (obs[st + 1] * n);
-      for (size_t j = 0; j < n; j++) x[j] = b[j] * next[j];
-      row_sums(e->at, x, rsum, n);
-      const double inv = 1.0 / scale[st];
-      for (size_t i = 0; i < n; i++) cur[i] = rsum[i] * inv;
-      /* ξ normaliser from the row sums before the scale */
-      double s = 0.0;
-      for (size_t i = 0; i < n; i++) {
-        double ai = al[i];
-        if (ai > 0.0) s += ai * rsum[i];
-      }
-      for (size_t i = 0; i < n; i++)
-        coef[(i * len) + st] = s > 0.0 ? weight * al[i] / s : 0.0;
-    }
-    /* γ, normalised explicitly; rsum holds the unnormalised terms */
-    double s = 0.0;
-    for (size_t i = 0; i < n; i++) {
-      double u = al[i] * cur[i];
-      rsum[i] = u;
-      s += u;
-    }
-    gflag[st] = s > 0.0;
-    if (s > 0.0)
-      for (size_t i = 0; i < n; i++) wg[(i * len) + st] = weight * (rsum[i] / s);
-    double *t = next;
-    next = cur;
-    cur = t;
+#define LANES 2
+#include "hmm_lanes.h"
+
+#if defined(__x86_64__)
+#pragma GCC push_options
+#pragma GCC target("avx2")
+#define LANES 4
+#include "hmm_lanes.h"
+#pragma GCC pop_options
+#endif
+
+/* The build every entry point runs: the 2-lane one unless the
+   constructor below finds AVX2. __builtin_cpu_supports("avx2") also
+   checks that the OS saves the YMM registers. The constructor runs at
+   library load, before any OCaml code and so before any helper thread,
+   so the table is never written while it is read. */
+static struct {
+  void (*propagate)(const double *a, const double *src, double *dst, size_t n);
+  void (*score_runs)(void *);
+  void (*run_blocks)(void *);
+} kernels = { propagate_2, score_runs_2, run_blocks_2 };
+
+#if defined(__x86_64__)
+__attribute__((constructor)) static void select_kernels(void)
+{
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) {
+    kernels.propagate = propagate_4;
+    kernels.score_runs = score_runs_4;
+    kernels.run_blocks = run_blocks_4;
   }
 }
+#endif
 
-/* Phase B's ξ update of a_acc[i][j0 .. j0+2nv): for each window of
-   [w0, w1) and each of its steps whose coefficient is positive, in that
-   order, row[j] += (coef · a_i[j]) · bb[j]; lanes across j. */
-static inline __attribute__((always_inline)) void
-xi_tile(const int nv, const struct estep *e, size_t w0, size_t w1, size_t i, double *row,
-        size_t j0)
+/* ---- Entry points ----------------------------------------------------- */
+
+/* [Hmm.Compiled]'s forward step over the model's flat transition
+   table. It does not allocate, raise or release the runtime lock, so
+   it is a [@@noalloc] external. */
+value adprom_hmm_propagate(value a, value src, value dst)
 {
-  const size_t n = e->n;
-  const double *ai = e->a + (i * n) + j0;
-  v2d acc[8];
-  for (int k = 0; k < nv; k++) acc[k] = load2(row + j0 + (2 * k));
-  for (size_t w = w0; w < w1; w++) {
-    if (!e->possible[w]) continue;
-    const size_t len = e->off[w + 1] - e->off[w], t0 = e->off[w] - e->off[w0];
-    const double *coef = e->coef + (t0 * n) + (i * len);
-    const double *bb = e->bb + (t0 * n) + j0;
-    for (size_t st = 0; st + 1 < len; st++) {
-      double c = coef[st];
-      if (!(c > 0.0)) continue;
-      const double *x = bb + (st * n);
-      v2d cv = { c, c };
-      for (int k = 0; k < nv; k++) acc[k] += (cv * load2(ai + (2 * k))) * load2(x + (2 * k));
-    }
-  }
-  for (int k = 0; k < nv; k++) store2(row + j0 + (2 * k), acc[k]);
+  GUARD(&a, &src, &dst);
+  kernels.propagate((const double *)a, (const double *)src, (double *)dst, float_length(dst));
+  UNGUARD();
+  return Val_unit;
 }
 
-static void xi_col(const struct estep *e, size_t w0, size_t w1, size_t i, double *row,
-                   size_t j)
+/* [adprom_hmm_window_scores a b pi obs off scores] stores in scores[w]
+   the per-symbol score of the window obs[off[w] .. off[w+1]).
+   [Hmm.per_symbol_scores] checks the dimensions and the range of every
+   observation before the call. */
+value adprom_hmm_window_scores(value va, value vb, value vpi, value vobs, value voff,
+                               value vscores)
 {
-  const size_t n = e->n;
-  const double aij = e->a[(i * n) + j];
-  double acc = row[j];
-  for (size_t w = w0; w < w1; w++) {
-    if (!e->possible[w]) continue;
-    const size_t len = e->off[w + 1] - e->off[w], t0 = e->off[w] - e->off[w0];
-    const double *coef = e->coef + (t0 * n) + (i * len);
-    const double *bb = e->bb + (t0 * n) + j;
-    for (size_t st = 0; st + 1 < len; st++) {
-      double c = coef[st];
-      if (!(c > 0.0)) continue;
-      acc += (c * aij) * bb[st * n];
+  GUARD(&va, &vb, &vpi, &vscores);
+  struct scorer s;
+  const size_t n = float_length(vpi), m = n ? float_length(vb) / n : 0;
+  const size_t windows = float_length(vscores), total = Wosize_val(vobs);
+  size_t *obs = malloc((total + 1) * sizeof *obs);
+  size_t *off = malloc((windows + 1) * sizeof *off);
+  struct window_key *sorted = malloc((windows + 1) * sizeof *sorted);
+  double *bt = malloc((m * n + 1) * sizeof *bt);
+  struct score_worker *wk = NULL;
+  double *per_thread = NULL;
+  size_t threads = allowed_cpus(), maxlen = 0;
+  const size_t runs = (windows + SCORE_RUN - 1) / SCORE_RUN;
+  if (threads > runs) threads = runs;
+  if (threads < 1) threads = 1;
+  int ok = obs && off && sorted && bt;
+  if (ok) {
+    copy_ints(vobs, obs, total);
+    copy_ints(voff, off, windows + 1);
+    for (size_t w = 0; w < windows; w++) {
+      const size_t len = off[w + 1] - off[w];
+      sorted[w] = (struct window_key){ obs + off[w], len, w };
+      if (len > maxlen) maxlen = len;
     }
+    qsort(sorted, windows, sizeof *sorted, compare_windows);
+    wk = malloc(threads * sizeof *wk);
+    per_thread = malloc(((threads * maxlen * (n + 1)) + 1) * sizeof *per_thread);
+    ok = wk && per_thread;
   }
-  row[j] = acc;
+  if (ok) {
+    transpose((const double *)vb, n, m, bt);
+    s.n = n;
+    s.windows = windows;
+    s.a = (const double *)va;
+    s.bt = bt;
+    s.pi = (const double *)vpi;
+    s.sorted = sorted;
+    s.scores = (double *)vscores;
+    atomic_init(&s.next_run, 0);
+    for (size_t t = 0; t < threads; t++) {
+      wk[t].s = &s;
+      wk[t].alpha = per_thread + (t * maxlen * (n + 1));
+      wk[t].ll = wk[t].alpha + (maxlen * n);
+    }
+    run_threads(threads, kernels.score_runs, wk, sizeof *wk, NULL);
+  }
+  free(per_thread);
+  free(wk);
+  free(bt);
+  free(sorted);
+  free(off);
+  free(obs);
+  UNGUARD();
+  if (!ok) caml_raise_out_of_memory();
+  return Val_unit;
 }
 
-/* Phase B for row [i] over the windows [w0, w1). */
-static void row_pass(const struct estep *e, size_t w0, size_t w1, size_t i)
+value adprom_hmm_window_scores_byte(value *argv, int argn)
 {
-  const size_t n = e->n, m = e->m;
-  double *brow = e->b_acc + (i * m);
-  for (size_t w = w0; w < w1; w++) {
-    if (!e->possible[w]) continue;
-    const size_t base = e->off[w], len = e->off[w + 1] - base, t0 = base - e->off[w0];
-    const double *wg = e->wg + (t0 * n) + (i * len);
-    const unsigned char *gflag = e->gflag + t0;
-    for (size_t st = 0; st < len; st++)
-      if (gflag[st]) brow[e->obs[base + st]] += wg[st];
-    if (gflag[0]) e->pi_acc[i] += wg[0];
-  }
-  double *row = e->a_acc + (i * n);
-  size_t j0 = 0;
-  for (; j0 + 16 <= n; j0 += 16) xi_tile(8, e, w0, w1, i, row, j0);
-  if (j0 + 8 <= n) { xi_tile(4, e, w0, w1, i, row, j0); j0 += 8; }
-  if (j0 + 4 <= n) { xi_tile(2, e, w0, w1, i, row, j0); j0 += 4; }
-  if (j0 + 2 <= n) { xi_tile(1, e, w0, w1, i, row, j0); j0 += 2; }
-  if (j0 < n) xi_col(e, w0, w1, i, row, j0);
-}
-
-static void run_blocks(void *arg)
-{
-  struct worker *wk = arg;
-  struct estep *e = wk->e;
-  for (size_t k = 0; k < e->blocks; k++) {
-    const size_t w0 = e->block[k], w1 = e->block[k + 1];
-    for (;;) {
-      size_t w = w0 + atomic_fetch_add(&e->next_window[k], 1);
-      if (w >= w1) break;
-      window_pass(e, wk, w0, w);
-    }
-    barrier_wait(&e->bar);
-    for (;;) {
-      size_t r0 = atomic_fetch_add(&e->next_row[k], ROW_CHUNK);
-      if (r0 >= e->n) break;
-      size_t r1 = r0 + ROW_CHUNK < e->n ? r0 + ROW_CHUNK : e->n;
-      for (size_t i = r0; i < r1; i++) row_pass(e, w0, w1, i);
-    }
-    barrier_wait(&e->bar);
-  }
+  (void)argn;
+  return adprom_hmm_window_scores(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5]);
 }
 
 /* [adprom_hmm_e_step a b pi obs off weights a_acc b_acc pi_acc ll]
@@ -737,7 +459,7 @@ value adprom_hmm_e_step(value va, value vb, value vpi, value vobs, value voff, v
   }
   pthread_mutex_init(&e.bar.mu, NULL);
   pthread_cond_init(&e.bar.cv, NULL);
-  run_threads(threads, run_blocks, wk, sizeof *wk, &e.bar);
+  run_threads(threads, kernels.run_blocks, wk, sizeof *wk, &e.bar);
   pthread_cond_destroy(&e.bar.cv);
   pthread_mutex_destroy(&e.bar.mu);
 

@@ -466,11 +466,12 @@ module Router = struct
         t.peers
     end
 
-  (* the fleet's Prometheus text: every node's health snapshot, merged *)
+  (* the fleet's Prometheus text: every node's health snapshot, merged,
+     with the help texts a node's own /metrics prints *)
   let metrics t =
     Result.map
       (fun nodes ->
-        Metrics.render
+        Metrics.render ~help:Daemon.metric_help
           (Metrics.merge_snapshots
              (List.map (fun (_, h) -> h.Frame.h_snapshot) nodes)))
       (health t)
@@ -563,3 +564,29 @@ let wait_local l =
       failwith (Printf.sprintf "node %s killed by signal %d" l.name s)
   | Unix.WSTOPPED s ->
       failwith (Printf.sprintf "node %s stopped by signal %d" l.name s)
+
+(* Kills and reaps [l] unless it has been reaped already: waitpid
+   refuses a reaped child with ECHILD, so the signal only ever goes to
+   a child of this process that has not been waited for. *)
+let stop_local l =
+  let rec reap flags =
+    match Unix.waitpid flags l.pid with
+    | r -> Some r
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap flags
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> None
+  in
+  match reap [ Unix.WNOHANG ] with
+  | Some (0, _) ->
+      (try Unix.kill l.pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (reap [])
+  | Some _ | None -> ()
+
+let with_local names serve f =
+  let nodes = ref [] in
+  Fun.protect
+    ~finally:(fun () -> List.iter stop_local !nodes)
+    (fun () ->
+      List.iter
+        (fun name -> nodes := spawn_local ~name (serve name) :: !nodes)
+        names;
+      f (List.rev !nodes))

@@ -108,9 +108,10 @@ module Router : sig
       {!Metrics.merge_snapshots} (counters and histogram buckets add,
       gauges and their high-watermarks take the max) and rendered by
       {!Metrics.render}, so the text has a node dump's sorted shape,
-      [# HELP]/[# TYPE] lines included. Each node answers after every
-      frame sent before on its connection, which makes this a barrier
-      behind {!flush_all}. *)
+      [# HELP]/[# TYPE] lines included, with the help texts of
+      {!Daemon.metric_help} that a node's [/metrics] prints. Each node
+      answers after every frame sent before on its connection, which
+      makes this a barrier behind {!flush_all}. *)
 
   val finish : t -> (Frame.node_summary list, string) result
   (** Flush everything, send [Bye] to every node, await each node's
@@ -146,3 +147,11 @@ val wait_local : local -> unit
     child that raised out of its serve closure prints the exception to
     stderr and [_exit]s 1, so crashed nodes fail tests instead of
     looking like clean exits. *)
+
+val with_local : string list -> (string -> Unix.file_descr -> unit) -> (local list -> 'a) -> 'a
+(** [with_local names serve f] spawns one node per name, in order, the
+    node [name] running [serve name socket], and returns [f nodes].
+    However [f] ends, by returning or by raising, every node it has not
+    reaped with {!wait_local} is then killed (SIGKILL) and reaped, so a
+    failed check can never leave a node serving, or holding its parent's
+    output pipes open, after the caller has moved on. *)

@@ -116,6 +116,18 @@ type t = {
   c_shed_sessions : Metrics.counter;
 }
 
+(* The help texts of the daemon's metric families, in one table: the
+   registrations below read it, and so does the fleet dump
+   ([Cluster.Router.metrics]), whose merged snapshots carry none. *)
+let metric_help_texts =
+  [
+    ("adprom_score_latency_seconds", "Per-event scorer push latency");
+    ("adprom_queue_wait_seconds", "Time items spend queued between admission and dequeue");
+    ("adprom_e2e_latency_seconds", "Ingest-to-verdict latency of verdict-completing events");
+  ]
+
+let metric_help name = List.assoc_opt name metric_help_texts
+
 (* The series the workers report into, registered once by [create] —
    so the dump shows them before the first event arrives — and shared
    by every worker. *)
@@ -139,6 +151,7 @@ type series = {
 
 let register_series metrics =
   let c = Metrics.counter metrics in
+  let h ?buckets name = Metrics.histogram ?buckets ?help:(metric_help name) metrics name in
   {
     windows = c "adprom_windows_scored_total";
     flags =
@@ -159,16 +172,9 @@ let register_series metrics =
     qgate_checks = c "adprom_qsig_gate_checks_total";
     qgate_rejections = c "adprom_qsig_gate_rejections_total";
     leak_capable = c "adprom_leak_capable_incidents_total";
-    latency =
-      Metrics.histogram metrics "adprom_score_latency_seconds"
-        ~help:"Per-event scorer push latency";
-    queue_wait =
-      Metrics.histogram metrics "adprom_queue_wait_seconds"
-        ~help:"Time items spend queued between admission and dequeue";
-    e2e =
-      Metrics.histogram ~buckets:e2e_buckets metrics
-        "adprom_e2e_latency_seconds"
-        ~help:"Ingest-to-verdict latency of verdict-completing events";
+    latency = h "adprom_score_latency_seconds";
+    queue_wait = h "adprom_queue_wait_seconds";
+    e2e = h ~buckets:e2e_buckets "adprom_e2e_latency_seconds";
   }
 
 let shard_of t session = Hashtbl.hash session mod Array.length t.shards

@@ -171,6 +171,12 @@ val e2e_buckets : float array
     ({!Metrics.default_buckets} extended past 1s): registered
     identically on every node so fleet merges stay bucket-exact. *)
 
+val metric_help : string -> string option
+(** The help text of one of the daemon's metric families, as its
+    registration gives it to {!Metrics}: what a node's [/metrics]
+    prints on its [# HELP] line. A fleet dump renders merged snapshots,
+    which carry no help table, with this one. *)
+
 val recent_events : ?limit:int -> t -> Adprom_obs.Log.event list
 (** The per-shard recent-event rings (incidents and, at [Debug]
     threshold, per-call events), merged and time-ordered; [limit] keeps

@@ -680,10 +680,10 @@ let incident_multiset (alerts : Alerts.t) =
    are closed and may already belong to someone else. *)
 let test_closed_router_refuses () =
   let profile, _, _ = Lazy.force fixture in
-  let node =
-    Cluster.spawn_local ~name:"solo" (fun socket ->
-        ignore (Server.serve ~socket ~name:"solo" ~shards:1 profile))
-  in
+  Cluster.with_local [ "solo" ]
+    (fun name socket -> ignore (Server.serve ~socket ~name ~shards:1 profile))
+  @@ fun nodes ->
+  let node = List.hd nodes in
   let peers =
     [ { Cluster.peer_name = "solo"; host = "127.0.0.1"; port = node.Cluster.port } ]
   in
@@ -695,8 +695,8 @@ let test_closed_router_refuses () =
   let router = connect () in
   Cluster.Router.close router;
   let after_close = Cluster.Router.metrics router in
-  (* close leaves the node serving: a second router ends it, before
-     any check can fail and leave the node waiting *)
+  (* close leaves the node serving: a second router ends it, so that
+     [wait_local] sees a clean exit *)
   (match Cluster.Router.finish (connect ()) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "finish: %s" e);
@@ -714,13 +714,13 @@ let test_two_node_cluster_matches_single () =
   let items = cluster_items () in
   (* Fork the nodes FIRST: a process that has ever spawned domains must
      not fork, and the single-node reference replay spawns domains. *)
-  let node name =
-    Cluster.spawn_local ~name (fun socket ->
-        ignore
-          (Server.serve ~socket ~name ~shards:2 ~qsig_mode:Daemon.Qsig_warn
-             ~qsig_profile profile))
-  in
-  let a = node "alpha" and b = node "beta" in
+  Cluster.with_local [ "alpha"; "beta" ]
+    (fun name socket ->
+      ignore
+        (Server.serve ~socket ~name ~shards:2 ~qsig_mode:Daemon.Qsig_warn ~qsig_profile
+           profile))
+  @@ fun nodes ->
+  let a = List.nth nodes 0 and b = List.nth nodes 1 in
   let peers =
     [
       { Cluster.peer_name = "alpha"; host = "127.0.0.1"; port = a.Cluster.port };
@@ -734,8 +734,6 @@ let test_two_node_cluster_matches_single () =
         (match Cluster.Router.send_stream router items with
         | Ok () -> ()
         | Error e -> Alcotest.failf "send: %s" e);
-        (* checked once the nodes are down: a failed check must not
-           leave them serving *)
         let dump = Cluster.Router.metrics router in
         let lost = Cluster.Router.lost_items router in
         match Cluster.Router.finish router with

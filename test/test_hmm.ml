@@ -330,10 +330,16 @@ let sparse_model rng ~n ~m ~sparsity =
     pi = row n;
   }
 
-(* n in 1..40 covers every n mod 16, so every remainder path of the
-   kernels' 16-, 8-, 4- and 2-wide blocks and the last odd column, and
-   up to two full 16-wide blocks; lengths 1..20 give a varying number of
+(* The kernels are built two and four lanes wide, and either build may
+   run. n in 1..70 covers every n mod 32 both below and past one full
+   32-column tile, up to two full tiles: so every path of the 4-lane
+   build (the 32-, 16-, 8- and 4-column tiles, the pair tile and the
+   last odd column) and of the 2-lane build (its 16-, 8-, 4- and
+   2-column tiles and odd column), with n < 4 reaching the pair tile and
+   the odd column alone. Lengths 1..20 give a varying number of
    contributing steps per row; weights are not all 1. *)
+let state_counts = QCheck2.Gen.int_range 1 70
+
 let model_and_sequences_gen =
   QCheck2.Gen.(
     map
@@ -349,7 +355,7 @@ let model_and_sequences_gen =
                 0.25 +. Rng.float rng 4.0 ))
         in
         (model, seqs))
-      (triple (int_range 0 1_000_000) (int_range 1 40) (int_range 1 6)))
+      (triple (int_range 0 1_000_000) state_counts (int_range 1 6)))
 
 let prop_baum_welch_matches_reference =
   QCheck2.Test.make ~name:"baum_welch_step = row-at-a-time reference, bit for bit" ~count:300
@@ -438,8 +444,9 @@ let prop_compiled_matches_reference =
    with duplicates, prefixes and extensions of earlier windows, and the
    empty window. The batch is cut into fixed runs of 32 sorted windows
    shared among the allowed CPUs: counts from 1 to 3 leave fewer
-   windows than threads, and up to 200 give several runs. Sparse models
-   make some prefixes impossible. *)
+   windows than threads, and up to 200 give several runs. State counts
+   reach every tile path of both builds, as above. Sparse models make
+   some prefixes impossible. *)
 let window_batch_gen =
   QCheck2.Gen.(
     map
@@ -463,8 +470,8 @@ let window_batch_gen =
       (pair (int_range 0 1_000_000)
          (oneof
             [
-              triple (int_range 1 40) (int_range 2 3) (int_range 1 3);
-              triple (int_range 1 40) (int_range 2 3) (int_range 4 200);
+              triple state_counts (int_range 2 3) (int_range 1 3);
+              triple state_counts (int_range 2 3) (int_range 4 200);
             ])))
 
 let prop_per_symbol_scores_matches_reference =

@@ -130,12 +130,14 @@ let check_status what expected resp =
   Alcotest.(check (option int)) (what ^ " status") (Some expected)
     (status_of_response resp)
 
+(* The serve loop of a forked node named [name], for [Cluster.with_local]. *)
+let serve_node ~shards profile name socket =
+  ignore (Server.serve ~socket ~name ~shards profile)
+
 let test_http_endpoints () =
   let profile, _ = Lazy.force fixture in
-  let node =
-    Cluster.spawn_local ~name:"web" (fun socket ->
-        ignore (Server.serve ~socket ~name:"web" ~shards:2 profile))
-  in
+  Cluster.with_local [ "web" ] (serve_node ~shards:2 profile) @@ fun nodes ->
+  let node = List.hd nodes in
   let port = node.Cluster.port in
   (* /healthz: a fresh node is healthy, and the body is the Health JSON *)
   let hz = http_get ~port "/healthz" in
@@ -340,12 +342,18 @@ let in_child (f : unit -> 'a) : 'a =
           ignore (Unix.waitpid [] pid))
         (fun () -> Marshal.from_channel ic)
 
+(* The [# HELP] line of metric family [name] in an exposition. *)
+let help_line name body =
+  let prefix = "# HELP " ^ name ^ " " in
+  List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' body)
+
 (* The router traces, so every batch to a node is followed by a
    Trace_mark that the node turns into a wire.batch span, and one node's
-   /metrics is scraped while the stream is half sent. None of it may
-   change what the detector says: the merged summary must equal an
-   untraced single-node replay. An intruder session makes the incident
-   comparison non-empty. *)
+   /metrics is scraped while the stream is half sent; the fleet dump
+   must print that scrape's help texts. None of it may change what the
+   detector says: the merged summary must equal an untraced single-node
+   replay. An intruder session makes the incident comparison
+   non-empty. *)
 let test_observation_keeps_verdicts () =
   let profile, _ = Lazy.force fixture in
   let intruder =
@@ -364,11 +372,7 @@ let test_observation_keeps_verdicts () =
           })
   in
   let items = Array.append (stream_items ()) intruder in
-  let node name =
-    Cluster.spawn_local ~name (fun socket ->
-        ignore (Server.serve ~socket ~name ~shards:2 profile))
-  in
-  let nodes = [ node "alpha"; node "beta" ] in
+  Cluster.with_local [ "alpha"; "beta" ] (serve_node ~shards:2 profile) @@ fun nodes ->
   let send router part =
     match Cluster.Router.send_stream router part with
     | Error e -> Alcotest.failf "send: %s" e
@@ -400,6 +404,20 @@ let test_observation_keeps_verdicts () =
             Alcotest.(check bool) "mid-stream scrape sees ingest" true
               (contains ~needle:"adprom_events_ingested_total" (body_of_response m));
             send router (Array.sub items half (Array.length items - half));
+            (match Cluster.Router.metrics router with
+            | Error e -> Alcotest.failf "fleet metrics: %s" e
+            | Ok fleet ->
+                List.iter
+                  (fun family ->
+                    Alcotest.(check (option string))
+                      (family ^ " help: fleet dump = node /metrics")
+                      (help_line family (body_of_response m))
+                      (help_line family fleet))
+                  [
+                    "adprom_e2e_latency_seconds";
+                    "adprom_queue_wait_seconds";
+                    "adprom_score_latency_seconds";
+                  ]);
             let spans =
               match Cluster.Router.spans router with
               | Error e -> Alcotest.failf "spans: %s" e
@@ -458,10 +476,8 @@ let counter_value name body =
 let test_v1_hello_refused () =
   let profile, _ = Lazy.force fixture in
   let items = stream_items () in
-  let node =
-    Cluster.spawn_local ~name:"alpha" (fun socket ->
-        ignore (Server.serve ~socket ~name:"alpha" ~shards:2 profile))
-  in
+  Cluster.with_local [ "alpha" ] (serve_node ~shards:2 profile) @@ fun nodes ->
+  let node = List.hd nodes in
   let port = node.Cluster.port in
   let decode_errors () =
     match
@@ -503,10 +519,8 @@ let test_v1_hello_refused () =
    exchange afterwards. *)
 let test_unassigned_tags_refused () =
   let profile, _ = Lazy.force fixture in
-  let node =
-    Cluster.spawn_local ~name:"alpha" (fun socket ->
-        ignore (Server.serve ~socket ~name:"alpha" ~shards:1 profile))
-  in
+  Cluster.with_local [ "alpha" ] (serve_node ~shards:1 profile) @@ fun nodes ->
+  let node = List.hd nodes in
   let port = node.Cluster.port in
   let decode_errors () =
     match
