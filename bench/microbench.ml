@@ -22,7 +22,9 @@ open Toolkit
 let collector_tests () =
   let hospital = Dataset.Ca_hospital.app () in
   let analysis = Adprom.Pipeline.analyze_app hospital in
-  let symbol = Analysis.Symbol.lib "printf" in
+  let event =
+    { Runtime.Collector.symbol = Analysis.Symbol.lib "printf"; caller = "main"; block = 12 }
+  in
   let args = [ Rvalue_args.sample ] in
   let adprom_collector, _ = Runtime.Collector.adprom () in
   let symtab = Runtime.Ltrace.symtab_of_cfgs analysis.Analysis.Analyzer.cfgs in
@@ -30,11 +32,11 @@ let collector_tests () =
   [
     Test.make ~name:"table6/adprom-collector-emit"
       (Staged.stage (fun () ->
-           adprom_collector.Runtime.Collector.emit ~symbol ~caller:"main" ~block:12 ~args));
+           adprom_collector.Runtime.Collector.emit event ~args));
     Test.make ~name:"table6/ltrace-emit"
       (Staged.stage (fun () ->
            if Buffer.length log > 1_000_000 then Buffer.clear log;
-           ltrace_collector.Runtime.Collector.emit ~symbol ~caller:"main" ~block:12 ~args));
+           ltrace_collector.Runtime.Collector.emit event ~args));
   ]
 
 let analysis_tests () =

@@ -47,8 +47,12 @@ let fire_patches ctx ~caller ~block patches =
           if c.Patch.leaks_td then
             ctx.st.Istate.leaked_values <- ctx.st.Istate.leaked_values + 1;
           ctx.collector.Collector.emit
-            ~symbol:(Symbol.Lib { name = c.Patch.name; label; site = None })
-            ~caller ~block ~args:[])
+            {
+              Collector.symbol = Symbol.Lib { name = c.Patch.name; label; site = None };
+              caller;
+              block;
+            }
+            ~args:[])
         p.Patch.calls)
     patches
 
@@ -180,12 +184,14 @@ and call_builtin ctx expr caller name args =
   in
   fire_patches ctx ~caller ~block (Patch.fires_before ctx.patches block);
   let tainted_args = List.filter (fun (v : Rvalue.t) -> v.Rvalue.taint) args in
-  let label =
-    if Libspec.is_sink name && tainted_args <> [] && block >= 0 then Some block else None
-  in
-  if Libspec.is_sink name && tainted_args <> [] then
+  let labelled = Libspec.is_sink name && tainted_args <> [] in
+  if labelled then
     ctx.st.Istate.leaked_values <- ctx.st.Istate.leaked_values + List.length tainted_args;
-  ctx.collector.Collector.emit ~symbol:(Symbol.Lib { name; label; site = None }) ~caller ~block ~args;
+  let event =
+    if block >= 0 then Analyzer.site_event ctx.analysis ~block ~labelled
+    else { Collector.symbol = Symbol.Lib { name; label = None; site = None }; caller; block }
+  in
+  ctx.collector.Collector.emit event ~args;
   (* provenance shadow heap: a tagged value reaching a sink is one
      observed flow — what the static leakage summary must cover *)
   if Libspec.is_sink name && block >= 0 then

@@ -29,15 +29,15 @@ let addr2line symtab addr =
 let make ~symtab =
   let stats = { calls = 0; bytes = 0 } in
   let log = Buffer.create 4096 in
-  let emit ~symbol ~caller:_ ~block ~args =
+  let emit (ev : Collector.event) ~args =
     stats.calls <- stats.calls + 1;
     (* ltrace resolves the caller from the instruction pointer rather
        than receiving it from the runtime. *)
-    let resolved = addr2line symtab (max block 0) in
+    let resolved = addr2line symtab (max ev.Collector.block 0) in
     let rendered_args = List.map Rvalue.to_display args in
     let line =
       Printf.sprintf "%s->%s(%s) = <void>\n" resolved
-        (Analysis.Symbol.name symbol)
+        (Analysis.Symbol.name ev.Collector.symbol)
         (String.concat ", " rendered_args)
     in
     Buffer.add_string log line;

@@ -14,9 +14,12 @@ val encode_symbol : Analysis.Symbol.t -> string
 
 val decode_symbol : string -> (Analysis.Symbol.t, string) result
 
-val parse_event : string -> (Collector.event, string) result
+val parse_event :
+  ?cache:Collector.Cache.t -> string -> (Collector.event, string) result
 (** Parse one [caller<TAB>block<TAB>symbol] line (no line-number
-    context; {!of_string} adds it). *)
+    context; {!of_string} adds it). With [cache], an event equal to one
+    cached there comes back as that record: the text wire's decoder
+    keeps one per connection. *)
 
 val to_string : Collector.trace -> string
 

@@ -646,10 +646,12 @@ module Decoder = struct
     mutable interned : string array;
     mutable interned_len : int;
     mutable dead : error option;
+    events : Runtime.Collector.Cache.t;  (* repeated events decode to one record *)
   }
 
   let create () =
-    { pending = Buffer.create 256; interned = [||]; interned_len = 0; dead = None }
+    { pending = Buffer.create 256; interned = [||]; interned_len = 0; dead = None;
+      events = Runtime.Collector.Cache.create () }
 
   (* The table's memory is bounded by the bytes the peer actually sent
      (an inline definition costs its full length on the wire), so no
@@ -661,28 +663,18 @@ module Decoder = struct
       d.interned <- a
     end;
     d.interned.(d.interned_len) <- s;
-    d.interned_len <- d.interned_len + 1;
-    s
+    d.interned_len <- d.interned_len + 1
 
+  (* the table index of the string reference at the cursor *)
   let strref d c =
     match varint c with
-    | 0 -> intern_push d (str c)
-    | k when k > 0 && k - 1 < d.interned_len -> d.interned.(k - 1)
+    | 0 ->
+        intern_push d (str c);
+        d.interned_len - 1
+    | k when k > 0 && k - 1 < d.interned_len -> k - 1
     (* a negative reference (9-byte varint into the sign bit) must land
        here, not index the array with a negative offset *)
     | k -> raise (Fail (Printf.sprintf "string reference %d out of range" k))
-
-  let symbol d c : Symbol.t =
-    match u8 c with
-    | 0 -> Entry
-    | 1 -> Exit
-    | 2 -> Func (strref d c)
-    | 3 ->
-        let name = strref d c in
-        let label = opt_int c in
-        let site = opt_int c in
-        Lib { name; label; site }
-    | b -> raise (Fail (Printf.sprintf "bad symbol tag %d" b))
 
   let read_snapshot c =
     let counters =
@@ -739,12 +731,64 @@ module Decoder = struct
      [@inline] run once per item; left as calls, they slowed the item
      decoder by about 8%. *)
 
+  let[@inline] opt_key = function None -> 0 | Some v -> v + 1
+
+  (* An optional int as its wire value: 0 for [None], [v + 1] for
+     [Some v] — the [opt_key] of what [opt_int] would return. *)
+  let[@inline] opt_raw c =
+    let v = varint c in
+    if v < 0 then raise (Fail "negative optional int") else v
+
+  let[@inline] of_raw v = if v = 0 then None else Some (v - 1)
+
+  (* Does the cached [e] hold exactly these decoded parts? The strings
+     are compared by identity: both come from this connection's table. *)
+  let[@inline] holds d (e : Runtime.Collector.event) ~ci ~block ~tag ~ni ~label
+      ~site =
+    e.block = block
+    && e.caller == d.interned.(ci)
+    &&
+    match e.symbol with
+    | Entry -> tag = 0
+    | Exit -> tag = 1
+    | Func f -> tag = 2 && f == d.interned.(ni)
+    | Lib l ->
+        tag = 3 && l.name == d.interned.(ni) && opt_key l.label = label
+        && opt_key l.site = site
+
+  (* The event goes through the connection's cache, keyed by the
+     caller's and name's table indices, the block, the symbol kind, the
+     label and the site: a repeated event decodes to the record its
+     first occurrence did, and allocates nothing when it sits in its
+     home slot. *)
   let[@inline] read_call d c =
     let session = nonneg c "session id" in
-    let caller = strref d c in
+    let ci = strref d c in
     let block = zigzag c in
-    let symbol = symbol d c in
-    { Transport.session; event = { Runtime.Collector.caller; block; symbol } }
+    let tag = u8 c in
+    if tag > 3 then raise (Fail (Printf.sprintf "bad symbol tag %d" tag));
+    let ni = if tag >= 2 then strref d c else -1 in
+    let label = if tag = 3 then opt_raw c else 0 in
+    let site = if tag = 3 then opt_raw c else 0 in
+    let hash =
+      let k = 8191 in
+      ci + (k * (block + (k * (ni + (k * (tag + (4 * (label + (k * site)))))))))
+    in
+    let home = Runtime.Collector.Cache.home d.events ~hash in
+    let event =
+      if holds d home ~ci ~block ~tag ~ni ~label ~site then home
+      else
+        let symbol : Symbol.t =
+          match tag with
+          | 0 -> Entry
+          | 1 -> Exit
+          | 2 -> Func d.interned.(ni)
+          | _ -> Lib { name = d.interned.(ni); label = of_raw label; site = of_raw site }
+        in
+        Runtime.Collector.Cache.share d.events ~hash
+          { Runtime.Collector.caller = d.interned.(ci); block; symbol }
+    in
+    { Transport.session; event }
 
   let[@inline] read_query c =
     let q_session = nonneg c "session id" in

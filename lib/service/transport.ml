@@ -99,7 +99,7 @@ module Text = struct
         | _, None -> Error (Printf.sprintf "bad row count %S" rows))
     | _ -> Error "expected q<TAB>session<TAB>rows<TAB>sql"
 
-  let parse_event_line line =
+  let parse_event_line ?cache line =
     match String.index_opt line '\t' with
     | None ->
         Error "expected 4 tab-separated fields (session, caller, block, symbol)"
@@ -111,17 +111,17 @@ module Text = struct
         | Some session when session < 0 ->
             Error (Printf.sprintf "negative session id %d" session)
         | Some session -> (
-            match Trace_io.parse_event rest with
+            match Trace_io.parse_event ?cache rest with
             | Ok event -> Ok { session; event }
             | Error e -> Error e))
 
-  let parse_item line =
+  let parse_item ?cache line =
     if is_query_line line then
       match parse_query_line line with
       | Ok q -> Ok (Query q)
       | Error e -> Error e
     else
-      match parse_event_line line with
+      match parse_event_line ?cache line with
       | Ok ev -> Ok (Call ev)
       | Error e -> Error e
 
@@ -131,10 +131,14 @@ module Text = struct
     pending : Buffer.t;  (* a partial line split across feeds *)
     mutable lineno : int;
     mutable dead : string option;
+    cache : Runtime.Collector.Cache.t;  (* repeated events decode to one record *)
   }
 
   let encoder () = ()
-  let decoder () = { pending = Buffer.create 80; lineno = 1; dead = None }
+
+  let decoder () =
+    { pending = Buffer.create 80; lineno = 1; dead = None;
+      cache = Runtime.Collector.Cache.create () }
   let pending_bytes dec = Buffer.length dec.pending
 
   let encode () buf it =
@@ -155,7 +159,7 @@ module Text = struct
     | "" -> Ok acc
     | t when t.[0] = '#' -> Ok acc
     | _ -> (
-        match parse_item line with
+        match parse_item ~cache:dec.cache line with
         | Ok it -> Ok (f acc it)
         | Error e ->
             let msg = Printf.sprintf "line %d: %s" dec.lineno e in

@@ -14,7 +14,13 @@
     exception, and a decoder that has reported an error stays dead
     (binary framing cannot resynchronize). Encoders and decoders are
     stateful per connection — the binary format interns caller/symbol
-    strings per connection — and are not thread-safe. *)
+    strings per connection — and are not thread-safe.
+
+    Each decoder also keeps a fixed-size event cache
+    ({!Runtime.Collector.Cache}), so a repeated call event decodes to
+    one shared record. Decoded events are immutable: compare them with
+    [=], never with [==]. A peer sending only distinct events cannot
+    grow the cache. *)
 
 type event = Adprom.Sessions.tagged = {
   session : int;
@@ -103,10 +109,12 @@ module Text : sig
   val encode_line : item -> string
   (** One line, without the trailing newline. *)
 
-  val parse_item : string -> (item, string) result
-  (** Parse one wire line of either kind (no line-number context). *)
+  val parse_item : ?cache:Runtime.Collector.Cache.t -> string -> (item, string) result
+  (** Parse one wire line of either kind (no line-number context);
+      [cache] as in {!Runtime.Trace_io.parse_event}. *)
 
-  val parse_event_line : string -> (event, string) result
+  val parse_event_line :
+    ?cache:Runtime.Collector.Cache.t -> string -> (event, string) result
   val parse_query_line : string -> (query, string) result
   val is_query_line : string -> bool
 

@@ -505,6 +505,16 @@ let test_text_chunked_feed () =
   | Error e -> Alcotest.failf "finish failed: %s" e);
   Alcotest.(check bool) "byte-at-a-time = whole buffer" true (!got = whole)
 
+(* The binary decoder's event cache: bounded under a peer that sends
+   only distinct events, and sharing on a real banking stream. *)
+let test_binary_cache_bounded () =
+  Event_sharing.check_bounded (module Frame.T) ~max_words:40
+
+let test_binary_repeats_shared () =
+  let app = Dataset.Ca_banking.app () in
+  let _, items = Banking_stream.items (Banking_stream.runs app (Pipeline.analyze_app app)) in
+  Event_sharing.check_repeats_shared (module Frame.T) items
+
 (* A peer that never sends a newline: the partial line is capped at
    [max_item_bytes], the overflowing feed is a [line N:] error, and the
    decoder stays dead. *)
@@ -833,6 +843,8 @@ let () =
             test_other_versions_refused;
           Alcotest.test_case "unassigned frame tags refused" `Quick
             test_unassigned_tags_refused;
+          Alcotest.test_case "event cache bounded" `Quick test_binary_cache_bounded;
+          Alcotest.test_case "repeated events shared" `Quick test_binary_repeats_shared;
         ] );
       ( "transport",
         [

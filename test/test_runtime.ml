@@ -234,6 +234,92 @@ let test_ltrace_collector () =
      let rec go i = i + n <= String.length contents && (String.sub contents i n = probe || go (i + 1)) in
      go 0)
 
+(* --- shared call-site events ------------------------------------------------ *)
+
+let builtin_apps () =
+  [
+    Dataset.Ca_hospital.app ();
+    Dataset.Ca_banking.app ();
+    Dataset.Ca_supermarket.app ();
+    Dataset.Sir.app1 ();
+    Dataset.Sir.app2 ();
+    Dataset.Sir.app3 ();
+    Dataset.Sir.app4 ();
+    Dataset.Web_portal.app ();
+  ]
+
+(* A collector that builds every event afresh from the call itself: the
+   callee's name, the function whose CFG holds the block, and the label
+   the taint rule gives the call's arguments. *)
+let fresh_collector (analysis : Analyzer.t) =
+  let caller_of block =
+    List.find_map
+      (fun (f, cfg) -> if Hashtbl.mem cfg.Analysis.Cfg.nodes block then Some f else None)
+      analysis.Analyzer.cfgs
+  in
+  let events = ref [] in
+  let emit (ev : Collector.event) ~args =
+    let name = Symbol.name ev.Collector.symbol and block = ev.Collector.block in
+    let tainted = List.exists (fun (v : Runtime.Rvalue.t) -> v.Runtime.Rvalue.taint) args in
+    let label =
+      if Applang.Libspec.is_sink name && tainted && block >= 0 then Some block else None
+    in
+    let caller = Option.value (caller_of block) ~default:ev.Collector.caller in
+    events :=
+      { Collector.symbol = Symbol.Lib { name; label; site = None }; caller; block }
+      :: !events
+  in
+  ({ Collector.emit }, fun () -> Array.of_list (List.rev !events))
+
+let test_shared_events_equal_fresh () =
+  List.iter
+    (fun (app : Adprom.Pipeline.app) ->
+      let analysis = Adprom.Pipeline.analyze_app app in
+      List.iter
+        (fun tc ->
+          let shared, shared_trace = Collector.adprom () in
+          let fresh, fresh_trace = fresh_collector analysis in
+          let collector =
+            { Collector.emit = (fun ev ~args -> shared.emit ev ~args; fresh.emit ev ~args) }
+          in
+          ignore
+            (Interp.run ~collector ~analysis
+               ~engine:(Adprom.Pipeline.fresh_engine app)
+               tc);
+          if shared_trace () <> fresh_trace () then
+            Alcotest.failf "%s/%s: shared trace differs from the fresh one"
+              app.Adprom.Pipeline.name tc.Testcase.name)
+        app.Adprom.Pipeline.test_cases)
+    (builtin_apps ())
+
+let test_banking_events_per_site () =
+  let app = Dataset.Ca_banking.app () in
+  let analysis = Adprom.Pipeline.analyze_app app in
+  let seen = Hashtbl.create 64 in
+  let calls = ref 0 in
+  List.iter
+    (fun tc ->
+      let trace, _ = Adprom.Pipeline.run_case ~analysis app tc in
+      Array.iter
+        (fun (e : Collector.event) ->
+          incr calls;
+          let records = Option.value (Hashtbl.find_opt seen e.Collector.block) ~default:[] in
+          if not (List.memq e records) then Hashtbl.replace seen e.Collector.block (e :: records))
+        trace)
+    app.Adprom.Pipeline.test_cases;
+  let sites = Hashtbl.length seen in
+  let records = Hashtbl.fold (fun _ l acc -> acc + List.length l) seen 0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d calls over %d sites" !calls sites)
+    true
+    (sites > 10 && !calls > 10 * sites);
+  Hashtbl.iter
+    (fun block l ->
+      if block < 0 || List.length l > 2 then
+        Alcotest.failf "block %d: %d distinct records" block (List.length l))
+    seen;
+  Alcotest.(check bool) (Printf.sprintf "%d records in all" records) true (records <= 2 * sites)
+
 let test_mysql_runtime_flow () =
   let stdout =
     stdout_of ~setup:setup_clients
@@ -373,5 +459,9 @@ let () =
           Alcotest.test_case "ltrace collector" `Quick test_ltrace_collector;
           Alcotest.test_case "mysql cursor flow" `Quick test_mysql_runtime_flow;
           Alcotest.test_case "system sink recorded" `Quick test_system_sink;
+          Alcotest.test_case "shared events = fresh events, every app" `Quick
+            test_shared_events_equal_fresh;
+          Alcotest.test_case "banking: two records per call site" `Quick
+            test_banking_events_per_site;
         ] );
     ]

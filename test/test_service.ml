@@ -123,6 +123,14 @@ let test_codec_roundtrip_real_stream () =
   | Error e -> Alcotest.failf "decode failed: %s" e
   | Ok stream' -> Alcotest.(check bool) "identical" true (stream = stream')
 
+(* The text decoder's event cache, as for the binary one in
+   test_cluster. *)
+let test_text_cache_bounded () =
+  Event_sharing.check_bounded (module Transport.Text) ~max_words:150
+
+let test_text_repeats_shared () =
+  Event_sharing.check_repeats_shared (module Transport.Text) (calls (interleaved 11))
+
 let expect_error_line n text =
   match decode text with
   | Ok _ -> Alcotest.failf "expected a parse error for %S" text
@@ -770,6 +778,8 @@ let () =
           Alcotest.test_case "round trip (real stream)" `Quick test_codec_roundtrip_real_stream;
           Alcotest.test_case "line-numbered errors" `Quick test_codec_errors;
           Alcotest.test_case "trace_io hardening" `Quick test_trace_io_errors;
+          Alcotest.test_case "event cache bounded" `Quick test_text_cache_bounded;
+          Alcotest.test_case "repeated events shared" `Quick test_text_repeats_shared;
         ] );
       ( "scorer",
         [
