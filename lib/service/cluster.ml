@@ -75,18 +75,11 @@ let peer_of_string s =
       | Some p when p > 0 && p < 65536 -> Ok { peer_name = name; host; port = p }
       | _ -> Error (Printf.sprintf "bad port in node address %S" s))
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write fd b off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-          ignore (Unix.select [] [fd] [] (-1.0));
-          go off
-  in
-  go 0
+(* the router's sockets block, and on a blocking socket [Unix.write]
+   returns only once every byte is written *)
+let write_all fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let resolve host =
   match Unix.inet_addr_of_string host with
@@ -136,12 +129,12 @@ module Router = struct
       | () -> fd
       | exception Unix.Unix_error ((ECONNREFUSED | ETIMEDOUT | EHOSTUNREACH | ENETUNREACH), _, _)
         when k + 1 < attempts ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
+          close_fd fd;
           (* exponential backoff, capped at a second *)
           Unix.sleepf (Float.min 1.0 (0.05 *. Float.pow 2.0 (float_of_int k)));
           go (k + 1)
       | exception Unix.Unix_error (e, _, _) ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
+          close_fd fd;
           raise
             (Router_error
                (Printf.sprintf "%s (%s:%d): %s" spec.peer_name spec.host
@@ -149,34 +142,30 @@ module Router = struct
     in
     go 0
 
-  let rec next_frame t p =
-    match p.inbox with
-    | f :: rest ->
-        p.inbox <- rest;
-        f
-    | [] -> (
-        match Unix.read p.fd t.chunk 0 (Bytes.length t.chunk) with
-        | 0 ->
-            raise
-              (Router_error (p.spec.peer_name ^ ": connection closed by node"))
-        | n -> (
-            match Frame.Decoder.feed p.dec (Bytes.sub_string t.chunk 0 n) with
-            | Error e ->
-                raise
-                  (Router_error
-                     (p.spec.peer_name ^ ": " ^ Frame.error_to_string e))
-            | Ok frames ->
-                p.inbox <- frames;
-                next_frame t p)
-        | exception Unix.Unix_error (EINTR, _, _) -> next_frame t p)
+  (* One read from [p]'s node: Acks are taken at once, other frames join
+     the inbox. [false] at EOF. *)
+  let read_frames t p =
+    match Unix.read p.fd t.chunk 0 (Bytes.length t.chunk) with
+    | 0 -> false
+    | n -> (
+        match Frame.Decoder.feed p.dec ~len:n (Bytes.unsafe_to_string t.chunk) with
+        | Error e ->
+            raise (Router_error (p.spec.peer_name ^ ": " ^ Frame.error_to_string e))
+        | Ok frames ->
+            List.iter
+              (function Frame.Ack { count } -> p.acked <- count | f -> p.inbox <- p.inbox @ [ f ])
+              frames;
+            true)
+    | exception Unix.Unix_error (EINTR, _, _) -> true
 
-  (* Skip over flow-feedback Acks to the first frame [pred] wants. *)
+  (* The first reply [pred] wants. *)
   let rec await t p ~what pred =
-    match next_frame t p with
-    | Frame.Ack { count } ->
-        p.acked <- count;
-        await t p ~what pred
-    | f -> (
+    match p.inbox with
+    | [] ->
+        if read_frames t p then await t p ~what pred
+        else raise (Router_error (p.spec.peer_name ^ ": connection closed by node"))
+    | f :: rest -> (
+        p.inbox <- rest;
         match pred f with
         | Some v -> v
         | None ->
@@ -206,7 +195,7 @@ module Router = struct
     p.lost <- p.lost + p.out_items + (p.sent - p.acked);
     Buffer.clear p.out;
     p.out_items <- 0;
-    (try Unix.close p.fd with Unix.Unix_error _ -> ());
+    close_fd p.fd;
     p.fd <- dial ~attempts:t.attempts p.spec;
     (* a new connection is a new interned-string namespace *)
     p.enc <- Frame.Encoder.create ();
@@ -286,30 +275,11 @@ module Router = struct
 
   (* Opportunistically consume any Acks the node pushed while we were
      writing, so the socket buffer never fills with feedback. *)
-  let drain_acks t p =
-    let rec go () =
-      match Unix.select [ p.fd ] [] [] 0.0 with
-      | [], _, _ -> ()
-      | _ -> (
-          match Unix.read p.fd t.chunk 0 (Bytes.length t.chunk) with
-          | 0 -> ()
-          | n -> (
-              match Frame.Decoder.feed p.dec (Bytes.sub_string t.chunk 0 n) with
-              | Error e ->
-                  raise
-                    (Router_error
-                       (p.spec.peer_name ^ ": " ^ Frame.error_to_string e))
-              | Ok frames ->
-                  List.iter
-                    (function
-                      | Frame.Ack { count } -> p.acked <- count
-                      | f -> p.inbox <- p.inbox @ [ f ])
-                    frames;
-                  go ())
-          | exception Unix.Unix_error (EINTR, _, _) -> go ())
-      | exception Unix.Unix_error (EINTR, _, _) -> go ()
-    in
-    go ()
+  let rec drain_acks t p =
+    match Unix.select [ p.fd ] [] [] 0.0 with
+    | [], _, _ -> ()
+    | _ -> if read_frames t p then drain_acks t p
+    | exception Unix.Unix_error (EINTR, _, _) -> drain_acks t p
 
   let connect ?replicas ?(attempts = 10) ?(peer = "router") specs =
     (* a node that dies mid-stream must surface as EPIPE on the next
@@ -356,9 +326,7 @@ module Router = struct
              hello t p)
            specs
        with e ->
-         List.iter
-           (fun (_, p) -> try Unix.close p.fd with Unix.Unix_error _ -> ())
-           !opened;
+         List.iter (fun (_, p) -> close_fd p.fd) !opened;
          raise e);
       { t with peers = List.rev !opened }
     with
@@ -391,19 +359,8 @@ module Router = struct
       drain_acks t p
     end
 
-  let send t item =
-    guard t
-      (fun t item ->
-        send_item t item;
-        Ok ())
-      item
-
-  let send_stream t items =
-    guard t
-      (fun t items ->
-        Array.iter (send_item t) items;
-        Ok ())
-      items
+  let send t item = guard t (fun t item -> send_item t item; Ok ()) item
+  let send_stream t items = guard t (fun t items -> Array.iter (send_item t) items; Ok ()) items
 
   let each_peer t f =
     guard t (fun t f -> Ok (List.map (fun (_, p) -> f p) t.peers)) f
@@ -412,9 +369,6 @@ module Router = struct
 
   let lost_items t =
     List.fold_left (fun acc (_, p) -> acc + p.lost) 0 t.peers
-
-  let clock_offsets t =
-    List.map (fun (name, p) -> (name, p.offset_ns)) t.peers
 
   (* ---- operations plane ------------------------------------------- *)
 
@@ -461,9 +415,7 @@ module Router = struct
        ([status], [top]) must not shut the fleet down on exit *)
     if not t.closed then begin
       t.closed <- true;
-      List.iter
-        (fun (_, p) -> try Unix.close p.fd with Unix.Unix_error _ -> ())
-        t.peers
+      List.iter (fun (_, p) -> close_fd p.fd) t.peers
     end
 
   (* the fleet's Prometheus text: every node's health snapshot, merged,
@@ -483,10 +435,7 @@ module Router = struct
       (fun t () ->
         t.closed <- true;
         Fun.protect
-          ~finally:(fun () ->
-            List.iter
-              (fun (_, p) -> try Unix.close p.fd with Unix.Unix_error _ -> ())
-              t.peers)
+          ~finally:(fun () -> List.iter (fun (_, p) -> close_fd p.fd) t.peers)
           (fun () ->
             List.iter (fun (_, p) -> request t p Frame.Bye) t.peers;
             Ok

@@ -49,7 +49,8 @@ module Router : sig
   (** Dial every node (with exponential backoff over [attempts] tries,
       default 10) and exchange [Hello] frames; [peer] (default
       ["router"]) is the name announced, and each node's reply carries
-      the clock sample that seeds {!clock_offsets}. [Error] if any node
+      the clock sample that seeds the router's estimate of that node's
+      clock offset ({!clock_sync} refines it). [Error] if any node
       stays unreachable or refuses the hello (a node of another wire
       version closes the connection). *)
 
@@ -72,12 +73,6 @@ module Router : sig
   val lost_items : t -> int
   (** Items acknowledged as lost across reconnects — nonzero means the
       cluster verdicts are not comparable to a single-node replay. *)
-
-  val clock_offsets : t -> (string * int64) list
-  (** Per node: the current [node_mono - router_mono] estimate in
-      nanoseconds (first from the hello reply's clock sample, then as
-      {!clock_sync} refined it) — the alignment
-      {!Adprom_obs.Trace.to_chrome_json_cluster} takes. *)
 
   val clock_sync : ?probes:int -> t -> (unit, string) result
   (** Probe every node's monotonic clock [probes] times (default 3)

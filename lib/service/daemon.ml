@@ -694,7 +694,6 @@ let drain t =
 
 let metrics t = t.metrics
 let alerts t = t.alerts
-let shard_count t = Array.length t.shards
 let queue_capacity t = t.capacity
 
 let recent_events ?limit t =

@@ -160,16 +160,10 @@ val drain : t -> summary
 
 val metrics : t -> Metrics.t
 val alerts : t -> Alerts.t
-val shard_count : t -> int
 
 val queue_capacity : t -> int
 (** The per-shard bound {!create} was given — what {!Health.evaluate}
     relates the queue high-watermark to. *)
-
-val e2e_buckets : float array
-(** Bucket bounds of [adprom_e2e_latency_seconds]
-    ({!Metrics.default_buckets} extended past 1s): registered
-    identically on every node so fleet merges stay bucket-exact. *)
 
 val metric_help : string -> string option
 (** The help text of one of the daemon's metric families, as its

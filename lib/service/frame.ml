@@ -646,12 +646,15 @@ module Decoder = struct
     mutable interned : string array;
     mutable interned_len : int;
     mutable dead : error option;
+    mutable paused : bool;  (* [pause] was called during this feed *)
     events : Runtime.Collector.Cache.t;  (* repeated events decode to one record *)
   }
 
   let create () =
     { pending = Buffer.create 256; interned = [||]; interned_len = 0; dead = None;
-      events = Runtime.Collector.Cache.create () }
+      paused = false; events = Runtime.Collector.Cache.create () }
+
+  let pause d = d.paused <- true
 
   (* The table's memory is bounded by the bytes the peer actually sent
      (an inline definition costs its full length on the wire), so no
@@ -924,7 +927,7 @@ module Decoder = struct
   let parse step d s pos stop ~init ~f =
     let c = { cbuf = s; p = 0; cstop = 0 } in
     let rec go acc i =
-      if stop - i < 8 then Ok (acc, i)
+      if d.paused || stop - i < 8 then Ok (acc, i)
       else
         match header_error s i with
         | Some e -> Error e
@@ -958,39 +961,61 @@ module Decoder = struct
         acc
     | _ -> raise_notrace (Fail "control frame in an item stream")
 
-  (* the generic chunk pump: pending-buffer stitching and poisoning in
-     one place; [step] reads each completed frame, [f] folds it *)
+  (* A frame split across chunks: move into [pending] only the bytes it
+     still lacks, decode it from there and reset [pending], so one large
+     frame does not pin its size for the life of the connection. Returns
+     where the rest of the chunk starts. *)
+  let stitch step d s pos stop ~init ~f =
+    let take pos n =
+      let n = max 0 (min n (stop - pos)) in
+      Buffer.add_substring d.pending s pos n;
+      pos + n
+    in
+    if Buffer.length d.pending = 0 then Ok (init, pos)
+    else
+      let pos = take pos (8 - Buffer.length d.pending) in
+      let head = Buffer.sub d.pending 0 (min 8 (Buffer.length d.pending)) in
+      if String.length head < 8 then Ok (init, pos)
+      else
+        match header_error head 0 with
+        | Some e -> Error e
+        | None ->
+            let total = 8 + payload_length head 0 in
+            let pos = take pos (total - Buffer.length d.pending) in
+            if Buffer.length d.pending < total then Ok (init, pos)
+            else begin
+              let v = Buffer.contents d.pending in
+              Buffer.reset d.pending;
+              Result.map (fun (acc, _) -> (acc, pos)) (parse step d v 0 total ~init ~f)
+            end
+
+  (* the generic chunk pump: stitching, in-place parsing and poisoning
+     in one place; [step] reads each completed frame, [f] folds it *)
   let feed_gen step d ?(pos = 0) ?len s ~init ~f =
     match d.dead with
     | Some e -> Error e
     | None -> (
+        d.paused <- false;
         let len = match len with Some l -> l | None -> String.length s - pos in
         let stop = pos + len in
-        let view, vpos, vstop =
-          if Buffer.length d.pending = 0 then (s, pos, stop)
-          else begin
-            (* a partial frame from the previous chunk: complete it *)
-            Buffer.add_substring d.pending s pos len;
-            let v = Buffer.contents d.pending in
-            Buffer.clear d.pending;
-            (v, 0, String.length v)
-          end
+        let parsed =
+          Result.bind (stitch step d s pos stop ~init ~f) (fun (acc, i) ->
+              parse step d s i stop ~init:acc ~f)
         in
-        match parse step d view vpos vstop ~init ~f with
+        match parsed with
         | Error e ->
             d.dead <- Some e;
             Error e
+        | Ok (acc, i) when d.paused -> Ok (acc, i)
         | Ok (acc, i) ->
-            if i < vstop then Buffer.add_substring d.pending view i (vstop - i);
-            Ok acc)
+            if i < stop then Buffer.add_substring d.pending s i (stop - i);
+            Ok (acc, stop))
 
   let feed_fold d ?pos ?len s ~init ~f = feed_gen frame_step d ?pos ?len s ~init ~f
   let feed_items d ?pos ?len s ~init ~f = feed_gen item_step d ?pos ?len s ~init ~f
 
   let feed d ?pos ?len s =
-    match feed_fold d ?pos ?len s ~init:[] ~f:(fun acc fr -> fr :: acc) with
-    | Error e -> Error e
-    | Ok acc -> Ok (List.rev acc)
+    Result.map (fun (acc, _) -> List.rev acc) (feed_fold d ?pos ?len s ~init:[] ~f:(fun acc fr -> fr :: acc))
 
   let finish d =
     match d.dead with
@@ -1026,7 +1051,7 @@ module T = struct
   let flush = Encoder.flush
 
   let fold d ?pos ?len s ~init ~f =
-    Result.map_error error_to_string (Decoder.feed_items d ?pos ?len s ~init ~f)
+    Result.map fst (Result.map_error error_to_string (Decoder.feed_items d ?pos ?len s ~init ~f))
 
   let finish d =
     match Decoder.finish d with

@@ -145,10 +145,14 @@ module Decoder : sig
     string ->
     init:'a ->
     f:('a -> frame -> 'a) ->
-    ('a, error) result
-  (** Like {!feed}, but apply [f] to each frame as it completes — the
-      serve loop dispatches straight off the wire without building a
-      frame list per chunk. *)
+    ('a * int, error) result
+  (** Like {!feed}, but apply [f] to each frame as it completes, with no
+      frame list per chunk. Also returns where decoding stopped: the
+      chunk's end, unless [f] called {!pause}. *)
+
+  val pause : t -> unit
+  (** From {!feed_fold}'s [f]: stop after this frame. The bytes from the
+      returned offset on stay unread, for the caller to feed later. *)
 
   val finish : t -> (unit, error) result
   (** End of stream: [Error (Truncated _)] if an incomplete frame is

@@ -28,10 +28,7 @@ type report = {
   e2e_p99 : float;  (* nan until the first verdict *)
 }
 
-let is_depth_gauge name =
-  let prefix = "adprom_queue_depth_shard" in
-  String.length name >= String.length prefix
-  && String.sub name 0 (String.length prefix) = prefix
+let is_depth_gauge name = String.starts_with ~prefix:"adprom_queue_depth_shard" name
 
 let queue (s : Metrics.snapshot) =
   List.fold_left

@@ -1,14 +1,15 @@
 (** A TCP front door for one monitoring daemon — the `adprom serve
     --listen` node of a cluster.
 
-    One single-threaded [select] loop accepts connections and feeds
-    their bytes to the daemon's (single-acceptor) ingest path; scoring
-    still happens on the daemon's own worker domains. Each connection
-    autodetects its wire format from its first bytes: {!Frame.magic} →
-    binary frames, a [GET]/[HEAD] method name → plain HTTP, anything
-    else → the {!Transport.Text} line format — so `nc` with a text
-    record file, the binary {!Cluster.Router} and `curl` all work
-    against the same port.
+    {!serve} is a single-threaded [select] loop over {!Conn}, one
+    connection's protocol without its socket, which feeds the daemon's
+    (single-acceptor) ingest path; scoring still happens on the
+    daemon's own worker domains. Each connection autodetects its wire
+    format from its first bytes: {!Frame.magic} → binary frames, a
+    [GET]/[HEAD] method name → plain HTTP, anything else → the
+    {!Transport.Text} line format — so `nc` with a text record file,
+    the binary {!Cluster.Router} and `curl` all work against the same
+    port.
 
     The HTTP side is the node's operations plane (one request per
     connection, then close): [GET /metrics] answers the Prometheus text
@@ -19,10 +20,10 @@
 
     Binary connections speak the full {!Frame} protocol: [Hello] is
     answered with the node's name and a clock sample, [Call]/[Query]
-    frames are ingested (with an [Ack] sent back every {!ack_interval}
-    accepted items as flow feedback), [Health_req] is answered with the
-    node's status, the one {!Metrics.snapshot} that status was judged
-    from, the newest 32 incidents and the uptime, [Spans_req] with the
+    frames are ingested (with an [Ack] sent back every 4096 accepted
+    items as flow feedback), [Health_req] is answered with the node's
+    status, the one {!Metrics.snapshot} that status was judged from,
+    the newest 32 incidents and the uptime, [Spans_req] with the
     newest 10,000 retained spans, and [Bye] ends the serve loop — the
     daemon drains and the node replies with its [Summary] frame on that
     connection. Text connections can only stream items; they end at EOF.
@@ -30,10 +31,57 @@
     A connection that sends undecodable bytes — a frame stamped with
     another wire version than {!Frame.protocol_version} included — is
     closed without a reply and counted in
-    [adprom_wire_decode_errors_total]; the node keeps serving. *)
+    [adprom_wire_decode_errors_total]; the node keeps serving.
 
-val ack_interval : int
-(** Items between two [Ack] frames on a binary connection (4096). *)
+    No peer can stall the node: sockets are non-blocking, replies wait
+    in their connection's output until the peer reads them, and a
+    connection owing more than {!Conn.max_owed} is not read until it
+    drains. A descriptor [select] cannot watch (past FD_SETSIZE) is
+    closed at once, and a failed [accept] is skipped; both count
+    in [adprom_wire_connections_refused_total]. *)
+
+(** One connection's protocol, without its socket: bytes in, items to
+    the daemon, replies appended in order to the connection's output. *)
+module Conn : sig
+  type node
+  (** What a node's connections share: name, daemon, start time and
+      the wire counters, registered in {!Daemon.metrics}. *)
+
+  val node : name:string -> Daemon.t -> node
+
+  type t
+
+  type state =
+    | Open
+    | Closing  (** close once nothing is owed; input is ignored *)
+    | Bye  (** drain the daemon, then {!summarize} *)
+
+  val create : node -> t
+  val state : t -> state
+
+  val feed : t -> ?pos:int -> ?len:int -> string -> unit
+  (** Bytes from the peer (not retained). Once the output owes more
+      than {!max_owed}, the rest waits, unread, for {!drain}. *)
+
+  val eof : t -> unit
+  (** The peer hung up: a final text line is ingested, a truncated
+      frame counted as a decode error. *)
+
+  val max_owed : int
+  (** 1 MiB; the output exceeds it by one reply at most. *)
+
+  val owed : t -> int
+  val readable : t -> bool  (** [Open], owing at most {!max_owed} *)
+
+  val drain : t -> (Bytes.t -> int -> int -> int) -> unit
+  (** Give owed bytes to [write buf pos len], which returns how many it
+      took, until it takes less or nothing is owed; then process the
+      input kept unread, if the output is back under the cap. *)
+
+  val summarize : t -> Daemon.summary -> unit
+  (** Answer the [Bye] with the node's [Summary] frame.
+      @raise Invalid_argument in any other state. *)
+end
 
 val bind : ?backlog:int -> ?host:string -> int -> Unix.file_descr * int
 (** Bind and listen on [host:port] ([host] defaults to 127.0.0.1); port

@@ -204,7 +204,8 @@ module Text = struct
                 else begin
                   Buffer.add_substring dec.pending s i (j - i);
                   let l = Buffer.contents dec.pending in
-                  Buffer.clear dec.pending;
+                  (* reset: a long line must not pin its size *)
+                  Buffer.reset dec.pending;
                   l
                 end
               in

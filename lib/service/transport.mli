@@ -109,14 +109,7 @@ module Text : sig
   val encode_line : item -> string
   (** One line, without the trailing newline. *)
 
-  val parse_item : ?cache:Runtime.Collector.Cache.t -> string -> (item, string) result
-  (** Parse one wire line of either kind (no line-number context);
-      [cache] as in {!Runtime.Trace_io.parse_event}. *)
-
-  val parse_event_line :
-    ?cache:Runtime.Collector.Cache.t -> string -> (event, string) result
   val parse_query_line : string -> (query, string) result
-  val is_query_line : string -> bool
 
   val pending_bytes : dec -> int
   (** Bytes of an incomplete line buffered across feeds. A line that

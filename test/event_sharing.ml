@@ -54,32 +54,42 @@ let feed (module T : Transport.S) ?(after = fun _ _ -> ()) ~chunk bytes ~f =
 
 (* 100k all-distinct events: the decoder's reachable size once warm
    equals its size at the end, and the minor words it allocates per
-   item stay under [max_words]. *)
+   item stay under [max_words]. Its size after 64 KiB reads stays
+   within 1,024 words of its size after 4 KiB reads: a frame or line
+   split across two reads must not leave a read-sized buffer behind. *)
 let check_bounded (module T : Transport.S) ~max_words =
   let n = 100_000 in
   let items = distinct_items n in
   let bytes = Transport.encode_all (module T) items in
-  let chunk = 65_536 in
-  let warm = ref 0 and last = ref 0 in
-  let after dec reads =
-    let words = Obj.reachable_words dec in
-    if reads = 4 then warm := words;
-    last := words
+  let decoded_size ~chunk =
+    let warm = ref 0 and last = ref 0 in
+    let after dec reads =
+      let words = Obj.reachable_words dec in
+      if reads = 4 then warm := words;
+      last := words
+    in
+    let count = ref 0 in
+    let w0 = Gc.minor_words () in
+    feed (module T) ~after ~chunk bytes ~f:(fun _ -> incr count);
+    Alcotest.(check int) "every item decoded" n !count;
+    ((Gc.minor_words () -. w0) /. float_of_int n, !warm, !last)
   in
-  let count = ref 0 in
-  let w0 = Gc.minor_words () in
-  feed (module T) ~after ~chunk bytes ~f:(fun _ -> incr count);
-  let per_item = (Gc.minor_words () -. w0) /. float_of_int n in
-  Alcotest.(check int) "every item decoded" n !count;
+  let chunk = 65_536 in
+  let per_item, warm, last = decoded_size ~chunk in
   Alcotest.(check bool)
     (Printf.sprintf "%d reads" ((String.length bytes + chunk - 1) / chunk))
     true
     (String.length bytes > 8 * chunk);
-  Alcotest.(check int) "decoder size constant once warm" !warm !last;
+  Alcotest.(check int) "decoder size constant once warm" warm last;
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per item <= %d" per_item max_words)
     true
-    (per_item <= float_of_int max_words)
+    (per_item <= float_of_int max_words);
+  let _, _, small = decoded_size ~chunk:4096 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words after 64 KiB reads, %d after 4 KiB reads" last small)
+    true
+    (abs (last - small) <= 1024)
 
 (* One connection, chunk reads cut at odd offsets: every decoded event
    is the same record as the first decoded event equal to it. *)

@@ -4,8 +4,12 @@
    manual fold), observation (trace propagation plus a mid-stream
    scrape keeps verdicts bit-for-bit), the one wire version (a node
    refuses an earlier build's v1-stamped hello and then serves a
-   current router bit-for-bit), log-file rotation, and the
-   multi-process Chrome trace merge. *)
+   current router bit-for-bit), a serve loop no peer can stall (one
+   that never reads, descriptors select cannot watch), log-file
+   rotation, and the multi-process Chrome trace merge. The protocol
+   checks drive a node's connections in process (Server.Conn); only
+   the observation and serve-loop cases fork real nodes, and they run
+   first, because a process that has spawned domains must not fork. *)
 
 module Transport = Adprom_service.Transport
 module Frame = Adprom_service.Frame
@@ -133,63 +137,6 @@ let check_status what expected resp =
 (* The serve loop of a forked node named [name], for [Cluster.with_local]. *)
 let serve_node ~shards profile name socket =
   ignore (Server.serve ~socket ~name ~shards profile)
-
-let test_http_endpoints () =
-  let profile, _ = Lazy.force fixture in
-  Cluster.with_local [ "web" ] (serve_node ~shards:2 profile) @@ fun nodes ->
-  let node = List.hd nodes in
-  let port = node.Cluster.port in
-  (* /healthz: a fresh node is healthy, and the body is the Health JSON *)
-  let hz = http_get ~port "/healthz" in
-  check_status "/healthz" 200 hz;
-  Alcotest.(check bool) "/healthz content-type json" true
-    (contains ~needle:"Content-Type: application/json" hz);
-  let hz_body = body_of_response hz in
-  Alcotest.(check bool) "/healthz says ok" true
-    (contains ~needle:"\"status\":\"ok\"" hz_body);
-  Alcotest.(check bool) "/healthz names the node" true
-    (contains ~needle:"\"node\":\"web\"" hz_body);
-  (* /metrics: Prometheus text with the HELP/TYPE preamble and the full
-     cumulative bucket series of the e2e histogram *)
-  let m = http_get ~port "/metrics" in
-  check_status "/metrics" 200 m;
-  let mb = body_of_response m in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "/metrics has %S" needle)
-        true (contains ~needle mb))
-    [
-      "# TYPE adprom_e2e_latency_seconds histogram";
-      "adprom_e2e_latency_seconds_bucket{le=\"+Inf\"}";
-      "# TYPE adprom_queue_wait_seconds histogram";
-      "# TYPE adprom_http_requests_total counter";
-    ];
-  (* /incidents: a JSON tail, empty on a quiet node *)
-  let inc = http_get ~port "/incidents?n=5" in
-  check_status "/incidents" 200 inc;
-  Alcotest.(check bool) "/incidents is a JSON tail" true
-    (contains ~needle:"\"incidents\":[" (body_of_response inc));
-  (* error paths: unknown target and a bad n= *)
-  check_status "unknown path" 404 (http_get ~port "/nope");
-  check_status "bad n=" 400 (http_get ~port "/incidents?n=bogus");
-  (* HEAD answers the header only *)
-  let head =
-    http_request ~port "HEAD /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
-  in
-  check_status "HEAD /healthz" 200 head;
-  Alcotest.(check string) "HEAD body empty" "" (body_of_response head);
-  (* the binary wire still works on the same port: drain via a router *)
-  let peers =
-    [ { Cluster.peer_name = "web"; host = "127.0.0.1"; port } ]
-  in
-  (match Cluster.Router.connect peers with
-  | Error e -> Alcotest.failf "connect: %s" e
-  | Ok router -> (
-      match Cluster.Router.finish router with
-      | Error e -> Alcotest.failf "finish: %s" e
-      | Ok _ -> ()));
-  Cluster.wait_local node
 
 (* --- fleet rollup = manual fold (QCheck2) ------------------------------------ *)
 
@@ -458,7 +405,235 @@ let test_observation_keeps_verdicts () =
   Alcotest.(check bool) "incident multiset equal" true
     (incidents = List.sort compare merged.Frame.incidents)
 
-(* --- one wire version: an old build's hello is refused --------------------- *)
+(* --- serve loop: no peer stalls or crashes the node -------------------------- *)
+
+let peers_of nodes =
+  List.map
+    (fun (l : Cluster.local) ->
+      { Cluster.peer_name = l.Cluster.name; host = "127.0.0.1"; port = l.Cluster.port })
+    nodes
+
+(* Stream [items] through a router to [nodes] and finish: the merged
+   summary, which must hold the verdicts of a single-node replay. *)
+let route_and_finish nodes items =
+  match Cluster.Router.connect (peers_of nodes) with
+  | Error e -> Alcotest.failf "connect: %s" e
+  | Ok router -> (
+      (match Cluster.Router.send_stream router items with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "send: %s" e);
+      Alcotest.(check int) "no items lost" 0 (Cluster.Router.lost_items router);
+      match Cluster.Router.finish router with
+      | Error e -> Alcotest.failf "finish: %s" e
+      | Ok summaries -> Cluster.merge summaries)
+
+let check_pinned ~shards profile items merged =
+  let single =
+    in_child (fun () ->
+        List.map session_key
+          (Replay.run (Daemon.create ~shards profile) items).Replay.summary.Daemon.sessions)
+  in
+  Alcotest.(check bool) "verdicts bit-for-bit the single-node replay's" true
+    (single = List.map session_key merged.Frame.summary.Daemon.sessions)
+
+let raw_connect ?rcvbuf port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Option.iter (Unix.setsockopt_int fd Unix.SO_RCVBUF) rcvbuf;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+(* A peer pipelines health requests on one connection and never reads a
+   reply. Its replies back up into the node, which stops reading it
+   once it owes a megabyte; a router on another connection streams and
+   finishes meanwhile, verdicts pinned. *)
+let test_unread_replies () =
+  let profile, _ = Lazy.force fixture in
+  let items = stream_items () in
+  Cluster.with_local [ "alpha" ] (serve_node ~shards:2 profile) @@ fun nodes ->
+  let node = List.hd nodes in
+  let hog = raw_connect ~rcvbuf:4096 node.Cluster.port in
+  let requests =
+    let enc = Frame.Encoder.create () and buf = Buffer.create (1 lsl 18) in
+    for _ = 1 to 32_768 do
+      Frame.Encoder.add enc buf Frame.Health_req
+    done;
+    Frame.Encoder.flush enc buf;
+    Buffer.to_bytes buf
+  in
+  (* send what the socket takes: the node may stop reading before all
+     of it, and this process must not block on that *)
+  Unix.set_nonblock hog;
+  let rec send pos =
+    if pos < Bytes.length requests then
+      match Unix.write hog requests pos (Bytes.length requests - pos) with
+      | n -> send (pos + n)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> pos
+    else pos
+  in
+  let sent = send 0 in
+  Alcotest.(check bool) "requests sent" true (sent >= 65_536);
+  let merged = route_and_finish nodes items in
+  Cluster.wait_local node;
+  Unix.close hog;
+  check_pinned ~shards:2 profile items merged
+
+(* The node holds every descriptor below select's FD_SETSIZE (1024) but
+   one: a router's connection gets the last watchable descriptor and a
+   raw client's the first one past it. The raw client is refused at
+   once, the refusal is counted, and the router is served bit-for-bit. *)
+let test_fd_setsize_refused () =
+  let profile, _ = Lazy.force fixture in
+  let items = stream_items () in
+  let fill_below_fd_setsize () =
+    let selectable fd =
+      match Unix.select [ fd ] [] [] 0.0 with
+      | _ -> true
+      | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+    in
+    let rec hold last =
+      let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+      if selectable fd then hold (Some fd)
+      else begin
+        Unix.close fd;
+        Option.iter Unix.close last
+      end
+    in
+    hold None
+  in
+  Cluster.with_local [ "edge" ]
+    (fun name socket ->
+      fill_below_fd_setsize ();
+      serve_node ~shards:2 profile name socket)
+  @@ fun nodes ->
+  let node = List.hd nodes in
+  match Cluster.Router.connect (peers_of nodes) with
+  | Error e -> Alcotest.failf "connect: %s" e
+  | Ok router ->
+      let raw = raw_connect node.Cluster.port in
+      let answer = Bytes.create 16 in
+      let got = try Unix.read raw answer 0 16 with Unix.Unix_error (Unix.ECONNRESET, _, _) -> 0 in
+      Unix.close raw;
+      Alcotest.(check int) "the raw client sees EOF only" 0 got;
+      (match Cluster.Router.health router with
+      | Ok [ (_, h) ] ->
+          Alcotest.(check int) "one refusal counted" 1
+            (Metrics.snapshot_counter h.Frame.h_snapshot
+               "adprom_wire_connections_refused_total")
+      | Ok _ -> Alcotest.fail "expected one node's health"
+      | Error e -> Alcotest.failf "health: %s" e);
+      (match Cluster.Router.send_stream router items with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "send: %s" e);
+      let merged =
+        match Cluster.Router.finish router with
+        | Error e -> Alcotest.failf "finish: %s" e
+        | Ok summaries -> Cluster.merge summaries
+      in
+      Cluster.wait_local node;
+      check_pinned ~shards:2 profile items merged
+
+(* --- the same node in process: Server.Conn with no socket ------------------- *)
+
+(* A node's connections without a socket; the daemon is the caller's to
+   drain. *)
+let in_process ~shards profile name =
+  let daemon = Daemon.create ~shards profile in
+  (daemon, Server.Conn.node ~name daemon)
+
+(* Everything the connection owes its peer, taken at once. *)
+let answer c =
+  let out = Buffer.create 256 in
+  Server.Conn.drain c (fun b pos len ->
+      Buffer.add_subbytes out b pos len;
+      len);
+  Buffer.contents out
+
+(* One connection: [bytes] in, the answer out, and whether the node then
+   closes it. *)
+let exchange node bytes =
+  let c = Server.Conn.create node in
+  Server.Conn.feed c bytes;
+  (c, answer c)
+
+let conn_http_request node request =
+  let c, resp = exchange node request in
+  Alcotest.(check bool) "one request per connection" true
+    (Server.Conn.state c = Server.Conn.Closing);
+  resp
+
+let conn_http_get node target =
+  conn_http_request node (Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" target)
+
+(* What a router sends: a hello, then [frames]. *)
+let router_bytes frames =
+  let enc = Frame.Encoder.create () and buf = Buffer.create 4096 in
+  List.iter (Frame.Encoder.add enc buf) (Frame.Hello { peer = "router"; sample = None } :: frames);
+  Frame.Encoder.flush enc buf;
+  Buffer.contents buf
+
+let frames_of s =
+  match Frame.Decoder.feed (Frame.Decoder.create ()) s with
+  | Ok frames -> frames
+  | Error e -> Alcotest.failf "node answered undecodable bytes: %s" (Frame.error_to_string e)
+
+(* A router's whole session on one connection: hello, [frames], bye; the
+   node drains its daemon and answers with its summary. *)
+let finish_in_process daemon node frames =
+  let c = Server.Conn.create node in
+  Server.Conn.feed c (router_bytes (frames @ [ Frame.Bye ]));
+  Server.Conn.summarize c (Daemon.drain daemon);
+  match frames_of (answer c) with
+  | Frame.Hello _ :: rest -> (
+      match List.rev rest with
+      | Frame.Summary s :: _ -> s
+      | _ -> Alcotest.fail "no summary after bye")
+  | _ -> Alcotest.fail "no hello back"
+
+let test_http_endpoints () =
+  let profile, _ = Lazy.force fixture in
+  let daemon, node = in_process ~shards:2 profile "web" in
+  (* /healthz: a fresh node is healthy, and the body is the Health JSON *)
+  let hz = conn_http_get node "/healthz" in
+  check_status "/healthz" 200 hz;
+  Alcotest.(check bool) "/healthz content-type json" true
+    (contains ~needle:"Content-Type: application/json" hz);
+  let hz_body = body_of_response hz in
+  Alcotest.(check bool) "/healthz says ok" true
+    (contains ~needle:"\"status\":\"ok\"" hz_body);
+  Alcotest.(check bool) "/healthz names the node" true
+    (contains ~needle:"\"node\":\"web\"" hz_body);
+  (* /metrics: Prometheus text with the HELP/TYPE preamble and the full
+     cumulative bucket series of the e2e histogram *)
+  let m = conn_http_get node "/metrics" in
+  check_status "/metrics" 200 m;
+  let mb = body_of_response m in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool)
+        (Printf.sprintf "/metrics has %S" needle)
+        true (contains ~needle mb))
+    [
+      "# TYPE adprom_e2e_latency_seconds histogram";
+      "adprom_e2e_latency_seconds_bucket{le=\"+Inf\"}";
+      "# TYPE adprom_queue_wait_seconds histogram";
+      "# TYPE adprom_http_requests_total counter";
+    ];
+  (* /incidents: a JSON tail, empty on a quiet node *)
+  let inc = conn_http_get node "/incidents?n=5" in
+  check_status "/incidents" 200 inc;
+  Alcotest.(check bool) "/incidents is a JSON tail" true
+    (contains ~needle:"\"incidents\":[" (body_of_response inc));
+  (* error paths: unknown target and a bad n= *)
+  check_status "unknown path" 404 (conn_http_get node "/nope");
+  check_status "bad n=" 400 (conn_http_get node "/incidents?n=bogus");
+  (* HEAD answers the header only *)
+  let head =
+    conn_http_request node "HEAD /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+  in
+  check_status "HEAD /healthz" 200 head;
+  Alcotest.(check string) "HEAD body empty" "" (body_of_response head);
+  (* the binary wire still works on the same node: drain via a router *)
+  ignore (finish_in_process daemon node [])
 
 (* The value of one counter line in a /metrics body. *)
 let counter_value name body =
@@ -469,6 +644,13 @@ let counter_value name body =
       | _ -> None)
     (String.split_on_char '\n' body)
 
+let decode_errors node =
+  match
+    counter_value "adprom_wire_decode_errors_total" (body_of_response (conn_http_get node "/metrics"))
+  with
+  | Some n -> n
+  | None -> Alcotest.fail "no adprom_wire_decode_errors_total in /metrics"
+
 (* A raw client sends the hello an earlier build's router sent: stamped
    version 1, payload [varint 2][str "router"]. The node must answer
    nothing, close, and count a decode error — and still serve a normal
@@ -476,38 +658,21 @@ let counter_value name body =
 let test_v1_hello_refused () =
   let profile, _ = Lazy.force fixture in
   let items = stream_items () in
-  Cluster.with_local [ "alpha" ] (serve_node ~shards:2 profile) @@ fun nodes ->
-  let node = List.hd nodes in
-  let port = node.Cluster.port in
-  let decode_errors () =
-    match
-      counter_value "adprom_wire_decode_errors_total"
-        (body_of_response (http_get ~port "/metrics"))
-    with
-    | Some n -> n
-    | None -> Alcotest.fail "no adprom_wire_decode_errors_total in /metrics"
-  in
-  let before = decode_errors () in
+  let daemon, node = in_process ~shards:2 profile "alpha" in
+  let before = decode_errors node in
   let v1_hello = Frame.magic ^ "\x01\x00\x00\x00\x00\x08\x02\x06router" in
-  let answer = http_request ~port v1_hello in
-  let after = decode_errors () in
-  let peers = [ { Cluster.peer_name = "alpha"; host = "127.0.0.1"; port } ] in
-  let summaries =
-    match Cluster.Router.connect peers with
-    | Error e -> Alcotest.failf "connect: %s" e
-    | Ok router -> (
-        (match Cluster.Router.send_stream router items with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "send: %s" e);
-        Alcotest.(check int) "no items lost" 0 (Cluster.Router.lost_items router);
-        match Cluster.Router.finish router with
-        | Error e -> Alcotest.failf "finish: %s" e
-        | Ok summaries -> summaries)
+  let c, answer = exchange node v1_hello in
+  let after = decode_errors node in
+  let merged =
+    finish_in_process daemon node
+      (List.map
+         (function Transport.Call ev -> Frame.Call ev | Transport.Query q -> Frame.Query q)
+         (Array.to_list items))
   in
-  Cluster.wait_local node;
   Alcotest.(check string) "no hello back, only EOF" "" answer;
+  Alcotest.(check bool) "closed" true (Server.Conn.state c = Server.Conn.Closing);
   Alcotest.(check int) "decode error counted" (before + 1) after;
-  let merged = Cluster.merge summaries in
+  Alcotest.(check int) "no items lost" (Array.length items) merged.Frame.summary.Daemon.events_ingested;
   let single = Replay.run (Daemon.create ~shards:2 profile) items in
   Alcotest.(check bool) "verdicts bit-for-bit after the refusal" true
     (List.map session_key single.Replay.summary.Daemon.sessions
@@ -519,49 +684,32 @@ let test_v1_hello_refused () =
    exchange afterwards. *)
 let test_unassigned_tags_refused () =
   let profile, _ = Lazy.force fixture in
-  Cluster.with_local [ "alpha" ] (serve_node ~shards:1 profile) @@ fun nodes ->
-  let node = List.hd nodes in
-  let port = node.Cluster.port in
-  let decode_errors () =
-    match
-      counter_value "adprom_wire_decode_errors_total"
-        (body_of_response (http_get ~port "/metrics"))
-    with
-    | Some n -> n
-    | None -> Alcotest.fail "no adprom_wire_decode_errors_total in /metrics"
-  in
-  let before = decode_errors () in
+  let daemon, node = in_process ~shards:1 profile "alpha" in
+  let before = decode_errors node in
   let answers =
     List.map
       (fun tag ->
-        http_request ~port
-          (Frame.magic
-          ^ String.make 1 (Char.chr Frame.protocol_version)
-          ^ String.make 1 (Char.chr tag)
-          ^ "\x00\x00\x00\x00"))
+        let c, answer =
+          exchange node
+            (Frame.magic
+            ^ String.make 1 (Char.chr Frame.protocol_version)
+            ^ String.make 1 (Char.chr tag)
+            ^ "\x00\x00\x00\x00")
+        in
+        Alcotest.(check bool) "closed" true (Server.Conn.state c = Server.Conn.Closing);
+        answer)
       [ 4; 5 ]
   in
-  let after = decode_errors () in
-  let peers = [ { Cluster.peer_name = "alpha"; host = "127.0.0.1"; port } ] in
-  let health =
-    match Cluster.Router.connect peers with
-    | Error e -> Alcotest.failf "connect: %s" e
-    | Ok router ->
-        let h = Cluster.Router.health router in
-        (match Cluster.Router.finish router with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "finish: %s" e);
-        h
-  in
-  Cluster.wait_local node;
+  let after = decode_errors node in
+  let _, health = exchange node (router_bytes [ Frame.Health_req ]) in
+  ignore (Daemon.drain daemon);
   Alcotest.(check (list string)) "no reply, only EOF" [ ""; "" ] answers;
   Alcotest.(check int) "one decode error per frame" (before + 2) after;
-  match health with
-  | Ok [ (_, h) ] ->
+  match frames_of health with
+  | [ Frame.Hello _; Frame.Health_resp h ] ->
       Alcotest.(check string) "still serving" "ok"
         (Health.status_to_string h.Frame.h_status)
-  | Ok _ -> Alcotest.fail "expected one node's health"
-  | Error e -> Alcotest.failf "health: %s" e
+  | _ -> Alcotest.fail "expected a hello and one health reply"
 
 (* --- log rotation ------------------------------------------------------------- *)
 
@@ -646,19 +794,25 @@ let test_chrome_cluster_merge () =
 let () =
   Alcotest.run "ops"
     [
-      ( "http",
-        [ Alcotest.test_case "exposition endpoints" `Quick test_http_endpoints ] );
       ( "rollup",
         [ QCheck_alcotest.to_alcotest prop_rollup_equals_fold ] );
+      (* the cases that fork nodes come first: the in-process cases
+         below spawn daemon domains, after which no process may fork *)
       ( "obs",
         [
           Alcotest.test_case "traced, scraped, verdicts pinned" `Quick
             test_observation_keeps_verdicts;
         ] );
+      ( "serve",
+        [
+          Alcotest.test_case "unread replies stall no one" `Quick test_unread_replies;
+          Alcotest.test_case "past FD_SETSIZE refused, node serves on" `Quick
+            test_fd_setsize_refused;
+        ] );
+      ( "http",
+        [ Alcotest.test_case "exposition endpoints" `Quick test_http_endpoints ] );
       ( "wire",
         [
-          (* first: the v1 case replays in this process, and a process
-             that has spawned domains cannot fork another node *)
           Alcotest.test_case "unassigned tags refused, node serves on" `Quick
             test_unassigned_tags_refused;
           Alcotest.test_case "v1 hello refused, verdicts pinned" `Quick

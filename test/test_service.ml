@@ -769,6 +769,302 @@ let prop_windows_per_session =
       in
       via_sessions = direct)
 
+(* --- a node in process: Server.Conn under a simulated loop ---------------- *)
+
+module Server = Adprom_service.Server
+module Frame = Adprom_service.Frame
+module Cluster = Adprom_service.Cluster
+module Conn = Server.Conn
+
+type wire = Bin | Txt | Web
+
+let wire_name = function Bin -> "binary" | Txt -> "text" | Web -> "http"
+
+(* One simulated peer: the bytes it would send, where each of its items
+   ends in them, and what it has read back. *)
+type peer = {
+  kind : wire;
+  conn : Conn.t;
+  input : string;
+  cut : int;  (* bytes sent before the peer hangs up, or stops *)
+  ends : (int * Transport.item) array;  (* item's last byte + 1, send order *)
+  reads : bool;
+  mutable fed : int;
+  mutable hung_up : bool;
+  mutable whole_at_feed_end : int list;
+  recv : Buffer.t;
+}
+
+let frames_of bytes =
+  match Frame.Decoder.feed (Frame.Decoder.create ()) bytes with
+  | Ok frames -> frames
+  | Error e -> QCheck2.Test.fail_reportf "node output undecodable: %s" (Frame.error_to_string e)
+
+(* A hello, then [items] and [tail] as frames: the bytes, and where each
+   item's frame ends in them. *)
+let binary_input items ~tail =
+  let enc = Frame.Encoder.create () and buf = Buffer.create 4096 in
+  let add f =
+    Frame.Encoder.add enc buf f;
+    Frame.Encoder.flush enc buf;
+    Buffer.length buf
+  in
+  ignore (add (Frame.Hello { peer = "sim"; sample = None }));
+  let ends =
+    Array.map
+      (fun it ->
+        (add (match it with Transport.Call ev -> Frame.Call ev | Transport.Query q -> Frame.Query q), it))
+      items
+  in
+  List.iter (fun f -> ignore (add f)) tail;
+  (Buffer.contents buf, ends)
+
+let text_input items =
+  let buf = Buffer.create 4096 in
+  let ends =
+    Array.map
+      (fun it ->
+        Buffer.add_string buf (Transport.Text.encode_line it);
+        Buffer.add_char buf '\n';
+        (Buffer.length buf, it))
+      items
+  in
+  (Buffer.contents buf, ends)
+
+let whole p upto = Array.fold_left (fun n (e, _) -> if e <= upto then n + 1 else n) 0 p.ends
+
+(* The node's name is 4,096 bytes, so each hello it answers is one
+   reply of [hello_reply] bytes, and 256 pipelined hellos pass the cap:
+   the never-read connection sends [n]. *)
+let sim_name = String.make 4096 'n'
+let hellos =
+  let hello = lazy (fst (binary_input [||] ~tail:[])) in
+  fun n -> String.concat "" (List.init n (fun _ -> Lazy.force hello))
+
+let hello_reply =
+  let buf = Buffer.create 8192 and enc = Frame.Encoder.create () in
+  Frame.Encoder.add enc buf (Frame.Hello { peer = sim_name; sample = Some (0L, 0L) });
+  Frame.Encoder.flush enc buf;
+  Buffer.length buf
+
+let sim_session_key (r : Daemon.session_report) =
+  ( r.Daemon.session, r.Daemon.events, r.Daemon.windows, r.Daemon.worst,
+    List.map
+      (fun (v : Detector.verdict) ->
+        (v.Detector.flag, Int64.bits_of_float v.Detector.score, v.Detector.unknown_symbol,
+         v.Detector.unknown_pair))
+      r.Daemon.verdicts )
+
+(* 64 sessions, each a fixture trace run back to back until it is about
+   50 calls long, interleaved, each call followed by two executed
+   queries. The query axis is off, so queries cost the daemon nothing,
+   yet they count as ingested items: a connection carrying the whole
+   stream (about 10,000 items) is acked. *)
+let sim_items =
+  lazy
+    (let traces = Array.of_list (traces ()) in
+     let session i =
+       let t = traces.(i mod Array.length traces) in
+       Array.concat (List.init (1 + (50 / Array.length t)) (fun _ -> t))
+     in
+     let host = Sessions.interleave ~rng:(Mlkit.Rng.create 3) (List.init 64 session) in
+     Array.of_list
+       (List.concat_map
+          (fun (ev : Transport.event) ->
+            let q rows =
+              Transport.Query { Transport.q_session = ev.Transport.session; rows; sql = "SELECT name FROM t" }
+            in
+            [ Transport.Call ev; q 0; q 1 ])
+          (Array.to_list host)))
+
+(* a lone binary connection carries the whole stream *)
+let sim_binary = lazy (binary_input (Lazy.force sim_items) ~tail:[])
+
+let http_body resp =
+  let rec find i =
+    if i + 4 > String.length resp then None
+    else if String.sub resp i 4 = "\r\n\r\n" then Some (String.sub resp (i + 4) (String.length resp - i - 4))
+    else find (i + 1)
+  in
+  find 0
+
+(* Connections carrying [kinds] of traffic, next to one that sends a
+   string of hellos ([past_cap]: enough to pass the cap) and
+   never reads, through one node in process; random reads, partial
+   writes and hang-ups. A lone binary connection carries every item, so
+   it is acked; otherwise the connections share a prefix. *)
+let simulate profile (kinds, past_cap, seed) =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let items =
+    let all = Lazy.force sim_items in
+    if kinds = [ Bin ] then all else Array.sub all 0 (int 600)
+  in
+  (* sessions partitioned by connection, as a router partitions them *)
+  let name i = Printf.sprintf "%d/%d" seed i in
+  let owner =
+    match List.concat (List.mapi (fun i k -> if k = Web then [] else [ name i ]) kinds) with
+    | [] -> fun _ -> ""
+    | carriers ->
+        let ring = Cluster.Ring.create carriers and memo = Hashtbl.create 64 in
+        fun session ->
+          match Hashtbl.find_opt memo session with
+          | Some node -> node
+          | None ->
+              let node = Cluster.Ring.node ring session in
+              Hashtbl.add memo session node;
+              node
+  and daemon = Daemon.create ~shards:1 ~queue_capacity:(1 lsl 20) profile in
+  let node = Conn.node ~name:sim_name daemon in
+  let peer ~reads kind (input, ends) =
+    let len = String.length input in
+    let cut =
+      match kind with
+      | Bin when reads -> int (len + 1) (* hangs up mid-frame as often as not *)
+      | Txt -> ( match int (Array.length ends + 1) with 0 -> 0 | k -> fst ends.(k - 1))
+      | Bin | Web -> len
+    in
+    { kind; conn = Conn.create node; input; cut; ends; reads; fed = 0; hung_up = false;
+      whole_at_feed_end = []; recv = Buffer.create 256 }
+  in
+  let flooder =
+    peer ~reads:false Bin (hellos (if past_cap then 300 else int 30), [||])
+  in
+  let peers =
+    List.mapi
+      (fun i kind ->
+        let me = name i in
+        let mine () =
+          Array.of_list
+            (List.filter (fun it -> owner (Transport.item_session it) = me) (Array.to_list items))
+        in
+        peer ~reads:true kind
+          (match kind with
+          | Web ->
+              let target = [| "/metrics"; "/healthz"; "/incidents?n=3" |].(int 3) in
+              (Printf.sprintf "GET %s HTTP/1.1\r\nHost: sim\r\n\r\n" target, [||])
+          | Txt -> text_input (mine ())
+          | Bin when kinds = [ Bin ] -> Lazy.force sim_binary
+          | Bin -> binary_input (mine ()) ~tail:[]))
+      kinds
+  in
+  let all = flooder :: peers in
+  let can_feed p = Conn.readable p.conn && (p.fed < p.cut || (p.reads && not p.hung_up)) in
+  let can_drain p = p.reads && Conn.owed p.conn > 0 in
+  let feed p =
+    if p.fed < p.cut then begin
+      let size = match int 3 with 0 -> 1 + int 16 | 1 -> 1 + int 4096 | _ -> 1 + int 65536 in
+      let len = min size (p.cut - p.fed) in
+      Conn.feed p.conn ~pos:p.fed ~len p.input;
+      p.fed <- p.fed + len;
+      p.whole_at_feed_end <- whole p p.fed :: p.whole_at_feed_end
+    end
+    else begin
+      Conn.eof p.conn;
+      p.hung_up <- true
+    end;
+    if Conn.owed flooder.conn > Conn.max_owed + hello_reply then
+      QCheck2.Test.fail_reportf "never-read connection owes %d bytes" (Conn.owed flooder.conn)
+  in
+  let drain p =
+    Conn.drain p.conn (fun b pos len ->
+        let k = int (len + 1) in
+        Buffer.add_subbytes p.recv b pos k;
+        k)
+  in
+  let rec run () =
+    match List.filter (fun p -> can_feed p || can_drain p) all with
+    | [] -> ()
+    | ready ->
+        let p = List.nth ready (int (List.length ready)) in
+        if can_feed p && ((not (can_drain p)) || Random.State.bool st) then feed p else drain p;
+        run ()
+  in
+  run ();
+  if past_cap && Conn.owed flooder.conn <= Conn.max_owed then
+    QCheck2.Test.fail_reportf "the flood never reached the cap (%d bytes owed)"
+      (Conn.owed flooder.conn);
+  (* a router's finish: hello, bye, then the node drains and answers *)
+  let closer = Conn.create node in
+  Conn.feed closer (fst (binary_input [||] ~tail:[ Frame.Bye ]));
+  if Conn.state closer <> Conn.Bye then QCheck2.Test.fail_reportf "bye not seen";
+  Conn.summarize closer (Daemon.drain daemon);
+  let out = Buffer.create 4096 in
+  Conn.drain closer (fun b pos len ->
+      Buffer.add_subbytes out b pos len;
+      len);
+  let node_summary =
+    match frames_of (Buffer.contents out) with
+    | [ Frame.Hello _; Frame.Summary s ] -> s
+    | fs -> QCheck2.Test.fail_reportf "closer read %d frames, not hello + summary" (List.length fs)
+  in
+  (* exactly what each peer delivered whole, in its own order *)
+  let delivered =
+    List.concat_map
+      (fun p -> List.filter_map (fun (e, it) -> if e <= p.fed then Some it else None) (Array.to_list p.ends))
+      peers
+  in
+  let single =
+    Replay.run (Daemon.create ~shards:1 ~queue_capacity:(1 lsl 20) profile) (Array.of_list delivered)
+  in
+  let got = node_summary.Frame.summary and want = single.Replay.summary in
+  if got.Daemon.events_dropped <> 0 then
+    QCheck2.Test.fail_reportf "%d events dropped" got.Daemon.events_dropped;
+  if got.Daemon.events_ingested <> want.Daemon.events_ingested then
+    QCheck2.Test.fail_reportf "ingested %d, replay %d" got.Daemon.events_ingested
+      want.Daemon.events_ingested;
+  if List.map sim_session_key got.Daemon.sessions <> List.map sim_session_key want.Daemon.sessions
+  then QCheck2.Test.fail_reportf "session reports differ from Replay.run";
+  let rendered (i : Alerts.incident) = (i.Alerts.session, Alerts.source_to_string i.Alerts.source) in
+  if List.sort compare node_summary.Frame.incidents
+     <> List.sort compare (List.map rendered (Alerts.incidents single.Replay.alerts))
+  then QCheck2.Test.fail_reportf "incident multiset differs from Replay.run";
+  (* what each reading peer got back *)
+  List.iter
+    (fun p ->
+      let recv = Buffer.contents p.recv in
+      match p.kind with
+      | Web -> (
+          match http_body recv with
+          | Some body
+            when String.starts_with ~prefix:"HTTP/1.1 " recv
+                 && contains ~needle:(Printf.sprintf "Content-Length: %d\r\n" (String.length body)) recv
+            -> ()
+          | _ -> QCheck2.Test.fail_reportf "not one whole HTTP response: %S" recv)
+      | Txt -> if recv <> "" then QCheck2.Test.fail_reportf "a text peer was answered"
+      | Bin ->
+          (* an Ack counts exactly the items delivered whole by the end
+             of some read, and acks come at least 4096 items apart *)
+          List.fold_left
+            (fun last -> function
+              | Frame.Ack { count } ->
+                  if not (List.mem count p.whole_at_feed_end) then
+                    QCheck2.Test.fail_reportf "ack of %d items matches no read's end" count;
+                  if count - last < 4096 then
+                    QCheck2.Test.fail_reportf "acks %d, %d too close" last count;
+                  count
+              | _ -> last)
+            0 (frames_of recv)
+          |> ignore)
+    peers;
+  true
+
+let prop_node_simulation =
+  QCheck2.Test.make ~name:"simulated connections = Replay.run" ~count:100
+    ~print:(fun (kinds, past_cap, seed) ->
+      Printf.sprintf "%s, %s, seed %d"
+        (String.concat ", " (List.map wire_name kinds))
+        (if past_cap then "never-read peer past the cap" else "never-read peer under the cap")
+        seed)
+    QCheck2.Gen.(
+      let seed = int_bound 1_000_000 and past_cap = frequencyl [ (1, true); (5, false) ] in
+      frequency
+        [
+          (1, map2 (fun past_cap seed -> ([ Bin ], past_cap, seed)) past_cap seed);
+          (5, triple (list_size (int_range 1 4) (oneofl [ Bin; Txt; Web ])) past_cap seed);
+        ])
+    (fun script -> simulate (profile ()) script)
+
 let () =
   Alcotest.run "service"
     [
@@ -820,6 +1116,8 @@ let () =
           Alcotest.test_case "explanations rendered" `Quick
             test_alert_explanation_rendered;
         ] );
+      ( "node",
+          [ QCheck_alcotest.to_alcotest prop_node_simulation ] );
       ( "sessions properties",
         [
           QCheck_alcotest.to_alcotest prop_demux_inverts_interleave;
