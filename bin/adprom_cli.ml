@@ -666,20 +666,13 @@ let capacity_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Interleaving RNG seed.")
 
-let vet_policy_conv =
-  let parse s =
-    match Adprom.Profile_check.policy_of_string s with
-    | Some p -> Ok p
-    | None -> Error (`Msg (Printf.sprintf "unknown vet policy %S (off|warn|enforce)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun ppf p -> Format.pp_print_string ppf (Adprom.Profile_check.policy_to_string p) )
-
 let vet_policy_arg =
   Arg.(
     value
-    & opt vet_policy_conv Adprom.Profile_check.Warn
+    & opt
+        (enum
+           Adprom.Profile_check.[ ("off", Off); ("warn", Warn); ("enforce", Enforce) ])
+        Adprom.Profile_check.Warn
     & info [ "vet-profile" ] ~docv:"POLICY"
         ~doc:
           "Vet the profile against the program's static analysis before monitoring: \
@@ -687,15 +680,8 @@ let vet_policy_arg =
            $(b,enforce) (refuse a profile with error-class findings).")
 
 let static_gate_conv =
-  let parse s =
-    match Service.Daemon.gate_mode_of_string s with
-    | Some m -> Ok m
-    | None ->
-        Error (`Msg (Printf.sprintf "unknown static-gate mode %S (off|explain|enforce)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun ppf m -> Format.pp_print_string ppf (Service.Daemon.gate_mode_to_string m) )
+  Arg.enum
+    Service.Daemon.[ ("off", Gate_off); ("explain", Gate_explain); ("enforce", Gate_enforce) ]
 
 let static_gate_arg =
   Arg.(
@@ -708,21 +694,12 @@ let static_gate_arg =
            verdicts unchanged), or $(b,enforce) (statically impossible windows \
            short-circuit to an anomalous verdict without a forward pass).")
 
-let qsig_mode_conv =
-  let parse s =
-    match Service.Daemon.qsig_mode_of_string s with
-    | Some m -> Ok m
-    | None ->
-        Error (`Msg (Printf.sprintf "unknown qsig mode %S (off|warn|enforce)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun ppf m -> Format.pp_print_string ppf (Service.Daemon.qsig_mode_to_string m) )
-
 let qsig_mode_arg =
   Arg.(
     value
-    & opt qsig_mode_conv Service.Daemon.Qsig_off
+    & opt
+        (enum Service.Daemon.[ ("off", Qsig_off); ("warn", Qsig_warn); ("enforce", Qsig_enforce) ])
+        Service.Daemon.Qsig_off
     & info [ "qsig" ] ~docv:"MODE"
         ~doc:
           "Query-signature detection axis over the stream's executed-query lines: \
@@ -809,18 +786,16 @@ let log_tail_arg =
     & info [ "log-tail" ] ~docv:"N"
         ~doc:"Print the last N structured events from the daemon's per-shard rings.")
 
-let log_level_conv =
-  let parse s =
-    match Adprom_obs.Log.level_of_string s with
-    | Some l -> Ok l
-    | None -> Error (`Msg (Printf.sprintf "unknown log level %S" s))
-  in
-  Arg.conv (parse, fun ppf l -> Format.pp_print_string ppf (Adprom_obs.Log.level_to_string l))
-
 let log_level_arg =
   Arg.(
     value
-    & opt (some log_level_conv) None
+    & opt
+        (some
+           (enum
+              Adprom_obs.Log.
+                [ ("debug", Debug); ("info", Info); ("warn", Warn); ("warning", Warn);
+                  ("error", Error) ]))
+        None
     & info [ "log-level" ] ~docv:"LEVEL"
         ~doc:
           "Emit structured events at LEVEL and above (debug|info|warn|error) as JSONL \
@@ -934,19 +909,15 @@ let print_outcome ?labels ?(log_tail = 0) (outcome : Service.Replay.outcome) =
     (Service.Replay.throughput outcome)
     outcome.Service.Replay.seconds
 
-let wire_conv =
-  let parse s =
-    match Service.Transport.wire_of_string s with
-    | Some w -> Ok w
-    | None -> Error (`Msg (Printf.sprintf "unknown wire format %S (text|binary)" s))
-  in
-  Arg.conv
-    (parse, fun ppf w -> Format.pp_print_string ppf (Service.Transport.wire_to_string w))
-
 let wire_arg =
   Arg.(
     value
-    & opt wire_conv Service.Transport.Line
+    & opt
+        (* an alias comes before its canonical name: the last
+           spelling of a value is the one printed as the default *)
+        (enum
+           Service.Transport.[ ("line", Line); ("text", Line); ("bin", Binary); ("binary", Binary) ])
+        Service.Transport.Line
     & info [ "wire" ] ~docv:"FMT"
         ~doc:
           "Record file format: $(b,text) (the greppable line format) or $(b,binary) \
@@ -1874,21 +1845,12 @@ let qsig_show_cmd_run profile_path format =
             profile ());
       `Ok ()
 
-let qsig_policy_conv =
-  let parse s =
-    match Adprom_qsig.Constraints.policy_of_string s with
-    | Some p -> Ok p
-    | None -> Error (`Msg (Printf.sprintf "unknown policy %S (strict|flexible)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun ppf p ->
-        Format.pp_print_string ppf (Adprom_qsig.Constraints.policy_to_string p) )
-
 let qsig_policy_arg =
   Arg.(
     value
-    & opt qsig_policy_conv Adprom_qsig.Constraints.Strict
+    & opt
+        (enum Adprom_qsig.Constraints.[ ("strict", Strict); ("flexible", Flexible) ])
+        Adprom_qsig.Constraints.Strict
     & info [ "policy" ] ~docv:"POLICY"
         ~doc:
           "Constraint policy: $(b,strict) (exact trained sets/ranges) or \

@@ -10,11 +10,6 @@
     approximated by one unrolling: the cyclic [Func] symbols are
     eliminated by flow-preserving pass-through before in-lining. *)
 
-val inline_callee : caller:Ctm.t -> callee:string -> Ctm.t -> unit
-(** [inline_callee ~caller ~callee callee_ctm] replaces the [Func
-    callee] symbol inside [caller] by the callee's call pairs.
-    No-op when the symbol does not occur. *)
-
 val program_ctm : (string * Ctm.t) list -> Callgraph.t -> entry:string -> Ctm.t
 (** Aggregate all functions reachable from [entry] (typically
     ["main"]); the result mentions only [Lib] symbols plus

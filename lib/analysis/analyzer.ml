@@ -66,11 +66,7 @@ let analyze ?(entry = "main") program =
       { program; cfgs; callgraph; sites; taint; pruned_cfgs; pruning; ctms; pctm;
         site_events })
 
-let labeled_block t bid = List.mem bid t.taint.Taint.labeled_blocks
-
 let block_of_call t expr = Cfg.Sites.block_of t.sites expr
 
 let site_event t ~block ~labelled =
   t.site_events.((2 * block) + if labelled then 1 else 0)
-
-let alphabet t = Ctm.calls t.pctm

@@ -34,9 +34,6 @@ val analyze : ?entry:string -> Applang.Ast.program -> t
     aggregation. [entry] defaults to ["main"].
     @raise Invalid_argument when [entry] is not defined. *)
 
-val labeled_block : t -> int -> bool
-(** Was this block id marked as a DB-output site? *)
-
 val block_of_call : t -> Applang.Ast.expr -> int option
 (** Block id of a (physical) [Call] sub-expression of the program. *)
 
@@ -44,6 +41,3 @@ val site_event : t -> block:int -> labelled:bool -> event
 (** The event of library call site [block] (a block id {!block_of_call}
     returned for a library call): its symbol is labelled [_Q<block>]
     when [labelled], bare otherwise. The same record on every call. *)
-
-val alphabet : t -> Symbol.t list
-(** Observable symbols of the pCTM (no Entry/Exit), sorted. *)

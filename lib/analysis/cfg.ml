@@ -40,8 +40,6 @@ let node_ids t = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.n
 
 let out_degree t id = List.length (successors t id)
 
-let branch_of t id = List.find_opt (fun b -> b.cond = id) t.branches
-
 let call_of_node t id =
   match (node t id).event with
   | E_call site -> Some site
@@ -81,33 +79,6 @@ let topological_order t =
   if !count <> Hashtbl.length t.nodes then
     invalid_arg (Printf.sprintf "Cfg.topological_order: cycle in CFG of %s" t.func);
   List.rev !order
-
-let is_dag t = match topological_order t with _ -> true | exception Invalid_argument _ -> false
-
-let event_to_string = function
-  | E_entry -> "entry"
-  | E_exit -> "exit"
-  | E_call site ->
-      Printf.sprintf "call %s%s" site.callee
-        (match site.label with Some bid -> Printf.sprintf "_Q%d" bid | None -> "")
-  | E_bind (x, _) -> Printf.sprintf "bind %s" x
-  | E_cond _ -> "cond"
-  | E_return _ -> "return"
-  | E_join -> "join"
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>cfg %s:@," t.func;
-  List.iter
-    (fun id ->
-      Format.fprintf ppf "  %d [%s] -> %s@," id
-        (event_to_string (node t id).event)
-        (String.concat "," (List.map string_of_int (successors t id))))
-    (node_ids t);
-  if t.back_edges <> [] then
-    Format.fprintf ppf "  back: %s@,"
-      (String.concat ","
-         (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) t.back_edges));
-  Format.fprintf ppf "@]"
 
 module Sites = struct
   module Phys = Hashtbl.Make (struct

@@ -62,9 +62,6 @@ val node_ids : t -> int list
 
 val out_degree : t -> int -> int
 
-val branch_of : t -> int -> branch option
-(** The recorded branch roles of an [E_cond] node, if any. *)
-
 val call_of_node : t -> int -> call_site option
 
 val call_nodes : t -> (int * call_site) list
@@ -77,10 +74,6 @@ val symbol_of_site : id:int -> call_site -> Symbol.t
 val topological_order : t -> int list
 (** Topological order of the DAG, entry first.
     @raise Invalid_argument if a cycle survived construction. *)
-
-val is_dag : t -> bool
-
-val pp : Format.formatter -> t -> unit
 
 (** Physical-identity map from [Call] expressions to the block id of the
     node issuing them. Shared with the interpreter so that run-time

@@ -10,10 +10,3 @@
 val build_program : Applang.Ast.program -> (string * Cfg.t) list * Cfg.Sites.sites
 (** One CFG per function, in program order, sharing a block-id counter
     and a site table. *)
-
-val build_function :
-  counter:int ref ->
-  user_funcs:(string -> bool) ->
-  sites:Cfg.Sites.sites ->
-  Applang.Ast.func ->
-  Cfg.t

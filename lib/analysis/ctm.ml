@@ -47,8 +47,6 @@ let column_sum t s = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 (column t s
 
 let iter f t = Pairs.iter (fun (a, b) v -> f a b v) t.cells
 
-let fold f t init = Pairs.fold (fun (a, b) v acc -> f a b v acc) t.cells init
-
 let eliminate_symbol t s =
   let inflow = column t s and outflow = row t s in
   let total_in = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 inflow in
@@ -73,15 +71,6 @@ let map_symbols f t =
   let out = create () in
   iter (fun a b v -> add out (f a) (f b) v) t;
   out
-
-let to_dense t =
-  let syms = Array.of_list (symbols t) in
-  let n = Array.length syms in
-  let dense = Array.make_matrix n n 0.0 in
-  Array.iteri
-    (fun i a -> Array.iteri (fun j b -> dense.(i).(j) <- get t a b) syms)
-    syms;
-  (syms, dense)
 
 let pp ppf t =
   let syms = symbols t in

@@ -30,11 +30,9 @@ val row : t -> Symbol.t -> (Symbol.t * float) list
 
 val column : t -> Symbol.t -> (Symbol.t * float) list
 
-val row_sum : t -> Symbol.t -> float
 val column_sum : t -> Symbol.t -> float
 
 val iter : (Symbol.t -> Symbol.t -> float -> unit) -> t -> unit
-val fold : (Symbol.t -> Symbol.t -> float -> 'a -> 'a) -> t -> 'a -> 'a
 
 val eliminate_symbol : t -> Symbol.t -> unit
 (** Remove a symbol by redistributing its flow: every predecessor [a]
@@ -49,8 +47,5 @@ val conserved : ?eps:float -> t -> bool
 val map_symbols : (Symbol.t -> Symbol.t) -> t -> t
 (** Rebuild the matrix under a symbol renaming; colliding pairs merge
     by summation (used to strip labels for the CMarkov baseline). *)
-
-val to_dense : t -> Symbol.t array * float array array
-(** Symbols (sorted) and the square dense matrix in that order. *)
 
 val pp : Format.formatter -> t -> unit

@@ -8,7 +8,6 @@ type t = {
 
 let nstates t = t.nstates
 let width t = Array.length t.syms
-let alphabet t = Array.to_list t.syms
 let start t = t.start
 
 let sym_code t sym = Symbol.Table.find_opt t.index sym

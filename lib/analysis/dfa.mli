@@ -22,9 +22,6 @@ val nstates : t -> int
 val width : t -> int
 (** Alphabet size. *)
 
-val alphabet : t -> Symbol.t list
-(** The transition alphabet, sorted. *)
-
 val start : t -> int
 
 val sym_code : t -> Symbol.t -> int option

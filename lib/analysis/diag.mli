@@ -28,8 +28,6 @@ type t = {
 val make :
   ?func:string -> ?block:int -> ?related:string list -> severity -> code:string -> string -> t
 
-val severity_to_string : severity -> string
-
 val compare : t -> t -> int
 (** By position — function, then block — then code, severity, message:
     a deterministic order that reads like the source. Program-level

@@ -75,23 +75,6 @@ let compute (cfg : Cfg.t) =
 
 let reachable t id = Hashtbl.mem t.idoms id
 
-let idom t id =
-  if id = t.entry then None else Hashtbl.find_opt t.idoms id
-
 let dominates t a b =
   let rec up node = node = a || (node <> t.entry && up (Hashtbl.find t.idoms node)) in
   reachable t b && up b
-
-let children t id =
-  match Hashtbl.find_opt t.kids id with
-  | Some l -> List.sort compare l
-  | None -> []
-
-let dominators t id =
-  if not (reachable t id) then []
-  else
-    let rec up node acc =
-      if node = t.entry then List.rev (t.entry :: acc)
-      else up (Hashtbl.find t.idoms node) (node :: acc)
-    in
-    up id []

@@ -15,20 +15,9 @@ type t
 
 val compute : Cfg.t -> t
 
-val idom : t -> int -> int option
-(** Immediate dominator; [None] for the entry node and for nodes
-    unreachable from the entry. *)
-
 val dominates : t -> int -> int -> bool
 (** [dominates t a b]: does [a] dominate [b]? Reflexive on reachable
     nodes; [false] whenever [b] is unreachable. *)
 
-val children : t -> int -> int list
-(** Dominator-tree children, ascending. *)
-
 val reachable : t -> int -> bool
 (** Reachable from the entry through the full flow graph. *)
-
-val dominators : t -> int -> int list
-(** All dominators of a node, from the node itself up to the entry.
-    Empty for unreachable nodes. *)

@@ -86,11 +86,6 @@ let atoms (v : t) =
   SrcMap.fold (fun src (card, origin) acc -> { src; card; origin } :: acc) v []
   |> List.sort (fun a b -> Stdlib.compare (a.src, a.card) (b.src, b.card))
 
-let of_atoms l : t =
-  List.fold_left
-    (fun acc a -> union acc (singleton ~origin:a.origin a.src a.card))
-    empty l
-
 let atom_to_string a =
   Printf.sprintf "%s %s" (src_to_string a.src) (card_to_string a.card)
 

@@ -11,7 +11,6 @@
 
 type card = C_one | C_few | C_many
 
-val card_max : card -> card -> card
 val card_min : card -> card -> card
 
 val card_of_arity : int -> card
@@ -56,7 +55,6 @@ val bind_origin : string -> t -> t
 val atoms : t -> atom list
 (** Sorted by source then cardinality. *)
 
-val of_atoms : atom list -> t
 val atom_to_string : atom -> string
 (** [customers.ssn ?{many}]. *)
 

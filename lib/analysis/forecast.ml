@@ -1,12 +1,3 @@
-(* Number of parallel edges x -> y. *)
-let edge_multiplicity cfg x y =
-  List.length (List.filter (fun s -> s = y) (Cfg.successors cfg x))
-
-let conditional_probability cfg x y =
-  let degree = Cfg.out_degree cfg x in
-  if degree = 0 then 0.0
-  else float_of_int (edge_multiplicity cfg x y) /. float_of_int degree
-
 let reachability cfg =
   let order = Cfg.topological_order cfg in
   let reach = Hashtbl.create 32 in

@@ -10,18 +10,8 @@
       along the path (computed by dynamic programming, not path
       enumeration). *)
 
-val conditional_probability : Cfg.t -> int -> int -> float
-(** [conditional_probability cfg x y]: probability of taking an edge
-    from node [x] to node [y]; multiplied by edge multiplicity when
-    parallel edges exist. 0.0 when no edge exists. *)
-
 val reachability : Cfg.t -> (int * float) list
 (** Reachability probability of every node, ascending id order. The
     entry node has probability 1. *)
-
-val ctm : Cfg.t -> Ctm.t
-(** Call transition matrix of the function. Virtual [Entry]/[Exit]
-    symbols delimit the function; user-function calls appear as
-    [Func] symbols. *)
 
 val ctms : (string * Cfg.t) list -> (string * Ctm.t) list

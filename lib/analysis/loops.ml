@@ -71,5 +71,3 @@ let analyze (cfg : Cfg.t) =
   in
   Hashtbl.fold (fun header latches acc -> loop_of_header header latches :: acc) by_header []
   |> List.sort (fun a b -> compare a.header b.header)
-
-let loop_of loops id = List.find_opt (fun l -> List.mem id l.body) loops

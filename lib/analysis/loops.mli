@@ -23,7 +23,3 @@ val analyze : Cfg.t -> loop list
 (** Loops in ascending header order. Irreducible back edges (header not
     dominating the latch — impossible for CFGs built by {!Cfg_build})
     are skipped. *)
-
-val loop_of : loop list -> int -> loop option
-(** Innermost… there is no nesting information here: the first loop
-    whose body contains the node, headers ascending. *)

@@ -300,6 +300,3 @@ let program cfgs =
   let pruned = List.map (fun (name, cfg) -> (name, function_cfg cfg)) cfgs in
   ( List.map (fun (name, (cfg, _)) -> (name, cfg)) pruned,
     List.map (fun (_, (_, r)) -> r) pruned )
-
-let total_removed reports =
-  List.fold_left (fun acc r -> acc + List.length r.removed_edges) 0 reports

@@ -16,7 +16,7 @@
     and bounded loops keep both arms. Only edges no execution can take
     are removed; the pruned graph therefore still over-approximates the
     program's behaviour, which is what both the probability forecast
-    ({!Forecast.ctm} on pruned graphs sharpens transition mass onto
+    ({!Forecast.ctms} on pruned graphs sharpens transition mass onto
     feasible edges) and the call-sequence automaton ({!Seqauto}) need.
 
     The pruned graph is a fresh {!Cfg.t} sharing the original (mutable)
@@ -31,12 +31,7 @@ type report = {
   dead_nodes : int list;  (** nodes no longer reachable from the entry *)
 }
 
-val function_cfg : Cfg.t -> Cfg.t * report
-(** Prune one function's graph. Returns the input graph itself (and an
-    empty report) when nothing is removable. *)
-
 val program : (string * Cfg.t) list -> (string * Cfg.t) list * report list
-(** {!function_cfg} over every function, preserving order. *)
-
-val total_removed : report list -> int
-(** Total removed edges across the reports. *)
+(** Prune each function's graph, preserving order. A function with
+    nothing removable keeps its input graph itself and an empty
+    report. *)

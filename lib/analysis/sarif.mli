@@ -7,8 +7,6 @@
     logical location on the vetted file, and witness steps
     ({!Diag.t.related}) become [relatedLocations]. Emission only. *)
 
-val level_of_severity : Diag.severity -> string
-
 val report :
   ?tool_name:string ->
   ?tool_version:string ->

@@ -151,7 +151,6 @@ let bind_origin var v =
 (* Constructors. *)
 
 let bottom = Templates []
-let any ~tainted = Any tainted
 let const_str s = Templates [ { kind = K_str; pieces = (if s = "" then [] else [ Lit s ]) } ]
 let const_int n = Templates [ { kind = K_int; pieces = [ Lit (string_of_int n) ] } ]
 let const_other s = Templates [ { kind = K_other; pieces = [ Lit s ] } ]

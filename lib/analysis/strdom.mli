@@ -8,7 +8,7 @@
     loop widening. Joins widen growth chains — a template extending
     another by a suffix collapses to [prefix ++ Rep suffix] — and every
     cap (template count, piece count, render fan-out) degrades towards
-    {!any}, never towards dropping a behavior.
+    [Any], never towards dropping a behavior.
 
     The exactness contract: holes stand for {e literal-shaped} runtime
     values (rendering as an SQL literal, not as structure). Rendering a
@@ -37,7 +37,6 @@ type value =
   | Any of bool  (** top; payload: may be tainted *)
 
 val bottom : value
-val any : tainted:bool -> value
 val const_str : string -> value
 val const_int : int -> value
 

@@ -4,7 +4,7 @@
     profile is trusted to monitor it. Two halves:
 
     {ul
-    {- {b Program checks} ({!check_function}, {!check_program}):
+    {- {b Program checks} ({!check_program}, per function):
        unreachable blocks (dead code), variables possibly used before
        initialization, calls to functions that are neither user-defined
        nor in {!Applang.Libspec}, loops with no statically reachable
@@ -54,10 +54,6 @@ type facts = {
       (** statically possible (enclosing function, observable call)
           pairs, sorted *)
 }
-
-val check_function : Cfg.t -> Diag.t list
-(** Intraprocedural checks: dead code, use-before-init,
-    undefined callees, no-exit loops. Sorted with {!Diag.compare}. *)
 
 val check_program :
   ?entry:string -> ?static_queries:Qstatic.result -> (string * Cfg.t) list -> Diag.t list

@@ -44,10 +44,3 @@ let rec calls_in_expr e =
   | Unop (_, a) -> calls_in_expr a
   | Index (a, b) -> calls_in_expr a @ calls_in_expr b
   | Call (_, args) -> List.concat_map calls_in_expr args @ [ e ]
-
-let map_program_blocks f p =
-  { funcs = List.map (fun g -> { g with body = f g.name g.body }) p.funcs }
-
-let equal_expr (a : expr) (b : expr) = a = b
-let equal_stmt (a : stmt) (b : stmt) = a = b
-let equal_program (a : program) (b : program) = a = b

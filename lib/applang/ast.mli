@@ -54,11 +54,3 @@ val calls_in_expr : expr -> expr list
     The returned values are the physical sub-terms of the input, so they
     can key physical-identity tables shared between the CFG builder and
     the interpreter. *)
-
-val map_program_blocks : (string -> block -> block) -> program -> program
-(** [map_program_blocks f p] rewrites the top-level body of each function
-    [g] to [f g.name g.body]. Used by the attack framework. *)
-
-val equal_expr : expr -> expr -> bool
-val equal_stmt : stmt -> stmt -> bool
-val equal_program : program -> program -> bool

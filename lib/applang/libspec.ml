@@ -79,7 +79,6 @@ let find name =
   | None -> if synthetic name then Some (mk name Clean false) else None
 
 let is_sink name = match find name with Some s -> s.is_sink | None -> false
-let is_source name = match find name with Some s -> s.taint = Source | None -> false
 let taint_of name = match find name with Some s -> s.taint | None -> Clean
 let is_builtin name = find name <> None
 

@@ -13,14 +13,10 @@ type taint_kind =
 
 type spec = { name : string; taint : taint_kind; is_sink : bool }
 
-val find : string -> spec option
-(** [None] for unknown names (user functions or synthetic calls). *)
-
 val is_sink : string -> bool
 (** Output statements: [printf], [fprintf], [sprintf], [snprintf],
     [fputs], [fputc], [fwrite], [write], [puts], [system]. *)
 
-val is_source : string -> bool
 val taint_of : string -> taint_kind
 (** [Clean] for unknown names. *)
 
@@ -36,8 +32,6 @@ val untrusted_taint_of : string -> taint_kind
     rendered as digits cannot change SQL structure. This is the dual of
     {!taint_of}, which tracks DB-retrieved data flowing {e out} of the
     program; here we track untrusted data flowing {e into} SQL text. *)
-
-val all : spec list
 
 (** Declared database schema for the leakage analysis: the subject
     programs create their tables from the host harness, not in AppLang,

@@ -103,8 +103,6 @@ let rec stmt_lines depth s =
 
 and block_lines depth stmts = List.concat_map (stmt_lines depth) stmts
 
-let stmt_to_string s = String.concat "\n" (stmt_lines 0 s)
-
 let func_lines (f : func) =
   (Printf.sprintf "fun %s(%s) {" f.name (String.concat ", " f.params))
   :: block_lines 1 f.body
@@ -112,5 +110,3 @@ let func_lines (f : func) =
 
 let program_to_string (p : program) =
   String.concat "\n" (List.concat_map (fun f -> func_lines f @ [ "" ]) p.funcs)
-
-let pp_program ppf p = Format.pp_print_string ppf (program_to_string p)

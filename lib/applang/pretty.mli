@@ -6,7 +6,4 @@
 
 val binop_to_string : Ast.binop -> string
 val expr_to_string : Ast.expr -> string
-val stmt_to_string : Ast.stmt -> string
 val program_to_string : Ast.program -> string
-
-val pp_program : Format.formatter -> Ast.program -> unit

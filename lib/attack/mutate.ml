@@ -21,27 +21,6 @@ let insert_in_function p ~func ~at stmts =
 let append_to_function p ~func stmts =
   update_function p func (fun g -> { g with Ast.body = g.Ast.body @ stmts })
 
-let insert_in_branch p ~func ~branch stmts =
-  let found = ref false in
-  let rec patch_block block =
-    List.map
-      (fun stmt ->
-        match stmt with
-        | Ast.If (cond, then_, else_) when not !found ->
-            found := true;
-            (match branch with
-            | `Then -> Ast.If (cond, then_ @ stmts, else_)
-            | `Else -> Ast.If (cond, then_, else_ @ stmts))
-        | Ast.If (cond, then_, else_) -> Ast.If (cond, patch_block then_, patch_block else_)
-        | Ast.While (c, b) -> Ast.While (c, patch_block b)
-        | Ast.For (i, c, s, b) -> Ast.For (i, c, s, patch_block b)
-        | Ast.Let _ | Ast.Assign _ | Ast.Expr _ | Ast.Return _ | Ast.Break | Ast.Continue ->
-            stmt)
-      block
-  in
-  let p' = update_function p func (fun g -> { g with Ast.body = patch_block g.Ast.body }) in
-  if !found then p' else raise Not_found
-
 (* Rewrite the [occurrence]-th call to [callee] within a function, in
    evaluation order of the statements. *)
 let rewrite_call_args p ~func ~callee ~occurrence rewrite =
@@ -98,39 +77,3 @@ let rewrite_strings p ~func f =
     | Ast.Return None | Ast.Break | Ast.Continue -> s
   in
   update_function p func (fun g -> { g with Ast.body = List.map map_stmt g.Ast.body })
-
-let count_calls p ~func ~callee =
-  match Ast.find_func p func with
-  | None -> 0
-  | Some g ->
-      let count = ref 0 in
-      let rec walk_expr e =
-        match e with
-        | Ast.Int _ | Ast.Str _ | Ast.Bool _ | Ast.Null | Ast.Var _ -> ()
-        | Ast.Binop (_, a, b) | Ast.Index (a, b) ->
-            walk_expr a;
-            walk_expr b
-        | Ast.Unop (_, a) -> walk_expr a
-        | Ast.Call (name, args) ->
-            if name = callee then incr count;
-            List.iter walk_expr args
-      in
-      let rec walk_stmt s =
-        match s with
-        | Ast.Let (_, e) | Ast.Assign (_, e) | Ast.Expr e | Ast.Return (Some e) -> walk_expr e
-        | Ast.If (c, t, e) ->
-            walk_expr c;
-            List.iter walk_stmt t;
-            List.iter walk_stmt e
-        | Ast.While (c, b) ->
-            walk_expr c;
-            List.iter walk_stmt b
-        | Ast.For (i, c, st, b) ->
-            walk_stmt i;
-            walk_expr c;
-            walk_stmt st;
-            List.iter walk_stmt b
-        | Ast.Return None | Ast.Break | Ast.Continue -> ()
-      in
-      List.iter walk_stmt g.Ast.body;
-      !count

@@ -10,16 +10,6 @@ val insert_in_function :
 val append_to_function :
   Applang.Ast.program -> func:string -> Applang.Ast.stmt list -> Applang.Ast.program
 
-val insert_in_branch :
-  Applang.Ast.program ->
-  func:string ->
-  branch:[ `Then | `Else ] ->
-  Applang.Ast.stmt list ->
-  Applang.Ast.program
-(** Append statements inside the chosen branch of the {e first} [If] of
-    the function's body. @raise Not_found when the function or the [If]
-    does not exist. *)
-
 val rewrite_call_args :
   Applang.Ast.program ->
   func:string ->
@@ -35,5 +25,3 @@ val rewrite_strings :
   Applang.Ast.program -> func:string -> (string -> string) -> Applang.Ast.program
 (** Map every string literal of the function — e.g. widening a query's
     selectivity ([ID = 10] -> [ID >= 10], the Fig. 1 attack). *)
-
-val count_calls : Applang.Ast.program -> func:string -> callee:string -> int

@@ -19,15 +19,6 @@ type kind = Tautology_widening | Cardinality_blowup | Literal_out_of_band
 val kind_to_string : kind -> string
 val all_kinds : kind list
 
-val mutate_statement :
-  ?variant:int -> kind -> Sqldb.Sql_ast.statement -> Sqldb.Sql_ast.statement
-
-val mutate_sql : ?variant:int -> kind -> string -> string
-(** Rewrite one wire-level query text. Non-SELECT statements and
-    unparseable text pass through unchanged (a stealthy exfiltration
-    widens reads, it does not break writes). [variant] varies the
-    injected constants so the family is not one memorizable string. *)
-
 val scenario : ?variant:int -> kind -> Scenario.t
 (** A MITM scenario applying the mutation to all wire traffic. *)
 

@@ -4,24 +4,6 @@
     inflated). Each generator perturbs a normal window into an
     anomalous one; all are deterministic given the RNG. *)
 
-val a_s1 :
-  rng:Mlkit.Rng.t ->
-  legitimate:Analysis.Symbol.t array ->
-  Adprom.Window.t ->
-  Adprom.Window.t
-(** Replace the last 5 calls (fewer on short windows) with uniformly
-    random legitimate calls.
-    @raise Invalid_argument when [legitimate] is empty. *)
-
-val a_s2 : rng:Mlkit.Rng.t -> Adprom.Window.t -> Adprom.Window.t
-(** Overwrite 1-3 random positions with library calls that do not
-    belong to the legitimate set ([evil_exfil], ...). *)
-
-val a_s3 : rng:Mlkit.Rng.t -> Adprom.Window.t -> Adprom.Window.t
-(** Pick a position in the first half and repeat its call over the
-    following 5-8 slots, inflating the frequency of a legitimate call
-    (the fetch/print burst signature of harvesting attacks). *)
-
 val batch :
   rng:Mlkit.Rng.t ->
   legitimate:Analysis.Symbol.t array ->
@@ -30,4 +12,13 @@ val batch :
   Adprom.Window.t list ->
   Adprom.Window.t list
 (** Sample [count] windows (with replacement) from the pool and perturb
-    each. @raise Invalid_argument on an empty pool. *)
+    each by [kind]:
+    - [`S1] replaces the last 5 calls (fewer on short windows) with
+      uniformly random [legitimate] calls;
+    - [`S2] overwrites 1-3 random positions with library calls outside
+      the legitimate set ([evil_exfil], ...);
+    - [`S3] picks a position in the first half and repeats its call over
+      the following 5-8 slots, inflating the frequency of a legitimate
+      call (the fetch/print burst of harvesting attacks).
+    @raise Invalid_argument on an empty pool, and for [`S1] on an empty
+    [legitimate]. *)

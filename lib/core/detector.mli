@@ -41,8 +41,11 @@ val classify : Profile.t -> Window.t -> verdict
 
 val reference_classify : Profile.t -> Window.t -> verdict
 (** The original, uncompiled detection path — no interning, no memo.
-    The specification the engine is property-tested against, and the
-    pre-compilation baseline of the benches. *)
+    A reference: the specification the engine is property-tested
+    against (test_scoring's "Scoring.classify = reference_classify
+    (incl. memo hits)" and "Stream verdicts = reference_classify on
+    each Window.of_trace window"), the [reference_classify] gate of
+    [bench/perf], and the pre-compilation baseline of the benches. *)
 
 val monitor : Profile.t -> Runtime.Collector.trace -> (Window.t * verdict) list
 (** Slide the profile's window over a run-time trace and classify each

@@ -54,7 +54,3 @@ let kfold ~k xs =
       let valid = List.filter_map (fun (i, x) -> if i mod k = fold then Some x else None) indexed in
       let train = List.filter_map (fun (i, x) -> if i mod k <> fold then Some x else None) indexed in
       (train, valid))
-
-let pp ppf c =
-  Format.fprintf ppf "tp=%d tn=%d fp=%d fn=%d rec=%.3f prec=%.3f acc=%.4f" c.tp c.tn c.fp
-    c.fn (recall c) (precision c) (accuracy c)

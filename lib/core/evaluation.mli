@@ -34,5 +34,3 @@ val sweep_thresholds : normal_scores:float array -> anomalous_scores:float array
 val kfold : k:int -> 'a list -> ('a list * 'a list) list
 (** [kfold ~k xs]: k (train, validation) splits by round-robin
     assignment. @raise Invalid_argument if [k < 2]. *)
-
-val pp : Format.formatter -> confusion -> unit

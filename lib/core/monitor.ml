@@ -42,11 +42,6 @@ let classify t window =
   maybe_adapt t;
   verdict
 
-let monitor_trace t trace =
-  List.map
-    (fun w -> (w, classify t w))
-    (Window.of_trace ~window:t.profile.Profile.params.Profile.window trace)
-
 let report_false_positive t = t.confirmed_fp <- t.confirmed_fp + 1
 
 let windows_seen t = t.total_seen

@@ -20,8 +20,6 @@ val threshold : t -> float
 val classify : t -> Window.t -> Detector.verdict
 (** Classify under the current threshold and account the window. *)
 
-val monitor_trace : t -> Runtime.Collector.trace -> (Window.t * Detector.verdict) list
-
 val report_false_positive : t -> unit
 (** Administrator feedback: the latest alarm was legitimate behaviour. *)
 

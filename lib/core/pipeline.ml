@@ -66,8 +66,6 @@ let adprom_params = Profile.default_params
 let cmarkov_params =
   { Profile.default_params with Profile.use_labels = false; track_callers = false }
 
-let rand_hmm_params = { Profile.default_params with Profile.init = Profile.Init_random }
-
 let train ?(params = adprom_params) dataset =
   let windows =
     if params.Profile.window = 15 then dataset.windows

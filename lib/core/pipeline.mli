@@ -42,9 +42,6 @@ val adprom_params : Profile.params
 val cmarkov_params : Profile.params
 (** pCTM-initialized but without data-flow labels (Xu et al.'s view). *)
 
-val rand_hmm_params : Profile.params
-(** Random initialization, labels kept (Guevara et al.'s view). *)
-
 val train : ?params:Profile.params -> dataset -> Profile.t
 
 val train_engine :

@@ -250,9 +250,3 @@ let score t w =
   | None -> neg_infinity
 
 let known_pair t caller sym = Hashtbl.mem t.known_pairs (caller, sym)
-
-let size_estimate t =
-  let n = t.model.Hmm.n and m = t.model.Hmm.m in
-  (* 8 bytes per float for A, B, pi, plus symbol strings. *)
-  (8 * ((n * n) + (n * m) + n))
-  + Array.fold_left (fun acc s -> acc + String.length (Symbol.to_string s) + 8) 0 t.alphabet

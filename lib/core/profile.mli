@@ -75,6 +75,3 @@ val score : t -> Window.t -> float
     alphabet. Applies {!prepare}. *)
 
 val known_pair : t -> string -> Analysis.Symbol.t -> bool
-
-val size_estimate : t -> int
-(** Rough serialized profile size in bytes (the paper reports ~31 kB). *)

@@ -4,14 +4,6 @@ module Diag = Analysis.Diag
 
 type policy = Off | Warn | Enforce
 
-let policy_to_string = function Off -> "off" | Warn -> "warn" | Enforce -> "enforce"
-
-let policy_of_string = function
-  | "off" -> Some Off
-  | "warn" -> Some Warn
-  | "enforce" -> Some Enforce
-  | _ -> None
-
 (* The profile's label view: CMarkov-style profiles never saw DB-output
    labels, so the static facts must drop them too before comparing. *)
 let project_facts (profile : Profile.t) (facts : Vet.facts) =

@@ -18,11 +18,6 @@ type policy =
   | Warn  (** report diagnostics, serve anyway *)
   | Enforce  (** refuse to serve when any error-class finding exists *)
 
-val policy_to_string : policy -> string
-
-val policy_of_string : string -> policy option
-(** ["off"], ["warn"], ["enforce"]. *)
-
 val automaton :
   ?entry:string ->
   ?state_budget:int ->
@@ -31,24 +26,7 @@ val automaton :
   Analysis.Seqauto.t
 (** Build the program's call-sequence automaton in the profile's label
     view, on the pruned CFGs — the form {!Scoring.set_static_dfa}
-    expects and {!coverage}'s n-gram cross-check consumes. *)
-
-val model_bigrams : Profile.t -> Analysis.Symbol.t list list
-(** Observation bigrams the trained HMM gives real support (emission
-    and transition probabilities clearly above the Baum-Welch smoothing
-    floor) — the model's own 2-gram language, for the n-gram coverage
-    cross-check. *)
-
-val coverage :
-  ?entry:string ->
-  ?automaton:Analysis.Seqauto.t ->
-  Profile.t ->
-  Analysis.Analyzer.t ->
-  Analysis.Diag.t list
-(** Only the profile-coverage cross-check
-    ({!Analysis.Vet.check_coverage} under the profile's label view).
-    With [automaton], additionally cross-checks {!model_bigrams}
-    against the automaton's language ([profile-ngram-impossible]). *)
+    expects and {!check}'s n-gram cross-check consumes. *)
 
 val check :
   ?entry:string ->
@@ -56,8 +34,11 @@ val check :
   Profile.t ->
   Analysis.Analyzer.t ->
   Analysis.Diag.t list
-(** Program checks plus {!coverage}, sorted with
-    {!Analysis.Diag.compare}. *)
+(** Program checks plus the profile-coverage cross-check
+    ({!Analysis.Vet.check_coverage} under the profile's label view;
+    with [automaton], also the trained model's supported bigrams
+    against the automaton's language, [profile-ngram-impossible]),
+    sorted with {!Analysis.Diag.compare}. *)
 
 val static_pairs : ?entry:string -> Analysis.Analyzer.t -> (string * Analysis.Symbol.t) list
 (** The statically possible (caller, call) pairs of the analyzed

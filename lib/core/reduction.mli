@@ -31,9 +31,6 @@ val cluster :
     (the paper clusters only programs beyond ~900 states); otherwise
     PCA + k-means down to [cluster_fraction * sites] states. *)
 
-val site_flow : Analysis.Ctm.t -> Analysis.Symbol.t -> float
-(** Total probability mass flowing through a site (its inflow). *)
-
 val init_hmm :
   Analysis.Ctm.t -> clustering -> alphabet:Analysis.Symbol.t array -> Hmm.t
 (** Probability-forecast initialization of the HMM (the paper's

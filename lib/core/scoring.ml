@@ -224,8 +224,6 @@ let cache_misses t = t.cache.misses
 let cache_len t = Key_tbl.length t.cache.tbl
 let cache_capacity t = t.cache.capacity
 
-let invalidate t = cache_clear t.cache
-
 let set_static_pairs t pairs =
   match pairs with
   | None -> t.static_pairs <- None

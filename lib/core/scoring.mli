@@ -34,9 +34,6 @@ type verdict = {
 
 type t
 
-val default_cache_capacity : int
-(** 8192 memoized verdicts. *)
-
 val create : ?cache_capacity:int -> Profile.t -> t
 (** Compile the profile. [cache_capacity 0] disables the verdict memo
     (every window pays the forward pass).
@@ -166,9 +163,6 @@ val extend : t -> Window.t list -> t
 (** [Profile.extend] then recompile: the new engine starts with an
     empty memo, so no verdict of the old model can leak past the
     extension. The old engine stays valid for the old profile. *)
-
-val invalidate : t -> unit
-(** Drop every memoized verdict (hit/miss counters are preserved). *)
 
 val cache_hits : t -> int
 val cache_misses : t -> int

@@ -1,28 +1,35 @@
 type tagged = { session : int; event : Runtime.Collector.event }
 
 let interleave ~rng traces =
-  let queues = Array.of_list (List.map (fun t -> (ref 0, t)) traces) in
-  let live () =
-    let alive = ref [] in
-    Array.iteri
-      (fun i (pos, t) -> if !pos < Array.length t then alive := i :: !alive)
-      queues;
-    !alive
+  let traces = Array.of_list traces in
+  let pos = Array.make (Array.length traces) 0 in
+  (* The sessions that still have events, descending, in the first
+     [!n] slots: each event is drawn from one of them, and a session
+     that runs out leaves by one blit, so E events over S sessions cost
+     O(E + S^2). *)
+  let live =
+    List.init (Array.length traces) Fun.id
+    |> List.rev
+    |> List.filter (fun i -> Array.length traces.(i) > 0)
+    |> Array.of_list
   in
-  let out = ref [] in
-  let rec loop () =
-    match live () with
-    | [] -> ()
-    | alive ->
-        let arr = Array.of_list alive in
-        let i = arr.(Mlkit.Rng.int rng (Array.length arr)) in
-        let pos, t = queues.(i) in
-        out := { session = i; event = t.(!pos) } :: !out;
-        incr pos;
-        loop ()
-  in
-  loop ();
-  Array.of_list (List.rev !out)
+  let n = ref (Array.length live) in
+  let total = Array.fold_left (fun acc t -> acc + Array.length t) 0 traces in
+  if total = 0 then [||]
+  else begin
+    let out = Array.make total { session = live.(0); event = traces.(live.(0)).(0) } in
+    for e = 0 to total - 1 do
+      let k = Mlkit.Rng.int rng !n in
+      let i = live.(k) in
+      out.(e) <- { session = i; event = traces.(i).(pos.(i)) };
+      pos.(i) <- pos.(i) + 1;
+      if pos.(i) = Array.length traces.(i) then begin
+        Array.blit live (k + 1) live k (!n - k - 1);
+        decr n
+      end
+    done;
+    out
+  end
 
 let demux tagged =
   let buckets = Hashtbl.create 8 in

@@ -20,25 +20,6 @@ let select strategy validation_scores =
       let xs = finite validation_scores in
       if Array.length xs = 0 then -1e9 else Mlkit.Stats.quantile xs q
 
-let select_validated ~candidates ~normal ~anomalous =
-  if candidates = [] then invalid_arg "Threshold.select_validated: no candidates";
-  let accuracy t =
-    let flagged s = s < t in
-    let tp = Array.fold_left (fun acc s -> if flagged s then acc + 1 else acc) 0 anomalous in
-    let tn = Array.fold_left (fun acc s -> if flagged s then acc else acc + 1) 0 normal in
-    float_of_int (tp + tn)
-    /. float_of_int (max 1 (Array.length normal + Array.length anomalous))
-  in
-  let best =
-    List.fold_left
-      (fun (bt, ba) t ->
-        let a = accuracy t in
-        if a > ba +. 1e-12 || (Float.abs (a -. ba) <= 1e-12 && t < bt) then (t, a) else (bt, ba))
-      (List.hd candidates, accuracy (List.hd candidates))
-      (List.tl candidates)
-  in
-  fst best
-
 let adaptive ~current ~recent_fp_rate ~target_fp_rate =
   let magnitude = Float.max 1.0 (Float.abs current) in
   if recent_fp_rate > target_fp_rate then current -. (0.1 *. magnitude)

@@ -19,19 +19,6 @@ val select : strategy -> float array -> float
     finite score exists.
     @raise Invalid_argument on a [Quantile] outside [0, 1]. *)
 
-val select_validated :
-  candidates:float list ->
-  normal:float array ->
-  anomalous:float array ->
-  float
-(** The paper's first method verbatim: "perform cross validation during
-    the training phase using a set of predefined thresholds. Then, the
-    value that achieves the best validation result is set to be the
-    detector's threshold" — best = highest accuracy over the labeled
-    validation scores (ties broken toward the lower threshold, i.e.
-    fewer false positives).
-    @raise Invalid_argument when [candidates] is empty. *)
-
 val adaptive : current:float -> recent_fp_rate:float -> target_fp_rate:float -> float
 (** One step of the adaptive-threshold scheme sketched in the paper: if
     the recent false-positive rate exceeds the target, lower the

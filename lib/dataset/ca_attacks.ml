@@ -14,6 +14,9 @@ let parse_stmts src =
   | [ f ] -> f.Applang.Ast.body
   | _ -> assert false
 
+(* Insert a printing command similar to one in another branch
+   (App_h: the no-match branch of the lookup starts echoing record
+   fields like the match branch does). *)
 let attack1 () =
   let inserted = parse_stmts {| printf("thank you, %s shopper\n", name); |} in
   {
@@ -59,6 +62,9 @@ let attack2 () =
       };
   }
 
+(* Reuse an existing print command: its arguments are changed to print
+   a field of the query result (App_h: the report footer prints a
+   patient field instead of a constant). *)
 let attack3 () =
   {
     label = "Attack 3";
@@ -162,6 +168,9 @@ let attack_1_1 () =
       };
   }
 
+(* Sec. III attack 1.3: an existing store-to-file command's arguments
+   are replaced with a query result (the hospital audit log starts
+   receiving diagnoses). *)
 let attack_1_3 () =
   {
     label = "Attack 1.3";
@@ -204,6 +213,10 @@ let reachable_labeled_block app =
   | Some bid -> bid
   | None -> invalid_arg "no reachable labeled output site"
 
+(* Sec. III attack 2.2 (ROP): existing code gadgets — the open/write/
+   close file sequence — are chained at an attacker-chosen point to
+   exfiltrate the targeted data. Simulated as injected call events,
+   like the ROP payload's effect on the trace. *)
 let attack_2_2 () =
   let app = Ca_banking.app () in
   let block = reachable_labeled_block app in
@@ -233,6 +246,8 @@ let attack_2_2 () =
       };
   }
 
+(* Sec. III attack 3.2 (MITM): the query is rewritten on the
+   unencrypted wire; client code and binary are untouched. *)
 let attack_3_2 () =
   {
     label = "Attack 3.2";
@@ -263,6 +278,8 @@ let attack_3_2 () =
       };
   }
 
+(* Sec. III attack 3.3 (BROP): stack-probing writes followed by the
+   leak — a burst of [write] calls at a gadget point. *)
 let attack_3_3 () =
   let app = Ca_supermarket.app () in
   let block = reachable_labeled_block app in

@@ -7,19 +7,9 @@ type case = {
   app : Adprom.Pipeline.app;  (** the targeted (clean) application *)
 }
 
-val attack1 : unit -> case
-(** Insert a printing command similar to one in another branch
-    (App_h: the no-match branch of the lookup starts echoing record
-    fields like the match branch does). *)
-
 val attack2 : unit -> case
 (** Insert a new call in a different function to print query results
     (App_s: the stock updater starts printing the rows it touches). *)
-
-val attack3 : unit -> case
-(** Reuse an existing print command: its arguments are changed to print
-    a field of the query result (App_h: the report footer prints a
-    patient field instead of a constant). *)
 
 val attack4 : unit -> case
 (** Binary patching (Dyninst-style): an [fwrite] leaking the targeted
@@ -33,32 +23,13 @@ val all : unit -> case list
 (** {2 The full adversary model (Sec. III)}
 
     Table V evaluates five attacks; the paper's adversary model lists
-    more flavors (1.1-3.3). The remaining ones, for the
-    [adversary-model] bench: *)
+    more flavors (1.1-3.3). {!adversary_model} holds them all, for the
+    [adversary-model] bench. *)
 
 val attack_1_1 : unit -> case
 (** Sec. III attack 1.1 / Fig. 1: a query literal's selectivity is
     widened (the banking statement loses its LIMIT), so an existing
     print loop iterates over far more records. *)
-
-val attack_1_3 : unit -> case
-(** Sec. III attack 1.3: an existing store-to-file command's arguments
-    are replaced with a query result (the hospital audit log starts
-    receiving diagnoses). *)
-
-val attack_2_2 : unit -> case
-(** Sec. III attack 2.2 (ROP): existing code gadgets — the open/write/
-    close file sequence — are chained at an attacker-chosen point to
-    exfiltrate the targeted data. Simulated as injected call events,
-    like the ROP payload's effect on the trace. *)
-
-val attack_3_2 : unit -> case
-(** Sec. III attack 3.2 (MITM): the query is rewritten on the
-    unencrypted wire; client code and binary are untouched. *)
-
-val attack_3_3 : unit -> case
-(** Sec. III attack 3.3 (BROP): stack-probing writes followed by the
-    leak — a burst of [write] calls at a gadget point. *)
 
 val adversary_model : unit -> (string * case) list
 (** All eight flavors: 1.1-1.3, 2.1-2.2, 3.1-3.3 (2.1 is Table V's

@@ -8,5 +8,3 @@ val source : string
 val app : ?cases:int -> unit -> Adprom.Pipeline.app
 (** The application with [cases] generated test cases (default 63, the
     paper's count). *)
-
-val test_cases : count:int -> seed:int -> Runtime.Testcase.t list

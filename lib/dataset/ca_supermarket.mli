@@ -7,5 +7,3 @@ val source : string
 
 val app : ?cases:int -> unit -> Adprom.Pipeline.app
 (** Default 36 test cases. *)
-
-val test_cases : count:int -> seed:int -> Runtime.Testcase.t list

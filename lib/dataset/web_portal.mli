@@ -7,12 +7,8 @@
     web-shaped version of the Fig. 2 vulnerability), [POST /order],
     [GET /report] (aggregates), anything else is a 404. *)
 
-val source : string
-
 val app : ?cases:int -> unit -> Adprom.Pipeline.app
 (** Default 60 request-session test cases. *)
-
-val sessions : count:int -> seed:int -> Runtime.Testcase.t list
 
 val injection_session : Runtime.Testcase.t
 (** A session whose /search parameter carries a tautology: harvests the

@@ -33,7 +33,9 @@ val log_likelihood : t -> int array -> float
 (** [log P(O | λ)] by the scaled forward algorithm; [neg_infinity] when
     the sequence is impossible, or when a scaling factor is NaN (a
     model with a non-finite entry). Observations outside [\[0, m)]
-    raise [Invalid_argument]. *)
+    raise [Invalid_argument]. The row-at-a-time reference that the
+    compiled pass is held to: test_hmm's "Compiled.log_likelihood =
+    log_likelihood, bit for bit" compares the two. *)
 
 val per_symbol_score : t -> int array -> float
 (** [log_likelihood / length]: the detection score compared against the
@@ -112,10 +114,16 @@ val forward : t -> int array -> float array array * float array
     [log P(O|λ) = -Σ log c.(t)]. Exposed for tests. *)
 
 val backward : t -> int array -> float array -> float array array
-(** Scaled backward variables using the forward scaling factors. *)
+(** Scaled backward variables using the forward scaling factors.
+    A reference, not on the training path (the E-step runs in C):
+    test_hmm's "baum_welch_step = row-at-a-time reference, bit for bit"
+    builds its textbook E-step from {!forward} and this function, and
+    "forward/backward consistency" checks the two close the recursion. *)
 
 val viterbi : t -> int array -> int array * float
-(** Most likely state path and its log probability. *)
+(** Most likely state path and its log probability. A reference, not
+    on the detection path: the textbook decoder, checked against
+    brute-force enumeration by test_hmm's "viterbi = brute force". *)
 
 val baum_welch_step : t -> (int array * float) list -> t * float
 (** One EM iteration over weighted sequences (weight = multiplicity of

@@ -99,9 +99,3 @@ let cluster ~rng ~k data =
     !acc
   in
   { assignment; centroids = Matrix.of_arrays kept; inertia; iterations = !iterations }
-
-let cluster_members r =
-  let k, _ = Matrix.dims r.centroids in
-  let buckets = Array.make k [] in
-  Array.iteri (fun i c -> buckets.(c) <- i :: buckets.(c)) r.assignment;
-  Array.map (fun l -> Array.of_list (List.rev l)) buckets

@@ -16,7 +16,9 @@ val seed_centroids : Rng.t -> int -> float array array -> float array array
     k-means++: the first uniformly, each next one with probability
     proportional to its squared distance to the nearest one picked so
     far, or uniformly when every such distance is zero. The rows picked
-    are returned in order, as the rows themselves, not copies. *)
+    are returned in order, as the rows themselves, not copies.
+    {!cluster}'s first step, exposed so that test_mlkit's "kmeans++
+    seeding = list-fold reference, bit for bit" can test it alone. *)
 
 val cluster : rng:Rng.t -> k:int -> Matrix.t -> result
 (** [cluster ~rng ~k data] clusters the rows of [data] into at most [k]
@@ -24,6 +26,3 @@ val cluster : rng:Rng.t -> k:int -> Matrix.t -> result
     number of clusters may be smaller; empty clusters are dropped and
     indices compacted, so [assignment] always targets a dense range.
     @raise Invalid_argument if [k <= 0] or [data] has no rows. *)
-
-val cluster_members : result -> int array array
-(** [cluster_members r] lists observation indices per cluster. *)

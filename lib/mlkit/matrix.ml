@@ -24,8 +24,6 @@ let of_arrays arrays =
     arrays;
   init rows cols (fun i j -> arrays.(i).(j))
 
-let to_arrays m = Array.init m.rows (fun i -> Array.init m.cols (fun j -> m.data.((i * m.cols) + j)))
-
 let get m i j =
   if i < 0 || i >= m.rows || j < 0 || j >= m.cols then invalid_arg "Matrix.get: out of bounds";
   m.data.((i * m.cols) + j)
@@ -36,13 +34,9 @@ let set m i j v =
 
 let dims m = (m.rows, m.cols)
 
-let copy m = { m with data = Array.copy m.data }
-
 let row m i = Array.init m.cols (fun j -> m.data.((i * m.cols) + j))
 
 let col m j = Array.init m.rows (fun i -> m.data.((i * m.cols) + j))
-
-let transpose m = init m.cols m.rows (fun i j -> m.data.((j * m.cols) + i))
 
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Matrix.mul: dimension mismatch";
@@ -59,74 +53,6 @@ let mul a b =
   done;
   m
 
-let zip_with op a b =
-  if a.rows <> b.rows || a.cols <> b.cols then invalid_arg "Matrix: dimension mismatch";
-  { a with data = Array.init (Array.length a.data) (fun i -> op a.data.(i) b.data.(i)) }
-
-let add a b = zip_with ( +. ) a b
-let sub a b = zip_with ( -. ) a b
-
-let scale k m = { m with data = Array.map (fun x -> k *. x) m.data }
-
-let mul_vec m v =
-  if m.cols <> Array.length v then invalid_arg "Matrix.mul_vec: dimension mismatch";
-  Array.init m.rows (fun i ->
-      let acc = ref 0.0 in
-      for j = 0 to m.cols - 1 do
-        acc := !acc +. (m.data.((i * m.cols) + j) *. v.(j))
-      done;
-      !acc)
-
-let map f m = { m with data = Array.map f m.data }
-
 let equal ?(eps = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= eps) a.data b.data
-
-let row_sums m =
-  Array.init m.rows (fun i ->
-      let acc = ref 0.0 in
-      for j = 0 to m.cols - 1 do
-        acc := !acc +. m.data.((i * m.cols) + j)
-      done;
-      !acc)
-
-let col_sums m =
-  let sums = Array.make m.cols 0.0 in
-  for i = 0 to m.rows - 1 do
-    for j = 0 to m.cols - 1 do
-      sums.(j) <- sums.(j) +. m.data.((i * m.cols) + j)
-    done
-  done;
-  sums
-
-let normalize_rows m =
-  let out = copy m in
-  for i = 0 to m.rows - 1 do
-    let s = ref 0.0 in
-    for j = 0 to m.cols - 1 do
-      s := !s +. m.data.((i * m.cols) + j)
-    done;
-    if !s = 0.0 then
-      for j = 0 to m.cols - 1 do
-        out.data.((i * m.cols) + j) <- 1.0 /. float_of_int m.cols
-      done
-    else
-      for j = 0 to m.cols - 1 do
-        out.data.((i * m.cols) + j) <- m.data.((i * m.cols) + j) /. !s
-      done
-  done;
-  out
-
-let frobenius m = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf ppf "@[<h>";
-    for j = 0 to m.cols - 1 do
-      Format.fprintf ppf "%8.4f " m.data.((i * m.cols) + j)
-    done;
-    Format.fprintf ppf "@]@,"
-  done;
-  Format.fprintf ppf "@]"

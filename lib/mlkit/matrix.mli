@@ -16,30 +16,11 @@ val identity : int -> t
 val of_arrays : float array array -> t
 (** @raise Invalid_argument on ragged or empty input. *)
 
-val to_arrays : t -> float array array
-
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 val dims : t -> int * int
-val copy : t -> t
 val row : t -> int -> float array
 val col : t -> int -> float array
-val transpose : t -> t
 val mul : t -> t -> t
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
-val mul_vec : t -> float array -> float array
 
-val map : (float -> float) -> t -> t
 val equal : ?eps:float -> t -> t -> bool
-
-val row_sums : t -> float array
-val col_sums : t -> float array
-
-val normalize_rows : t -> t
-(** Divide each row by its sum; rows summing to zero become uniform. *)
-
-val frobenius : t -> float
-
-val pp : Format.formatter -> t -> unit

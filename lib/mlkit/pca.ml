@@ -145,8 +145,3 @@ let transform model data =
 let fit_transform ?variance_kept ?max_components data =
   let model, xc = fit_centred ?variance_kept ?max_components data in
   (model, project xc model.components)
-
-let explained_variance_ratio model =
-  let total = Array.fold_left (fun acc x -> acc +. Float.max 0.0 x) 0.0 model.eigenvalues in
-  if total <= 0.0 then Array.map (fun _ -> 0.0) model.eigenvalues
-  else Array.map (fun x -> Float.max 0.0 x /. total) model.eigenvalues

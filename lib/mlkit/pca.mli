@@ -25,7 +25,9 @@ val jacobi_eigen : Matrix.t -> float array * Matrix.t
     fused multiply-adds and keeps the rotation order and every
     per-element expression, so the results are bit for bit those of the
     textbook routine. The sort of the spectrum and the assembly of the
-    result stay in OCaml.
+    result stay in OCaml. Also the eigensolver of the covariance-side
+    oracle ([test/pca_oracle.ml]) that test_mlkit's "fit =
+    covariance-side oracle, wide and tall data" holds {!fit} to.
     @raise Invalid_argument if [m] is not square. *)
 
 val fit : ?variance_kept:float -> ?max_components:int -> Matrix.t -> model
@@ -48,11 +50,10 @@ val fit : ?variance_kept:float -> ?max_components:int -> Matrix.t -> model
 val transform : model -> Matrix.t -> Matrix.t
 (** Project observations (rows) into the principal subspace: each
     coordinate is the sum of [(x_j - mean_j) * axis_j] over the features
-    in order.
+    in order. The reference for {!fit_transform}'s projection, compared
+    by test_mlkit's "fit_transform = transform of fit, bit for bit".
     @raise Invalid_argument if [data]'s width is not the model's. *)
 
 val fit_transform : ?variance_kept:float -> ?max_components:int -> Matrix.t -> model * Matrix.t
 (** [fit data] and the projection of [data], from the centred rows the
     fit built: bit for bit [transform (fit data) data]. *)
-
-val explained_variance_ratio : model -> float array

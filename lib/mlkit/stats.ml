@@ -10,8 +10,6 @@ let variance xs =
   Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs
   /. float_of_int (Array.length xs)
 
-let stddev xs = sqrt (variance xs)
-
 let quantile xs q =
   check_non_empty "Stats.quantile" xs;
   if q < 0.0 || q > 1.0 then invalid_arg "Stats.quantile: q out of range";
@@ -32,22 +30,6 @@ let min_max xs =
     (fun (lo, hi) x -> (Float.min lo x, Float.max hi x))
     (xs.(0), xs.(0))
     xs
-
-let logsumexp xs =
-  if Array.length xs = 0 then neg_infinity
-  else
-    let m = Array.fold_left Float.max neg_infinity xs in
-    if m = neg_infinity then neg_infinity
-    else m +. log (Array.fold_left (fun acc x -> acc +. exp (x -. m)) 0.0 xs)
-
-let euclidean_distance a b =
-  if Array.length a <> Array.length b then invalid_arg "Stats.euclidean_distance: length mismatch";
-  let acc = ref 0.0 in
-  for i = 0 to Array.length a - 1 do
-    let d = a.(i) -. b.(i) in
-    acc := !acc +. (d *. d)
-  done;
-  sqrt !acc
 
 let arg_best better xs =
   check_non_empty "Stats.argmax/argmin" xs;

@@ -6,18 +6,11 @@ val mean : float array -> float
 val variance : float array -> float
 (** Population variance. @raise Invalid_argument on an empty array. *)
 
-val stddev : float array -> float
-
 val quantile : float array -> float -> float
 (** [quantile xs q] with [q] in [\[0, 1\]]; linear interpolation between
     order statistics. @raise Invalid_argument on an empty array. *)
 
 val min_max : float array -> float * float
-
-val logsumexp : float array -> float
-(** Numerically stable [log (sum (exp xs))]; [neg_infinity] when empty. *)
-
-val euclidean_distance : float array -> float array -> float
 
 val argmax : float array -> int
 val argmin : float array -> int

@@ -1,5 +1,3 @@
 external monotonic_ns : unit -> (int64[@unboxed])
   = "adprom_obs_monotonic_ns_byte" "adprom_obs_monotonic_ns"
 [@@noalloc]
-
-let elapsed_s t0 t1 = Int64.to_float (Int64.sub t1 t0) *. 1e-9

@@ -5,6 +5,3 @@
 val monotonic_ns : unit -> int64
 (** Nanoseconds on a monotonic clock with an arbitrary epoch. The
     native call is allocation-free. *)
-
-val elapsed_s : int64 -> int64 -> float
-(** [elapsed_s t0 t1] in seconds, for two {!monotonic_ns} readings. *)

@@ -12,13 +12,6 @@ let level_to_string = function
   | Warn -> "warn"
   | Error -> "error"
 
-let level_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 type value =
   | Bool of bool
   | Int of int

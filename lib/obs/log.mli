@@ -18,11 +18,6 @@ type level =
   | Warn
   | Error
 
-val level_to_string : level -> string
-(** ["debug"], ["info"], ["warn"], ["error"]. *)
-
-val level_of_string : string -> level option
-
 type value =
   | Bool of bool
   | Int of int

@@ -23,9 +23,6 @@ let context : (int * int) list ref Domain.DLS.key =
 let current_trace_id () =
   match !(Domain.DLS.get context) with [] -> None | (tid, _) :: _ -> Some tid
 
-let current_span_id () =
-  match !(Domain.DLS.get context) with [] -> None | (_, sid) :: _ -> Some sid
-
 (* Finished spans: a bounded ring plus the hook list, one mutex. *)
 let mutex = Mutex.create ()
 let ring = ref (Ring.create 65536)

@@ -66,8 +66,6 @@ val current_trace_id : unit -> int option
 (** The trace id of the innermost open span on this domain, if any —
     what log events and collector tags join traces on. *)
 
-val current_span_id : unit -> int option
-
 val set_capacity : int -> unit
 (** Bound on retained finished spans (default 65536, oldest dropped
     first). Resetting the capacity clears collected spans.

@@ -1,12 +1,5 @@
 type policy = Strict | Flexible
 
-let policy_to_string = function Strict -> "strict" | Flexible -> "flexible"
-
-let policy_of_string = function
-  | "strict" -> Some Strict
-  | "flexible" -> Some Flexible
-  | _ -> None
-
 (* Value sets are kept only while small; past this many distinct
    members a slot degrades to its range/shape summary. *)
 let max_set = 16

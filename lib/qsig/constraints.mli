@@ -15,12 +15,7 @@
 
 type policy = Strict | Flexible
 
-val policy_to_string : policy -> string
-val policy_of_string : string -> policy option
-
 type shape = Digits | Alpha | Alnum | Other_shape
-
-val shape_of_string_value : string -> shape
 
 type t
 (** One slot's constraint. *)

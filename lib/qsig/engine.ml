@@ -54,7 +54,6 @@ type t = {
   mutable memo_misses : int;
   mutable checks : int;
   mutable anomalies : int;
-  mutable parse_errors : int;
   mutable static : static option;
   mutable gate_enforce : bool;
   mutable gate_checks : int;
@@ -89,16 +88,11 @@ let create ?(policy = Constraints.Strict) ?(memo_capacity = default_memo_capacit
     memo_misses = 0;
     checks = 0;
     anomalies = 0;
-    parse_errors = 0;
     static = None;
     gate_enforce = false;
     gate_checks = 0;
     gate_rejections = 0;
   }
-
-let profile t = t.profile
-let policy t = t.policy
-let signature_count t = Array.length t.entries
 
 let gate_verdict t key =
   match t.static with
@@ -110,7 +104,6 @@ let gate_verdict t key =
 let compile t sql =
   match Sqldb.Sql_parser.parse sql with
   | Error msg ->
-      t.parse_errors <- t.parse_errors + 1;
       (* Malformed texts are never gate-rejected: they already carry a
          Malformed anomaly and have no canonical signature to test. *)
       { static_reasons = [ Malformed msg ]; band = None; gate_impossible = None }
@@ -198,11 +191,8 @@ let check_log t log = List.map (fun (sql, rows) -> check ~rows t sql) log
 
 let checks t = t.checks
 let anomalies t = t.anomalies
-let parse_errors t = t.parse_errors
 let memo_hits t = t.memo_hits
 let memo_misses t = t.memo_misses
-let memo_len t = Hashtbl.length t.memo
-let invalidate t = Hashtbl.reset t.memo
 
 let set_static_signatures t ~complete keys =
   let static_set = Hashtbl.create (List.length keys * 2) in
@@ -210,11 +200,9 @@ let set_static_signatures t ~complete keys =
   t.static <- Some { static_set; static_complete = complete };
   (* Memoized entries were compiled against the previous (or no) static
      set; their cached gate verdicts are stale. *)
-  invalidate t
+  Hashtbl.reset t.memo
 
-let static_signatures_loaded t = t.static <> None
 let set_gate_enforce t on = t.gate_enforce <- on
-let gate_enforced t = t.gate_enforce
 let gate_checks t = t.gate_checks
 let gate_rejections t = t.gate_rejections
 

@@ -8,8 +8,8 @@
     predicate-widening warnings, slot-constraint violations — is
     memoized per raw text in a bounded table, so the steady-state cost
     of a repeated query is one hash lookup plus the band comparison.
-    Parse failures are soft: counted in {!parse_errors} and returned as
-    a {!Malformed} anomaly, never raised.
+    Parse failures are soft: returned as a {!Malformed} anomaly, never
+    raised.
 
     An engine is not thread-safe (it owns the memo and counters): use
     one per domain, as the daemon does per shard. *)
@@ -30,24 +30,16 @@ type reason =
 
 type verdict = { anomalous : bool; reasons : reason list }
 
-val normal : verdict
 val reason_to_string : reason -> string
 val verdict_to_string : verdict -> string
 
 type t
-
-val default_memo_capacity : int
-(** 4096 memoized query texts. *)
 
 val create :
   ?policy:Constraints.policy -> ?memo_capacity:int -> Profile.t -> t
 (** Compile the profile under a policy (default [Strict]).
     [memo_capacity 0] disables the memo.
     @raise Invalid_argument on a negative capacity. *)
-
-val profile : t -> Profile.t
-val policy : t -> Constraints.policy
-val signature_count : t -> int
 
 val check : ?rows:int -> t -> string -> verdict
 (** Check one executed query; [rows] enables the cardinality-band
@@ -59,13 +51,8 @@ val check_log : t -> (string * int) list -> verdict list
 
 val checks : t -> int
 val anomalies : t -> int
-val parse_errors : t -> int
 val memo_hits : t -> int
 val memo_misses : t -> int
-val memo_len : t -> int
-
-val invalidate : t -> unit
-(** Drop the memo (counters are preserved). *)
 
 (** {2 Static-signature gate}
 
@@ -87,13 +74,9 @@ val set_static_signatures : t -> complete:bool -> string list -> unit
 (** Install the static signature set (flushes the memo — cached gate
     verdicts would be stale). *)
 
-val static_signatures_loaded : t -> bool
-
 val set_gate_enforce : t -> bool -> unit
 (** [false] (default) is explain mode; [true] turns gate hits into
     [Impossible_signature] anomalies. *)
-
-val gate_enforced : t -> bool
 
 val gate_checks : t -> int
 (** Checks performed while a static set was loaded. *)

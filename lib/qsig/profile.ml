@@ -8,8 +8,6 @@ type t = { entries : (string, entry) Hashtbl.t; mutable malformed : int }
 
 let create () = { entries = Hashtbl.create 16; malformed = 0 }
 
-let find t signature = Hashtbl.find_opt t.entries (Signature.to_string signature)
-
 let find_by_text t text = Hashtbl.find_opt t.entries text
 
 let entry_for t signature nslots =
@@ -63,19 +61,7 @@ let learn_shape t sql =
       ignore (entry_for t signature (Array.length observed))
   | Error _ -> t.malformed <- t.malformed + 1
 
-let learn_run t sqls = List.iter (fun sql -> learn t sql) sqls
-
 let learn_log t log = List.iter (fun (sql, rows) -> learn ~rows t sql) log
-
-let of_runs runs =
-  let t = create () in
-  List.iter (learn_run t) runs;
-  t
-
-let of_logs logs =
-  let t = create () in
-  List.iter (learn_log t) logs;
-  t
 
 let copy t =
   let entries = Hashtbl.create (max 16 (Hashtbl.length t.entries * 2)) in

@@ -22,18 +22,13 @@ val learn_shape : t -> string -> unit
     prepare-time texts whose [?] placeholders would otherwise widen the
     slots shared with bound executions to Top. *)
 
-val learn_statement : ?rows:int -> t -> Sqldb.Sql_ast.statement -> unit
-val learn_run : t -> string list -> unit
 val learn_log : t -> (string * int) list -> unit
-val of_runs : string list list -> t
-val of_logs : (string * int) list list -> t
 
 val copy : t -> t
 (** Independent deep copy; further learning on either side does not
     affect the other. *)
 
 val mem : t -> Signature.t -> bool
-val find : t -> Signature.t -> entry option
 val find_by_text : t -> string -> entry option
 val signatures : t -> string list
 (** Signature texts, sorted. *)
@@ -43,7 +38,5 @@ val malformed_count : t -> int
 val fold : (string -> entry -> 'a -> 'a) -> t -> 'a -> 'a
 
 val save : t -> string -> unit
-val save_lines : t -> string
 val load : string -> (t, string) result
-val load_lines : string list -> (t, string) result
 val to_json : t -> string

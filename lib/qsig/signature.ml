@@ -2,16 +2,12 @@ module Ast = Sqldb.Sql_ast
 
 type t = string
 
-let malformed = "<malformed>"
-
 let of_statement stmt = Sqldb.Sql_pp.signature stmt
 
 let of_sql sql =
   Result.map of_statement (Sqldb.Sql_parser.parse sql)
 
 let to_string s = s
-let compare = String.compare
-let equal = String.equal
 
 (* ------------------------------------------------------------------ *)
 (* Slot extraction.

@@ -15,12 +15,7 @@ val of_statement : Sqldb.Sql_ast.statement -> t
 val of_sql : string -> (t, string) result
 (** Parse then sign; [Error msg] when the text is not dialect SQL. *)
 
-val malformed : t
-(** Distinguished bucket for unparseable query text. *)
-
 val to_string : t -> string
-val compare : t -> t -> int
-val equal : t -> t -> bool
 
 (** {1 Slots}
 

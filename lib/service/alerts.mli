@@ -13,7 +13,7 @@ type source =
       verdict : Adprom.Detector.verdict;
       explanation : Adprom.Scoring.explanation option;
           (** why the gate fired — attached by the daemon for every
-              recorded verdict, rendered by {!incident_to_string} *)
+              recorded verdict, rendered by {!source_to_string} *)
       leak : string option;
           (** the statically-known leak capability of the sink site
               that fired (rendered {!Analysis.Leakage} atoms), when the
@@ -83,5 +83,4 @@ val source_to_string : source -> string
     the stable part a cluster node ships in its summary frame (sequence
     numbers and timestamps are per-node and never comparable). *)
 
-val incident_to_string : incident -> string
 val to_string : t -> string

@@ -7,29 +7,7 @@ module Oring = Adprom_obs.Ring
 
 type gate_mode = Gate_off | Gate_explain | Gate_enforce
 
-let gate_mode_to_string = function
-  | Gate_off -> "off"
-  | Gate_explain -> "explain"
-  | Gate_enforce -> "enforce"
-
-let gate_mode_of_string = function
-  | "off" -> Some Gate_off
-  | "explain" -> Some Gate_explain
-  | "enforce" -> Some Gate_enforce
-  | _ -> None
-
 type qsig_mode = Qsig_off | Qsig_warn | Qsig_enforce
-
-let qsig_mode_to_string = function
-  | Qsig_off -> "off"
-  | Qsig_warn -> "warn"
-  | Qsig_enforce -> "enforce"
-
-let qsig_mode_of_string = function
-  | "off" -> Some Qsig_off
-  | "warn" -> Some Qsig_warn
-  | "enforce" -> Some Qsig_enforce
-  | _ -> None
 
 (* Warn checks under the Flexible policy, Enforce under Strict. Strict
    constraints are tighter, so Enforce's anomaly set is a superset of

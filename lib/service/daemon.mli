@@ -51,11 +51,6 @@ type gate_mode =
       (** DFA-rejected windows short-circuit to an anomalous verdict
           with no forward pass ({!Adprom.Scoring.set_gate_enforce}) *)
 
-val gate_mode_to_string : gate_mode -> string
-
-val gate_mode_of_string : string -> gate_mode option
-(** ["off"], ["explain"], ["enforce"]. *)
-
 type qsig_mode =
   | Qsig_off  (** ignore query lines: pre-qsig behaviour exactly *)
   | Qsig_warn
@@ -64,11 +59,6 @@ type qsig_mode =
   | Qsig_enforce
       (** check under [Strict] — tighter constraints, so the anomaly
           set is a superset of [Qsig_warn]'s on the same stream *)
-
-val qsig_mode_to_string : qsig_mode -> string
-
-val qsig_mode_of_string : string -> qsig_mode option
-(** ["off"], ["warn"], ["enforce"]. *)
 
 type t
 

@@ -99,8 +99,6 @@ let observe h v =
   h.h_count <- h.h_count + 1;
   Mutex.unlock h.h_mutex
 
-let histogram_count h = h.h_count
-
 (* quantile over raw (non-cumulative) buckets, shared by the live
    histogram path and the wire-snapshot path *)
 let quantile_of_buckets bounds buckets total q =

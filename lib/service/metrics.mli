@@ -27,9 +27,6 @@ val counter_value : counter -> int
 
 val gauge : ?help:string -> t -> string -> gauge
 val set_gauge : gauge -> int -> unit
-val gauge_value : gauge -> int
-val gauge_max : gauge -> int
-(** High-watermark of all values ever set. *)
 
 val default_buckets : float array
 (** Latency buckets in seconds, 1µs .. 1s. *)
@@ -39,7 +36,6 @@ val histogram : ?buckets:float array -> ?help:string -> t -> string -> histogram
     bucket is appended. *)
 
 val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
 
 val quantile : histogram -> float -> float
 (** Upper bound of the bucket containing the [q]-quantile observation

@@ -42,11 +42,6 @@ let max_item_bytes = 1 lsl 24
 
 let wire_to_string = function Line -> "text" | Binary -> "binary"
 
-let wire_of_string = function
-  | "text" | "line" -> Some Line
-  | "binary" | "bin" -> Some Binary
-  | _ -> None
-
 let encode_all (module T : S) items =
   let enc = T.encoder () in
   let buf = Buffer.create (Array.length items * 40) in

@@ -88,7 +88,6 @@ val max_item_bytes : int
     is this value). 16 MiB. *)
 
 val wire_to_string : wire -> string
-val wire_of_string : string -> wire option
 (** ["text"] / ["binary"]. *)
 
 val encode_all : (module S) -> item array -> string

@@ -22,8 +22,6 @@ let bound_text prepared params =
   Sql_pp.to_string (Sql_ast.bind_params (Array.of_list params) prepared.statement)
 
 let connect engine dialect = { engine; dialect; last = None; last_sql = None }
-let dialect conn = conn.dialect
-let engine conn = conn.engine
 
 let set_last_result conn r = conn.last <- r
 let last_result conn = conn.last

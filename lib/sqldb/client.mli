@@ -22,8 +22,6 @@ type cursor
 type prepared
 
 val connect : Engine.t -> dialect -> conn
-val dialect : conn -> dialect
-val engine : conn -> Engine.t
 
 val set_last_result : conn -> exec_result option -> unit
 (** MySQL-style connections remember the outcome of the last

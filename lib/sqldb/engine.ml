@@ -213,7 +213,3 @@ let exec t sql =
   match Sql_parser.parse sql with
   | Ok stmt -> execute t stmt
   | Error msg -> raise (Sql_error msg)
-
-let table_names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.tables []
-
-let row_count t name = List.length (find_table t name).trows

@@ -33,10 +33,6 @@ val exec : t -> string -> outcome
     used by the vulnerable clients).
     @raise Sql_error on a lexical, syntax or semantic error. *)
 
-val table_names : t -> string list
-val row_count : t -> string -> int
-(** @raise Sql_error on an unknown table. *)
-
 val like_match : pattern:string -> string -> bool
 (** SQL LIKE semantics: [%] matches any run, [_] any single character.
     Exposed for direct testing. *)

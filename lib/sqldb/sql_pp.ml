@@ -110,8 +110,3 @@ let render ~erase stmt =
 let to_string stmt = render ~erase:false stmt
 
 let signature stmt = render ~erase:true stmt
-
-let signature_of_sql sql =
-  match Sql_parser.parse sql with
-  | Ok stmt -> Some (signature stmt)
-  | Error _ -> None

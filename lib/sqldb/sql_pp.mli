@@ -28,7 +28,3 @@ val signature : Sql_ast.statement -> string
     datasets uses LIMIT with trained profiles persisted, so signatures
     learned by earlier query-signature profiles are unchanged; only
     previously-malformed IN queries gain real signatures. *)
-
-val signature_of_sql : string -> string option
-(** Convenience: parse then [signature]; [None] when the text is not
-    parseable SQL. *)

@@ -22,5 +22,3 @@ let equal a b =
   | Int x, Int y -> x = y
   | Str x, Str y -> x = y
   | _ -> false
-
-let pp ppf v = Format.pp_print_string ppf (to_string v)

@@ -18,5 +18,3 @@ val compare_values : t -> t -> int option
 val equal : t -> t -> bool
 (** Structural equality ([Null] equals [Null]); used by tests, not by
     SQL predicate evaluation. *)
-
-val pp : Format.formatter -> t -> unit

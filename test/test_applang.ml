@@ -127,7 +127,7 @@ let roundtrip src =
   let p = Parser.parse_program src in
   let printed = Pretty.program_to_string p in
   let p' = Parser.parse_program printed in
-  Alcotest.(check bool) "round trip preserves the AST" true (Ast.equal_program p p')
+  Alcotest.(check bool) "round trip preserves the AST" true (p = p')
 
 let test_roundtrip_fixed () =
   roundtrip
@@ -205,7 +205,7 @@ let prop_expr_roundtrip =
     ~print:Pretty.expr_to_string expr_gen (fun e ->
       let printed = Pretty.expr_to_string e in
       match Parser.parse_expr printed with
-      | e' -> Ast.equal_expr e e'
+      | e' -> e = e'
       | exception _ -> false)
 
 (* qcheck: generate random whole programs, print, reparse, compare. *)
@@ -259,14 +259,14 @@ let prop_program_roundtrip =
     ~print:Pretty.program_to_string program_gen (fun p ->
       let printed = Pretty.program_to_string p in
       match Parser.parse_program printed with
-      | p' -> Ast.equal_program p p'
+      | p' -> p = p'
       | exception _ -> false)
 
 (* --- libspec ------------------------------------------------------------ *)
 
 let test_libspec () =
   Alcotest.(check bool) "printf is a sink" true (Libspec.is_sink "printf");
-  Alcotest.(check bool) "pq_exec is a source" true (Libspec.is_source "pq_exec");
+  Alcotest.(check bool) "pq_exec is a source" true (Libspec.taint_of "pq_exec" = Libspec.Source);
   Alcotest.(check bool) "strcat propagates" true (Libspec.taint_of "strcat" = Libspec.Propagate);
   Alcotest.(check bool) "scanf is clean" true (Libspec.taint_of "scanf" = Libspec.Clean);
   Alcotest.(check bool) "synthetic lib_ calls are builtins" true (Libspec.is_builtin "lib_42");

@@ -14,6 +14,15 @@ module Pipeline = Adprom.Pipeline
 module Window = Adprom.Window
 module Symbol = Analysis.Symbol
 
+(* A query text's signature; [None] when it does not parse. *)
+let signature_of_sql sql =
+  Result.to_option (Result.map Sql_pp.signature (Sqldb.Sql_parser.parse sql))
+
+let qprofile_of sqls =
+  let q = Qprofile.create () in
+  List.iter (Qprofile.learn q) sqls;
+  q
+
 (* --- sql printing / signatures --------------------------------------------- *)
 
 let test_sql_pp_roundtrip () =
@@ -45,7 +54,7 @@ let test_sql_pp_roundtrip () =
     sources
 
 let test_sql_signature_erases_literals () =
-  let sig_of sql = Option.get (Sql_pp.signature_of_sql sql) in
+  let sig_of sql = Option.get (signature_of_sql sql) in
   Alcotest.(check string) "same structure, same signature"
     (sig_of "SELECT * FROM clients WHERE id = '105'")
     (sig_of "SELECT * FROM clients WHERE id = '999'");
@@ -53,10 +62,10 @@ let test_sql_signature_erases_literals () =
     (sig_of "SELECT * FROM clients WHERE id = '105'"
     <> sig_of "SELECT * FROM clients WHERE id = '1' OR '1' = '1'");
   Alcotest.(check bool) "unparseable is None" true
-    (Sql_pp.signature_of_sql "DROP EVERYTHING" = None)
+    (signature_of_sql "DROP EVERYTHING" = None)
 
 let test_qsig_profile () =
-  let q = Qprofile.of_runs [ [ "SELECT * FROM t WHERE a = 1" ]; [ "SELECT COUNT(*) FROM t" ] ] in
+  let q = qprofile_of [ "SELECT * FROM t WHERE a = 1"; "SELECT COUNT(*) FROM t" ] in
   Alcotest.(check int) "two signatures learned" 2 (Qprofile.cardinality q);
   let known sql = Audit.unknown_in_run q [ sql ] = [] in
   Alcotest.(check bool) "constant change stays known" true
@@ -102,7 +111,7 @@ let test_outcome_tracks_queries_and_files () =
 let test_audit_findings () =
   let out = run_exfil () in
   (* Training knew a different query shape and no file exfiltration. *)
-  let qsig = Qprofile.of_runs [ [ "SELECT COUNT(*) FROM secrets" ] ] in
+  let qsig = qprofile_of [ "SELECT COUNT(*) FROM secrets" ] in
   let findings = Audit.audit ~qsig out in
   let has_query =
     List.exists (function Audit.Unknown_query_signature _ -> true | _ -> false) findings

@@ -57,8 +57,7 @@ let prop_ring_keeps_last_capacity =
 let test_clock_monotone () =
   let a = Clock.monotonic_ns () in
   let b = Clock.monotonic_ns () in
-  Alcotest.(check bool) "non-decreasing" true (Int64.compare b a >= 0);
-  Alcotest.(check bool) "elapsed_s non-negative" true (Clock.elapsed_s a b >= 0.0)
+  Alcotest.(check bool) "non-decreasing" true (Int64.compare b a >= 0)
 
 (* --- structured log ---------------------------------------------------- *)
 
@@ -102,14 +101,6 @@ let test_log_json_shape () =
       "\"who\":\"me\"";
     ];
   Alcotest.(check bool) "single line" true (not (String.contains json '\n'))
-
-let test_level_round_trip () =
-  List.iter
-    (fun l ->
-      Alcotest.(check bool) "round trips" true
-        (Log.level_of_string (Log.level_to_string l) = Some l))
-    [ Log.Debug; Log.Info; Log.Warn; Log.Error ];
-  Alcotest.(check bool) "unknown rejected" true (Log.level_of_string "loud" = None)
 
 (* --- tracer ------------------------------------------------------------ *)
 
@@ -187,7 +178,7 @@ let test_span_on_exception () =
   (match Trace.spans () with
   | [ sp ] -> Alcotest.(check string) "span recorded" "boom" sp.Trace.name
   | l -> Alcotest.failf "expected one span, got %d" (List.length l));
-  Alcotest.(check bool) "context unwound" true (Trace.current_span_id () = None)
+  Alcotest.(check bool) "context unwound" true (Trace.current_trace_id () = None)
 
 let test_attrs_lazy () =
   Trace.set_enabled false;
@@ -292,7 +283,6 @@ let () =
           Alcotest.test_case "threshold gating and ring capture" `Quick
             test_log_threshold_and_ring;
           Alcotest.test_case "JSONL event shape" `Quick test_log_json_shape;
-          Alcotest.test_case "level round trip" `Quick test_level_round_trip;
         ] );
       ( "trace properties",
         [

@@ -196,23 +196,36 @@ let training_log =
     ("INSERT INTO t (a, b, c) VALUES (5, 'y', 6)", 1);
   ]
 
+let trained () =
+  let p = Profile.create () in
+  Profile.learn_log p training_log;
+  p
+
 let test_profile_save_load_roundtrip () =
-  let p = Profile.of_logs [ training_log ] in
+  let p = trained () in
   Profile.learn p "NOT SQL AT ALL";
-  let lines = Profile.save_lines p in
-  match Profile.load_lines (String.split_on_char '\n' lines) with
-  | Error e -> Alcotest.failf "load_lines: %s" e
+  let saved p =
+    let path = Filename.temp_file "qsig" ".profile" in
+    Profile.save p path;
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    (path, text)
+  in
+  let path, text = saved p in
+  match Profile.load path with
+  | Error e -> Alcotest.failf "load: %s" e
   | Ok p' ->
       Alcotest.(check (list string))
         "signatures survive" (Profile.signatures p) (Profile.signatures p');
       Alcotest.(check int)
         "malformed bucket survives" (Profile.malformed_count p)
         (Profile.malformed_count p');
-      Alcotest.(check string)
-        "round-trip is a fixpoint" lines (Profile.save_lines p')
+      let path', text' = saved p' in
+      Sys.remove path;
+      Sys.remove path';
+      Alcotest.(check string) "round-trip is a fixpoint" text text'
 
 let test_profile_copy_isolated () =
-  let p = Profile.of_logs [ training_log ] in
+  let p = trained () in
   let q = Profile.copy p in
   Profile.learn q "DELETE FROM other WHERE z = 9";
   Alcotest.(check bool)
@@ -250,7 +263,7 @@ let prop_streaming_equals_batch =
   QCheck2.Test.make ~name:"streaming scorer == batch check_log" ~count:100
     gen_log
     (fun log ->
-      let p = Profile.of_logs [ training_log ] in
+      let p = trained () in
       let e1 = Engine.create ~policy:Constraints.Strict p in
       let e2 = Engine.create ~policy:Constraints.Strict p in
       let batch = Engine.check_log e1 log in
@@ -267,7 +280,7 @@ let prop_enforce_superset_of_warn =
   QCheck2.Test.make ~name:"strict anomalies superset of flexible" ~count:100
     gen_log
     (fun log ->
-      let p = Profile.of_logs [ training_log ] in
+      let p = trained () in
       let strict = Engine.create ~policy:Constraints.Strict p in
       let flex = Engine.create ~policy:Constraints.Flexible p in
       List.for_all2
@@ -276,7 +289,7 @@ let prop_enforce_superset_of_warn =
         (Engine.check_log strict log) (Engine.check_log flex log))
 
 let test_engine_reasons () =
-  let p = Profile.of_logs [ training_log ] in
+  let p = trained () in
   let e = Engine.create ~policy:Constraints.Strict p in
   let v = Engine.check e "SELECT a, b FROM t WHERE a = 1 OR '1' = '1'" in
   Alcotest.(check bool) "tautology flagged" true v.Engine.anomalous;

@@ -3,7 +3,8 @@
    detection loop, shed accounting under overload, shard determinism,
    the metrics registry and the unified incident log — plus QCheck
    properties for Core.Sessions (demux inverts interleave; per-session
-   windowing equals per-trace windowing). *)
+   windowing equals per-trace windowing; interleave draws as the
+   per-event reference does). *)
 
 module Transport = Adprom_service.Transport
 module Metrics = Adprom_service.Metrics
@@ -362,6 +363,10 @@ let test_daemon_conservation_under_pressure () =
 
 (* --- metrics ----------------------------------------------------------------- *)
 
+(* A gauge's [(name, value, high-watermark)] in a snapshot of [m]. *)
+let gauge_reading m name =
+  List.find (fun (n, _, _) -> n = name) (Metrics.snapshot m).Metrics.gauges
+
 let test_metrics_registry () =
   let m = Metrics.create () in
   let c = Metrics.counter m "requests_total" in
@@ -373,11 +378,13 @@ let test_metrics_registry () =
   let g = Metrics.gauge m "depth" in
   Metrics.set_gauge g 7;
   Metrics.set_gauge g 3;
-  Alcotest.(check int) "gauge holds last value" 3 (Metrics.gauge_value g);
-  Alcotest.(check int) "gauge high-watermark" 7 (Metrics.gauge_max g);
+  let _, value, high = gauge_reading m "depth" in
+  Alcotest.(check int) "gauge holds last value" 3 value;
+  Alcotest.(check int) "gauge high-watermark" 7 high;
   let h = Metrics.histogram ~buckets:[| 0.1; 1.0 |] m "lat" in
   List.iter (Metrics.observe h) [ 0.05; 0.05; 0.5; 5.0 ];
-  Alcotest.(check int) "histogram count" 4 (Metrics.histogram_count h);
+  Alcotest.(check int) "histogram count" 4
+    (Option.get (Metrics.snapshot_histogram (Metrics.snapshot m) "lat")).Metrics.hs_count;
   Alcotest.(check (float 1e-9)) "p50 bucket" 0.1 (Metrics.quantile h 0.5);
   Alcotest.(check bool) "p99 overflows" true (Metrics.quantile h 0.99 = infinity);
   let dump = Metrics.dump m in
@@ -506,10 +513,10 @@ let test_gauge_max_two_domains () =
         if value k i > !expected then expected := value k i
       done)
     [ 1; 2 ];
-  Alcotest.(check int) "watermark = global max" !expected (Metrics.gauge_max g);
+  let _, v, high = gauge_reading m "stress_depth" in
+  Alcotest.(check int) "watermark = global max" !expected high;
   Alcotest.(check bool) "last value is one of the writers' finals" true
-    (let v = Metrics.gauge_value g in
-     v = value 1 (per_domain - 1) || v = value 2 (per_domain - 1))
+    (v = value 1 (per_domain - 1) || v = value 2 (per_domain - 1))
 
 (* --- alerts ------------------------------------------------------------------ *)
 
@@ -619,7 +626,8 @@ let test_daemon_feeds_alerts () =
    anomaly, on the learn path too. *)
 let test_daemon_oversize_literal () =
   let probe = "SELECT name FROM clients WHERE id = 99999999999999999999" in
-  let qprofile = Adprom_qsig.Profile.of_runs [ [ "SELECT name FROM t" ] ] in
+  let qprofile = Adprom_qsig.Profile.create () in
+  Adprom_qsig.Profile.learn qprofile "SELECT name FROM t";
   Adprom_qsig.Profile.learn qprofile probe;
   Alcotest.(check int) "learn counts it malformed" 1
     (Adprom_qsig.Profile.malformed_count qprofile);
@@ -680,7 +688,7 @@ let test_daemon_explains_incidents () =
           Alcotest.(check bool) "gate is unknown-symbol" true
             (e.Adprom.Scoring.gate = Adprom.Scoring.Unknown_symbol);
           Alcotest.(check bool) "incident names the gate" true
-            (contains ~needle:"gate=unknown-symbol" (Alerts.incident_to_string i))
+            (contains ~needle:"gate=unknown-symbol" (Alerts.source_to_string i.Alerts.source))
       | _ -> ())
     verdict_incidents;
   (* the incidents also landed on the shard event rings and surface in
@@ -768,6 +776,46 @@ let prop_windows_per_session =
           (Sessions.demux host)
       in
       via_sessions = direct)
+
+(* [Sessions.interleave] as it stood: the live sessions rebuilt, as a
+   descending list and then an array, for every event drawn — O(E·S).
+   The linear version must draw the same sessions in the same order. *)
+let reference_interleave ~rng traces =
+  let queues = Array.of_list (List.map (fun t -> (ref 0, t)) traces) in
+  let live () =
+    let alive = ref [] in
+    Array.iteri
+      (fun i (pos, t) -> if !pos < Array.length t then alive := i :: !alive)
+      queues;
+    !alive
+  in
+  let out = ref [] in
+  let rec loop () =
+    match live () with
+    | [] -> ()
+    | alive ->
+        let arr = Array.of_list alive in
+        let i = arr.(Mlkit.Rng.int rng (Array.length arr)) in
+        let pos, t = queues.(i) in
+        out := { Sessions.session = i; event = t.(!pos) } :: !out;
+        incr pos;
+        loop ()
+  in
+  loop ();
+  Array.of_list (List.rev !out)
+
+let prop_interleave_matches_reference =
+  QCheck2.Test.make ~name:"interleave = per-event rebuild reference" ~count:300
+    ~print:(fun (seed, ts) -> Printf.sprintf "seed %d: %s" seed (print_traces ts))
+    QCheck2.Gen.(
+      pair (int_bound 1_000_000)
+        (list_size (int_range 0 12)
+           (map Array.of_list (list_size (int_range 0 20) event_gen))))
+    (fun (seed, traces) ->
+      let r = Mlkit.Rng.create seed and r' = Mlkit.Rng.create seed in
+      Sessions.interleave ~rng:r traces = reference_interleave ~rng:r' traces
+      (* one draw per event on both sides: the generators end level *)
+      && Mlkit.Rng.int r 1_000_000 = Mlkit.Rng.int r' 1_000_000)
 
 (* --- a node in process: Server.Conn under a simulated loop ---------------- *)
 
@@ -1122,5 +1170,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_demux_inverts_interleave;
           QCheck_alcotest.to_alcotest prop_windows_per_session;
+          QCheck_alcotest.to_alcotest prop_interleave_matches_reference;
         ] );
     ]

@@ -19,6 +19,13 @@ let rows_of = function
   | Engine.Rows r -> r.Engine.rows
   | Engine.Affected _ -> Alcotest.fail "expected rows"
 
+let row_count e table = Array.length (rows_of (Engine.exec e ("SELECT * FROM " ^ table)))
+
+let has_table e table =
+  match Engine.exec e ("SELECT * FROM " ^ table) with
+  | _ -> true
+  | exception Engine.Sql_error _ -> false
+
 let affected = function
   | Engine.Affected n -> n
   | Engine.Rows _ -> Alcotest.fail "expected an affected-count"
@@ -97,13 +104,13 @@ let test_sql_parser_errors () =
 
 let test_engine_crud () =
   let e = fresh () in
-  Alcotest.(check int) "three rows" 3 (Engine.row_count e "users");
+  Alcotest.(check int) "three rows" 3 (row_count e "users");
   Alcotest.(check int) "update count" 1
     (affected (Engine.exec e "UPDATE users SET age = 26 WHERE name = 'bob'"));
   let r = rows_of (Engine.exec e "SELECT age FROM users WHERE name = 'bob'") in
   Alcotest.(check bool) "updated value" true (Value.equal r.(0).(0) (Value.Int 26));
   Alcotest.(check int) "delete count" 1 (affected (Engine.exec e "DELETE FROM users WHERE id = 1"));
-  Alcotest.(check int) "two rows left" 2 (Engine.row_count e "users")
+  Alcotest.(check int) "two rows left" 2 (row_count e "users")
 
 (* UPDATE writes rows in place, INSERT and DELETE rebuild the row
    list, CREATE adds a table: none of them may reach the template. *)
@@ -113,18 +120,18 @@ let test_engine_copy () =
   let snapshot e = rows_of (Engine.exec e "SELECT * FROM users") in
   let before = snapshot template in
   let copy = Engine.copy template in
-  Alcotest.(check (list string)) "tables in the template's order" (Engine.table_names template)
-    (Engine.table_names copy);
+  Alcotest.(check bool) "the template's tables copied" true
+    (has_table copy "users" && has_table copy "orders");
   ignore (Engine.exec copy "INSERT INTO users VALUES (4, 'dave', 40)");
   ignore (Engine.exec copy "UPDATE users SET age = 99");
   ignore (Engine.exec copy "DELETE FROM users WHERE id = 1");
   ignore (Engine.exec copy "INSERT INTO orders VALUES (1, 2)");
   ignore (Engine.exec copy "CREATE TABLE audit (id)");
   Alcotest.(check bool) "template rows untouched" true (snapshot template = before);
-  Alcotest.(check int) "template orders untouched" 0 (Engine.row_count template "orders");
+  Alcotest.(check int) "template orders untouched" 0 (row_count template "orders");
   Alcotest.(check bool) "template has no new table" false
-    (List.mem "audit" (Engine.table_names template));
-  Alcotest.(check int) "copy saw its writes" 3 (Engine.row_count copy "users");
+    (has_table template "audit");
+  Alcotest.(check int) "copy saw its writes" 3 (row_count copy "users");
   Alcotest.(check bool) "copy updated" true
     (Array.for_all (fun r -> Value.equal r.(2) (Value.Int 99)) (snapshot copy));
   ignore (Engine.exec template "UPDATE users SET age = 1");
