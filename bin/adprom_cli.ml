@@ -1254,7 +1254,7 @@ let route_cmd_run events_path node_specs replicas trace_out =
       match connect_fleet node_specs replicas with
       | Error e -> `Error (false, e)
       | Ok router -> (
-          let t0 = Unix.gettimeofday () in
+          let t0 = Adprom_obs.Clock.monotonic_ns () in
           match Service.Cluster.Router.send_stream router items with
           | Error e -> `Error (false, Printf.sprintf "send failed: %s" e)
           | Ok () -> (
@@ -1279,7 +1279,7 @@ let route_cmd_run events_path node_specs replicas trace_out =
               match Service.Cluster.Router.finish router with
               | Error e -> `Error (false, Printf.sprintf "shutdown failed: %s" e)
               | Ok summaries ->
-                  let seconds = Unix.gettimeofday () -. t0 in
+                  let seconds = Adprom_obs.Clock.elapsed_s t0 in
                   List.iter
                     (fun (s : Service.Frame.node_summary) ->
                       Printf.printf "node %-12s %d sessions, %d events ingested\n"

@@ -15,41 +15,47 @@ type verdict = {
 
 (* --- bounded LRU verdict memo ------------------------------------------ *)
 
-module Key = struct
-  type t = int array
+let key_equal (a : int array) (b : int array) =
+  let la = Array.length a in
+  la = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < la && Array.unsafe_get a !i = Array.unsafe_get b !i do
+    incr i
+  done;
+  !i = la
 
-  let equal (a : int array) (b : int array) =
-    let la = Array.length a in
-    la = Array.length b
-    &&
-    let i = ref 0 in
-    while !i < la && Array.unsafe_get a !i = Array.unsafe_get b !i do
-      incr i
-    done;
-    !i = la
+(* FNV-1a over the whole window. The stdlib polymorphic hash folds only
+   a prefix, which collides badly on stride-1 sliding windows (they
+   share long prefixes). *)
+let key_hash (k : int array) =
+  let h = ref 0x811c9dc5 in
+  for i = 0 to Array.length k - 1 do
+    h := (!h lxor Array.unsafe_get k i) * 0x01000193 land max_int
+  done;
+  !h
 
-  (* FNV-1a over the whole window. The stdlib polymorphic hash folds
-     only a prefix, which collides badly on stride-1 sliding windows
-     (they share long prefixes). *)
-  let hash (k : int array) =
-    let h = ref 0x811c9dc5 in
-    Array.iter (fun v -> h := (!h lxor v) * 0x01000193 land max_int) k;
-    !h
-end
-
-module Key_tbl = Hashtbl.Make (Key)
-
-type node = {
-  node_key : int array;
-  node_verdict : verdict;
-  mutable lru_prev : node;  (* toward the MRU end *)
-  mutable lru_next : node;  (* toward the LRU end *)
-}
-
+(* A slab of slots in parallel arrays: slot [s] holds a key, its hash
+   and its verdict, and is linked toward the MRU end by [prev.(s)] and
+   toward the LRU end by [next.(s)] ([-1] ends the list). The live
+   slots are always [0 .. len - 1]: a miss takes slot [len] while
+   there is one, doubling the slab up to [capacity] when it is full,
+   and past that the LRU slot, whose key array is overwritten in place
+   when the lengths agree. [index] maps keys to slots by linear probing
+   ([-1] = empty) and is at most half full; an evicted slot leaves it
+   by back-shift deletion, so no tombstones build up. A miss thus
+   allocates nothing but its verdict once the slab is warm. *)
 type cache = {
   capacity : int;
-  tbl : node Key_tbl.t;
-  sentinel : node;  (* circular list: sentinel.lru_next = MRU, sentinel.lru_prev = LRU *)
+  mutable keys : int array array;
+  mutable hashes : int array;
+  mutable verdicts : verdict array;
+  mutable prev : int array;
+  mutable next : int array;
+  mutable index : int array;
+  mutable len : int;
+  mutable mru : int;
+  mutable lru : int;
   mutable hits : int;
   mutable misses : int;
 }
@@ -57,60 +63,138 @@ type cache = {
 let dummy_verdict =
   { flag = Normal; score = 0.0; unknown_symbol = false; unknown_pair = None }
 
+(* The slab's first size: a small engine never pays for a full one. *)
+let first_slots = 16
+
+(* The index for [slots] slots: a power of two, at least twice that. *)
+let index_for slots =
+  let rec pow2 n = if n >= 2 * slots then n else pow2 (2 * n) in
+  Array.make (pow2 2) (-1)
+
 let cache_create capacity =
-  let rec sentinel =
-    { node_key = [||]; node_verdict = dummy_verdict; lru_prev = sentinel; lru_next = sentinel }
-  in
+  let slots = min capacity first_slots in
   {
     capacity;
-    tbl = Key_tbl.create (max 16 (min (capacity + 1) 1024));
-    sentinel;
+    keys = Array.make slots [||];
+    hashes = Array.make slots 0;
+    verdicts = Array.make slots dummy_verdict;
+    prev = Array.make slots (-1);
+    next = Array.make slots (-1);
+    index = index_for slots;
+    len = 0;
+    mru = -1;
+    lru = -1;
     hits = 0;
     misses = 0;
   }
 
-let unlink n =
-  n.lru_prev.lru_next <- n.lru_next;
-  n.lru_next.lru_prev <- n.lru_prev
+(* The FNV product mixes upward only: fold high bits into the low ones
+   the mask keeps. *)
+let home c h = (h lxor (h lsr 17)) land (Array.length c.index - 1)
+let succ_pos c i = (i + 1) land (Array.length c.index - 1)
 
-let push_front c n =
-  let s = c.sentinel in
-  n.lru_next <- s.lru_next;
-  n.lru_prev <- s;
-  s.lru_next.lru_prev <- n;
-  s.lru_next <- n
+let rec probe c key h i =
+  let s = Array.unsafe_get c.index i in
+  if s < 0 || (c.hashes.(s) = h && key_equal c.keys.(s) key) then s
+  else probe c key h (succ_pos c i)
 
-let cache_find c key =
-  match Key_tbl.find c.tbl key with
-  | node ->
-      c.hits <- c.hits + 1;
-      unlink node;
-      push_front c node;
-      Some node.node_verdict
-  | exception Not_found ->
-      c.misses <- c.misses + 1;
-      None
+(* Top-level loops, not local closures: a miss allocates no closure. *)
+let rec index_add_at c s i =
+  if c.index.(i) < 0 then c.index.(i) <- s else index_add_at c s (succ_pos c i)
 
-(* [key] must be freshly owned by the cache (never a scratch buffer). *)
-let cache_insert c key v =
-  if c.capacity > 0 then begin
-    let s = c.sentinel in
-    let node = { node_key = key; node_verdict = v; lru_prev = s; lru_next = s } in
-    push_front c node;
-    Key_tbl.replace c.tbl key node;
-    if Key_tbl.length c.tbl > c.capacity then begin
-      let lru = s.lru_prev in
-      if lru != s then begin
-        unlink lru;
-        Key_tbl.remove c.tbl lru.node_key
-      end
+let index_add c s = index_add_at c s (home c c.hashes.(s))
+
+(* Empty [c.index]'s cell [hole], pulling back each later entry of its
+   probe run whose home does not lie cyclically in [(hole, j]]. *)
+let rec shift_back c hole j =
+  let j = succ_pos c j in
+  let s = c.index.(j) in
+  if s < 0 then c.index.(hole) <- -1
+  else
+    let mask = Array.length c.index - 1 in
+    if (j - home c c.hashes.(s)) land mask >= (j - hole) land mask then begin
+      c.index.(hole) <- s;
+      shift_back c j j
     end
+    else shift_back c hole j
+
+let rec index_pos c s i = if c.index.(i) = s then i else index_pos c s (succ_pos c i)
+
+let index_remove c s =
+  let i = index_pos c s (home c c.hashes.(s)) in
+  shift_back c i i
+
+let unlink c s =
+  let p = c.prev.(s) and n = c.next.(s) in
+  if p >= 0 then c.next.(p) <- n else c.mru <- n;
+  if n >= 0 then c.prev.(n) <- p else c.lru <- p
+
+let push_front c s =
+  c.prev.(s) <- -1;
+  c.next.(s) <- c.mru;
+  if c.mru >= 0 then c.prev.(c.mru) <- s else c.lru <- s;
+  c.mru <- s
+
+(* The slot of [key] (hash [h]), made most recently used, or [-1]. *)
+let cache_find c key h =
+  let s = probe c key h (home c h) in
+  if s >= 0 then begin
+    c.hits <- c.hits + 1;
+    if c.mru <> s then begin
+      unlink c s;
+      push_front c s
+    end
+  end
+  else c.misses <- c.misses + 1;
+  s
+
+let grow c =
+  let slots = min c.capacity (2 * Array.length c.keys) in
+  let extend a fill =
+    let b = Array.make slots fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  c.keys <- extend c.keys [||];
+  c.hashes <- extend c.hashes 0;
+  c.verdicts <- extend c.verdicts dummy_verdict;
+  c.prev <- extend c.prev (-1);
+  c.next <- extend c.next (-1);
+  c.index <- index_for slots;
+  for s = 0 to c.len - 1 do
+    index_add c s
+  done
+
+(* [key] may be a scratch buffer: the slot keeps a copy. *)
+let cache_insert c key h v =
+  if c.capacity > 0 then begin
+    let s =
+      if c.len < c.capacity then begin
+        if c.len = Array.length c.keys then grow c;
+        c.len <- c.len + 1;
+        c.len - 1
+      end
+      else begin
+        let s = c.lru in
+        index_remove c s;
+        unlink c s;
+        s
+      end
+    in
+    let k = c.keys.(s) in
+    if Array.length k = Array.length key then Array.blit key 0 k 0 (Array.length key)
+    else c.keys.(s) <- Array.copy key;
+    c.hashes.(s) <- h;
+    c.verdicts.(s) <- v;
+    push_front c s;
+    index_add c s
   end
 
 let cache_clear c =
-  Key_tbl.reset c.tbl;
-  c.sentinel.lru_prev <- c.sentinel;
-  c.sentinel.lru_next <- c.sentinel
+  Array.fill c.index 0 (Array.length c.index) (-1);
+  c.len <- 0;
+  c.mru <- -1;
+  c.lru <- -1
 
 (* --- prepared windows ----------------------------------------------------- *)
 
@@ -221,7 +305,7 @@ let profile t = t.profile
 let threshold t = t.threshold
 let cache_hits t = t.cache.hits
 let cache_misses t = t.cache.misses
-let cache_len t = Key_tbl.length t.cache.tbl
+let cache_len t = t.cache.len
 let cache_capacity t = t.cache.capacity
 
 let set_static_pairs t pairs =
@@ -412,17 +496,19 @@ let decide t r ~start ~len =
       end
       else codes_of t r ~start ~len
     in
-    match cache_find t.cache key with
-    | Some v -> v
-    | None ->
-        let codes = if t.track_callers then codes_of t r ~start ~len else key in
-        let score = Hmm.Compiled.per_symbol_score_sub t.compiled codes ~pos:0 ~len in
-        let v =
-          make_verdict t ~score ~unknown_symbol:false
-            ~unknown_pair:(unknown_pair t r ~start ~len) ~labeled_any:!labeled_any
-        in
-        cache_insert t.cache (Array.copy key) v;
-        v
+    let h = key_hash key in
+    let s = cache_find t.cache key h in
+    if s >= 0 then t.cache.verdicts.(s)
+    else begin
+      let codes = if t.track_callers then codes_of t r ~start ~len else key in
+      let score = Hmm.Compiled.per_symbol_score_sub t.compiled codes ~pos:0 ~len in
+      let v =
+        make_verdict t ~score ~unknown_symbol:false
+          ~unknown_pair:(unknown_pair t r ~start ~len) ~labeled_any:!labeled_any
+      in
+      cache_insert t.cache key h v;
+      v
+    end
   end
 
 let classify t window =

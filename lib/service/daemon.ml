@@ -19,15 +19,6 @@ let qsig_policy_of_mode = function
 
 module Oclock = Adprom_obs.Clock
 
-(* Items are stamped with the monotonic clock at admission so workers
-   can report queue wait and ingest→verdict (end-to-end) latency. The
-   stamp is an immediate int (63 bits of ns outlast any uptime), so a
-   queued item carries no boxed int64. *)
-type message =
-  | Event of Transport.event * int  (* payload, enqueue monotonic ns *)
-  | Query of Transport.query * int
-  | Shed of int  (* discard this session's state; ignore later items *)
-
 (* End-to-end latency spans queueing, so it needs headroom past the
    1s scoring-latency ceiling; both nodes registering the same layout
    is what lets the router merge fleet histograms bucket-wise. *)
@@ -37,13 +28,112 @@ let e2e_buckets =
 let now_ns () = Int64.to_int (Oclock.monotonic_ns ())
 let ns_to_s ns = float_of_int ns /. 1e9
 
+(* --- shard queues ---------------------------------------------------------- *)
+
+(* A shard queue is a chain of chunks, each slot holding one message:
+   an event, a query, or a shed of the event's session. Items are
+   stamped with the monotonic clock at admission so workers can report
+   queue wait and ingest->verdict (end-to-end) latency; the stamp is an
+   immediate int (63 bits of ns outlast any uptime), and a shed carries
+   [shed_stamp] instead. A slot not in use holds [no_event] and
+   [no_query], so a message is a query exactly when its query is not
+   [no_query]. Admission writes into slots and workers clear them, and
+   spent chunks are recycled, so a queued item allocates nothing. *)
+
+(* Each chunk array is 127 words plus its header: the largest block the
+   OCaml 5 major heap serves from its size-class pools. *)
+let chunk_slots = 127
+
+(* Spent chunks a shard keeps for reuse; any more are left to the GC. *)
+let max_spares = 4
+
+let shed_stamp = -1
+
+let no_event =
+  {
+    Transport.session = -1;
+    event = { Runtime.Collector.symbol = Analysis.Symbol.Entry; caller = ""; block = -1 };
+  }
+
+let no_query = { Transport.q_session = -1; rows = 0; sql = "" }
+
+type chunk = {
+  events : Transport.event array;
+  queries : Transport.query array;
+  stamps : int array;  (* admission monotonic ns, or [shed_stamp] *)
+  mutable next : chunk;  (* toward the tail; [last_chunk] ends a chain *)
+}
+
+let rec last_chunk = { events = [||]; queries = [||]; stamps = [||]; next = last_chunk }
+
+let new_chunk () =
+  {
+    events = Array.make chunk_slots no_event;
+    queries = Array.make chunk_slots no_query;
+    stamps = Array.make chunk_slots 0;
+    next = last_chunk;
+  }
+
+(* Every field but [depth] is guarded by [mutex]. The acceptor writes
+   slot [tail_pos] of [tail]; [queued] messages wait from slot
+   [head_pos] of [head] on. A worker reserves them all at once, then
+   reads and clears them without the lock: the acceptor only writes
+   past the reservation, and a chunk changes hands (spent, onto
+   [spares]; reused, off it) only under the lock. *)
 type shard = {
   mutex : Mutex.t;
   nonempty : Condition.t;
-  queue : message Queue.t;
+  mutable head : chunk;
+  mutable head_pos : int;
+  mutable tail : chunk;
+  mutable tail_pos : int;
+  mutable queued : int;
+  mutable spares : chunk;  (* a chain through [next] *)
+  mutable spare_count : int;
   mutable closed : bool;
   depth : Metrics.gauge;
 }
+
+(* Take the next slot, [tail_pos - 1] of [tail]; call under the lock. *)
+let claim shard =
+  if shard.tail_pos = chunk_slots then begin
+    let c =
+      if shard.spare_count > 0 then begin
+        let c = shard.spares in
+        shard.spares <- c.next;
+        shard.spare_count <- shard.spare_count - 1;
+        c.next <- last_chunk;
+        c
+      end
+      else new_chunk ()
+    in
+    shard.tail.next <- c;
+    shard.tail <- c;
+    shard.tail_pos <- 0
+  end;
+  shard.tail_pos <- shard.tail_pos + 1;
+  shard.queued <- shard.queued + 1
+
+(* Queue one message; call under the lock. *)
+let push_event shard ev stamp =
+  claim shard;
+  shard.tail.events.(shard.tail_pos - 1) <- ev;
+  shard.tail.stamps.(shard.tail_pos - 1) <- stamp
+
+let push_query shard q stamp =
+  claim shard;
+  shard.tail.queries.(shard.tail_pos - 1) <- q;
+  shard.tail.stamps.(shard.tail_pos - 1) <- stamp
+
+(* A worker has read and cleared every slot of [c]: hand it back. *)
+let release shard c =
+  Mutex.lock shard.mutex;
+  if shard.spare_count < max_spares then begin
+    c.next <- shard.spares;
+    shard.spares <- c;
+    shard.spare_count <- shard.spare_count + 1
+  end;
+  Mutex.unlock shard.mutex
 
 type session_report = {
   session : int;
@@ -382,90 +472,123 @@ let worker ~idx ~profile ~stage ~keep_verdicts ~series:m ~alerts ~ring shard =
               | None -> [])
             "incident"
   in
-  let handle deq_ns = function
-    | Event ({ Transport.session = id; event }, enq_ns) -> (
-        Metrics.observe m.queue_wait (ns_to_s (deq_ns - enq_ns));
-        match entry id with
-        | Shed_here -> ()
-        | Live s ->
-            (match event.Runtime.Collector.symbol with
-            | Analysis.Symbol.Lib { label = Some b; _ }
-              when stage.sinks <> [] && List.mem_assoc b stage.sinks ->
-                if not (List.mem b s.sinks) then s.sinks <- b :: s.sinks
-            | _ -> ());
-            let t0 = Unix.gettimeofday () in
-            (match Scoring.Stream.push s.stream event with
-            | Ok (Some verdict) ->
-                account id s verdict;
-                (* the verdict-completing event pays one extra clock read
-                   to date the whole ingest→verdict path *)
-                Metrics.observe m.e2e (ns_to_s (now_ns () - enq_ns))
-            | Ok None -> ()
-            | Error _ ->
-                (* a protocol slip (event after end-of-session), handled
-                   like a codec-level incident — never a dead shard *)
-                Metrics.incr m.scorer_errors);
-            Metrics.observe m.latency (Unix.gettimeofday () -. t0))
-    | Query ({ Transport.q_session = id; rows; sql }, enq_ns) -> (
-        Metrics.observe m.queue_wait (ns_to_s (deq_ns - enq_ns));
-        if Option.is_some qsig_engine then
-          match entry id with
-          | Shed_here | Live { qsig = None; _ } -> ()
-          | Live { qsig = Some qs; _ } ->
-              let verdict = Adprom_qsig.Engine.Scorer.push qs ~rows sql in
-              Metrics.incr m.qsig_checks;
-              if verdict.Adprom_qsig.Engine.anomalous then begin
-                Metrics.incr m.qsig_anomalies;
-                ignore
-                  (Alerts.record_query_verdict alerts ~session:id
-                     ~query_index:(Adprom_qsig.Engine.Scorer.queries_seen qs - 1)
-                     ~sql verdict);
-                if Olog.enabled Olog.Warn then
-                  Olog.emit ~ring Olog.Warn ~scope:"daemon"
-                    ~fields:
-                      [
-                        ("shard", Olog.Int idx);
-                        ("session", Olog.Int id);
-                        ( "reasons",
-                          Olog.Str (Adprom_qsig.Engine.verdict_to_string verdict) );
-                      ]
-                    "query_incident"
-              end)
-    | Shed id ->
-        (match Hashtbl.find_opt sessions id with
-        | Some (Live s) ->
-            discarded := (id, Scoring.Stream.events_seen s.stream) :: !discarded
-        | Some Shed_here | None -> ());
-        Hashtbl.replace sessions id Shed_here
+  let handle_event deq_ns { Transport.session = id; event } enq_ns =
+    Metrics.observe m.queue_wait (ns_to_s (deq_ns - enq_ns));
+    match entry id with
+    | Shed_here -> ()
+    | Live s ->
+        (match event.Runtime.Collector.symbol with
+        | Analysis.Symbol.Lib { label = Some b; _ }
+          when stage.sinks <> [] && List.mem_assoc b stage.sinks ->
+            if not (List.mem b s.sinks) then s.sinks <- b :: s.sinks
+        | _ -> ());
+        let t0 = now_ns () in
+        (match Scoring.Stream.push s.stream event with
+        | Ok (Some verdict) ->
+            account id s verdict;
+            (* the verdict-completing event pays one extra clock read
+               to date the whole ingest→verdict path *)
+            Metrics.observe m.e2e (ns_to_s (now_ns () - enq_ns))
+        | Ok None -> ()
+        | Error _ ->
+            (* a protocol slip (event after end-of-session), handled
+               like a codec-level incident — never a dead shard *)
+            Metrics.incr m.scorer_errors);
+        Metrics.observe m.latency (ns_to_s (now_ns () - t0))
+  in
+  let handle_query deq_ns { Transport.q_session = id; rows; sql } enq_ns =
+    Metrics.observe m.queue_wait (ns_to_s (deq_ns - enq_ns));
+    if Option.is_some qsig_engine then
+      match entry id with
+      | Shed_here | Live { qsig = None; _ } -> ()
+      | Live { qsig = Some qs; _ } ->
+          let verdict = Adprom_qsig.Engine.Scorer.push qs ~rows sql in
+          Metrics.incr m.qsig_checks;
+          if verdict.Adprom_qsig.Engine.anomalous then begin
+            Metrics.incr m.qsig_anomalies;
+            ignore
+              (Alerts.record_query_verdict alerts ~session:id
+                 ~query_index:(Adprom_qsig.Engine.Scorer.queries_seen qs - 1)
+                 ~sql verdict);
+            if Olog.enabled Olog.Warn then
+              Olog.emit ~ring Olog.Warn ~scope:"daemon"
+                ~fields:
+                  [
+                    ("shard", Olog.Int idx);
+                    ("session", Olog.Int id);
+                    ( "reasons",
+                      Olog.Str (Adprom_qsig.Engine.verdict_to_string verdict) );
+                  ]
+                "query_incident"
+          end
+  in
+  (* discard the session's state; its later items are ignored *)
+  let handle_shed id =
+    (match Hashtbl.find_opt sessions id with
+    | Some (Live s) ->
+        discarded := (id, Scoring.Stream.events_seen s.stream) :: !discarded
+    | Some Shed_here | None -> ());
+    Hashtbl.replace sessions id Shed_here
+  in
+  (* Clear slot [i] of [c], so that the queue no longer holds its
+     item, then handle the message. *)
+  let handle deq_ns c i =
+    let stamp = c.stamps.(i) and q = c.queries.(i) in
+    if q != no_query then begin
+      c.queries.(i) <- no_query;
+      handle_query deq_ns q stamp
+    end
+    else begin
+      let ev = c.events.(i) in
+      c.events.(i) <- no_event;
+      if stamp = shed_stamp then handle_shed ev.Transport.session
+      else handle_event deq_ns ev stamp
+    end
+  in
+  (* The [n] reserved messages from slot [pos] of [c] on, in order. A
+     chunk is handed back once its last slot is behind the worker. *)
+  let rec handle_run deq_ns c pos n =
+    if n > 0 then
+      if pos = chunk_slots then begin
+        let next = c.next in
+        release shard c;
+        handle_run deq_ns next 0 n
+      end
+      else begin
+        handle deq_ns c pos;
+        handle_run deq_ns c (pos + 1) (n - 1)
+      end
   in
   let rec loop () =
-    let batch, finished =
+    let c, pos, n, finished =
       (* the queue-wait span covers blocking in [Condition.wait]: under
          tracing, long waits show up as long spans, not as gaps *)
       Otrace.with_span "daemon.queue_wait"
         ~attrs:(fun () -> [ ("shard", string_of_int idx) ])
         (fun () ->
           Mutex.lock shard.mutex;
-          while Queue.is_empty shard.queue && not shard.closed do
+          while shard.queued = 0 && not shard.closed do
             Condition.wait shard.nonempty shard.mutex
           done;
-          let batch = Queue.create () in
-          Queue.transfer shard.queue batch;
-          let finished = shard.closed && Queue.is_empty batch in
+          (* reserve everything queued *)
+          let c = shard.head and pos = shard.head_pos and n = shard.queued in
+          shard.head <- shard.tail;
+          shard.head_pos <- shard.tail_pos;
+          shard.queued <- 0;
+          let finished = shard.closed && n = 0 in
           Metrics.set_gauge shard.depth 0;
           Mutex.unlock shard.mutex;
-          (batch, finished))
+          (c, pos, n, finished))
     in
     (* batch-granularity span: per-event spans would dominate the push
        itself; per-event latency is already in the latency histogram *)
-    if not (Queue.is_empty batch) then begin
+    if n > 0 then begin
       (* one clock read dates the whole batch's dequeue: per-message
          reads would double the clock cost for no extra signal *)
       let deq_ns = now_ns () in
       Otrace.with_span "daemon.batch"
-        ~attrs:(fun () ->
-          [ ("shard", string_of_int idx); ("events", string_of_int (Queue.length batch)) ])
-        (fun () -> Queue.iter (handle deq_ns) batch)
+        ~attrs:(fun () -> [ ("shard", string_of_int idx); ("events", string_of_int n) ])
+        (fun () -> handle_run deq_ns c pos n)
     end;
     sync ();
     if finished then begin
@@ -520,10 +643,17 @@ let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true) ?metri
   let series = register_series metrics in
   let shard_array =
     Array.init shards (fun i ->
+        let c = new_chunk () in
         {
           mutex = Mutex.create ();
           nonempty = Condition.create ();
-          queue = Queue.create ();
+          head = c;
+          head_pos = 0;
+          tail = c;
+          tail_pos = 0;
+          queued = 0;
+          spares = last_chunk;
+          spare_count = 0;
           closed = false;
           depth = Metrics.gauge metrics (Printf.sprintf "adprom_queue_depth_shard%d" i);
         })
@@ -582,14 +712,14 @@ let ingest t ev =
   else begin
     let shard = t.shards.(shard_of t ev.Transport.session) in
     Mutex.lock shard.mutex;
-    let depth = Queue.length shard.queue in
+    let depth = shard.queued in
     if depth >= t.capacity then begin
       (* Overload: shed the whole session, never individual events —
          dropping single events would fabricate call transitions that
          no program run produced (see Core.Sessions). The control
          message is exempt from the bound so the worker can discard the
          session's partial state. *)
-      Queue.add (Shed ev.Transport.session) shard.queue;
+      push_event shard ev shed_stamp;
       Condition.signal shard.nonempty;
       Mutex.unlock shard.mutex;
       Metrics.incr t.c_shed_sessions;
@@ -597,7 +727,7 @@ let ingest t ev =
       Rejected { newly_shed = true }
     end
     else begin
-      Queue.add (Event (ev, now_ns ())) shard.queue;
+      push_event shard ev (now_ns ());
       Metrics.set_gauge shard.depth (depth + 1);
       Condition.signal shard.nonempty;
       Mutex.unlock shard.mutex;
@@ -621,7 +751,7 @@ let ingest_query t (q : Transport.query) =
        are exempt from the shedding bound, like the control message. *)
     let shard = t.shards.(shard_of t q.Transport.q_session) in
     Mutex.lock shard.mutex;
-    Queue.add (Query (q, now_ns ())) shard.queue;
+    push_query shard q (now_ns ());
     Condition.signal shard.nonempty;
     Mutex.unlock shard.mutex;
     Accepted

@@ -60,14 +60,15 @@ let gauge ?help t name =
     (fun () -> Gauge { g_name = name; g_value = Atomic.make 0; g_max = Atomic.make 0 })
     (function Gauge g -> Some g | _ -> None)
 
+(* keep the high-watermark monotone without a lock; a top-level loop,
+   so that setting a gauge allocates no closure *)
+let rec raise_max g v =
+  let m = Atomic.get g.g_max in
+  if v > m && not (Atomic.compare_and_set g.g_max m v) then raise_max g v
+
 let set_gauge g v =
   Atomic.set g.g_value v;
-  (* keep the high-watermark monotone without a lock *)
-  let rec bump () =
-    let m = Atomic.get g.g_max in
-    if v > m && not (Atomic.compare_and_set g.g_max m v) then bump ()
-  in
-  bump ()
+  raise_max g v
 
 let gauge_value g = Atomic.get g.g_value
 let gauge_max g = Atomic.get g.g_max

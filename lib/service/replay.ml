@@ -10,12 +10,12 @@ type outcome = {
 }
 
 let run daemon items =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Adprom_obs.Clock.monotonic_ns () in
   Array.iter (fun it -> ignore (Daemon.ingest_item daemon it)) items;
   let summary =
     Adprom_obs.Trace.with_span "daemon.drain" (fun () -> Daemon.drain daemon)
   in
-  let seconds = Unix.gettimeofday () -. t0 in
+  let seconds = Adprom_obs.Clock.elapsed_s t0 in
   {
     summary;
     seconds;

@@ -93,7 +93,7 @@ module Conn = struct
   type node = {
     name : string;
     daemon : Daemon.t;
-    t0 : float;
+    t0 : int64;  (* monotonic ns *)
     c_frames : Metrics.counter;
     c_bytes : Metrics.counter;
     c_decode_err : Metrics.counter;
@@ -102,7 +102,7 @@ module Conn = struct
 
   let node ~name daemon =
     let counter = Metrics.counter (Daemon.metrics daemon) in
-    { name; daemon; t0 = Unix.gettimeofday ();
+    { name; daemon; t0 = Adprom_obs.Clock.monotonic_ns ();
       c_frames = counter "adprom_wire_frames_total";
       c_bytes = counter "adprom_wire_bytes_total";
       c_decode_err = counter "adprom_wire_decode_errors_total";
@@ -149,7 +149,7 @@ module Conn = struct
     c.state <- Closing
 
   let wall_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-  let uptime n = Unix.gettimeofday () -. n.t0
+  let uptime n = Adprom_obs.Clock.elapsed_s n.t0
 
   (* one snapshot per answer: the status shipped or served is judged
      from the very numbers shipped with it *)
@@ -370,7 +370,7 @@ let serve ~socket ?(name = "node") ?shards ?queue_capacity ?keep_verdicts
   let node = Conn.node ~name daemon in
   let c_conns = Metrics.counter metrics "adprom_wire_connections_total" in
   let c_refused = Metrics.counter metrics "adprom_wire_connections_refused_total" in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Adprom_obs.Clock.monotonic_ns () in
   let conns = ref [] in
   let chunk = Bytes.create 65536 in
   Unix.set_nonblock socket;
@@ -419,7 +419,7 @@ let serve ~socket ?(name = "node") ?shards ?queue_capacity ?keep_verdicts
   in
   let bye = loop () in
   (* everything is ingested: replaying nothing drains the daemon *)
-  let outcome = { (Replay.run daemon [||]) with seconds = Unix.gettimeofday () -. t0 } in
+  let outcome = { (Replay.run daemon [||]) with seconds = Adprom_obs.Clock.elapsed_s t0 } in
   Conn.summarize bye.conn outcome.Replay.summary;
   (* the router is waiting for its summary: the one write worth waiting for *)
   flush bye;

@@ -341,6 +341,134 @@ let prop_stream_matches_reference =
                expected (List.rev !live))
         specs)
 
+(* The memo against a list-based LRU, step by step. Three streams of a
+   case share one engine; each step pushes an event (an alphabet code,
+   or -1 for a foreign symbol, and a caller) onto one of them, flushes
+   one (a short session scores its flush window) and opens a fresh one
+   in its place, moves the threshold among three values, or toggles
+   the enforce gate. Every scored window must hit or miss as the model
+   does, a window with a foreign symbol must bypass the memo, and after
+   every step [cache_len] must equal the model's length. Capacity 64
+   makes the slab grow past its first slots. *)
+type memo_op =
+  | Push of int * (int * int)
+  | Flush of int
+  | Move_threshold of float
+  | Toggle_gate
+
+let memo_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 24,
+          map2
+            (fun k ev -> Push (k, ev))
+            (int_bound 2)
+            (pair (frequency [ (1, pure (-1)); (12, int_bound 3) ]) (int_bound 1)) );
+        (2, map (fun k -> Flush k) (int_bound 2));
+        (1, map (fun i -> Move_threshold [| -2.0; -4.0; -8.0 |].(i)) (int_bound 2));
+        (1, pure Toggle_gate);
+      ])
+
+let prop_memo_matches_lru_model =
+  QCheck2.Test.make ~name:"memo hits, misses and length = a list-based LRU" ~count:200
+    ~print:(fun ((seed, track_callers), capacity, ops) ->
+      Printf.sprintf "seed=%d track_callers=%b capacity=%d ops=%d" seed track_callers
+        capacity (List.length ops))
+    QCheck2.Gen.(
+      triple
+        (pair (int_bound 9999) bool)
+        (oneof [ int_range 0 8; pure 64 ])
+        (list_size (int_range 0 400) memo_op_gen))
+    (fun ((seed, track_callers), capacity, ops) ->
+      let window = 3 in
+      let base = make_profile ~seed ~m:4 ~n:2 ~use_labels:false ~track_callers in
+      let profile =
+        { base with Profile.params = { base.Profile.params with Profile.window } }
+      in
+      let engine = Scoring.create ~cache_capacity:capacity profile in
+      let event (s, c) =
+        {
+          Runtime.Collector.symbol =
+            (if s < 0 then Symbol.lib "alien" else profile.Profile.alphabet.(s));
+          caller = Printf.sprintf "c%d" c;
+          block = 0;
+        }
+      in
+      (* the model: keys, most recently used first *)
+      let model = ref [] in
+      let lookup key =
+        if List.mem key !model then begin
+          model := key :: List.filter (fun k -> k <> key) !model;
+          `Hit
+        end
+        else begin
+          if capacity > 0 then
+            model := List.filteri (fun i _ -> i < capacity) (key :: !model);
+          `Miss
+        end
+      in
+      (* each live stream with its events, newest first *)
+      let streams = Array.init 3 (fun _ -> (Scoring.Stream.create engine, ref [])) in
+      let gate = ref false in
+      let step = ref 0 in
+      let fail fmt =
+        QCheck2.Test.fail_reportf ("step %d: " ^^ fmt) !step
+      in
+      (* the engine's counters moved as the model says for the window
+         scored, if any: the [len] newest events of [evs] *)
+      let scored window (hits0, misses0) =
+        let expected =
+          match window with
+          | None -> `Bypass
+          | Some (evs, len) ->
+              let win = List.filteri (fun i _ -> i < len) evs in
+              if List.exists (fun (s, _) -> s < 0) win then `Bypass
+              else
+                lookup (List.map (fun (s, c) -> (s, if track_callers then c else 0)) win)
+        in
+        let got =
+          match (Scoring.cache_hits engine - hits0, Scoring.cache_misses engine - misses0) with
+          | 0, 0 -> `Bypass
+          | 1, 0 -> `Hit
+          | 0, 1 -> `Miss
+          | h, m -> fail "%d hits and %d misses for one window" h m
+        in
+        let name = function `Bypass -> "bypass" | `Hit -> "hit" | `Miss -> "miss" in
+        if got <> expected then fail "memo %s, model %s" (name got) (name expected)
+      in
+      let counts () = (Scoring.cache_hits engine, Scoring.cache_misses engine) in
+      List.iter
+        (fun op ->
+          incr step;
+          (match op with
+          | Push (k, ev) -> (
+              let stream, evs = streams.(k) in
+              evs := ev :: !evs;
+              let before = counts () in
+              match Scoring.Stream.push stream (event ev) with
+              | Ok (Some _) -> scored (Some (!evs, window)) before
+              | Ok None -> scored None before
+              | Error e -> fail "push rejected: %s" e)
+          | Flush k ->
+              let stream, evs = streams.(k) in
+              let before = counts () in
+              (match Scoring.Stream.flush stream with
+              | Some _ -> scored (Some (!evs, List.length !evs)) before
+              | None -> scored None before);
+              streams.(k) <- (Scoring.Stream.create engine, ref [])
+          | Move_threshold th ->
+              if not (Float.equal th (Scoring.threshold engine)) then model := [];
+              Scoring.set_threshold engine th
+          | Toggle_gate ->
+              gate := not !gate;
+              model := [];
+              Scoring.set_gate_enforce engine !gate);
+          if Scoring.cache_len engine <> List.length !model then
+            fail "cache_len %d, model %d" (Scoring.cache_len engine) (List.length !model))
+        ops;
+      true)
+
 (* --- unit tests -------------------------------------------------------------- *)
 
 let fixed_profile () =
@@ -423,6 +551,46 @@ let test_empty_window () =
     (verdict_eq (Detector.reference_classify profile empty)
        (Scoring.classify engine empty))
 
+(* Minor words a memo miss costs [classify] beyond what a hit costs:
+   9 with the slab memo, the verdict, its boxed score and the forward
+   pass's boxed result. Before it this case measured 32.9 (a key copy,
+   the LRU node, a hash-table bucket, the verdict), and a 15-call
+   window with callers tracked about 47. [2 * capacity] windows taken
+   in turn all miss, and every miss past the first round evicts;
+   [capacity / 2] windows taken in turn all hit. *)
+let test_miss_allocation () =
+  let profile = make_profile ~seed:5 ~m:6 ~n:3 ~use_labels:true ~track_callers:false in
+  let capacity = 64 in
+  let engine = Scoring.create ~cache_capacity:capacity profile in
+  let windows k =
+    Array.init k (fun i ->
+        window_of_spec profile.Profile.alphabet
+          (List.init 4 (fun d -> ((i / [| 1; 6; 36; 216 |].(d)) mod 6, 0))))
+  in
+  let rounds = 20 in
+  let words_per_call ws =
+    Array.iter (fun w -> ignore (Scoring.classify engine w)) ws;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to rounds do
+      Array.iter (fun w -> ignore (Scoring.classify engine w)) ws
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int (rounds * Array.length ws)
+  in
+  let cycling = windows (2 * capacity) and resident = windows (capacity / 2) in
+  let misses0 = Scoring.cache_misses engine in
+  let miss = words_per_call cycling in
+  Alcotest.(check int) "every call missed"
+    ((rounds + 1) * Array.length cycling)
+    (Scoring.cache_misses engine - misses0);
+  let hits0 = Scoring.cache_hits engine in
+  let hit = words_per_call resident in
+  Alcotest.(check int) "every measured call hit" (rounds * Array.length resident)
+    (Scoring.cache_hits engine - hits0);
+  let per_miss = miss -. hit in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per miss <= 12" per_miss)
+    true (per_miss <= 12.0)
+
 let mk_event profile i =
   {
     Runtime.Collector.symbol =
@@ -477,6 +645,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_wrapper_matches_reference;
           QCheck_alcotest.to_alcotest prop_extend_invalidates;
           QCheck_alcotest.to_alcotest prop_stream_matches_reference;
+          QCheck_alcotest.to_alcotest prop_memo_matches_lru_model;
         ] );
       ( "explainability",
         [
@@ -492,6 +661,8 @@ let () =
           Alcotest.test_case "unknown symbols bypass the memo" `Quick
             test_unknown_bypasses_memo;
           Alcotest.test_case "empty window" `Quick test_empty_window;
+          Alcotest.test_case "a miss allocates only its verdict" `Quick
+            test_miss_allocation;
         ] );
       ( "stream",
         [

@@ -1113,6 +1113,115 @@ let prop_node_simulation =
         ])
     (fun script -> simulate (profile ()) script)
 
+(* --- the admission path: allocation and release ------------------------------ *)
+
+(* Items the worker has taken off the queue so far: each event and
+   query observes the queue-wait histogram as it is dequeued. *)
+let dequeued daemon =
+  match
+    Metrics.snapshot_histogram
+      (Metrics.snapshot (Daemon.metrics daemon))
+      "adprom_queue_wait_seconds"
+  with
+  | Some h -> h.Metrics.hs_count
+  | None -> 0
+
+let await_dequeued daemon n =
+  let rec go tries =
+    let d = dequeued daemon in
+    if d < n then
+      if tries = 0 then Alcotest.failf "the worker dequeued %d of %d items" d n
+      else begin
+        Unix.sleepf 0.001;
+        go (tries - 1)
+      end
+  in
+  go 30_000
+
+(* Minor words the acceptor's domain allocates per admitted item, for
+   each entry point, in rounds of 100 items that the worker dequeues
+   before the next round starts; the first three rounds, which cross a
+   chunk, warm the queue up. Before the chunked shard queues this read
+   14 for [ingest], 9 for [ingest_query] and 12.75 for [ingest_item]:
+   an [Event] or [Query] block and a [Queue] cell (6 words), a boxed
+   clock reading (3) and, for events, a closure in [Metrics.set_gauge]
+   (5). *)
+let test_admission_allocates_nothing () =
+  let qprofile = Adprom_qsig.Profile.create () in
+  Adprom_qsig.Profile.learn qprofile "SELECT name FROM t";
+  let daemon =
+    Daemon.create ~shards:1 ~keep_verdicts:false ~queue_capacity:(1 lsl 20)
+      ~qsig_mode:Daemon.Qsig_warn ~qsig_profile:qprofile (profile ())
+  in
+  let trace = List.hd (traces ()) in
+  let round = 100 and rounds = 100 and warm = 3 in
+  let n = round * rounds in
+  let events =
+    Array.init n (fun i ->
+        { Transport.session = i / 500; event = trace.(i mod Array.length trace) })
+  and queries =
+    Array.init n (fun i ->
+        { Transport.q_session = i / 500; rows = 2; sql = "SELECT name FROM t" })
+  in
+  let items =
+    Array.init n (fun i ->
+        if i mod 4 = 3 then Transport.Query queries.(i) else Transport.Call events.(i))
+  in
+  let admitted = ref 0 in
+  let words_per_item admit xs =
+    let words = ref 0.0 in
+    for r = 0 to rounds - 1 do
+      let w0 = Gc.minor_words () in
+      for i = r * round to ((r + 1) * round) - 1 do
+        match admit daemon xs.(i) with
+        | Daemon.Accepted -> ()
+        | Daemon.Rejected _ -> Alcotest.fail "item rejected"
+      done;
+      let w = Gc.minor_words () -. w0 in
+      if r >= warm then words := !words +. w;
+      admitted := !admitted + round;
+      await_dequeued daemon !admitted
+    done;
+    !words /. float_of_int ((rounds - warm) * round)
+  in
+  let check name per_item =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.2f minor words per item <= 0.5" name per_item)
+      true (per_item <= 0.5)
+  in
+  check "ingest" (words_per_item Daemon.ingest events);
+  check "ingest_query" (words_per_item Daemon.ingest_query queries);
+  check "ingest_item" (words_per_item Daemon.ingest_item items);
+  ignore (Daemon.drain daemon)
+
+(* Events the worker has taken off the queue must not stay reachable
+   from the daemon, or a burst's events would live as long as it does.
+   The tracked events span several of a queue's chunks. *)
+let test_daemon_releases_dequeued_events () =
+  let daemon = Daemon.create ~shards:1 ~keep_verdicts:false (profile ()) in
+  let trace = List.hd (traces ()) in
+  let n = 1000 in
+  let weak = Weak.create n in
+  let admit i =
+    let ev = { Transport.session = i mod 3; event = trace.(i mod Array.length trace) } in
+    Weak.set weak i (Some ev);
+    ignore (Daemon.ingest daemon ev)
+  in
+  for i = 0 to n - 1 do
+    admit i
+  done;
+  (* queues are FIFO: once the worker has dequeued one more event, it
+     is done with every tracked one *)
+  ignore (Daemon.ingest daemon { Transport.session = 0; event = trace.(0) });
+  await_dequeued daemon (n + 1);
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check weak i then incr live
+  done;
+  Alcotest.(check int) "dequeued events still reachable" 0 !live;
+  ignore (Daemon.drain daemon)
+
 let () =
   Alcotest.run "service"
     [
@@ -1147,6 +1256,10 @@ let () =
             test_explain_counts_window_once;
           Alcotest.test_case "oversize literal is a Malformed query" `Quick
             test_daemon_oversize_literal;
+          Alcotest.test_case "admission allocates nothing" `Quick
+            test_admission_allocates_nothing;
+          Alcotest.test_case "dequeued events are released" `Quick
+            test_daemon_releases_dequeued_events;
         ] );
       ( "metrics",
         [
