@@ -22,7 +22,7 @@ let fnv1a s =
   Int64.to_int (Int64.shift_right_logical (mix !h) 1)
 
 module Ring = struct
-  type t = { points : (int * string) array; names : string list }
+  type t = { points : (int * string) array }
 
   let create ?(replicas = 64) names =
     if names = [] then invalid_arg "Cluster.Ring.create: no nodes";
@@ -36,9 +36,7 @@ module Ring = struct
       |> Array.of_list
     in
     Array.sort compare points;
-    { points; names }
-
-  let nodes t = t.names
+    { points }
 
   let node t session =
     let key = fnv1a (string_of_int session) in
@@ -75,58 +73,264 @@ let peer_of_string s =
       | Some p when p > 0 && p < 65536 -> Ok { peer_name = name; host; port = p }
       | _ -> Error (Printf.sprintf "bad port in node address %S" s))
 
-(* the router's sockets block, and on a blocking socket [Unix.write]
-   returns only once every byte is written *)
-let write_all fd s = ignore (Unix.write_substring fd s 0 (String.length s))
-
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let resolve host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception Failure _ -> (
-      match (Unix.gethostbyname host).Unix.h_addr_list with
-      | [||] -> failwith (host ^ ": unknown host")
-      | addrs -> addrs.(0)
-      | exception Not_found -> failwith (host ^ ": unknown host"))
-
 module Router = struct
-  let flush_threshold = 32 * 1024
+  let batch_bytes = 32 * 1024
+
+  (* --- the core: the router's end of each node's connection, with no
+     descriptor and no clock ------------------------------------------ *)
+
+  (* One connection; a new one is a new interned-string namespace. *)
+  type conn = {
+    enc : Frame.Encoder.t;
+    dec : Frame.Decoder.t;
+    out : Server.Outbox.t;
+    mutable out_items : int;  (* routed items no write has started on *)
+    mutable sent : int;  (* the other items routed on it *)
+    mutable acked : int;
+    mutable asked : int;  (* replies the node owes *)
+    mutable rehello : bool;  (* its first reply answers a redial's hello *)
+    replies : Frame.frame Queue.t;
+  }
 
   type rpeer = {
-    spec : peer;
-    mutable fd : Unix.file_descr;
-    mutable enc : Frame.Encoder.t;
-    mutable dec : Frame.Decoder.t;
-    mutable inbox : Frame.frame list;  (* decoded but unconsumed replies *)
-    out : Buffer.t;
-    mutable out_items : int;  (* items encoded in [out], not yet flushed *)
-    mutable sent : int;
-    mutable acked : int;
+    name : string;
+    hello : Frame.frame;  (* what opens each connection *)
+    mutable c : conn;
     mutable lost : int;
     mutable reconnects : int;
     mutable offset_ns : int64;  (* node_mono - router_mono estimate *)
-    mutable probe_seq : int;
+  }
+
+  (* A control frame, behind everything routed so far. *)
+  let stage c frame =
+    Frame.Encoder.add c.enc (Server.Outbox.staged c.out) frame;
+    Frame.Encoder.flush c.enc (Server.Outbox.staged c.out);
+    match frame with Frame.Trace_mark _ -> () | _ -> c.asked <- c.asked + 1
+
+  let connection ~rehello hello =
+    let c =
+      { enc = Frame.Encoder.create (); dec = Frame.Decoder.create ();
+        out = Server.Outbox.create (2 * batch_bytes); out_items = 0; sent = 0; acked = 0;
+        asked = 0; rehello; replies = Queue.create () }
+    in
+    stage c hello;
+    c
+
+  let route ring peers item =
+    let p = List.assoc (Ring.node ring (Transport.item_session item)) peers in
+    Frame.Encoder.add p.c.enc (Server.Outbox.staged p.c.out)
+      (match item with Transport.Call ev -> Frame.Call ev | Transport.Query q -> Frame.Query q);
+    p.c.out_items <- p.c.out_items + 1;
+    p
+
+  let owed c =
+    Frame.Encoder.flush c.enc (Server.Outbox.staged c.out);
+    Server.Outbox.owed c.out
+
+  let drain c write =
+    (* a write that starts on the staged bytes carries every item
+       routed so far *)
+    if owed c = Buffer.length (Server.Outbox.staged c.out) then begin
+      c.sent <- c.sent + c.out_items;
+      c.out_items <- 0
+    end;
+    ignore (Server.Outbox.drain c.out write)
+
+  (* Bytes from the node. Acks are absorbed, and so is the answer to a
+     redial's hello (a node's monotonic clock is its host's, so the
+     offset estimate stands); any other frame must answer a request. *)
+  let feed c buf len =
+    let take f =
+      match f with
+      | Frame.Ack { count } -> c.acked <- count; true
+      | _ when c.asked = 0 -> false
+      | Frame.Hello _ when c.rehello -> c.asked <- c.asked - 1; c.rehello <- false; true
+      | _ -> c.asked <- c.asked - 1; Queue.push f c.replies; true
+    in
+    match Frame.Decoder.feed c.dec ~len (Bytes.unsafe_to_string buf) with
+    | Error e -> Error (Frame.error_to_string e)
+    | Ok frames -> (
+        match List.find_opt (fun f -> not (take f)) frames with
+        | None -> Ok ()
+        | Some f -> Error ("unsolicited " ^ Frame.frame_name f ^ " frame"))
+
+  (* The connection broke. Everything routed on it and never acked is
+     counted lost: an upper bound (the node may have scored some of it),
+     the right direction for a "verdicts no longer comparable" flag. *)
+  let hangup p =
+    p.lost <- p.lost + p.c.out_items + (p.c.sent - p.c.acked);
+    p.reconnects <- p.reconnects + 1;
+    p.c <- connection ~rehello:true p.hello
+
+  (* --- the shell: moving bytes, waiting, the fleet operations ------- *)
+
+  exception Router_error of string
+
+  let fail p fmt = Printf.ksprintf (fun s -> raise (Router_error (p.name ^ ": " ^ s))) fmt
+
+  type link = {
+    dial : string -> unit;
+    close : string -> unit;
+    select : string list -> string list -> string list * string list;
+    read : string -> Bytes.t -> int -> int -> int;
+    write : string -> Bytes.t -> int -> int -> int;
   }
 
   type t = {
     ring : Ring.t;
     peers : (string * rpeer) list;
-    me : string;
-    attempts : int;
+    link : link;
     mutable closed : bool;
     chunk : Bytes.t;
   }
 
-  exception Router_error of string
+  let redial t p =
+    hangup p;
+    t.link.close p.name;
+    t.link.dial p.name
+
+  (* Wait until one of [ps] can move bytes, then write what each owes
+     and read what each sends; a broken connection is redialed. *)
+  let pump t ps =
+    let names f = List.filter_map (fun p -> if f p then Some p.name else None) ps in
+    let readable, writable = t.link.select (names (fun _ -> true)) (names (fun p -> owed p.c > 0)) in
+    let transient = function Unix.EAGAIN | EWOULDBLOCK | EINTR -> true | _ -> false in
+    List.iter
+      (fun p ->
+        let epoch = p.reconnects in
+        (if List.mem p.name writable then
+           try drain p.c (t.link.write p.name)
+           with Unix.Unix_error (e, _, _) -> if not (transient e) then redial t p);
+        if p.reconnects = epoch && List.mem p.name readable then
+          match t.link.read p.name t.chunk 0 (Bytes.length t.chunk) with
+          | 0 -> redial t p
+          | n -> Result.iter_error (fail p "%s") (feed p.c t.chunk n)
+          | exception Unix.Unix_error (e, _, _) -> if not (transient e) then redial t p)
+      ps
+
+  let rec wait t ps until =
+    if not (until ()) then begin
+      pump t ps;
+      wait t ps until
+    end
+
+  (* The reply to the request staged on [p] while its connection was
+     [epoch], which [pred] must accept. *)
+  let reply t p epoch ~what pred =
+    wait t [ p ] (fun () -> p.reconnects <> epoch || not (Queue.is_empty p.c.replies));
+    if p.reconnects <> epoch then fail p "connection closed by node";
+    let f = Queue.pop p.c.replies in
+    match pred f with
+    | Some v -> v
+    | None -> fail p "unexpected %s frame (awaiting %s)" (Frame.frame_name f) what
+
+  (* A request just staged on [p] whose reply carries the node's
+     monotonic clock: the round trip, and [node_mono - router_mono]
+     dated at its midpoint. *)
+  let probe t p ~what pred =
+    let t0 = Adprom_obs.Clock.monotonic_ns () in
+    let mono_ns = reply t p p.reconnects ~what pred in
+    let t1 = Adprom_obs.Clock.monotonic_ns () in
+    (Int64.sub t1 t0, Int64.sub mono_ns (Int64.div (Int64.add t0 t1) 2L))
+
+  (* Everything routed to [p] goes out now. Tracing stamps the batch:
+     the mark follows its bytes on the same connection, so the node's
+     [wire.batch] span runs from our send instant (mapped onto the
+     node's clock via [offset_ns]) to the moment the whole batch was
+     ingested. *)
+  let flush t p =
+    let items = p.c.out_items in
+    let mark =
+      if items > 0 && Adprom_obs.Trace.enabled () then begin
+        let trace_id = Adprom_obs.Trace.fresh_id () in
+        let send_mono_ns = Adprom_obs.Clock.monotonic_ns () in
+        stage p.c (Frame.Trace_mark { trace_id; send_mono_ns; offset_ns = p.offset_ns });
+        Some (trace_id, send_mono_ns)
+      end
+      else None
+    in
+    wait t [ p ] (fun () -> owed p.c = 0);
+    Option.iter
+      (fun (trace_id, send_mono_ns) ->
+        Adprom_obs.Trace.record_span ~trace_id ~name:"route.batch"
+          ~attrs:[ ("peer", p.name); ("items", string_of_int items) ]
+          ~start_ns:send_mono_ns
+          ~dur_ns:(Int64.sub (Adprom_obs.Clock.monotonic_ns ()) send_mono_ns)
+          ())
+      mark
+
+  (* [frame] to every node behind its routed items, then each node's
+     reply in connect order, which [pred] must accept. Every request is
+     out before any reply is awaited, so the nodes answer in parallel;
+     and a node is not read while others are written to, so none is read
+     past its answer (a node may hang up after its [Summary]). *)
+  let ask t frame ~what pred =
+    List.map
+      (fun (_, p) ->
+        flush t p;
+        stage p.c frame;
+        let epoch = p.reconnects in
+        wait t [ p ] (fun () -> owed p.c = 0);
+        (p, epoch))
+      t.peers
+    |> List.map (fun (p, epoch) -> (p, reply t p epoch ~what pred))
+
+  let close_all t = List.iter (fun (name, _) -> t.link.close name) t.peers
+
+  let over ?replicas ?(peer = "router") link names =
+    match
+      if List.length (List.sort_uniq compare names) <> List.length names then
+        raise (Router_error "duplicate node names");
+      let hello = Frame.Hello { peer; sample = None } in
+      let make name =
+        (name, { name; hello; c = connection ~rehello:false hello; lost = 0; reconnects = 0; offset_ns = 0L })
+      in
+      let t =
+        { ring = Ring.create ?replicas names; peers = List.map make names; link; closed = false;
+          chunk = Bytes.create 65536 }
+      in
+      (* the node samples its clock into the hello reply: dating the
+         sample at the round trip's midpoint gives a first offset
+         estimate, refined by {!clock_sync}'s min-RTT probes *)
+      (try
+         List.iter
+           (fun (_, p) ->
+             link.dial p.name;
+             p.offset_ns <-
+               snd
+                 (probe t p ~what:"a hello with a clock sample" (function
+                   | Frame.Hello { sample = Some (mono_ns, _); _ } -> Some mono_ns
+                   | _ -> None)))
+           t.peers
+       with e ->
+         close_all t;
+         raise e);
+      t
+    with
+    | t -> Ok t
+    | exception Router_error e -> Error e
+    | exception Invalid_argument e -> Error e
 
   let dial ~attempts spec =
+    let error msg =
+      Router_error (Printf.sprintf "%s (%s:%d): %s" spec.peer_name spec.host spec.port msg)
+    in
+    let addr =
+      match Unix.inet_addr_of_string spec.host with
+      | addr -> addr
+      | exception Failure _ -> (
+          match (Unix.gethostbyname spec.host).Unix.h_addr_list with
+          | [||] | (exception Not_found) -> raise (error "unknown host")
+          | addrs -> addrs.(0))
+    in
     let rec go k =
       let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-      match
-        Unix.connect fd (ADDR_INET (resolve spec.host, spec.port))
-      with
-      | () -> fd
+      match Unix.connect fd (ADDR_INET (addr, spec.port)) with
+      | () ->
+          Unix.set_nonblock fd;
+          fd
       | exception Unix.Unix_error ((ECONNREFUSED | ETIMEDOUT | EHOSTUNREACH | ENETUNREACH), _, _)
         when k + 1 < attempts ->
           close_fd fd;
@@ -135,207 +339,40 @@ module Router = struct
           go (k + 1)
       | exception Unix.Unix_error (e, _, _) ->
           close_fd fd;
-          raise
-            (Router_error
-               (Printf.sprintf "%s (%s:%d): %s" spec.peer_name spec.host
-                  spec.port (Unix.error_message e)))
+          raise (error (Unix.error_message e))
     in
     go 0
 
-  (* One read from [p]'s node: Acks are taken at once, other frames join
-     the inbox. [false] at EOF. *)
-  let read_frames t p =
-    match Unix.read p.fd t.chunk 0 (Bytes.length t.chunk) with
-    | 0 -> false
-    | n -> (
-        match Frame.Decoder.feed p.dec ~len:n (Bytes.unsafe_to_string t.chunk) with
-        | Error e ->
-            raise (Router_error (p.spec.peer_name ^ ": " ^ Frame.error_to_string e))
-        | Ok frames ->
-            List.iter
-              (function Frame.Ack { count } -> p.acked <- count | f -> p.inbox <- p.inbox @ [ f ])
-              frames;
-            true)
-    | exception Unix.Unix_error (EINTR, _, _) -> true
-
-  (* The first reply [pred] wants. *)
-  let rec await t p ~what pred =
-    match p.inbox with
-    | [] ->
-        if read_frames t p then await t p ~what pred
-        else raise (Router_error (p.spec.peer_name ^ ": connection closed by node"))
-    | f :: rest -> (
-        p.inbox <- rest;
-        match pred f with
-        | Some v -> v
-        | None ->
-            raise
-              (Router_error
-                 (Printf.sprintf "%s: unexpected %s frame (awaiting %s)"
-                    p.spec.peer_name (Frame.frame_name f) what)))
-
-  (* The node samples its clock into the hello reply: dating the sample
-     at the round trip's midpoint gives a first offset estimate, refined
-     by {!clock_sync}'s min-RTT probes. *)
-  let rec hello t p =
-    let _rtt, offset_ns =
-      probe t p
-        (Frame.Hello { peer = t.me; sample = None })
-        ~what:"a hello with a clock sample"
-        (function
-          | Frame.Hello { sample = Some (mono_ns, _); _ } -> Some mono_ns
-          | _ -> None)
+  (* The link over TCP, and the router's one [Unix.read] and one
+     [Unix.write] call site. *)
+  let sockets ~attempts specs =
+    let fds = Hashtbl.create 8 in
+    let fd name =
+      try Hashtbl.find fds name with Not_found -> raise (Router_error (name ^ ": not connected"))
     in
-    p.offset_ns <- offset_ns
+    let ready names fds = List.filter (fun n -> List.mem (fd n) fds) names in
+    {
+      dial =
+        (fun name ->
+          Hashtbl.replace fds name (dial ~attempts (List.find (fun s -> s.peer_name = name) specs)));
+      close =
+        (fun name ->
+          Option.iter close_fd (Hashtbl.find_opt fds name);
+          Hashtbl.remove fds name);
+      select =
+        (fun r w ->
+          match Unix.select (List.map fd r) (List.map fd w) [] (-1.0) with
+          | rs, ws, _ -> (ready r rs, ready w ws)
+          | exception Unix.Unix_error (EINTR, _, _) -> ([], []));
+      read = (fun name buf pos len -> Unix.read (fd name) buf pos len);
+      write = (fun name buf pos len -> Unix.write (fd name) buf pos len);
+    }
 
-  and reconnect t p =
-    (* everything unflushed, plus everything flushed past the last Ack:
-       an upper bound — the node may have scored some of it — which is
-       the right direction for a "verdicts no longer comparable" flag *)
-    p.lost <- p.lost + p.out_items + (p.sent - p.acked);
-    Buffer.clear p.out;
-    p.out_items <- 0;
-    close_fd p.fd;
-    p.fd <- dial ~attempts:t.attempts p.spec;
-    (* a new connection is a new interned-string namespace *)
-    p.enc <- Frame.Encoder.create ();
-    p.dec <- Frame.Decoder.create ();
-    p.inbox <- [];
-    p.sent <- 0;
-    p.acked <- 0;
-    p.reconnects <- p.reconnects + 1;
-    hello t p
-
-  and flush t p =
-    Frame.Encoder.flush p.enc p.out;
-    if Buffer.length p.out > 0 then begin
-      let items = p.out_items in
-      (* Stamp the batch for cross-node tracing: the mark follows the
-         batch's bytes on the same connection, so the node's [wire.batch]
-         span runs from our send instant (mapped onto the node's clock
-         via [offset_ns]) to the moment the whole batch was ingested. *)
-      let mark =
-        if items > 0 && Adprom_obs.Trace.enabled () then begin
-          let trace_id = Adprom_obs.Trace.fresh_id () in
-          let send_mono_ns = Adprom_obs.Clock.monotonic_ns () in
-          Frame.Encoder.add p.enc p.out
-            (Frame.Trace_mark
-               { trace_id; send_mono_ns; offset_ns = p.offset_ns });
-          Frame.Encoder.flush p.enc p.out;
-          Some (trace_id, send_mono_ns)
-        end
-        else None
-      in
-      match write_all p.fd (Buffer.contents p.out) with
-      | () ->
-          p.sent <- p.sent + items;
-          Buffer.clear p.out;
-          p.out_items <- 0;
-          (match mark with
-          | Some (trace_id, send_mono_ns) ->
-              Adprom_obs.Trace.record_span ~trace_id ~name:"route.batch"
-                ~attrs:
-                  [ ("peer", p.spec.peer_name);
-                    ("items", string_of_int items) ]
-                ~start_ns:send_mono_ns
-                ~dur_ns:
-                  (Int64.sub (Adprom_obs.Clock.monotonic_ns ()) send_mono_ns)
-                ()
-          | None -> ())
-      | exception Unix.Unix_error ((EPIPE | ECONNRESET | ECONNREFUSED), _, _)
-        ->
-          reconnect t p
-    end
-
-  (* A control exchange whose reply carries the node's monotonic clock:
-     returns the round trip and [node_mono - router_mono] dated at its
-     midpoint. Buffered items go out before the clock starts. *)
-  and probe t p frame ~what pred =
-    flush t p;
-    let t0 = Adprom_obs.Clock.monotonic_ns () in
-    let mono_ns = request_reply t p frame ~what pred in
-    let t1 = Adprom_obs.Clock.monotonic_ns () in
-    (Int64.sub t1 t0, Int64.sub mono_ns (Int64.div (Int64.add t0 t1) 2L))
-
-  (* Every control exchange: [frame] goes out behind the items already
-     buffered for [p], then the reply [pred] accepts is awaited. *)
-  and request_reply :
-        'a. t -> rpeer -> Frame.frame -> what:string ->
-        (Frame.frame -> 'a option) -> 'a =
-   fun t p frame ~what pred ->
-    request t p frame;
-    await t p ~what pred
-
-  and request t p frame =
-    flush t p;
-    let out = Buffer.create 16 in
-    Frame.Encoder.add p.enc out frame;
-    Frame.Encoder.flush p.enc out;
-    write_all p.fd (Buffer.contents out)
-
-  (* Opportunistically consume any Acks the node pushed while we were
-     writing, so the socket buffer never fills with feedback. *)
-  let rec drain_acks t p =
-    match Unix.select [ p.fd ] [] [] 0.0 with
-    | [], _, _ -> ()
-    | _ -> if read_frames t p then drain_acks t p
-    | exception Unix.Unix_error (EINTR, _, _) -> drain_acks t p
-
-  let connect ?replicas ?(attempts = 10) ?(peer = "router") specs =
+  let connect ?replicas ?(attempts = 10) ?peer specs =
     (* a node that dies mid-stream must surface as EPIPE on the next
-       write — the reconnect path — not as a process-killing SIGPIPE *)
+       write, which redials, not as a process-killing SIGPIPE *)
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    match
-      let names = List.map (fun s -> s.peer_name) specs in
-      if List.length (List.sort_uniq compare names) <> List.length names then
-        raise (Router_error "duplicate node names");
-      let t =
-        {
-          ring = Ring.create ?replicas names;
-          peers = [];
-          me = peer;
-          attempts;
-          closed = false;
-          chunk = Bytes.create 65536;
-        }
-      in
-      (* register each fd as soon as it is open, so a later dial or
-         handshake failure closes every earlier connection too *)
-      let opened = ref [] in
-      (try
-         List.iter
-           (fun spec ->
-             let p =
-               {
-                 spec;
-                 fd = dial ~attempts spec;
-                 enc = Frame.Encoder.create ();
-                 dec = Frame.Decoder.create ();
-                 inbox = [];
-                 out = Buffer.create flush_threshold;
-                 out_items = 0;
-                 sent = 0;
-                 acked = 0;
-                 lost = 0;
-                 reconnects = 0;
-                 offset_ns = 0L;
-                 probe_seq = 0;
-               }
-             in
-             opened := (spec.peer_name, p) :: !opened;
-             hello t p)
-           specs
-       with e ->
-         List.iter (fun (_, p) -> close_fd p.fd) !opened;
-         raise e);
-      { t with peers = List.rev !opened }
-    with
-    | t -> Ok t
-    | exception Router_error e -> Error e
-    | exception Invalid_argument e -> Error e
-
-  let peer_of t item =
-    List.assoc (Ring.node t.ring (Transport.item_session item)) t.peers
+    over ?replicas ?peer (sockets ~attempts specs) (List.map (fun s -> s.peer_name) specs)
 
   (* Every public fleet operation: refused once the router is closed,
      and its failures become [Error]. [f] builds its own [Ok], so the
@@ -348,24 +385,15 @@ module Router = struct
       | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
   let send_item t item =
-    let p = peer_of t item in
-    Frame.Encoder.add p.enc p.out
-      (match item with
-      | Transport.Call ev -> Frame.Call ev
-      | Transport.Query q -> Frame.Query q);
-    p.out_items <- p.out_items + 1;
-    if Buffer.length p.out >= flush_threshold then begin
-      flush t p;
-      drain_acks t p
-    end
+    let p = route t.ring t.peers item in
+    if Server.Outbox.owed p.c.out >= batch_bytes then flush t p
 
   let send t item = guard t (fun t item -> send_item t item; Ok ()) item
   let send_stream t items = guard t (fun t items -> Array.iter (send_item t) items; Ok ()) items
 
-  let each_peer t f =
-    guard t (fun t f -> Ok (List.map (fun (_, p) -> f p) t.peers)) f
-
-  let flush_all t = Result.map ignore (each_peer t (flush t))
+  (* An operation of the fleet as a whole, on every node. *)
+  let fleet t f = guard t (fun t () -> Ok (f t)) ()
+  let flush_all t = fleet t (fun t -> List.iter (fun (_, p) -> flush t p) t.peers)
 
   let lost_items t =
     List.fold_left (fun acc (_, p) -> acc + p.lost) 0 t.peers
@@ -373,49 +401,46 @@ module Router = struct
   (* ---- operations plane ------------------------------------------- *)
 
   let clock_sync ?(probes = 3) t =
-    Result.map ignore
-      (each_peer t (fun p ->
-           (* the probe with the smallest round trip spent the least
-              time queued anywhere, so dating its sample at the
-              midpoint has the tightest error bound *)
-           let best_rtt = ref Int64.max_int in
-           for _ = 1 to probes do
-             let seq = p.probe_seq in
-             p.probe_seq <- seq + 1;
-             let rtt, offset_ns =
-               probe t p (Frame.Clock_probe { seq }) ~what:"clock-reply"
-                 (function
-                   | Frame.Clock_reply { seq = s; mono_ns; _ } when s = seq ->
-                       Some mono_ns
-                   | _ -> None)
-             in
-             if Int64.compare rtt !best_rtt < 0 then begin
-               best_rtt := rtt;
-               p.offset_ns <- offset_ns
-             end
-           done))
+    fleet t (fun t ->
+        List.iter
+          (fun (_, p) ->
+            (* the probe with the smallest round trip spent the least
+               time queued anywhere, so dating its sample at the
+               midpoint has the tightest error bound *)
+            let best_rtt = ref Int64.max_int in
+            for seq = 1 to probes do
+              flush t p;
+              stage p.c (Frame.Clock_probe { seq });
+              let rtt, offset_ns =
+                probe t p ~what:"clock-reply" (function
+                  | Frame.Clock_reply { seq = s; mono_ns; _ } when s = seq -> Some mono_ns
+                  | _ -> None)
+              in
+              if Int64.compare rtt !best_rtt < 0 then begin
+                best_rtt := rtt;
+                p.offset_ns <- offset_ns
+              end
+            done)
+          t.peers)
 
   let health t =
-    each_peer t (fun p ->
-        ( p.spec.peer_name,
-          request_reply t p Frame.Health_req ~what:"health" (function
-            | Frame.Health_resp h -> Some h
-            | _ -> None) ))
+    fleet t (fun t ->
+        List.map
+          (fun (p, h) -> (p.name, h))
+          (ask t Frame.Health_req ~what:"health" (function Frame.Health_resp h -> Some h | _ -> None)))
 
   let spans t =
-    each_peer t (fun p ->
-        ( p.spec.peer_name,
-          p.offset_ns,
-          request_reply t p Frame.Spans_req ~what:"spans" (function
-            | Frame.Spans_resp spans -> Some spans
-            | _ -> None) ))
+    fleet t (fun t ->
+        List.map
+          (fun (p, spans) -> (p.name, p.offset_ns, spans))
+          (ask t Frame.Spans_req ~what:"spans" (function Frame.Spans_resp s -> Some s | _ -> None)))
 
   let close t =
     (* drop the connections without [Bye]: the observation commands
        ([status], [top]) must not shut the fleet down on exit *)
     if not t.closed then begin
       t.closed <- true;
-      List.iter (fun (_, p) -> close_fd p.fd) t.peers
+      close_all t
     end
 
   (* the fleet's Prometheus text: every node's health snapshot, merged,
@@ -428,24 +453,13 @@ module Router = struct
              (List.map (fun (_, h) -> h.Frame.h_snapshot) nodes)))
       (health t)
 
-  (* Every Bye goes out before any Summary is awaited, so the nodes
-     drain in parallel. *)
   let finish t =
-    guard t
-      (fun t () ->
+    fleet t (fun t ->
         t.closed <- true;
         Fun.protect
-          ~finally:(fun () -> List.iter (fun (_, p) -> close_fd p.fd) t.peers)
+          ~finally:(fun () -> close_all t)
           (fun () ->
-            List.iter (fun (_, p) -> request t p Frame.Bye) t.peers;
-            Ok
-              (List.map
-                 (fun (_, p) ->
-                   await t p ~what:"summary" (function
-                     | Frame.Summary s -> Some s
-                     | _ -> None))
-                 t.peers)))
-      ()
+            List.map snd (ask t Frame.Bye ~what:"summary" (function Frame.Summary s -> Some s | _ -> None))))
 end
 
 let merge = function

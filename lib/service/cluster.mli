@@ -6,11 +6,11 @@
     destroyed. The {!Ring} gives that stickiness a stable shape — a
     consistent-hash ring over node names (~64 virtual replicas each), so
     adding or removing a node only remaps the sessions that hashed to
-    it. The {!Router} holds one binary connection per node, sprays a
-    mixed item stream along the ring, merges the nodes' [Health_resp]
-    metrics snapshots into one fleet view, and collects each node's
-    [Summary] at shutdown; {!merge} folds those per-node summaries into one
-    cluster-wide view with the exact shape of a single node's.
+    it. The {!Router} sprays a mixed item stream along the ring over one
+    binary connection per node, merges the nodes' [Health_resp] metrics
+    snapshots into one fleet view, and collects each node's [Summary] at
+    shutdown; {!merge} folds those into one cluster-wide view with the
+    exact shape of a single node's.
 
     Because sessions are disjoint across nodes and each node's daemon is
     deterministic per session, the merged verdicts are bit-for-bit the
@@ -22,9 +22,6 @@ module Ring : sig
   val create : ?replicas:int -> string list -> t
   (** [replicas] virtual points per node (default 64).
       @raise Invalid_argument on an empty node list. *)
-
-  val nodes : t -> string list
-  (** In creation order. *)
 
   val node : t -> int -> string
   (** The node owning a session id: first ring point clockwise of the
@@ -40,26 +37,41 @@ val peer_of_string : string -> (peer, string) result
 
 module Router : sig
   type t
-  (** Every operation returning a [result] reports a failed exchange or
-      socket as [Error], and answers [Error "router already finished"]
-      once {!finish} or {!close} has run. *)
+  (** A socket-free core per node (codecs, staged output, item counts,
+      a FIFO of replies) under a shell that owns the connections and the
+      one place the router waits. A failed exchange is an [Error] that
+      starts with the node's name; every operation answers
+      [Error "router already finished"] after {!finish} or {!close}. *)
 
   val connect :
     ?replicas:int -> ?attempts:int -> ?peer:string -> peer list -> (t, string) result
-  (** Dial every node (with exponential backoff over [attempts] tries,
-      default 10) and exchange [Hello] frames; [peer] (default
-      ["router"]) is the name announced, and each node's reply carries
-      the clock sample that seeds the router's estimate of that node's
-      clock offset ({!clock_sync} refines it). [Error] if any node
-      stays unreachable or refuses the hello (a node of another wire
-      version closes the connection). *)
+  (** {!over} non-blocking TCP connections, each dialed with exponential
+      backoff over [attempts] tries (default 10). *)
+
+  type link = {
+    dial : string -> unit;  (** open a connection to the named node *)
+    close : string -> unit;
+    select : string list -> string list -> string list * string list;
+        (** of the nodes to read and to write, the ones that can, once some can *)
+    read : string -> Bytes.t -> int -> int -> int;
+    write : string -> Bytes.t -> int -> int -> int;
+  }
+  (** How bytes move between the router and its nodes. [0] from [read],
+      or a [Unix_error] other than [EAGAIN]/[EINTR] from either, breaks
+      the connection, which is then redialed. *)
+
+  val over : ?replicas:int -> ?peer:string -> link -> string list -> (t, string) result
+  (** A router over [link] to the named nodes: each is dialed and sent a
+      [Hello] naming [peer] (default ["router"]), whose reply carries the
+      clock sample that seeds the estimate of that node's clock offset
+      ({!clock_sync} refines it); [Error] if one stays unreachable or
+      refuses the hello (a node of another wire version hangs up). *)
 
   val send : t -> Transport.item -> (unit, string) result
-  (** Route one item to its session's node. Items are buffered per node
-      and flushed at 32 KiB; a broken connection is redialed with
-      backoff (a fresh connection means a fresh interned-string table,
-      so the encoder is replaced too) and the items lost with the dead
-      connection are counted in {!lost_items}. *)
+  (** Route one item to its session's node. Items are staged per node
+      and written at 32 KiB; a broken connection is redialed (a fresh
+      connection means fresh interned-string tables), and the items it
+      took down unacknowledged are counted in {!lost_items}. *)
 
   val send_stream : t -> Transport.item array -> (unit, string) result
 

@@ -146,6 +146,16 @@ let add_str w s =
   Bytes.blit_string s 0 w.wbuf w.wpos len;
   w.wpos <- w.wpos + len
 
+(* the mirror of [read_list]: a varint count, then each element *)
+let add_list w l f =
+  add_varint w (List.length l);
+  List.iter f l
+
+(* an incident as frames carry it: (session, rendering) *)
+let add_incident w (s, text) =
+  add_varint w s;
+  add_str w text
+
 let add_opt_int w = function None -> add_u8 w 0 | Some v -> add_varint w (v + 1)
 let add_bool w b = add_u8 w (if b then 1 else 0)
 
@@ -280,6 +290,10 @@ let verdict c : Adprom.Detector.verdict =
     end
   in
   { flag; score; unknown_symbol; unknown_pair }
+
+let incident c =
+  let s = varint c in
+  (s, str c)
 
 let read_list c f =
   let n = varint c in
@@ -514,22 +528,14 @@ module Encoder = struct
     end_frame e out 3
 
   let add_snapshot buf (s : Metrics.snapshot) =
-    add_varint buf (List.length s.Metrics.counters);
-    List.iter
-      (fun (name, v) ->
+    add_list buf s.Metrics.counters (fun (name, v) ->
         add_str buf name;
-        add_varint buf v)
-      s.Metrics.counters;
-    add_varint buf (List.length s.Metrics.gauges);
-    List.iter
-      (fun (name, v, hwm) ->
+        add_varint buf v);
+    add_list buf s.Metrics.gauges (fun (name, v, hwm) ->
         add_str buf name;
         add_zigzag buf v;
-        add_zigzag buf hwm)
-      s.Metrics.gauges;
-    add_varint buf (List.length s.Metrics.histograms);
-    List.iter
-      (fun (hs : Metrics.hist_snapshot) ->
+        add_zigzag buf hwm);
+    add_list buf s.Metrics.histograms (fun (hs : Metrics.hist_snapshot) ->
         add_str buf hs.Metrics.hs_name;
         add_varint buf (Array.length hs.Metrics.hs_bounds);
         Array.iter
@@ -539,7 +545,6 @@ module Encoder = struct
         Array.iter (fun n -> add_varint buf n) hs.Metrics.hs_buckets;
         add_fixed64 buf (Int64.bits_of_float hs.Metrics.hs_sum);
         add_varint buf hs.Metrics.hs_count)
-      s.Metrics.histograms
 
   let add_span buf (sp : Adprom_obs.Trace.span) =
     add_str buf sp.Adprom_obs.Trace.name;
@@ -549,12 +554,9 @@ module Encoder = struct
     add_varint buf sp.Adprom_obs.Trace.domain;
     add_fixed64 buf sp.Adprom_obs.Trace.start_ns;
     add_fixed64 buf sp.Adprom_obs.Trace.dur_ns;
-    add_varint buf (List.length sp.Adprom_obs.Trace.attrs);
-    List.iter
-      (fun (k, v) ->
+    add_list buf sp.Adprom_obs.Trace.attrs (fun (k, v) ->
         add_str buf k;
         add_str buf v)
-      sp.Adprom_obs.Trace.attrs
 
   let encode_payload e = function
     | Call _ | Query _ -> assert false (* [add] dispatches those *)
@@ -583,52 +585,30 @@ module Encoder = struct
         add_u8 buf (Health.status_to_int h_status);
         add_fixed64 buf (Int64.bits_of_float h_uptime_s);
         add_snapshot buf h_snapshot;
-        add_varint buf (List.length h_incidents);
-        List.iter
-          (fun (s, text) ->
-            add_varint buf s;
-            add_str buf text)
-          h_incidents
-    | Spans_resp spans ->
-        add_varint e.w (List.length spans);
-        List.iter (add_span e.w) spans
+        add_list buf h_incidents (add_incident buf)
+    | Spans_resp spans -> add_list e.w spans (add_span e.w)
     | Summary { node; summary; incidents; fused = fu } ->
         let buf = e.w in
         add_str buf node;
         add_varint buf summary.Daemon.events_offered;
         add_varint buf summary.Daemon.events_ingested;
         add_varint buf summary.Daemon.events_dropped;
-        add_varint buf (List.length summary.Daemon.sessions);
-        List.iter
-          (fun (r : Daemon.session_report) ->
+        add_list buf summary.Daemon.sessions (fun (r : Daemon.session_report) ->
             add_varint buf r.session;
             add_varint buf r.events;
             add_varint buf r.windows;
             add_flag buf r.worst;
-            add_varint buf (List.length r.verdicts);
-            List.iter (add_verdict buf) r.verdicts;
+            add_list buf r.verdicts (add_verdict buf);
             add_varint buf r.qsig_checks;
-            add_varint buf r.qsig_anomalies)
-          summary.Daemon.sessions;
-        add_varint buf (List.length summary.Daemon.shed);
-        List.iter
-          (fun (s, dropped, discarded) ->
+            add_varint buf r.qsig_anomalies);
+        add_list buf summary.Daemon.shed (fun (s, dropped, discarded) ->
             add_varint buf s;
             add_varint buf dropped;
-            add_varint buf discarded)
-          summary.Daemon.shed;
-        add_varint buf (List.length incidents);
-        List.iter
-          (fun (s, text) ->
-            add_varint buf s;
-            add_str buf text)
-          incidents;
-        add_varint buf (List.length fu);
-        List.iter
-          (fun (s, f) ->
+            add_varint buf discarded);
+        add_list buf incidents (add_incident buf);
+        add_list buf fu (fun (s, f) ->
             add_varint buf s;
             add_fused buf f)
-          fu
 
   let add e out frame =
     match frame with
@@ -848,12 +828,7 @@ module Decoder = struct
                 let discarded = varint c in
                 (s, dropped, discarded))
           in
-          let incidents =
-            read_list c (fun c ->
-                let s = varint c in
-                let text = str c in
-                (s, text))
-          in
+          let incidents = read_list c incident in
           let fu =
             read_list c (fun c ->
                 let s = varint c in
@@ -888,12 +863,7 @@ module Decoder = struct
           in
           let h_uptime_s = Int64.float_of_bits (fixed64 c) in
           let h_snapshot = read_snapshot c in
-          let h_incidents =
-            read_list c (fun c ->
-                let s = varint c in
-                let text = str c in
-                (s, text))
-          in
+          let h_incidents = read_list c incident in
           Health_resp { h_node; h_status; h_snapshot; h_incidents; h_uptime_s }
       | 13 -> Spans_req
       | 14 -> Spans_resp (read_list c read_span)

@@ -100,33 +100,6 @@ let observe h v =
   h.h_count <- h.h_count + 1;
   Mutex.unlock h.h_mutex
 
-(* quantile over raw (non-cumulative) buckets, shared by the live
-   histogram path and the wire-snapshot path *)
-let quantile_of_buckets bounds buckets total q =
-  if total = 0 then nan
-  else begin
-    let target = int_of_float (ceil (q *. float_of_int total)) in
-    let target = max 1 (min total target) in
-    let acc = ref 0 and ans = ref infinity in
-    (try
-       Array.iteri
-         (fun i n ->
-           acc := !acc + n;
-           if !acc >= target then begin
-             (ans := if i < Array.length bounds then bounds.(i) else infinity);
-             raise Exit
-           end)
-         buckets
-     with Exit -> ());
-    !ans
-  end
-
-let quantile h q =
-  Mutex.lock h.h_mutex;
-  let result = quantile_of_buckets h.bounds h.buckets h.h_count q in
-  Mutex.unlock h.h_mutex;
-  result
-
 (* Spans land here through the {!span_exporter} hook: one histogram per
    span name, so Chrome-trace detail and Prometheus aggregates come from
    the same instrumentation points. *)
@@ -194,8 +167,25 @@ let snapshot_with_help t =
 
 let snapshot t = fst (snapshot_with_help t)
 
-let hist_quantile hs q =
-  quantile_of_buckets hs.hs_bounds hs.hs_buckets hs.hs_count q
+(* quantile over raw (non-cumulative) buckets *)
+let hist_quantile { hs_bounds = bounds; hs_buckets = buckets; hs_count = total; _ } q =
+  if total = 0 then nan
+  else begin
+    let target = int_of_float (ceil (q *. float_of_int total)) in
+    let target = max 1 (min total target) in
+    let acc = ref 0 and ans = ref infinity in
+    (try
+       Array.iteri
+         (fun i n ->
+           acc := !acc + n;
+           if !acc >= target then begin
+             (ans := if i < Array.length bounds then bounds.(i) else infinity);
+             raise Exit
+           end)
+         buckets
+     with Exit -> ());
+    !ans
+  end
 
 let merge_snapshots snaps =
   let ctbl : (string, int) Hashtbl.t = Hashtbl.create 32 in

@@ -37,11 +37,6 @@ val histogram : ?buckets:float array -> ?help:string -> t -> string -> histogram
 
 val observe : histogram -> float -> unit
 
-val quantile : histogram -> float -> float
-(** Upper bound of the bucket containing the [q]-quantile observation
-    ([nan] when empty, [infinity] when it falls in the overflow
-    bucket). *)
-
 val span_exporter : t -> Adprom_obs.Trace.span -> unit
 (** Bridge from tracing to metrics: record the span's duration into the
     histogram [adprom_span_<name>_seconds] (non-alphanumerics in the
@@ -82,7 +77,9 @@ val merge_snapshots : snapshot list -> snapshot
     name. *)
 
 val hist_quantile : hist_snapshot -> float -> float
-(** Same contract as {!quantile}, over a snapshot. *)
+(** Upper bound of the bucket containing the [q]-quantile observation
+    ([nan] when empty, [infinity] when it falls in the overflow
+    bucket). *)
 
 val snapshot_counter : snapshot -> string -> int
 (** The counter's value, 0 when absent. *)

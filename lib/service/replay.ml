@@ -54,30 +54,17 @@ let verify_against_batch profile stream summary =
         | None -> []
       in
       let live_flags = List.map (fun v -> v.Detector.flag) r.Daemon.verdicts in
+      (* a window one side lacks is a mismatch against [None] *)
       let rec cmp i b l =
-        match (b, l) with
-        | [], [] -> ()
-        | bf :: b', lf :: l' ->
-            if bf <> lf then
-              mismatches :=
-                {
-                  session = r.Daemon.session;
-                  window_index = i;
-                  batch = Some bf;
-                  live = Some lf;
-                }
-                :: !mismatches;
-            cmp (i + 1) b' l'
-        | bf :: b', [] ->
+        let hd = function x :: _ -> Some x | [] -> None in
+        let tl = function _ :: r -> r | [] -> [] in
+        if b <> [] || l <> [] then begin
+          if hd b <> hd l then
             mismatches :=
-              { session = r.Daemon.session; window_index = i; batch = Some bf; live = None }
+              { session = r.Daemon.session; window_index = i; batch = hd b; live = hd l }
               :: !mismatches;
-            cmp (i + 1) b' []
-        | [], lf :: l' ->
-            mismatches :=
-              { session = r.Daemon.session; window_index = i; batch = None; live = Some lf }
-              :: !mismatches;
-            cmp (i + 1) [] l'
+          cmp (i + 1) (tl b) (tl l)
+        end
       in
       cmp 0 batch_flags live_flags)
     summary.Daemon.sessions;

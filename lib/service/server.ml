@@ -83,6 +83,32 @@ let incidents_json ~node ~limit alerts =
       ("incidents", "[" ^ String.concat "," (List.map render tail) ^ "]");
     ]
 
+(* --- bytes owed to a peer --------------------------------------------- *)
+
+module Outbox = struct
+  type t = { staged : Buffer.t; mutable out : Bytes.t; mutable sent : int }
+
+  let create n = { staged = Buffer.create n; out = Bytes.empty; sent = 0 }
+  let staged o = o.staged
+  let owed o = Bytes.length o.out - o.sent + Buffer.length o.staged
+
+  (* [out] holds the bytes being written, from [sent] on; what is
+     staged meanwhile waits until they are all out *)
+  let rec drain o write =
+    if o.sent = Bytes.length o.out && Buffer.length o.staged > 0 then begin
+      o.out <- Buffer.to_bytes o.staged;
+      o.sent <- 0;
+      Buffer.reset o.staged
+    end;
+    let len = Bytes.length o.out - o.sent in
+    len = 0
+    || begin
+         let n = write o.out o.sent len in
+         o.sent <- o.sent + n;
+         n = len && drain o write
+       end
+end
+
 (* --- one connection, without its socket ---------------------------- *)
 
 module Conn = struct
@@ -121,17 +147,15 @@ module Conn = struct
     mutable ingested : int;
     mutable acked : int;
     held : Buffer.t;  (* input a pause left unread; empty unless over the cap *)
-    staged : Buffer.t;  (* replies not yet moved to [out] *)
-    mutable out : Bytes.t;  (* replies being written, from [sent] on *)
-    mutable sent : int;
+    out : Outbox.t;  (* replies *)
   }
 
   let create node =
     { node; codec = Undecided (Buffer.create 8); state = Open; ingested = 0; acked = 0;
-      held = Buffer.create 16; staged = Buffer.create 64; out = Bytes.empty; sent = 0 }
+      held = Buffer.create 16; out = Outbox.create 64 }
 
   let state c = c.state
-  let owed c = Bytes.length c.out - c.sent + Buffer.length c.staged
+  let owed c = Outbox.owed c.out
   let readable c = c.state = Open && owed c <= max_owed
 
   let ingest c item =
@@ -139,8 +163,8 @@ module Conn = struct
     c.ingested <- c.ingested + 1
 
   let reply c enc frame =
-    Frame.Encoder.add enc c.staged frame;
-    Frame.Encoder.flush enc c.staged
+    Frame.Encoder.add enc (Outbox.staged c.out) frame;
+    Frame.Encoder.flush enc (Outbox.staged c.out)
 
   (* undecodable or out-of-place input: counted, and the connection
      closes once the replies it owes are out *)
@@ -203,7 +227,7 @@ module Conn = struct
 
   let respond c ~head_only status ?content_type body =
     Metrics.incr c.node.c_http;
-    Buffer.add_string c.staged (http_response ~head_only status ?content_type body);
+    Buffer.add_string (Outbox.staged c.out) (http_response ~head_only status ?content_type body);
     (* one request per connection: the three endpoints are scrape
        targets, and closing keeps the connection free of header-level
        keep-alive state *)
@@ -287,21 +311,12 @@ module Conn = struct
       else decode c s pos len
 
   let rec drain c write =
-    if c.sent = Bytes.length c.out && Buffer.length c.staged > 0 then begin
-      c.out <- Buffer.to_bytes c.staged;
-      c.sent <- 0;
-      Buffer.reset c.staged
-    end;
-    let len = Bytes.length c.out - c.sent in
-    if len > 0 then begin
-      let n = write c.out c.sent len in
-      c.sent <- c.sent + n;
-      if Buffer.length c.held > 0 && owed c <= max_owed then begin
-        let s = Buffer.contents c.held in
-        Buffer.reset c.held;
-        decode c s 0 (String.length s)
-      end;
-      if n = len then drain c write
+    let all_out = Outbox.drain c.out write in
+    if Buffer.length c.held > 0 && owed c <= max_owed then begin
+      let s = Buffer.contents c.held in
+      Buffer.reset c.held;
+      decode c s 0 (String.length s);
+      if all_out then drain c write
     end
 
   let eof c =

@@ -40,6 +40,21 @@
     closed at once, and a failed [accept] is skipped; both count
     in [adprom_wire_connections_refused_total]. *)
 
+(** Bytes owed to a peer, staged and then written in order: a {!Conn}'s
+    replies, a {!Cluster.Router}'s items. *)
+module Outbox : sig
+  type t
+
+  val create : int -> t  (** the staging buffer's initial size *)
+
+  val staged : t -> Buffer.t
+  val owed : t -> int
+
+  val drain : t -> (Bytes.t -> int -> int -> int) -> bool
+  (** Give owed bytes to [write buf pos len], which returns how many it
+      took, until it takes less ([false]) or nothing is owed ([true]). *)
+end
+
 (** One connection's protocol, without its socket: bytes in, items to
     the daemon, replies appended in order to the connection's output. *)
 module Conn : sig
@@ -74,9 +89,8 @@ module Conn : sig
   val readable : t -> bool  (** [Open], owing at most {!max_owed} *)
 
   val drain : t -> (Bytes.t -> int -> int -> int) -> unit
-  (** Give owed bytes to [write buf pos len], which returns how many it
-      took, until it takes less or nothing is owed; then process the
-      input kept unread, if the output is back under the cap. *)
+  (** {!Outbox.drain}, then process the input kept unread if the output
+      is back under the cap. *)
 
   val summarize : t -> Daemon.summary -> unit
   (** Answer the [Bye] with the node's [Summary] frame.

@@ -686,38 +686,186 @@ let incident_multiset (alerts : Alerts.t) =
        (fun (i : Alerts.incident) -> (i.Alerts.session, Alerts.source_to_string i.Alerts.source))
        (Alerts.incidents alerts))
 
-(* A closed router must not touch its sockets again: their descriptors
-   are closed and may already belong to someone else. *)
+(* --- the router in process: Server.Conn nodes under a seeded scheduler --- *)
+
+let node_names k = List.init k (fun i -> [| "alpha"; "beta"; "gamma"; "delta" |].(i))
+
+let ok what = function Ok v -> v | Error e -> QCheck2.Test.fail_reportf "%s: %s" what e
+
+(* A closed router must not touch its connections again: their
+   descriptors are closed and may already belong to someone else. *)
 let test_closed_router_refuses () =
   let profile, _, _ = Lazy.force fixture in
-  Cluster.with_local [ "solo" ]
-    (fun name socket -> ignore (Server.serve ~socket ~name ~shards:1 profile))
-  @@ fun nodes ->
-  let node = List.hd nodes in
-  let peers =
-    [ { Cluster.peer_name = "solo"; host = "127.0.0.1"; port = node.Cluster.port } ]
-  in
-  let connect () =
-    match Cluster.Router.connect peers with
-    | Ok router -> router
-    | Error e -> Alcotest.failf "connect: %s" e
-  in
-  let router = connect () in
+  let sim = Sim.create ~seed:1 profile [ "solo" ] in
+  Fun.protect ~finally:(fun () -> Sim.stop sim) @@ fun () ->
+  let router = ok "connect" (Cluster.Router.over (Sim.link sim) [ "solo" ]) in
   Cluster.Router.close router;
-  let after_close = Cluster.Router.metrics router in
-  (* close leaves the node serving: a second router ends it, so that
-     [wait_local] sees a clean exit *)
-  (match Cluster.Router.finish (connect ()) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "finish: %s" e);
-  Cluster.wait_local node;
-  match after_close with
+  let calls = sim.Sim.calls in
+  Alcotest.(check bool) "close hung up" true ((Sim.find sim "solo").Sim.conn = None);
+  (match Cluster.Router.metrics router with
   | Ok _ -> Alcotest.fail "metrics answered after close"
   | Error e ->
       Alcotest.(check bool)
         (Printf.sprintf "%S names the closed router" e)
         true
-        (contains ~needle:"router already finished" e)
+        (contains ~needle:"router already finished" e));
+  Alcotest.(check int) "no link call after close" calls sim.Sim.calls
+
+(* The cluster stream, with queries the nodes' off query axis ingests
+   for free slipped in at random: some a few KiB, so several 32 KiB
+   batches go out while items are still being routed, and the rest a
+   few bytes; [acked] makes them enough (past 4,096) for a lone node to
+   ack. *)
+let sim_items ?(acked = false) st =
+  let calls = cluster_items () in
+  let sessions = [| 0; 1; 2; 3; 4; 5; 6; 7; 97 |] in
+  let filler () =
+    let pad = if Random.State.int st 8 = 0 then 512 + Random.State.int st 1536 else Random.State.int st 8 in
+    Transport.Query
+      { Transport.q_session = sessions.(Random.State.int st (Array.length sessions));
+        rows = Random.State.int st 5; sql = String.make pad 'x' }
+  in
+  let fillers = if acked then 4096 + Random.State.int st 1024 else Random.State.int st 1200 in
+  let out = ref [] and i = ref 0 and f = ref 0 in
+  while !i < Array.length calls || !f < fillers do
+    if !f < fillers && (!i = Array.length calls || Random.State.int st (Array.length calls + fillers) < fillers)
+    then begin
+      out := filler () :: !out;
+      incr f
+    end
+    else begin
+      out := calls.(!i) :: !out;
+      incr i
+    end
+  done;
+  Array.of_list (List.rev !out)
+
+(* A router over 1-4 nodes in process: the scheduler picks write and
+   read sizes from 1 B to 64 KiB, which nodes move and in what order,
+   and, while items are being routed, up to two node hang-ups, after
+   each of which the router redials. The merged summaries must equal
+   Replay.run over exactly the items the nodes ingested, and the lost
+   count must be exactly what broken connections took down unacked: 0
+   without a hang-up, and otherwise enough that ingested + lost >=
+   routed. *)
+let prop_cluster_simulation =
+  QCheck2.Test.make ~name:"simulated cluster = Replay.run" ~count:40
+    ~print:(fun (k, seed) -> Printf.sprintf "%d nodes, seed %d" k seed)
+    QCheck2.Gen.(pair (int_range 1 4) (int_bound 1_000_000))
+    (fun (k, seed) ->
+      let profile, _, _ = Lazy.force fixture in
+      let names = node_names k in
+      let sim = Sim.create ~seed profile names in
+      Fun.protect ~finally:(fun () -> Sim.stop sim) @@ fun () ->
+      let items = sim_items ~acked:(k = 1 && Random.State.bool sim.Sim.st) sim.Sim.st in
+      let hangups = Random.State.int sim.Sim.st 3 in
+      sim.Sim.hangups <- hangups;
+      let router = ok "connect" (Cluster.Router.over (Sim.link sim) names) in
+      sim.Sim.routing <- true;
+      ok "send" (Cluster.Router.send_stream router items);
+      sim.Sim.routing <- false;
+      if Random.State.bool sim.Sim.st then ignore (ok "metrics" (Cluster.Router.metrics router));
+      let summaries = ok "finish" (Cluster.Router.finish router) in
+      let lost = Cluster.Router.lost_items router and hung = hangups - sim.Sim.hangups in
+      if hung = 0 && lost <> 0 then QCheck2.Test.fail_reportf "%d items lost with no hang-up" lost;
+      if lost <> Sim.lost sim items then
+        QCheck2.Test.fail_reportf "%d items counted lost over %d hang-ups, %d taken down unacked" lost
+          hung (Sim.lost sim items);
+      let ingested = Sim.ingested sim in
+      if Array.length ingested + lost < Array.length items then
+        QCheck2.Test.fail_reportf "%d ingested + %d lost < %d routed" (Array.length ingested) lost
+          (Array.length items);
+      Sim.check_replay profile (Cluster.merge summaries) ingested;
+      true)
+
+let frame_bytes f =
+  let enc = Frame.Encoder.create () and buf = Buffer.create 64 in
+  Frame.Encoder.add enc buf f;
+  Frame.Encoder.flush enc buf;
+  Buffer.contents buf
+
+type fault_kind = Truncate | Corrupt | Call | Early_summary
+
+let fault_name = function
+  | Truncate -> "truncated" | Corrupt -> "corrupted" | Call -> "a call frame"
+  | Early_summary -> "a summary before bye"
+
+(* Node bytes the router must refuse without raising: cut short (the
+   node hangs up mid-frame), one byte flipped, or a frame it never
+   expects from a node (a Call, or a Summary before any Bye). Every
+   operation returns Ok or an Error that starts with a node's name, and
+   an unexpected frame that reached the router makes one of them an
+   Error naming that node. *)
+let prop_router_totality =
+  QCheck2.Test.make ~name:"bad node bytes: router errors name the node" ~count:40
+    ~print:(fun (k, kind, victim, after, seed) ->
+      Printf.sprintf "%d nodes, %s from node %d after %d reads, seed %d" k (fault_name kind)
+        victim after seed)
+    QCheck2.Gen.(
+      let* k = int_range 1 3 in
+      map4
+        (fun kind victim after seed -> (k, kind, victim, after, seed))
+        (oneofl [ Truncate; Corrupt; Call; Early_summary ])
+        (int_bound (k - 1)) (int_bound 3) (int_bound 1_000_000))
+    (fun (k, kind, victim, after, seed) ->
+      let profile, _, _ = Lazy.force fixture in
+      let names = node_names k and victim = List.nth (node_names k) victim in
+      let sim = Sim.create ~seed profile names in
+      Fun.protect ~finally:(fun () -> Sim.stop sim) @@ fun () ->
+      let items = sim_items sim.Sim.st in
+      let fault =
+        match kind with
+        | Truncate -> Sim.Truncate
+        | Corrupt -> Sim.Corrupt
+        | Call ->
+            Sim.Inject
+              (frame_bytes
+                 (Frame.Call
+                    { Transport.session = 5;
+                      event = { Runtime.Collector.caller = "main"; block = 1; symbol = Symbol.Entry } }))
+        | Early_summary ->
+            Sim.Inject
+              (frame_bytes
+                 (Frame.Summary
+                    { Frame.node = victim;
+                      summary =
+                        { Daemon.sessions = []; shed = []; events_offered = 0; events_ingested = 0;
+                          events_dropped = 0 };
+                      incidents = [];
+                      fused = [] }))
+      in
+      sim.Sim.fault <- Some (victim, after, fault);
+      let named = ref [] in
+      let run what r =
+        match r () with
+        | Ok _ -> ()
+        | Error e -> (
+            let names_node n =
+              String.starts_with ~prefix:(n ^ ":") e || String.starts_with ~prefix:(n ^ " (") e
+            in
+            match List.find_opt names_node names with
+            | Some n -> named := n :: !named
+            | None -> QCheck2.Test.fail_reportf "%s: %S names no node" what e)
+        | exception e -> QCheck2.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+      in
+      sim.Sim.routing <- true;
+      let router = ref None in
+      run "connect" (fun () ->
+          Result.map (fun r -> router := Some r) (Cluster.Router.over (Sim.link sim) names));
+      Option.iter
+        (fun router ->
+          run "send" (fun () -> Cluster.Router.send_stream router items);
+          run "health" (fun () -> Cluster.Router.health router);
+          run "metrics" (fun () -> Cluster.Router.metrics router);
+          sim.Sim.routing <- false;
+          run "finish" (fun () -> Cluster.Router.finish router))
+        !router;
+      (match kind with
+      | (Call | Early_summary) when sim.Sim.fired && not (List.mem victim !named) ->
+          QCheck2.Test.fail_reportf "%s from %s reached the router, and no operation failed"
+            (fault_name kind) victim
+      | _ -> ());
+      true)
 
 let test_two_node_cluster_matches_single () =
   let profile, qsig_profile, _ = Lazy.force fixture in
@@ -830,6 +978,14 @@ let test_two_node_cluster_matches_single () =
 let () =
   Alcotest.run "cluster"
     [
+      (* the one case that forks nodes comes first: the in-process
+         cases below spawn daemon domains, after which no process may
+         fork *)
+      ( "cluster",
+        [
+          Alcotest.test_case "2 nodes = 1 node, bit for bit" `Quick
+            test_two_node_cluster_matches_single;
+        ] );
       ( "binary codec",
         [
           QCheck_alcotest.to_alcotest prop_binary_roundtrip_chunked;
@@ -865,10 +1021,7 @@ let () =
         [
           Alcotest.test_case "closed router refuses metrics" `Quick
             test_closed_router_refuses;
-        ] );
-      ( "cluster",
-        [
-          Alcotest.test_case "2 nodes = 1 node, bit for bit" `Quick
-            test_two_node_cluster_matches_single;
+          QCheck_alcotest.to_alcotest prop_cluster_simulation;
+          QCheck_alcotest.to_alcotest prop_router_totality;
         ] );
     ]

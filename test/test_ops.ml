@@ -7,9 +7,11 @@
    current router bit-for-bit), a serve loop no peer can stall (one
    that never reads, descriptors select cannot watch), log-file
    rotation, and the multi-process Chrome trace merge. The protocol
-   checks drive a node's connections in process (Server.Conn); only
-   the observation and serve-loop cases fork real nodes, and they run
-   first, because a process that has spawned domains must not fork. *)
+   and observation checks drive nodes in process (Server.Conn, reached
+   by a router through the in-process link of test/sim.ml); only the
+   two serve-loop cases fork real nodes, because only the real select
+   loop shows what they check, and they run first, because a process
+   that has spawned domains must not fork. *)
 
 module Transport = Adprom_service.Transport
 module Frame = Adprom_service.Frame
@@ -87,33 +89,6 @@ let stream_items () =
   Array.map (fun ev -> Transport.Call ev) (Sessions.interleave ~rng traces)
 
 (* --- HTTP exposition on the serve port -------------------------------------- *)
-
-(* one raw request, read to EOF (the server closes after each response) *)
-let http_request ~port request =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let b = Bytes.of_string request in
-  let rec write_all pos =
-    if pos < Bytes.length b then
-      write_all (pos + Unix.write fd b pos (Bytes.length b - pos))
-  in
-  write_all 0;
-  let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
-  let rec read_all () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        read_all ()
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> ()
-  in
-  read_all ();
-  Unix.close fd;
-  Buffer.contents buf
-
-let http_get ~port target =
-  http_request ~port
-    (Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" target)
 
 let status_of_response resp =
   match String.index_opt resp ' ' with
@@ -293,117 +268,6 @@ let in_child (f : unit -> 'a) : 'a =
 let help_line name body =
   let prefix = "# HELP " ^ name ^ " " in
   List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' body)
-
-(* The router traces, so every batch to a node is followed by a
-   Trace_mark that the node turns into a wire.batch span, and one node's
-   /metrics is scraped while the stream is half sent; the fleet dump
-   must print that scrape's help texts. None of it may change what the
-   detector says: the merged summary must equal an untraced single-node
-   replay. An intruder session makes the incident comparison
-   non-empty. *)
-let test_observation_keeps_verdicts () =
-  let profile, _ = Lazy.force fixture in
-  let intruder =
-    Array.init 20 (fun i ->
-        Transport.Call
-          {
-            Transport.session = 97;
-            event =
-              {
-                Runtime.Collector.caller = "intruder";
-                block = 3;
-                symbol =
-                  Symbol.Lib
-                    { name = Printf.sprintf "evil%d" (i mod 3); label = None; site = None };
-              };
-          })
-  in
-  let items = Array.append (stream_items ()) intruder in
-  Cluster.with_local [ "alpha"; "beta" ] (serve_node ~shards:2 profile) @@ fun nodes ->
-  let send router part =
-    match Cluster.Router.send_stream router part with
-    | Error e -> Alcotest.failf "send: %s" e
-    | Ok () -> (
-        match Cluster.Router.flush_all router with
-        | Error e -> Alcotest.failf "flush: %s" e
-        | Ok () -> ())
-  in
-  let summaries, node_spans =
-    Trace.set_enabled true;
-    Fun.protect
-      ~finally:(fun () ->
-        Trace.set_enabled false;
-        Trace.clear ())
-      (fun () ->
-        let peers =
-          List.map
-            (fun (l : Cluster.local) ->
-              { Cluster.peer_name = l.Cluster.name; host = "127.0.0.1"; port = l.Cluster.port })
-            nodes
-        in
-        match Cluster.Router.connect peers with
-        | Error e -> Alcotest.failf "connect: %s" e
-        | Ok router -> (
-            let half = Array.length items / 2 in
-            send router (Array.sub items 0 half);
-            let m = http_get ~port:(List.hd nodes).Cluster.port "/metrics" in
-            check_status "mid-stream /metrics" 200 m;
-            Alcotest.(check bool) "mid-stream scrape sees ingest" true
-              (contains ~needle:"adprom_events_ingested_total" (body_of_response m));
-            send router (Array.sub items half (Array.length items - half));
-            (match Cluster.Router.metrics router with
-            | Error e -> Alcotest.failf "fleet metrics: %s" e
-            | Ok fleet ->
-                List.iter
-                  (fun family ->
-                    Alcotest.(check (option string))
-                      (family ^ " help: fleet dump = node /metrics")
-                      (help_line family (body_of_response m))
-                      (help_line family fleet))
-                  [
-                    "adprom_e2e_latency_seconds";
-                    "adprom_queue_wait_seconds";
-                    "adprom_score_latency_seconds";
-                  ]);
-            let spans =
-              match Cluster.Router.spans router with
-              | Error e -> Alcotest.failf "spans: %s" e
-              | Ok groups -> groups
-            in
-            Alcotest.(check int) "no items lost" 0 (Cluster.Router.lost_items router);
-            match Cluster.Router.finish router with
-            | Error e -> Alcotest.failf "finish: %s" e
-            | Ok summaries -> (summaries, spans)))
-  in
-  List.iter Cluster.wait_local nodes;
-  List.iter
-    (fun (name, _, spans) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s recorded wire.batch spans" name)
-        true
-        (List.exists (fun (s : Trace.span) -> s.Trace.name = "wire.batch") spans))
-    node_spans;
-  Alcotest.(check int) "every node answered spans" 2 (List.length node_spans);
-  let merged = Cluster.merge summaries in
-  let m = merged.Frame.summary in
-  let ingested, sessions, incidents =
-    in_child (fun () ->
-        let single = Replay.run (Daemon.create ~shards:2 profile) items in
-        let s = single.Replay.summary in
-        ( s.Daemon.events_ingested,
-          List.map session_key s.Daemon.sessions,
-          List.sort compare
-            (List.map
-               (fun (i : Alerts.incident) ->
-                 (i.Alerts.session, Alerts.source_to_string i.Alerts.source))
-               (Alerts.incidents single.Replay.alerts)) ))
-  in
-  Alcotest.(check int) "events ingested" ingested m.Daemon.events_ingested;
-  Alcotest.(check bool) "session reports bit-for-bit equal" true
-    (sessions = List.map session_key m.Daemon.sessions);
-  Alcotest.(check bool) "incidents exist" true (incidents <> []);
-  Alcotest.(check bool) "incident multiset equal" true
-    (incidents = List.sort compare merged.Frame.incidents)
 
 (* --- serve loop: no peer stalls or crashes the node -------------------------- *)
 
@@ -711,6 +575,123 @@ let test_unassigned_tags_refused () =
         (Health.status_to_string h.Frame.h_status)
   | _ -> Alcotest.fail "expected a hello and one health reply"
 
+(* --- observation leaves verdicts unchanged ------------------------------------ *)
+
+(* The router traces, so every batch to a node is followed by a
+   Trace_mark that the node turns into a wire.batch span, and one node's
+   /metrics is scraped through its HTTP path while the stream is half
+   sent; the fleet dump must print that scrape's help texts. None of it
+   may change what the detector says: the merged summary must equal an
+   untraced single-node replay. An intruder session makes the incident
+   comparison non-empty. Two nodes in process, reached through the
+   router's in-process link. *)
+let test_observation_keeps_verdicts () =
+  let profile, _ = Lazy.force fixture in
+  let intruder =
+    Array.init 20 (fun i ->
+        Transport.Call
+          {
+            Transport.session = 97;
+            event =
+              {
+                Runtime.Collector.caller = "intruder";
+                block = 3;
+                symbol =
+                  Symbol.Lib
+                    { name = Printf.sprintf "evil%d" (i mod 3); label = None; site = None };
+              };
+          })
+  in
+  let items = Array.append (stream_items ()) intruder in
+  let names = [ "alpha"; "beta" ] in
+  let sim = Sim.create ~shards:2 ~seed:41 profile names in
+  Fun.protect ~finally:(fun () -> Sim.stop sim) @@ fun () ->
+  let send router part =
+    match Cluster.Router.send_stream router part with
+    | Error e -> Alcotest.failf "send: %s" e
+    | Ok () -> (
+        match Cluster.Router.flush_all router with
+        | Error e -> Alcotest.failf "flush: %s" e
+        | Ok () -> ())
+  in
+  let summaries, node_spans =
+    Trace.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.set_enabled false;
+        Trace.clear ())
+      (fun () ->
+        match Cluster.Router.over (Sim.link sim) names with
+        | Error e -> Alcotest.failf "connect: %s" e
+        | Ok router -> (
+            let half = Array.length items / 2 in
+            send router (Array.sub items 0 half);
+            let m = conn_http_get (Sim.find sim "alpha").Sim.node "/metrics" in
+            check_status "mid-stream /metrics" 200 m;
+            Alcotest.(check bool) "mid-stream scrape sees ingest" true
+              (contains ~needle:"adprom_events_ingested_total" (body_of_response m));
+            send router (Array.sub items half (Array.length items - half));
+            (match Cluster.Router.metrics router with
+            | Error e -> Alcotest.failf "fleet metrics: %s" e
+            | Ok fleet ->
+                List.iter
+                  (fun family ->
+                    Alcotest.(check (option string))
+                      (family ^ " help: fleet dump = node /metrics")
+                      (help_line family (body_of_response m))
+                      (help_line family fleet))
+                  [
+                    "adprom_e2e_latency_seconds";
+                    "adprom_queue_wait_seconds";
+                    "adprom_score_latency_seconds";
+                  ]);
+            let spans =
+              match Cluster.Router.spans router with
+              | Error e -> Alcotest.failf "spans: %s" e
+              | Ok groups -> groups
+            in
+            Alcotest.(check int) "no items lost" 0 (Cluster.Router.lost_items router);
+            match Cluster.Router.finish router with
+            | Error e -> Alcotest.failf "finish: %s" e
+            | Ok summaries -> (summaries, spans)))
+  in
+  Alcotest.(check int) "every node answered spans" 2 (List.length node_spans);
+  (* the nodes share this process's span buffer: each batch the router
+     stamped must have become a wire.batch span of the same trace *)
+  let spans = match node_spans with (_, _, spans) :: _ -> spans | [] -> [] in
+  let named n = List.filter (fun (s : Trace.span) -> s.Trace.name = n) spans in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s took a traced batch" name)
+        true
+        (List.exists (fun (s : Trace.span) -> List.assoc_opt "peer" s.Trace.attrs = Some name)
+           (named "route.batch")))
+    names;
+  List.iter
+    (fun (r : Trace.span) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "batch of trace %d reached its node" r.Trace.trace_id)
+        true
+        (List.exists (fun (w : Trace.span) -> w.Trace.trace_id = r.Trace.trace_id) (named "wire.batch")))
+    (named "route.batch");
+  let merged = Cluster.merge summaries in
+  let m = merged.Frame.summary in
+  let single = Replay.run (Daemon.create ~shards:2 profile) items in
+  let s = single.Replay.summary in
+  let incidents =
+    List.sort compare
+      (List.map
+         (fun (i : Alerts.incident) -> (i.Alerts.session, Alerts.source_to_string i.Alerts.source))
+         (Alerts.incidents single.Replay.alerts))
+  in
+  Alcotest.(check int) "events ingested" s.Daemon.events_ingested m.Daemon.events_ingested;
+  Alcotest.(check bool) "session reports bit-for-bit equal" true
+    (List.map session_key s.Daemon.sessions = List.map session_key m.Daemon.sessions);
+  Alcotest.(check bool) "incidents exist" true (incidents <> []);
+  Alcotest.(check bool) "incident multiset equal" true
+    (incidents = List.sort compare merged.Frame.incidents)
+
 (* --- log rotation ------------------------------------------------------------- *)
 
 let test_log_rotation () =
@@ -796,18 +777,18 @@ let () =
     [
       ( "rollup",
         [ QCheck_alcotest.to_alcotest prop_rollup_equals_fold ] );
-      (* the cases that fork nodes come first: the in-process cases
+      (* the two cases that fork nodes come first: the in-process cases
          below spawn daemon domains, after which no process may fork *)
-      ( "obs",
-        [
-          Alcotest.test_case "traced, scraped, verdicts pinned" `Quick
-            test_observation_keeps_verdicts;
-        ] );
       ( "serve",
         [
           Alcotest.test_case "unread replies stall no one" `Quick test_unread_replies;
           Alcotest.test_case "past FD_SETSIZE refused, node serves on" `Quick
             test_fd_setsize_refused;
+        ] );
+      ( "obs",
+        [
+          Alcotest.test_case "traced, scraped, verdicts pinned" `Quick
+            test_observation_keeps_verdicts;
         ] );
       ( "http",
         [ Alcotest.test_case "exposition endpoints" `Quick test_http_endpoints ] );

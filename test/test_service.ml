@@ -385,8 +385,9 @@ let test_metrics_registry () =
   List.iter (Metrics.observe h) [ 0.05; 0.05; 0.5; 5.0 ];
   Alcotest.(check int) "histogram count" 4
     (Option.get (Metrics.snapshot_histogram (Metrics.snapshot m) "lat")).Metrics.hs_count;
-  Alcotest.(check (float 1e-9)) "p50 bucket" 0.1 (Metrics.quantile h 0.5);
-  Alcotest.(check bool) "p99 overflows" true (Metrics.quantile h 0.99 = infinity);
+  let hs = Option.get (Metrics.snapshot_histogram (Metrics.snapshot m) "lat") in
+  Alcotest.(check (float 1e-9)) "p50 bucket" 0.1 (Metrics.hist_quantile hs 0.5);
+  Alcotest.(check bool) "p99 overflows" true (Metrics.hist_quantile hs 0.99 = infinity);
   let dump = Metrics.dump m in
   List.iter
     (fun needle ->
@@ -843,11 +844,6 @@ type peer = {
   recv : Buffer.t;
 }
 
-let frames_of bytes =
-  match Frame.Decoder.feed (Frame.Decoder.create ()) bytes with
-  | Ok frames -> frames
-  | Error e -> QCheck2.Test.fail_reportf "node output undecodable: %s" (Frame.error_to_string e)
-
 (* A hello, then [items] and [tail] as frames: the bytes, and where each
    item's frame ends in them. *)
 let binary_input items ~tail =
@@ -894,14 +890,6 @@ let hello_reply =
   Frame.Encoder.add enc buf (Frame.Hello { peer = sim_name; sample = Some (0L, 0L) });
   Frame.Encoder.flush enc buf;
   Buffer.length buf
-
-let sim_session_key (r : Daemon.session_report) =
-  ( r.Daemon.session, r.Daemon.events, r.Daemon.windows, r.Daemon.worst,
-    List.map
-      (fun (v : Detector.verdict) ->
-        (v.Detector.flag, Int64.bits_of_float v.Detector.score, v.Detector.unknown_symbol,
-         v.Detector.unknown_pair))
-      r.Daemon.verdicts )
 
 (* 64 sessions, each a fixture trace run back to back until it is about
    50 calls long, interleaved, each call followed by two executed
@@ -1001,8 +989,7 @@ let simulate profile (kinds, past_cap, seed) =
   let can_drain p = p.reads && Conn.owed p.conn > 0 in
   let feed p =
     if p.fed < p.cut then begin
-      let size = match int 3 with 0 -> 1 + int 16 | 1 -> 1 + int 4096 | _ -> 1 + int 65536 in
-      let len = min size (p.cut - p.fed) in
+      let len = min (Sim.chunk st) (p.cut - p.fed) in
       Conn.feed p.conn ~pos:p.fed ~len p.input;
       p.fed <- p.fed + len;
       p.whole_at_feed_end <- whole p p.fed :: p.whole_at_feed_end
@@ -1014,12 +1001,7 @@ let simulate profile (kinds, past_cap, seed) =
     if Conn.owed flooder.conn > Conn.max_owed + hello_reply then
       QCheck2.Test.fail_reportf "never-read connection owes %d bytes" (Conn.owed flooder.conn)
   in
-  let drain p =
-    Conn.drain p.conn (fun b pos len ->
-        let k = int (len + 1) in
-        Buffer.add_subbytes p.recv b pos k;
-        k)
-  in
+  let drain p = Sim.drain_some st p.conn p.recv in
   let rec run () =
     match List.filter (fun p -> can_feed p || can_drain p) all with
     | [] -> ()
@@ -1042,7 +1024,7 @@ let simulate profile (kinds, past_cap, seed) =
       Buffer.add_subbytes out b pos len;
       len);
   let node_summary =
-    match frames_of (Buffer.contents out) with
+    match Sim.frames_of (Buffer.contents out) with
     | [ Frame.Hello _; Frame.Summary s ] -> s
     | fs -> QCheck2.Test.fail_reportf "closer read %d frames, not hello + summary" (List.length fs)
   in
@@ -1052,21 +1034,7 @@ let simulate profile (kinds, past_cap, seed) =
       (fun p -> List.filter_map (fun (e, it) -> if e <= p.fed then Some it else None) (Array.to_list p.ends))
       peers
   in
-  let single =
-    Replay.run (Daemon.create ~shards:1 ~queue_capacity:(1 lsl 20) profile) (Array.of_list delivered)
-  in
-  let got = node_summary.Frame.summary and want = single.Replay.summary in
-  if got.Daemon.events_dropped <> 0 then
-    QCheck2.Test.fail_reportf "%d events dropped" got.Daemon.events_dropped;
-  if got.Daemon.events_ingested <> want.Daemon.events_ingested then
-    QCheck2.Test.fail_reportf "ingested %d, replay %d" got.Daemon.events_ingested
-      want.Daemon.events_ingested;
-  if List.map sim_session_key got.Daemon.sessions <> List.map sim_session_key want.Daemon.sessions
-  then QCheck2.Test.fail_reportf "session reports differ from Replay.run";
-  let rendered (i : Alerts.incident) = (i.Alerts.session, Alerts.source_to_string i.Alerts.source) in
-  if List.sort compare node_summary.Frame.incidents
-     <> List.sort compare (List.map rendered (Alerts.incidents single.Replay.alerts))
-  then QCheck2.Test.fail_reportf "incident multiset differs from Replay.run";
+  Sim.check_replay profile node_summary (Array.of_list delivered);
   (* what each reading peer got back *)
   List.iter
     (fun p ->
@@ -1092,7 +1060,7 @@ let simulate profile (kinds, past_cap, seed) =
                     QCheck2.Test.fail_reportf "acks %d, %d too close" last count;
                   count
               | _ -> last)
-            0 (frames_of recv)
+            0 (Sim.frames_of recv)
           |> ignore)
     peers;
   true
