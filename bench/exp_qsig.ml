@@ -34,7 +34,7 @@ let detection_rows app engine =
         cases = List.length logs;
         flagged_cases = List.length flagged;
       })
-    (Qmutate.family ~variants:(variants ()) ())
+    (Qmutate.family ~variants:(variants ()))
 
 (* Steady-state per-check cost: the memoized static path plus the
    per-call band check, which is what every post-warmup query pays. *)

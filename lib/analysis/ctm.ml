@@ -61,8 +61,8 @@ let eliminate_symbol t s =
           outflow)
       inflow
 
-let conserved ?(eps = 1e-9) t =
-  let close x y = Float.abs (x -. y) <= eps in
+let conserved t =
+  let close x y = Float.abs (x -. y) <= 1e-9 in
   close (row_sum t Symbol.Entry) 1.0
   && close (column_sum t Symbol.Exit) 1.0
   && List.for_all (fun c -> close (row_sum t c) (column_sum t c)) (calls t)

@@ -40,7 +40,7 @@ val eliminate_symbol : t -> Symbol.t -> unit
     is the symbol's inflow. Used to approximate recursive calls (one
     unrolling) before aggregation. No-op when the symbol is absent. *)
 
-val conserved : ?eps:float -> t -> bool
+val conserved : t -> bool
 (** The three pCTM properties of Sec. IV-C3: Entry row sums to 1, Exit
     column sums to 1, and each call's inflow equals its outflow. *)
 

@@ -15,18 +15,13 @@ module Make (L : LATTICE) = struct
 
   let get tbl id = match Hashtbl.find_opt tbl id with Some v -> v | None -> L.bottom
 
-  let solve ?(with_back_edges = true) (cfg : Cfg.t) ~entry ~transfer =
+  let solve (cfg : Cfg.t) ~entry ~transfer =
     let sol =
       { ins = Hashtbl.create 32; outs = Hashtbl.create 32; visited = Hashtbl.create 32 }
     in
     let edges id =
-      let succs = Cfg.successors cfg id in
-      if with_back_edges then
-        succs
-        @ List.filter_map
-            (fun (src, dst) -> if src = id then Some dst else None)
-            cfg.Cfg.back_edges
-      else succs
+      Cfg.successors cfg id
+      @ List.filter_map (fun (src, dst) -> if src = id then Some dst else None) cfg.Cfg.back_edges
     in
     Hashtbl.replace sol.ins cfg.Cfg.entry entry;
     let work = Queue.create () in

@@ -29,16 +29,9 @@ end
 module Make (L : LATTICE) : sig
   type solution
 
-  val solve :
-    ?with_back_edges:bool ->
-    Cfg.t ->
-    entry:L.t ->
-    transfer:(Cfg.node -> L.t -> L.t) ->
-    solution
-  (** Propagate from the entry node to a fixpoint. [with_back_edges]
-      (default [true]) also propagates along the recorded loop back
-      edges, so loop-carried facts converge; pass [false] to analyze
-      the acyclic single-visit view the probability forecast uses. *)
+  val solve : Cfg.t -> entry:L.t -> transfer:(Cfg.node -> L.t -> L.t) -> solution
+  (** Propagate from the entry node to a fixpoint, along the recorded
+      loop back edges too, so loop-carried facts converge. *)
 
   val input : solution -> int -> L.t
   (** Join over the outputs of the node's processed predecessors —

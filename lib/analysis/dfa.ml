@@ -73,7 +73,9 @@ let ensure a need fill =
    subset, each subset's successors in ascending symbol code. One walk
    over a subset's members fills a scratch bitset per symbol that
    occurs; only genuinely new subsets are copied out of the scratch. *)
-let determinize ?(max_states = 100_000) (nfa : Nfa.t) =
+let max_states = 100_000
+
+let determinize (nfa : Nfa.t) =
   let syms = Array.of_list nfa.Nfa.alphabet in
   let w = Array.length syms in
   let n = nfa.Nfa.nstates in
@@ -297,7 +299,7 @@ let minimize dfa =
     { dfa with start = renum.(class_of.(dfa.start)); nstates = n'; trans }
   end
 
-let of_nfa ?max_states nfa = minimize (determinize ?max_states nfa)
+let of_nfa nfa = minimize (determinize nfa)
 
 let to_dot t =
   let buf = Buffer.create 1024 in

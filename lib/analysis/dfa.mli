@@ -10,9 +10,9 @@
 
 type t
 
-val of_nfa : ?max_states:int -> Nfa.t -> t
-(** Determinize + minimize. [max_states] (default [100_000]) bounds the
-    subset construction.
+val of_nfa : Nfa.t -> t
+(** Determinize + minimize. The subset construction stops at 100,000
+    subsets.
     @raise Invalid_argument when the bound is exceeded. *)
 
 val nstates : t -> int

@@ -47,7 +47,7 @@ let cfg_to_dot (cfg : Cfg.t) =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let ctm_to_dot ?(threshold = 0.0) ctm =
+let ctm_to_dot ctm =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph ctm {\n  rankdir=LR;\n  node [fontname=\"monospace\"];\n";
   let name_of s = escape (Symbol.to_string s) in
@@ -56,7 +56,7 @@ let ctm_to_dot ?(threshold = 0.0) ctm =
     (Ctm.symbols ctm);
   Ctm.iter
     (fun a b v ->
-      if v > threshold then
+      if v > 0.0 then
         Buffer.add_string buf
           (Printf.sprintf "  \"%s\" -> \"%s\" [label=\"%.4f\"];\n" (name_of a) (name_of b) v))
     ctm;

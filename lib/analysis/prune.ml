@@ -236,7 +236,7 @@ let drop_dead (cfg : Cfg.t) =
 
 (* One propagate-and-prune round; returns the removed edges. *)
 let prune_round (cfg : Cfg.t) =
-  let sol = Flow.solve ~with_back_edges:true cfg ~entry:(Env SM.empty) ~transfer in
+  let sol = Flow.solve cfg ~entry:(Env SM.empty) ~transfer in
   let removed = ref [] in
   let remove src dst =
     if remove_edge_once cfg src dst then removed := (src, dst) :: !removed

@@ -84,7 +84,7 @@ let result_json ~file (d : Diag.t) =
 
 (* [results] pairs each vetted file with its diagnostics; the whole
    batch becomes one run. *)
-let report ?(tool_name = "adprom-vet") ?(tool_version = "") results =
+let report results =
   let codes =
     List.sort_uniq compare
       (List.concat_map
@@ -92,10 +92,7 @@ let report ?(tool_name = "adprom-vet") ?(tool_version = "") results =
          results)
   in
   let driver =
-    [ ("name", Json.string tool_name) ]
-    @ (if tool_version = "" then []
-       else [ ("version", Json.string tool_version) ])
-    @ [ ("rules", arr (List.map rule_json codes)) ]
+    [ ("name", Json.string "adprom-vet"); ("rules", arr (List.map rule_json codes)) ]
   in
   let run =
     Json.obj

@@ -7,10 +7,6 @@
     logical location on the vetted file, and witness steps
     ({!Diag.t.related}) become [relatedLocations]. Emission only. *)
 
-val report :
-  ?tool_name:string ->
-  ?tool_version:string ->
-  (string * Diag.t list) list ->
-  string
+val report : (string * Diag.t list) list -> string
 (** [report results] renders one SARIF document for a batch of vetted
     files (file path, its diagnostics). *)

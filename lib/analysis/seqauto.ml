@@ -141,7 +141,7 @@ let build_inlined cfgs live ~entry ~scc_of ~budget =
     Nfa.finish b ~start:(fst (List.assoc entry io))
   end
 
-let build ?(entry = "main") ?(use_labels = true) ?(state_budget = 20_000) cfgs cg =
+let build ?(entry = "main") ~use_labels ?(state_budget = 20_000) cfgs cg =
   let live = live_funcs ~entry cfgs cg in
   let scc_of =
     let sccs = Callgraph.sccs cg in

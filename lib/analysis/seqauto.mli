@@ -42,14 +42,14 @@ type t = {
 
 val build :
   ?entry:string ->
-  ?use_labels:bool ->
+  use_labels:bool ->
   ?state_budget:int ->
   (string * Cfg.t) list ->
   Callgraph.t ->
   t
 (** Build from (pruned) CFGs. [entry] defaults to ["main"]; when the
     entry is absent every function is a root (conservative).
-    [use_labels false] strips DB-output labels from the transition
+    [use_labels:false] strips DB-output labels from the transition
     symbols before determinizing — the view of a profile trained
     without labels. [state_budget] (default [20_000]) bounds the
     inlined NFA before the flat fallback. *)

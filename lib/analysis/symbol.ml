@@ -4,7 +4,7 @@ type t =
   | Lib of { name : string; label : int option; site : int option }
   | Func of string
 
-let lib ?site ?label name = Lib { name; label; site }
+let lib ?label name = Lib { name; label; site = None }
 
 let observable = function
   | Lib { name; label; site = Some _ } -> Lib { name; label; site = None }

@@ -24,7 +24,7 @@ type t =
   | Func of string  (** call to a user-defined function (inlined away
           during aggregation) *)
 
-val lib : ?site:int -> ?label:int -> string -> t
+val lib : ?label:int -> string -> t
 
 val observable : t -> t
 (** Forget the static site: the symbol as the run-time collector sees

@@ -309,8 +309,7 @@ let check_leakage ~(policy : Libspec.Sensitivity.t) ~(summary : Leakage.result) 
     summary.Leakage.sinks;
   Diag.dedupe (List.sort Diag.compare !diags)
 
-let check_coverage ?automaton ?(model_ngrams = []) ?static_queries ?trained_signatures
-    facts ~alphabet ~known_pairs =
+let check_coverage ?automaton facts ~alphabet ~known_pairs =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let observable_only = List.filter (function Symbol.Entry | Symbol.Exit -> false | _ -> true) in
@@ -355,7 +354,7 @@ let check_coverage ?automaton ?(model_ngrams = []) ?static_queries ?trained_sign
      program cannot emit. *)
   (match automaton with
   | None -> ()
-  | Some accepts ->
+  | Some (accepts, model_ngrams) ->
       List.iter
         (fun ngram ->
           let ngram = observable_only ngram in
@@ -372,10 +371,4 @@ let check_coverage ?automaton ?(model_ngrams = []) ?static_queries ?trained_sign
                     "model-supported sequence [%s] is statically impossible"
                     (String.concat "; " (List.map Symbol.to_string ngram)))))
         model_ngrams);
-  (* The query-axis cross-check: the qsig profile against the statically
-     inferred signature sets (see {!Qstatic}). *)
-  (match (static_queries, trained_signatures) with
-  | Some sq, Some trained ->
-      List.iter add (check_qsig_coverage ~static_queries:sq ~trained_signatures:trained)
-  | _ -> ());
   List.sort Diag.compare !diags

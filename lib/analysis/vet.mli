@@ -76,8 +76,7 @@ val check_qsig_coverage :
     program provably cannot emit them, so the profile was trained on
     other traffic); statically emittable signatures absent from the
     trained set are [qsig-uncovered-signature] hints. An incomplete
-    static set never produces errors. Also runs inside
-    {!check_coverage} when both optional arguments are given. *)
+    static set never produces errors. *)
 
 val check_leakage :
   policy:Applang.Libspec.Sensitivity.t -> summary:Leakage.result -> Diag.t list
@@ -91,10 +90,7 @@ val check_leakage :
     {!Diag.t.related}. Deduped and sorted. *)
 
 val check_coverage :
-  ?automaton:(Symbol.t list -> bool) ->
-  ?model_ngrams:Symbol.t list list ->
-  ?static_queries:Qstatic.result ->
-  ?trained_signatures:string list ->
+  ?automaton:(Symbol.t list -> bool) * Symbol.t list list ->
   facts ->
   alphabet:Symbol.t list ->
   known_pairs:(string * Symbol.t) list ->
@@ -103,13 +99,12 @@ val check_coverage :
     responsible for projecting both sides into the profile's label view
     (see [Adprom.Profile_check]). Entry/Exit symbols are ignored.
 
-    When [automaton] (factor membership in the call-sequence automaton,
-    e.g. [Seqauto.accepts auto]) and [model_ngrams] (call sequences the
-    trained model gives real support, e.g.
-    [Adprom.Profile_check.model_bigrams]) are given, the pair check
-    generalizes to n-grams: a supported sequence outside the automaton's
-    language is a [Warning] ([profile-ngram-impossible]) — the model
-    puts real weight on behaviour the program cannot run. Warning and
-    not error, because n-gram support is inferred from the trained
-    weights (smoothing can lift never-seen sequences above the support
-    threshold), unlike the directly-observed alphabet and pair facts. *)
+    With [automaton] — factor membership in the call-sequence automaton
+    (e.g. [Seqauto.accepts auto]) and the call sequences the trained
+    model gives real support — the pair check generalizes to n-grams: a
+    supported sequence outside the automaton's language is a [Warning]
+    ([profile-ngram-impossible]) — the model puts real weight on
+    behaviour the program cannot run. Warning and not error, because
+    n-gram support is inferred from the trained weights (smoothing can
+    lift never-seen sequences above the support threshold), unlike the
+    directly-observed alphabet and pair facts. *)

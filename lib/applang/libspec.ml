@@ -107,9 +107,7 @@ module Schema = struct
 
   let empty () = { tables = Hashtbl.create 8; keys = Hashtbl.create 8 }
 
-  let declare t ~table ?(keys = []) columns =
-    Hashtbl.replace t.tables table columns;
-    List.iter (fun k -> Hashtbl.replace t.keys (table ^ "." ^ k) ()) keys
+  let declare t ~table columns = Hashtbl.replace t.tables table columns
 
   let declare_key t ~table ~column =
     Hashtbl.replace t.keys (table ^ "." ^ column) ()
@@ -145,8 +143,7 @@ module Sensitivity = struct
     mutable rules : (level * string * string) list; (* level, table, column; "*" wildcards *)
   }
 
-  let create ?schema () =
-    { schema = (match schema with Some s -> s | None -> Schema.empty ()); rules = [] }
+  let create () = { schema = Schema.empty (); rules = [] }
 
   let schema t = t.schema
 

@@ -35,20 +35,12 @@ val untrusted_taint_of : string -> taint_kind
 
 (** Declared database schema for the leakage analysis: the subject
     programs create their tables from the host harness, not in AppLang,
-    so column lists and key columns arrive as declarations (normally
-    via a {!Sensitivity} policy file). *)
+    so column lists and key columns arrive as declarations in a
+    {!Sensitivity} policy file. *)
 module Schema : sig
   type t
 
   val empty : unit -> t
-
-  val declare : t -> table:string -> ?keys:string list -> string list -> unit
-  (** Declare (or redeclare) a table's column list, optionally marking
-      key columns. *)
-
-  val declare_key : t -> table:string -> column:string -> unit
-  (** Mark a column as unique-valued: an equality predicate on it bounds
-      a SELECT to at most one row. *)
 
   val columns : t -> string -> string list option
   (** Column list of a declared table, for [*]-expansion. *)
@@ -70,12 +62,7 @@ module Sensitivity : sig
 
   type t
 
-  val create : ?schema:Schema.t -> unit -> t
   val schema : t -> Schema.t
-
-  val add_rule : t -> level -> table:string -> column:string -> unit
-  (** ["*"] is a wildcard in either position; overlapping rules resolve
-      to the strictest matching level. *)
 
   val level : t -> table:string -> column:string -> level
   (** [Public] when no rule matches. An unexpanded ["*"] column takes
@@ -83,6 +70,10 @@ module Sensitivity : sig
 
   val parse : string -> (t, string) result
   (** Parse a policy file: one declaration per line, [#] comments.
+      [key] marks a unique-valued column (an equality predicate on it
+      bounds a SELECT to at most one row); ["*"] is a wildcard in
+      either position of a level rule, and overlapping rules resolve to
+      the strictest matching level.
       {v
         table customers(id, name, ssn)
         key customers.id

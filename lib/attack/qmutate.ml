@@ -24,7 +24,7 @@ let out_of_band_literal variant = function
   | Ast.L_str s -> Ast.L_str (s ^ String.make 32 'z')
   | (Ast.L_null | Ast.L_param _) as l -> l
 
-let mutate_statement ?(variant = 0) kind stmt =
+let mutate_statement ~variant kind stmt =
   match kind with
   | Tautology_widening -> (
       match stmt with
@@ -47,13 +47,13 @@ let reads_rows = function
 (* Wire-level rewrite: leave non-SELECT traffic and unparseable text
    alone so the program keeps functioning — a stealthy exfiltration
    widens reads, it does not break writes. *)
-let mutate_sql ?variant kind sql =
+let mutate_sql ~variant kind sql =
   match Sqldb.Sql_parser.parse sql with
   | Ok stmt when reads_rows stmt ->
-      Sqldb.Sql_pp.to_string (mutate_statement ?variant kind stmt)
+      Sqldb.Sql_pp.to_string (mutate_statement ~variant kind stmt)
   | Ok _ | Error _ -> sql
 
-let scenario ?(variant = 0) kind =
+let variant_scenario variant kind =
   {
     Scenario.id = Printf.sprintf "q_mut_%s_%d" (kind_to_string kind) variant;
     description =
@@ -64,10 +64,12 @@ let scenario ?(variant = 0) kind =
     vector = Scenario.Mitm (mutate_sql ~variant kind);
   }
 
-let family ?(variants = 4) () =
+let family ~variants =
   List.concat_map
-    (fun kind -> List.init variants (fun v -> scenario ~variant:v kind))
+    (fun kind -> List.init variants (fun v -> variant_scenario v kind))
     all_kinds
+
+let scenario = variant_scenario 0
 
 let run_logs scenario app =
   let malicious, patches, query_rewriter = Scenario.apply scenario app in

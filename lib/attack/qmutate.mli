@@ -19,12 +19,13 @@ type kind = Tautology_widening | Cardinality_blowup | Literal_out_of_band
 val kind_to_string : kind -> string
 val all_kinds : kind list
 
-val scenario : ?variant:int -> kind -> Scenario.t
-(** A MITM scenario applying the mutation to all wire traffic. *)
+val scenario : kind -> Scenario.t
+(** A MITM scenario applying the mutation to all wire traffic: the
+    first of {!family}'s variants of [kind]. *)
 
-val family : ?variants:int -> unit -> Scenario.t list
-(** The benchable family: [variants] scenarios (default 4) of each
-    kind, [3 * variants] in total. *)
+val family : variants:int -> Scenario.t list
+(** The benchable family: [variants] scenarios of each kind,
+    [3 * variants] in total. *)
 
 val run_logs :
   Scenario.t ->

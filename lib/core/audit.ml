@@ -59,13 +59,13 @@ let constraint_reasons verdict =
           true)
     verdict.Adprom_qsig.Engine.reasons
 
-let audit ?policy ~qsig (outcome : Runtime.Interp.outcome) =
+let audit ~qsig (outcome : Runtime.Interp.outcome) =
   let query_findings =
     List.map
       (fun s -> Unknown_query_signature s)
       (unknown_in_run qsig outcome.Runtime.Interp.queries)
   in
-  let engine = Adprom_qsig.Engine.create ?policy qsig in
+  let engine = Adprom_qsig.Engine.create qsig in
   let constraint_findings =
     List.concat_map
       (fun (sql, rows) ->

@@ -34,11 +34,7 @@ val unknown_in_run : Adprom_qsig.Profile.t -> string list -> string list
     ["<malformed>"] bucket, which is known when training saw malformed
     text too. *)
 
-val audit :
-  ?policy:Adprom_qsig.Constraints.policy ->
-  qsig:Adprom_qsig.Profile.t ->
-  Runtime.Interp.outcome ->
-  finding list
-(** Findings for one monitored run (default policy [Strict]). *)
+val audit : qsig:Adprom_qsig.Profile.t -> Runtime.Interp.outcome -> finding list
+(** Findings for one monitored run, under the [Strict] policy. *)
 
 val finding_to_string : finding -> string

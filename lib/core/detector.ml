@@ -71,7 +71,7 @@ type surprise = {
   surprisal : float;
 }
 
-let explain ?(top = 3) profile window =
+let explain ~top profile window =
   let w = Profile.prepare profile window in
   let n = Array.length w.Window.obs in
   if n = 0 then []

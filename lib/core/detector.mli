@@ -66,8 +66,8 @@ type surprise = {
   surprisal : float;  (** -log P(symbol | prefix); infinity if unknown *)
 }
 
-val explain : ?top:int -> Profile.t -> Window.t -> surprise list
-(** The most surprising positions of a window, most surprising first
-    (default [top] 3) — what the security administrator looks at when
-    an alarm fires. Symbols outside the alphabet have infinite
-    surprisal and always rank first. *)
+val explain : top:int -> Profile.t -> Window.t -> surprise list
+(** The [top] most surprising positions of a window, most surprising
+    first — what the security administrator looks at when an alarm
+    fires. Symbols outside the alphabet have infinite surprisal and
+    always rank first. *)

@@ -30,8 +30,7 @@ let fresh_engine app =
   app.setup_db engine;
   engine
 
-let run_case ?(patches = []) ?query_rewriter ?analysis app tc =
-  let analysis = match analysis with Some a -> a | None -> analyze_app app in
+let run_case ?(patches = []) ?query_rewriter ~analysis app tc =
   Runtime.Interp.collect_trace ~patches ?query_rewriter ~analysis
     ~engine:(fresh_engine app) tc
 
@@ -45,7 +44,7 @@ let map_cases ~analysis app f =
       f tc (Runtime.Interp.collect_trace ~analysis ~engine:(Sqldb.Engine.copy template) tc))
     app.test_cases
 
-let collect ?(window = 15) app =
+let collect app =
   Otrace.with_span "pipeline.collect"
     ~attrs:(fun () ->
       [ ("app", app.name); ("cases", string_of_int (List.length app.test_cases)) ])
@@ -57,7 +56,7 @@ let collect ?(window = 15) app =
   in
   let windows =
     Otrace.with_span "pipeline.windows" (fun () ->
-        List.concat_map (fun (_, trace) -> Window.of_trace ~window trace) traces)
+        List.concat_map (fun (_, trace) -> Window.of_trace ~window:15 trace) traces)
   in
   { app; analysis; traces; windows }
 
@@ -76,8 +75,7 @@ let train ?(params = adprom_params) dataset =
   in
   Profile.train ~params ~analysis:dataset.analysis windows
 
-let train_engine ?params ?cache_capacity dataset =
-  Scoring.create ?cache_capacity (train ?params dataset)
+let train_engine dataset = Scoring.create (train dataset)
 
 let collect_outcomes ?analysis app =
   let analysis = match analysis with Some a -> a | None -> analyze_app app in
@@ -85,5 +83,4 @@ let collect_outcomes ?analysis app =
 
 let train_qsig ?analysis app = Audit.learn (collect_outcomes ?analysis app)
 
-let train_qsig_engine ?policy ?analysis app =
-  Adprom_qsig.Engine.create ?policy (train_qsig ?analysis app)
+let train_qsig_engine app = Adprom_qsig.Engine.create (train_qsig app)

@@ -27,16 +27,16 @@ val fresh_engine : app -> Sqldb.Engine.t
 val run_case :
   ?patches:Runtime.Patch.t list ->
   ?query_rewriter:(string -> string) ->
-  ?analysis:Analysis.Analyzer.t ->
+  analysis:Analysis.Analyzer.t ->
   app ->
   Runtime.Testcase.t ->
   Runtime.Collector.trace * Runtime.Interp.outcome
-(** Execute one test case on a fresh engine, collecting the trace.
-    [analysis] defaults to a fresh analysis of [app.source] (pass it to
-    reuse, or to run attacked variants against their own analysis). *)
+(** Execute one test case on a fresh engine, collecting the trace, under
+    [analysis] of the app (an attacked variant's own, for one). *)
 
-val collect : ?window:int -> app -> dataset
-(** Run every test case and window the traces (Normal-sequences). *)
+val collect : app -> dataset
+(** Run every test case and cut the traces into 15-call windows
+    (Normal-sequences). *)
 
 val adprom_params : Profile.params
 val cmarkov_params : Profile.params
@@ -44,12 +44,11 @@ val cmarkov_params : Profile.params
 
 val train : ?params:Profile.params -> dataset -> Profile.t
 
-val train_engine :
-  ?params:Profile.params -> ?cache_capacity:int -> dataset -> Scoring.t
+val train_engine : dataset -> Scoring.t
 (** [train] followed by {!Scoring.create}: the profile compiled into a
     ready-to-serve scoring engine (interned symbol tables, preallocated
-    forward-pass buffers, verdict memo). What the bench experiments and
-    the CLI use so classification never pays per-window setup. *)
+    forward-pass buffers, verdict memo), so classification never pays
+    per-window setup. *)
 
 val collect_outcomes :
   ?analysis:Analysis.Analyzer.t -> app -> Runtime.Interp.outcome list
@@ -60,9 +59,5 @@ val train_qsig : ?analysis:Analysis.Analyzer.t -> app -> Adprom_qsig.Profile.t
 (** Query-signature profile over all training outcomes ({!Audit.learn}
     on {!collect_outcomes}). *)
 
-val train_qsig_engine :
-  ?policy:Adprom_qsig.Constraints.policy ->
-  ?analysis:Analysis.Analyzer.t ->
-  app ->
-  Adprom_qsig.Engine.t
+val train_qsig_engine : app -> Adprom_qsig.Engine.t
 (** {!train_qsig} compiled for repeated checking. *)

@@ -17,9 +17,8 @@ let project_facts (profile : Profile.t) (facts : Vet.facts) =
           (List.map (fun (c, s) -> (c, Symbol.strip_label s)) facts.Vet.pairs);
     }
 
-let automaton ?entry ?state_budget (profile : Profile.t) analysis =
-  Analysis.Seqauto.build ?entry ?state_budget
-    ~use_labels:profile.Profile.params.Profile.use_labels
+let automaton (profile : Profile.t) analysis =
+  Analysis.Seqauto.build ~use_labels:profile.Profile.params.Profile.use_labels
     analysis.Analysis.Analyzer.pruned_cfgs analysis.Analysis.Analyzer.callgraph
 
 (* Bigrams the trained model actually supports: (a, b) such that some
@@ -64,28 +63,28 @@ let coverage ?entry ?automaton (profile : Profile.t) analysis =
     Hashtbl.fold (fun p () acc -> p :: acc) profile.Profile.known_pairs []
     |> List.sort compare
   in
-  let automaton = Option.map (fun a sl -> Analysis.Seqauto.accepts a sl) automaton in
-  let model_ngrams =
-    match automaton with Some _ -> model_bigrams profile | None -> []
+  let automaton =
+    Option.map (fun a -> (Analysis.Seqauto.accepts a, model_bigrams profile)) automaton
   in
-  Vet.check_coverage ?automaton ~model_ngrams facts
+  Vet.check_coverage ?automaton facts
     ~alphabet:(Array.to_list profile.Profile.alphabet)
     ~known_pairs
 
-let check ?entry ?automaton profile analysis =
+let diagnostics ?entry ?automaton profile analysis =
   List.sort Diag.compare
     (Vet.check_program ?entry analysis.Analysis.Analyzer.cfgs
     @ coverage ?entry ?automaton profile analysis)
 
-let static_pairs ?entry analysis =
-  (Vet.facts ?entry analysis.Analysis.Analyzer.cfgs).Vet.pairs
+let check ~entry profile analysis = diagnostics ~entry profile analysis
 
-let apply policy ?entry ?automaton profile analysis =
+let static_pairs analysis = (Vet.facts analysis.Analysis.Analyzer.cfgs).Vet.pairs
+
+let apply policy ?automaton profile analysis =
   match policy with
   | Off -> []
-  | Warn -> check ?entry ?automaton profile analysis
+  | Warn -> diagnostics ?automaton profile analysis
   | Enforce -> (
-      let diags = check ?entry ?automaton profile analysis in
+      let diags = diagnostics ?automaton profile analysis in
       match Diag.errors diags with
       | [] -> diags
       | errs ->

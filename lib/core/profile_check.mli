@@ -18,41 +18,31 @@ type policy =
   | Warn  (** report diagnostics, serve anyway *)
   | Enforce  (** refuse to serve when any error-class finding exists *)
 
-val automaton :
-  ?entry:string ->
-  ?state_budget:int ->
-  Profile.t ->
-  Analysis.Analyzer.t ->
-  Analysis.Seqauto.t
+val automaton : Profile.t -> Analysis.Analyzer.t -> Analysis.Seqauto.t
 (** Build the program's call-sequence automaton in the profile's label
-    view, on the pruned CFGs — the form {!Scoring.set_static_dfa}
-    expects and {!check}'s n-gram cross-check consumes. *)
+    view, on the pruned CFGs from [main] — the form
+    {!Scoring.set_static_dfa} expects and {!apply}'s n-gram cross-check
+    consumes. *)
 
-val check :
-  ?entry:string ->
-  ?automaton:Analysis.Seqauto.t ->
-  Profile.t ->
-  Analysis.Analyzer.t ->
-  Analysis.Diag.t list
+val check : entry:string -> Profile.t -> Analysis.Analyzer.t -> Analysis.Diag.t list
 (** Program checks plus the profile-coverage cross-check
-    ({!Analysis.Vet.check_coverage} under the profile's label view;
-    with [automaton], also the trained model's supported bigrams
-    against the automaton's language, [profile-ngram-impossible]),
+    ({!Analysis.Vet.check_coverage} under the profile's label view),
     sorted with {!Analysis.Diag.compare}. *)
 
-val static_pairs : ?entry:string -> Analysis.Analyzer.t -> (string * Analysis.Symbol.t) list
+val static_pairs : Analysis.Analyzer.t -> (string * Analysis.Symbol.t) list
 (** The statically possible (caller, call) pairs of the analyzed
     program — feed to {!Scoring.set_static_pairs} so explanations can
     name statically impossible pairs. *)
 
 val apply :
   policy ->
-  ?entry:string ->
   ?automaton:Analysis.Seqauto.t ->
   Profile.t ->
   Analysis.Analyzer.t ->
   Analysis.Diag.t list
-(** Run {!check} under the policy. [Off] does nothing and returns [].
-    [Warn] returns the diagnostics for the caller to log. [Enforce]
+(** Run {!check} on [main] under the policy; with [automaton], also
+    check the trained model's supported bigrams against the automaton's
+    language ([profile-ngram-impossible]). [Off] does nothing and
+    returns []. [Warn] returns the diagnostics for the caller to log. [Enforce]
     additionally @raise Invalid_argument when error-class findings
     exist, naming them. *)

@@ -139,6 +139,15 @@ let of_string text =
     String.trim (String.sub l n (String.length l - n))
   in
   let sym s = match decode_symbol s with Ok v -> v | Error e -> raise (Bad e) in
+  (* [count] items, one per line, in an array built from the lines
+     actually read: a header count alone never sizes an allocation *)
+  let items count item =
+    if count < 0 then raise (Bad "negative count");
+    let rec go acc i =
+      if i >= count then Array.of_list (List.rev acc) else go (item (next ()) :: acc) (i + 1)
+    in
+    go [] 0
+  in
   try
     if next () <> "adprom-profile 1" then raise (Bad "bad magic");
     let params_line = expect_prefix "params" in
@@ -158,10 +167,11 @@ let of_string text =
     in
     let threshold = float_of_string (expect_prefix "threshold") in
     let k = int_of_string (expect_prefix "alphabet") in
-    let alphabet = Array.init k (fun _ -> sym (next ())) in
+    let alphabet = items k sym in
     let pi = floats_of_line (expect_prefix "pi") in
     let n = int_of_string (expect_prefix "a") in
-    let a = Mlkit.Matrix.of_arrays (Array.init n (fun _ -> sparse_row_of_line ~n (next ()))) in
+    if n <> Array.length pi then raise (Bad "pi/state count mismatch");
+    let a = Mlkit.Matrix.of_arrays (items n (sparse_row_of_line ~n)) in
     let bm = expect_prefix "b" in
     let n', m =
       match String.split_on_char ' ' bm with
@@ -170,10 +180,10 @@ let of_string text =
     in
     if n' <> n then raise (Bad "inconsistent state counts");
     if m <> Array.length alphabet then raise (Bad "emission/alphabet mismatch");
-    let b = Mlkit.Matrix.of_arrays (Array.init n (fun _ -> sparse_row_of_line ~n:m (next ()))) in
+    let b = Mlkit.Matrix.of_arrays (items n (sparse_row_of_line ~n:m)) in
     let model = Hmm.create ~a ~b ~pi in
     let pair_count = int_of_string (expect_prefix "pairs") in
-    let known_pairs = Hashtbl.create (max 16 pair_count) in
+    let known_pairs = Hashtbl.create 16 in
     for _ = 1 to pair_count do
       let l = next () in
       match String.index_opt l ' ' with
@@ -185,8 +195,7 @@ let of_string text =
     done;
     let site_count = int_of_string (expect_prefix "sites") in
     let entries =
-      Array.init site_count (fun _ ->
-          let l = next () in
+      items site_count (fun l ->
           match String.index_opt l ' ' with
           | Some i ->
               ( int_of_string (String.sub l 0 i),

@@ -568,7 +568,7 @@ let gate_to_string = function
   | Below_threshold -> "below-threshold"
 
 (* Explain verdict [v], already computed on [window]. *)
-let explain_verdict ?(top = 3) t v window =
+let explain_verdict ~top t v window =
   if v.flag = Normal then None
   else begin
     let w = Profile.prepare t.profile window in
@@ -650,7 +650,7 @@ let explain_verdict ?(top = 3) t v window =
       }
   end
 
-let explain ?top t window = explain_verdict ?top t (classify t window) window
+let explain ~top t window = explain_verdict ~top t (classify t window) window
 
 let float_str f =
   if f = infinity then "inf"
@@ -771,7 +771,7 @@ module Stream = struct
      again. The symbols in the ring are already prepared (observable,
      labels per [use_labels]), and [Profile.prepare] is idempotent on
      prepared windows. *)
-  let explain_last ?top st =
+  let explain_last st =
     let window = window st in
     let len =
       if st.pushed >= window then window else if st.is_flushed then st.pushed else 0
@@ -787,6 +787,6 @@ module Stream = struct
             callers = Array.init len (fun i -> st.ring.r_callers.(slot i));
           }
       in
-      explain_verdict ?top st.eng st.last w
+      explain_verdict ~top:3 st.eng st.last w
     end
 end

@@ -148,13 +148,12 @@ type explanation = {
   top : contribution list;  (** most surprising steps, descending *)
 }
 
-val explain : ?top:int -> t -> Window.t -> explanation option
+val explain : top:int -> t -> Window.t -> explanation option
 (** [None] exactly when {!classify} returns [Normal]. Gate priority:
     [Unknown_symbol] over [Unknown_pair] / [Statically_impossible_pair]
     (the latter when {!set_static_pairs} facts rule the pair out) over
-    [Below_threshold]. [top] (default 3) bounds the ranked
-    contributions. Costs one extra forward pass over the window — only
-    ever paid on anomalies. *)
+    [Below_threshold]. [top] bounds the ranked contributions. Costs one
+    extra forward pass over the window — only ever paid on anomalies. *)
 
 val gate_to_string : gate -> string
 val explanation_to_string : explanation -> string
@@ -204,11 +203,12 @@ module Stream : sig
   val events_seen : t -> int
   val flushed : t -> bool
 
-  val explain_last : ?top:int -> t -> explanation option
+  val explain_last : t -> explanation option
   (** Explain the window most recently scored by {!push} (the full
       ring) or {!flush} (the short tail), from the verdict it got
-      there: unlike {!explain}, it does not classify the window again,
-      so it adds no memo hit or miss and no enforce-mode gate check.
+      there, with its 3 top contributions: unlike {!explain}, it does
+      not classify the window again, so it adds no memo hit or miss and
+      no enforce-mode gate check.
       [None] if that window was [Normal], or if nothing has been
       classified yet. *)
 end

@@ -41,8 +41,8 @@ let demux tagged =
   Hashtbl.fold (fun s events acc -> (s, Array.of_list (List.rev events)) :: acc) buckets []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let windows_naive ?window tagged =
-  Window.of_trace ?window (Array.map (fun t -> t.event) tagged)
+let windows_naive ~window tagged =
+  Window.of_trace ~window (Array.map (fun t -> t.event) tagged)
 
-let windows_per_session ?window tagged =
-  List.concat_map (fun (_, trace) -> Window.of_trace ?window trace) (demux tagged)
+let windows_per_session ~window tagged =
+  List.concat_map (fun (_, trace) -> Window.of_trace ~window trace) (demux tagged)

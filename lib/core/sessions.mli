@@ -22,10 +22,10 @@ val interleave :
 val demux : tagged array -> (int * Runtime.Collector.trace) list
 (** Recover the per-session traces, in ascending session order. *)
 
-val windows_naive : ?window:int -> tagged array -> Window.t list
+val windows_naive : window:int -> tagged array -> Window.t list
 (** Windows cut straight from the host stream, ignoring session
     boundaries — what a session-unaware monitor would score. *)
 
-val windows_per_session : ?window:int -> tagged array -> Window.t list
+val windows_per_session : window:int -> tagged array -> Window.t list
 (** Demultiplex, then window each session separately — the correct
     monitoring discipline. *)

@@ -344,11 +344,11 @@ let poison_lookup tc =
   { tc with Runtime.Testcase.input = [ "1"; tautology; "0" ];
     Runtime.Testcase.name = tc.Runtime.Testcase.name ^ "+sqli" }
 
-let app ?(cases = 73) () =
+let app () =
   {
     Adprom.Pipeline.name = "App_b (banking)";
     source;
     dbms = "MySQL";
     setup_db;
-    test_cases = test_cases ~count:cases ~seed:7002;
+    test_cases = test_cases ~count:73 ~seed:7002;
   }

@@ -6,8 +6,8 @@
 
 val source : string
 
-val app : ?cases:int -> unit -> Adprom.Pipeline.app
-(** Default 73 test cases. *)
+val app : unit -> Adprom.Pipeline.app
+(** 73 test cases. *)
 
 val test_cases : count:int -> seed:int -> Runtime.Testcase.t list
 

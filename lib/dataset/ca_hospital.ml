@@ -196,11 +196,11 @@ let test_cases ~count ~seed =
       in
       Runtime.Testcase.make ~input:script ~seed:case (Printf.sprintf "hospital-%03d" case))
 
-let app ?(cases = 63) () =
+let app () =
   {
     Adprom.Pipeline.name = "App_h (hospital)";
     source;
     dbms = "PostgreSQL";
     setup_db;
-    test_cases = test_cases ~count:cases ~seed:7001;
+    test_cases = test_cases ~count:63 ~seed:7001;
   }

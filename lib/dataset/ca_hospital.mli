@@ -5,6 +5,5 @@
 
 val source : string
 
-val app : ?cases:int -> unit -> Adprom.Pipeline.app
-(** The application with [cases] generated test cases (default 63, the
-    paper's count). *)
+val app : unit -> Adprom.Pipeline.app
+(** The application with 63 generated test cases, the paper's count. *)

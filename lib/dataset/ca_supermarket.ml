@@ -443,11 +443,11 @@ let test_cases ~count ~seed =
       in
       Runtime.Testcase.make ~input:script ~seed:case (Printf.sprintf "market-%03d" case))
 
-let app ?(cases = 36) () =
+let app () =
   {
     Adprom.Pipeline.name = "App_s (supermarket)";
     source;
     dbms = "MySQL";
     setup_db;
-    test_cases = test_cases ~count:cases ~seed:7003;
+    test_cases = test_cases ~count:36 ~seed:7003;
   }

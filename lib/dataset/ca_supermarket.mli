@@ -5,5 +5,5 @@
 
 val source : string
 
-val app : ?cases:int -> unit -> Adprom.Pipeline.app
-(** Default 36 test cases. *)
+val app : unit -> Adprom.Pipeline.app
+(** 36 test cases. *)

@@ -288,31 +288,31 @@ let sed_cases ~count ~seed =
       let files = [ ("input.txt", make_file rng (2 + Mlkit.Rng.int rng 8)) ] in
       Runtime.Testcase.make ~input ~files ~seed:case (Printf.sprintf "sed-%04d" case))
 
-let app1 ?(cases = 120) () =
+let app1 () =
   {
     Adprom.Pipeline.name = "App1 (grep-like)";
     source = grep_source;
     dbms = "-";
     setup_db = no_db;
-    test_cases = grep_cases ~count:cases ~seed:8001;
+    test_cases = grep_cases ~count:120 ~seed:8001;
   }
 
-let app2 ?(cases = 80) () =
+let app2 () =
   {
     Adprom.Pipeline.name = "App2 (gzip-like)";
     source = gzip_source;
     dbms = "-";
     setup_db = no_db;
-    test_cases = gzip_cases ~count:cases ~seed:8002;
+    test_cases = gzip_cases ~count:80 ~seed:8002;
   }
 
-let app3 ?(cases = 100) () =
+let app3 () =
   {
     Adprom.Pipeline.name = "App3 (sed-like)";
     source = sed_source;
     dbms = "-";
     setup_db = no_db;
-    test_cases = sed_cases ~count:cases ~seed:8003;
+    test_cases = sed_cases ~count:100 ~seed:8003;
   }
 
 let app4 ?(cases = 300) ?(spec = Proggen.bash_like) () =

@@ -8,16 +8,16 @@
     the paper's (809/214/370/1061) to keep a pure-OCaml run tractable;
     the benches print the actual counts. *)
 
-val app1 : ?cases:int -> unit -> Adprom.Pipeline.app
+val app1 : unit -> Adprom.Pipeline.app
 (** grep-like: pattern matching over an input file with plain / count /
-    invert / prefix modes. Default 120 cases. *)
+    invert / prefix modes. 120 cases. *)
 
-val app2 : ?cases:int -> unit -> Adprom.Pipeline.app
-(** gzip-like: run-length compress / decompress / stats. Default 80. *)
+val app2 : unit -> Adprom.Pipeline.app
+(** gzip-like: run-length compress / decompress / stats. 80 cases. *)
 
-val app3 : ?cases:int -> unit -> Adprom.Pipeline.app
+val app3 : unit -> Adprom.Pipeline.app
 (** sed-like: substitute / delete / number over an input file.
-    Default 100. *)
+    100 cases. *)
 
 val app4 : ?cases:int -> ?spec:Proggen.spec -> unit -> Adprom.Pipeline.app
 (** bash-scale generated program ({!Proggen.bash_like}). Default 300

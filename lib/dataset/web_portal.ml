@@ -151,11 +151,11 @@ let injection_session =
     ~requests:[ Runtime.Testcase.get ~params:[ ("q", "%' OR '1'='1") ] "/search" ]
     "session-injection"
 
-let app ?(cases = 60) () =
+let app () =
   {
     Adprom.Pipeline.name = "WebPortal (customer portal)";
     source;
     dbms = "PostgreSQL";
     setup_db;
-    test_cases = sessions ~count:cases ~seed:9001;
+    test_cases = sessions ~count:60 ~seed:9001;
   }

@@ -7,8 +7,8 @@
     web-shaped version of the Fig. 2 vulnerability), [POST /order],
     [GET /report] (aggregates), anything else is a 404. *)
 
-val app : ?cases:int -> unit -> Adprom.Pipeline.app
-(** Default 60 request-session test cases. *)
+val app : unit -> Adprom.Pipeline.app
+(** 60 request-session test cases. *)
 
 val injection_session : Runtime.Testcase.t
 (** A session whose /search parameter carries a tautology: harvests the

@@ -465,9 +465,9 @@ let baum_welch_step t weighted =
   ({ t with a = normalized a_acc n; b = normalized b_acc m; pi = normalize_with_floor pi_acc },
    loglik.(0))
 
-let fit ?(max_iterations = 50) ?(tolerance = 1e-4) t weighted =
+let fit ~max_iterations t weighted =
   let total_weight = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 weighted in
-  let scaled_tol = tolerance *. Float.max 1.0 total_weight in
+  let scaled_tol = 1e-4 *. Float.max 1.0 total_weight in
   let rec loop model prev_ll history iter =
     if iter >= max_iterations then (model, List.rev history)
     else

@@ -151,13 +151,7 @@ val baum_welch_step : t -> (int array * float) list -> t * float
     @raise Invalid_argument on an observation outside [\[0, m)], or
     when A, B or [pi] does not have the size [n] and [m] give it. *)
 
-val fit :
-  ?max_iterations:int ->
-  ?tolerance:float ->
-  t ->
-  (int array * float) list ->
-  t * float list
+val fit : max_iterations:int -> t -> (int array * float) list -> t * float list
 (** Iterate [baum_welch_step] until the total log-likelihood improves by
-    less than [tolerance] (default 1e-4 per unit weight) or
-    [max_iterations] (default 50). Returns the trained model and the
-    log-likelihood trajectory. *)
+    less than 1e-4 per unit weight, or for [max_iterations] steps.
+    Returns the trained model and the log-likelihood trajectory. *)

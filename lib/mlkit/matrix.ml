@@ -53,6 +53,6 @@ let mul a b =
   done;
   m
 
-let equal ?(eps = 1e-9) a b =
+let equal a b =
   a.rows = b.rows && a.cols = b.cols
-  && Array.for_all2 (fun x y -> Float.abs (x -. y) <= eps) a.data b.data
+  && Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-9) a.data b.data

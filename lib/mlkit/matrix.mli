@@ -23,4 +23,4 @@ val row : t -> int -> float array
 val col : t -> int -> float array
 val mul : t -> t -> t
 
-val equal : ?eps:float -> t -> t -> bool
+val equal : t -> t -> bool

@@ -100,7 +100,7 @@ let centre mean data =
       Array.init cols (fun j -> data.Matrix.data.((i * cols) + j) -. mean.(j)))
 
 (* The model and the centred rows it was fitted on. *)
-let fit_centred ?(variance_kept = 0.95) ?max_components data =
+let fit_centred ~variance_kept data =
   let rows, cols = Matrix.dims data in
   if rows = 0 then invalid_arg "Pca.fit: no observations";
   let mean = Array.init cols (fun j -> Array.fold_left ( +. ) 0.0 (Matrix.col data j) /. float_of_int rows) in
@@ -108,13 +108,12 @@ let fit_centred ?(variance_kept = 0.95) ?max_components data =
   let values, vectors = jacobi_eigen (gram xc) in
   (* at most min rows cols eigenvalues are nonzero *)
   let n = min rows cols in
-  let cap = match max_components with Some c -> min c n | None -> n in
-  let keep = keep_count ~variance_kept ~cap values in
+  let keep = keep_count ~variance_kept ~cap:n values in
   let axis r = axis_of_gram xc (Matrix.row vectors r) r in
   let components = Matrix.of_arrays (Array.init keep axis) in
   ({ mean; components; eigenvalues = Array.sub values 0 keep }, xc)
 
-let fit ?variance_kept ?max_components data = fst (fit_centred ?variance_kept ?max_components data)
+let fit ~variance_kept data = fst (fit_centred ~variance_kept data)
 
 (* Row i of the result holds the centred row [xc.(i)]'s coordinate on
    each axis of [components]: a sum over the features in order, from
@@ -142,6 +141,6 @@ let transform model data =
     invalid_arg "Pca.transform: dimension mismatch";
   project (centre model.mean data) model.components
 
-let fit_transform ?variance_kept ?max_components data =
-  let model, xc = fit_centred ?variance_kept ?max_components data in
+let fit_transform ~variance_kept data =
+  let model, xc = fit_centred ~variance_kept data in
   (model, project xc model.components)

@@ -30,14 +30,13 @@ val jacobi_eigen : Matrix.t -> float array * Matrix.t
     covariance-side oracle, wide and tall data" holds {!fit} to.
     @raise Invalid_argument if [m] is not square. *)
 
-val fit : ?variance_kept:float -> ?max_components:int -> Matrix.t -> model
+val fit : variance_kept:float -> Matrix.t -> model
 (** [fit data] treats each row of [data] as an observation. Components
-    are retained until [variance_kept] (default [0.95]) of the total
-    variance is explained, then while the next eigenvalue lies within
-    [1e-9] times the largest of the last kept one, so a cut never
-    splits a tie (which axes of a tie an eigensolver returns is down to
-    rounding). At most [max_components] are kept when given, and never
-    more than [min rows cols], but always at least one.
+    are retained until [variance_kept] of the total variance is
+    explained, then while the next eigenvalue lies within [1e-9] times
+    the largest of the last kept one, so a cut never splits a tie
+    (which axes of a tie an eigensolver returns is down to rounding).
+    Never more than [min rows cols] are kept, but always at least one.
 
     [fit] eigendecomposes the Gram matrix [Xc·Xcᵀ / (rows - 1)] of the
     centred rows [Xc], not the covariance [Xcᵀ·Xc / (rows - 1)]: the two
@@ -54,6 +53,6 @@ val transform : model -> Matrix.t -> Matrix.t
     by test_mlkit's "fit_transform = transform of fit, bit for bit".
     @raise Invalid_argument if [data]'s width is not the model's. *)
 
-val fit_transform : ?variance_kept:float -> ?max_components:int -> Matrix.t -> model * Matrix.t
+val fit_transform : variance_kept:float -> Matrix.t -> model * Matrix.t
 (** [fit data] and the projection of [data], from the centred rows the
     fit built: bit for bit [transform (fit data) data]. *)

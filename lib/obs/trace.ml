@@ -82,13 +82,12 @@ let record sp =
 
 let fresh_id () = Atomic.fetch_and_add next_id 1
 
-let record_span ?(attrs = []) ?trace_id ~name ~start_ns ~dur_ns () =
+let record_span ?(attrs = []) ~trace_id ~name ~start_ns ~dur_ns () =
   (* deliberately NOT gated on the enabled flag: externally-timed spans
      only exist because some process already decided to trace (a router
      propagating a Trace_mark), and that decision must not require every
      node to flip its own switch. The buffer stays bounded either way. *)
   let span_id = fresh_id () in
-  let trace_id = match trace_id with Some t -> t | None -> span_id in
   record
     {
       name;

@@ -47,7 +47,7 @@ val fresh_id : unit -> int
 
 val record_span :
   ?attrs:(string * string) list ->
-  ?trace_id:int ->
+  trace_id:int ->
   name:string ->
   start_ns:int64 ->
   dur_ns:int64 ->
@@ -56,11 +56,10 @@ val record_span :
 (** Record an externally-timed span (no context-stack involvement, no
     parent): what a cluster node uses to materialize the router→node
     wire span from a batch's propagated trace id and send timestamp.
-    [trace_id] defaults to a fresh root id. Unlike {!with_span} this is
-    {e not} gated on {!enabled} — propagated trace context only arrives
-    because the sending process is already tracing, and the receiving
-    node must not need its own switch flipped to answer span
-    collection. *)
+    Unlike {!with_span} this is {e not} gated on {!enabled} —
+    propagated trace context only arrives because the sending process
+    is already tracing, and the receiving node must not need its own
+    switch flipped to answer span collection. *)
 
 val current_trace_id : unit -> int option
 (** The trace id of the innermost open span on this domain, if any —

@@ -49,7 +49,6 @@ type t = {
   codes : (string, int) Hashtbl.t;  (** signature text -> dense code *)
   entries : Profile.entry array;  (** indexed by code *)
   memo : (string, compiled) Hashtbl.t;
-  memo_capacity : int;
   mutable memo_hits : int;
   mutable memo_misses : int;
   mutable checks : int;
@@ -60,11 +59,9 @@ type t = {
   mutable gate_rejections : int;
 }
 
-let default_memo_capacity = 4096
+let memo_capacity = 4096
 
-let create ?(policy = Constraints.Strict) ?(memo_capacity = default_memo_capacity)
-    profile =
-  if memo_capacity < 0 then invalid_arg "Adprom_qsig.Engine.create: negative capacity";
+let create ?(policy = Constraints.Strict) profile =
   let keys = Profile.signatures profile in
   let codes = Hashtbl.create (List.length keys * 2) in
   List.iteri (fun i key -> Hashtbl.replace codes key i) keys;
@@ -83,7 +80,6 @@ let create ?(policy = Constraints.Strict) ?(memo_capacity = default_memo_capacit
     codes;
     entries;
     memo = Hashtbl.create 64;
-    memo_capacity;
     memo_hits = 0;
     memo_misses = 0;
     checks = 0;
@@ -149,12 +145,10 @@ let lookup t sql =
   | None ->
       t.memo_misses <- t.memo_misses + 1;
       let c = compile t sql in
-      if t.memo_capacity > 0 then begin
-        (* Epoch eviction: a full memo is cleared wholesale. Cheap, and
-           the working set of distinct query texts re-fills it fast. *)
-        if Hashtbl.length t.memo >= t.memo_capacity then Hashtbl.reset t.memo;
-        Hashtbl.replace t.memo sql c
-      end;
+      (* Epoch eviction: a full memo is cleared wholesale. Cheap, and
+         the working set of distinct query texts re-fills it fast. *)
+      if Hashtbl.length t.memo >= memo_capacity then Hashtbl.reset t.memo;
+      Hashtbl.replace t.memo sql c;
       c
 
 let check ?rows t sql =
@@ -220,8 +214,8 @@ module Scorer = struct
 
   let engine s = s.engine
 
-  let push s ?rows sql =
-    let v = check ?rows s.engine sql in
+  let push s ~rows sql =
+    let v = check ~rows s.engine sql in
     s.queries_seen <- s.queries_seen + 1;
     if v.anomalous then s.scorer_anomalies <- s.scorer_anomalies + 1;
     s.last <- Some v;

@@ -35,11 +35,9 @@ val verdict_to_string : verdict -> string
 
 type t
 
-val create :
-  ?policy:Constraints.policy -> ?memo_capacity:int -> Profile.t -> t
-(** Compile the profile under a policy (default [Strict]).
-    [memo_capacity 0] disables the memo.
-    @raise Invalid_argument on a negative capacity. *)
+val create : ?policy:Constraints.policy -> Profile.t -> t
+(** Compile the profile under a policy (default [Strict]). Compiled
+    query texts are memoized, 4096 at most. *)
 
 val check : ?rows:int -> t -> string -> verdict
 (** Check one executed query; [rows] enables the cardinality-band
@@ -97,7 +95,7 @@ module Scorer : sig
   val create : engine -> t
   val engine : t -> engine
 
-  val push : t -> ?rows:int -> string -> verdict
+  val push : t -> rows:int -> string -> verdict
 
   val queries_seen : t -> int
   val anomalies : t -> int

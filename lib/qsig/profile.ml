@@ -33,7 +33,7 @@ let entry_for t signature nslots =
       Hashtbl.replace t.entries key e;
       e
 
-let learn_statement ?rows t stmt =
+let learn_statement rows t stmt =
   let signature = Signature.of_statement stmt in
   let observed = Signature.slots stmt in
   let e = entry_for t signature (Array.length observed) in
@@ -45,10 +45,12 @@ let learn_statement ?rows t stmt =
   (match rows with Some n -> e.band <- Constraints.band_observe e.band n | None -> ());
   e.count <- e.count + 1
 
-let learn ?rows t sql =
+let learn_rows rows t sql =
   match Sqldb.Sql_parser.parse sql with
-  | Ok stmt -> learn_statement ?rows t stmt
+  | Ok stmt -> learn_statement rows t stmt
   | Error _ -> t.malformed <- t.malformed + 1
+
+let learn t sql = learn_rows None t sql
 
 (* Register the signature without observing slot values — for texts
    seen at prepare time, whose [?] placeholders would otherwise widen
@@ -61,7 +63,7 @@ let learn_shape t sql =
       ignore (entry_for t signature (Array.length observed))
   | Error _ -> t.malformed <- t.malformed + 1
 
-let learn_log t log = List.iter (fun (sql, rows) -> learn ~rows t sql) log
+let learn_log t log = List.iter (fun (sql, rows) -> learn_rows (Some rows) t sql) log
 
 let copy t =
   let entries = Hashtbl.create (max 16 (Hashtbl.length t.entries * 2)) in

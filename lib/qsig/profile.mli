@@ -13,9 +13,9 @@ type t
 
 val create : unit -> t
 
-val learn : ?rows:int -> t -> string -> unit
-(** Parse and fold one query into the profile; unparseable text counts
-    into the malformed bucket. *)
+val learn : t -> string -> unit
+(** Parse and fold one query into the profile, with no cardinality;
+    unparseable text counts into the malformed bucket. *)
 
 val learn_shape : t -> string -> unit
 (** Register the query's signature without observing slot values — for

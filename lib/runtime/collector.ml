@@ -16,7 +16,7 @@ let adprom () =
   let trace () = Array.of_list (List.rev !events) in
   ({ emit }, trace)
 
-let with_obs ?session ?ring inner =
+let with_obs inner =
   let emit ev ~args =
     inner.emit ev ~args;
     if Adprom_obs.Log.enabled Adprom_obs.Log.Debug then begin
@@ -28,16 +28,11 @@ let with_obs ?session ?ring inner =
         ]
       in
       let fields =
-        match session with
-        | Some s -> ("session", Adprom_obs.Log.Int s) :: fields
-        | None -> fields
-      in
-      let fields =
         match Adprom_obs.Trace.current_trace_id () with
         | Some tid -> ("trace_id", Adprom_obs.Log.Int tid) :: fields
         | None -> fields
       in
-      Adprom_obs.Log.emit ?ring ~fields Adprom_obs.Log.Debug ~scope:"collector"
+      Adprom_obs.Log.emit ~fields Adprom_obs.Log.Debug ~scope:"collector"
         "library call"
     end
   in

@@ -26,13 +26,11 @@ val adprom : unit -> t * (unit -> trace)
 (** AD-PROM's collector: appends each reported event as it is; the
     second component returns the trace collected so far. *)
 
-val with_obs :
-  ?session:int -> ?ring:Adprom_obs.Log.event Adprom_obs.Ring.t -> t -> t
+val with_obs : t -> t
 (** Wrap a collector so every reported call is also emitted as a
-    [Debug] event on the structured log (and into [ring], if given),
-    tagged with the session id and the current trace id — the joining
-    keys between a collected trace and the span tree that produced it.
-    Free when the log threshold is above [Debug]. *)
+    [Debug] event on the structured log, tagged with the current trace
+    id — the joining key between a collected trace and the span tree
+    that produced it. Free when the log threshold is above [Debug]. *)
 
 (** A decoder's bounded event cache: one per connection, so a stream
     that repeats an event decodes it to one record. Direct-mapped with

@@ -247,9 +247,8 @@ and exec_stmt ctx env caller (stmt : Ast.stmt) =
 
 and exec_block ctx env caller stmts = List.iter (exec_stmt ctx env caller) stmts
 
-let run ?(collector = Collector.null) ?(patches = []) ?(max_steps = 1_000_000)
-    ?query_rewriter ~analysis ~engine tc =
-  let st = Istate.create ?query_rewriter ~engine ~max_steps tc in
+let execute ~collector ~patches ?query_rewriter ~analysis ~engine tc =
+  let st = Istate.create ?query_rewriter ~engine ~max_steps:1_000_000 tc in
   let ctx = { analysis; st; collector; patches } in
   let status =
     match Ast.find_func analysis.Analyzer.program "main" with
@@ -277,7 +276,10 @@ let run ?(collector = Collector.null) ?(patches = []) ?(max_steps = 1_000_000)
     status;
   }
 
-let collect_trace ?patches ?max_steps ?query_rewriter ~analysis ~engine tc =
+let run ~collector ~analysis ~engine tc =
+  execute ~collector ~patches:[] ~analysis ~engine tc
+
+let collect_trace ?(patches = []) ?query_rewriter ~analysis ~engine tc =
   let collector, trace = Collector.adprom () in
   (* with_obs is free unless the log threshold is lowered to Debug *)
   let collector = Collector.with_obs collector in
@@ -285,6 +287,6 @@ let collect_trace ?patches ?max_steps ?query_rewriter ~analysis ~engine tc =
     Adprom_obs.Trace.with_span "runtime.collect_trace"
       ~attrs:(fun () -> [ ("case", tc.Testcase.name) ])
       (fun () ->
-        run ~collector ?patches ?max_steps ?query_rewriter ~analysis ~engine tc)
+        execute ~collector ~patches ?query_rewriter ~analysis ~engine tc)
   in
   (trace (), outcome)

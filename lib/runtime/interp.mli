@@ -31,20 +31,16 @@ type outcome = {
 }
 
 val run :
-  ?collector:Collector.t ->
-  ?patches:Patch.t list ->
-  ?max_steps:int ->
-  ?query_rewriter:(string -> string) ->
+  collector:Collector.t ->
   analysis:Analysis.Analyzer.t ->
   engine:Sqldb.Engine.t ->
   Testcase.t ->
   outcome
-(** Run [main()]. [max_steps] defaults to 1_000_000 interpreter steps.
-    Run-time errors are reported in [status], never raised. *)
+(** Run [main()] for at most 1,000,000 interpreter steps. Run-time
+    errors are reported in [status], never raised. *)
 
 val collect_trace :
   ?patches:Patch.t list ->
-  ?max_steps:int ->
   ?query_rewriter:(string -> string) ->
   analysis:Analysis.Analyzer.t ->
   engine:Sqldb.Engine.t ->

@@ -16,4 +16,4 @@ let make ?(input = []) ?(files = []) ?(requests = []) ?(seed = 0) name =
   { name; input; files; requests; seed }
 
 let get ?(params = []) path = { meth = "GET"; path; params }
-let post ?(params = []) path = { meth = "POST"; path; params }
+let post ~params path = { meth = "POST"; path; params }

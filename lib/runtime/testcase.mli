@@ -32,4 +32,4 @@ val make :
 val get : ?params:(string * string) list -> string -> request
 (** [get path] is a GET request. *)
 
-val post : ?params:(string * string) list -> string -> request
+val post : params:(string * string) list -> string -> request

@@ -65,6 +65,7 @@ let peer_of_string s =
   match String.rindex_opt addr ':' with
   | None ->
       Error (Printf.sprintf "bad node address %S (expected [name=]host:port)" s)
+  | Some _ when name = "" -> Error (Printf.sprintf "empty node name in %S" s)
   | Some i -> (
       let host =
         match String.sub addr 0 i with "" -> "127.0.0.1" | h -> h
@@ -279,11 +280,11 @@ module Router = struct
 
   let close_all t = List.iter (fun (name, _) -> t.link.close name) t.peers
 
-  let over ?replicas ?(peer = "router") link names =
+  let over ?replicas link names =
     match
       if List.length (List.sort_uniq compare names) <> List.length names then
         raise (Router_error "duplicate node names");
-      let hello = Frame.Hello { peer; sample = None } in
+      let hello = Frame.Hello { peer = "router"; sample = None } in
       let make name =
         (name, { name; hello; c = connection ~rehello:false hello; lost = 0; reconnects = 0; offset_ns = 0L })
       in
@@ -313,7 +314,7 @@ module Router = struct
     | exception Router_error e -> Error e
     | exception Invalid_argument e -> Error e
 
-  let dial ~attempts spec =
+  let dial spec =
     let error msg =
       Router_error (Printf.sprintf "%s (%s:%d): %s" spec.peer_name spec.host spec.port msg)
     in
@@ -332,7 +333,7 @@ module Router = struct
           Unix.set_nonblock fd;
           fd
       | exception Unix.Unix_error ((ECONNREFUSED | ETIMEDOUT | EHOSTUNREACH | ENETUNREACH), _, _)
-        when k + 1 < attempts ->
+        when k + 1 < 10 ->
           close_fd fd;
           (* exponential backoff, capped at a second *)
           Unix.sleepf (Float.min 1.0 (0.05 *. Float.pow 2.0 (float_of_int k)));
@@ -345,7 +346,7 @@ module Router = struct
 
   (* The link over TCP, and the router's one [Unix.read] and one
      [Unix.write] call site. *)
-  let sockets ~attempts specs =
+  let sockets specs =
     let fds = Hashtbl.create 8 in
     let fd name =
       try Hashtbl.find fds name with Not_found -> raise (Router_error (name ^ ": not connected"))
@@ -354,7 +355,7 @@ module Router = struct
     {
       dial =
         (fun name ->
-          Hashtbl.replace fds name (dial ~attempts (List.find (fun s -> s.peer_name = name) specs)));
+          Hashtbl.replace fds name (dial (List.find (fun s -> s.peer_name = name) specs)));
       close =
         (fun name ->
           Option.iter close_fd (Hashtbl.find_opt fds name);
@@ -368,11 +369,11 @@ module Router = struct
       write = (fun name buf pos len -> Unix.write (fd name) buf pos len);
     }
 
-  let connect ?replicas ?(attempts = 10) ?peer specs =
+  let connect ?replicas specs =
     (* a node that dies mid-stream must surface as EPIPE on the next
        write, which redials, not as a process-killing SIGPIPE *)
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    over ?replicas ?peer (sockets ~attempts specs) (List.map (fun s -> s.peer_name) specs)
+    over ?replicas (sockets specs) (List.map (fun s -> s.peer_name) specs)
 
   (* Every public fleet operation: refused once the router is closed,
      and its failures become [Error]. [f] builds its own [Ok], so the
@@ -400,7 +401,7 @@ module Router = struct
 
   (* ---- operations plane ------------------------------------------- *)
 
-  let clock_sync ?(probes = 3) t =
+  let clock_sync t =
     fleet t (fun t ->
         List.iter
           (fun (_, p) ->
@@ -408,7 +409,7 @@ module Router = struct
                time queued anywhere, so dating its sample at the
                midpoint has the tightest error bound *)
             let best_rtt = ref Int64.max_int in
-            for seq = 1 to probes do
+            for seq = 1 to 3 do
               flush t p;
               stage p.c (Frame.Clock_probe { seq });
               let rtt, offset_ns =

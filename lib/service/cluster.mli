@@ -33,7 +33,8 @@ type peer = { peer_name : string; host : string; port : int }
 
 val peer_of_string : string -> (peer, string) result
 (** Parse ["host:port"] or ["name=host:port"] (the name defaults to
-    ["host:port"] itself — ring placement only needs it to be stable). *)
+    ["host:port"] itself — ring placement only needs it to be stable).
+    An empty name is an [Error]: router errors name the node. *)
 
 module Router : sig
   type t
@@ -43,10 +44,9 @@ module Router : sig
       starts with the node's name; every operation answers
       [Error "router already finished"] after {!finish} or {!close}. *)
 
-  val connect :
-    ?replicas:int -> ?attempts:int -> ?peer:string -> peer list -> (t, string) result
+  val connect : ?replicas:int -> peer list -> (t, string) result
   (** {!over} non-blocking TCP connections, each dialed with exponential
-      backoff over [attempts] tries (default 10). *)
+      backoff over 10 tries. *)
 
   type link = {
     dial : string -> unit;  (** open a connection to the named node *)
@@ -60,9 +60,9 @@ module Router : sig
       or a [Unix_error] other than [EAGAIN]/[EINTR] from either, breaks
       the connection, which is then redialed. *)
 
-  val over : ?replicas:int -> ?peer:string -> link -> string list -> (t, string) result
+  val over : ?replicas:int -> link -> string list -> (t, string) result
   (** A router over [link] to the named nodes: each is dialed and sent a
-      [Hello] naming [peer] (default ["router"]), whose reply carries the
+      [Hello] naming the peer ["router"], whose reply carries the
       clock sample that seeds the estimate of that node's clock offset
       ({!clock_sync} refines it); [Error] if one stays unreachable or
       refuses the hello (a node of another wire version hangs up). *)
@@ -86,10 +86,10 @@ module Router : sig
   (** Items acknowledged as lost across reconnects — nonzero means the
       cluster verdicts are not comparable to a single-node replay. *)
 
-  val clock_sync : ?probes:int -> t -> (unit, string) result
-  (** Probe every node's monotonic clock [probes] times (default 3)
-      and keep, per node, the offset estimated by the round trip with
-      the smallest RTT — the sample least distorted by queueing. *)
+  val clock_sync : t -> (unit, string) result
+  (** Probe every node's monotonic clock three times and keep, per
+      node, the offset estimated by the round trip with the smallest
+      RTT — the sample least distorted by queueing. *)
 
   val health : t -> ((string * Frame.health) list, string) result
   (** Fan a [Health_req] out to every node (connect order): each

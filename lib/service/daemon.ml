@@ -628,13 +628,13 @@ let worker ~idx ~profile ~stage ~keep_verdicts ~series:m ~alerts ~ring shard =
   in
   loop ()
 
-let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true) ?metrics
-    ?alerts ?vet_against ?(vet_policy = Adprom.Profile_check.Warn)
+let create ?(shards = 4) ?(queue_capacity = 4096) ?(keep_verdicts = true) ?alerts
+    ?vet_against ?(vet_policy = Adprom.Profile_check.Warn)
     ?(static_gate = Gate_explain) ?(qsig_mode = Qsig_off) ?qsig_profile
     ?(qsig_static_gate = Gate_explain) ?leakage_policy profile =
   if shards < 1 then invalid_arg "Daemon.create: need at least one shard";
   if queue_capacity < 0 then invalid_arg "Daemon.create: negative queue capacity";
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let metrics = Metrics.create () in
   let alerts = match alerts with Some a -> a | None -> Alerts.create () in
   let stage =
     build_stage ~metrics ?vet_against ~vet_policy ~static_gate ~qsig_mode
@@ -804,14 +804,7 @@ let metrics t = t.metrics
 let alerts t = t.alerts
 let queue_capacity t = t.capacity
 
-let recent_events ?limit t =
-  let all =
-    Array.to_list t.rings
-    |> List.concat_map Oring.to_list
-    |> List.stable_sort (fun (a : Olog.event) b -> compare a.Olog.time b.Olog.time)
-  in
-  match limit with
-  | None -> all
-  | Some n ->
-      let len = List.length all in
-      List.filteri (fun i _ -> i >= len - n) all
+let recent_events t =
+  Array.to_list t.rings
+  |> List.concat_map Oring.to_list
+  |> List.stable_sort (fun (a : Olog.event) b -> compare a.Olog.time b.Olog.time)

@@ -66,7 +66,6 @@ val create :
   ?shards:int ->
   ?queue_capacity:int ->
   ?keep_verdicts:bool ->
-  ?metrics:Metrics.t ->
   ?alerts:Alerts.t ->
   ?vet_against:Analysis.Analyzer.t ->
   ?vet_policy:Adprom.Profile_check.policy ->
@@ -161,8 +160,8 @@ val metric_help : string -> string option
     prints on its [# HELP] line. A fleet dump renders merged snapshots,
     which carry no help table, with this one. *)
 
-val recent_events : ?limit:int -> t -> Adprom_obs.Log.event list
+val recent_events : t -> Adprom_obs.Log.event list
 (** The per-shard recent-event rings (incidents and, at [Debug]
-    threshold, per-call events), merged and time-ordered; [limit] keeps
-    only the newest entries. Call after {!drain} — while workers run
-    the rings are theirs, and a concurrent read is best-effort. *)
+    threshold, per-call events), merged and time-ordered. Call after
+    {!drain} — while workers run the rings are theirs, and a concurrent
+    read is best-effort. *)

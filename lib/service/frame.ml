@@ -961,12 +961,11 @@ module Decoder = struct
 
   (* the generic chunk pump: stitching, in-place parsing and poisoning
      in one place; [step] reads each completed frame, [f] folds it *)
-  let feed_gen step d ?(pos = 0) ?len s ~init ~f =
+  let feed_gen step d ~pos ~len s ~init ~f =
     match d.dead with
     | Some e -> Error e
     | None -> (
         d.paused <- false;
-        let len = match len with Some l -> l | None -> String.length s - pos in
         let stop = pos + len in
         let parsed =
           Result.bind (stitch step d s pos stop ~init ~f) (fun (acc, i) ->
@@ -981,11 +980,11 @@ module Decoder = struct
             if i < stop then Buffer.add_substring d.pending s i (stop - i);
             Ok (acc, stop))
 
-  let feed_fold d ?pos ?len s ~init ~f = feed_gen frame_step d ?pos ?len s ~init ~f
-  let feed_items d ?pos ?len s ~init ~f = feed_gen item_step d ?pos ?len s ~init ~f
+  let feed_fold d ~pos ~len s ~init ~f = feed_gen frame_step d ~pos ~len s ~init ~f
+  let feed_items d ~pos ~len s ~init ~f = feed_gen item_step d ~pos ~len s ~init ~f
 
-  let feed d ?pos ?len s =
-    Result.map (fun (acc, _) -> List.rev acc) (feed_fold d ?pos ?len s ~init:[] ~f:(fun acc fr -> fr :: acc))
+  let feed d ~len s =
+    Result.map (fun (acc, _) -> List.rev acc) (feed_fold d ~pos:0 ~len s ~init:[] ~f:(fun acc fr -> fr :: acc))
 
   let finish d =
     match d.dead with
@@ -1020,8 +1019,9 @@ module T = struct
 
   let flush = Encoder.flush
 
-  let fold d ?pos ?len s ~init ~f =
-    Result.map fst (Result.map_error error_to_string (Decoder.feed_items d ?pos ?len s ~init ~f))
+  let fold d ?(pos = 0) ?len s ~init ~f =
+    let len = match len with Some l -> l | None -> String.length s - pos in
+    Result.map fst (Result.map_error error_to_string (Decoder.feed_items d ~pos ~len s ~init ~f))
 
   let finish d =
     match Decoder.finish d with

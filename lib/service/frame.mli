@@ -133,15 +133,16 @@ module Decoder : sig
   val create : unit -> t
   (** Fresh per-connection state: empty interned-string table. *)
 
-  val feed : t -> ?pos:int -> ?len:int -> string -> (frame list, error) result
-  (** Consume one chunk (a TCP read, or a whole file) and return the
-      frames it completed. Partial trailing bytes are buffered. An
-      [Error] poisons the decoder: every later call returns it again. *)
+  val feed : t -> len:int -> string -> (frame list, error) result
+  (** Consume the first [len] bytes of one chunk (a TCP read, or a
+      whole file) and return the frames they completed. Partial
+      trailing bytes are buffered. An [Error] poisons the decoder:
+      every later call returns it again. *)
 
   val feed_fold :
     t ->
-    ?pos:int ->
-    ?len:int ->
+    pos:int ->
+    len:int ->
     string ->
     init:'a ->
     f:('a -> frame -> 'a) ->

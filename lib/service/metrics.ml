@@ -55,8 +55,8 @@ let counter ?help t name =
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.c_value by)
 let counter_value c = Atomic.get c.c_value
 
-let gauge ?help t name =
-  register ?help t name
+let gauge t name =
+  register t name
     (fun () -> Gauge { g_name = name; g_value = Atomic.make 0; g_max = Atomic.make 0 })
     (function Gauge g -> Some g | _ -> None)
 

@@ -25,7 +25,7 @@ val counter : ?help:string -> t -> string -> counter
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
 
-val gauge : ?help:string -> t -> string -> gauge
+val gauge : t -> string -> gauge
 val set_gauge : gauge -> int -> unit
 
 val default_buckets : float array

@@ -1,11 +1,11 @@
 (* Items between two [Ack] frames on a binary connection. *)
 let ack_interval = 4096
 
-let bind ?(backlog = 16) ?(host = "127.0.0.1") port =
+let bind ?(host = "127.0.0.1") port =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
   Unix.setsockopt fd SO_REUSEADDR true;
   Unix.bind fd (ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen fd backlog;
+  Unix.listen fd 16;
   (fd, match Unix.getsockname fd with ADDR_INET (_, p) -> p | _ -> port)
 
 (* --- plain-HTTP exposition ---------------------------------------- *)
@@ -303,12 +303,11 @@ module Conn = struct
         | Transport.Line, Some `No -> switch (Txt (Transport.Text.decoder ()))
         | Transport.Line, Some (`Get | `Head) -> switch (Http (Buffer.create 256)))
 
-  let feed c ?(pos = 0) ?len s =
-    let len = match len with Some l -> l | None -> String.length s - pos in
+  let feed c ~len s =
     Metrics.incr ~by:len c.node.c_bytes;
     if c.state = Open then
-      if Buffer.length c.held > 0 then Buffer.add_substring c.held s pos len
-      else decode c s pos len
+      if Buffer.length c.held > 0 then Buffer.add_substring c.held s 0 len
+      else decode c s 0 len
 
   let rec drain c write =
     let all_out = Outbox.drain c.out write in
@@ -371,18 +370,18 @@ let selectable fd =
   | exception Unix.Unix_error (EINVAL, _, _) -> false
 
 let serve ~socket ?(name = "node") ?shards ?queue_capacity ?keep_verdicts
-    ?metrics ?alerts ?vet_against ?vet_policy ?static_gate ?qsig_mode
+    ?alerts ?vet_against ?vet_policy ?static_gate ?qsig_mode
     ?qsig_profile ?qsig_static_gate ?leakage_policy profile =
   (* a reply to a client that already hung up must raise EPIPE (one
      broken connection), not deliver a process-killing SIGPIPE *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let daemon =
-    Daemon.create ?shards ?queue_capacity ?keep_verdicts ~metrics ?alerts
+    Daemon.create ?shards ?queue_capacity ?keep_verdicts ?alerts
       ?vet_against ?vet_policy ?static_gate ?qsig_mode ?qsig_profile
       ?qsig_static_gate ?leakage_policy profile
   in
   let node = Conn.node ~name daemon in
+  let metrics = Daemon.metrics daemon in
   let c_conns = Metrics.counter metrics "adprom_wire_connections_total" in
   let c_refused = Metrics.counter metrics "adprom_wire_connections_refused_total" in
   let t0 = Adprom_obs.Clock.monotonic_ns () in

@@ -74,9 +74,10 @@ module Conn : sig
   val create : node -> t
   val state : t -> state
 
-  val feed : t -> ?pos:int -> ?len:int -> string -> unit
-  (** Bytes from the peer (not retained). Once the output owes more
-      than {!max_owed}, the rest waits, unread, for {!drain}. *)
+  val feed : t -> len:int -> string -> unit
+  (** The first [len] bytes of [s], from the peer (not retained).
+      Once the output owes more than {!max_owed}, the rest waits,
+      unread, for {!drain}. *)
 
   val eof : t -> unit
   (** The peer hung up: a final text line is ingested, a truncated
@@ -97,7 +98,7 @@ module Conn : sig
       @raise Invalid_argument in any other state. *)
 end
 
-val bind : ?backlog:int -> ?host:string -> int -> Unix.file_descr * int
+val bind : ?host:string -> int -> Unix.file_descr * int
 (** Bind and listen on [host:port] ([host] defaults to 127.0.0.1); port
     0 picks an ephemeral port, and the actual port is returned. The
     caller owns the socket and passes it to {!serve} — binding
@@ -110,7 +111,6 @@ val serve :
   ?shards:int ->
   ?queue_capacity:int ->
   ?keep_verdicts:bool ->
-  ?metrics:Metrics.t ->
   ?alerts:Alerts.t ->
   ?vet_against:Analysis.Analyzer.t ->
   ?vet_policy:Adprom.Profile_check.policy ->

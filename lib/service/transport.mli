@@ -2,9 +2,9 @@
 
     A transport turns the daemon's wire items — tagged call events and
     executed-query records — into bytes and back. Two implementations
-    exist: {!Text}, the original newline-delimited debug/compat format
-    (human-greppable, what `adprom record` wrote before the redesign),
-    and {!Frame.T}, the length-prefixed versioned binary frame format
+    exist: {!Text}, the newline-delimited format (human-greppable,
+    what `adprom record` writes unless given [--wire binary]), and
+    {!Frame.T}, the length-prefixed versioned binary frame format
     the scale-out tier speaks. Both are {e streaming}: a decoder is fed
     arbitrary byte chunks (split or coalesced TCP reads) and yields the
     items completed so far, so the same code path serves files and

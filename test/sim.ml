@@ -30,7 +30,7 @@ let drain_some st c into =
       k)
 
 let frames_of bytes =
-  match Frame.Decoder.feed (Frame.Decoder.create ()) bytes with
+  match Frame.Decoder.feed (Frame.Decoder.create ()) ~len:(String.length bytes) bytes with
   | Ok frames -> frames
   | Error e -> QCheck2.Test.fail_reportf "node output undecodable: %s" (Frame.error_to_string e)
 
@@ -229,7 +229,7 @@ let read sim name buf pos len =
           Random.State.int sim.st got
       | _ -> got
     in
-    (match Frame.Decoder.feed n.back ~pos ~len:got (Bytes.unsafe_to_string buf) with
+    (match Frame.Decoder.feed n.back ~len:got (Bytes.sub_string buf pos got) with
     | Ok frames -> List.iter (function Frame.Ack { count } -> n.acked <- count | _ -> ()) frames
     | Error _ -> ());
     got
@@ -244,9 +244,10 @@ let write sim name buf pos len =
     sim.hangups <- sim.hangups - 1;
     raise (Unix.Unix_error (Unix.EPIPE, "write", name))
   end;
-  let k = min len (chunk sim.st) and s = Bytes.unsafe_to_string buf in
-  Conn.feed c ~pos ~len:k s;
-  (match Frame.Decoder.feed n.tap ~pos ~len:k s with
+  let k = min len (chunk sim.st) in
+  let s = Bytes.sub_string buf pos k in
+  Conn.feed c ~len:k s;
+  (match Frame.Decoder.feed n.tap ~len:k s with
   | Ok frames ->
       List.iter
         (fun f ->

@@ -157,7 +157,7 @@ let roundtrip_frame f =
   Frame.Encoder.add enc buf f;
   Frame.Encoder.flush enc buf;
   let dec = Frame.Decoder.create () in
-  match Frame.Decoder.feed dec (Buffer.contents buf) with
+  match Frame.Decoder.feed dec ~len:(Buffer.length buf) (Buffer.contents buf) with
   | Error e -> Alcotest.failf "decode: %s" (Frame.error_to_string e)
   | Ok [ f' ] ->
       Alcotest.(check bool)
@@ -296,7 +296,7 @@ let test_score_bits_survive () =
   let buf = Buffer.create 64 in
   Frame.Encoder.add enc buf f;
   Frame.Encoder.flush enc buf;
-  match Frame.Decoder.feed (Frame.Decoder.create ()) (Buffer.contents buf) with
+  match Frame.Decoder.feed (Frame.Decoder.create ()) ~len:(Buffer.length buf) (Buffer.contents buf) with
   | Ok [ Frame.Summary s ] ->
       let v' = List.hd (List.hd s.Frame.summary.Daemon.sessions).Daemon.verdicts in
       Alcotest.(check bool) "score bits identical" true
@@ -372,7 +372,7 @@ let test_other_versions_refused () =
     (fun (ver, frame) ->
       let bytes = restamp ver frame in
       let what = Printf.sprintf "%s stamped %d" (Frame.frame_name frame) ver in
-      (match Frame.Decoder.feed (Frame.Decoder.create ()) bytes with
+      (match Frame.Decoder.feed (Frame.Decoder.create ()) ~len:(String.length bytes) bytes with
       | Error (Frame.Bad_version v) -> Alcotest.(check int) (what ^ ": frame decoder") ver v
       | Error e -> Alcotest.failf "%s: frame decoder said %s" what (Frame.error_to_string e)
       | Ok _ -> Alcotest.failf "%s accepted by the frame decoder" what);
@@ -393,7 +393,7 @@ let test_unassigned_tags_refused () =
     (fun tag ->
       let bytes = stamped ^ String.make 1 (Char.chr tag) ^ "\x00\x00\x00\x00" in
       let what = Printf.sprintf "tag %d" tag in
-      (match Frame.Decoder.feed (Frame.Decoder.create ()) bytes with
+      (match Frame.Decoder.feed (Frame.Decoder.create ()) ~len:(String.length bytes) bytes with
       | Error (Frame.Bad_frame_type t) -> Alcotest.(check int) (what ^ ": frame decoder") tag t
       | Error e -> Alcotest.failf "%s: frame decoder said %s" what (Frame.error_to_string e)
       | Ok _ -> Alcotest.failf "%s accepted by the frame decoder" what);
@@ -450,7 +450,7 @@ let test_negative_varints_rejected () =
       payload
   in
   let check_frame_rejected what bytes =
-    match Frame.Decoder.feed (Frame.Decoder.create ()) bytes with
+    match Frame.Decoder.feed (Frame.Decoder.create ()) ~len:(String.length bytes) bytes with
     | Ok _ -> Alcotest.failf "%s accepted by the frame decoder" what
     | Error e ->
         Alcotest.(check bool)
@@ -598,6 +598,9 @@ let test_peer_of_string () =
   (match Cluster.peer_of_string ":7411" with
   | Ok p -> Alcotest.(check string) "default host" "127.0.0.1" p.Cluster.host
   | Error e -> Alcotest.fail e);
+  (match Cluster.peer_of_string "=127.0.0.1:7411" with
+  | Ok _ -> Alcotest.fail "empty node name accepted"
+  | Error _ -> ());
   match Cluster.peer_of_string "nonsense" with
   | Ok _ -> Alcotest.fail "bad address accepted"
   | Error _ -> ()

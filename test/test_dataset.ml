@@ -70,7 +70,7 @@ let test_testcase_counts () =
     (List.length (Dataset.Ca_supermarket.app ()).Pipeline.test_cases)
 
 let test_site_coverage_bounds () =
-  let app = Dataset.Sir.app1 ~cases:10 () in
+  let app = Dataset.Sir.app1 () in
   let analysis = Pipeline.analyze_app app in
   let traces =
     List.map (fun tc -> (tc, fst (Pipeline.run_case ~analysis app tc))) app.Pipeline.test_cases
@@ -181,7 +181,7 @@ let prop_random_programs_run =
       && List.for_all
            (fun tc ->
              let engine = Sqldb.Engine.create () in
-             let out = Runtime.Interp.run ~analysis ~engine tc in
+             let out = Runtime.Interp.run ~collector:Runtime.Collector.null ~analysis ~engine tc in
              out.Runtime.Interp.status = Ok ())
            (Dataset.Proggen.test_cases spec ~count:3))
 

@@ -184,6 +184,37 @@ let test_profile_io_rejects_garbage () =
   Alcotest.(check bool) "truncation detected" true
     (match Profile_io.of_string truncated with Error _ -> true | Ok _ -> false)
 
+(* A header count that no line backs must not size an allocation: each
+   input below is rejected after well under a MiB of allocation, where
+   sizing from the header would take hundreds. A negative count is
+   refused outright. *)
+let test_profile_io_bounded_by_lines () =
+  let prefix =
+    "adprom-profile 1\nparams 15 0 0.5 0.95 true true\nthreshold -1\nalphabet 1\nentry\npi 1\n"
+  in
+  let cases =
+    [
+      ("pairs with no pair lines", prefix ^ "a 1\nd 1\nb 1 1\nd 1\npairs 30000000\n");
+      ( "a 4000 rows under a one-entry pi",
+        prefix ^ "a 4000\n" ^ String.concat "" (List.init 4000 (fun _ -> "s\n")) ^ "b 1 1\nd 1\n" );
+      ("negative site count", prefix ^ "a 1\nd 1\nb 1 1\nd 1\npairs 0\nsites -1\n");
+      ( "negative alphabet count",
+        "adprom-profile 1\nparams 15 0 0.5 0.95 true true\nthreshold -1\nalphabet -1\npi 1\n\
+         a 1\nd 1\nb 1 0\nd\npairs 0\nsites 0\n" );
+    ]
+  in
+  List.iter
+    (fun (name, text) ->
+      let before = Gc.allocated_bytes () in
+      let result = Profile_io.of_string text in
+      let allocated = Gc.allocated_bytes () -. before in
+      Alcotest.(check bool) (name ^ ": rejected") true (Result.is_error result);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f bytes allocated < 1 MiB" name allocated)
+        true
+        (allocated < 1048576.0))
+    cases
+
 let test_profile_io_file_roundtrip () =
   let _, profile = Lazy.force small_profile in
   let path = Filename.temp_file "adprom" ".profile" in
@@ -316,7 +347,11 @@ let test_trace_io_roundtrip () =
   let trace =
     [|
       { Runtime.Collector.symbol = Symbol.lib "printf"; caller = "main"; block = 4 };
-      { Runtime.Collector.symbol = Symbol.lib ~label:6 ~site:6 "printf"; caller = "f"; block = 6 };
+      {
+        Runtime.Collector.symbol = Symbol.Lib { name = "printf"; label = Some 6; site = Some 6 };
+        caller = "f";
+        block = 6;
+      };
       { Runtime.Collector.symbol = Symbol.Func "helper"; caller = "main"; block = -1 };
     |]
   in
@@ -365,6 +400,8 @@ let () =
           Alcotest.test_case "round trip preserves detection" `Quick test_profile_io_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_profile_io_rejects_garbage;
           Alcotest.test_case "file round trip" `Quick test_profile_io_file_roundtrip;
+          Alcotest.test_case "header counts do not size allocations" `Quick
+            test_profile_io_bounded_by_lines;
         ] );
       ( "incremental retraining",
         [ Alcotest.test_case "extend widens the profile safely" `Quick test_profile_extend ] );

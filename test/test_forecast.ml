@@ -171,7 +171,7 @@ let prop_pctm_conserved =
 
 (* --- Ctm unit tests ---------------------------------------------------- *)
 
-let sym name site = Symbol.lib ~site name
+let sym name site = Symbol.Lib { name; label = None; site = Some site }
 
 let test_ctm_basic () =
   let ctm = Ctm.create () in

@@ -416,7 +416,7 @@ let answer c =
    closes it. *)
 let exchange node bytes =
   let c = Server.Conn.create node in
-  Server.Conn.feed c bytes;
+  Server.Conn.feed c ~len:(String.length bytes) bytes;
   (c, answer c)
 
 let conn_http_request node request =
@@ -436,7 +436,7 @@ let router_bytes frames =
   Buffer.contents buf
 
 let frames_of s =
-  match Frame.Decoder.feed (Frame.Decoder.create ()) s with
+  match Frame.Decoder.feed (Frame.Decoder.create ()) ~len:(String.length s) s with
   | Ok frames -> frames
   | Error e -> Alcotest.failf "node answered undecodable bytes: %s" (Frame.error_to_string e)
 
@@ -444,7 +444,8 @@ let frames_of s =
    node drains its daemon and answers with its summary. *)
 let finish_in_process daemon node frames =
   let c = Server.Conn.create node in
-  Server.Conn.feed c (router_bytes (frames @ [ Frame.Bye ]));
+  let bytes = router_bytes (frames @ [ Frame.Bye ]) in
+  Server.Conn.feed c ~len:(String.length bytes) bytes;
   Server.Conn.summarize c (Daemon.drain daemon);
   match frames_of (answer c) with
   | Frame.Hello _ :: rest -> (

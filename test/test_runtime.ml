@@ -9,12 +9,12 @@ module Interp = Runtime.Interp
 module Testcase = Runtime.Testcase
 module Collector = Runtime.Collector
 
-let run_src ?(input = []) ?(files = []) ?patches ?max_steps ?(setup = fun _ -> ()) src =
+let run_src ?(input = []) ?(files = []) ?patches ?(setup = fun _ -> ()) src =
   let analysis = Analyzer.analyze (Parser.parse_program src) in
   let engine = Sqldb.Engine.create () in
   setup engine;
   let tc = Testcase.make ~input ~files "t" in
-  Interp.collect_trace ?patches ?max_steps ~analysis ~engine tc
+  Interp.collect_trace ?patches ~analysis ~engine tc
 
 let stdout_of ?input ?files ?setup src =
   let _, out = run_src ?input ?files ?setup src in
@@ -137,7 +137,7 @@ let test_runtime_errors () =
   expect_error "fun main() { f(1, 2); } fun f(a) { }" "arguments"
 
 let test_step_budget () =
-  let _, out = run_src ~max_steps:500 "fun main() { while (true) { let x = 1; } }" in
+  let _, out = run_src "fun main() { while (true) { let x = 1; } }" in
   match out.Interp.status with
   | Error msg -> Alcotest.(check bool) "budget error" true (String.length msg > 0)
   | Ok () -> Alcotest.fail "infinite loop must exhaust the budget"
@@ -210,10 +210,9 @@ let test_patches_fire () =
     ]
   in
   let engine = Sqldb.Engine.create () in
-  let collector, trace = Collector.adprom () in
-  let out = Interp.run ~collector ~patches ~analysis ~engine (Testcase.make "t") in
+  let trace, out = Interp.collect_trace ~patches ~analysis ~engine (Testcase.make "t") in
   Alcotest.(check bool) "run ok" true (out.Interp.status = Ok ());
-  let syms = symbols_of (trace ()) in
+  let syms = symbols_of trace in
   Alcotest.(check (list string)) "patched calls appear in order"
     [ "lib_probe"; "puts"; Printf.sprintf "fwrite_Q%d" first_puts; "puts" ]
     syms
@@ -426,7 +425,7 @@ let prop_interpreter_matches_reference =
       | program -> (
           let analysis = Analyzer.analyze program in
           let engine = Sqldb.Engine.create () in
-          let out = Interp.run ~analysis ~engine (Testcase.make "fuzz") in
+          let out = Interp.run ~collector:Collector.null ~analysis ~engine (Testcase.make "fuzz") in
           match out.Interp.status with
           | Ok () -> out.Interp.stdout = expected
           | Error _ -> false))

@@ -159,7 +159,7 @@ let test_monitoring_transparent () =
   let engine1 = Sqldb.Engine.create () in
   setup_items engine1;
   let out_plain =
-    Interp.run ~analysis ~engine:engine1 (Testcase.make ~input:[ "3" ] "t")
+    Interp.run ~collector:Collector.null ~analysis ~engine:engine1 (Testcase.make ~input:[ "3" ] "t")
   in
   let engine2 = Sqldb.Engine.create () in
   setup_items engine2;

@@ -194,7 +194,7 @@ let prop_explain_gate_matches_reference =
         (fun spec ->
           let w = window_of_spec profile.Profile.alphabet spec in
           let reference = Detector.reference_classify profile w in
-          match Scoring.explain engine w with
+          match Scoring.explain ~top:3 engine w with
           | None -> reference.Detector.flag = Detector.Normal
           | Some e ->
               reference.Detector.flag <> Detector.Normal
@@ -228,7 +228,7 @@ let prop_explain_gate_matches_reference =
                   descending e.Scoring.top)
               (* the engine's surprisals come from its compiled forward
                  pass, the reference's from [Hmm.step_surprisals] *)
-              && same_top e.Scoring.top (Detector.explain profile w))
+              && same_top e.Scoring.top (Detector.explain ~top:3 profile w))
         specs)
 
 let prop_stream_explain_last_matches_batch =
@@ -270,7 +270,7 @@ let prop_stream_explain_last_matches_batch =
                    w.Window.obs)
             in
             List.iter (fun e -> ignore (Scoring.Stream.push stream e)) events;
-            explanation_eq (Scoring.explain engine w)
+            explanation_eq (Scoring.explain ~top:3 engine w)
               (Scoring.Stream.explain_last stream)
           end)
         specs)

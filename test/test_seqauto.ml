@@ -203,7 +203,7 @@ let prop_trace_soundness =
       let src = random_program seed in
       let a = Analyzer.analyze (Parser.parse_program src) in
       let auto =
-        Seqauto.build a.Analyzer.pruned_cfgs a.Analyzer.callgraph
+        Seqauto.build ~use_labels:true a.Analyzer.pruned_cfgs a.Analyzer.callgraph
       in
       let word =
         run_trace a [ string_of_int input; string_of_int (5 - input) ]
@@ -226,7 +226,7 @@ let prop_nfa_dfa_agree =
     (fun (seed, wseed, picks) ->
       let src = random_program seed in
       let a = Analyzer.analyze (Parser.parse_program src) in
-      let auto = Seqauto.build a.Analyzer.pruned_cfgs a.Analyzer.callgraph in
+      let auto = Seqauto.build ~use_labels:true a.Analyzer.pruned_cfgs a.Analyzer.callgraph in
       let alpha = Array.of_list (Seqauto.(auto.nfa).Nfa.alphabet) in
       let m = Array.length alpha in
       let word =

@@ -990,7 +990,7 @@ let simulate profile (kinds, past_cap, seed) =
   let feed p =
     if p.fed < p.cut then begin
       let len = min (Sim.chunk st) (p.cut - p.fed) in
-      Conn.feed p.conn ~pos:p.fed ~len p.input;
+      Conn.feed p.conn ~len (String.sub p.input p.fed len);
       p.fed <- p.fed + len;
       p.whole_at_feed_end <- whole p p.fed :: p.whole_at_feed_end
     end
@@ -1016,7 +1016,8 @@ let simulate profile (kinds, past_cap, seed) =
       (Conn.owed flooder.conn);
   (* a router's finish: hello, bye, then the node drains and answers *)
   let closer = Conn.create node in
-  Conn.feed closer (fst (binary_input [||] ~tail:[ Frame.Bye ]));
+  let bye = fst (binary_input [||] ~tail:[ Frame.Bye ]) in
+  Conn.feed closer ~len:(String.length bye) bye;
   if Conn.state closer <> Conn.Bye then QCheck2.Test.fail_reportf "bye not seen";
   Conn.summarize closer (Daemon.drain daemon);
   let out = Buffer.create 4096 in

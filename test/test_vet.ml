@@ -223,7 +223,7 @@ let trained =
 
 let test_profile_check_own_program_error_free () =
   let ds, profile = Lazy.force trained in
-  let diags = Profile_check.check profile ds.Pipeline.analysis in
+  let diags = Profile_check.check ~entry:"main" profile ds.Pipeline.analysis in
   Alcotest.(check (list string)) "no errors against own program" []
     (List.map Diag.to_string (Diag.errors diags))
 
