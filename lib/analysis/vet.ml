@@ -367,8 +367,8 @@ let check_coverage ?automaton facts ~alphabet ~known_pairs =
                modeling artifact, not proof of a program mismatch *)
             add
               (Diag.make Diag.Warning ~code:"profile-ngram-impossible"
-                 (Printf.sprintf
-                    "model-supported sequence [%s] is statically impossible"
-                    (String.concat "; " (List.map Symbol.to_string ngram)))))
+                 ("model-supported sequence ["
+                 ^ String.concat "; " (List.map Symbol.to_string ngram)
+                 ^ "] is statically impossible")))
         model_ngrams);
   List.sort Diag.compare !diags

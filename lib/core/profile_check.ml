@@ -25,40 +25,50 @@ let automaton (profile : Profile.t) analysis =
    state pair (i, j) emits a from i, transitions i -> j, and emits b
    from j, each with probability clearly above the Baum-Welch smoothing
    floor (1e-6) — the floor keeps every cell non-zero, so "supported"
-   needs a coarser threshold. *)
+   needs a coarser threshold. With E(o) the states emitting o and R(a)
+   the states some member of E(a) moves to, (a, b) is supported iff
+   R(a) and E(b) meet: both are bitsets over the model's states, so
+   each pair costs a few word ANDs. *)
 let support_epsilon = 1e-4
 
 let model_bigrams (profile : Profile.t) =
   let model = profile.Profile.model in
   let n = model.Hmm.n and m = model.Hmm.m in
   let alphabet = profile.Profile.alphabet in
-  (* states emitting each symbol, states reachable from each state *)
-  let emitters =
-    Array.init m (fun o ->
-        List.filter
-          (fun i -> Mlkit.Matrix.get model.Hmm.b i o > support_epsilon)
-          (List.init n Fun.id))
-  in
+  let words = (n + 62) / 63 in
+  let set b i = b.(i / 63) <- b.(i / 63) lor (1 lsl (i mod 63)) in
+  let a = model.Hmm.a.Mlkit.Matrix.data and b = model.Hmm.b.Mlkit.Matrix.data in
+  let emitters = Array.init m (fun _ -> Array.make words 0) in
+  let reach = Array.init m (fun _ -> Array.make words 0) in
+  let succ = Array.make words 0 in
+  for i = 0 to n - 1 do
+    Array.fill succ 0 words 0;
+    for j = 0 to n - 1 do
+      if a.((i * n) + j) > support_epsilon then set succ j
+    done;
+    for o = 0 to m - 1 do
+      if b.((i * m) + o) > support_epsilon then begin
+        set emitters.(o) i;
+        let r = reach.(o) in
+        for k = 0 to words - 1 do
+          r.(k) <- r.(k) lor succ.(k)
+        done
+      end
+    done
+  done;
   let bigrams = ref [] in
-  for a = m - 1 downto 0 do
-    for b = m - 1 downto 0 do
-      let supported =
-        List.exists
-          (fun i ->
-            List.exists
-              (fun j -> Mlkit.Matrix.get model.Hmm.a i j > support_epsilon)
-              emitters.(b))
-          emitters.(a)
-      in
-      if supported then bigrams := [ alphabet.(a); alphabet.(b) ] :: !bigrams
+  for x = m - 1 downto 0 do
+    for y = m - 1 downto 0 do
+      let k = ref 0 in
+      while !k < words && reach.(x).(!k) land emitters.(y).(!k) = 0 do
+        incr k
+      done;
+      if !k < words then bigrams := [ alphabet.(x); alphabet.(y) ] :: !bigrams
     done
   done;
   !bigrams
 
-let coverage ?entry ?automaton (profile : Profile.t) analysis =
-  let facts =
-    project_facts profile (Vet.facts ?entry analysis.Analysis.Analyzer.cfgs)
-  in
+let coverage ?automaton (profile : Profile.t) facts =
   let known_pairs =
     Hashtbl.fold (fun p () acc -> p :: acc) profile.Profile.known_pairs []
     |> List.sort compare
@@ -66,25 +76,25 @@ let coverage ?entry ?automaton (profile : Profile.t) analysis =
   let automaton =
     Option.map (fun a -> (Analysis.Seqauto.accepts a, model_bigrams profile)) automaton
   in
-  Vet.check_coverage ?automaton facts
+  Vet.check_coverage ?automaton (project_facts profile facts)
     ~alphabet:(Array.to_list profile.Profile.alphabet)
     ~known_pairs
 
-let diagnostics ?entry ?automaton profile analysis =
-  List.sort Diag.compare
-    (Vet.check_program ?entry analysis.Analysis.Analyzer.cfgs
-    @ coverage ?entry ?automaton profile analysis)
+(* both halves come sorted, so merging them is sorting their append *)
+let diagnostics ?automaton profile analysis facts =
+  List.merge Diag.compare
+    (Vet.check_program ~entry:facts.Vet.entry analysis.Analysis.Analyzer.cfgs)
+    (coverage ?automaton profile facts)
 
-let check ~entry profile analysis = diagnostics ~entry profile analysis
+let check ~entry profile analysis =
+  diagnostics profile analysis (Vet.facts ~entry analysis.Analysis.Analyzer.cfgs)
 
-let static_pairs analysis = (Vet.facts analysis.Analysis.Analyzer.cfgs).Vet.pairs
-
-let apply policy ?automaton profile analysis =
+let apply policy ?automaton ~facts profile analysis =
   match policy with
   | Off -> []
-  | Warn -> diagnostics ?automaton profile analysis
+  | Warn -> diagnostics ?automaton profile analysis facts
   | Enforce -> (
-      let diags = diagnostics ?automaton profile analysis in
+      let diags = diagnostics ?automaton profile analysis facts in
       match Diag.errors diags with
       | [] -> diags
       | errs ->

@@ -29,20 +29,18 @@ val check : entry:string -> Profile.t -> Analysis.Analyzer.t -> Analysis.Diag.t 
     ({!Analysis.Vet.check_coverage} under the profile's label view),
     sorted with {!Analysis.Diag.compare}. *)
 
-val static_pairs : Analysis.Analyzer.t -> (string * Analysis.Symbol.t) list
-(** The statically possible (caller, call) pairs of the analyzed
-    program — feed to {!Scoring.set_static_pairs} so explanations can
-    name statically impossible pairs. *)
-
 val apply :
   policy ->
   ?automaton:Analysis.Seqauto.t ->
+  facts:Analysis.Vet.facts ->
   Profile.t ->
   Analysis.Analyzer.t ->
   Analysis.Diag.t list
-(** Run {!check} on [main] under the policy; with [automaton], also
-    check the trained model's supported bigrams against the automaton's
-    language ([profile-ngram-impossible]). [Off] does nothing and
-    returns []. [Warn] returns the diagnostics for the caller to log. [Enforce]
-    additionally @raise Invalid_argument when error-class findings
-    exist, naming them. *)
+(** Run {!check} under the policy from [facts]' entry, reusing [facts]
+    (the program's {!Analysis.Vet.facts}, which the caller computes
+    once and whose pairs also feed {!Scoring.set_static_pairs}); with
+    [automaton], also check the trained model's supported bigrams
+    against the automaton's language ([profile-ngram-impossible]).
+    [Off] does nothing and returns []. [Warn] returns the diagnostics
+    for the caller to log. [Enforce] additionally @raise
+    Invalid_argument when error-class findings exist, naming them. *)

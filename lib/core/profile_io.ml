@@ -59,21 +59,51 @@ let sparse_row_to_line xs =
     ^ String.concat " "
         (List.map (fun (j, v) -> Printf.sprintf "%d:%.9g" j v) explicit)
 
-let sparse_row_of_line ~n l =
-  match String.split_on_char ' ' l with
-  | "d" :: rest ->
-      Array.of_list (List.filter_map (fun t -> if t = "" then None else Some (float_of_string t)) rest)
-  | "s" :: rest ->
-      let entries =
-        List.filter_map
-          (fun tok ->
-            if tok = "" then None
-            else
-              match String.split_on_char ':' tok with
-              | [ j; v ] -> Some (int_of_string j, float_of_string v)
-              | _ -> failwith ("bad sparse entry: " ^ tok))
-          rest
-      in
+(* A row as read. A sparse row stays a list of its explicit entries
+   until every count in the profile is confirmed: a two-byte [s] line
+   stands for a whole row, so expanding it as it is read would let a
+   few bytes per row size an n×n allocation. *)
+type row = Dense of float array | Sparse of (int * float) list
+
+(* [f l acc i j] over the tokens [l.[i .. j - 1]] of [l] from [i],
+   split at spaces, empty ones skipped: a token costs nothing until [f]
+   copies it, and a line with no tokens costs nothing at all *)
+let rec fold_tokens f l acc i =
+  if i >= String.length l then acc
+  else if l.[i] = ' ' then fold_tokens f l acc (i + 1)
+  else
+    let j = try String.index_from l i ' ' with Not_found -> String.length l in
+    fold_tokens f l (f l acc i j) j
+
+let floats l i =
+  let a = Array.make (fold_tokens (fun _ k _ _ -> k + 1) l 0 i) 0.0 in
+  let store l k i j =
+    a.(k) <- float_of_string (String.sub l i (j - i));
+    k + 1
+  in
+  ignore (fold_tokens store l 0 i);
+  a
+
+let entry l acc i j =
+  let tok = String.sub l i (j - i) in
+  match String.split_on_char ':' tok with
+  | [ k; v ] -> (int_of_string k, float_of_string v) :: acc
+  | _ -> failwith ("bad sparse entry: " ^ tok)
+
+(* [l] is the tag [c], alone or followed by a space *)
+let tagged c l = String.length l > 0 && l.[0] = c && (String.length l = 1 || l.[1] = ' ')
+
+let row_of_line l =
+  if tagged 'd' l then Dense (floats l 1)
+  else if tagged 's' l then
+    (* an all-implicit row, the short line a few bytes can repeat,
+       shares one constant *)
+    match fold_tokens entry l [] 1 with [] -> Sparse [] | entries -> Sparse (List.rev entries)
+  else failwith ("bad row line: " ^ l)
+
+let expand ~n = function
+  | Dense row -> row
+  | Sparse entries ->
       let explicit_mass = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 entries in
       let implicit = n - List.length entries in
       let fill = if implicit = 0 then 0.0 else (1.0 -. explicit_mass) /. float_of_int implicit in
@@ -81,7 +111,6 @@ let sparse_row_of_line ~n l =
       let row = Array.make n fill in
       List.iter (fun (j, v) -> row.(j) <- v) entries;
       row
-  | _ -> failwith ("bad row line: " ^ l)
 
 let to_string (p : Profile.t) =
   let buf = Buffer.create 4096 in
@@ -117,19 +146,15 @@ let to_string (p : Profile.t) =
 exception Bad of string
 
 let of_string text =
-  let lines = ref (String.split_on_char '\n' text) in
+  (* the lines of [text], as [String.split_on_char '\n'] would give
+     them, cut one at a time *)
+  let pos = ref 0 in
   let next () =
-    match !lines with
-    | [] -> raise (Bad "unexpected end of profile")
-    | l :: rest ->
-        lines := rest;
-        l
-  in
-  let floats_of_line l =
-    Array.of_list
-      (List.filter_map
-         (fun tok -> if tok = "" then None else Some (float_of_string tok))
-         (String.split_on_char ' ' l))
+    if !pos > String.length text then raise (Bad "unexpected end of profile");
+    let stop = try String.index_from text !pos '\n' with Not_found -> String.length text in
+    let l = String.sub text !pos (stop - !pos) in
+    pos := stop + 1;
+    l
   in
   let expect_prefix prefix =
     let l = next () in
@@ -168,10 +193,10 @@ let of_string text =
     let threshold = float_of_string (expect_prefix "threshold") in
     let k = int_of_string (expect_prefix "alphabet") in
     let alphabet = items k sym in
-    let pi = floats_of_line (expect_prefix "pi") in
+    let pi = floats (expect_prefix "pi") 0 in
     let n = int_of_string (expect_prefix "a") in
     if n <> Array.length pi then raise (Bad "pi/state count mismatch");
-    let a = Mlkit.Matrix.of_arrays (items n (sparse_row_of_line ~n)) in
+    let a_rows = items n row_of_line in
     let bm = expect_prefix "b" in
     let n', m =
       match String.split_on_char ' ' bm with
@@ -180,8 +205,7 @@ let of_string text =
     in
     if n' <> n then raise (Bad "inconsistent state counts");
     if m <> Array.length alphabet then raise (Bad "emission/alphabet mismatch");
-    let b = Mlkit.Matrix.of_arrays (items n (sparse_row_of_line ~n:m)) in
-    let model = Hmm.create ~a ~b ~pi in
+    let b_rows = items n row_of_line in
     let pair_count = int_of_string (expect_prefix "pairs") in
     let known_pairs = Hashtbl.create 16 in
     for _ = 1 to pair_count do
@@ -202,6 +226,9 @@ let of_string text =
                 sym (String.sub l (i + 1) (String.length l - i - 1)) )
           | None -> raise (Bad ("bad site line: " ^ l)))
     in
+    (* every count is confirmed by the lines read: expand the rows *)
+    let matrix ~n rows = Mlkit.Matrix.of_arrays (Array.map (expand ~n) rows) in
+    let model = Hmm.create ~a:(matrix ~n a_rows) ~b:(matrix ~n:m b_rows) ~pi in
     let clustering =
       {
         Reduction.sites = Array.map snd entries;

@@ -6,7 +6,7 @@ type histogram = {
   h_mutex : Mutex.t;
   bounds : float array;  (* upper bounds, strictly increasing *)
   buckets : int array;  (* length = length bounds + 1; last = +inf *)
-  mutable h_sum : float;
+  h_sum : float array;  (* one cell: a flat float, so adding to it boxes nothing *)
   mutable h_count : int;
 }
 
@@ -47,8 +47,8 @@ let register ?help t name build unwrap =
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Metrics: %S registered with another type" name)
 
-let counter ?help t name =
-  register ?help t name
+let counter t name =
+  register t name
     (fun () -> Counter { c_name = name; c_value = Atomic.make 0 })
     (function Counter c -> Some c | _ -> None)
 
@@ -85,18 +85,21 @@ let histogram ?(buckets = default_buckets) ?help t name =
           h_mutex = Mutex.create ();
           bounds = buckets;
           buckets = Array.make (Array.length buckets + 1) 0;
-          h_sum = 0.0;
+          h_sum = [| 0.0 |];
           h_count = 0;
         })
     (function Histogram h -> Some h | _ -> None)
 
+(* the first bucket whose upper bound holds [v]; a top-level loop, so
+   that observing allocates no closure *)
+let rec slot (bounds : float array) (v : float) i =
+  if i >= Array.length bounds || v <= bounds.(i) then i else slot bounds v (i + 1)
+
 let observe h v =
   Mutex.lock h.h_mutex;
-  let n = Array.length h.bounds in
-  let rec slot i = if i >= n || v <= h.bounds.(i) then i else slot (i + 1) in
-  let i = slot 0 in
+  let i = slot h.bounds v 0 in
   h.buckets.(i) <- h.buckets.(i) + 1;
-  h.h_sum <- h.h_sum +. v;
+  h.h_sum.(0) <- h.h_sum.(0) +. v;
   h.h_count <- h.h_count + 1;
   Mutex.unlock h.h_mutex
 
@@ -151,7 +154,7 @@ let snapshot_with_help t =
               hs_name = h.h_name;
               hs_bounds = Array.copy h.bounds;
               hs_buckets = Array.copy h.buckets;
-              hs_sum = h.h_sum;
+              hs_sum = h.h_sum.(0);
               hs_count = h.h_count;
             }
           in

@@ -15,10 +15,8 @@ type histogram
 
 val create : unit -> t
 
-val counter : ?help:string -> t -> string -> counter
-(** Get-or-create. [help] (first registration wins) becomes the
-    [# HELP] line of {!dump}; without it the help text defaults to the
-    metric name. @raise Invalid_argument if [name] is already
+val counter : t -> string -> counter
+(** Get-or-create. @raise Invalid_argument if [name] is already
     registered as a different metric type (same for {!gauge} and
     {!histogram}). *)
 
@@ -33,7 +31,9 @@ val default_buckets : float array
 
 val histogram : ?buckets:float array -> ?help:string -> t -> string -> histogram
 (** [buckets] are strictly increasing upper bounds; an implicit [+inf]
-    bucket is appended. *)
+    bucket is appended. [help] (first registration wins) becomes the
+    [# HELP] line of {!dump}; without it, and for counters and gauges,
+    the help text is the metric name. *)
 
 val observe : histogram -> float -> unit
 

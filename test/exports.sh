@@ -10,11 +10,22 @@
 #
 # An optional argument `?l` of a `val` in M.mli, top-level or inside a
 # `module S : sig ... end` (functors too), is flagged as `M.v?l` (or
-# `M.S.v?l`) when no such .ml both calls the value and names `~l` or
-# `?l`, unless the value itself is flagged as having no caller. A
-# nested value is called as `S.v`, through an alias of S, or plainly
-# under `open S`. Values of a `module type` are not checked:
-# their callers reach them through whatever module implements it.
+# `M.S.v?l`) when no call to the value in such a .ml passes `~l` or
+# `?l` in its own argument list, unless the value itself is flagged as
+# having no caller. A nested value is called as `S.v`, through an alias
+# of S, or plainly under `open S`. Values of a `module type` are not
+# checked: their callers reach them through whatever module implements
+# it.
+#
+# A call's argument list is approximated on the file's tokens
+# (comments, strings and character literals dropped): it runs from the
+# value's name to the first token, outside any bracket the list itself
+# opened, that closes an enclosing bracket or cannot continue an
+# application (`;`, `,`, `in`, `let`, `then`, `|`, `->`, an infix
+# operator, ...). Only labels outside the list's own brackets count, so
+# in `f ~a (g ~b)` the call to g passes ~b and the call to f does not.
+# A value passed as a function and applied elsewhere is not followed,
+# and under `open M` a local binding that shadows `v` counts as a call.
 #
 # A flagged value or option must either go (deleted, dropped from its
 # .mli, or its default made a constant) or be listed in
@@ -39,21 +50,99 @@ allow=test/exports.allow
 flagged=$(mktemp)
 called=$(mktemp)
 options=$(mktemp)
-trap 'rm -f "$flagged" "$called" "$options"' EXIT
+tokens=$(mktemp -d)
+trap 'rm -rf "$flagged" "$called" "$options" "$tokens"' EXIT
 
 ident="[a-z_][A-Za-z0-9_']*"
 sources=$(find lib bin bench -name '*.ml' | sort)
 
+# Each source as its tokens, one a line, in $tokens/<path, / as %>:
+# identifiers with their module path (`A.B.v`), labels (`~l`, `?l`),
+# brackets (`[|` as `[`, `|]` as `]`), `;`, `,` and operator runs;
+# literals become `0`; comments and strings are dropped.
+# shellcheck disable=SC2086
+awk -v dir="$tokens" '
+  FNR == 1 { if (out != "") close(out); out = FILENAME; gsub("/", "%", out); out = dir "/" out; printf "" >out }
+  {
+    s = $0
+    while (s != "") {
+      if (depth > 0) {
+        if (match(s, /\(\*|\*\)/)) { depth += substr(s, RSTART, 2) == "(*" ? 1 : -1; s = substr(s, RSTART + 2) }
+        else s = ""
+        continue
+      }
+      if (instr) {
+        if (match(s, /^([^"\\]|\\.)*"/)) { instr = 0; s = substr(s, RLENGTH + 1) } else s = ""
+        continue
+      }
+      if (match(s, /^[ \t]+/)) t = ""
+      else if (substr(s, 1, 2) == "(*") { depth = 1; RLENGTH = 2; t = "" }
+      else if (substr(s, 1, 1) == "\"") { instr = 1; RLENGTH = 1; t = "" }
+      else if (match(s, /^'\''([^'\''\\]|\\[^'\'']+)'\''/) || match(s, /^[0-9][0-9A-Za-z_.]*([eE][-+]?[0-9]+)?/)) t = "0"
+      else if (match(s, /^[~?][a-z_][A-Za-z0-9_'\'']*/) || match(s, /^[A-Za-z_][A-Za-z0-9_'\'']*(\.[A-Za-z_][A-Za-z0-9_'\'']*)*/)) t = substr(s, 1, RLENGTH)
+      else if (match(s, /^(\[\||\|\])/)) t = substr(s, 1, 1) == "[" ? "[" : "]"
+      else if (match(s, /^[][(){};,]/) || match(s, /^[-!$%&*+.\/:<=>?@^|~#]+/)) t = substr(s, 1, RLENGTH)
+      else { RLENGTH = 1; t = "" }
+      if (t != "") print t >out
+      s = substr(s, RLENGTH + 1)
+    }
+  }' $sources
+
+# The names module $1 goes by in file $2, `|`-joined: its own and each
+# alias (`module A = ...$1`).
+names_of() {
+  printf '%s\n' "$1" \
+    $(sed -n "s/.*module \([A-Z][A-Za-z0-9_']*\) *= *\([A-Z][A-Za-z0-9_']*\.\)*$1\b.*/\1/p" "$2") |
+    sort -u | paste -sd'|'
+}
+
+# Whether file $2 opens a module named one of $1 (`open`, `include`,
+# `M.(`).
+opens() {
+  grep -qE "\b(open|include)!? +([A-Z][A-Za-z0-9_']*\.)*($1)\b|\b($1)\.\(" "$2"
+}
+
 # The names a file calls through module $1 (aliases, `open`, `$1.(`).
 calls_through() {
-  local q=$1 f=$2 names
-  names=$(printf '%s\n' "$q" \
-    $(sed -n "s/.*module \([A-Z][A-Za-z0-9_']*\) *= *\([A-Z][A-Za-z0-9_']*\.\)*$q\b.*/\1/p" "$f") |
-    sort -u | paste -sd'|')
+  local f=$2 names
+  names=$(names_of "$1" "$f")
   grep -ohE "\b($names)\.$ident" "$f" | sed 's/.*\.//' || true
-  if grep -qE "\b(open|include)!? +([A-Z][A-Za-z0-9_']*\.)*($names)\b|\b($names)\.\(" "$f"; then
+  if opens "$names" "$f"; then
     grep -ohE "\b$ident" "$f" || true
   fi
+}
+
+# "v l" for each label `~l`/`?l` that a call to $1.v in file $2 passes
+# in its own argument list, for the values v in $3 (see the top).
+sets_through() {
+  local f=$2 names opened=0
+  names=$(names_of "$1" "$f")
+  if opens "$names" "$f"; then opened=1; fi
+  awk -v names="$names" -v opened="$opened" -v vals="$3" '
+    BEGIN {
+      n = split(vals, v, " "); for (i = 1; i <= n; i++) want[v[i]] = 1
+      n = split(names, a, "|"); for (i = 1; i <= n; i++) qual[a[i]] = 1
+      n = split("in let and then else with do done of when begin end type module open include val external exception", k, " ")
+      for (i = 1; i <= n; i++) stop[k[i]] = 1
+    }
+    { tok[NR] = $0 }
+    END {
+      for (i = 1; i <= NR; i++) {
+        name = tok[i]; q = ""
+        if (name ~ /\./) { q = name; sub(/\.[^.]*$/, "", q); sub(/.*\./, "", q); sub(/.*\./, "", name) }
+        if (!(name in want) || (q == "" ? !opened : !(q in qual))) continue
+        depth = 0
+        for (j = i + 1; j <= NR; j++) {
+          u = tok[j]
+          if (u ~ /^[[({]$/ || u == "begin") depth++
+          else if (u ~ /^[])}]$/ || u == "end") { if (depth == 0) break; depth-- }
+          else if (depth == 0) {
+            if (u ~ /^[~?][a-z_]/) print name, substr(u, 2)
+            else if (u in stop || (u ~ /^[-!$%&*+.\/:<=>?@^|~#;,]+$/ && u != ":" && u != "." && u != "!")) break
+          }
+        }
+      }
+    }' "$tokens/${f//\//%}"
 }
 
 for mli in lib/*/*.mli; do
@@ -101,23 +190,25 @@ for mli in lib/*/*.mli; do
       for s in $subs; do
         calls_through "$s" "$f" | sed "s/^/$s /"
       done
-      grep -ohE "[~?]$ident" "$f" | sed 's/^./~ /' || true
+      for q in $mod $subs; do
+        vals=$(awk -v q="$q" '{ p = $1; sub(/.*\./, "", p) } p == q { print $2 }' "$options" | sort -u | paste -sd' ')
+        [ -z "$vals" ] || sets_through "$q" "$f" "$vals" | sed "s/^/$q /"
+      done
     } | sort -u | sed "s|^|$f |"
   done >"$called"
   uncalled=$(for v in $(sed -n "s/^val \([A-Za-z0-9_']*\) *:.*/\1/p" "$mli"); do
     grep -qxF -- "$mod $v" <(cut -d' ' -f2- "$called") || echo "$mod.$v"
   done)
   [ -z "$uncalled" ] || printf '%s\n' "$uncalled"
-  # an option is set where one file both calls its value and names it;
-  # the options of a value flagged as uncalled go with it
+  # an option is set where a call to its value passes it ("f q v l"
+  # lines); the options of a value flagged as uncalled go with it
   awk -v uncalled="$uncalled" '
     BEGIN { n = split(uncalled, u, "\n"); for (i = 1; i <= n; i++) gone[u[i]] = 1 }
-    FILENAME == ARGV[1] { if ($2 == "~") lab[$1, $3] = 1; else call[$1, $2, $3] = 1; files[$1] = 1; next }
+    FILENAME == ARGV[1] { if (NF == 4) set[$2, $3, $4] = 1; next }
     ($1 "." $2) in gone { next }
     {
       q = $1; sub(/.*\./, "", q)
-      for (f in files) if (call[f, q, $2] && lab[f, $3]) next
-      print $1 "." $2 "?" $3
+      if (!((q, $2, $3) in set)) print $1 "." $2 "?" $3
     }' "$called" "$options"
 done | sort -u >"$flagged"
 

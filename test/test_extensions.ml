@@ -186,8 +186,10 @@ let test_profile_io_rejects_garbage () =
 
 (* A header count that no line backs must not size an allocation: each
    input below is rejected after well under a MiB of allocation, where
-   sizing from the header would take hundreds. A negative count is
-   refused outright. *)
+   sizing from the header would take hundreds. Nor may a two-byte
+   sparse row: rows stay sparse until the [b] header and every later
+   count agree (expanding 4000 of them as read took 490 MiB). A
+   negative count is refused outright. *)
 let test_profile_io_bounded_by_lines () =
   let prefix =
     "adprom-profile 1\nparams 15 0 0.5 0.95 true true\nthreshold -1\nalphabet 1\nentry\npi 1\n"
@@ -198,6 +200,12 @@ let test_profile_io_bounded_by_lines () =
       ( "a 4000 rows under a one-entry pi",
         prefix ^ "a 4000\n" ^ String.concat "" (List.init 4000 (fun _ -> "s\n")) ^ "b 1 1\nd 1\n" );
       ("negative site count", prefix ^ "a 1\nd 1\nb 1 1\nd 1\npairs 0\nsites -1\n");
+      ( "4000 empty rows, then a b header that disowns them",
+        "adprom-profile 1\nparams 15 0 0.5 0.95 true true\nthreshold -1\nalphabet 1\nentry\npi "
+        ^ String.concat " " (List.init 4000 (fun _ -> "0"))
+        ^ "\na 4000\n"
+        ^ String.concat "" (List.init 4000 (fun _ -> "s\n"))
+        ^ "b 1 1\nd 1\n" );
       ( "negative alphabet count",
         "adprom-profile 1\nparams 15 0 0.5 0.95 true true\nthreshold -1\nalphabet -1\npi 1\n\
          a 1\nd 1\nb 1 0\nd\npairs 0\nsites 0\n" );
@@ -205,9 +213,19 @@ let test_profile_io_bounded_by_lines () =
   in
   List.iter
     (fun (name, text) ->
-      let before = Gc.allocated_bytes () in
+      (* minor words as the minor heap fills, plus what went straight
+         to the major heap: [Gc.allocated_bytes] counts a minor heap's
+         words only when it is collected, so it reads near 0 or near a
+         whole minor heap depending on where a collection falls *)
+      let minor = Gc.minor_words () and stat = Gc.quick_stat () in
       let result = Profile_io.of_string text in
-      let allocated = Gc.allocated_bytes () -. before in
+      let minor = Gc.minor_words () -. minor and stat' = Gc.quick_stat () in
+      let allocated =
+        8.0
+        *. (minor
+           +. (stat'.Gc.major_words -. stat.Gc.major_words)
+           -. (stat'.Gc.promoted_words -. stat.Gc.promoted_words))
+      in
       Alcotest.(check bool) (name ^ ": rejected") true (Result.is_error result);
       Alcotest.(check bool)
         (Printf.sprintf "%s: %.0f bytes allocated < 1 MiB" name allocated)

@@ -244,7 +244,7 @@ let prop_nfa_dfa_agree =
 
 (* The gen-wide benchmark program: a generated bash-like program
    narrowed to 24 functions of 7 statements (a 150-call alphabet). *)
-let gen_wide_analysis =
+let gen_wide_app =
   lazy
     (let spec =
        {
@@ -253,8 +253,12 @@ let gen_wide_analysis =
          statements_per_function = 7;
        }
      in
-     let app = Dataset.Sir.app4 ~cases:120 ~spec () in
-     Analyzer.analyze (Parser.parse_program app.Pipeline.source))
+     Dataset.Sir.app4 ~cases:120 ~spec ())
+
+let gen_wide_analysis =
+  lazy
+    (Analyzer.analyze
+       (Parser.parse_program (Lazy.force gen_wide_app).Pipeline.source))
 
 (* What [Profile_check.automaton] compiles for a default-params profile:
    the pruned CFGs, the default entry, the params' label view. *)
@@ -279,17 +283,45 @@ let test_golden_digests () =
 
 (* Build cost is bounded by the automaton, not by splitters × states:
    a single-domain build's major-heap allocation stays well under the
-   ≈53 M words the quadratic construction took on this program. *)
+   ≈53 M words the quadratic construction took on this program, and
+   its minor-heap allocation well under the 6.9 M words that per-splitter
+   lists and sorts took (the flat-array minimizer allocates none). *)
 let test_build_allocation () =
   let a = Lazy.force gen_wide_analysis in
-  let before = (Gc.quick_stat ()).Gc.major_words in
+  let minor = Gc.minor_words () and major = (Gc.quick_stat ()).Gc.major_words in
   let auto = default_automaton a in
-  let words = (Gc.quick_stat ()).Gc.major_words -. before in
-  Printf.printf "gen-wide build: %s, %.0f major words\n"
-    (Seqauto.stats_to_string auto.Seqauto.stats) words;
+  let minor = Gc.minor_words () -. minor
+  and major = (Gc.quick_stat ()).Gc.major_words -. major in
+  Printf.printf "gen-wide build: %s, %.0f minor words, %.0f major words\n"
+    (Seqauto.stats_to_string auto.Seqauto.stats) minor major;
   Alcotest.(check bool)
-    (Printf.sprintf "major words %.0f under 4 M" words)
-    true (words < 4e6)
+    (Printf.sprintf "major words %.0f under 4 M" major)
+    true (major < 4e6);
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words %.0f at most 1 M" minor)
+    true (minor <= 1e6)
+
+(* A daemon's start compiles the gate and vets the profile against it:
+   on gen-wide, with the benchmark's training parameters, that costs at
+   most 2 M minor words in the calling domain (9.0 M with the list
+   minimizer, the per-member bitset walk and nested-list bigrams). *)
+let test_daemon_create_allocation () =
+  let ds = Pipeline.collect (Lazy.force gen_wide_app) in
+  let params =
+    { Pipeline.adprom_params with Profile.max_rounds = 4; patience = 2; max_states = 100 }
+  in
+  let profile = Pipeline.train ~params ds in
+  let before = Gc.minor_words () in
+  let daemon =
+    Daemon.create ~shards:1 ~vet_against:ds.Pipeline.analysis
+      ~static_gate:Daemon.Gate_explain profile
+  in
+  let words = Gc.minor_words () -. before in
+  ignore (Daemon.drain daemon);
+  Printf.printf "gen-wide Daemon.create: %.0f minor words\n" words;
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words %.0f at most 2 M" words)
+    true (words <= 2e6)
 
 (* Random NFAs straight from the builder: ε-cycles, self-loops,
    unreachable states and a three-letter alphabet all arise. *)
@@ -526,6 +558,8 @@ let () =
           Alcotest.test_case "DFA digests match the goldens" `Quick test_golden_digests;
           Alcotest.test_case "gen-wide build allocation budget" `Quick
             test_build_allocation;
+          Alcotest.test_case "gen-wide daemon start allocation budget" `Quick
+            test_daemon_create_allocation;
         ] );
       ( "gate",
         [

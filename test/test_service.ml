@@ -444,6 +444,24 @@ let test_metrics_dump_sorted_golden () =
   in
   Alcotest.(check string) "golden sorted dump" expected (Metrics.dump m)
 
+(* The worker observes two histograms per event: with a constant
+   argument (no boxing at the call), an observation allocates nothing. *)
+let test_observe_allocates_nothing () =
+  let m = Metrics.create () in
+  let h = Metrics.histogram m "lat" in
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    Metrics.observe h 2e-4
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over %d calls, under 1 per call" words calls)
+    true
+    (words < float_of_int calls);
+  Alcotest.(check int) "every call counted" calls
+    (Option.get (Metrics.snapshot_histogram (Metrics.snapshot m) "lat")).Metrics.hs_count
+
 let test_render_merged_snapshots () =
   (* the fleet view: two nodes' snapshots merged, then rendered like a
      node's dump — gauges and watermarks take the max, counters and
@@ -1237,6 +1255,8 @@ let () =
             test_metrics_dump_sorted_golden;
           Alcotest.test_case "merged snapshots render max gauges, summed buckets"
             `Quick test_render_merged_snapshots;
+          Alcotest.test_case "observe allocates nothing" `Quick
+            test_observe_allocates_nothing;
           Alcotest.test_case "gauge watermark under two domains" `Quick
             test_gauge_max_two_domains;
         ] );

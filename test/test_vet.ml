@@ -230,10 +230,11 @@ let test_profile_check_own_program_error_free () =
 let test_profile_check_policies () =
   let ds, profile = Lazy.force trained in
   let analysis = ds.Pipeline.analysis in
+  let facts = Vet.facts analysis.Analysis.Analyzer.cfgs in
   Alcotest.(check int) "Off reports nothing" 0
-    (List.length (Profile_check.apply Profile_check.Off profile analysis));
+    (List.length (Profile_check.apply Profile_check.Off ~facts profile analysis));
   (* Enforce must not raise on a profile vetted against its own program. *)
-  ignore (Profile_check.apply Profile_check.Enforce profile analysis)
+  ignore (Profile_check.apply Profile_check.Enforce ~facts profile analysis)
 
 let test_profile_check_enforce_rejects_foreign_program () =
   let _, profile = Lazy.force trained in
@@ -243,13 +244,16 @@ let test_profile_check_enforce_rejects_foreign_program () =
   Alcotest.check_raises "Enforce refuses a mismatched program"
     (Invalid_argument "")
     (fun () ->
-      match Profile_check.apply Profile_check.Enforce profile foreign with
+      match
+        Profile_check.apply Profile_check.Enforce
+          ~facts:(Vet.facts foreign.Analysis.Analyzer.cfgs) profile foreign
+      with
       | _ -> ()
       | exception Invalid_argument _ -> raise (Invalid_argument ""))
 
 let test_static_pairs_load_into_engine () =
   let ds, profile = Lazy.force trained in
-  let pairs = Profile_check.static_pairs ds.Pipeline.analysis in
+  let pairs = (Vet.facts ds.Pipeline.analysis.Analysis.Analyzer.cfgs).Vet.pairs in
   Alcotest.(check bool) "some static pairs" true (pairs <> []);
   Alcotest.(check bool) "all from main" true
     (List.for_all (fun (caller, _) -> caller = "main") pairs);
