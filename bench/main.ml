@@ -5,8 +5,9 @@
      dune exec bench/main.exe -- table5 fig10
      dune exec bench/main.exe -- all
 
-   Experiment ids: table1-2 table3 table4 table5 table6 table7 table8
-   fig10 ablation-cluster ablation-window microbench. *)
+   Experiment ids: table1-2 table3 table4 table5 adversary-model table6
+   table7 table8 fig10 crossval interleaved-sessions cluster leakage
+   drift profile-size ablation-cluster ablation-window microbench. *)
 
 let experiments =
   [
@@ -22,10 +23,6 @@ let experiments =
     ("crossval", Exp_crossval.run);
     ("interleaved-sessions", Exp_operations.sessions);
     ("cluster", Exp_cluster.run);
-    ("vet", Exp_vet.run);
-    ("seqauto", Exp_seqauto.run);
-    ("qsig", Exp_qsig.run);
-    ("qstatic", Exp_qstatic.run);
     ("leakage", Exp_leakage.run);
     ("drift", Exp_operations.drift);
     ("profile-size", Exp_profile_size.run);

@@ -4,7 +4,7 @@
    - table6/*: one intercepted library call under AD-PROM's collector vs
      the simulated ltrace (the per-call costs behind Table VI);
    - table8/*: CFG construction, probability forecast and aggregation on
-     App_h (the steps of Table VIII);
+     App_s (the steps of Table VIII);
    - fig10/*: one scaled-forward evaluation and one Baum-Welch round on
      a mid-sized model (the kernels dominating Fig. 10 / Table VII);
    - kernel/*: the training and scoring kernels at the sizes the serve
@@ -14,7 +14,11 @@
      windows, and the hidden-state clustering of the generated wide
      program: the PCA fit of its call-transition vectors (134 sites x
      270 features), k-means on their projection, and the whole
-     [Reduction.cluster] call (CTV build, PCA and k-means). *)
+     [Reduction.cluster] call (CTV build, PCA and k-means), then, with
+     the short quota, the static query inference on banking, one
+     [Vet.check_program] pass and the call-sequence automaton build on
+     the generated wide program, and one out-of-language banking window
+     classified (memo off) with the automaton gate off and enforcing. *)
 
 open Bechamel
 open Toolkit
@@ -67,8 +71,15 @@ let hmm_tests () =
       (Staged.stage (fun () -> ignore (Hmm.baum_welch_step model weighted)));
   ]
 
-(* A profile as the serve benchmark trains it (four rounds), with its
-   deduplicated, encoded training windows. *)
+(* A profile as the serve benchmark trains it (four rounds), the
+   analysis it was trained on, and its deduplicated, encoded training
+   windows. *)
+type fixture = {
+  profile : Adprom.Profile.t;
+  analysis : Analysis.Analyzer.t;
+  weighted : (int array * float) list;
+}
+
 let bench_profile app params =
   let dataset = Adprom.Pipeline.collect app in
   let profile = Adprom.Pipeline.train ~params dataset in
@@ -79,7 +90,9 @@ let bench_profile app params =
         Option.map (fun codes -> (codes, weight)) (Adprom.Window.encode ~index w))
       (Adprom.Window.dedup dataset.Adprom.Pipeline.windows)
   in
-  (profile.Adprom.Profile.model, weighted)
+  { profile; analysis = dataset.Adprom.Pipeline.analysis; weighted }
+
+let model f = (f.profile.Adprom.Profile.model, f.weighted)
 
 (* Compiled scoring of a model's first training window. *)
 let compiled_score_test (model, weighted) =
@@ -103,9 +116,48 @@ let baum_welch_step_test label (model, weighted) =
     ~name:(Printf.sprintf "kernel/baum-welch-step-%s-%dwin" label (List.length weighted))
     (Staged.stage (fun () -> ignore (Hmm.baum_welch_step model weighted)))
 
+(* The static phase's costs, and the forward pass the enforcing
+   automaton gate skips on a window of the profile's own symbols in
+   random order: pairwise familiar, but not a factor of any execution. *)
+let static_tests ~banking ~gen_wide =
+  let automaton f = Adprom.Profile_check.automaton f.profile f.analysis in
+  let auto = automaton banking in
+  let profile = banking.profile in
+  let rng = Mlkit.Rng.create 42 in
+  let n = profile.Adprom.Profile.params.Adprom.Profile.window in
+  let window =
+    {
+      Adprom.Window.obs =
+        Array.init n (fun _ ->
+            Analysis.Symbol.observable (Mlkit.Rng.pick rng profile.Adprom.Profile.alphabet));
+      callers = Array.make n "main";
+    }
+  in
+  let off = Adprom.Scoring.create ~cache_capacity:0 profile in
+  let enforce = Adprom.Scoring.create ~cache_capacity:0 profile in
+  Adprom.Scoring.set_static_dfa enforce (Some auto);
+  Adprom.Scoring.set_gate_enforce enforce true;
+  ignore (Adprom.Scoring.classify enforce window);
+  if Adprom.Scoring.gate_rejections enforce <> 1 then
+    failwith "microbench: the automaton accepts the out-of-language window";
+  let classify eng = Staged.stage (fun () -> ignore (Adprom.Scoring.classify eng window)) in
+  [
+    Test.make ~name:"kernel/qstatic-infer-banking"
+      (Staged.stage (fun () ->
+           ignore (Analysis.Qstatic.infer banking.analysis.Analysis.Analyzer.pruned_cfgs)));
+    Test.make ~name:"kernel/vet-program-gen-wide"
+      (Staged.stage (fun () ->
+           ignore (Analysis.Vet.check_program gen_wide.analysis.Analysis.Analyzer.cfgs)));
+    Test.make ~name:"kernel/seqauto-build-gen-wide"
+      (Staged.stage (fun () -> ignore (automaton gen_wide)));
+    Test.make ~name:"kernel/classify-out-of-language-banking-gate-off" (classify off);
+    Test.make ~name:"kernel/classify-out-of-language-banking-gate-enforce"
+      (classify enforce);
+  ]
+
 (* The banking and generated wide programs as the serve benchmark trains
    them, and the wide program's hidden-state clustering as
-   [Profile.train] runs it. *)
+   [Profile.train] runs it; apart, the static rows on the same fixtures. *)
 let kernel_tests () =
   let params = { Adprom.Pipeline.adprom_params with Adprom.Profile.max_rounds = 4 } in
   let banking = bench_profile (Dataset.Ca_banking.app ()) params in
@@ -115,7 +167,7 @@ let kernel_tests () =
   let gen = Dataset.Sir.app4 ~cases:120 ~spec () in
   let gen_params = { params with Adprom.Profile.patience = 2; max_states = 100 } in
   let gen_wide = bench_profile gen gen_params in
-  let pctm = (Adprom.Pipeline.analyze_app gen).Analysis.Analyzer.pctm in
+  let pctm = gen_wide.analysis.Analysis.Analyzer.pctm in
   let _, ctvs = Adprom.Reduction.ctv_matrix pctm in
   let rows, cols = Mlkit.Matrix.dims ctvs in
   let variance_kept = gen_params.Adprom.Profile.pca_variance in
@@ -124,27 +176,28 @@ let kernel_tests () =
   let kept = snd (Mlkit.Matrix.dims projected) in
   let k = max 2 (int_of_float (cluster_fraction *. float_of_int rows)) in
   let seed = gen_params.Adprom.Profile.seed in
-  [
-    compiled_score_test banking;
-    compiled_score_test gen_wide;
-    window_scores_test "banking" banking;
-    window_scores_test "gen-wide" gen_wide;
-    baum_welch_step_test "banking" banking;
-    baum_welch_step_test "gen-wide" gen_wide;
-    Test.make
-      ~name:(Printf.sprintf "kernel/pca-fit-gen-wide-ctv-%dx%d" rows cols)
-      (Staged.stage (fun () -> ignore (Mlkit.Pca.fit ~variance_kept ctvs)));
-    Test.make
-      ~name:(Printf.sprintf "kernel/kmeans-gen-wide-%dx%d-k%d" rows kept k)
-      (Staged.stage (fun () ->
-           ignore (Mlkit.Kmeans.cluster ~rng:(Mlkit.Rng.create seed) ~k projected)));
-    Test.make ~name:"kernel/reduction-cluster-gen-wide"
-      (Staged.stage (fun () ->
-           ignore
-             (Adprom.Reduction.cluster ~rng:(Mlkit.Rng.create seed)
-                ~max_states:gen_params.Adprom.Profile.max_states ~cluster_fraction
-                ~pca_variance:variance_kept pctm)));
-  ]
+  ( [
+      compiled_score_test (model banking);
+      compiled_score_test (model gen_wide);
+      window_scores_test "banking" (model banking);
+      window_scores_test "gen-wide" (model gen_wide);
+      baum_welch_step_test "banking" (model banking);
+      baum_welch_step_test "gen-wide" (model gen_wide);
+      Test.make
+        ~name:(Printf.sprintf "kernel/pca-fit-gen-wide-ctv-%dx%d" rows cols)
+        (Staged.stage (fun () -> ignore (Mlkit.Pca.fit ~variance_kept ctvs)));
+      Test.make
+        ~name:(Printf.sprintf "kernel/kmeans-gen-wide-%dx%d-k%d" rows kept k)
+        (Staged.stage (fun () ->
+             ignore (Mlkit.Kmeans.cluster ~rng:(Mlkit.Rng.create seed) ~k projected)));
+      Test.make ~name:"kernel/reduction-cluster-gen-wide"
+        (Staged.stage (fun () ->
+             ignore
+               (Adprom.Reduction.cluster ~rng:(Mlkit.Rng.create seed)
+                  ~max_states:gen_params.Adprom.Profile.max_states ~cluster_fraction
+                  ~pca_variance:variance_kept pctm)));
+    ],
+    static_tests ~banking ~gen_wide )
 
 (* OLS estimate of ns per run for every test of [tests]. *)
 let measure cfg tests =
@@ -163,12 +216,14 @@ let measure cfg tests =
 
 let run () =
   Common.heading "Micro-benchmarks (Bechamel): kernels behind Tables VI/VIII and Fig. 10";
+  let training, static = kernel_tests () in
   let quick =
-    Test.make_grouped ~name:"adprom" (collector_tests () @ analysis_tests () @ hmm_tests ())
+    Test.make_grouped ~name:"adprom"
+      (collector_tests () @ analysis_tests () @ hmm_tests () @ static)
   in
   (* The training kernels run for up to a second each: a longer quota
      gives the regression more than one sample. *)
-  let slow = Test.make_grouped ~name:"adprom" (kernel_tests ()) in
+  let slow = Test.make_grouped ~name:"adprom" training in
   let rows =
     measure (Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ()) quick
     @ measure (Benchmark.cfg ~limit:50 ~quota:(Time.second 3.0) ()) slow

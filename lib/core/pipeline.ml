@@ -81,6 +81,6 @@ let collect_outcomes ?analysis app =
   let analysis = match analysis with Some a -> a | None -> analyze_app app in
   map_cases ~analysis app (fun _ (_, outcome) -> outcome)
 
-let train_qsig ?analysis app = Audit.learn (collect_outcomes ?analysis app)
+let train_qsig app = Audit.learn (collect_outcomes app)
 
 let train_qsig_engine app = Adprom_qsig.Engine.create (train_qsig app)

@@ -1,4 +1,5 @@
 module Symbol = Analysis.Symbol
+module Trace_io = Runtime.Trace_io
 
 (* Line-oriented format:
      adprom-profile 1
@@ -11,31 +12,8 @@ module Symbol = Analysis.Symbol
      b <n> <m>               followed by n rows of m floats
      pairs <k>               followed by k "<caller> <symbol>" lines
      sites <k>               followed by k "<state> <symbol>" lines
-   Symbols are encoded as colon-separated fields. *)
-
-let encode_symbol = function
-  | Symbol.Entry -> "entry"
-  | Symbol.Exit -> "exit"
-  | Symbol.Func f -> "func:" ^ f
-  | Symbol.Lib { name; label; site } ->
-      let opt = function None -> "-" | Some i -> string_of_int i in
-      Printf.sprintf "lib:%s:%s:%s" name (opt label) (opt site)
-
-let decode_symbol s =
-  match String.split_on_char ':' s with
-  | [ "entry" ] -> Ok Symbol.Entry
-  | [ "exit" ] -> Ok Symbol.Exit
-  | [ "func"; f ] -> Ok (Symbol.Func f)
-  | [ "lib"; name; label; site ] ->
-      let opt = function "-" -> Ok None | v -> (
-        match int_of_string_opt v with
-        | Some i -> Ok (Some i)
-        | None -> Error ("bad int: " ^ v))
-      in
-      (match (opt label, opt site) with
-      | Ok label, Ok site -> Ok (Symbol.Lib { name; label; site })
-      | Error e, _ | _, Error e -> Error e)
-  | _ -> Error ("bad symbol: " ^ s)
+   Symbols are encoded as colon-separated fields, in the trace and
+   wire codec's encoding ({!Trace_io.encode_symbol}). *)
 
 let floats_to_line xs =
   String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.9g") xs))
@@ -122,7 +100,7 @@ let to_string (p : Profile.t) =
     pr.Profile.track_callers;
   line "threshold %.17g" p.Profile.threshold;
   line "alphabet %d" (Array.length p.Profile.alphabet);
-  Array.iter (fun s -> line "%s" (encode_symbol s)) p.Profile.alphabet;
+  Array.iter (fun s -> line "%s" (Trace_io.encode_symbol s)) p.Profile.alphabet;
   let model = p.Profile.model in
   line "pi %s" (floats_to_line model.Hmm.pi);
   line "a %d" model.Hmm.n;
@@ -135,11 +113,11 @@ let to_string (p : Profile.t) =
   done;
   let pairs = Hashtbl.fold (fun (c, s) () acc -> (c, s) :: acc) p.Profile.known_pairs [] in
   line "pairs %d" (List.length pairs);
-  List.iter (fun (c, s) -> line "%s %s" c (encode_symbol s)) pairs;
+  List.iter (fun (c, s) -> line "%s %s" c (Trace_io.encode_symbol s)) pairs;
   let clustering = p.Profile.clustering in
   line "sites %d" (Array.length clustering.Reduction.sites);
   Array.iteri
-    (fun i s -> line "%d %s" clustering.Reduction.assignment.(i) (encode_symbol s))
+    (fun i s -> line "%d %s" clustering.Reduction.assignment.(i) (Trace_io.encode_symbol s))
     clustering.Reduction.sites;
   Buffer.contents buf
 
@@ -163,7 +141,7 @@ let of_string text =
       raise (Bad (Printf.sprintf "expected %s, got %S" prefix l));
     String.trim (String.sub l n (String.length l - n))
   in
-  let sym s = match decode_symbol s with Ok v -> v | Error e -> raise (Bad e) in
+  let sym s = match Trace_io.decode_symbol s with Ok v -> v | Error e -> raise (Bad e) in
   (* [count] items, one per line, in an array built from the lines
      actually read: a header count alone never sizes an allocation *)
   let items count item =

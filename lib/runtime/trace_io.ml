@@ -26,16 +26,6 @@ let decode_symbol s =
       | Error e, _ | _, Error e -> Error e)
   | _ -> Error ("bad symbol: " ^ s)
 
-let to_string trace =
-  let buf = Buffer.create (Array.length trace * 32) in
-  Array.iter
-    (fun (e : Collector.event) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s\t%d\t%s\n" e.Collector.caller e.Collector.block
-           (encode_symbol e.Collector.symbol)))
-    trace;
-  Buffer.contents buf
-
 (* A cache key that reads no string bytes: within one program the block
    id nearly determines the event, and the string lengths and the label
    part the rest. Equal events get equal keys, which is all the cache
@@ -69,36 +59,3 @@ let parse_event ?cache line =
       Error
         (Printf.sprintf "expected 3 tab-separated fields (caller, block, symbol), got %d"
            (List.length fields))
-
-(* Tolerate CRLF line endings: the fields themselves never contain '\r'. *)
-let chomp line =
-  let n = String.length line in
-  if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-
-let of_string text =
-  let rec go acc lineno = function
-    | [] -> Ok (Array.of_list (List.rev acc))
-    | line :: rest -> (
-        let line = chomp line in
-        match String.trim line with
-        | "" -> go acc (lineno + 1) rest
-        | _ -> (
-            match parse_event line with
-            | Ok e -> go (e :: acc) (lineno + 1) rest
-            | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)))
-  in
-  go [] 1 (String.split_on_char '\n' text)
-
-let save trace path =
-  let oc = open_out_bin path in
-  output_string oc (to_string trace);
-  close_out oc
-
-let load path =
-  match open_in_bin path with
-  | ic ->
-      let n = in_channel_length ic in
-      let text = really_input_string ic n in
-      close_in ic;
-      of_string text
-  | exception Sys_error msg -> Error msg

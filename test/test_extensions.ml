@@ -359,45 +359,6 @@ let test_sessions_windowing () =
          not (Array.for_all (( = ) names.(0)) names))
        naive)
 
-(* --- trace persistence --------------------------------------------------------- *)
-
-let test_trace_io_roundtrip () =
-  let trace =
-    [|
-      { Runtime.Collector.symbol = Symbol.lib "printf"; caller = "main"; block = 4 };
-      {
-        Runtime.Collector.symbol = Symbol.Lib { name = "printf"; label = Some 6; site = Some 6 };
-        caller = "f";
-        block = 6;
-      };
-      { Runtime.Collector.symbol = Symbol.Func "helper"; caller = "main"; block = -1 };
-    |]
-  in
-  let text = Runtime.Trace_io.to_string trace in
-  (match Runtime.Trace_io.of_string text with
-  | Ok trace' -> Alcotest.(check bool) "round trip" true (trace = trace')
-  | Error e -> Alcotest.failf "parse failed: %s" e);
-  (match Runtime.Trace_io.of_string "garbage line" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage accepted");
-  let path = Filename.temp_file "adprom" ".trace" in
-  Runtime.Trace_io.save trace path;
-  (match Runtime.Trace_io.load path with
-  | Ok trace' -> Alcotest.(check bool) "file round trip" true (trace = trace')
-  | Error e -> Alcotest.failf "load failed: %s" e);
-  Sys.remove path
-
-let test_trace_io_feeds_training () =
-  (* A trace that went through disk trains the same windows. *)
-  let ds, _ = Lazy.force small_profile in
-  let _, trace0 = (List.hd ds.Pipeline.traces : Runtime.Testcase.t * Runtime.Collector.trace) in
-  match Runtime.Trace_io.of_string (Runtime.Trace_io.to_string trace0) with
-  | Ok trace ->
-      Alcotest.(check int) "same windows"
-        (List.length (Window.of_trace trace0))
-        (List.length (Window.of_trace trace))
-  | Error e -> Alcotest.failf "round trip failed: %s" e
-
 let () =
   Alcotest.run "extensions"
     [
@@ -427,11 +388,6 @@ let () =
         [
           Alcotest.test_case "interleave/demux round trip" `Quick test_sessions_roundtrip;
           Alcotest.test_case "windowing disciplines" `Quick test_sessions_windowing;
-        ] );
-      ( "trace io",
-        [
-          Alcotest.test_case "round trip" `Quick test_trace_io_roundtrip;
-          Alcotest.test_case "feeds training" `Quick test_trace_io_feeds_training;
         ] );
       ( "adaptive monitor",
         [

@@ -304,7 +304,7 @@ let banking =
        analysis;
        calls;
        mixed;
-       qsig = Adprom.Pipeline.train_qsig ~analysis app;
+       qsig = Adprom.Pipeline.train_qsig app;
        pol =
          (match Sens.parse banking_policy with
          | Ok pol -> pol

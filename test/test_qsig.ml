@@ -435,6 +435,68 @@ let test_qsig_off_bit_for_bit () =
             (counter off name))
         [ "adprom_events_offered_total"; "adprom_events_ingested_total" ]
 
+(* --- detection over the query-mutation family -------------------------- *)
+
+module Qmutate = Attack.Qmutate
+
+let reason_kind = function
+  | Engine.Unknown_signature _ -> "unknown signature"
+  | Engine.Impossible_signature _ -> "impossible signature"
+  | Engine.Malformed _ -> "malformed"
+  | Engine.Tautology -> "tautology"
+  | Engine.Constant_comparison -> "constant comparison"
+  | Engine.Slot_violation _ -> "slot violation"
+  | Engine.Cardinality_blowup _ -> "cardinality blowup"
+
+(* The kinds of reason one case's anomalous queries fire, sorted. *)
+let case_reasons engine qlog =
+  List.concat_map
+    (fun (sql, rows) ->
+      let v = Engine.check ~rows engine sql in
+      if v.Engine.anomalous then v.Engine.reasons else [])
+    qlog
+  |> List.map reason_kind |> List.sort_uniq compare
+
+(* The banking engine (Strict) stays quiet on the clean runs and flags
+   19 of 73 cases in every Qmutate scenario, each kind through its own
+   reasons. No scenario reaches Cardinality_blowup: dropping
+   WHERE and LIMIT changes the signature first. *)
+let test_qmutate_detection () =
+  let app = fused_app () in
+  let engine = Adprom.Pipeline.train_qsig_engine app in
+  let clean = Adprom.Pipeline.collect_outcomes app in
+  Alcotest.(check int) "clean cases flagged" 0
+    (List.length
+       (List.filter
+          (fun (o : Runtime.Interp.outcome) ->
+            case_reasons engine o.Runtime.Interp.query_log <> [])
+          clean));
+  let variants = 4 in
+  let family = Qmutate.family ~variants in
+  Alcotest.(check int) "scenarios" 12 (List.length family);
+  List.iteri
+    (fun i scenario ->
+      let id = scenario.Attack.Scenario.id in
+      let expected =
+        match List.nth Qmutate.all_kinds (i / variants) with
+        | Qmutate.Tautology_widening -> [ "tautology"; "unknown signature" ]
+        | Qmutate.Cardinality_blowup -> [ "unknown signature" ]
+        | Qmutate.Literal_out_of_band -> [ "slot violation" ]
+      in
+      let logs = Qmutate.run_logs scenario app in
+      Alcotest.(check int) (id ^ " cases") 73 (List.length logs);
+      let flagged =
+        List.filter_map
+          (fun (_, qlog) ->
+            match case_reasons engine qlog with [] -> None | r -> Some r)
+          logs
+      in
+      Alcotest.(check int) (id ^ " flagged") 19 (List.length flagged);
+      List.iter
+        (Alcotest.(check (list string)) (id ^ " reasons") expected)
+        flagged)
+    family
+
 let () =
   Alcotest.run "qsig"
     [
@@ -470,5 +532,10 @@ let () =
           Alcotest.test_case "codec mixed round-trip" `Quick test_codec_mixed_roundtrip;
           Alcotest.test_case "daemon query axis" `Quick test_daemon_query_axis;
           Alcotest.test_case "qsig off is bit-for-bit" `Quick test_qsig_off_bit_for_bit;
+        ] );
+      ( "detection",
+        [
+          Alcotest.test_case "query axis flags every Qmutate scenario" `Quick
+            test_qmutate_detection;
         ] );
     ]

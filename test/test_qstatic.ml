@@ -310,7 +310,7 @@ let test_daemon_gate () =
   let dataset = Pipeline.collect app in
   let analysis = dataset.Pipeline.analysis in
   let profile = Pipeline.train dataset in
-  let qsig = Pipeline.train_qsig ~analysis app in
+  let qsig = Pipeline.train_qsig app in
   let _, items = Banking_stream.items (Banking_stream.runs app analysis) in
   (* a queue bound no burst reaches: no session is shed by scheduling *)
   let replay gate =
@@ -365,7 +365,7 @@ let test_banking_static_profile () =
   let analysis = Pipeline.analyze_app app in
   let static = Qstatic.infer analysis.Analysis.Analyzer.pruned_cfgs in
   Alcotest.(check bool) "banking inference complete" true static.Qstatic.complete;
-  let qsig = Pipeline.train_qsig ~analysis app in
+  let qsig = Pipeline.train_qsig app in
   let trained = Adprom_qsig.Profile.signatures qsig in
   Alcotest.(check bool) "trained signatures all statically emittable" true
     (subset trained static.Qstatic.signatures);
