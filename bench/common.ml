@@ -37,6 +37,10 @@ type trained = {
   dataset : Adprom.Pipeline.dataset;
   adprom : Adprom.Profile.t Lazy.t;
   cmarkov : Adprom.Profile.t Lazy.t;
+  adprom_engine : Adprom.Scoring.t Lazy.t;
+  cmarkov_engine : Adprom.Scoring.t Lazy.t;
+      (** the two profiles compiled once, so every experiment scoring
+          them shares one verdict memo *)
   rand_hmm : Adprom.Profile.t Lazy.t;
   train_seconds : float ref;  (** wall time of the AD-PROM training *)
 }
@@ -45,22 +49,28 @@ let prepare ?(big = false) app =
   let dataset = Adprom.Pipeline.collect app in
   let params = sir_params ~big in
   let train_seconds = ref 0.0 in
+  let adprom =
+    lazy
+      (let profile, dt = time (fun () -> Adprom.Pipeline.train ~params dataset) in
+       train_seconds := dt;
+       profile)
+  in
+  let cmarkov =
+    lazy
+      (Adprom.Pipeline.train
+         ~params:
+           {
+             Adprom.Pipeline.cmarkov_params with
+             Adprom.Profile.max_rounds = params.Adprom.Profile.max_rounds;
+           }
+         dataset)
+  in
   {
     dataset;
-    adprom =
-      lazy
-        (let profile, dt = time (fun () -> Adprom.Pipeline.train ~params dataset) in
-         train_seconds := dt;
-         profile);
-    cmarkov =
-      lazy
-        (Adprom.Pipeline.train
-           ~params:
-             {
-               Adprom.Pipeline.cmarkov_params with
-               Adprom.Profile.max_rounds = params.Adprom.Profile.max_rounds;
-             }
-           dataset);
+    adprom;
+    cmarkov;
+    adprom_engine = lazy (Adprom.Scoring.create (Lazy.force adprom));
+    cmarkov_engine = lazy (Adprom.Scoring.create (Lazy.force cmarkov));
     rand_hmm = lazy (Adprom.Pipeline.train ~params:(rand_params_of params) dataset);
     train_seconds;
   }

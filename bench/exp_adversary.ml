@@ -19,11 +19,10 @@ let run () =
     List.map
       (fun (flavor, (case : Dataset.Ca_attacks.case)) ->
         let trained = trained_for case.Dataset.Ca_attacks.app in
-        let profile = Lazy.force trained.Common.adprom in
         let traces =
           Attack.Scenario.run case.Dataset.Ca_attacks.scenario case.Dataset.Ca_attacks.app
         in
-        let engine = Adprom.Scoring.of_profile profile in
+        let engine = Lazy.force trained.Common.adprom_engine in
         let verdicts =
           List.concat_map
             (fun (_, trace) -> List.map snd (Adprom.Scoring.monitor engine trace))

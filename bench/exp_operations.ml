@@ -11,7 +11,7 @@ let sessions () =
   Common.heading "Interleaved sessions: naive vs per-session windowing (normal traffic)";
   let t = Lazy.force Common.ca_banking in
   let ds = t.Common.dataset in
-  let profile = Lazy.force t.Common.adprom in
+  let engine = Lazy.force t.Common.adprom_engine in
   let rng = Mlkit.Rng.create 31337 in
   let traces = List.map snd ds.Adprom.Pipeline.traces in
   let groups =
@@ -24,7 +24,6 @@ let sessions () =
     in
     chunk [] [] 0 traces
   in
-  let engine = Adprom.Scoring.of_profile profile in
   let evaluate windows_of =
     let alarms = ref 0 and total = ref 0 in
     List.iter

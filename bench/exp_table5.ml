@@ -12,10 +12,9 @@ let trained_for (app : Adprom.Pipeline.app) =
   | Some (_, t) -> Lazy.force t
   | None -> Common.prepare app
 
-let verdicts profile traces =
-  (* one compiled engine per profile: windows repeated across the attack
-     runs hit the verdict memo instead of re-running the forward pass *)
-  let engine = Adprom.Scoring.of_profile profile in
+(* one compiled engine per profile: windows repeated across the attack
+   runs hit the verdict memo instead of re-running the forward pass *)
+let verdicts engine traces =
   List.concat_map
     (fun (_, trace) -> List.map snd (Adprom.Scoring.monitor engine trace))
     traces
@@ -29,8 +28,8 @@ let run () =
         let traces =
           Attack.Scenario.run case.Dataset.Ca_attacks.scenario case.Dataset.Ca_attacks.app
         in
-        let describe profile =
-          let vs = verdicts profile traces in
+        let describe engine =
+          let vs = verdicts engine traces in
           let worst = Adprom.Detector.worst vs in
           match worst with
           | Adprom.Detector.Normal -> "undetected"
@@ -40,8 +39,8 @@ let run () =
         [
           case.Dataset.Ca_attacks.label;
           case.Dataset.Ca_attacks.app.Adprom.Pipeline.name;
-          describe (Lazy.force trained.Common.cmarkov);
-          describe (Lazy.force trained.Common.adprom);
+          describe (Lazy.force trained.Common.cmarkov_engine);
+          describe (Lazy.force trained.Common.adprom_engine);
         ])
       (Dataset.Ca_attacks.all ())
   in

@@ -20,7 +20,7 @@ let run () =
             ~count:anomalies_per_kind pool
         in
         let anomalous = synth `S2 @ synth `S3 in
-        let engine = Adprom.Scoring.of_profile profile in
+        let engine = Lazy.force t.Common.adprom_engine in
         let flagged w =
           (Adprom.Scoring.classify engine w).Adprom.Detector.flag <> Adprom.Detector.Normal
         in

@@ -32,6 +32,16 @@ let builtin_apps () =
     ("webportal", Dataset.Web_portal.app ());
   ]
 
+(* a built-in app, named as list-apps prints it *)
+let app_conv =
+  Arg.conv'
+    ( (fun name ->
+        Option.to_result
+          ~none:(Printf.sprintf "unknown app %S; try `adprom list-apps`" name)
+          (List.assoc_opt name (builtin_apps ()))),
+      fun ppf (app : Adprom.Pipeline.app) ->
+        Format.pp_print_string ppf app.Adprom.Pipeline.name )
+
 (* --- analyze ----------------------------------------------------------- *)
 
 let analyze_cmd_run file verbose dot_dir =
@@ -518,46 +528,42 @@ let run_cmd =
 
 (* --- demo -------------------------------------------------------------- *)
 
-let demo_cmd_run app_name =
-  match List.assoc_opt app_name (builtin_apps ()) with
-  | None ->
-      `Error (false, Printf.sprintf "unknown app %S; try `adprom list-apps`" app_name)
-  | Some app ->
-      Printf.printf "Collecting normal traces of %s ...\n%!" app.Adprom.Pipeline.name;
-      let dataset = Adprom.Pipeline.collect app in
-      Printf.printf "Training the profile (%d sequences) ...\n%!"
-        (List.length dataset.Adprom.Pipeline.windows);
-      let engine = Adprom.Pipeline.train_engine dataset in
-      let profile = Adprom.Scoring.profile engine in
-      Printf.printf "Profile ready: %d states, threshold %.3f\n"
-        profile.Adprom.Profile.clustering.Adprom.Reduction.states
-        profile.Adprom.Profile.threshold;
-      let attacks =
-        List.filter
-          (fun (c : Dataset.Ca_attacks.case) ->
-            c.Dataset.Ca_attacks.app.Adprom.Pipeline.name = app.Adprom.Pipeline.name)
-          (Dataset.Ca_attacks.all ())
-      in
-      if attacks = [] then
-        Printf.printf "(no built-in attack scenario targets this app)\n"
-      else
-        List.iter
-          (fun (c : Dataset.Ca_attacks.case) ->
-            let traces = Attack.Scenario.run c.Dataset.Ca_attacks.scenario app in
-            let verdicts =
-              List.concat_map
-                (fun (_, t) -> List.map snd (Adprom.Scoring.monitor engine t))
-                traces
-            in
-            Printf.printf "%s -> %s\n" c.Dataset.Ca_attacks.label
-              (Adprom.Detector.flag_to_string (Adprom.Detector.worst verdicts)))
-          attacks;
-      `Ok ()
+let demo_cmd_run (app : Adprom.Pipeline.app) =
+  Printf.printf "Collecting normal traces of %s ...\n%!" app.Adprom.Pipeline.name;
+  let dataset = Adprom.Pipeline.collect app in
+  Printf.printf "Training the profile (%d sequences) ...\n%!"
+    (List.length dataset.Adprom.Pipeline.windows);
+  let engine = Adprom.Scoring.create (Adprom.Pipeline.train dataset) in
+  let profile = Adprom.Scoring.profile engine in
+  Printf.printf "Profile ready: %d states, threshold %.3f\n"
+    profile.Adprom.Profile.clustering.Adprom.Reduction.states
+    profile.Adprom.Profile.threshold;
+  let attacks =
+    List.filter
+      (fun (c : Dataset.Ca_attacks.case) ->
+        c.Dataset.Ca_attacks.app.Adprom.Pipeline.name = app.Adprom.Pipeline.name)
+      (Dataset.Ca_attacks.all ())
+  in
+  if attacks = [] then
+    Printf.printf "(no built-in attack scenario targets this app)\n"
+  else
+    List.iter
+      (fun (c : Dataset.Ca_attacks.case) ->
+        let traces = Attack.Scenario.run c.Dataset.Ca_attacks.scenario app in
+        let verdicts =
+          List.concat_map
+            (fun (_, t) -> List.map snd (Adprom.Scoring.monitor engine t))
+            traces
+        in
+        Printf.printf "%s -> %s\n" c.Dataset.Ca_attacks.label
+          (Adprom.Detector.flag_to_string (Adprom.Detector.worst verdicts)))
+      attacks;
+  `Ok ()
 
 let app_arg =
   Arg.(
     required
-    & pos 0 (some string) None
+    & pos 0 (some app_conv) None
     & info [] ~docv:"APP" ~doc:"Built-in app name (see list-apps).")
 
 let demo_cmd =
@@ -567,20 +573,17 @@ let demo_cmd =
 
 (* --- train ------------------------------------------------------------- *)
 
-let train_cmd_run app_name output =
-  match List.assoc_opt app_name (builtin_apps ()) with
-  | None -> `Error (false, Printf.sprintf "unknown app %S; try `adprom list-apps`" app_name)
-  | Some app ->
-      Printf.printf "Collecting traces and training %s ...\n%!" app.Adprom.Pipeline.name;
-      let dataset = Adprom.Pipeline.collect app in
-      let profile = Adprom.Pipeline.train dataset in
-      Adprom.Profile_io.save profile output;
-      Printf.printf "Profile written to %s (%d states, %d observables, threshold %.3f)\n"
-        output
-        profile.Adprom.Profile.clustering.Adprom.Reduction.states
-        (Array.length profile.Adprom.Profile.alphabet)
-        profile.Adprom.Profile.threshold;
-      `Ok ()
+let train_cmd_run (app : Adprom.Pipeline.app) output =
+  Printf.printf "Collecting traces and training %s ...\n%!" app.Adprom.Pipeline.name;
+  let dataset = Adprom.Pipeline.collect app in
+  let profile = Adprom.Pipeline.train dataset in
+  Adprom.Profile_io.save profile output;
+  Printf.printf "Profile written to %s (%d states, %d observables, threshold %.3f)\n"
+    output
+    profile.Adprom.Profile.clustering.Adprom.Reduction.states
+    (Array.length profile.Adprom.Profile.alphabet)
+    profile.Adprom.Profile.threshold;
+  `Ok ()
 
 let output_arg =
   Arg.(
@@ -622,11 +625,11 @@ let check_cmd_run profile_path file inputs =
                   Printf.sprintf " (out of context: %s from %s)"
                     (Analysis.Symbol.to_string sym) caller
               | None -> "");
-            match Adprom.Detector.explain ~top:1 profile w with
-            | [ s ] ->
+            match Adprom.Scoring.explain ~top:1 scoring w with
+            | Some { Adprom.Scoring.top = [ c ]; _ } ->
                 Printf.printf "      most surprising: %s from %s (position %d)\n"
-                  (Analysis.Symbol.to_string s.Adprom.Detector.symbol)
-                  s.Adprom.Detector.caller s.Adprom.Detector.position
+                  (Analysis.Symbol.to_string c.Adprom.Scoring.symbol)
+                  c.Adprom.Scoring.caller c.Adprom.Scoring.position
             | _ -> ()
           end)
         verdicts;
@@ -955,33 +958,30 @@ let host_items stream (outcomes : Runtime.Interp.outcome list) =
     (Array.map (fun ev -> Service.Transport.Call ev) stream)
     (Array.of_list queries)
 
-let record_cmd_run app_name output sessions seed wire =
-  match List.assoc_opt app_name (builtin_apps ()) with
-  | None -> `Error (false, Printf.sprintf "unknown app %S; try `adprom list-apps`" app_name)
-  | Some app ->
-      let analysis = Adprom.Pipeline.analyze_app app in
-      let cases = app.Adprom.Pipeline.test_cases in
-      if cases = [] then `Error (false, "app has no test cases")
-      else begin
-        let runs =
-          List.init sessions (fun i ->
-              let tc = List.nth cases (i mod List.length cases) in
-              Adprom.Pipeline.run_case ~analysis app tc)
-        in
-        let rng = Mlkit.Rng.create seed in
-        let stream = Adprom.Sessions.interleave ~rng (List.map fst runs) in
-        let items = host_items stream (List.map snd runs) in
-        let oc = open_out_bin output in
-        output_string oc
-          (Service.Transport.encode_all (Service.Frame.transport_of_wire wire) items);
-        close_out oc;
-        Printf.printf "%d sessions, %d events, %d queries -> %s (%s)\n" sessions
-          (Array.length stream)
-          (Array.length items - Array.length stream)
-          output
-          (Service.Transport.wire_to_string wire);
-        `Ok ()
-      end
+let record_cmd_run (app : Adprom.Pipeline.app) output sessions seed wire =
+  let analysis = Adprom.Pipeline.analyze_app app in
+  let cases = app.Adprom.Pipeline.test_cases in
+  if cases = [] then `Error (false, "app has no test cases")
+  else begin
+    let runs =
+      List.init sessions (fun i ->
+          let tc = List.nth cases (i mod List.length cases) in
+          Adprom.Pipeline.run_case ~analysis app tc)
+    in
+    let rng = Mlkit.Rng.create seed in
+    let stream = Adprom.Sessions.interleave ~rng (List.map fst runs) in
+    let items = host_items stream (List.map snd runs) in
+    let oc = open_out_bin output in
+    output_string oc
+      (Service.Transport.encode_all (Service.Frame.transport_of_wire wire) items);
+    close_out oc;
+    Printf.printf "%d sessions, %d events, %d queries -> %s (%s)\n" sessions
+      (Array.length stream)
+      (Array.length items - Array.length stream)
+      output
+      (Service.Transport.wire_to_string wire);
+    `Ok ()
+  end
 
 let sessions_arg =
   Arg.(
@@ -1091,17 +1091,15 @@ let replay_cmd =
        $ verify_flag $ vet_program_arg $ qsig_profile_path_arg $ log_level_arg
        $ log_tail_arg $ trace_out_arg))
 
-let serve_cmd_run app_name daemon seed listen node_name log_level log_file
-    log_max_bytes log_tail trace_out =
+let serve_cmd_run (app : Adprom.Pipeline.app) daemon seed listen node_name
+    log_level log_file log_max_bytes log_tail trace_out =
   match obs_setup ?log_file ?log_max_bytes log_level trace_out with
   | exception Invalid_argument msg -> `Error (false, msg)
   | () -> (
-  match List.assoc_opt app_name (builtin_apps ()) with
-  | None -> `Error (false, Printf.sprintf "unknown app %S; try `adprom list-apps`" app_name)
-  | Some app when listen <> None -> (
+  match listen with
+  | Some port -> (
       (* cluster node: train locally, then monitor whatever a router (or
          nc with a text record file) streams at the port *)
-      let port = Option.get listen in
       Printf.printf "Training %s ...\n%!" app.Adprom.Pipeline.name;
       let dataset = Adprom.Pipeline.collect app in
       let profile = Adprom.Pipeline.train dataset in
@@ -1126,13 +1124,13 @@ let serve_cmd_run app_name daemon seed listen node_name log_level log_file
               print_outcome ~log_tail outcome;
               obs_finish trace_out;
               `Ok ()))
-  | Some app ->
+  | None ->
       Printf.printf "Training %s ...\n%!" app.Adprom.Pipeline.name;
       let dataset = Adprom.Pipeline.collect app in
       let profile = Adprom.Pipeline.train dataset in
       let analysis = dataset.Adprom.Pipeline.analysis in
       (* Normal tenants: one session per test case, re-run to get the
-         run-level outcomes the auditor needs. *)
+         run-level outcomes the auditor and the query axis need. *)
       let normal =
         List.map
           (fun tc ->
@@ -1142,7 +1140,7 @@ let serve_cmd_run app_name daemon seed listen node_name log_level log_file
       in
       let qsig = Adprom.Audit.learn (List.map (fun (_, _, o) -> o) normal) in
       (* Malicious tenants: every built-in attack on this app joins the
-         same host stream, audited against the query-signature profile. *)
+         same host stream. *)
       let attacks =
         List.filter
           (fun (c : Dataset.Ca_attacks.case) ->
@@ -1175,15 +1173,17 @@ let serve_cmd_run app_name daemon seed listen node_name log_level log_file
       Printf.printf "Serving %d sessions (%d normal, %d attack), %d events, %d shards ...\n%!"
         (List.length sessions) (List.length normal) (List.length malicious)
         (Array.length stream) daemon.shards;
+      (* the run-level tainted-file findings; query incidents come from
+         the daemon's query axis, under --qsig *)
       let alerts = Service.Alerts.create () in
       List.iteri
         (fun i (_, _, o) ->
           List.iter
             (Service.Alerts.record_finding alerts ~session:i)
-            (Adprom.Audit.audit ~qsig o))
+            (Adprom.Audit.audit o))
         sessions;
-      (* the executed queries of every session join the host stream, so
-         the daemon's query axis sees the same traffic the auditor did *)
+      (* the executed queries of every session join the host stream, for
+         the daemon's query axis *)
       let items = host_items stream (List.map (fun (_, _, o) -> o) sessions) in
       match
         Service.Replay.run
@@ -1793,20 +1793,17 @@ let explain_cmd =
 
 (* --- qsig: the query-signature detection axis -------------------------- *)
 
-let qsig_train_cmd_run app_name output =
-  match List.assoc_opt app_name (builtin_apps ()) with
-  | None -> `Error (false, Printf.sprintf "unknown app %S; try `adprom list-apps`" app_name)
-  | Some app ->
-      Printf.printf "Collecting query logs and training %s ...\n%!"
-        app.Adprom.Pipeline.name;
-      let profile = Adprom.Pipeline.train_qsig app in
-      Adprom_qsig.Profile.save profile output;
-      Printf.printf
-        "Query-signature profile written to %s (%d signatures, %d malformed)\n"
-        output
-        (Adprom_qsig.Profile.cardinality profile)
-        (Adprom_qsig.Profile.malformed_count profile);
-      `Ok ()
+let qsig_train_cmd_run (app : Adprom.Pipeline.app) output =
+  Printf.printf "Collecting query logs and training %s ...\n%!"
+    app.Adprom.Pipeline.name;
+  let profile = Adprom.Pipeline.train_qsig app in
+  Adprom_qsig.Profile.save profile output;
+  Printf.printf
+    "Query-signature profile written to %s (%d signatures, %d malformed)\n"
+    output
+    (Adprom_qsig.Profile.cardinality profile)
+    (Adprom_qsig.Profile.malformed_count profile);
+  `Ok ()
 
 let qsig_profile_pos_arg =
   Arg.(

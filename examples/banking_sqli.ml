@@ -14,6 +14,7 @@ let () =
   Printf.printf "  %d normal sequences, threshold %.3f\n\n"
     (List.length dataset.Adprom.Pipeline.windows)
     profile.Adprom.Profile.threshold;
+  let engine = Adprom.Scoring.create profile in
 
   Printf.printf "Attack: %s\n\n" case.Dataset.Ca_attacks.scenario.Attack.Scenario.description;
   let malicious_traces =
@@ -31,7 +32,7 @@ let () =
               e.Runtime.Collector.caller)
         trace;
       if Array.length trace > 24 then Printf.printf "  ... (%d more)\n" (Array.length trace - 24);
-      let verdicts = Adprom.Detector.monitor profile trace in
+      let verdicts = Adprom.Scoring.monitor engine trace in
       let counts = Hashtbl.create 4 in
       List.iter
         (fun (_, (v : Adprom.Detector.verdict)) ->
@@ -50,12 +51,12 @@ let () =
      query-signature engine (what `adprom qsig train banking` followed
      by `adprom qsig check` does from the shell). *)
   Printf.printf "\nQuery axis (signature + constraint + band engine):\n";
-  let qengine = Adprom.Pipeline.train_qsig_engine app in
+  let qengine = Adprom_qsig.Engine.create (Adprom.Pipeline.train_qsig app) in
   let seq_hit = ref false and query_hit = ref false in
   List.iter
     (fun (_, trace) ->
       let worst =
-        Adprom.Detector.worst (List.map snd (Adprom.Detector.monitor profile trace))
+        Adprom.Detector.worst (List.map snd (Adprom.Scoring.monitor engine trace))
       in
       if worst = Adprom.Detector.Data_leak || worst = Adprom.Detector.Out_of_context
       then seq_hit := true)

@@ -4,7 +4,7 @@
    1. An attacker rewrites the query so it returns the SAME number of
       rows (equal selectivity): the call sequence is unchanged, so the
       HMM detector stays silent — exactly the limitation the paper
-      acknowledges. The query-signature profile catches it.
+      acknowledges. The query axis (the query-signature engine) catches it.
    2. An attacker stages targeted data into a file and ships it with a
       shell command: the staging writes are normal-looking, but the file
       is labeled by the dynamic data-flow tracking, and the audit flags
@@ -67,24 +67,32 @@ let () =
   let qsig = Adprom.Audit.learn outcomes in
   Printf.printf "Trained: HMM profile (threshold %.3f) + %d query signature(s)\n\n"
     profile.Adprom.Profile.threshold (Adprom_qsig.Profile.cardinality qsig);
+  let engine = Adprom.Scoring.create profile in
+  let qengine = Adprom_qsig.Engine.create qsig in
 
   let examine label input =
     let tc = Runtime.Testcase.make ~input:[ input ] label in
     let trace, outcome = Adprom.Pipeline.run_case ~analysis app tc in
     let hmm_flag =
       Adprom.Detector.flag_to_string
-        (Adprom.Detector.worst (List.map snd (Adprom.Detector.monitor profile trace)))
+        (Adprom.Detector.worst (List.map snd (Adprom.Scoring.monitor engine trace)))
     in
-    let findings = Adprom.Audit.audit ~qsig outcome in
-    Printf.printf "%-24s HMM: %-10s audit findings: %d\n" label hmm_flag
-      (List.length findings);
+    let qlog = outcome.Runtime.Interp.query_log in
+    let anomalies =
+      List.filter
+        (fun (_, (v : Adprom_qsig.Engine.verdict)) -> v.Adprom_qsig.Engine.anomalous)
+        (List.combine qlog (Adprom_qsig.Engine.check_log qengine qlog))
+    in
+    Printf.printf "%-24s HMM: %-10s query anomalies: %d\n" label hmm_flag
+      (List.length anomalies);
     List.iter
-      (fun f -> Printf.printf "    - %s\n" (Adprom.Audit.finding_to_string f))
-      findings
+      (fun ((sql, _), v) ->
+        Printf.printf "    - %S: %s\n" sql (Adprom_qsig.Engine.verdict_to_string v))
+      anomalies
   in
   examine "honest lookup" "105";
   (* Equal selectivity: one row comes back, the call sequence matches
-     training exactly — only the signature profile notices. *)
+     training exactly — only the query axis notices. *)
   examine "equal-selectivity theft" "' OR id = '119";
 
   (* Staged exfiltration: patch the binary so the archive loop also
@@ -110,13 +118,12 @@ let () =
     (String.concat "; " outcome.Runtime.Interp.tainted_files);
   List.iter
     (fun f -> Printf.printf "    - %s\n" (Adprom.Audit.finding_to_string f))
-    (Adprom.Audit.audit ~qsig outcome);
+    (Adprom.Audit.audit outcome);
 
   (* 3. The full query-mutation family (tautology widening, cardinality
      blowup, out-of-band literals) against this app: the call sequence
      stays intact in every variant, so only the query axis can see it. *)
   print_newline ();
-  let qengine = Adprom_qsig.Engine.create qsig in
   let caught_of scenario =
     List.exists
       (fun (_, qlog) ->
@@ -138,7 +145,7 @@ let () =
      query axis alone — the CI gate greps this line. *)
   let case = Dataset.Ca_attacks.attack5 () in
   let banking = case.Dataset.Ca_attacks.app in
-  let bank_engine = Adprom.Pipeline.train_qsig_engine banking in
+  let bank_engine = Adprom_qsig.Engine.create (Adprom.Pipeline.train_qsig banking) in
   let attack5_caught =
     List.exists
       (fun (_, qlog) ->

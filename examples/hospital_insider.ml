@@ -29,12 +29,12 @@ let () =
 
   Printf.printf "Training the profile on the original application ...\n%!";
   let dataset = Adprom.Pipeline.collect app in
-  let profile = Adprom.Pipeline.train dataset in
+  let engine = Adprom.Scoring.create (Adprom.Pipeline.train dataset) in
 
   let traces = Attack.Scenario.run case.Dataset.Ca_attacks.scenario app in
   let verdicts =
     List.concat_map
-      (fun (_, trace) -> List.map snd (Adprom.Detector.monitor profile trace))
+      (fun (_, trace) -> List.map snd (Adprom.Scoring.monitor engine trace))
       traces
   in
   let leaks =

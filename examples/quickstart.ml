@@ -60,12 +60,13 @@ let () =
     profile.Adprom.Profile.clustering.Adprom.Reduction.states
     (Array.length profile.Adprom.Profile.alphabet)
     profile.Adprom.Profile.threshold;
+  let engine = Adprom.Scoring.create profile in
 
   (* 3. detection: a normal run and a tautology injection *)
   let monitor label input =
     let tc = Runtime.Testcase.make ~input:[ input ] label in
     let trace, outcome = Adprom.Pipeline.run_case ~analysis app tc in
-    let verdicts = Adprom.Detector.monitor profile trace in
+    let verdicts = Adprom.Scoring.monitor engine trace in
     Printf.printf "%-10s input=%-14s rows_printed=%d verdict=%s\n" label input
       outcome.Runtime.Interp.leaked_values
       (Adprom.Detector.flag_to_string (Adprom.Detector.worst (List.map snd verdicts)))

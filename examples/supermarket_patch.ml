@@ -13,7 +13,7 @@ let () =
 
   Printf.printf "Training the profile on the clean binary ...\n%!";
   let dataset = Adprom.Pipeline.collect app in
-  let profile = Adprom.Pipeline.train dataset in
+  let engine = Adprom.Scoring.create (Adprom.Pipeline.train dataset) in
 
   (* Run one test case with and without the patch and diff the traces. *)
   let _, patches, _ = Attack.Scenario.apply case.Dataset.Ca_attacks.scenario app in
@@ -35,9 +35,9 @@ let () =
         e.Runtime.Collector.caller e.Runtime.Collector.block)
     injected;
 
-  let verdicts = Adprom.Detector.monitor profile patched_trace in
+  let verdicts = Adprom.Scoring.monitor engine patched_trace in
   Printf.printf "\nDetection on the patched run: %s\n"
     (Adprom.Detector.flag_to_string (Adprom.Detector.worst (List.map snd verdicts)));
-  let clean_verdicts = Adprom.Detector.monitor profile clean_trace in
+  let clean_verdicts = Adprom.Scoring.monitor engine clean_trace in
   Printf.printf "Detection on the clean run:   %s\n"
     (Adprom.Detector.flag_to_string (Adprom.Detector.worst (List.map snd clean_verdicts)))

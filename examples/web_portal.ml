@@ -17,13 +17,14 @@ let () =
     profile.Adprom.Profile.clustering.Adprom.Reduction.states
     (Array.length profile.Adprom.Profile.alphabet)
     profile.Adprom.Profile.threshold;
+  let engine = Adprom.Scoring.create profile in
 
   let show label (tc : Runtime.Testcase.t) =
     let trace, out =
       Adprom.Pipeline.run_case ~analysis:ds.Adprom.Pipeline.analysis app tc
     in
     let verdict =
-      Adprom.Detector.worst (List.map snd (Adprom.Detector.monitor profile trace))
+      Adprom.Detector.worst (List.map snd (Adprom.Scoring.monitor engine trace))
     in
     Printf.printf "%-18s requests=%d leaked_values=%d verdict=%s\n" label
       (List.length tc.Runtime.Testcase.requests)

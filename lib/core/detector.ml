@@ -55,10 +55,6 @@ let reference_classify profile window =
   in
   { flag; score; unknown_symbol; unknown_pair }
 
-let classify profile window = Scoring.classify (Scoring.of_profile profile) window
-
-let monitor profile trace = Scoring.monitor (Scoring.of_profile profile) trace
-
 let worst verdicts =
   List.fold_left
     (fun acc v -> if severity v.flag > severity acc then v.flag else acc)

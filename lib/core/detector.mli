@@ -10,12 +10,12 @@
       never issued it during training;
     - [Anomalous]: everything else below threshold.
 
-    Since the scoring-engine redesign, [classify] and [monitor] are
-    thin wrappers over the compiled {!Scoring} engine (interned
-    symbols, allocation-free forward pass, memoized verdicts) obtained
-    via {!Scoring.of_profile}; their behaviour is unchanged.
-    {!reference_classify} keeps the original uncompiled path as the
-    executable specification. *)
+    This module holds the flag vocabulary and the executable
+    specifications. Detection itself runs on the compiled {!Scoring}
+    engine (interned symbols, allocation-free forward pass, memoized
+    verdicts): build one with {!Scoring.create} and call
+    {!Scoring.classify} or {!Scoring.monitor}. {!reference_classify}
+    and {!explain} are the uncompiled paths the engine is held to. *)
 
 type flag = Scoring.flag =
   | Normal
@@ -33,12 +33,6 @@ type verdict = Scoring.verdict = {
 
 val flag_to_string : flag -> string
 
-val classify : Profile.t -> Window.t -> verdict
-(** Equivalent to [Scoring.classify (Scoring.of_profile profile)]:
-    identical verdicts and bit-for-bit identical scores to
-    {!reference_classify}, amortized over the domain-local compiled
-    engine. *)
-
 val reference_classify : Profile.t -> Window.t -> verdict
 (** The original, uncompiled detection path — no interning, no memo.
     A reference: the specification the engine is property-tested
@@ -46,10 +40,6 @@ val reference_classify : Profile.t -> Window.t -> verdict
     (incl. memo hits)" and "Stream verdicts = reference_classify on
     each Window.of_trace window"), the [reference_classify] gate of
     [bench/perf], and the pre-compilation baseline of the benches. *)
-
-val monitor : Profile.t -> Runtime.Collector.trace -> (Window.t * verdict) list
-(** Slide the profile's window over a run-time trace and classify each
-    position — the online detection loop. *)
 
 val severity : flag -> int
 (** The one severity order of flags: [Normal] 0, [Anomalous] 1,
@@ -70,4 +60,6 @@ val explain : top:int -> Profile.t -> Window.t -> surprise list
 (** The [top] most surprising positions of a window, most surprising
     first — what the security administrator looks at when an alarm
     fires. Symbols outside the alphabet have infinite surprisal and
-    always rank first. *)
+    always rank first. A reference: {!Scoring.explain}'s ranked
+    contributions equal it bit for bit (test_scoring's
+    "Scoring.explain: gate = reference evidence, margin >= 0"). *)

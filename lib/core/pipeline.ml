@@ -75,12 +75,8 @@ let train ?(params = adprom_params) dataset =
   in
   Profile.train ~params ~analysis:dataset.analysis windows
 
-let train_engine dataset = Scoring.create (train dataset)
-
 let collect_outcomes ?analysis app =
   let analysis = match analysis with Some a -> a | None -> analyze_app app in
   map_cases ~analysis app (fun _ (_, outcome) -> outcome)
 
 let train_qsig app = Audit.learn (collect_outcomes app)
-
-let train_qsig_engine app = Adprom_qsig.Engine.create (train_qsig app)

@@ -44,12 +44,6 @@ val cmarkov_params : Profile.params
 
 val train : ?params:Profile.params -> dataset -> Profile.t
 
-val train_engine : dataset -> Scoring.t
-(** [train] followed by {!Scoring.create}: the profile compiled into a
-    ready-to-serve scoring engine (interned symbol tables, preallocated
-    forward-pass buffers, verdict memo), so classification never pays
-    per-window setup. *)
-
 val collect_outcomes :
   ?analysis:Analysis.Analyzer.t -> app -> Runtime.Interp.outcome list
 (** Run every test case for its outcome only (no trace windowing) —
@@ -58,6 +52,3 @@ val collect_outcomes :
 val train_qsig : app -> Adprom_qsig.Profile.t
 (** Query-signature profile over all training outcomes ({!Audit.learn}
     on {!collect_outcomes}). *)
-
-val train_qsig_engine : app -> Adprom_qsig.Engine.t
-(** {!train_qsig} compiled for repeated checking. *)

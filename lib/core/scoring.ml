@@ -684,31 +684,6 @@ let extend t windows =
   | None -> ());
   t'
 
-(* --- per-profile engine cache (domain-local) ---------------------------- *)
-
-let of_profile_limit = 8
-
-let dls_engines : (Profile.t * t) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let of_profile p =
-  let engines = Domain.DLS.get dls_engines in
-  match List.find_opt (fun (p', _) -> p' == p) !engines with
-  | Some (_, eng) ->
-      (match !engines with
-      | (p', _) :: _ when p' == p -> ()  (* already MRU: skip the rebuild *)
-      | _ -> engines := (p, eng) :: List.filter (fun (p', _) -> p' != p) !engines);
-      eng
-  | None ->
-      let eng = create p in
-      let rest =
-        if List.length !engines >= of_profile_limit then
-          List.filteri (fun i _ -> i < of_profile_limit - 1) !engines
-        else !engines
-      in
-      engines := (p, eng) :: rest;
-      eng
-
 (* --- incremental per-session streams ------------------------------------ *)
 
 module Stream = struct

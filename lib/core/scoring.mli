@@ -15,8 +15,8 @@
     (property-tested in [test/test_scoring.ml]).
 
     An engine is {b not} thread-safe (it owns scratch buffers and the
-    memo): use one engine per domain. {!of_profile} hands out
-    domain-local engines keyed by physical profile identity. *)
+    memo): use one engine per domain. Callers build one with {!create}
+    where they build or load the profile, and keep it. *)
 
 type flag =
   | Normal
@@ -38,12 +38,6 @@ val create : ?cache_capacity:int -> Profile.t -> t
 (** Compile the profile. [cache_capacity 0] disables the verdict memo
     (every window pays the forward pass).
     @raise Invalid_argument on a negative capacity. *)
-
-val of_profile : Profile.t -> t
-(** The domain-local engine of this profile (physical identity): the
-    engine behind the thin [Detector.classify]/[Detector.monitor]
-    wrappers. At most a handful of engines are retained per domain,
-    most-recently-used first. *)
 
 val profile : t -> Profile.t
 

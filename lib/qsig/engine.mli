@@ -30,7 +30,6 @@ type reason =
 
 type verdict = { anomalous : bool; reasons : reason list }
 
-val reason_to_string : reason -> string
 val verdict_to_string : verdict -> string
 
 type t

@@ -74,8 +74,6 @@ let copy t =
     t.entries;
   { entries; malformed = t.malformed }
 
-let mem t signature = Hashtbl.mem t.entries (Signature.to_string signature)
-
 let signatures t =
   Hashtbl.fold (fun key _ acc -> key :: acc) t.entries [] |> List.sort String.compare
 

@@ -28,7 +28,6 @@ val copy : t -> t
 (** Independent deep copy; further learning on either side does not
     affect the other. *)
 
-val mem : t -> Signature.t -> bool
 val find_by_text : t -> string -> entry option
 val signatures : t -> string list
 (** Signature texts, sorted. *)

@@ -4,9 +4,6 @@ type t = string
 
 let of_statement stmt = Sqldb.Sql_pp.signature stmt
 
-let of_sql sql =
-  Result.map of_statement (Sqldb.Sql_parser.parse sql)
-
 let to_string s = s
 
 (* ------------------------------------------------------------------ *)

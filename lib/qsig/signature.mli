@@ -12,9 +12,6 @@ type t = private string
 
 val of_statement : Sqldb.Sql_ast.statement -> t
 
-val of_sql : string -> (t, string) result
-(** Parse then sign; [Error msg] when the text is not dialect SQL. *)
-
 val to_string : t -> string
 
 (** {1 Slots}

@@ -28,11 +28,8 @@ let axis_to_string = function
    library-call instrumentation stream the HMM consumes, not from the
    SQL wire. *)
 let axis_of_source = function
-  | Verdict _ -> Sequence_axis
+  | Verdict _ | Finding _ -> Sequence_axis
   | Query_verdict _ -> Query_axis
-  | Finding (Audit.Unknown_query_signature _ | Audit.Query_anomaly _) ->
-      Query_axis
-  | Finding _ -> Sequence_axis
 
 type fused = No_alarm | Sequence_only | Query_only | Both_axes
 

@@ -1,11 +1,11 @@
 (** Unified incident log: the security administrator's single queue.
 
-    Two alarm channels land here in one timestamp-ordered stream — the
+    Three alarm channels land here in one timestamp-ordered stream: the
     Detection Engine's actionable verdicts ([Data_leak] and
-    [Out_of_context] flags) and the run-level {!Adprom.Audit} findings
-    (unknown query signatures, tainted-file shell commands). Recording
-    is safe from multiple domains; ordering is by a global atomic
-    sequence number assigned at record time. *)
+    [Out_of_context] flags), the query-signature engine's anomalous
+    verdicts, and the run-level {!Adprom.Audit} findings (tainted-file
+    shell commands). Recording is safe from multiple domains; ordering
+    is by a global atomic sequence number assigned at record time. *)
 
 type source =
   | Verdict of {

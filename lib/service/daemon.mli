@@ -11,7 +11,7 @@
     Because a session always lands on the same shard, per-session event
     order is preserved and verdicts are independent of how sessions
     interleave: replaying a multiplexed stream yields exactly the
-    verdicts of batch [Detector.monitor] on the demultiplexed traces.
+    verdicts of batch {!Adprom.Scoring.monitor} on the demultiplexed traces.
 
     [Data_leak] / [Out_of_context] verdicts are forwarded to the
     {!Alerts} sink; throughput, verdict counts, queue depths, drops and

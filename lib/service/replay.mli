@@ -3,7 +3,7 @@
     stream wrapped as [Call]s) through a fresh {!Daemon} and collect the
     summary, timing, metrics and incidents. Also the referee for the
     daemon's correctness claim: surviving sessions must score exactly
-    like batch [Detector.monitor] on the demultiplexed traces. *)
+    like batch {!Adprom.Scoring.monitor} on the demultiplexed traces. *)
 
 type outcome = {
   summary : Daemon.summary;

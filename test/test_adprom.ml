@@ -9,6 +9,7 @@ module Evaluation = Adprom.Evaluation
 module Reduction = Adprom.Reduction
 module Profile = Adprom.Profile
 module Detector = Adprom.Detector
+module Scoring = Adprom.Scoring
 module Pipeline = Adprom.Pipeline
 
 let event name caller =
@@ -491,20 +492,21 @@ let test_profile_scores_normals_high () =
 
 let test_detector_flags () =
   let ds, profile = Lazy.force trained in
+  let engine = Scoring.create profile in
   let w = List.hd ds.Pipeline.windows in
   (* Normal *)
   Alcotest.(check bool) "normal flag" true
-    ((Detector.classify profile w).Detector.flag = Detector.Normal);
+    ((Scoring.classify engine w).Detector.flag = Detector.Normal);
   (* Unknown call: anomalous, and with a label: data leak *)
   let evil = { Window.obs = Array.copy w.Window.obs; callers = Array.copy w.Window.callers } in
   evil.Window.obs.(0) <- Symbol.lib "evil_call";
-  let v = Detector.classify profile evil in
+  let v = Scoring.classify engine evil in
   Alcotest.(check bool) "unknown symbol flagged" true (v.Detector.flag <> Detector.Normal);
   Alcotest.(check bool) "unknown symbol reported" true v.Detector.unknown_symbol;
   (* Out of context: known call, never-seen caller *)
   let ooc = { Window.obs = Array.copy w.Window.obs; callers = Array.copy w.Window.callers } in
   ooc.Window.callers.(0) <- "never_seen_function";
-  let v = Detector.classify profile ooc in
+  let v = Scoring.classify engine ooc in
   Alcotest.(check bool) "out-of-context pair reported" true (v.Detector.unknown_pair <> None)
 
 let test_detector_explain () =

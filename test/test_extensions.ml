@@ -5,11 +5,13 @@
 
 module Sql_pp = Sqldb.Sql_pp
 module Qprofile = Adprom_qsig.Profile
+module Qengine = Adprom_qsig.Engine
 module Audit = Adprom.Audit
 module Profile = Adprom.Profile
 module Profile_io = Adprom.Profile_io
 module Monitor = Adprom.Monitor
 module Detector = Adprom.Detector
+module Scoring = Adprom.Scoring
 module Pipeline = Adprom.Pipeline
 module Window = Adprom.Window
 module Symbol = Analysis.Symbol
@@ -22,6 +24,13 @@ let qprofile_of sqls =
   let q = Qprofile.create () in
   List.iter (Qprofile.learn q) sqls;
   q
+
+(* whether the query axis names the checked query's shape as never
+   seen in training *)
+let unknown_signature (v : Qengine.verdict) =
+  List.exists
+    (function Qengine.Unknown_signature _ -> true | _ -> false)
+    v.Qengine.reasons
 
 (* --- sql printing / signatures --------------------------------------------- *)
 
@@ -67,17 +76,12 @@ let test_sql_signature_erases_literals () =
 let test_qsig_profile () =
   let q = qprofile_of [ "SELECT * FROM t WHERE a = 1"; "SELECT COUNT(*) FROM t" ] in
   Alcotest.(check int) "two signatures learned" 2 (Qprofile.cardinality q);
-  let known sql = Audit.unknown_in_run q [ sql ] = [] in
+  let engine = Qengine.create q in
+  let known sql = not (unknown_signature (Qengine.check engine sql)) in
   Alcotest.(check bool) "constant change stays known" true
     (known "SELECT * FROM t WHERE a = 42");
   Alcotest.(check bool) "structural change is unknown" false
-    (known "SELECT * FROM t WHERE a = 1 OR a = 2");
-  Alcotest.(check int) "unknown_in_run dedups" 1
-    (List.length
-       (Audit.unknown_in_run q
-          [ "SELECT * FROM t WHERE a = 1 OR a = 2"; "SELECT * FROM t WHERE a = 9 OR a = 3" ]));
-  Alcotest.(check (list string)) "malformed texts share one bucket" [ "<malformed>" ]
-    (Audit.unknown_in_run q [ "DROP EVERYTHING"; "SELECT FROM FROM (" ])
+    (known "SELECT * FROM t WHERE a = 1 OR a = 2")
 
 (* --- audit ------------------------------------------------------------------ *)
 
@@ -112,23 +116,22 @@ let test_audit_findings () =
   let out = run_exfil () in
   (* Training knew a different query shape and no file exfiltration. *)
   let qsig = qprofile_of [ "SELECT COUNT(*) FROM secrets" ] in
-  let findings = Audit.audit ~qsig out in
-  let has_query =
-    List.exists (function Audit.Unknown_query_signature _ -> true | _ -> false) findings
+  let has_query qsig (o : Runtime.Interp.outcome) =
+    List.exists unknown_signature
+      (Qengine.check_log (Qengine.create qsig) o.Runtime.Interp.query_log)
   in
   let has_file =
     List.exists
-      (function
-        | Audit.Tainted_file_command { path; _ } -> path = "/tmp/stash.txt"
-        | _ -> false)
-      findings
+      (fun (Audit.Tainted_file_command { path; _ }) -> path = "/tmp/stash.txt")
+      (Audit.audit out)
   in
-  Alcotest.(check bool) "unknown signature reported" true has_query;
+  Alcotest.(check bool) "unknown signature reported" true (has_query qsig out);
   Alcotest.(check bool) "file exfiltration reported" true has_file;
   (* With the signature learned and no shell touch, nothing fires. *)
   let qsig' = Audit.learn [ out ] in
   let quiet = { out with Runtime.Interp.system_calls = [ "ls /" ] } in
-  Alcotest.(check int) "clean run has no findings" 0 (List.length (Audit.audit ~qsig:qsig' quiet))
+  Alcotest.(check bool) "learned signature is known" false (has_query qsig' quiet);
+  Alcotest.(check int) "clean run has no findings" 0 (List.length (Audit.audit quiet))
 
 (* --- profile serialization ---------------------------------------------------- *)
 
@@ -162,6 +165,7 @@ let test_profile_io_roundtrip () =
   match Profile_io.of_string text with
   | Error msg -> Alcotest.failf "parse failed: %s" msg
   | Ok profile' ->
+      let engine = Scoring.create profile and engine' = Scoring.create profile' in
       Alcotest.(check (float 1e-12)) "threshold preserved" profile.Profile.threshold
         profile'.Profile.threshold;
       Alcotest.(check int) "alphabet preserved"
@@ -170,7 +174,7 @@ let test_profile_io_roundtrip () =
       (* Detection behaviour identical on every training window. *)
       List.iter
         (fun w ->
-          let v = Detector.classify profile w and v' = Detector.classify profile' w in
+          let v = Scoring.classify engine w and v' = Scoring.classify engine' w in
           Alcotest.(check bool) "same flag" true (v.Detector.flag = v'.Detector.flag);
           Alcotest.(check (float 1e-6)) "same score" v.Detector.score v'.Detector.score)
         ds.Pipeline.windows
@@ -257,11 +261,12 @@ let test_profile_extend () =
     { Adprom.Window.obs = Array.copy w.Adprom.Window.obs;
       callers = Array.map (fun _ -> "new_helper") w.Adprom.Window.callers }
   in
-  let before = Detector.classify profile drifted in
+  let classify profile = Scoring.classify (Scoring.create profile) in
+  let before = classify profile drifted in
   Alcotest.(check bool) "unknown pair before" true
     (before.Detector.unknown_pair <> None);
   let extended = Profile.extend profile [ drifted ] in
-  let after = Detector.classify extended drifted in
+  let after = classify extended drifted in
   Alcotest.(check bool) "pair known after extend" true
     (after.Detector.unknown_pair = None);
   (* Windows with unseen symbols are ignored, not learned. *)
@@ -271,7 +276,7 @@ let test_profile_extend () =
   in
   let unchanged = Profile.extend profile [ evil ] in
   Alcotest.(check bool) "attack windows not absorbed" true
-    ((Detector.classify unchanged evil).Detector.flag <> Detector.Normal)
+    ((classify unchanged evil).Detector.flag <> Detector.Normal)
 
 (* --- adaptive monitor ----------------------------------------------------------- *)
 

@@ -61,15 +61,12 @@ let render idx lits =
 
 let gen_lits idx = QCheck2.Gen.list_repeat (fst templates.(idx)) gen_lit
 
-let sig_of_exn sql =
-  match Signature.of_sql sql with
-  | Ok s -> Signature.to_string s
-  | Error e -> Alcotest.failf "unparseable %S: %s" sql e
-
 let parse_exn sql =
   match Sqldb.Sql_parser.parse sql with
   | Ok stmt -> stmt
   | Error e -> Alcotest.failf "unparseable %S: %s" sql e
+
+let sig_of_exn sql = Signature.to_string (Signature.of_statement (parse_exn sql))
 
 (* --- signature canonicalization ---------------------------------------- *)
 
@@ -463,7 +460,7 @@ let case_reasons engine qlog =
    WHERE and LIMIT changes the signature first. *)
 let test_qmutate_detection () =
   let app = fused_app () in
-  let engine = Adprom.Pipeline.train_qsig_engine app in
+  let engine = Engine.create (Adprom.Pipeline.train_qsig app) in
   let clean = Adprom.Pipeline.collect_outcomes app in
   Alcotest.(check int) "clean cases flagged" 0
     (List.length

@@ -141,11 +141,11 @@ let test_end_to_end_detection () =
     }
   in
   let ds = Adprom.Pipeline.collect app in
-  let profile = Adprom.Pipeline.train ds in
+  let engine = Adprom.Scoring.create (Adprom.Pipeline.train ds) in
   let classify input =
     let tc = Testcase.make ~input:[ input ] "probe" in
     let trace, _ = Adprom.Pipeline.run_case ~analysis:ds.Adprom.Pipeline.analysis app tc in
-    Adprom.Detector.worst (List.map snd (Adprom.Detector.monitor profile trace))
+    Adprom.Detector.worst (List.map snd (Adprom.Scoring.monitor engine trace))
   in
   Alcotest.(check bool) "normal input is normal" true (classify "5" = Adprom.Detector.Normal);
   Alcotest.(check bool) "tautology is a data leak" true

@@ -117,21 +117,6 @@ let prop_engine_matches_reference =
             (Scoring.classify engine w))
         windows)
 
-let prop_wrapper_matches_reference =
-  QCheck2.Test.make
-    ~name:"Detector.classify (engine-backed wrapper) = reference_classify"
-    ~count:40 ~print:print_case
-    QCheck2.Gen.(pair cfg_gen specs_gen)
-    (fun ((seed, m, n, (use_labels, track_callers)), specs) ->
-      let profile = make_profile ~seed ~m ~n ~use_labels ~track_callers in
-      List.for_all
-        (fun spec ->
-          let w = window_of_spec profile.Profile.alphabet spec in
-          verdict_eq
-            (Detector.reference_classify profile w)
-            (Detector.classify profile w))
-        specs)
-
 let prop_extend_invalidates =
   (* an extended engine must agree with the reference on the extended
      profile — no verdict of the old model may survive the extension *)
@@ -642,7 +627,6 @@ let () =
       ( "equivalence properties",
         [
           QCheck_alcotest.to_alcotest prop_engine_matches_reference;
-          QCheck_alcotest.to_alcotest prop_wrapper_matches_reference;
           QCheck_alcotest.to_alcotest prop_extend_invalidates;
           QCheck_alcotest.to_alcotest prop_stream_matches_reference;
           QCheck_alcotest.to_alcotest prop_memo_matches_lru_model;

@@ -177,11 +177,11 @@ let test_codec_errors () =
 (* --- scorer vs batch -------------------------------------------------------- *)
 
 let test_scorer_matches_batch () =
-  let profile = profile () in
+  let engine = Scoring.create (profile ()) in
   List.iter
     (fun trace ->
-      let batch = List.map snd (Detector.monitor profile trace) in
-      let stream = Scoring.Stream.create (Scoring.of_profile profile) in
+      let batch = List.map snd (Scoring.monitor engine trace) in
+      let stream = Scoring.Stream.create engine in
       let live = ref [] in
       Array.iter
         (fun e ->
@@ -207,7 +207,7 @@ let test_scorer_matches_batch () =
 let test_scorer_short_trace () =
   let profile = profile () in
   let trace = Array.init 4 (fun i -> mk_event (Printf.sprintf "s%d" i)) in
-  let stream = Scoring.Stream.create (Scoring.of_profile profile) in
+  let stream = Scoring.Stream.create (Scoring.create profile) in
   let scored =
     Array.fold_left
       (fun n e ->
@@ -234,7 +234,7 @@ let test_scorer_short_trace () =
 
 let test_scorer_push_after_flush () =
   let profile = profile () in
-  let stream = Scoring.Stream.create (Scoring.of_profile profile) in
+  let stream = Scoring.Stream.create (Scoring.create profile) in
   (match Scoring.Stream.push stream (mk_event "read") with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "live push rejected: %s" e);
@@ -543,7 +543,12 @@ let test_alert_sink () =
   Alcotest.(check bool) "out of context recorded" true
     (Alerts.record_verdict sink ~session:2 ~window_index:9
        (verdict Detector.Out_of_context));
-  Alerts.record_finding sink ~session:2 (Adprom.Audit.Unknown_query_signature "sig");
+  Alcotest.(check bool) "anomalous query recorded" true
+    (Alerts.record_query_verdict sink ~session:2 ~query_index:0 ~sql:"SELECT sig FROM t"
+       {
+         Adprom_qsig.Engine.anomalous = true;
+         reasons = [ Adprom_qsig.Engine.Unknown_signature "SELECT sig FROM t" ];
+       });
   let incidents = Alerts.incidents sink in
   Alcotest.(check int) "four incidents" 4 (List.length incidents);
   Alcotest.(check (list int)) "timestamp order"
@@ -552,7 +557,7 @@ let test_alert_sink () =
   Alcotest.(check (list int)) "sessions in record order"
     [ 3; 1; 2; 2 ]
     (List.map (fun (i : Alerts.incident) -> i.Alerts.session) incidents);
-  (* both channels appear in the printed log *)
+  (* every channel appears in the printed log *)
   let log = Alerts.to_string sink in
   List.iter
     (fun needle ->
@@ -560,7 +565,7 @@ let test_alert_sink () =
         (Printf.sprintf "log mentions %S" needle)
         true
         (contains ~needle log))
-    [ "data-leak"; "out-of-context"; "/tmp/x"; "sig" ]
+    [ "data-leak"; "out-of-context"; "/tmp/x"; "[query] anomaly #0" ]
 
 let test_alert_explanation_rendered () =
   let sink = Alerts.create () in

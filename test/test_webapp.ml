@@ -115,9 +115,10 @@ let test_portal_sessions_clean () =
 
 let test_portal_injection_detected () =
   let app, ds, profile = Lazy.force portal in
+  let engine = Adprom.Scoring.create profile in
   let classify tc =
     let trace, _ = Pipeline.run_case ~analysis:ds.Pipeline.analysis app tc in
-    Adprom.Detector.worst (List.map snd (Adprom.Detector.monitor profile trace))
+    Adprom.Detector.worst (List.map snd (Adprom.Scoring.monitor engine trace))
   in
   Alcotest.(check bool) "normal session is normal" true
     (classify (List.hd app.Pipeline.test_cases) = Adprom.Detector.Normal);
