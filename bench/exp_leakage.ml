@@ -45,7 +45,7 @@ let run () =
   let vet_base () =
     let cfgs = fst (Analysis.Cfg_build.build_program program) in
     ignore (Analysis.Taint.analyze cfgs);
-    (cfgs, Analysis.Vet.check_program cfgs)
+    (cfgs, Analysis.Vet.check_program ~dom:Analysis.Dominator.compute cfgs)
   in
   (* the default path in this build: the same pass plus the (absent)
      policy branch; any unconditional leakage work would show up here *)

@@ -16,9 +16,10 @@
      270 features), k-means on their projection, and the whole
      [Reduction.cluster] call (CTV build, PCA and k-means), then, with
      the short quota, the static query inference on banking, one
-     [Vet.check_program] pass and the call-sequence automaton build on
-     the generated wide program, and one out-of-language banking window
-     classified (memo off) with the automaton gate off and enforcing. *)
+     [Vet.check_program] pass, the call-sequence automaton build and a
+     whole daemon start (create and drain) on the generated wide
+     program, and one out-of-language banking window classified (memo
+     off) with the automaton gate off and enforcing. *)
 
 open Bechamel
 open Toolkit
@@ -141,15 +142,27 @@ let static_tests ~banking ~gen_wide =
   if Adprom.Scoring.gate_rejections enforce <> 1 then
     failwith "microbench: the automaton accepts the out-of-language window";
   let classify eng = Staged.stage (fun () -> ignore (Adprom.Scoring.classify eng window)) in
+  (* what every daemon start on the program pays: its static stage (the
+     automaton, the vet, the static pairs) and an empty drain *)
+  let start () =
+    let module Daemon = Adprom_service.Daemon in
+    ignore
+      (Daemon.drain
+         (Daemon.create ~shards:1 ~vet_against:gen_wide.analysis
+            ~static_gate:Daemon.Gate_explain gen_wide.profile))
+  in
   [
     Test.make ~name:"kernel/qstatic-infer-banking"
       (Staged.stage (fun () ->
            ignore (Analysis.Qstatic.infer banking.analysis.Analysis.Analyzer.pruned_cfgs)));
     Test.make ~name:"kernel/vet-program-gen-wide"
       (Staged.stage (fun () ->
-           ignore (Analysis.Vet.check_program gen_wide.analysis.Analysis.Analyzer.cfgs)));
+           ignore
+             (Analysis.Vet.check_program ~dom:Analysis.Dominator.compute
+                gen_wide.analysis.Analysis.Analyzer.cfgs)));
     Test.make ~name:"kernel/seqauto-build-gen-wide"
       (Staged.stage (fun () -> ignore (automaton gen_wide)));
+    Test.make ~name:"kernel/daemon-start-gen-wide" (Staged.stage start);
     Test.make ~name:"kernel/classify-out-of-language-banking-gate-off" (classify off);
     Test.make ~name:"kernel/classify-out-of-language-banking-gate-enforce"
       (classify enforce);

@@ -151,7 +151,8 @@ let vet_one ~entry ~profile ~qsig_signatures ~leakage_policy path =
           let sq = Analysis.Qstatic.infer ~entry cfgs in
           Diag.dedupe
             (List.sort Diag.compare
-               (Analysis.Vet.check_program ~entry ~static_queries:sq cfgs
+               (Analysis.Vet.check_program ~entry ~static_queries:sq
+                  ~dom:Analysis.Dominator.compute cfgs
                @ qsig_diags sq @ leak_diags sq cfgs))
       | Some p -> (
           match Analysis.Analyzer.analyze ~entry program with
@@ -168,9 +169,12 @@ let vet_one ~entry ~profile ~qsig_signatures ~leakage_policy path =
                   qsig_diags sq
                   @ leak_diags sq analysis.Analysis.Analyzer.pruned_cfgs
               in
+              let cfgs = analysis.Analysis.Analyzer.cfgs in
+              let dom = Analysis.Vet.dominators cfgs in
+              let facts = Analysis.Vet.facts ~entry ~dom cfgs in
               Diag.dedupe
                 (List.sort Diag.compare
-                   (Adprom.Profile_check.check ~entry p analysis @ qdiags))))
+                   (Adprom.Profile_check.check ~facts ~dom p analysis @ qdiags))))
 
 let vet_cmd_run paths format strict entry profile_path qsig_profile_path
     leakage_policy_path =

@@ -80,6 +80,11 @@ let flatten lists =
   Array.iteri (fun s l -> first.(s + 1) <- first.(s) + List.length l) lists;
   (first, Array.make first.(n) 0)
 
+(* A deterministic automaton's moves as sparse rows: state [s] moves on
+   [code.(k)] to [dest.(k)] for [k] in [first.(s) .. first.(s + 1) - 1],
+   ascending code, and on every other symbol to the dead state. *)
+type rows = { first : int array; code : int array; dest : int array }
+
 (* Subsets get ids in discovery order: breadth-first from the start
    subset, each subset's successors in ascending symbol code. One walk
    over a subset's members fills a scratch bitset per symbol that
@@ -158,15 +163,18 @@ let determinize (nfa : Nfa.t) =
   done;
   close start_set;
   let start = intern start_set in
-  let row = max 1 w in
-  let trans = ref (Array.make (16 * row) (-1)) in
+  (* subset [id] moves on [tcode.(k)] to [tdest.(k)] for [k] in
+     [tfirst.(id) .. tfirst.(id + 1) - 1], ascending code: most (subset,
+     symbol) pairs lead nowhere, so the rows stay sparse *)
+  let tfirst = ref (Array.make 64 0) in
+  let tcode = ref (Array.make 256 0) and tdest = ref (Array.make 256 0) in
+  let ntrans = ref 0 in
   let scratch = Array.init w (fun _ -> Bits.create n) in
   let hit = Array.make w false in
   let next = ref 0 in
   while !next < !nsubsets do
     let id = !next in
     incr next;
-    ensure trans ((id + 1) * row) (-1);
     let set = !sets.(id) in
     for wi = 0 to Array.length set - 1 do
       let x = ref set.(wi) in
@@ -184,13 +192,21 @@ let determinize (nfa : Nfa.t) =
         hit.(c) <- false;
         let succ = scratch.(c) in
         close succ;
-        !trans.((id * w) + c) <- intern succ;
+        let d = intern succ in
+        ensure tcode (!ntrans + 1) 0;
+        ensure tdest (!ntrans + 1) 0;
+        !tcode.(!ntrans) <- c;
+        !tdest.(!ntrans) <- d;
+        incr ntrans;
         Array.fill succ 0 (Array.length succ) 0
       end
-    done
+    done;
+    ensure tfirst (id + 2) 0;
+    !tfirst.(id + 1) <- !ntrans
   done;
-  let nstates = !nsubsets in
-  { syms; index; start; nstates; trans = Array.sub !trans 0 (nstates * row) }
+  (* the flat table is [minimize]'s to build, from the rows *)
+  ( { syms; index; start; nstates = !nsubsets; trans = [||] },
+    { first = !tfirst; code = !tcode; dest = !tdest } )
 
 (* --- Hopcroft minimization ---------------------------------------------- *)
 
@@ -229,58 +245,89 @@ let sort_by key a k =
    Marking a state swaps it into the marked prefix of its block, so a
    split only moves a segment boundary: the marked part keeps the
    block's number, the rest takes the next one. The splitter FIFO is a
-   ring of [b * w + c], holding each (block, symbol) at most once. The
-   blocks a splitter affects split in descending order of their least
-   touched state: that order fixes the number each new block gets, and
-   with it the output's state numbering, which golden digests pin. *)
-let minimize dfa =
+   ring of [b * w + c], holding each (block, symbol) at most once and
+   doubling when full. The blocks a splitter affects split in
+   descending order of their least touched state: that order fixes the
+   number each new block gets, and with it the output's state
+   numbering, which golden digests pin. (The order in which a
+   splitter's states are touched fixes neither: a split depends on the
+   set touched, and its number on the least member.)
+
+   Only the moves between live states are inverted, grouped by target
+   alone: a splitter on [c] scans every move into its block and keeps
+   the [c] ones, cheap while states have few moves in (gen-wide: 1,821
+   moves over 919 states). The dead state stays alone in block 1, so
+   it splits nothing and is a splitter once per symbol, the first [w]
+   the FIFO holds: its predecessors on [c], every state without a [c]
+   move, are found by scanning the rows. *)
+let minimize ((dfa : t), { first; code; dest }) =
   let w = Array.length dfa.syms in
   let n = dfa.nstates in
-  if n <= 1 || w = 0 then dfa
+  (* state [s]'s row written out flat as row [r] of [trans], each
+     target through [map] *)
+  let write trans s r map =
+    for k = first.(s) to first.(s + 1) - 1 do
+      trans.((r * w) + code.(k)) <- map dest.(k)
+    done
+  in
+  if n <= 1 || w = 0 then begin
+    let trans = Array.make (max 1 (n * w)) (-1) in
+    for s = 0 to n - 1 do
+      write trans s s Fun.id
+    done;
+    { dfa with trans }
+  end
   else begin
     let total = n + 1 in
-    let dead = n in
-    let delta s c = if s = dead then dead else match dfa.trans.((s * w) + c) with -1 -> dead | d -> d in
-    (* inverse transitions, flat: the predecessors of q on c are
-       pred.(k) for k in [pfirst.(c * total + q) .. pfirst.(c * total + q + 1) - 1];
-       counted per bucket, then placed back to front *)
-    let m = w * total in
-    let pfirst = Array.make (m + 1) 0 in
-    for s = 0 to total - 1 do
-      for c = 0 to w - 1 do
-        let i = (c * total) + delta s c in
-        pfirst.(i) <- pfirst.(i) + 1
-      done
+    let dead = n and dead_block = 1 in
+    (* inverse moves, flat: the moves into live state [q] are from
+       [pred.(e)] on [pcode.(e)] for [e] in
+       [pfirst.(q) .. pfirst.(q + 1) - 1]; counted per target, then
+       placed back to front *)
+    let moves = first.(n) in
+    let pfirst = Array.make (total + 1) 0 in
+    for k = 0 to moves - 1 do
+      pfirst.(dest.(k)) <- pfirst.(dest.(k)) + 1
     done;
-    for i = 1 to m do
-      pfirst.(i) <- pfirst.(i) + pfirst.(i - 1)
+    for q = 1 to total do
+      pfirst.(q) <- pfirst.(q) + pfirst.(q - 1)
     done;
-    let pred = Array.make m 0 in
-    for s = 0 to total - 1 do
-      for c = 0 to w - 1 do
-        let i = (c * total) + delta s c in
-        pfirst.(i) <- pfirst.(i) - 1;
-        pred.(pfirst.(i)) <- s
+    let pred = Array.make (max 1 moves) 0 and pcode = Array.make (max 1 moves) 0 in
+    for s = 0 to n - 1 do
+      for k = first.(s) to first.(s + 1) - 1 do
+        let q = dest.(k) in
+        pfirst.(q) <- pfirst.(q) - 1;
+        pred.(pfirst.(q)) <- s;
+        pcode.(pfirst.(q)) <- code.(k)
       done
     done;
     (* block 0 = the live states, block 1 = the dead state *)
     let elems = Array.init total Fun.id and loc = Array.init total Fun.id in
     let class_of = Array.make total 0 in
-    class_of.(dead) <- 1;
+    class_of.(dead) <- dead_block;
     let bfirst = Array.make total 0 and bend = Array.make total 0 in
     bend.(0) <- n;
     bfirst.(1) <- n;
     bend.(1) <- total;
     let nblocks = ref 2 in
     let size b = bend.(b) - bfirst.(b) in
-    let queued = Bytes.make m '\000' in
-    let ring = Array.make m 0 in
+    let queued = Bytes.make (w * total) '\000' in
+    let ring = ref (Array.make (4 * w) 0) in
     let head = ref 0 and len = ref 0 in
     let push b c =
       let k = (b * w) + c in
       if Bytes.get queued k = '\000' then begin
         Bytes.set queued k '\001';
-        ring.((!head + !len) mod m) <- k;
+        let cap = Array.length !ring in
+        if !len = cap then begin
+          let grown = Array.make (2 * cap) 0 in
+          for i = 0 to cap - 1 do
+            grown.(i) <- !ring.((!head + i) mod cap)
+          done;
+          ring := grown;
+          head := 0
+        end;
+        !ring.((!head + !len) mod Array.length !ring) <- k;
         incr len
       end
     in
@@ -289,30 +336,44 @@ let minimize dfa =
     done;
     (* the current splitter's X: a stack of distinct touched states *)
     let touched = Array.make total 0 and in_x = Bytes.make total '\000' in
+    let ntouched = ref 0 in
+    let touch p =
+      if Bytes.get in_x p = '\000' then begin
+        Bytes.set in_x p '\001';
+        touched.(!ntouched) <- p;
+        incr ntouched
+      end
+    in
     (* per block: its marked prefix length and least marked state; the
        affected blocks, a stack *)
     let marked = Array.make total 0 and least = Array.make total 0 in
     let affected = Array.make total 0 in
     while !len > 0 do
-      let k = ring.(!head) in
-      head := (!head + 1) mod m;
+      let k = !ring.(!head) in
+      head := (!head + 1) mod Array.length !ring;
       decr len;
       Bytes.set queued k '\000';
       let a = k / w and c = k mod w in
       (* X = states leading into block [a] on symbol [c], gathered before
          any marking moves the states of [a] *)
-      let ntouched = ref 0 in
-      for i = bfirst.(a) to bend.(a) - 1 do
-        let j = (c * total) + elems.(i) in
-        for e = pfirst.(j) to pfirst.(j + 1) - 1 do
-          let p = pred.(e) in
-          if Bytes.get in_x p = '\000' then begin
-            Bytes.set in_x p '\001';
-            touched.(!ntouched) <- p;
-            incr ntouched
-          end
-        done
-      done;
+      ntouched := 0;
+      if a = dead_block then begin
+        for s = 0 to n - 1 do
+          let k = ref first.(s) and last = first.(s + 1) in
+          while !k < last && code.(!k) < c do
+            incr k
+          done;
+          if !k = last || code.(!k) <> c then touch s
+        done;
+        touch dead
+      end
+      else
+        for i = bfirst.(a) to bend.(a) - 1 do
+          let q = elems.(i) in
+          for e = pfirst.(q) to pfirst.(q + 1) - 1 do
+            if pcode.(e) = c then touch pred.(e)
+          done
+        done;
       let naffected = ref 0 in
       for t = 0 to !ntouched - 1 do
         let p = touched.(t) in
@@ -356,7 +417,6 @@ let minimize dfa =
       done
     done;
     (* rebuild: live blocks (not the dead state's) renumbered densely *)
-    let dead_block = class_of.(dead) in
     let renum = Array.make !nblocks (-1) in
     let count = ref 0 in
     for b = 0 to !nblocks - 1 do
@@ -368,13 +428,8 @@ let minimize dfa =
     let n' = !count in
     let trans = Array.make (max 1 (n' * w)) (-1) in
     for b = 0 to !nblocks - 1 do
-      if renum.(b) >= 0 then begin
-        let rep = elems.(bfirst.(b)) in
-        for c = 0 to w - 1 do
-          let q = delta rep c in
-          trans.((renum.(b) * w) + c) <- (if q = dead then -1 else renum.(class_of.(q)))
-        done
-      end
+      if renum.(b) >= 0 then
+        write trans elems.(bfirst.(b)) renum.(b) (fun q -> renum.(class_of.(q)))
     done;
     { dfa with start = renum.(class_of.(dfa.start)); nstates = n'; trans }
   end

@@ -7,8 +7,7 @@ type loop = {
 
 module IS = Set.Make (Int)
 
-let analyze (cfg : Cfg.t) =
-  let dom = Dominator.compute cfg in
+let analyze ~dom (cfg : Cfg.t) =
   (* back edges grouped by header, genuine (header dominates latch) only *)
   let by_header = Hashtbl.create 8 in
   List.iter

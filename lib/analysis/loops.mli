@@ -19,7 +19,8 @@ type loop = {
       (** edges leaving the loop: (inside node, outside successor) *)
 }
 
-val analyze : Cfg.t -> loop list
-(** Loops in ascending header order. Irreducible back edges (header not
-    dominating the latch — impossible for CFGs built by {!Cfg_build})
-    are skipped. *)
+val analyze : dom:Dominator.t -> Cfg.t -> loop list
+(** Loops in ascending header order, given the graph's dominator tree
+    [dom] ({!Dominator.compute} of the same graph). Irreducible back
+    edges (header not dominating the latch — impossible for CFGs built
+    by {!Cfg_build}) are skipped. *)

@@ -138,12 +138,11 @@ let no_exit_loop_diags (cfg : Cfg.t) dom add =
             (Diag.make ~func:cfg.Cfg.func ~block:l.Loops.header Diag.Warning
                ~code:"no-exit-loop" "loop has no reachable exit")
       end)
-    (Loops.analyze cfg)
+    (Loops.analyze ~dom cfg)
 
-let check_function (cfg : Cfg.t) =
+let check_function dom (cfg : Cfg.t) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let dom = Dominator.compute cfg in
   dead_code_diags cfg dom add;
   undefined_callee_diags cfg add;
   use_before_init_diags cfg add;
@@ -171,7 +170,13 @@ let injection_diags (static_queries : Qstatic.result) =
                   (String.concat " -> " path))))
     static_queries.Qstatic.sites
 
-let check_program ?(entry = "main") ?static_queries cfgs =
+(* Each tree is computed on its first lookup and kept for the table's
+   lifetime: one derivation of [facts] and [check_program] shares it. *)
+let dominators cfgs =
+  let table = List.map (fun (_, cfg) -> (cfg, lazy (Dominator.compute cfg))) cfgs in
+  fun cfg -> Lazy.force (List.assq cfg table)
+
+let check_program ?(entry = "main") ?static_queries ~dom cfgs =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   if not (List.mem_assoc entry cfgs) then
@@ -188,7 +193,7 @@ let check_program ?(entry = "main") ?static_queries cfgs =
                (Printf.sprintf "function `%s` is never called from `%s`" name entry)))
       cfgs
   end;
-  List.iter (fun (_, cfg) -> List.iter add (check_function cfg)) cfgs;
+  List.iter (fun (_, cfg) -> List.iter add (check_function (dom cfg) cfg)) cfgs;
   let static_queries =
     match static_queries with Some r -> r | None -> Qstatic.infer ~entry cfgs
   in
@@ -197,14 +202,14 @@ let check_program ?(entry = "main") ?static_queries cfgs =
 
 (* --- static facts for profile coverage -------------------------------------- *)
 
-let facts ?(entry = "main") cfgs =
+let facts ?(entry = "main") ~dom cfgs =
   let live = Callgraph.reachable cfgs ~entry in
   let symbols = ref Symbol.Set.empty in
   let pairs = ref [] in
   List.iter
     (fun (name, cfg) ->
       if SS.mem name live then begin
-        let dom = Dominator.compute cfg in
+        let dom = dom cfg in
         List.iter
           (fun (id, site) ->
             if Dominator.reachable dom id && not site.Cfg.is_user then begin
@@ -309,6 +314,9 @@ let check_leakage ~(policy : Libspec.Sensitivity.t) ~(summary : Leakage.result) 
     summary.Leakage.sinks;
   Diag.dedupe (List.sort Diag.compare !diags)
 
+(* How many impossible n-grams the coverage finding names. *)
+let ngram_witnesses = 3
+
 let check_coverage ?automaton facts ~alphabet ~known_pairs =
   let diags = ref [] in
   let add d = diags := d :: !diags in
@@ -355,20 +363,31 @@ let check_coverage ?automaton facts ~alphabet ~known_pairs =
   (match automaton with
   | None -> ()
   | Some (accepts, model_ngrams) ->
-      List.iter
-        (fun ngram ->
-          let ngram = observable_only ngram in
-          if ngram <> [] && not (accepts ngram) then
-            (* warning, not error: unlike the alphabet and known-pair
-               checks (whose facts were directly observed in training),
-               n-gram support is inferred from the trained weights, and
-               Baum-Welch smoothing can push mass above the support
-               threshold for sequences training never produced — a
-               modeling artifact, not proof of a program mismatch *)
-            add
-              (Diag.make Diag.Warning ~code:"profile-ngram-impossible"
-                 ("model-supported sequence ["
-                 ^ String.concat "; " (List.map Symbol.to_string ngram)
-                 ^ "] is statically impossible")))
-        model_ngrams);
+      (* [Entry; a] and [a; Exit] both observe as [a]: count each
+         observable sequence once *)
+      let seqs =
+        List.sort_uniq (List.compare Symbol.compare)
+          (List.filter (( <> ) []) (List.map observable_only model_ngrams))
+      in
+      let impossible = List.filter (fun ngram -> not (accepts ngram)) seqs in
+      (* warning, not error: unlike the alphabet and known-pair checks
+         (whose facts were directly observed in training), n-gram
+         support is inferred from the trained weights, and Baum-Welch
+         smoothing can push mass above the support threshold for
+         sequences training never produced — a modeling artifact, not
+         proof of a program mismatch. One finding per profile: on a
+         large clustered model most supported bigrams can be
+         impossible, and a finding each would bury the rest. *)
+      if impossible <> [] then
+        add
+          (Diag.make Diag.Warning ~code:"profile-ngram-impossible"
+             (Printf.sprintf
+                "%d of %d model-supported sequences are statically impossible, \
+                 first %s"
+                (List.length impossible) (List.length seqs)
+                (String.concat ", "
+                   (List.map
+                      (fun ngram ->
+                        "[" ^ String.concat "; " (List.map Symbol.to_string ngram) ^ "]")
+                      (List.filteri (fun i _ -> i < ngram_witnesses) impossible))))));
   List.sort Diag.compare !diags

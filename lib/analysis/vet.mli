@@ -55,9 +55,21 @@ type facts = {
           pairs, sorted *)
 }
 
+val dominators : (string * Cfg.t) list -> Cfg.t -> Dominator.t
+(** [dominators cfgs] looks up a function's dominator tree among
+    [cfgs] (by physical graph), computing each tree once, on its first
+    lookup: the [dom] that {!facts} and {!check_program} share when one
+    caller runs both. *)
+
 val check_program :
-  ?entry:string -> ?static_queries:Qstatic.result -> (string * Cfg.t) list -> Diag.t list
-(** All per-function checks plus whole-program ones: a missing [entry]
+  ?entry:string ->
+  ?static_queries:Qstatic.result ->
+  dom:(Cfg.t -> Dominator.t) ->
+  (string * Cfg.t) list ->
+  Diag.t list
+(** All per-function checks plus whole-program ones, reading each
+    function's dominator tree from [dom] ({!Dominator.compute}, or a
+    {!dominators} table shared with {!facts}): a missing [entry]
     function (default ["main"]), functions unreachable from it, and
     [sql-injectable-site] warnings from the static query inference
     (computed on the given CFGs unless a precomputed [static_queries]
@@ -65,9 +77,11 @@ val check_program :
     rediscover the same defect at the same (position, code) collapse
     to one diagnostic with the count in the message. *)
 
-val facts : ?entry:string -> (string * Cfg.t) list -> facts
-(** The statically possible behaviour. When [entry] is absent from
-    [cfgs], every function is treated as a root (conservative). *)
+val facts : ?entry:string -> dom:(Cfg.t -> Dominator.t) -> (string * Cfg.t) list -> facts
+(** The statically possible behaviour, reading each live function's
+    dominator tree from [dom] as {!check_program} does. When [entry] is
+    absent from [cfgs], every function is treated as a root
+    (conservative). *)
 
 val check_qsig_coverage :
   static_queries:Qstatic.result -> trained_signatures:string list -> Diag.t list

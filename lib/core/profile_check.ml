@@ -81,20 +81,17 @@ let coverage ?automaton (profile : Profile.t) facts =
     ~known_pairs
 
 (* both halves come sorted, so merging them is sorting their append *)
-let diagnostics ?automaton profile analysis facts =
+let check ?automaton ~facts ~dom profile analysis =
   List.merge Diag.compare
-    (Vet.check_program ~entry:facts.Vet.entry analysis.Analysis.Analyzer.cfgs)
+    (Vet.check_program ~entry:facts.Vet.entry ~dom analysis.Analysis.Analyzer.cfgs)
     (coverage ?automaton profile facts)
 
-let check ~entry profile analysis =
-  diagnostics profile analysis (Vet.facts ~entry analysis.Analysis.Analyzer.cfgs)
-
-let apply policy ?automaton ~facts profile analysis =
+let apply policy ?automaton ~facts ~dom profile analysis =
   match policy with
   | Off -> []
-  | Warn -> diagnostics ?automaton profile analysis facts
+  | Warn -> check ?automaton ~facts ~dom profile analysis
   | Enforce -> (
-      let diags = diagnostics ?automaton profile analysis facts in
+      let diags = check ?automaton ~facts ~dom profile analysis in
       match Diag.errors diags with
       | [] -> diags
       | errs ->

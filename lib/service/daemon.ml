@@ -264,9 +264,9 @@ type stage = {
 
 (* Under [Enforce] a failing profile raises here, before any worker
    exists; under [Warn] findings are logged and counted. *)
-let vet_profile ~metrics ~policy ?automaton ~facts profile analysis =
+let vet_profile ~metrics ~policy ?automaton ~facts ~dom profile analysis =
   let module Diag = Analysis.Diag in
-  let diags = Adprom.Profile_check.apply policy ?automaton ~facts profile analysis in
+  let diags = Adprom.Profile_check.apply policy ?automaton ~facts ~dom profile analysis in
   let errors = List.length (Diag.errors diags) in
   let warnings = List.length (Diag.warnings diags) in
   let c_err = Metrics.counter metrics "adprom_profile_vet_errors_total" in
@@ -310,10 +310,13 @@ let build_stage ~metrics ?vet_against ~vet_policy ~static_gate ~qsig_mode
           (armed static_gate)
       in
       (* one pass over the program's facts feeds the vet and the
-         explanations' static pairs *)
-      let facts = Analysis.Vet.facts analysis.Analysis.Analyzer.cfgs in
+         explanations' static pairs; the facts and the vet's program
+         checks read one dominator tree per function *)
+      let cfgs = analysis.Analysis.Analyzer.cfgs in
+      let dom = Analysis.Vet.dominators cfgs in
+      let facts = Analysis.Vet.facts ~dom cfgs in
       vet_profile ~metrics ~policy:vet_policy
-        ?automaton:(Option.map fst dfa) ~facts profile analysis;
+        ?automaton:(Option.map fst dfa) ~facts ~dom profile analysis;
       (* one signature inference feeds both the query gate and the
          leakage summary *)
       let cfgs = analysis.Analysis.Analyzer.pruned_cfgs in

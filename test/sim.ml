@@ -158,6 +158,9 @@ let close sim name =
 
 (* Of the nodes the router reads and writes, some that can: readable
    when the node owes bytes (or hangs up), writable while it reads. A
+   node hanging up is always among them, so the router reads its EOF in
+   the phase that scheduled the hang-up: one scheduled while routing
+   cannot wait past [routing] and break a later request. A
    router waiting on nodes none of which can move would wait forever:
    a failure, unless a fault has reached it (a corrupt length field
    leaves it waiting for bytes that never come), and then the nodes it
@@ -174,7 +177,8 @@ let select sim r w =
            && match sim.fault with Some (v, 0, Inject _) -> v = name | _ -> false)
       r
   and ready_w = List.filter (fun name -> Conn.readable (conn (find sim name))) w in
-  match (List.filter (fun _ -> coin ()) ready_r, List.filter (fun _ -> coin ()) ready_w) with
+  let some_r = List.filter (fun name -> (find sim name).hang_next || coin ()) ready_r in
+  match (some_r, List.filter (fun _ -> coin ()) ready_w) with
   | [], [] -> (
       match (ready_r, ready_w) with
       | [], [] -> (

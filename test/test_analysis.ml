@@ -352,7 +352,7 @@ let test_dominator_basics () =
 
 let test_loops_detects_while () =
   let cfg = cfg_of "fun main() { while (x > 0) { printf(\"l\"); } puts(\"end\"); }" "main" in
-  match Analysis.Loops.analyze cfg with
+  match Analysis.Loops.analyze ~dom:(Analysis.Dominator.compute cfg) cfg with
   | [ l ] ->
       (match (Cfg.node cfg l.Analysis.Loops.header).Cfg.event with
       | Cfg.E_cond _ -> ()
@@ -364,7 +364,8 @@ let test_loops_detects_while () =
 
 let test_loops_straight_line_has_none () =
   let cfg = cfg_of "fun main() { printf(\"a\"); }" "main" in
-  Alcotest.(check int) "no loops" 0 (List.length (Analysis.Loops.analyze cfg))
+  let dom = Analysis.Dominator.compute cfg in
+  Alcotest.(check int) "no loops" 0 (List.length (Analysis.Loops.analyze ~dom cfg))
 
 (* --- qcheck properties over generated programs --------------------------- *)
 

@@ -20,7 +20,7 @@ let read_file path =
 let vet_source src =
   let cfgs = fst (Cfg_build.build_program (Parser.parse_program src)) in
   ignore (Taint.analyze cfgs);
-  Vet.check_program cfgs
+  Vet.check_program ~dom:Analysis.Dominator.compute cfgs
 
 let fixture name = read_file (Filename.concat "../examples/vet" name)
 
@@ -118,7 +118,7 @@ let test_missing_entry_warns () =
 let two_call_facts () =
   let cfgs = fst (Cfg_build.build_program (Parser.parse_program (fixture "coverage.app"))) in
   ignore (Taint.analyze cfgs);
-  Vet.facts cfgs
+  Vet.facts ~dom:Analysis.Dominator.compute cfgs
 
 let test_coverage_consistent () =
   let facts = two_call_facts () in
@@ -221,39 +221,46 @@ let trained =
     (let ds = Pipeline.collect small_app in
      (ds, Pipeline.train ds))
 
+(* The program's facts and the dominator table they share with the
+   program checks, as the daemon derives them. *)
+let facts_of (analysis : Analysis.Analyzer.t) =
+  let cfgs = analysis.Analysis.Analyzer.cfgs in
+  let dom = Vet.dominators cfgs in
+  (Vet.facts ~dom cfgs, dom)
+
 let test_profile_check_own_program_error_free () =
   let ds, profile = Lazy.force trained in
-  let diags = Profile_check.check ~entry:"main" profile ds.Pipeline.analysis in
+  let analysis = ds.Pipeline.analysis in
+  let facts, dom = facts_of analysis in
+  let diags = Profile_check.check ~facts ~dom profile analysis in
   Alcotest.(check (list string)) "no errors against own program" []
     (List.map Diag.to_string (Diag.errors diags))
 
 let test_profile_check_policies () =
   let ds, profile = Lazy.force trained in
   let analysis = ds.Pipeline.analysis in
-  let facts = Vet.facts analysis.Analysis.Analyzer.cfgs in
+  let facts, dom = facts_of analysis in
   Alcotest.(check int) "Off reports nothing" 0
-    (List.length (Profile_check.apply Profile_check.Off ~facts profile analysis));
+    (List.length (Profile_check.apply Profile_check.Off ~facts ~dom profile analysis));
   (* Enforce must not raise on a profile vetted against its own program. *)
-  ignore (Profile_check.apply Profile_check.Enforce ~facts profile analysis)
+  ignore (Profile_check.apply Profile_check.Enforce ~facts ~dom profile analysis)
 
 let test_profile_check_enforce_rejects_foreign_program () =
   let _, profile = Lazy.force trained in
   let foreign =
     Analysis.Analyzer.analyze (Parser.parse_program "fun main() { puts(\"hi\"); }")
   in
+  let facts, dom = facts_of foreign in
   Alcotest.check_raises "Enforce refuses a mismatched program"
     (Invalid_argument "")
     (fun () ->
-      match
-        Profile_check.apply Profile_check.Enforce
-          ~facts:(Vet.facts foreign.Analysis.Analyzer.cfgs) profile foreign
-      with
+      match Profile_check.apply Profile_check.Enforce ~facts ~dom profile foreign with
       | _ -> ()
       | exception Invalid_argument _ -> raise (Invalid_argument ""))
 
 let test_static_pairs_load_into_engine () =
   let ds, profile = Lazy.force trained in
-  let pairs = (Vet.facts ds.Pipeline.analysis.Analysis.Analyzer.cfgs).Vet.pairs in
+  let pairs = (fst (facts_of ds.Pipeline.analysis)).Vet.pairs in
   Alcotest.(check bool) "some static pairs" true (pairs <> []);
   Alcotest.(check bool) "all from main" true
     (List.for_all (fun (caller, _) -> caller = "main") pairs);
