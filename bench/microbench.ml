@@ -18,8 +18,10 @@
      the short quota, the static query inference on banking, one
      [Vet.check_program] pass, the call-sequence automaton build and a
      whole daemon start (create and drain) on the generated wide
-     program, and one out-of-language banking window classified (memo
-     off) with the automaton gate off and enforcing. *)
+     program, one out-of-language banking window classified (memo
+     off) with the automaton gate off and enforcing, and one
+     [Scoring.Stream.push] whose window hits the memo (banking) or
+     misses it (the generated wide program). *)
 
 open Bechamel
 open Toolkit
@@ -73,12 +75,13 @@ let hmm_tests () =
   ]
 
 (* A profile as the serve benchmark trains it (four rounds), the
-   analysis it was trained on, and its deduplicated, encoded training
-   windows. *)
+   analysis it was trained on, its deduplicated, encoded training
+   windows and its longest training trace. *)
 type fixture = {
   profile : Adprom.Profile.t;
   analysis : Analysis.Analyzer.t;
   weighted : (int array * float) list;
+  trace : Runtime.Collector.trace;
 }
 
 let bench_profile app params =
@@ -91,7 +94,12 @@ let bench_profile app params =
         Option.map (fun codes -> (codes, weight)) (Adprom.Window.encode ~index w))
       (Adprom.Window.dedup dataset.Adprom.Pipeline.windows)
   in
-  { profile; analysis = dataset.Adprom.Pipeline.analysis; weighted }
+  let trace =
+    List.fold_left
+      (fun longest (_, t) -> if Array.length t > Array.length longest then t else longest)
+      [||] dataset.Adprom.Pipeline.traces
+  in
+  { profile; analysis = dataset.Adprom.Pipeline.analysis; weighted; trace }
 
 let model f = (f.profile.Adprom.Profile.model, f.weighted)
 
@@ -116,6 +124,33 @@ let baum_welch_step_test label (model, weighted) =
   Test.make
     ~name:(Printf.sprintf "kernel/baum-welch-step-%s-%dwin" label (List.length weighted))
     (Staged.stage (fun () -> ignore (Hmm.baum_welch_step model weighted)))
+
+(* One [Scoring.Stream.push] of a fixture's longest trace, cycled:
+   with the default memo after two rounds, every window of the cycle
+   hits it ([hits]); with a one-entry memo, every window misses, evicts
+   the last one and runs the forward pass. *)
+let stream_push_test ~name ~hits f =
+  let engine =
+    Adprom.Scoring.create ?cache_capacity:(if hits then None else Some 1) f.profile
+  in
+  let st = Adprom.Scoring.Stream.create engine in
+  let n = Array.length f.trace in
+  let pushed = ref 0 in
+  let push () =
+    ignore (Adprom.Scoring.Stream.push st f.trace.(!pushed mod n));
+    incr pushed
+  in
+  for _ = 1 to 3 * n do
+    push ()
+  done;
+  let hits0 = Adprom.Scoring.cache_hits engine in
+  for _ = 1 to n do
+    push ()
+  done;
+  if Adprom.Scoring.cache_hits engine - hits0 <> if hits then n else 0 then
+    failwith (Printf.sprintf "microbench: %s does not %s the memo on every push" name
+                (if hits then "hit" else "miss"));
+  Test.make ~name (Staged.stage push)
 
 (* The static phase's costs, and the forward pass the enforcing
    automaton gate skips on a window of the profile's own symbols in
@@ -166,11 +201,14 @@ let static_tests ~banking ~gen_wide =
     Test.make ~name:"kernel/classify-out-of-language-banking-gate-off" (classify off);
     Test.make ~name:"kernel/classify-out-of-language-banking-gate-enforce"
       (classify enforce);
+    stream_push_test ~name:"kernel/stream-push-warm-banking" ~hits:true banking;
+    stream_push_test ~name:"kernel/stream-push-miss-gen-wide" ~hits:false gen_wide;
   ]
 
 (* The banking and generated wide programs as the serve benchmark trains
    them, and the wide program's hidden-state clustering as
-   [Profile.train] runs it; apart, the static rows on the same fixtures. *)
+   [Profile.train] runs it; apart, the static rows and the
+   stream pushes on the same fixtures. *)
 let kernel_tests () =
   let params = { Adprom.Pipeline.adprom_params with Adprom.Profile.max_rounds = 4 } in
   let banking = bench_profile (Dataset.Ca_banking.app ()) params in

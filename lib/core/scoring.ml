@@ -196,30 +196,62 @@ let cache_clear c =
   c.mru <- -1;
   c.lru <- -1
 
+(* --- packed ring slots ----------------------------------------------------- *)
+
+(* A prepared call's four facts in one int:
+
+     ((cid + 1) lsl code_bits lor (code + 1)) lsl 2 lor labeled lsl 1 lor pair_known
+
+   [code] is the profile alphabet code (-1 = outside the alphabet) and
+   [cid] the interned caller (-1 unless callers are tracked and the code
+   is known). [code_bits] is fixed per engine, the least width with
+   [alphabet < 2^code_bits], so [code + 1] always fits. The slot's key,
+   [p lsr 2], is the memo key's int at its window position, with or
+   without caller tracking; it is also the key of the known-pair set.
+   The key takes the 61 bits above the two flags, so it stays exact (one
+   key per (code, cid)) while [cid + 1 < 2^(61 - code_bits)].
+   [code_bits] refuses an alphabet that would leave fewer than 32 of
+   them for caller ids: reaching the limit takes 2^32 - 1 distinct
+   callers in one engine's interning table. Decoding is shift and mask
+   only. *)
+module Slot = struct
+  let max_code_bits = 61 - 32
+
+  let code_bits alphabet =
+    if alphabet >= 1 lsl max_code_bits then
+      invalid_arg
+        (Printf.sprintf
+           "Scoring.create: an alphabet of %d symbols leaves fewer than 32 bits for caller ids"
+           alphabet);
+    let rec width b = if alphabet < 1 lsl b then b else width (b + 1) in
+    width 0
+
+  let fold ~code_bits ~code ~cid = ((cid + 1) lsl code_bits) lor (code + 1)
+
+  let pack ~code_bits ~code ~cid ~labeled ~pair_known =
+    (fold ~code_bits ~code ~cid lsl 2)
+    lor (if labeled then 2 else 0)
+    lor if pair_known then 1 else 0
+
+  let key p = p lsr 2
+  let code ~code_bits p = (key p land ((1 lsl code_bits) - 1)) - 1
+  let cid ~code_bits p = (p lsr (code_bits + 2)) - 1
+  let labeled p = p land 2 <> 0
+  let pair_known p = p land 1 <> 0
+end
+
 (* --- prepared windows ----------------------------------------------------- *)
 
-(* A ring of prepared slots: position [i] of a window that starts at
-   slot [start] lives in slot [(start + i) mod capacity]. A [Stream]
-   keeps one ring per session; batch [classify] loads its window into
-   an engine-owned ring of exactly the window's length. *)
-type ring = {
-  r_codes : int array;  (* profile alphabet code; -1 = outside the alphabet *)
-  r_syms : Symbol.t array;  (* prepared observable symbols *)
-  r_callers : string array;
-  r_cids : int array;  (* interned caller; -1 unless tracked and the code is known *)
-  r_labeled : bool array;
-  r_pair_known : bool array;  (* always true when callers are not tracked *)
-}
+(* A window is a ring of [Slot.pack]ed slots: position [i] of a window
+   that starts at slot [start] lives in slot [(start + i) mod capacity].
+   A [Stream] keeps one ring per session, next to the events it packed;
+   batch [classify] packs its window into engine-owned scratch of
+   exactly the window's length. The decision reads only the packed
+   ints; the cold paths that name a pair read its (caller, prepared
+   symbol) through [pair_at src s], from the events or the window. *)
 
-let ring_create n =
-  {
-    r_codes = Array.make n (-1);
-    r_syms = Array.make n Symbol.Entry;
-    r_callers = Array.make n "";
-    r_cids = Array.make n (-1);
-    r_labeled = Array.make n false;
-    r_pair_known = Array.make n false;
-  }
+(* The slot after [s] in a ring of [cap] slots, without a division. *)
+let next_slot cap s = if s + 1 = cap then 0 else s + 1
 
 (* --- the compiled engine ----------------------------------------------- *)
 
@@ -229,11 +261,11 @@ type t = {
   use_labels : bool;
   track_callers : bool;
   labeled : bool array;  (* per alphabet code *)
+  code_bits : int;  (* [Slot.code_bits] of the alphabet *)
   mutable threshold : float;
   caller_ids : (string, int) Hashtbl.t;  (* interned callers *)
   mutable next_caller_id : int;
-  pair_stride : int;
-  pair_codes : (int, unit) Hashtbl.t;  (* caller_id * stride + code + 1 *)
+  pair_keys : (int, unit) Hashtbl.t;  (* slot keys of the known pairs *)
   mutable static_pairs : (string * Symbol.t, unit) Hashtbl.t option;
       (* statically possible pairs (profile label view); explanation
          gating only, never consulted by [classify] *)
@@ -247,7 +279,7 @@ type t = {
   cache : cache;
   code_scratch : (int, int array) Hashtbl.t;  (* per-length, reused *)
   key_scratch : (int, int array) Hashtbl.t;
-  ring_scratch : (int, ring) Hashtbl.t;  (* batch [classify]'s windows *)
+  slot_scratch : (int, int array) Hashtbl.t;  (* batch [classify]'s rings *)
 }
 
 let intern_caller t caller =
@@ -263,6 +295,7 @@ let default_cache_capacity = 8192
 
 let create ?(cache_capacity = default_cache_capacity) profile =
   if cache_capacity < 0 then invalid_arg "Scoring.create: negative cache capacity";
+  let code_bits = Slot.code_bits (Array.length profile.Profile.alphabet) in
   let t =
     {
       profile;
@@ -270,11 +303,11 @@ let create ?(cache_capacity = default_cache_capacity) profile =
       use_labels = profile.Profile.params.Profile.use_labels;
       track_callers = profile.Profile.params.Profile.track_callers;
       labeled = Array.map Symbol.is_labeled profile.Profile.alphabet;
+      code_bits;
       threshold = profile.Profile.threshold;
       caller_ids = Hashtbl.create 64;
       next_caller_id = 0;
-      pair_stride = Array.length profile.Profile.alphabet + 2;
-      pair_codes = Hashtbl.create 256;
+      pair_keys = Hashtbl.create 256;
       static_pairs = None;
       static_dfa = None;
       dfa_codes = [||];
@@ -284,7 +317,7 @@ let create ?(cache_capacity = default_cache_capacity) profile =
       cache = cache_create cache_capacity;
       code_scratch = Hashtbl.create 4;
       key_scratch = Hashtbl.create 4;
-      ring_scratch = Hashtbl.create 4;
+      slot_scratch = Hashtbl.create 4;
     }
   in
   Hashtbl.iter
@@ -294,8 +327,8 @@ let create ?(cache_capacity = default_cache_capacity) profile =
          raw table, so compiling it away here is safe either way. *)
       match Symbol.Table.find_opt profile.Profile.obs_index sym with
       | Some code ->
-          Hashtbl.replace t.pair_codes
-            ((intern_caller t caller * t.pair_stride) + code + 1)
+          Hashtbl.replace t.pair_keys
+            (Slot.fold ~code_bits ~code ~cid:(intern_caller t caller))
             ()
       | None -> ())
     profile.Profile.known_pairs;
@@ -308,16 +341,19 @@ let cache_misses t = t.cache.misses
 let cache_len t = t.cache.len
 let cache_capacity t = t.cache.capacity
 
+(* A symbol as the engine sees it: observable, under the profile's
+   label view. *)
+let prepare_symbol t sym =
+  let sym = Symbol.observable sym in
+  if t.use_labels then sym else Symbol.strip_label sym
+
 let set_static_pairs t pairs =
   match pairs with
   | None -> t.static_pairs <- None
   | Some l ->
       let tbl = Hashtbl.create ((2 * List.length l) + 1) in
       List.iter
-        (fun (caller, sym) ->
-          let sym = Symbol.observable sym in
-          let sym = if t.use_labels then sym else Symbol.strip_label sym in
-          Hashtbl.replace tbl (caller, sym) ())
+        (fun (caller, sym) -> Hashtbl.replace tbl (caller, prepare_symbol t sym) ())
         l;
       t.static_pairs <- Some tbl
 
@@ -354,14 +390,13 @@ let set_gate_enforce t on =
 let gate_checks t = t.gate_checks
 let gate_rejections t = t.gate_rejections
 
-(* Walk a window's profile codes through the DFA; [true] = the walk
-   died, i.e. the static phase proved no execution emits this window.
-   [codes] is read as a ring from slot [start]. *)
-let dfa_walk_dies t dfa codes ~start ~len =
-  let cap = Array.length codes in
+(* Walk a window's profile codes, [codes.(0 .. len - 1)], through the
+   DFA; [true] = the walk died, i.e. the static phase proved no
+   execution emits this window. *)
+let dfa_walk_dies t dfa codes ~len =
   let state = ref (Analysis.Dfa.start dfa) and i = ref 0 in
   while !state >= 0 && !i < len do
-    let dc = Array.unsafe_get t.dfa_codes (Array.unsafe_get codes ((start + !i) mod cap)) in
+    let dc = Array.unsafe_get t.dfa_codes (Array.unsafe_get codes !i) in
     state := if dc < 0 then -1 else Analysis.Dfa.step dfa !state dc;
     incr i
   done;
@@ -369,19 +404,11 @@ let dfa_walk_dies t dfa codes ~start ~len =
 
 (* Every DFA walk that decides something is counted here: enforce-mode
    gates in [decide] and explain-mode window checks in [explain]. *)
-let counted_walk t (a : Analysis.Seqauto.t) codes ~start ~len =
+let counted_walk t (a : Analysis.Seqauto.t) codes ~len =
   t.gate_checks <- t.gate_checks + 1;
-  let r = dfa_walk_dies t a.Analysis.Seqauto.dfa codes ~start ~len in
+  let r = dfa_walk_dies t a.Analysis.Seqauto.dfa codes ~len in
   if r then t.gate_rejections <- t.gate_rejections + 1;
   r
-
-(* The enforce-mode gate, consulted by [decide] on the known-symbols
-   path before the memo: rejected windows short-circuit to an anomalous
-   verdict with no forward pass and never enter the memo. *)
-let gate_rejects t codes ~start ~len =
-  match t.static_dfa with
-  | Some a when t.gate_enforce -> counted_walk t a codes ~start ~len
-  | Some _ | None -> false
 
 (* Flag chosen directly (not via the threshold comparison) so a rejected
    window is anomalous whatever the threshold is. *)
@@ -399,16 +426,14 @@ let set_threshold t th =
     cache_clear t.cache
   end
 
-(* The engine's per-length scratch in [tbl], made on first use. *)
-let scratch tbl len make =
+(* The engine's per-length int scratch in [tbl], made on first use. *)
+let scratch_of tbl len =
   match Hashtbl.find tbl len with
   | a -> a
   | exception Not_found ->
-      let a = make len in
+      let a = Array.make len 0 in
       Hashtbl.replace tbl len a;
       a
-
-let scratch_of tbl len = scratch tbl len (fun n -> Array.make n 0)
 
 (* Exactly the reference flag decision of [Detector.reference_classify]:
    [labeled_any] stands for [Window.contains_labeled_output]. *)
@@ -423,109 +448,122 @@ let make_verdict t ~score ~unknown_symbol ~unknown_pair ~labeled_any =
   { flag; score; unknown_symbol; unknown_pair }
 
 let pair_known t ~caller ~cid ~code ~sym =
-  if code >= 0 then Hashtbl.mem t.pair_codes ((cid * t.pair_stride) + code + 1)
+  if code >= 0 then Hashtbl.mem t.pair_keys (Slot.fold ~code_bits:t.code_bits ~code ~cid)
   else Profile.known_pair t.profile caller sym
 
-(* The one slot loader. [sym] is already prepared: observable, under
-   the profile's label view. *)
-let load_slot t r s ~sym ~caller =
+(* The one slot loader. [sym] is already prepared. *)
+let load_slot t slots s ~sym ~caller =
   let code =
     match Symbol.Table.find t.profile.Profile.obs_index sym with
     | c -> c
     | exception Not_found -> -1
   in
   let cid = if t.track_callers && code >= 0 then intern_caller t caller else -1 in
-  r.r_codes.(s) <- code;
-  r.r_syms.(s) <- sym;
-  r.r_callers.(s) <- caller;
-  r.r_cids.(s) <- cid;
-  r.r_labeled.(s) <- (if code >= 0 then t.labeled.(code) else Symbol.is_labeled sym);
-  r.r_pair_known.(s) <- (not t.track_callers) || pair_known t ~caller ~cid ~code ~sym
+  slots.(s) <-
+    Slot.pack ~code_bits:t.code_bits ~code ~cid
+      ~labeled:(if code >= 0 then t.labeled.(code) else Symbol.is_labeled sym)
+      ~pair_known:((not t.track_callers) || pair_known t ~caller ~cid ~code ~sym)
 
-let rec first_unknown_pair r ~cap ~start ~len i =
+let rec first_unknown_pair slots ~pair_at src ~start ~len i =
   if i >= len then None
   else
-    let s = (start + i) mod cap in
-    if r.r_pair_known.(s) then first_unknown_pair r ~cap ~start ~len (i + 1)
-    else Some (r.r_callers.(s), r.r_syms.(s))
+    let s = (start + i) mod Array.length slots in
+    if Slot.pair_known slots.(s) then first_unknown_pair slots ~pair_at src ~start ~len (i + 1)
+    else Some (pair_at src s)
 
-let unknown_pair t r ~start ~len =
-  if t.track_callers then
-    first_unknown_pair r ~cap:(Array.length r.r_codes) ~start ~len 0
-  else None
+let unknown_pair t slots ~pair_at src ~start ~len =
+  if t.track_callers then first_unknown_pair slots ~pair_at src ~start ~len 0 else None
 
 (* The window's codes, oldest first, in the engine's contiguous scratch. *)
-let codes_of t r ~start ~len =
-  let cap = Array.length r.r_codes in
+let codes_of t slots ~start ~len =
+  let cap = Array.length slots in
   let codes = scratch_of t.code_scratch len in
+  let s = ref (start mod cap) in
   for i = 0 to len - 1 do
-    codes.(i) <- r.r_codes.((start + i) mod cap)
+    Array.unsafe_set codes i (Slot.code ~code_bits:t.code_bits (Array.unsafe_get slots !s));
+    s := next_slot cap !s
   done;
   codes
 
-(* The one window decision (Sec. IV-D) over the [len] slots of [r]
-   from [start] on: unknown symbols, then the enforce-mode gate, then
-   the memo and the forward pass. Both [classify] and [Stream] score
-   through here. *)
-let decide t r ~start ~len =
-  let cap = Array.length r.r_codes in
-  let unknown = ref false and labeled_any = ref false in
+(* The enforce-mode gate, consulted by [decide] on the known-symbols
+   path before the memo: rejected windows short-circuit to an anomalous
+   verdict with no forward pass and never enter the memo. *)
+let gate_rejects t slots ~start ~len =
+  match t.static_dfa with
+  | Some a when t.gate_enforce -> counted_walk t a (codes_of t slots ~start ~len) ~len
+  | Some _ | None -> false
+
+(* The window's memo key, one slot key per position, in the engine's
+   scratch: equal keys mean equal (code, caller id) sequences. *)
+let key_of t slots ~start ~len =
+  let cap = Array.length slots in
+  let key = scratch_of t.key_scratch len in
+  let s = ref (start mod cap) in
   for i = 0 to len - 1 do
-    let s = (start + i) mod cap in
-    if r.r_codes.(s) < 0 then unknown := true;
-    if r.r_labeled.(s) then labeled_any := true
+    Array.unsafe_set key i (Slot.key (Array.unsafe_get slots !s));
+    s := next_slot cap !s
+  done;
+  key
+
+(* The one window decision (Sec. IV-D) over the [len] slots of the
+   ring [slots] from [start] on: unknown symbols, then the
+   enforce-mode gate, then the memo and the forward pass. Both
+   [classify] and [Stream] score through here. *)
+let decide t slots ~pair_at src ~start ~len =
+  let cap = Array.length slots in
+  let unknown = ref false and labeled_any = ref false in
+  let s = ref (start mod cap) in
+  for _ = 1 to len do
+    let p = Array.unsafe_get slots !s in
+    if Slot.code ~code_bits:t.code_bits p < 0 then unknown := true;
+    if Slot.labeled p then labeled_any := true;
+    s := next_slot cap !s
   done;
   if !unknown then
     (* Symbols outside the alphabet: neg_infinity without a forward
        pass, and the verdict names the offending symbol, so these
        windows bypass the memo (codes collide on -1). *)
     make_verdict t ~score:neg_infinity ~unknown_symbol:true
-      ~unknown_pair:(unknown_pair t r ~start ~len) ~labeled_any:!labeled_any
-  else if gate_rejects t r.r_codes ~start ~len then
-    gate_verdict ~unknown_pair:(unknown_pair t r ~start ~len) ~labeled_any:!labeled_any
+      ~unknown_pair:(unknown_pair t slots ~pair_at src ~start ~len)
+      ~labeled_any:!labeled_any
+  else if gate_rejects t slots ~start ~len then
+    gate_verdict
+      ~unknown_pair:(unknown_pair t slots ~pair_at src ~start ~len)
+      ~labeled_any:!labeled_any
   else begin
-    let key =
-      if t.track_callers then begin
-        let key = scratch_of t.key_scratch (2 * len) in
-        for i = 0 to len - 1 do
-          let s = (start + i) mod cap in
-          key.(2 * i) <- r.r_codes.(s);
-          key.((2 * i) + 1) <- r.r_cids.(s)
-        done;
-        key
-      end
-      else codes_of t r ~start ~len
-    in
+    let key = key_of t slots ~start ~len in
     let h = key_hash key in
     let s = cache_find t.cache key h in
     if s >= 0 then t.cache.verdicts.(s)
     else begin
-      let codes = if t.track_callers then codes_of t r ~start ~len else key in
+      let codes = codes_of t slots ~start ~len in
       let score = Hmm.Compiled.per_symbol_score_sub t.compiled codes ~pos:0 ~len in
       let v =
         make_verdict t ~score ~unknown_symbol:false
-          ~unknown_pair:(unknown_pair t r ~start ~len) ~labeled_any:!labeled_any
+          ~unknown_pair:(unknown_pair t slots ~pair_at src ~start ~len)
+          ~labeled_any:!labeled_any
       in
       cache_insert t.cache key h v;
       v
     end
   end
 
+let window_pair (w : Window.t) i = (w.Window.callers.(i), w.Window.obs.(i))
+
 let classify t window =
   let w = Profile.prepare t.profile window in
-  let obs = w.Window.obs and callers = w.Window.callers in
-  let len = Array.length obs in
+  let len = Array.length w.Window.obs in
   if len = 0 then
     (* the reference fails to encode an empty window and scores it
        neg_infinity without a forward pass *)
     make_verdict t ~score:neg_infinity ~unknown_symbol:false ~unknown_pair:None
       ~labeled_any:false
   else begin
-    let r = scratch t.ring_scratch len ring_create in
+    let slots = scratch_of t.slot_scratch len in
     for i = 0 to len - 1 do
-      load_slot t r i ~sym:obs.(i) ~caller:callers.(i)
+      load_slot t slots i ~sym:w.Window.obs.(i) ~caller:w.Window.callers.(i)
     done;
-    decide t r ~start:0 ~len
+    decide t slots ~pair_at:window_pair w ~start:0 ~len
   end
 
 let monitor t trace =
@@ -610,9 +648,8 @@ let explain_verdict ~top t v window =
       let codes = Option.value encoded ~default:[||] in
       match t.static_dfa with
       | None -> false
-      | Some a when t.gate_enforce ->
-          dfa_walk_dies t a.Analysis.Seqauto.dfa codes ~start:0 ~len:n
-      | Some a -> counted_walk t a codes ~start:0 ~len:n
+      | Some a when t.gate_enforce -> dfa_walk_dies t a.Analysis.Seqauto.dfa codes ~len:n
+      | Some a -> counted_walk t a codes ~len:n
     in
     let gate =
       if v.unknown_symbol then Unknown_symbol
@@ -691,15 +728,17 @@ module Stream = struct
 
   type t = {
     eng : engine;
-    ring : ring;  (* capacity: the window length *)
+    slots : int array;  (* the ring; capacity: the window length *)
+    events : Runtime.Collector.event array;  (* as pushed, per slot *)
     mutable pushed : int;
     mutable last : verdict;  (* of the window [classify_last] scored last *)
     mutable is_flushed : bool;
   }
 
-  (* [last] before any window is scored; shared, so a session costs no
-     extra allocation *)
+  (* [last] before any window is scored, and the events of slots not
+     yet pushed; shared, so a session costs no extra allocation *)
   let unscored = { flag = Normal; score = nan; unknown_symbol = false; unknown_pair = None }
+  let no_event = { Runtime.Collector.symbol = Symbol.Entry; caller = ""; block = -1 }
 
   let create ?window eng =
     let window =
@@ -708,26 +747,38 @@ module Stream = struct
       | None -> eng.profile.Profile.params.Profile.window
     in
     if window <= 0 then invalid_arg "Scoring.Stream.create: window must be positive";
-    { eng; ring = ring_create window; pushed = 0; last = unscored; is_flushed = false }
+    {
+      eng;
+      slots = Array.make window 0;
+      events = Array.make window no_event;
+      pushed = 0;
+      last = unscored;
+      is_flushed = false;
+    }
 
   let engine st = st.eng
-  let window st = Array.length st.ring.r_codes
+  let window st = Array.length st.slots
   let events_seen st = st.pushed
   let flushed st = st.is_flushed
 
+  let event_pair st s =
+    let e = st.events.(s) in
+    (e.Runtime.Collector.caller, prepare_symbol st.eng e.Runtime.Collector.symbol)
+
   (* The window of the last [len] buffered events, oldest first. *)
   let classify_last st len =
-    st.last <- decide st.eng st.ring ~start:(st.pushed - len) ~len;
+    st.last <- decide st.eng st.slots ~pair_at:event_pair st ~start:(st.pushed - len) ~len;
     st.last
 
   let push st (event : Runtime.Collector.event) =
     if st.is_flushed then Error "push after flush: scorer already flushed"
     else begin
-      let eng = st.eng in
-      let sym = Symbol.observable event.Runtime.Collector.symbol in
-      let sym = if eng.use_labels then sym else Symbol.strip_label sym in
       let window = window st in
-      load_slot eng st.ring (st.pushed mod window) ~sym ~caller:event.Runtime.Collector.caller;
+      let s = st.pushed mod window in
+      load_slot st.eng st.slots s
+        ~sym:(prepare_symbol st.eng event.Runtime.Collector.symbol)
+        ~caller:event.Runtime.Collector.caller;
+      st.events.(s) <- event;
       st.pushed <- st.pushed + 1;
       if st.pushed >= window then Ok (Some (classify_last st window)) else Ok None
     end
@@ -743,9 +794,8 @@ module Stream = struct
   (* Rebuild the window that [classify_last] most recently scored —
      either the full ring (steady state) or the short flush window —
      and explain the verdict it got there, without classifying it
-     again. The symbols in the ring are already prepared (observable,
-     labels per [use_labels]), and [Profile.prepare] is idempotent on
-     prepared windows. *)
+     again. The symbols are prepared as [push] prepared them, and
+     [Profile.prepare] is idempotent on prepared windows. *)
   let explain_last st =
     let window = window st in
     let len =
@@ -754,12 +804,13 @@ module Stream = struct
     if len = 0 then None
     else begin
       let start = st.pushed - len in
-      let slot i = (start + i) mod window in
+      let event i = st.events.((start + i) mod window) in
       let w =
         Window.
           {
-            obs = Array.init len (fun i -> st.ring.r_syms.(slot i));
-            callers = Array.init len (fun i -> st.ring.r_callers.(slot i));
+            obs =
+              Array.init len (fun i -> prepare_symbol st.eng (event i).Runtime.Collector.symbol);
+            callers = Array.init len (fun i -> (event i).Runtime.Collector.caller);
           }
       in
       explain_verdict ~top:3 st.eng st.last w

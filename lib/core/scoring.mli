@@ -162,6 +162,36 @@ val cache_misses : t -> int
 val cache_len : t -> int
 val cache_capacity : t -> int
 
+(** {1 Packed ring slots}
+
+    A {!Stream} ring holds each prepared call as one int: its alphabet
+    code ([-1] outside the alphabet), its interned caller id ([-1]
+    unless callers are tracked and the code is known), and whether it
+    is a labeled output and a known (caller, call) pair. A slot's
+    {!Slot.key} is the int that a verdict-memo key holds at its window
+    position, with or without caller tracking. Exposed so that tests
+    can pin the encoding. *)
+module Slot : sig
+  val code_bits : int -> int
+  (** The code field's width for an alphabet of [m] symbols: the least
+      [b] with [m < 2^b]. {!create} fixes it per engine.
+      @raise Invalid_argument when fewer than 32 of a key's 61 bits
+      would remain for caller ids, i.e. [m >= 2^29]. *)
+
+  val pack : code_bits:int -> code:int -> cid:int -> labeled:bool -> pair_known:bool -> int
+  (** [((cid + 1) lsl code_bits lor (code + 1)) lsl 2 lor labeled lsl 1
+      lor pair_known]. Decodes exactly while [-1 <= code < 2^code_bits - 1]
+      and [-1 <= cid < 2^(61 - code_bits) - 1]. *)
+
+  val key : int -> int
+  (** [p lsr 2]: one int per (code, caller id). *)
+
+  val code : code_bits:int -> int -> int
+  val cid : code_bits:int -> int -> int
+  val labeled : int -> bool
+  val pair_known : int -> bool
+end
+
 module Stream : sig
   (** Per-session incremental scoring over the engine: a ring of
       prepared slots (symbols are interned once, at [push]), classified

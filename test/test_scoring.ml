@@ -3,8 +3,9 @@
    random profiles and windows — flag, bit-for-bit score, unknown
    symbol/pair — including memo-hit re-scores and post-extend engines,
    plus the streaming ring against the same specification (thresholds
-   moved mid-stream, memo evictions) and unit tests for the LRU memo
-   and threshold invalidation. *)
+   moved mid-stream, memo evictions), unit tests for the LRU memo and
+   threshold invalidation, the packed ring-slot encoding, and the
+   minor-heap words a session, a memo miss and a warm push cost. *)
 
 module Scoring = Adprom.Scoring
 module Detector = Adprom.Detector
@@ -20,12 +21,10 @@ let mk_symbol ~labeled i =
     Symbol.Lib { name = Printf.sprintf "call%d" i; label = Some i; site = None }
   else Symbol.lib (Printf.sprintf "call%d" i)
 
-let make_profile ~seed ~m ~n ~use_labels ~track_callers =
-  let alphabet =
-    (* a label-free view never has labeled symbols in its alphabet
-       (training strips them before alphabet construction) *)
-    Array.init m (fun i -> mk_symbol ~labeled:(use_labels && i mod 3 = 0) i)
-  in
+(* A profile over [alphabet]: a random HMM, and known pairs from
+   callers "c0" .. "c3" on about half the symbols. *)
+let profile_over ~seed ~n ~use_labels ~track_callers alphabet =
+  let m = Array.length alphabet in
   let obs_index = Symbol.Table.create m in
   Array.iteri (fun i s -> Symbol.Table.replace obs_index s i) alphabet;
   let rng = Mlkit.Rng.create (seed + 1) in
@@ -54,6 +53,12 @@ let make_profile ~seed ~m ~n ~use_labels ~track_callers =
     csds_history = [];
     rounds_run = 0;
   }
+
+let make_profile ~seed ~m ~n ~use_labels ~track_callers =
+  (* a label-free view never has labeled symbols in its alphabet
+     (training strips them before alphabet construction) *)
+  profile_over ~seed ~n ~use_labels ~track_callers
+    (Array.init m (fun i -> mk_symbol ~labeled:(use_labels && i mod 3 = 0) i))
 
 (* window specs: per position, a symbol code and a caller id. Codes -1
    and -2 are foreign symbols (unlabeled / labeled) the profile never
@@ -536,7 +541,7 @@ let test_empty_window () =
     (verdict_eq (Detector.reference_classify profile empty)
        (Scoring.classify engine empty))
 
-(* Minor words a memo miss costs [classify] beyond what a hit costs:
+(* A memo hit costs [classify] no allocation, and a miss costs:
    9 with the slab memo, the verdict, its boxed score and the forward
    pass's boxed result. Before it this case measured 32.9 (a key copy,
    the LRU node, a hash-table bucket, the verdict), and a 15-call
@@ -553,11 +558,12 @@ let test_miss_allocation () =
           (List.init 4 (fun d -> ((i / [| 1; 6; 36; 216 |].(d)) mod 6, 0))))
   in
   let rounds = 20 in
+  let classify w = ignore (Scoring.classify engine w) in
   let words_per_call ws =
-    Array.iter (fun w -> ignore (Scoring.classify engine w)) ws;
+    Array.iter classify ws;
     let w0 = Gc.minor_words () in
     for _ = 1 to rounds do
-      Array.iter (fun w -> ignore (Scoring.classify engine w)) ws
+      Array.iter classify ws
     done;
     (Gc.minor_words () -. w0) /. float_of_int (rounds * Array.length ws)
   in
@@ -571,6 +577,7 @@ let test_miss_allocation () =
   let hit = words_per_call resident in
   Alcotest.(check int) "every measured call hit" (rounds * Array.length resident)
     (Scoring.cache_hits engine - hits0);
+  Alcotest.(check (float 0.0)) "a hit allocates nothing" 0.0 hit;
   let per_miss = miss -. hit in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per miss <= 12" per_miss)
@@ -621,6 +628,186 @@ let test_stream_push_after_flush () =
         (Scoring.Stream.events_seen stream)
   | Ok _ -> Alcotest.fail "push after flush must return Error"
 
+(* --- packed slots ------------------------------------------------------------ *)
+
+(* Slots as [load_slot] computes them, under the code width of an
+   alphabet of [m] symbols, with callers interned up to the width's
+   range: code and caller id drawn from their whole ranges (often
+   small, sometimes near the top), -1 for each included. Two slots of
+   one engine, equal in their (code, cid) now and then. *)
+let slots_gen =
+  QCheck2.Gen.(
+    let* m = oneof [ int_bound 300; int_bound ((1 lsl 29) - 1) ] in
+    let code_bits = Scoring.Slot.code_bits m in
+    let max_cid = (1 lsl (61 - code_bits)) - 2 in
+    let slot =
+      let* code = oneof [ return (-1); int_range (-1) (m - 1) ] in
+      let* cid = oneof [ return (-1); int_range (-1) 200; int_range (-1) max_cid ] in
+      let* labeled = bool in
+      let* pair_known = bool in
+      return (code, cid, labeled, pair_known)
+    in
+    let* a = slot in
+    let* b = oneof [ return a; slot ] in
+    return (code_bits, a, b))
+
+let prop_slot_round_trip =
+  QCheck2.Test.make ~name:"a packed slot decodes to its (code, cid, labeled, pair-known)"
+    ~count:2000
+    ~print:(fun (bits, (c, i, l, k), (c', i', _, _)) ->
+      Printf.sprintf "code_bits=%d (%d, %d, %b, %b) vs (%d, %d)" bits c i l k c' i')
+    slots_gen
+    (fun (code_bits, (code, cid, labeled, pair_known), (code', cid', labeled', known')) ->
+      let module S = Scoring.Slot in
+      let p = S.pack ~code_bits ~code ~cid ~labeled ~pair_known in
+      let q = S.pack ~code_bits ~code:code' ~cid:cid' ~labeled:labeled' ~pair_known:known' in
+      S.code ~code_bits p = code
+      && S.cid ~code_bits p = cid
+      && S.labeled p = labeled
+      && S.pair_known p = pair_known
+      && S.key p >= 0
+      && (S.key p = S.key q) = (code = code' && cid = cid'))
+
+(* [create] takes the code width from [Slot.code_bits] before it
+   compiles anything, so it raises this same error; a 2^29-symbol
+   profile is too large to build in a test. *)
+let test_code_bits_limit () =
+  List.iter
+    (fun (m, bits) ->
+      Alcotest.(check int) (Printf.sprintf "code_bits %d" m) bits (Scoring.Slot.code_bits m))
+    [ (0, 0); (1, 1); (40, 6); (126, 7); (127, 7); (128, 8); ((1 lsl 29) - 1, 29) ];
+  Alcotest.check_raises "2^29 symbols leave 31 bits for caller ids"
+    (Invalid_argument
+       "Scoring.create: an alphabet of 536870912 symbols leaves fewer than 32 bits for caller ids")
+    (fun () -> ignore (Scoring.Slot.code_bits (1 lsl 29)))
+
+(* --- allocation budgets ------------------------------------------------------ *)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity r);
+  int_of_float words
+
+(* A session's scoring state: the stream record (7 words) and its two
+   arrays of window + 1 words, the packed slots and the events pushed:
+   39 at window 15, where six parallel arrays took 109. *)
+let test_stream_create_allocation () =
+  let engine = Scoring.create (fixed_profile ()) in
+  let words = minor_words (fun () -> Scoring.Stream.create engine) in
+  Alcotest.(check bool) (Printf.sprintf "%d minor words <= 40" words) true (words <= 40)
+
+(* A miss into a fresh memo slot copies the window's key: one int per
+   position, window + 1 words with its header (31 with the former
+   (code, caller id) pairs). Measured as the fresh miss's words less
+   those of a miss that evicts a slot and reuses its key array in
+   place; both allocate the same verdict and result. *)
+let test_fresh_miss_key_copy () =
+  let profile = fixed_profile () in
+  let window = profile.Profile.params.Profile.window in
+  let engine = Scoring.create ~cache_capacity:2 profile in
+  (* a period longer than the window: consecutive windows differ *)
+  let trace = Array.init (window + 3) (mk_event profile) in
+  let push st i =
+    match Scoring.Stream.push st trace.(i mod Array.length trace) with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "push rejected: %s" e
+  in
+  (* the first window takes slot 0 and makes the engine's scratch *)
+  let warm = Scoring.Stream.create engine in
+  for i = 2 to window + 1 do
+    ignore (push warm i)
+  done;
+  let st = Scoring.Stream.create engine in
+  for i = 0 to window - 2 do
+    ignore (push st i)
+  done;
+  let fresh = minor_words (fun () -> push st (window - 1)) in
+  Alcotest.(check int) "fresh slot" 2 (Scoring.cache_len engine);
+  let evicting = minor_words (fun () -> push st window) in
+  Alcotest.(check int) "three misses" 3 (Scoring.cache_misses engine);
+  let key_copy = fresh - evicting in
+  Alcotest.(check bool)
+    (Printf.sprintf "key copy %d words <= %d" key_copy (window + 1))
+    true
+    (key_copy > 0 && key_copy <= window + 1)
+
+let site_source =
+  {|
+fun main() {
+  let conn = db_connect("bank");
+  let r = pq_exec(conn, "SELECT * FROM accounts");
+  if (x > 0) {
+    printf("%s", r);
+  } else {
+    report(r);
+  }
+  fwrite(r);
+}
+
+fun report(r) {
+  puts("report");
+  printf("%s", r);
+}
+|}
+
+(* A warm push on the collector's events allocates only its
+   [Ok (Some v)], 4 words: the ring takes the event's symbol as it is
+   ([Symbol.observable] copies only a symbol with a site, and
+   [Analyzer.site_event] builds none), and a memo hit copies no key. *)
+let test_warm_push_allocation () =
+  let analysis = Analysis.Analyzer.analyze (Applang.Parser.parse_program site_source) in
+  let events =
+    List.concat_map
+      (fun (_, cfg) ->
+        List.concat_map
+          (fun (block, site) ->
+            if site.Analysis.Cfg.is_user then []
+            else
+              List.map
+                (fun labelled -> Analysis.Analyzer.site_event analysis ~block ~labelled)
+                [ false; true ])
+          (Analysis.Cfg.call_nodes cfg))
+      analysis.Analysis.Analyzer.cfgs
+  in
+  let alphabet =
+    Array.of_list
+      (List.sort_uniq Symbol.compare
+         (List.map (fun e -> Symbol.observable e.Runtime.Collector.symbol) events))
+  in
+  let profile =
+    profile_over ~seed:3 ~n:3 ~use_labels:true ~track_callers:true alphabet
+  in
+  let engine = Scoring.create profile in
+  let trace = Array.of_list events in
+  let n = Array.length trace in
+  let st = Scoring.Stream.create engine in
+  let pushed = ref 0 in
+  let push () =
+    let r = Scoring.Stream.push st trace.(!pushed mod n) in
+    incr pushed;
+    r
+  in
+  (* two rounds past the first window: every window of the cycle is
+     then in the memo *)
+  for _ = 1 to (2 * n) + 15 do
+    ignore (push ())
+  done;
+  let misses = Scoring.cache_misses engine in
+  let pushes = 4 * n in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to pushes do
+          match push () with
+          | Ok (Some v) -> ignore (Sys.opaque_identity v)
+          | Ok None -> Alcotest.fail "warm push scored no window"
+          | Error e -> Alcotest.failf "push rejected: %s" e
+        done)
+  in
+  Alcotest.(check int) "every measured window hit" misses (Scoring.cache_misses engine);
+  Alcotest.(check int) (Printf.sprintf "words over %d pushes" pushes) (4 * pushes) words
+
 let () =
   Alcotest.run "scoring"
     [
@@ -654,5 +841,20 @@ let () =
             test_stream_matches_monitor;
           Alcotest.test_case "push after flush is a soft error" `Quick
             test_stream_push_after_flush;
+        ] );
+      ( "packed slots",
+        [
+          QCheck_alcotest.to_alcotest prop_slot_round_trip;
+          Alcotest.test_case "code_bits refuses an alphabet too wide for the key" `Quick
+            test_code_bits_limit;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "Stream.create allocates at most 40 words" `Quick
+            test_stream_create_allocation;
+          Alcotest.test_case "a fresh-slot miss copies a window + 1 word key" `Quick
+            test_fresh_miss_key_copy;
+          Alcotest.test_case "a warm push allocates only its result" `Quick
+            test_warm_push_allocation;
         ] );
     ]
