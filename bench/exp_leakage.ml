@@ -2,7 +2,7 @@
    pass (Qstatic seeding, the Flowdom fixpoint, the policy checks) next
    to the plain vet pass, and the guarantee the subsystem is pay-as-you-
    go — the default vet path, with no --leakage-policy, must stay
-   within 10% of the PR 9 baseline (the identical CFG+taint+checks
+   within 10% of the baseline (the identical CFG+taint+prune+checks
    sequence, which is exactly what vet runs when no policy is given).
    Writes BENCH_leakage.json for the CI artifact. *)
 
@@ -41,11 +41,13 @@ let run () =
     | Error e -> failwith ("leakage: bad bench policy: " ^ e)
   in
   (* exactly the work `adprom vet` does per program when no
-     --leakage-policy is given — the PR 9 baseline *)
+     --leakage-policy is given: build the static stage and run the
+     program checks, which force its query inference *)
   let vet_base () =
     let cfgs = fst (Analysis.Cfg_build.build_program program) in
     ignore (Analysis.Taint.analyze cfgs);
-    (cfgs, Analysis.Vet.check_program ~dom:Analysis.Dominator.compute cfgs)
+    let stage = Analysis.Vet.stage ~pruned:(fst (Analysis.Prune.program cfgs)) cfgs in
+    (stage, Analysis.Vet.check_program stage)
   in
   (* the default path in this build: the same pass plus the (absent)
      policy branch; any unconditional leakage work would show up here *)
@@ -57,9 +59,8 @@ let run () =
     result
   in
   let with_leakage () =
-    let cfgs, diags = vet_base () in
-    let static = Analysis.Qstatic.infer cfgs in
-    let summary = Leakage.analyze ~schema:(Sens.schema policy) ~static cfgs in
+    let stage, diags = vet_base () in
+    let summary = Analysis.Vet.leakage ~schema:(Sens.schema policy) stage in
     let leak_diags = Analysis.Vet.check_leakage ~policy ~summary in
     (summary, diags @ leak_diags)
   in

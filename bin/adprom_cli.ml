@@ -115,66 +115,48 @@ let collect_app_files paths =
 
 let vet_one ~entry ~profile ~qsig_signatures ~leakage_policy path =
   let module Diag = Analysis.Diag in
+  let module Vet = Analysis.Vet in
+  (* the stage's CFGs: those a daemon serving the profile would build,
+     else the labelled graphs and their pruned view (the same graphs) *)
+  let stage program =
+    match profile with
+    | None ->
+        let cfgs, _sites = Analysis.Cfg_build.build_program program in
+        ignore (Analysis.Taint.analyze cfgs);
+        Ok (Vet.stage ~entry ~pruned:(fst (Analysis.Prune.program cfgs)) cfgs)
+    | Some _ -> (
+        match Analysis.Analyzer.analyze ~entry program with
+        | exception Invalid_argument msg -> Error msg
+        | a -> Ok (Vet.stage ~entry ~pruned:a.Analysis.Analyzer.pruned_cfgs a.Analysis.Analyzer.cfgs))
+  in
   match Applang.Parser.parse_program (read_file path) with
-  | exception e ->
-      [ Diag.make Diag.Error ~code:"parse-error" (Printexc.to_string e) ]
+  | exception e -> [ Diag.make Diag.Error ~code:"parse-error" (Printexc.to_string e) ]
   | program -> (
-      (* the query-axis cross-check rides along when a trained qsig
-         profile was given: its signatures against the statically
-         inferable set *)
-      let qsig_diags sq =
-        match qsig_signatures with
-        | None -> []
-        | Some trained ->
-            Analysis.Vet.check_qsig_coverage ~static_queries:sq
-              ~trained_signatures:trained
-      in
-      (* the leakage checks ride along when a sensitivity policy was
-         given: sink atoms of the static flow summary judged under it *)
-      let leak_diags sq cfgs =
-        match leakage_policy with
-        | None -> []
-        | Some policy ->
-            let summary =
-              Analysis.Leakage.analyze
-                ~schema:(Applang.Libspec.Sensitivity.schema policy)
-                ~static:sq cfgs
-            in
-            Analysis.Vet.check_leakage ~policy ~summary
-      in
-      match profile with
-      | None ->
-          let cfgs, _sites = Analysis.Cfg_build.build_program program in
-          (* labeling is irrelevant to the program checks but keeps the
-             CFGs in the same state `analyze` would leave them *)
-          ignore (Analysis.Taint.analyze cfgs);
-          let sq = Analysis.Qstatic.infer ~entry cfgs in
-          Diag.dedupe
-            (List.sort Diag.compare
-               (Analysis.Vet.check_program ~entry ~static_queries:sq
-                  ~dom:Analysis.Dominator.compute cfgs
-               @ qsig_diags sq @ leak_diags sq cfgs))
-      | Some p -> (
-          match Analysis.Analyzer.analyze ~entry program with
-          | exception Invalid_argument msg ->
-              [ Diag.make Diag.Error ~code:"analysis-error" msg ]
-          | analysis ->
-              let qdiags =
-                if qsig_signatures = None && leakage_policy = None then []
-                else
-                  let sq =
-                    Analysis.Qstatic.infer ~entry
-                      analysis.Analysis.Analyzer.pruned_cfgs
-                  in
-                  qsig_diags sq
-                  @ leak_diags sq analysis.Analysis.Analyzer.pruned_cfgs
-              in
-              let cfgs = analysis.Analysis.Analyzer.cfgs in
-              let dom = Analysis.Vet.dominators cfgs in
-              let facts = Analysis.Vet.facts ~entry ~dom cfgs in
-              Diag.dedupe
-                (List.sort Diag.compare
-                   (Adprom.Profile_check.check ~facts ~dom p analysis @ qdiags))))
+      match stage program with
+      | Error msg -> [ Diag.make Diag.Error ~code:"analysis-error" msg ]
+      | Ok stage ->
+          let checks =
+            match profile with
+            | None -> Vet.check_program stage
+            | Some p -> Adprom.Profile_check.check stage p
+          in
+          (* the query-axis cross-check rides along when a trained qsig
+             profile was given, the leakage checks when a sensitivity
+             policy was: sink atoms of the static flow summary judged
+             under it *)
+          let qsig_diags =
+            match qsig_signatures with
+            | None -> []
+            | Some trained_signatures -> Vet.check_qsig_coverage stage ~trained_signatures
+          in
+          let leak_diags =
+            match leakage_policy with
+            | None -> []
+            | Some policy ->
+                let schema = Applang.Libspec.Sensitivity.schema policy in
+                Vet.check_leakage ~policy ~summary:(Vet.leakage ~schema stage)
+          in
+          Diag.dedupe (List.sort Diag.compare (checks @ qsig_diags @ leak_diags)))
 
 let vet_cmd_run paths format strict entry profile_path qsig_profile_path
     leakage_policy_path =
@@ -349,14 +331,11 @@ let leakage_cmd_run target entry policy_path format witness =
       match analysis with
       | Error msg -> `Error (false, msg)
       | Ok analysis ->
-          let cfgs = analysis.Analysis.Analyzer.pruned_cfgs in
-          let sq = Analysis.Qstatic.infer ~entry cfgs in
-          let schema =
-            match policy with
-            | Some pol -> Sens.schema pol
-            | None -> Applang.Libspec.Schema.empty ()
+          let stage =
+            Analysis.Vet.stage ~entry ~pruned:analysis.Analysis.Analyzer.pruned_cfgs
+              analysis.Analysis.Analyzer.cfgs
           in
-          let summary = L.analyze ~schema ~static:sq cfgs in
+          let summary = Analysis.Vet.leakage ?schema:(Option.map Sens.schema policy) stage in
           let level_of (a : F.atom) =
             match (policy, a.F.src) with
             | Some pol, F.Col { table; column } ->

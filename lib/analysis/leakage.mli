@@ -41,8 +41,9 @@ val analyze :
   (string * Cfg.t) list ->
   result
 (** [static] must come from {!Qstatic.infer} over the {e same} CFG
-    list. Without a schema, [SELECT *] atoms keep the whole-row ["*"]
-    column and no cardinality bound from key predicates applies. *)
+    list ({!Vet.leakage} passes a stage's). Without a schema, [SELECT *]
+    atoms keep the whole-row ["*"] column and no cardinality bound from
+    key predicates applies. *)
 
 val capabilities : result -> (int * string) list
 (** Each sink's block with its rendered capability,

@@ -256,7 +256,7 @@ let analyze_site ~summary_of env (id : int) (site : Cfg.call_site) func arg_idx 
     injectable = Strdom.witness v;
   }
 
-let infer ?(entry = "main") cfgs =
+let infer_sites ~entry cfgs =
   let taint =
     Taint.analyze ~lib_taint:Libspec.untrusted_taint_of ~label_sinks:false cfgs
   in
@@ -290,3 +290,11 @@ let infer ?(entry = "main") cfgs =
     |> SS.elements
   in
   { sites; signatures; complete = List.for_all (fun (s : site) -> not s.open_) sites }
+
+(* Every site comes from a call node [sql_arg] accepts: CFGs with none
+   infer the empty result without the taint fixpoint. *)
+let infer ?(entry = "main") cfgs =
+  let query_site (_, site) = sql_arg site.Cfg.callee <> None in
+  if List.exists (fun (_, cfg) -> List.exists query_site (Cfg.call_nodes cfg)) cfgs then
+    infer_sites ~entry cfgs
+  else { sites = []; signatures = []; complete = true }

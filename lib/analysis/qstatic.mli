@@ -47,6 +47,8 @@ val infer : ?entry:string -> (string * Cfg.t) list -> result
 (** Runs the injection-polarity {!Taint} fixpoint (without touching the
     DB-polarity sink labels) and then one {!Dataflow} pass per function
     reachable from [entry] (default ["main"]; if absent, every function
-    is treated as a root, mirroring {!Vet.facts}). Prefer passing the
-    pruned CFGs: statically dead branches would otherwise contribute
-    phantom signatures. *)
+    is treated as a root, mirroring the {!Vet.stage} facts). CFGs with
+    no call to one of the four query builtins get the empty, complete
+    result at once. The stage is the caller ({!Vet.stage}, lazily, on
+    the pruned CFGs, where statically dead branches contribute no
+    phantom signatures). *)

@@ -2,10 +2,15 @@ module Ast = Applang.Ast
 module Libspec = Applang.Libspec
 module SS = Set.Make (String)
 
-type facts = {
+type facts = { symbols : Symbol.Set.t; pairs : (string * Symbol.t) list }
+
+type stage = {
   entry : string;
-  symbols : Symbol.Set.t;
-  pairs : (string * Symbol.t) list;
+  cfgs : (string * Cfg.t) list;
+  pruned : (string * Cfg.t) list;
+  dom : Cfg.t -> Dominator.t;
+  facts : facts;
+  static_queries : Qstatic.result Lazy.t;
 }
 
 (* --- shared helpers --------------------------------------------------------- *)
@@ -149,6 +154,48 @@ let check_function dom (cfg : Cfg.t) =
   no_exit_loop_diags cfg dom add;
   List.sort Diag.compare !diags
 
+(* --- the static stage ------------------------------------------------------- *)
+
+let facts ~entry ~dom cfgs =
+  let live = Callgraph.reachable cfgs ~entry in
+  let symbols = ref Symbol.Set.empty in
+  let pairs = ref [] in
+  List.iter
+    (fun (name, cfg) ->
+      if SS.mem name live then begin
+        let dom = dom cfg in
+        List.iter
+          (fun (id, site) ->
+            if Dominator.reachable dom id && not site.Cfg.is_user then begin
+              let sym = Symbol.observable (Cfg.symbol_of_site ~id site) in
+              symbols := Symbol.Set.add sym !symbols;
+              pairs := (name, sym) :: !pairs
+            end)
+          (Cfg.call_nodes cfg)
+      end)
+    cfgs;
+  { symbols = !symbols; pairs = List.sort_uniq compare !pairs }
+
+(* The runtime's taint check decides whether a DB-output site's call is
+   recorded labelled or bare, so either variant can reach a profile. *)
+let recordable { symbols; pairs } =
+  let bare (caller, sym) = (caller, Symbol.strip_label sym) in
+  {
+    symbols = Symbol.Set.union symbols (Symbol.Set.map Symbol.strip_label symbols);
+    pairs = List.sort_uniq compare (pairs @ List.map bare pairs);
+  }
+
+(* Each tree is computed on its first lookup and kept for the stage's
+   lifetime: the facts and the program checks share it. *)
+let dominators cfgs =
+  let table = List.map (fun (_, cfg) -> (cfg, lazy (Dominator.compute cfg))) cfgs in
+  fun cfg -> Lazy.force (List.assq cfg table)
+
+let stage ?(entry = "main") ~pruned cfgs =
+  let dom = dominators cfgs in
+  let static_queries = lazy (Qstatic.infer ~entry pruned) in
+  { entry; cfgs; pruned; dom; facts = facts ~entry ~dom cfgs; static_queries }
+
 (* --- whole-program checks --------------------------------------------------- *)
 
 (* Injection findings from the static query inference: call sites where
@@ -170,15 +217,10 @@ let injection_diags (static_queries : Qstatic.result) =
                   (String.concat " -> " path))))
     static_queries.Qstatic.sites
 
-(* Each tree is computed on its first lookup and kept for the table's
-   lifetime: one derivation of [facts] and [check_program] shares it. *)
-let dominators cfgs =
-  let table = List.map (fun (_, cfg) -> (cfg, lazy (Dominator.compute cfg))) cfgs in
-  fun cfg -> Lazy.force (List.assq cfg table)
-
-let check_program ?(entry = "main") ?static_queries ~dom cfgs =
+let check_program stage =
   let diags = ref [] in
   let add d = diags := d :: !diags in
+  let entry = stage.entry and cfgs = stage.cfgs in
   if not (List.mem_assoc entry cfgs) then
     add
       (Diag.make Diag.Warning ~code:"no-entry"
@@ -193,43 +235,18 @@ let check_program ?(entry = "main") ?static_queries ~dom cfgs =
                (Printf.sprintf "function `%s` is never called from `%s`" name entry)))
       cfgs
   end;
-  List.iter (fun (_, cfg) -> List.iter add (check_function (dom cfg) cfg)) cfgs;
-  let static_queries =
-    match static_queries with Some r -> r | None -> Qstatic.infer ~entry cfgs
-  in
-  List.iter add (injection_diags static_queries);
+  List.iter (fun (_, cfg) -> List.iter add (check_function (stage.dom cfg) cfg)) cfgs;
+  List.iter add (injection_diags (Lazy.force stage.static_queries));
   Diag.dedupe (List.sort Diag.compare !diags)
-
-(* --- static facts for profile coverage -------------------------------------- *)
-
-let facts ?(entry = "main") ~dom cfgs =
-  let live = Callgraph.reachable cfgs ~entry in
-  let symbols = ref Symbol.Set.empty in
-  let pairs = ref [] in
-  List.iter
-    (fun (name, cfg) ->
-      if SS.mem name live then begin
-        let dom = dom cfg in
-        List.iter
-          (fun (id, site) ->
-            if Dominator.reachable dom id && not site.Cfg.is_user then begin
-              let sym = Symbol.observable (Cfg.symbol_of_site ~id site) in
-              symbols := Symbol.Set.add sym !symbols;
-              pairs := (name, sym) :: !pairs
-            end)
-          (Cfg.call_nodes cfg)
-      end)
-    cfgs;
-  { entry; symbols = !symbols; pairs = List.sort_uniq compare !pairs }
 
 (* Trained signatures outside a complete static set cannot come from
    this program (error); statically emittable signatures the profile
    never saw are coverage gaps (hint — any finite training run
    under-samples the emittable set). *)
-let check_qsig_coverage ~(static_queries : Qstatic.result) ~trained_signatures =
+let check_qsig_coverage stage ~trained_signatures =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let sq = static_queries in
+  let sq = Lazy.force stage.static_queries in
   if sq.Qstatic.complete then
     List.iter
       (fun s ->
@@ -252,6 +269,9 @@ let check_qsig_coverage ~(static_queries : Qstatic.result) ~trained_signatures =
                 s)))
     sq.Qstatic.signatures;
   List.sort Diag.compare !diags
+
+let leakage ?schema stage =
+  Leakage.analyze ?schema ~static:(Lazy.force stage.static_queries) stage.pruned
 
 (* Leakage findings: the static summary's sink atoms judged under a
    column-sensitivity policy. A secret column reaching a sink is an
@@ -322,9 +342,12 @@ let check_coverage ?automaton facts ~alphabet ~known_pairs =
   let add d = diags := d :: !diags in
   let observable_only = List.filter (function Symbol.Entry | Symbol.Exit -> false | _ -> true) in
   let alphabet = observable_only alphabet in
+  (* the error checks accept either recorded variant of a labelled site;
+     the warnings read the static view, one symbol per site *)
+  let possible = recordable facts in
   List.iter
     (fun sym ->
-      if not (Symbol.Set.mem sym facts.symbols) then
+      if not (Symbol.Set.mem sym possible.symbols) then
         add
           (Diag.make Diag.Error ~code:"profile-symbol-unreachable"
              (Printf.sprintf "profile alphabet symbol `%s` is not statically reachable"
@@ -332,7 +355,7 @@ let check_coverage ?automaton facts ~alphabet ~known_pairs =
     alphabet;
   List.iter
     (fun (caller, sym) ->
-      if not (List.mem (caller, sym) facts.pairs) then
+      if not (List.mem (caller, sym) possible.pairs) then
         add
           (Diag.make ~func:caller Diag.Error ~code:"profile-pair-impossible"
              (Printf.sprintf "profile pair (%s, %s) is statically impossible" caller

@@ -9,7 +9,7 @@
        initialization, calls to functions that are neither user-defined
        nor in {!Applang.Libspec}, loops with no statically reachable
        exit, and functions never called from the entry point.}
-    {- {b Profile coverage} ({!facts}, {!check_coverage}): the
+    {- {b Profile coverage} ({!stage}'s facts, {!check_coverage}): the
        statically reachable observable symbols and (caller, call) pairs,
        cross-checked against a trained profile's alphabet and known
        pairs. A profile mentioning a symbol or pair the program cannot
@@ -42,55 +42,57 @@
        [--strict]: a program typically {e can} emit more signatures
        than any finite training run exercises.}}
 
-    Run {!Taint.analyze} on the CFGs {e before} {!facts} so DB-output
-    labels are in place — coverage compares labeled symbols. *)
+    Run {!Taint.analyze} on the CFGs {e before} building the {!stage}
+    so DB-output labels are in place — coverage compares labeled
+    symbols. *)
 
 type facts = {
-  entry : string;
   symbols : Symbol.Set.t;
       (** observable library-call symbols of reachable call sites in
-          functions reachable from [entry] *)
+          functions reachable from the entry *)
   pairs : (string * Symbol.t) list;
       (** statically possible (enclosing function, observable call)
           pairs, sorted *)
 }
 
-val dominators : (string * Cfg.t) list -> Cfg.t -> Dominator.t
-(** [dominators cfgs] looks up a function's dominator tree among
-    [cfgs] (by physical graph), computing each tree once, on its first
-    lookup: the [dom] that {!facts} and {!check_program} share when one
-    caller runs both. *)
+type stage = {
+  entry : string;
+  cfgs : (string * Cfg.t) list;  (** labelled, as built: checks and facts *)
+  pruned : (string * Cfg.t) list;  (** their {!Prune}d view *)
+  dom : Cfg.t -> Dominator.t;  (** each tree computed on its first lookup *)
+  facts : facts;  (** with [entry] absent, every function is a root *)
+  static_queries : Qstatic.result Lazy.t;  (** the one {!Qstatic.infer}, on [pruned] *)
+}
+(** What the program checks, the coverage cross-check, the query gate
+    and the leakage summary read: built once per daemon start or vetted
+    file. *)
 
-val check_program :
-  ?entry:string ->
-  ?static_queries:Qstatic.result ->
-  dom:(Cfg.t -> Dominator.t) ->
-  (string * Cfg.t) list ->
-  Diag.t list
-(** All per-function checks plus whole-program ones, reading each
-    function's dominator tree from [dom] ({!Dominator.compute}, or a
-    {!dominators} table shared with {!facts}): a missing [entry]
-    function (default ["main"]), functions unreachable from it, and
-    [sql-injectable-site] warnings from the static query inference
-    (computed on the given CFGs unless a precomputed [static_queries]
-    result is passed). Sorted and deduped: per-instance analyses that
-    rediscover the same defect at the same (position, code) collapse
-    to one diagnostic with the count in the message. *)
+val stage : ?entry:string -> pruned:(string * Cfg.t) list -> (string * Cfg.t) list -> stage
+(** [entry] defaults to ["main"]. *)
 
-val facts : ?entry:string -> dom:(Cfg.t -> Dominator.t) -> (string * Cfg.t) list -> facts
-(** The statically possible behaviour, reading each live function's
-    dominator tree from [dom] as {!check_program} does. When [entry] is
-    absent from [cfgs], every function is treated as a root
-    (conservative). *)
+val recordable : facts -> facts
+(** The facts widened to what the runtime can record: the run-time
+    taint check decides whether a DB-output call is labelled, so each
+    labelled site also contributes its bare symbol. *)
 
-val check_qsig_coverage :
-  static_queries:Qstatic.result -> trained_signatures:string list -> Diag.t list
+val check_program : stage -> Diag.t list
+(** All per-function checks on [cfgs] plus whole-program ones: a
+    missing entry function, functions unreachable from it, and
+    [sql-injectable-site] warnings from [static_queries]. Sorted and
+    deduped: per-instance analyses that rediscover the same defect at
+    the same (position, code) collapse to one diagnostic with the count
+    in the message. *)
+
+val check_qsig_coverage : stage -> trained_signatures:string list -> Diag.t list
 (** The query-axis cross-check on its own: trained signatures outside a
     [complete] static set are [qsig-impossible-signature] errors (the
     program provably cannot emit them, so the profile was trained on
     other traffic); statically emittable signatures absent from the
     trained set are [qsig-uncovered-signature] hints. An incomplete
     static set never produces errors. *)
+
+val leakage : ?schema:Applang.Libspec.Schema.t -> stage -> Leakage.result
+(** {!Leakage.analyze} of the stage's pruned CFGs and query inference. *)
 
 val check_leakage :
   policy:Applang.Libspec.Sensitivity.t -> summary:Leakage.result -> Diag.t list
@@ -111,7 +113,9 @@ val check_coverage :
   Diag.t list
 (** Cross-check a profile view against the static facts. The caller is
     responsible for projecting both sides into the profile's label view
-    (see [Adprom.Profile_check]). Entry/Exit symbols are ignored.
+    (see [Adprom.Profile_check]). Entry/Exit symbols are ignored. The
+    error checks accept either {!recordable} variant of a labelled
+    site; the warnings read the static view.
 
     With [automaton] — factor membership in the call-sequence automaton
     (e.g. [Seqauto.accepts auto]) and the call sequences the trained

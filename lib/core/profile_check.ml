@@ -10,7 +10,6 @@ let project_facts (profile : Profile.t) (facts : Vet.facts) =
   if profile.Profile.params.Profile.use_labels then facts
   else
     {
-      facts with
       Vet.symbols = Symbol.Set.map Symbol.strip_label facts.Vet.symbols;
       pairs =
         List.sort_uniq compare
@@ -81,17 +80,16 @@ let coverage ?automaton (profile : Profile.t) facts =
     ~known_pairs
 
 (* both halves come sorted, so merging them is sorting their append *)
-let check ?automaton ~facts ~dom profile analysis =
-  List.merge Diag.compare
-    (Vet.check_program ~entry:facts.Vet.entry ~dom analysis.Analysis.Analyzer.cfgs)
-    (coverage ?automaton profile facts)
+let check ?automaton stage profile =
+  List.merge Diag.compare (Vet.check_program stage)
+    (coverage ?automaton profile stage.Vet.facts)
 
-let apply policy ?automaton ~facts ~dom profile analysis =
+let apply policy ?automaton stage profile =
   match policy with
   | Off -> []
-  | Warn -> check ?automaton ~facts ~dom profile analysis
+  | Warn -> check ?automaton stage profile
   | Enforce -> (
-      let diags = check ?automaton ~facts ~dom profile analysis in
+      let diags = check ?automaton stage profile in
       match Diag.errors diags with
       | [] -> diags
       | errs ->

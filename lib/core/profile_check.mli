@@ -24,32 +24,16 @@ val automaton : Profile.t -> Analysis.Analyzer.t -> Analysis.Seqauto.t
     {!Scoring.set_static_dfa} expects and {!apply}'s n-gram cross-check
     consumes. *)
 
-val check :
-  ?automaton:Analysis.Seqauto.t ->
-  facts:Analysis.Vet.facts ->
-  dom:(Analysis.Cfg.t -> Analysis.Dominator.t) ->
-  Profile.t ->
-  Analysis.Analyzer.t ->
-  Analysis.Diag.t list
-(** Program checks ({!Analysis.Vet.check_program} from [facts]' entry)
-    plus the profile-coverage cross-check
-    ({!Analysis.Vet.check_coverage} of [facts] under the profile's label
-    view), sorted with {!Analysis.Diag.compare}. [facts] is the
-    program's {!Analysis.Vet.facts}, which the caller computes once and
-    whose pairs also feed {!Scoring.set_static_pairs}; [dom] is the
-    dominator table both read ({!Analysis.Vet.dominators}). With
-    [automaton], also check the trained model's supported bigrams
-    against the automaton's language (one [profile-ngram-impossible]
-    finding per profile). *)
+val check : ?automaton:Analysis.Seqauto.t -> Analysis.Vet.stage -> Profile.t -> Analysis.Diag.t list
+(** Program checks ({!Analysis.Vet.check_program} of the stage) plus
+    the profile-coverage cross-check ({!Analysis.Vet.check_coverage} of
+    the stage's facts under the profile's label view), sorted with
+    {!Analysis.Diag.compare}. With [automaton], also check the trained
+    model's supported bigrams against the automaton's language (one
+    [profile-ngram-impossible] finding per profile). *)
 
 val apply :
-  policy ->
-  ?automaton:Analysis.Seqauto.t ->
-  facts:Analysis.Vet.facts ->
-  dom:(Analysis.Cfg.t -> Analysis.Dominator.t) ->
-  Profile.t ->
-  Analysis.Analyzer.t ->
-  Analysis.Diag.t list
+  policy -> ?automaton:Analysis.Seqauto.t -> Analysis.Vet.stage -> Profile.t -> Analysis.Diag.t list
 (** Run {!check} under the policy. [Off] does nothing and returns [].
     [Warn] returns the diagnostics for the caller to log. [Enforce]
     additionally @raise Invalid_argument when error-class findings

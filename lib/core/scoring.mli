@@ -50,7 +50,7 @@ val set_threshold : t -> float -> unit
     verdict memo when the value actually changes. *)
 
 val set_static_pairs : t -> (string * Analysis.Symbol.t) list option -> unit
-(** Load ([Some], e.g. [Analysis.Vet.facts] pairs) or clear ([None])
+(** Load ([Some], e.g. the pairs of [Analysis.Vet.recordable] facts) or clear ([None])
     the statically possible (caller, call) pairs. Pairs are projected
     through the profile's label view on the way in. Explanation gating
     only: {!explain} refines {!Unknown_pair} into

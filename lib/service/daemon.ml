@@ -264,9 +264,9 @@ type stage = {
 
 (* Under [Enforce] a failing profile raises here, before any worker
    exists; under [Warn] findings are logged and counted. *)
-let vet_profile ~metrics ~policy ?automaton ~facts ~dom profile analysis =
+let vet_profile ~metrics ~policy ?automaton vet profile =
   let module Diag = Analysis.Diag in
-  let diags = Adprom.Profile_check.apply policy ?automaton ~facts ~dom profile analysis in
+  let diags = Adprom.Profile_check.apply policy ?automaton vet profile in
   let errors = List.length (Diag.errors diags) in
   let warnings = List.length (Diag.warnings diags) in
   let c_err = Metrics.counter metrics "adprom_profile_vet_errors_total" in
@@ -309,22 +309,18 @@ let build_stage ~metrics ?vet_against ~vet_policy ~static_gate ~qsig_mode
           (fun mode -> (Adprom.Profile_check.automaton profile analysis, mode))
           (armed static_gate)
       in
-      (* one pass over the program's facts feeds the vet and the
-         explanations' static pairs; the facts and the vet's program
-         checks read one dominator tree per function *)
-      let cfgs = analysis.Analysis.Analyzer.cfgs in
-      let dom = Analysis.Vet.dominators cfgs in
-      let facts = Analysis.Vet.facts ~dom cfgs in
-      vet_profile ~metrics ~policy:vet_policy
-        ?automaton:(Option.map fst dfa) ~facts ~dom profile analysis;
-      (* one signature inference feeds both the query gate and the
-         leakage summary *)
-      let cfgs = analysis.Analysis.Analyzer.pruned_cfgs in
-      let inferred = lazy (Analysis.Qstatic.infer cfgs) in
+      (* one static stage feeds the vet, the explanations' static pairs,
+         the query gate and the leakage summary: one dominator tree per
+         function and at most one query inference, on the pruned CFGs *)
+      let vet =
+        Analysis.Vet.stage ~pruned:analysis.Analysis.Analyzer.pruned_cfgs
+          analysis.Analysis.Analyzer.cfgs
+      in
+      vet_profile ~metrics ~policy:vet_policy ?automaton:(Option.map fst dfa) vet profile;
       let signatures =
         match (qsig, armed qsig_static_gate) with
         | Some _, Some mode ->
-            let sq = Lazy.force inferred in
+            let sq = Lazy.force vet.Analysis.Vet.static_queries in
             Some (sq.Analysis.Qstatic.signatures, sq.Analysis.Qstatic.complete, mode)
         | None, _ | _, None -> None
       in
@@ -333,12 +329,10 @@ let build_stage ~metrics ?vet_against ~vet_policy ~static_gate ~qsig_mode
         | None -> []
         | Some policy ->
             Analysis.Leakage.capabilities
-              (Analysis.Leakage.analyze
-                 ~schema:(Applang.Libspec.Sensitivity.schema policy)
-                 ~static:(Lazy.force inferred) cfgs)
+              (Analysis.Vet.leakage ~schema:(Applang.Libspec.Sensitivity.schema policy) vet)
       in
       {
-        pairs = Some facts.Analysis.Vet.pairs;
+        pairs = Some (Analysis.Vet.recordable vet.Analysis.Vet.facts).Analysis.Vet.pairs;
         dfa;
         qsig;
         signatures;

@@ -100,9 +100,10 @@ val create :
     sequence-axis verdicts are bit-for-bit unaffected by the mode.
 
     The {e static stage} is what [vet_against] tells the running
-    monitor. It is built once before the domains spawn, with at most one
-    {!Analysis.Qstatic} inference, and installed into every worker's
-    engines. The statically possible call pairs let explanations name
+    monitor: one {!Analysis.Vet.stage}, with at most one
+    {!Analysis.Qstatic} inference, on the pruned CFGs, built before the
+    domains spawn and installed into every worker's engines. The
+    {!Analysis.Vet.recordable} call pairs let explanations name
     [statically-impossible-pair] gates. Under [static_gate] (default
     [Gate_explain]) the call-sequence automaton ({!Analysis.Seqauto})
     gates windows and drives the vet's n-gram cross-check; its traffic

@@ -383,6 +383,26 @@ let test_banking_static_profile () =
         | "scanf" :: _ -> true
         | _ -> false)
 
+(* A program with no query call site infers the empty, complete result
+   without running the taint fixpoint: on the generated wide program
+   (24 functions, a 150-call alphabet) that measured 20,589 minor words,
+   held to 50 k (the full passes took about 600 k). *)
+let test_no_query_site_is_cheap () =
+  let spec =
+    { Dataset.Proggen.bash_like with Dataset.Proggen.functions = 24; statements_per_function = 7 }
+  in
+  let app = Dataset.Sir.app4 ~cases:120 ~spec () in
+  let cfgs = (Pipeline.analyze_app app).Analysis.Analyzer.pruned_cfgs in
+  let before = Gc.minor_words () in
+  let r = Qstatic.infer cfgs in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "no sites" 0 (List.length r.Qstatic.sites);
+  Alcotest.(check (list string)) "no signatures" [] r.Qstatic.signatures;
+  Alcotest.(check bool) "complete" true r.Qstatic.complete;
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words %.0f at most 50 k" words)
+    true (words <= 5e4)
+
 (* -------------------------------------------------------------------------- *)
 
 let () =
@@ -401,6 +421,8 @@ let () =
             test_prepare_site_covers_bound_traffic;
           Alcotest.test_case "query log program order" `Quick
             test_query_log_program_order;
+          Alcotest.test_case "no query site is cheap" `Quick
+            test_no_query_site_is_cheap;
         ] );
       ( "injection",
         [

@@ -17,10 +17,14 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let vet_source src =
+(* The stage as `adprom vet` builds it without a profile: the labelled
+   CFGs and their pruned view, no [Analyzer.t]. *)
+let stage_of_source src =
   let cfgs = fst (Cfg_build.build_program (Parser.parse_program src)) in
   ignore (Taint.analyze cfgs);
-  Vet.check_program ~dom:Analysis.Dominator.compute cfgs
+  Vet.stage ~pruned:(fst (Analysis.Prune.program cfgs)) cfgs
+
+let vet_source src = Vet.check_program (stage_of_source src)
 
 let fixture name = read_file (Filename.concat "../examples/vet" name)
 
@@ -115,10 +119,7 @@ let test_missing_entry_warns () =
 
 (* --- profile coverage cross-check ---------------------------------------- *)
 
-let two_call_facts () =
-  let cfgs = fst (Cfg_build.build_program (Parser.parse_program (fixture "coverage.app"))) in
-  ignore (Taint.analyze cfgs);
-  Vet.facts ~dom:Analysis.Dominator.compute cfgs
+let two_call_facts () = (stage_of_source (fixture "coverage.app")).Vet.facts
 
 let test_coverage_consistent () =
   let facts = two_call_facts () in
@@ -172,6 +173,7 @@ let builtin_sources () =
     ("gzip", (Dataset.Sir.app2 ()).Pipeline.source);
     ("sed", (Dataset.Sir.app3 ()).Pipeline.source);
     ("bash", (Dataset.Sir.app4 ()).Pipeline.source);
+    ("webportal", (Dataset.Web_portal.app ()).Pipeline.source);
   ]
 
 let test_builtin_apps_vet_error_free () =
@@ -185,6 +187,71 @@ let test_builtin_apps_vet_error_free () =
     (builtin_sources ())
 
 (* --- Profile_check: trained profile vs its own program -------------------- *)
+
+(* The program's static stage, as the daemon derives it. *)
+let stage_of (analysis : Analysis.Analyzer.t) =
+  Vet.stage ~pruned:analysis.Analysis.Analyzer.pruned_cfgs analysis.Analysis.Analyzer.cfgs
+
+(* The stage built without an [Analyzer.t] (what `adprom vet` builds
+   when no profile is given) reads the same CFGs as the one built from
+   [Analyzer.analyze] (what it builds for --profile): the program
+   checks, their injection findings and the query-axis cross-check
+   agree, so --qsig-profile does not depend on --profile. *)
+let test_stage_without_analyzer_agrees () =
+  let fixtures =
+    Sys.readdir "../examples/vet" |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".app")
+    |> List.map (fun f -> (f, fixture f))
+  in
+  List.iter
+    (fun (name, src) ->
+      let plain = stage_of_source src in
+      let analyzed = stage_of (Analysis.Analyzer.analyze (Parser.parse_program src)) in
+      let strings diags = List.map Diag.to_string diags in
+      Alcotest.(check (list string))
+        (name ^ ": program checks")
+        (strings (Vet.check_program analyzed))
+        (strings (Vet.check_program plain));
+      (* a trained set with an impossible signature and every other
+         emittable one: errors and hints both show *)
+      let emittable = (Lazy.force analyzed.Vet.static_queries).Analysis.Qstatic.signatures in
+      let trained =
+        "SELECT nothing FROM nowhere" :: List.filteri (fun i _ -> i mod 2 = 0) emittable
+      in
+      let coverage stage = strings (Vet.check_qsig_coverage stage ~trained_signatures:trained) in
+      Alcotest.(check (list string)) (name ^ ": qsig coverage") (coverage analyzed)
+        (coverage plain))
+    (fixtures @ builtin_sources ())
+
+(* Every built-in app's own profile passes vet as the daemon runs it
+   (the automaton's n-gram check included): a DB-output call the
+   runtime records bare is no profile error. The warnings are training
+   gaps, pinned per app. *)
+let test_builtin_profiles_vet_clean () =
+  List.iter
+    (fun (name, app, warnings) ->
+      let ds = Pipeline.collect app in
+      let profile = Pipeline.train ds in
+      let analysis = ds.Pipeline.analysis in
+      let diags =
+        Profile_check.check
+          ~automaton:(Profile_check.automaton profile analysis)
+          (stage_of analysis) profile
+      in
+      Alcotest.(check (list string)) (name ^ ": no errors") []
+        (List.map Diag.to_string (Diag.errors diags));
+      Alcotest.(check int) (name ^ ": warnings") warnings
+        (List.length (Diag.warnings diags)))
+    [
+      ("hospital", Dataset.Ca_hospital.app (), 1);
+      ("banking", Dataset.Ca_banking.app (), 2);
+      ("supermarket", Dataset.Ca_supermarket.app (), 6);
+      ("grep", Dataset.Sir.app1 (), 1);
+      ("gzip", Dataset.Sir.app2 (), 2);
+      ("sed", Dataset.Sir.app3 (), 1);
+      ("bash", Dataset.Sir.app4 (), 139);
+      ("webportal", Dataset.Web_portal.app (), 2);
+    ]
 
 let small_app =
   {
@@ -221,46 +288,37 @@ let trained =
     (let ds = Pipeline.collect small_app in
      (ds, Pipeline.train ds))
 
-(* The program's facts and the dominator table they share with the
-   program checks, as the daemon derives them. *)
-let facts_of (analysis : Analysis.Analyzer.t) =
-  let cfgs = analysis.Analysis.Analyzer.cfgs in
-  let dom = Vet.dominators cfgs in
-  (Vet.facts ~dom cfgs, dom)
-
 let test_profile_check_own_program_error_free () =
   let ds, profile = Lazy.force trained in
   let analysis = ds.Pipeline.analysis in
-  let facts, dom = facts_of analysis in
-  let diags = Profile_check.check ~facts ~dom profile analysis in
+  let diags = Profile_check.check (stage_of analysis) profile in
   Alcotest.(check (list string)) "no errors against own program" []
     (List.map Diag.to_string (Diag.errors diags))
 
 let test_profile_check_policies () =
   let ds, profile = Lazy.force trained in
   let analysis = ds.Pipeline.analysis in
-  let facts, dom = facts_of analysis in
+  let stage = stage_of analysis in
   Alcotest.(check int) "Off reports nothing" 0
-    (List.length (Profile_check.apply Profile_check.Off ~facts ~dom profile analysis));
+    (List.length (Profile_check.apply Profile_check.Off stage profile));
   (* Enforce must not raise on a profile vetted against its own program. *)
-  ignore (Profile_check.apply Profile_check.Enforce ~facts ~dom profile analysis)
+  ignore (Profile_check.apply Profile_check.Enforce stage profile)
 
 let test_profile_check_enforce_rejects_foreign_program () =
   let _, profile = Lazy.force trained in
   let foreign =
     Analysis.Analyzer.analyze (Parser.parse_program "fun main() { puts(\"hi\"); }")
   in
-  let facts, dom = facts_of foreign in
   Alcotest.check_raises "Enforce refuses a mismatched program"
     (Invalid_argument "")
     (fun () ->
-      match Profile_check.apply Profile_check.Enforce ~facts ~dom profile foreign with
+      match Profile_check.apply Profile_check.Enforce (stage_of foreign) profile with
       | _ -> ()
       | exception Invalid_argument _ -> raise (Invalid_argument ""))
 
 let test_static_pairs_load_into_engine () =
   let ds, profile = Lazy.force trained in
-  let pairs = (fst (facts_of ds.Pipeline.analysis)).Vet.pairs in
+  let pairs = (stage_of ds.Pipeline.analysis).Vet.facts.Vet.pairs in
   Alcotest.(check bool) "some static pairs" true (pairs <> []);
   Alcotest.(check bool) "all from main" true
     (List.for_all (fun (caller, _) -> caller = "main") pairs);
@@ -334,11 +392,15 @@ let () =
         [
           Alcotest.test_case "built-in apps error-free" `Quick
             test_builtin_apps_vet_error_free;
+          Alcotest.test_case "stage without an analyzer agrees" `Quick
+            test_stage_without_analyzer_agrees;
         ] );
       ( "profile-check",
         [
           Alcotest.test_case "own program error-free" `Quick
             test_profile_check_own_program_error_free;
+          Alcotest.test_case "built-in profiles vet clean" `Quick
+            test_builtin_profiles_vet_clean;
           Alcotest.test_case "policies" `Quick test_profile_check_policies;
           Alcotest.test_case "enforce rejects foreign" `Quick
             test_profile_check_enforce_rejects_foreign_program;
