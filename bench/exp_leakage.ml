@@ -2,8 +2,8 @@
    pass (Qstatic seeding, the Flowdom fixpoint, the policy checks) next
    to the plain vet pass, and the guarantee the subsystem is pay-as-you-
    go — the default vet path, with no --leakage-policy, must stay
-   within 10% of the baseline (the identical CFG+taint+prune+checks
-   sequence, which is exactly what vet runs when no policy is given).
+   within 10% of the baseline (the static front end, stage and checks,
+   which is exactly what vet runs when no policy is given).
    Writes BENCH_leakage.json for the CI artifact. *)
 
 module Leakage = Analysis.Leakage
@@ -41,12 +41,10 @@ let run () =
     | Error e -> failwith ("leakage: bad bench policy: " ^ e)
   in
   (* exactly the work `adprom vet` does per program when no
-     --leakage-policy is given: build the static stage and run the
-     program checks, which force its query inference *)
+     --leakage-policy is given: the static front end, its stage and the
+     program checks, which force the stage's query inference *)
   let vet_base () =
-    let cfgs = fst (Analysis.Cfg_build.build_program program) in
-    ignore (Analysis.Taint.analyze cfgs);
-    let stage = Analysis.Vet.stage ~pruned:(fst (Analysis.Prune.program cfgs)) cfgs in
+    let stage = Analysis.Vet.stage (Analysis.Front.build program) in
     (stage, Analysis.Vet.check_program stage)
   in
   (* the default path in this build: the same pass plus the (absent)

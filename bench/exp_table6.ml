@@ -59,7 +59,9 @@ let run () =
         let base = measure app analysis tc Runtime.Collector.null in
         let adprom_collector () = fst (Runtime.Collector.adprom ()) in
         let t_adprom = measure app analysis tc (adprom_collector ()) in
-        let symtab = Runtime.Ltrace.symtab_of_cfgs analysis.Analysis.Analyzer.cfgs in
+        let symtab =
+          Runtime.Ltrace.symtab_of_cfgs analysis.Analysis.Analyzer.front.Analysis.Front.cfgs
+        in
         let lt, _, _ = Runtime.Ltrace.make ~symtab in
         let t_ltrace = measure app analysis tc lt in
         let over_ltrace = Float.max 1e-9 (t_ltrace -. base) in

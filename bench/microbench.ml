@@ -37,7 +37,7 @@ let collector_tests () =
   in
   let args = [ Rvalue_args.sample ] in
   let adprom_collector, _ = Runtime.Collector.adprom () in
-  let symtab = Runtime.Ltrace.symtab_of_cfgs analysis.Analysis.Analyzer.cfgs in
+  let symtab = Runtime.Ltrace.symtab_of_cfgs Analysis.(analysis.Analyzer.front.Front.cfgs) in
   let ltrace_collector, _, log = Runtime.Ltrace.make ~symtab in
   [
     Test.make ~name:"table6/adprom-collector-emit"
@@ -159,8 +159,8 @@ let stream_push_test ~name ~hits f =
    automaton gate skips on a window of the profile's own symbols in
    random order: pairwise familiar, but not a factor of any execution. *)
 let static_tests ~banking ~gen_wide =
-  let automaton f = Adprom.Profile_check.automaton f.profile f.analysis in
-  let auto = automaton banking in
+  let stage f = Analysis.Vet.stage f.analysis.Analysis.Analyzer.front in
+  let auto = Adprom.Profile_check.automaton banking.profile (stage banking) in
   let profile = banking.profile in
   let rng = Mlkit.Rng.create 42 in
   let n = profile.Adprom.Profile.params.Adprom.Profile.window in
@@ -192,16 +192,14 @@ let static_tests ~banking ~gen_wide =
   [
     Test.make ~name:"kernel/qstatic-infer-banking"
       (Staged.stage (fun () ->
-           ignore (Analysis.Qstatic.infer banking.analysis.Analysis.Analyzer.pruned_cfgs)));
-    Test.make ~name:"kernel/vet-program-gen-wide"
-      (Staged.stage (fun () ->
-           let a = gen_wide.analysis in
            ignore
-             (Analysis.Vet.check_program
-                (Analysis.Vet.stage ~pruned:a.Analysis.Analyzer.pruned_cfgs
-                   a.Analysis.Analyzer.cfgs))));
+             (Analysis.Qstatic.infer
+                banking.analysis.Analysis.Analyzer.front.Analysis.Front.pruned)));
+    Test.make ~name:"kernel/vet-program-gen-wide"
+      (Staged.stage (fun () -> ignore (Analysis.Vet.check_program (stage gen_wide))));
     Test.make ~name:"kernel/seqauto-build-gen-wide"
-      (Staged.stage (fun () -> ignore (automaton gen_wide)));
+      (let s = stage gen_wide in
+       Staged.stage (fun () -> ignore (Adprom.Profile_check.automaton gen_wide.profile s)));
     Test.make ~name:"kernel/daemon-start-gen-wide" (Staged.stage start);
     Test.make ~name:"kernel/classify-out-of-language-banking-gate-off" (classify off);
     Test.make ~name:"kernel/classify-out-of-language-banking-gate-enforce"

@@ -15,6 +15,14 @@ let read_file path =
   close_in ic;
   s
 
+(* An AppLang program through [f] (the static front end, or the whole
+   analysis): an unreadable or malformed file, or a program [f]
+   rejects, is one line of error, not an uncaught exception. *)
+let load_program f path =
+  match f (Applang.Parser.parse_program (read_file path)) with
+  | v -> Ok v
+  | exception e -> Error (Printexc.to_string e)
+
 (* an optional file, loaded when its flag was given *)
 let load_opt load = function
   | None -> Ok None
@@ -45,45 +53,45 @@ let app_conv =
 (* --- analyze ----------------------------------------------------------- *)
 
 let analyze_cmd_run file verbose dot_dir =
-  let source = read_file file in
-  let program = Applang.Parser.parse_program source in
-  let analysis = Analysis.Analyzer.analyze program in
-  Printf.printf "functions: %d\n" (List.length analysis.Analysis.Analyzer.cfgs);
-  List.iter
-    (fun (name, cfg) ->
-      Printf.printf "  %-24s %3d blocks, %2d call sites\n" name
-        (List.length (Analysis.Cfg.node_ids cfg))
-        (List.length (Analysis.Cfg.call_nodes cfg)))
-    analysis.Analysis.Analyzer.cfgs;
-  let labeled = analysis.Analysis.Analyzer.taint.Analysis.Taint.labeled_blocks in
-  Printf.printf "DB-output labels (DDG): %s\n"
-    (if labeled = [] then "none"
-     else String.concat ", " (List.map (Printf.sprintf "block %d") labeled));
-  Printf.printf "pCTM: %d call sites, invariants hold: %b\n"
-    (List.length (Analysis.Ctm.calls analysis.Analysis.Analyzer.pctm))
-    (Analysis.Ctm.conserved analysis.Analysis.Analyzer.pctm);
-  if verbose then begin
-    print_endline "--- pCTM ---";
-    Format.printf "%a@." Analysis.Ctm.pp analysis.Analysis.Analyzer.pctm
-  end;
-  (match dot_dir with
-  | None -> ()
-  | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let write name contents =
-        let oc = open_out (Filename.concat dir name) in
-        output_string oc contents;
-        close_out oc
-      in
+  match load_program Analysis.Analyzer.analyze file with
+  | Error msg -> `Error (false, msg)
+  | Ok analysis ->
+      let front = analysis.Analysis.Analyzer.front in
+      Printf.printf "functions: %d\n" (List.length front.Analysis.Front.cfgs);
       List.iter
-        (fun (name, cfg) -> write (name ^ ".dot") (Analysis.Export.cfg_to_dot cfg))
-        analysis.Analysis.Analyzer.cfgs;
-      write "pctm.dot" (Analysis.Export.ctm_to_dot analysis.Analysis.Analyzer.pctm);
-      write "callgraph.dot"
-        (Analysis.Export.callgraph_to_dot analysis.Analysis.Analyzer.callgraph);
-      Printf.printf "Graphviz files written to %s/
-" dir);
-  `Ok ()
+        (fun (name, cfg) ->
+          Printf.printf "  %-24s %3d blocks, %2d call sites\n" name
+            (List.length (Analysis.Cfg.node_ids cfg))
+            (List.length (Analysis.Cfg.call_nodes cfg)))
+        front.Analysis.Front.cfgs;
+      let labeled = front.Analysis.Front.taint.Analysis.Taint.labeled_blocks in
+      Printf.printf "DB-output labels (DDG): %s\n"
+        (if labeled = [] then "none"
+         else String.concat ", " (List.map (Printf.sprintf "block %d") labeled));
+      Printf.printf "pCTM: %d call sites, invariants hold: %b\n"
+        (List.length (Analysis.Ctm.calls analysis.Analysis.Analyzer.pctm))
+        (Analysis.Ctm.conserved analysis.Analysis.Analyzer.pctm);
+      if verbose then begin
+        print_endline "--- pCTM ---";
+        Format.printf "%a@." Analysis.Ctm.pp analysis.Analysis.Analyzer.pctm
+      end;
+      (match dot_dir with
+      | None -> ()
+      | Some dir ->
+          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+          let write name contents =
+            let oc = open_out (Filename.concat dir name) in
+            output_string oc contents;
+            close_out oc
+          in
+          List.iter
+            (fun (name, cfg) -> write (name ^ ".dot") (Analysis.Export.cfg_to_dot cfg))
+            front.Analysis.Front.cfgs;
+          write "pctm.dot" (Analysis.Export.ctm_to_dot analysis.Analysis.Analyzer.pctm);
+          write "callgraph.dot"
+            (Analysis.Export.callgraph_to_dot front.Analysis.Front.callgraph);
+          Printf.printf "Graphviz files written to %s/\n" dir);
+      `Ok ()
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"AppLang source file.")
@@ -116,47 +124,32 @@ let collect_app_files paths =
 let vet_one ~entry ~profile ~qsig_signatures ~leakage_policy path =
   let module Diag = Analysis.Diag in
   let module Vet = Analysis.Vet in
-  (* the stage's CFGs: those a daemon serving the profile would build,
-     else the labelled graphs and their pruned view (the same graphs) *)
-  let stage program =
-    match profile with
-    | None ->
-        let cfgs, _sites = Analysis.Cfg_build.build_program program in
-        ignore (Analysis.Taint.analyze cfgs);
-        Ok (Vet.stage ~entry ~pruned:(fst (Analysis.Prune.program cfgs)) cfgs)
-    | Some _ -> (
-        match Analysis.Analyzer.analyze ~entry program with
-        | exception Invalid_argument msg -> Error msg
-        | a -> Ok (Vet.stage ~entry ~pruned:a.Analysis.Analyzer.pruned_cfgs a.Analysis.Analyzer.cfgs))
-  in
-  match Applang.Parser.parse_program (read_file path) with
-  | exception e -> [ Diag.make Diag.Error ~code:"parse-error" (Printexc.to_string e) ]
-  | program -> (
-      match stage program with
-      | Error msg -> [ Diag.make Diag.Error ~code:"analysis-error" msg ]
-      | Ok stage ->
-          let checks =
-            match profile with
-            | None -> Vet.check_program stage
-            | Some p -> Adprom.Profile_check.check stage p
-          in
-          (* the query-axis cross-check rides along when a trained qsig
-             profile was given, the leakage checks when a sensitivity
-             policy was: sink atoms of the static flow summary judged
-             under it *)
-          let qsig_diags =
-            match qsig_signatures with
-            | None -> []
-            | Some trained_signatures -> Vet.check_qsig_coverage stage ~trained_signatures
-          in
-          let leak_diags =
-            match leakage_policy with
-            | None -> []
-            | Some policy ->
-                let schema = Applang.Libspec.Sensitivity.schema policy in
-                Vet.check_leakage ~policy ~summary:(Vet.leakage ~schema stage)
-          in
-          Diag.dedupe (List.sort Diag.compare (checks @ qsig_diags @ leak_diags)))
+  match load_program Analysis.Front.build path with
+  | Error msg -> [ Diag.make Diag.Error ~code:"parse-error" msg ]
+  | Ok front ->
+      let stage = Vet.stage ~entry front in
+      let checks =
+        match profile with
+        | None -> Vet.check_program stage
+        | Some p -> Adprom.Profile_check.check stage p
+      in
+      (* the query-axis cross-check rides along when a trained qsig
+         profile was given, the leakage checks when a sensitivity
+         policy was: sink atoms of the static flow summary judged
+         under it *)
+      let qsig_diags =
+        match qsig_signatures with
+        | None -> []
+        | Some trained_signatures -> Vet.check_qsig_coverage stage ~trained_signatures
+      in
+      let leak_diags =
+        match leakage_policy with
+        | None -> []
+        | Some policy ->
+            let schema = Applang.Libspec.Sensitivity.schema policy in
+            Vet.check_leakage ~policy ~summary:(Vet.leakage ~schema stage)
+      in
+      Diag.dedupe (List.sort Diag.compare (checks @ qsig_diags @ leak_diags))
 
 let vet_cmd_run paths format strict entry profile_path qsig_profile_path
     leakage_policy_path =
@@ -310,17 +303,13 @@ let leakage_cmd_run target entry policy_path format witness =
   | Error msg ->
       `Error (false, Printf.sprintf "cannot load leakage policy: %s" msg)
   | Ok policy -> (
-      let analysis =
+      let front =
         if Sys.file_exists target && not (Sys.is_directory target) then
-          match Applang.Parser.parse_program (read_file target) with
-          | exception e -> Error (Printexc.to_string e)
-          | program -> (
-              match Analysis.Analyzer.analyze ~entry program with
-              | exception Invalid_argument msg -> Error msg
-              | a -> Ok a)
+          load_program Analysis.Front.build target
         else
           match List.assoc_opt target (builtin_apps ()) with
-          | Some app -> Ok (Adprom.Pipeline.analyze_app app)
+          | Some app ->
+              Ok (Analysis.Front.build (Applang.Parser.parse_program app.Adprom.Pipeline.source))
           | None ->
               Error
                 (Printf.sprintf
@@ -328,13 +317,10 @@ let leakage_cmd_run target entry policy_path format witness =
                     `adprom list-apps`)"
                    target)
       in
-      match analysis with
+      match front with
       | Error msg -> `Error (false, msg)
-      | Ok analysis ->
-          let stage =
-            Analysis.Vet.stage ~entry ~pruned:analysis.Analysis.Analyzer.pruned_cfgs
-              analysis.Analysis.Analyzer.cfgs
-          in
+      | Ok front ->
+          let stage = Analysis.Vet.stage ~entry front in
           let summary = Analysis.Vet.leakage ?schema:(Option.map Sens.schema policy) stage in
           let level_of (a : F.atom) =
             match (policy, a.F.src) with
@@ -476,26 +462,26 @@ let leakage_cmd =
 (* --- run --------------------------------------------------------------- *)
 
 let run_cmd_run file inputs show_trace =
-  let source = read_file file in
-  let program = Applang.Parser.parse_program source in
-  let analysis = Analysis.Analyzer.analyze program in
-  let engine = Sqldb.Engine.create () in
-  let tc = Runtime.Testcase.make ~input:inputs "cli-run" in
-  let trace, outcome = Runtime.Interp.collect_trace ~analysis ~engine tc in
-  print_string outcome.Runtime.Interp.stdout;
-  (match outcome.Runtime.Interp.status with
-  | Ok () -> ()
-  | Error msg -> Printf.eprintf "runtime error: %s\n" msg);
-  if show_trace then begin
-    Printf.printf "--- trace (%d library calls) ---\n" (Array.length trace);
-    Array.iter
-      (fun (e : Runtime.Collector.event) ->
-        Printf.printf "%-24s from %s\n"
-          (Analysis.Symbol.to_string e.Runtime.Collector.symbol)
-          e.Runtime.Collector.caller)
-      trace
-  end;
-  `Ok ()
+  match load_program Analysis.Analyzer.analyze file with
+  | Error msg -> `Error (false, msg)
+  | Ok analysis ->
+      let engine = Sqldb.Engine.create () in
+      let tc = Runtime.Testcase.make ~input:inputs "cli-run" in
+      let trace, outcome = Runtime.Interp.collect_trace ~analysis ~engine tc in
+      print_string outcome.Runtime.Interp.stdout;
+      (match outcome.Runtime.Interp.status with
+      | Ok () -> ()
+      | Error msg -> Printf.eprintf "runtime error: %s\n" msg);
+      if show_trace then begin
+        Printf.printf "--- trace (%d library calls) ---\n" (Array.length trace);
+        Array.iter
+          (fun (e : Runtime.Collector.event) ->
+            Printf.printf "%-24s from %s\n"
+              (Analysis.Symbol.to_string e.Runtime.Collector.symbol)
+              e.Runtime.Collector.caller)
+          trace
+      end;
+      `Ok ()
 
 let inputs_arg =
   Arg.(
@@ -585,40 +571,40 @@ let check_cmd_run profile_path file inputs =
   match Adprom.Profile_io.load profile_path with
   | Error msg -> `Error (false, Printf.sprintf "cannot load profile: %s" msg)
   | Ok profile ->
-      let source = read_file file in
-      let program = Applang.Parser.parse_program source in
-      let analysis = Analysis.Analyzer.analyze program in
-      let engine = Sqldb.Engine.create () in
-      let tc = Runtime.Testcase.make ~input:inputs "cli-check" in
-      let trace, outcome = Runtime.Interp.collect_trace ~analysis ~engine tc in
-      (match outcome.Runtime.Interp.status with
-      | Ok () -> ()
-      | Error msg -> Printf.eprintf "runtime error: %s\n" msg);
-      let scoring = Adprom.Scoring.create profile in
-      let verdicts = Adprom.Scoring.monitor scoring trace in
-      let worst = Adprom.Detector.worst (List.map snd verdicts) in
-      List.iter
-        (fun ((w : Adprom.Window.t), (v : Adprom.Detector.verdict)) ->
-          if v.Adprom.Detector.flag <> Adprom.Detector.Normal then begin
-            Printf.printf "ALERT %-14s score=%s%s\n"
-              (Adprom.Detector.flag_to_string v.Adprom.Detector.flag)
-              (Adprom.Report.float_cell v.Adprom.Detector.score)
-              (match v.Adprom.Detector.unknown_pair with
-              | Some (caller, sym) ->
-                  Printf.sprintf " (out of context: %s from %s)"
-                    (Analysis.Symbol.to_string sym) caller
-              | None -> "");
-            match Adprom.Scoring.explain ~top:1 scoring w with
-            | Some { Adprom.Scoring.top = [ c ]; _ } ->
-                Printf.printf "      most surprising: %s from %s (position %d)\n"
-                  (Analysis.Symbol.to_string c.Adprom.Scoring.symbol)
-                  c.Adprom.Scoring.caller c.Adprom.Scoring.position
-            | _ -> ()
-          end)
-        verdicts;
-      Printf.printf "%d window(s) scored; overall verdict: %s\n" (List.length verdicts)
-        (Adprom.Detector.flag_to_string worst);
-      `Ok ()
+      match load_program Analysis.Analyzer.analyze file with
+      | Error msg -> `Error (false, msg)
+      | Ok analysis ->
+          let engine = Sqldb.Engine.create () in
+          let tc = Runtime.Testcase.make ~input:inputs "cli-check" in
+          let trace, outcome = Runtime.Interp.collect_trace ~analysis ~engine tc in
+          (match outcome.Runtime.Interp.status with
+          | Ok () -> ()
+          | Error msg -> Printf.eprintf "runtime error: %s\n" msg);
+          let scoring = Adprom.Scoring.create profile in
+          let verdicts = Adprom.Scoring.monitor scoring trace in
+          let worst = Adprom.Detector.worst (List.map snd verdicts) in
+          List.iter
+            (fun ((w : Adprom.Window.t), (v : Adprom.Detector.verdict)) ->
+              if v.Adprom.Detector.flag <> Adprom.Detector.Normal then begin
+                Printf.printf "ALERT %-14s score=%s%s\n"
+                  (Adprom.Detector.flag_to_string v.Adprom.Detector.flag)
+                  (Adprom.Report.float_cell v.Adprom.Detector.score)
+                  (match v.Adprom.Detector.unknown_pair with
+                  | Some (caller, sym) ->
+                      Printf.sprintf " (out of context: %s from %s)"
+                        (Analysis.Symbol.to_string sym) caller
+                  | None -> "");
+                match Adprom.Scoring.explain ~top:1 scoring w with
+                | Some { Adprom.Scoring.top = [ c ]; _ } ->
+                    Printf.printf "      most surprising: %s from %s (position %d)\n"
+                      (Analysis.Symbol.to_string c.Adprom.Scoring.symbol)
+                      c.Adprom.Scoring.caller c.Adprom.Scoring.position
+                | _ -> ()
+              end)
+            verdicts;
+          Printf.printf "%d window(s) scored; overall verdict: %s\n" (List.length verdicts)
+            (Adprom.Detector.flag_to_string worst);
+          `Ok ()
 
 let profile_arg =
   Arg.(
@@ -992,14 +978,7 @@ let replay_cmd_run profile_path events_path daemon verify vet_program
       | Error msg -> `Error (false, Printf.sprintf "cannot load events: %s" msg)
       | Ok items -> (
           let vet_against =
-            load_opt
-              (fun f ->
-                match
-                  Analysis.Analyzer.analyze (Applang.Parser.parse_program (read_file f))
-                with
-                | analysis -> Ok analysis
-                | exception e -> Error (Printexc.to_string e))
-              vet_program
+            load_opt (load_program Analysis.Analyzer.analyze) vet_program
           in
           let qsig_profile = load_opt Adprom_qsig.Profile.load qsig_profile_path in
           match (vet_against, qsig_profile) with
@@ -1596,59 +1575,67 @@ let parse_symbol tok =
 
 let automaton_cmd_run file entry no_labels budget dot_out queries accepts_run
     inputs =
-  let source = read_file file in
-  let program = Applang.Parser.parse_program source in
-  let analysis = Analysis.Analyzer.analyze ~entry program in
-  let auto =
-    Analysis.Seqauto.build ~entry ~use_labels:(not no_labels) ~state_budget:budget
-      analysis.Analysis.Analyzer.pruned_cfgs analysis.Analysis.Analyzer.callgraph
+  (* only --accepts-run needs the whole analysis: the interpreter *)
+  let load program =
+    if accepts_run then
+      let analysis = Analysis.Analyzer.analyze ~entry program in
+      (analysis.Analysis.Analyzer.front, Some analysis)
+    else (Analysis.Front.build program, None)
   in
-  print_endline (Analysis.Seqauto.stats_to_string auto.Analysis.Seqauto.stats);
-  (match dot_out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Analysis.Dfa.to_dot auto.Analysis.Seqauto.dfa);
-      close_out oc;
-      Printf.printf "DFA written to %s\n" path);
-  List.iter
-    (fun q ->
-      let syms =
-        String.split_on_char ' ' q
-        |> List.filter (fun s -> s <> "")
-        |> List.map parse_symbol
+  match load_program load file with
+  | Error msg -> `Error (false, msg)
+  | Ok (front, analysis) ->
+      let stage = Analysis.Vet.stage ~entry front in
+      let auto =
+        Analysis.Seqauto.build ~entry ~use_labels:(not no_labels) ~state_budget:budget
+          stage.Analysis.Vet.pruned stage.Analysis.Vet.callgraph
       in
-      Printf.printf "%-8s %s\n"
-        (if Analysis.Seqauto.accepts auto syms then "accept" else "reject")
-        q)
-    queries;
-  if not accepts_run then `Ok ()
-  else begin
-    let engine = Sqldb.Engine.create () in
-    let tc = Runtime.Testcase.make ~input:inputs "cli-automaton" in
-    let trace, outcome = Runtime.Interp.collect_trace ~analysis ~engine tc in
-    (match outcome.Runtime.Interp.status with
-    | Ok () -> ()
-    | Error msg -> Printf.eprintf "runtime error: %s\n" msg);
-    let syms =
-      Array.to_list
-        (Array.map
-           (fun (e : Runtime.Collector.event) -> e.Runtime.Collector.symbol)
-           trace)
-    in
-    if Analysis.Seqauto.accepts auto syms then begin
-      Printf.printf "accept   collected trace (%d library calls)\n"
-        (List.length syms);
-      `Ok ()
-    end
-    else
-      `Error
-        ( false,
-          Printf.sprintf
-            "soundness violation: the collected trace (%d library calls) is \
-             outside the automaton's language"
-            (List.length syms) )
-  end
+      print_endline (Analysis.Seqauto.stats_to_string auto.Analysis.Seqauto.stats);
+      (match dot_out with
+      | None -> ()
+      | Some path ->
+          let oc = open_out path in
+          output_string oc (Analysis.Dfa.to_dot auto.Analysis.Seqauto.dfa);
+          close_out oc;
+          Printf.printf "DFA written to %s\n" path);
+      List.iter
+        (fun q ->
+          let syms =
+            String.split_on_char ' ' q
+            |> List.filter (fun s -> s <> "")
+            |> List.map parse_symbol
+          in
+          Printf.printf "%-8s %s\n"
+            (if Analysis.Seqauto.accepts auto syms then "accept" else "reject")
+            q)
+        queries;
+      match analysis with
+      | None -> `Ok ()
+      | Some analysis ->
+          let engine = Sqldb.Engine.create () in
+          let tc = Runtime.Testcase.make ~input:inputs "cli-automaton" in
+          let trace, outcome = Runtime.Interp.collect_trace ~analysis ~engine tc in
+          (match outcome.Runtime.Interp.status with
+          | Ok () -> ()
+          | Error msg -> Printf.eprintf "runtime error: %s\n" msg);
+          let syms =
+            Array.to_list
+              (Array.map
+                 (fun (e : Runtime.Collector.event) -> e.Runtime.Collector.symbol)
+                 trace)
+          in
+          if Analysis.Seqauto.accepts auto syms then begin
+            Printf.printf "accept   collected trace (%d library calls)\n"
+              (List.length syms);
+            `Ok ()
+          end
+          else
+            `Error
+              ( false,
+                Printf.sprintf
+                  "soundness violation: the collected trace (%d library calls) is \
+                   outside the automaton's language"
+                  (List.length syms) )
 
 let automaton_budget_arg =
   Arg.(

@@ -51,7 +51,8 @@ let () =
   let analysis = dataset.Adprom.Pipeline.analysis in
   Printf.printf "Static analysis: %d call sites, %d DB-output label(s), pCTM conserved: %b\n"
     (List.length (Analysis.Ctm.calls analysis.Analysis.Analyzer.pctm))
-    (List.length analysis.Analysis.Analyzer.taint.Analysis.Taint.labeled_blocks)
+    (List.length
+       analysis.Analysis.Analyzer.front.Analysis.Front.taint.Analysis.Taint.labeled_blocks)
     (Analysis.Ctm.conserved analysis.Analysis.Analyzer.pctm);
 
   (* 2. dynamic phase: train the HMM profile on normal traces *)

@@ -2,12 +2,7 @@ type event = { symbol : Symbol.t; caller : string; block : int }
 
 type t = {
   program : Applang.Ast.program;
-  cfgs : (string * Cfg.t) list;
-  callgraph : Callgraph.t;
-  sites : Cfg.Sites.sites;
-  taint : Taint.result;
-  pruned_cfgs : (string * Cfg.t) list;
-  pruning : Prune.report list;
+  front : Front.t;
   ctms : (string * Ctm.t) list;
   pctm : Ctm.t;
   site_events : event array;
@@ -45,28 +40,17 @@ let analyze ?(entry = "main") program =
   Trace_.with_span "analysis.analyze"
     ~attrs:(fun () -> [ ("entry", entry) ])
     (fun () ->
-      let cfgs, sites =
-        Trace_.with_span "analysis.cfg" (fun () -> Cfg_build.build_program program)
-      in
-      let callgraph =
-        Trace_.with_span "analysis.callgraph" (fun () -> Callgraph.build cfgs)
-      in
-      let taint = Trace_.with_span "analysis.taint" (fun () -> Taint.analyze cfgs) in
-      let pruned_cfgs, pruning =
-        Trace_.with_span "analysis.prune" (fun () -> Prune.program cfgs)
-      in
+      let front = Front.build program in
       let ctms =
-        Trace_.with_span "analysis.forecast" (fun () -> Forecast.ctms pruned_cfgs)
+        Trace_.with_span "analysis.forecast" (fun () -> Forecast.ctms front.Front.pruned)
       in
       let pctm =
         Trace_.with_span "analysis.ctm_aggregate" (fun () ->
-            Aggregate.program_ctm ctms callgraph ~entry)
+            Aggregate.program_ctm ctms front.Front.callgraph ~entry)
       in
-      let site_events = site_events cfgs in
-      { program; cfgs; callgraph; sites; taint; pruned_cfgs; pruning; ctms; pctm;
-        site_events })
+      { program; front; ctms; pctm; site_events = site_events front.Front.cfgs })
 
-let block_of_call t expr = Cfg.Sites.block_of t.sites expr
+let block_of_call t expr = Cfg.Sites.block_of t.front.Front.sites expr
 
 let site_event t ~block ~labelled =
   t.site_events.((2 * block) + if labelled then 1 else 0)

@@ -11,14 +11,7 @@ type event = { symbol : Symbol.t; caller : string; block : int }
 
 type t = {
   program : Applang.Ast.program;
-  cfgs : (string * Cfg.t) list;
-  callgraph : Callgraph.t;
-  sites : Cfg.Sites.sites;  (** call expression -> block id *)
-  taint : Taint.result;  (** DB-output labeling *)
-  pruned_cfgs : (string * Cfg.t) list;
-      (** {!Prune}d graphs (dead branch arms removed); share the
-          original node records, so taint labels show through *)
-  pruning : Prune.report list;  (** what the feasibility prepass removed *)
+  front : Front.t;  (** the labelled CFGs, their pruned view, the call graph *)
   ctms : (string * Ctm.t) list;
       (** per-function CTMs, post labeling, on the pruned graphs *)
   pctm : Ctm.t;  (** aggregated program CTM *)
@@ -29,9 +22,9 @@ type t = {
 }
 
 val analyze : ?entry:string -> Applang.Ast.program -> t
-(** Full static phase: CFGs, call graph, taint labeling, branch
-    feasibility pruning, probability forecast (on the pruned graphs),
-    aggregation. [entry] defaults to ["main"].
+(** Full static phase: the {!Front} end, then the probability forecast
+    (on the pruned graphs) and the aggregation. [entry] defaults to
+    ["main"].
     @raise Invalid_argument when [entry] is not defined. *)
 
 val block_of_call : t -> Applang.Ast.expr -> int option

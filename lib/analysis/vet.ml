@@ -8,6 +8,8 @@ type stage = {
   entry : string;
   cfgs : (string * Cfg.t) list;
   pruned : (string * Cfg.t) list;
+  callgraph : Callgraph.t;
+  live : SS.t;
   dom : Cfg.t -> Dominator.t;
   facts : facts;
   static_queries : Qstatic.result Lazy.t;
@@ -156,8 +158,7 @@ let check_function dom (cfg : Cfg.t) =
 
 (* --- the static stage ------------------------------------------------------- *)
 
-let facts ~entry ~dom cfgs =
-  let live = Callgraph.reachable cfgs ~entry in
+let facts ~live ~dom cfgs =
   let symbols = ref Symbol.Set.empty in
   let pairs = ref [] in
   List.iter
@@ -191,10 +192,11 @@ let dominators cfgs =
   let table = List.map (fun (_, cfg) -> (cfg, lazy (Dominator.compute cfg))) cfgs in
   fun cfg -> Lazy.force (List.assq cfg table)
 
-let stage ?(entry = "main") ~pruned cfgs =
+let stage ?(entry = "main") { Front.cfgs; pruned; callgraph; _ } =
   let dom = dominators cfgs in
+  let live = Callgraph.reachable cfgs ~entry in
   let static_queries = lazy (Qstatic.infer ~entry pruned) in
-  { entry; cfgs; pruned; dom; facts = facts ~entry ~dom cfgs; static_queries }
+  { entry; cfgs; pruned; callgraph; live; dom; facts = facts ~live ~dom cfgs; static_queries }
 
 (* --- whole-program checks --------------------------------------------------- *)
 
@@ -225,16 +227,14 @@ let check_program stage =
     add
       (Diag.make Diag.Warning ~code:"no-entry"
          (Printf.sprintf "no entry function `%s`" entry))
-  else begin
-    let live = Callgraph.reachable cfgs ~entry in
+  else
     List.iter
       (fun (name, _) ->
-        if not (SS.mem name live) then
+        if not (SS.mem name stage.live) then
           add
             (Diag.make ~func:name Diag.Warning ~code:"unreachable-function"
                (Printf.sprintf "function `%s` is never called from `%s`" name entry)))
-      cfgs
-  end;
+      cfgs;
   List.iter (fun (_, cfg) -> List.iter add (check_function (stage.dom cfg) cfg)) cfgs;
   List.iter add (injection_diags (Lazy.force stage.static_queries));
   Diag.dedupe (List.sort Diag.compare !diags)

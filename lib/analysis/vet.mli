@@ -42,9 +42,8 @@
        [--strict]: a program typically {e can} emit more signatures
        than any finite training run exercises.}}
 
-    Run {!Taint.analyze} on the CFGs {e before} building the {!stage}
-    so DB-output labels are in place — coverage compares labeled
-    symbols. *)
+    The {!stage} reads the {!Front} end's labelled CFGs: coverage
+    compares labeled symbols. *)
 
 type facts = {
   symbols : Symbol.Set.t;
@@ -59,15 +58,17 @@ type stage = {
   entry : string;
   cfgs : (string * Cfg.t) list;  (** labelled, as built: checks and facts *)
   pruned : (string * Cfg.t) list;  (** their {!Prune}d view *)
+  callgraph : Callgraph.t;  (** over [cfgs]: the automaton's *)
+  live : Set.Make(String).t;  (** {!Callgraph.reachable} from [entry] on [cfgs] *)
   dom : Cfg.t -> Dominator.t;  (** each tree computed on its first lookup *)
   facts : facts;  (** with [entry] absent, every function is a root *)
   static_queries : Qstatic.result Lazy.t;  (** the one {!Qstatic.infer}, on [pruned] *)
 }
-(** What the program checks, the coverage cross-check, the query gate
-    and the leakage summary read: built once per daemon start or vetted
-    file. *)
+(** What the program checks, the coverage cross-check, the automaton,
+    the query gate and the leakage summary read: built once per daemon
+    start or vetted file. *)
 
-val stage : ?entry:string -> pruned:(string * Cfg.t) list -> (string * Cfg.t) list -> stage
+val stage : ?entry:string -> Front.t -> stage
 (** [entry] defaults to ["main"]. *)
 
 val recordable : facts -> facts

@@ -16,9 +16,9 @@ let project_facts (profile : Profile.t) (facts : Vet.facts) =
           (List.map (fun (c, s) -> (c, Symbol.strip_label s)) facts.Vet.pairs);
     }
 
-let automaton (profile : Profile.t) analysis =
-  Analysis.Seqauto.build ~use_labels:profile.Profile.params.Profile.use_labels
-    analysis.Analysis.Analyzer.pruned_cfgs analysis.Analysis.Analyzer.callgraph
+let automaton (profile : Profile.t) (stage : Vet.stage) =
+  Analysis.Seqauto.build ~entry:stage.Vet.entry
+    ~use_labels:profile.Profile.params.Profile.use_labels stage.Vet.pruned stage.Vet.callgraph
 
 (* Bigrams the trained model actually supports: (a, b) such that some
    state pair (i, j) emits a from i, transitions i -> j, and emits b

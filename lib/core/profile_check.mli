@@ -18,11 +18,11 @@ type policy =
   | Warn  (** report diagnostics, serve anyway *)
   | Enforce  (** refuse to serve when any error-class finding exists *)
 
-val automaton : Profile.t -> Analysis.Analyzer.t -> Analysis.Seqauto.t
+val automaton : Profile.t -> Analysis.Vet.stage -> Analysis.Seqauto.t
 (** Build the program's call-sequence automaton in the profile's label
-    view, on the pruned CFGs from [main] — the form
-    {!Scoring.set_static_dfa} expects and {!apply}'s n-gram cross-check
-    consumes. *)
+    view, on the stage's pruned CFGs and call graph from its entry — the
+    form {!Scoring.set_static_dfa} expects and {!apply}'s n-gram
+    cross-check consumes. *)
 
 val check : ?automaton:Analysis.Seqauto.t -> Analysis.Vet.stage -> Profile.t -> Analysis.Diag.t list
 (** Program checks ({!Analysis.Vet.check_program} of the stage) plus

@@ -91,7 +91,7 @@ let attack4 () =
      labeled output site that the program actually reaches (probed by
      running a few test cases). *)
   let analysis = Adprom.Pipeline.analyze_app app in
-  let labeled = analysis.Analysis.Analyzer.taint.Analysis.Taint.labeled_blocks in
+  let labeled = Analysis.(analysis.Analyzer.front.Front.taint.Taint.labeled_blocks) in
   let probe_cases =
     List.filteri (fun i _ -> i < 10) app.Adprom.Pipeline.test_cases
   in
@@ -198,7 +198,7 @@ let attack_1_3 () =
    labeled output site of the target, like attack4 does. *)
 let reachable_labeled_block app =
   let analysis = Adprom.Pipeline.analyze_app app in
-  let labeled = analysis.Analysis.Analyzer.taint.Analysis.Taint.labeled_blocks in
+  let labeled = Analysis.(analysis.Analyzer.front.Front.taint.Taint.labeled_blocks) in
   let probe = List.filteri (fun i _ -> i < 10) app.Adprom.Pipeline.test_cases in
   let reached = Hashtbl.create 64 in
   List.iter

@@ -334,7 +334,7 @@ let site_coverage analysis traces =
         List.filter_map
           (fun (id, site) -> if site.Analysis.Cfg.is_user then None else Some id)
           (Analysis.Cfg.call_nodes cfg))
-      analysis.Analysis.Analyzer.cfgs
+      analysis.Analysis.Analyzer.front.Analysis.Front.cfgs
   in
   let seen = Hashtbl.create 256 in
   List.iter

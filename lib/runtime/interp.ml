@@ -34,7 +34,7 @@ let lookup env x =
   | None -> raise (Istate.Error (Printf.sprintf "unbound variable %s" x))
 
 let entry_block ctx func =
-  match List.assoc_opt func ctx.analysis.Analyzer.cfgs with
+  match List.assoc_opt func ctx.analysis.Analyzer.front.Analysis.Front.cfgs with
   | Some cfg -> cfg.Analysis.Cfg.entry
   | None -> -1
 

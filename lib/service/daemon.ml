@@ -303,18 +303,16 @@ let build_stage ~metrics ?vet_against ~vet_policy ~static_gate ~qsig_mode
            whose sinks it judges)";
       { pairs = None; dfa = None; qsig; signatures = None; sinks = [] }
   | Some analysis ->
+      (* one static stage feeds the automaton, the vet, the explanations'
+         static pairs, the query gate and the leakage summary: one
+         dominator tree per function and at most one query inference,
+         on the pruned CFGs *)
+      let vet = Analysis.Vet.stage analysis.Analysis.Analyzer.front in
       let armed = function Gate_off -> None | mode -> Some mode in
       let dfa =
         Option.map
-          (fun mode -> (Adprom.Profile_check.automaton profile analysis, mode))
+          (fun mode -> (Adprom.Profile_check.automaton profile vet, mode))
           (armed static_gate)
-      in
-      (* one static stage feeds the vet, the explanations' static pairs,
-         the query gate and the leakage summary: one dominator tree per
-         function and at most one query inference, on the pruned CFGs *)
-      let vet =
-        Analysis.Vet.stage ~pruned:analysis.Analysis.Analyzer.pruned_cfgs
-          analysis.Analysis.Analyzer.cfgs
       in
       vet_profile ~metrics ~policy:vet_policy ?automaton:(Option.map fst dfa) vet profile;
       let signatures =

@@ -100,9 +100,11 @@ val create :
     sequence-axis verdicts are bit-for-bit unaffected by the mode.
 
     The {e static stage} is what [vet_against] tells the running
-    monitor: one {!Analysis.Vet.stage}, with at most one
-    {!Analysis.Qstatic} inference, on the pruned CFGs, built before the
-    domains spawn and installed into every worker's engines. The
+    monitor: one {!Analysis.Vet.stage} of the analysis's
+    {!Analysis.Front} end, with at most one {!Analysis.Qstatic}
+    inference, on the pruned CFGs, built before the domains spawn; the
+    automaton is built from it, and both are installed into every
+    worker's engines. The
     {!Analysis.Vet.recordable} call pairs let explanations name
     [statically-impossible-pair] gates. Under [static_gate] (default
     [Gate_explain]) the call-sequence automaton ({!Analysis.Seqauto})

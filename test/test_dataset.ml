@@ -41,7 +41,8 @@ let test_labeled_outputs_exist () =
       Alcotest.(check bool)
         (app.Pipeline.name ^ " has labels")
         true
-        (analysis.Analysis.Analyzer.taint.Analysis.Taint.labeled_blocks <> []))
+        (analysis.Analysis.Analyzer.front.Analysis.Front.taint.Analysis.Taint.labeled_blocks
+         <> []))
     [ Dataset.Ca_hospital.app (); Dataset.Ca_banking.app (); Dataset.Ca_supermarket.app () ]
 
 let test_proggen_deterministic () =

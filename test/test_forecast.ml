@@ -93,7 +93,8 @@ let test_table2 () =
 let test_labeling () =
   let a = Lazy.force analysis in
   Alcotest.(check int) "exactly one labeled block" 1
-    (List.length a.Analysis.Analyzer.taint.Analysis.Taint.labeled_blocks)
+    (List.length
+       a.Analysis.Analyzer.front.Analysis.Front.taint.Analysis.Taint.labeled_blocks)
 
 let test_pctm_values () =
   let a = Lazy.force analysis in
@@ -126,7 +127,7 @@ let test_pctm_invariants () =
 
 let test_reachability () =
   let a = Lazy.force analysis in
-  let cfg = List.assoc "main" a.Analysis.Analyzer.cfgs in
+  let cfg = List.assoc "main" a.Analysis.Analyzer.front.Analysis.Front.cfgs in
   let reach = Analysis.Forecast.reachability cfg in
   Alcotest.(check (float 1e-9)) "entry reach" 1.0 (List.assoc cfg.Cfg.entry reach);
   Alcotest.(check (float 1e-9)) "exit reach" 1.0 (List.assoc cfg.Cfg.exit reach)
@@ -284,11 +285,11 @@ let test_pruned_branch_excluded () =
     "the prepass reports removed edges" true
     (List.exists
        (fun r -> r.Analysis.Prune.removed_edges <> [])
-       a.Analysis.Analyzer.pruning);
+       (snd (Analysis.Prune.program a.Analysis.Analyzer.front.Analysis.Front.cfgs)));
   (* The dead arm had positive reach in the original graph; in the
      pruned graph its node is gone and the exit still has reach 1. *)
-  let orig = List.assoc "main" a.Analysis.Analyzer.cfgs in
-  let pruned = List.assoc "main" a.Analysis.Analyzer.pruned_cfgs in
+  let orig = List.assoc "main" a.Analysis.Analyzer.front.Analysis.Front.cfgs in
+  let pruned = List.assoc "main" a.Analysis.Analyzer.front.Analysis.Front.pruned in
   let dead =
     List.filter
       (fun id -> not (List.mem id (Cfg.node_ids pruned)))

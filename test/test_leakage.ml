@@ -34,7 +34,7 @@ let policy =
    line up with the runtime collector's labeled sink sites. *)
 let summarize ?schema src =
   let analysis = Analyzer.analyze (Parser.parse_program src) in
-  let cfgs = analysis.Analyzer.pruned_cfgs in
+  let cfgs = analysis.Analyzer.front.Analysis.Front.pruned in
   let static = Qstatic.infer cfgs in
   Leakage.analyze ?schema ~static cfgs
 

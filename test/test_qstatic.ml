@@ -363,7 +363,7 @@ let test_daemon_gate () =
 let test_banking_static_profile () =
   let app = Dataset.Ca_banking.app () in
   let analysis = Pipeline.analyze_app app in
-  let static = Qstatic.infer analysis.Analysis.Analyzer.pruned_cfgs in
+  let static = Qstatic.infer analysis.Analysis.Analyzer.front.Analysis.Front.pruned in
   Alcotest.(check bool) "banking inference complete" true static.Qstatic.complete;
   let qsig = Pipeline.train_qsig app in
   let trained = Adprom_qsig.Profile.signatures qsig in
@@ -392,7 +392,7 @@ let test_no_query_site_is_cheap () =
     { Dataset.Proggen.bash_like with Dataset.Proggen.functions = 24; statements_per_function = 7 }
   in
   let app = Dataset.Sir.app4 ~cases:120 ~spec () in
-  let cfgs = (Pipeline.analyze_app app).Analysis.Analyzer.pruned_cfgs in
+  let cfgs = (Pipeline.analyze_app app).Analysis.Analyzer.front.Analysis.Front.pruned in
   let before = Gc.minor_words () in
   let r = Qstatic.infer cfgs in
   let words = Gc.minor_words () -. before in

@@ -193,7 +193,7 @@ let test_patches_fire () =
   let src = "fun main() { puts(\"a\"); puts(\"b\"); }" in
   let analysis = Analyzer.analyze (Parser.parse_program src) in
   (* find the block of the first puts *)
-  let cfg = List.assoc "main" analysis.Analyzer.cfgs in
+  let cfg = List.assoc "main" analysis.Analyzer.front.Analysis.Front.cfgs in
   let first_puts =
     fst (List.hd (Analysis.Cfg.call_nodes cfg))
   in
@@ -220,7 +220,7 @@ let test_patches_fire () =
 let test_ltrace_collector () =
   let src = "fun main() { printf(\"%d\", strlen(\"abc\")); }" in
   let analysis = Analyzer.analyze (Parser.parse_program src) in
-  let symtab = Runtime.Ltrace.symtab_of_cfgs analysis.Analyzer.cfgs in
+  let symtab = Runtime.Ltrace.symtab_of_cfgs analysis.Analyzer.front.Analysis.Front.cfgs in
   let collector, stats, log = Runtime.Ltrace.make ~symtab in
   let engine = Sqldb.Engine.create () in
   ignore (Interp.run ~collector ~analysis ~engine (Testcase.make "t"));
@@ -254,7 +254,7 @@ let fresh_collector (analysis : Analyzer.t) =
   let caller_of block =
     List.find_map
       (fun (f, cfg) -> if Hashtbl.mem cfg.Analysis.Cfg.nodes block then Some f else None)
-      analysis.Analyzer.cfgs
+      analysis.Analyzer.front.Analysis.Front.cfgs
   in
   let events = ref [] in
   let emit (ev : Collector.event) ~args =

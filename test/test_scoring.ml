@@ -769,7 +769,7 @@ let test_warm_push_allocation () =
                 (fun labelled -> Analysis.Analyzer.site_event analysis ~block ~labelled)
                 [ false; true ])
           (Analysis.Cfg.call_nodes cfg))
-      analysis.Analysis.Analyzer.cfgs
+      analysis.Analysis.Analyzer.front.Analysis.Front.cfgs
   in
   let alphabet =
     Array.of_list

@@ -14,6 +14,7 @@ module Nfa = Analysis.Nfa
 module Dfa = Analysis.Dfa
 module Symbol = Analysis.Symbol
 module Analyzer = Analysis.Analyzer
+module Front = Analysis.Front
 module Parser = Applang.Parser
 module Scoring = Adprom.Scoring
 module Detector = Adprom.Detector
@@ -28,8 +29,9 @@ module Transport = Adprom_service.Transport
 
 let build_src ?entry ?(use_labels = true) ?state_budget ?(pruned = true) src =
   let a = Analyzer.analyze ?entry (Parser.parse_program src) in
-  let cfgs = if pruned then a.Analyzer.pruned_cfgs else a.Analyzer.cfgs in
-  (a, Seqauto.build ?entry ~use_labels ?state_budget cfgs a.Analyzer.callgraph)
+  let front = a.Analyzer.front in
+  let cfgs = if pruned then front.Front.pruned else front.Front.cfgs in
+  (a, Seqauto.build ?entry ~use_labels ?state_budget cfgs front.Front.callgraph)
 
 let syms names = List.map Symbol.lib names
 
@@ -204,7 +206,7 @@ let prop_trace_soundness =
       let src = random_program seed in
       let a = Analyzer.analyze (Parser.parse_program src) in
       let auto =
-        Seqauto.build ~use_labels:true a.Analyzer.pruned_cfgs a.Analyzer.callgraph
+        Seqauto.build ~use_labels:true a.Analyzer.front.Front.pruned a.Analyzer.front.Front.callgraph
       in
       let word =
         run_trace a [ string_of_int input; string_of_int (5 - input) ]
@@ -227,7 +229,8 @@ let prop_nfa_dfa_agree =
     (fun (seed, wseed, picks) ->
       let src = random_program seed in
       let a = Analyzer.analyze (Parser.parse_program src) in
-      let auto = Seqauto.build ~use_labels:true a.Analyzer.pruned_cfgs a.Analyzer.callgraph in
+      let { Front.pruned; callgraph; _ } = a.Analyzer.front in
+      let auto = Seqauto.build ~use_labels:true pruned callgraph in
       let alpha = Array.of_list (Seqauto.(auto.nfa).Nfa.alphabet) in
       let m = Array.length alpha in
       let word =
@@ -265,7 +268,7 @@ let gen_wide_analysis =
    the pruned CFGs, the default entry, the params' label view. *)
 let default_automaton (a : Analyzer.t) =
   Seqauto.build ~use_labels:Pipeline.adprom_params.Profile.use_labels
-    a.Analyzer.pruned_cfgs a.Analyzer.callgraph
+    a.Analyzer.front.Front.pruned a.Analyzer.front.Front.callgraph
 
 (* Digests of the DFAs the straightforward (quadratic-allocation)
    construction produced: construction may get cheaper, but the start
@@ -452,7 +455,8 @@ let fixture =
      in
      let ds = Pipeline.collect app in
      let profile = Pipeline.train ds in
-     (ds, profile, Profile_check.automaton profile ds.Pipeline.analysis))
+     let stage = Analysis.Vet.stage ds.Pipeline.analysis.Analyzer.front in
+     (ds, profile, Profile_check.automaton profile stage))
 
 (* The daemon gates in the profile's label view: for a profile trained
    without labels it compiles the stripped automaton, whose enforce

@@ -3,8 +3,6 @@
    coverage cross-check, and the serving-layer Profile_check policy. *)
 
 module Parser = Applang.Parser
-module Cfg_build = Analysis.Cfg_build
-module Taint = Analysis.Taint
 module Vet = Analysis.Vet
 module Diag = Analysis.Diag
 module Symbol = Analysis.Symbol
@@ -17,12 +15,9 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* The stage as `adprom vet` builds it without a profile: the labelled
-   CFGs and their pruned view, no [Analyzer.t]. *)
-let stage_of_source src =
-  let cfgs = fst (Cfg_build.build_program (Parser.parse_program src)) in
-  ignore (Taint.analyze cfgs);
-  Vet.stage ~pruned:(fst (Analysis.Prune.program cfgs)) cfgs
+(* The stage as `adprom vet` builds it: the static front end's view of
+   the program, no pCTM. *)
+let stage_of_source src = Vet.stage (Analysis.Front.build (Parser.parse_program src))
 
 let vet_source src = Vet.check_program (stage_of_source src)
 
@@ -188,40 +183,27 @@ let test_builtin_apps_vet_error_free () =
 
 (* --- Profile_check: trained profile vs its own program -------------------- *)
 
-(* The program's static stage, as the daemon derives it. *)
-let stage_of (analysis : Analysis.Analyzer.t) =
-  Vet.stage ~pruned:analysis.Analysis.Analyzer.pruned_cfgs analysis.Analysis.Analyzer.cfgs
-
-(* The stage built without an [Analyzer.t] (what `adprom vet` builds
-   when no profile is given) reads the same CFGs as the one built from
-   [Analyzer.analyze] (what it builds for --profile): the program
-   checks, their injection findings and the query-axis cross-check
-   agree, so --qsig-profile does not depend on --profile. *)
-let test_stage_without_analyzer_agrees () =
-  let fixtures =
-    Sys.readdir "../examples/vet" |> Array.to_list |> List.sort compare
-    |> List.filter (fun f -> Filename.check_suffix f ".app")
-    |> List.map (fun f -> (f, fixture f))
-  in
+(* The query-axis cross-check: a trained signature the program cannot
+   emit is an error when the static set is complete, and every
+   emittable signature training never saw is a hint. *)
+let test_qsig_coverage () =
   List.iter
     (fun (name, src) ->
-      let plain = stage_of_source src in
-      let analyzed = stage_of (Analysis.Analyzer.analyze (Parser.parse_program src)) in
-      let strings diags = List.map Diag.to_string diags in
-      Alcotest.(check (list string))
-        (name ^ ": program checks")
-        (strings (Vet.check_program analyzed))
-        (strings (Vet.check_program plain));
-      (* a trained set with an impossible signature and every other
-         emittable one: errors and hints both show *)
-      let emittable = (Lazy.force analyzed.Vet.static_queries).Analysis.Qstatic.signatures in
+      let stage = stage_of_source src in
+      let static = Lazy.force stage.Vet.static_queries in
+      let emittable = static.Analysis.Qstatic.signatures in
       let trained =
         "SELECT nothing FROM nowhere" :: List.filteri (fun i _ -> i mod 2 = 0) emittable
       in
-      let coverage stage = strings (Vet.check_qsig_coverage stage ~trained_signatures:trained) in
-      Alcotest.(check (list string)) (name ^ ": qsig coverage") (coverage analyzed)
-        (coverage plain))
-    (fixtures @ builtin_sources ())
+      let diags = Vet.check_qsig_coverage stage ~trained_signatures:trained in
+      let count code = List.length (List.filter (fun d -> d.Diag.code = code) diags) in
+      Alcotest.(check int) (name ^ ": impossible")
+        (if static.Analysis.Qstatic.complete then 1 else 0)
+        (count "qsig-impossible-signature");
+      Alcotest.(check int) (name ^ ": uncovered")
+        (List.length (List.filter (fun s -> not (List.mem s trained)) emittable))
+        (count "qsig-uncovered-signature"))
+    (builtin_sources ())
 
 (* Every built-in app's own profile passes vet as the daemon runs it
    (the automaton's n-gram check included): a DB-output call the
@@ -232,11 +214,9 @@ let test_builtin_profiles_vet_clean () =
     (fun (name, app, warnings) ->
       let ds = Pipeline.collect app in
       let profile = Pipeline.train ds in
-      let analysis = ds.Pipeline.analysis in
+      let stage = Vet.stage ds.Pipeline.analysis.Analysis.Analyzer.front in
       let diags =
-        Profile_check.check
-          ~automaton:(Profile_check.automaton profile analysis)
-          (stage_of analysis) profile
+        Profile_check.check ~automaton:(Profile_check.automaton profile stage) stage profile
       in
       Alcotest.(check (list string)) (name ^ ": no errors") []
         (List.map Diag.to_string (Diag.errors diags));
@@ -290,15 +270,40 @@ let trained =
 
 let test_profile_check_own_program_error_free () =
   let ds, profile = Lazy.force trained in
-  let analysis = ds.Pipeline.analysis in
-  let diags = Profile_check.check (stage_of analysis) profile in
+  let diags =
+    Profile_check.check (Vet.stage ds.Pipeline.analysis.Analysis.Analyzer.front) profile
+  in
   Alcotest.(check (list string)) "no errors against own program" []
     (List.map Diag.to_string (Diag.errors diags))
 
+(* A program without its entry still has a stage, with every function a
+   root: vetting a profile against it gives the plain run's program
+   checks, [no-entry] included, plus the coverage findings. *)
+let test_profile_check_without_entry () =
+  let _, profile = Lazy.force trained in
+  let stage = stage_of_source "fun helper() { puts(\"hi\"); }" in
+  let program = Vet.check_program stage in
+  let diags = Profile_check.check stage profile in
+  Alcotest.(check bool) "no-entry" true (has_code "no-entry" program);
+  Alcotest.(check (list string)) "the program checks"
+    (List.map Diag.to_string program)
+    (List.map Diag.to_string (List.filter (fun d -> List.mem d program) diags));
+  let coverage = List.filter (fun d -> not (List.mem d program)) diags in
+  let coverage_codes =
+    [
+      "profile-symbol-unreachable"; "profile-pair-impossible"; "uncovered-symbol"; "uncovered-pair";
+    ]
+  in
+  Alcotest.(check (list string)) "only coverage findings besides" []
+    (List.filter_map
+       (fun d -> if List.mem d.Diag.code coverage_codes then None else Some (Diag.to_string d))
+       coverage);
+  Alcotest.(check bool) "helper is a root" true
+    (List.exists (fun d -> d.Diag.code = "uncovered-pair" && d.Diag.func = "helper") coverage)
+
 let test_profile_check_policies () =
   let ds, profile = Lazy.force trained in
-  let analysis = ds.Pipeline.analysis in
-  let stage = stage_of analysis in
+  let stage = Vet.stage ds.Pipeline.analysis.Analysis.Analyzer.front in
   Alcotest.(check int) "Off reports nothing" 0
     (List.length (Profile_check.apply Profile_check.Off stage profile));
   (* Enforce must not raise on a profile vetted against its own program. *)
@@ -306,19 +311,18 @@ let test_profile_check_policies () =
 
 let test_profile_check_enforce_rejects_foreign_program () =
   let _, profile = Lazy.force trained in
-  let foreign =
-    Analysis.Analyzer.analyze (Parser.parse_program "fun main() { puts(\"hi\"); }")
-  in
+  let foreign = stage_of_source "fun main() { puts(\"hi\"); }" in
   Alcotest.check_raises "Enforce refuses a mismatched program"
     (Invalid_argument "")
     (fun () ->
-      match Profile_check.apply Profile_check.Enforce (stage_of foreign) profile with
+      match Profile_check.apply Profile_check.Enforce foreign profile with
       | _ -> ()
       | exception Invalid_argument _ -> raise (Invalid_argument ""))
 
 let test_static_pairs_load_into_engine () =
   let ds, profile = Lazy.force trained in
-  let pairs = (stage_of ds.Pipeline.analysis).Vet.facts.Vet.pairs in
+  let stage = Vet.stage ds.Pipeline.analysis.Analysis.Analyzer.front in
+  let pairs = stage.Vet.facts.Vet.pairs in
   Alcotest.(check bool) "some static pairs" true (pairs <> []);
   Alcotest.(check bool) "all from main" true
     (List.for_all (fun (caller, _) -> caller = "main") pairs);
@@ -392,8 +396,7 @@ let () =
         [
           Alcotest.test_case "built-in apps error-free" `Quick
             test_builtin_apps_vet_error_free;
-          Alcotest.test_case "stage without an analyzer agrees" `Quick
-            test_stage_without_analyzer_agrees;
+          Alcotest.test_case "qsig coverage errors and hints" `Quick test_qsig_coverage;
         ] );
       ( "profile-check",
         [
@@ -401,6 +404,7 @@ let () =
             test_profile_check_own_program_error_free;
           Alcotest.test_case "built-in profiles vet clean" `Quick
             test_builtin_profiles_vet_clean;
+          Alcotest.test_case "without its entry" `Quick test_profile_check_without_entry;
           Alcotest.test_case "policies" `Quick test_profile_check_policies;
           Alcotest.test_case "enforce rejects foreign" `Quick
             test_profile_check_enforce_rejects_foreign_program;

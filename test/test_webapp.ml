@@ -62,7 +62,8 @@ let test_http_sinks_labeled () =
   in
   let analysis = Analyzer.analyze (Parser.parse_program src) in
   Alcotest.(check int) "http_respond is a labeled DB-output site" 1
-    (List.length analysis.Analyzer.taint.Analysis.Taint.labeled_blocks)
+    (List.length
+       analysis.Analyzer.front.Analysis.Front.taint.Analysis.Taint.labeled_blocks)
 
 (* --- the portal ------------------------------------------------------------- *)
 
