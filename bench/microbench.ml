@@ -11,7 +11,9 @@
      benchmark trains: a compiled window score on the 126-state banking
      model and on the 40-state generated wide program's model, the batch
      scores and one Baum-Welch step over each one's deduplicated
-     windows, and the hidden-state clustering of the generated wide
+     windows, training's pass over the same windows laid out once (a
+     prefix table rebuilt for the model, with and without the step
+     from it), and the hidden-state clustering of the generated wide
      program: the PCA fit of its call-transition vectors (134 sites x
      270 features), k-means on their projection, and the whole
      [Reduction.cluster] call (CTV build, PCA and k-means), then, with
@@ -128,6 +130,17 @@ let baum_welch_step_test label (model, weighted) =
     ~name:(Printf.sprintf "kernel/baum-welch-step-%s-%dwin" label (List.length weighted))
     (Staged.stage (fun () -> ignore (Hmm.baum_welch_step model weighted)))
 
+(* Training's work per model on a pass laid out once over a trained
+   model's training windows: its table rebuilt, then, unless
+   [score_only], the step from it. *)
+let bw_pass_test ~score_only label (model, weighted) =
+  let pass = Hmm.Pass.create model ~weighted:(Array.of_list weighted) ~extra:[||] in
+  Test.make
+    ~name:(Printf.sprintf "kernel/bw-pass-%s%s" label (if score_only then "-score-only" else ""))
+    (Staged.stage (fun () ->
+         Hmm.Pass.rebuild pass model;
+         if not score_only then ignore (Hmm.Pass.step pass)))
+
 (* One [Scoring.Stream.push] of a fixture's longest trace, cycled:
    with the default memo after two rounds, every window of the cycle
    hits it ([hits]); with a one-entry memo, every window misses, evicts
@@ -237,6 +250,10 @@ let kernel_tests () =
       window_scores_test "gen-wide" (model gen_wide);
       baum_welch_step_test "banking" (model banking);
       baum_welch_step_test "gen-wide" (model gen_wide);
+      bw_pass_test ~score_only:false "banking" (model banking);
+      bw_pass_test ~score_only:true "banking" (model banking);
+      bw_pass_test ~score_only:false "gen-wide" (model gen_wide);
+      bw_pass_test ~score_only:true "gen-wide" (model gen_wide);
       Test.make
         ~name:(Printf.sprintf "kernel/pca-fit-gen-wide-ctv-%dx%d" rows cols)
         (Staged.stage (fun () -> ignore (Mlkit.Pca.fit ~variance_kept ctvs)));

@@ -17,10 +17,13 @@ let read_file path =
 
 (* An AppLang program through [f] (the static front end, or the whole
    analysis): an unreadable or malformed file, or a program [f]
-   rejects, is one line of error, not an uncaught exception. *)
+   rejects, is one line of error, not an uncaught exception. A
+   rejection by [Invalid_argument] is its sentence, such as the
+   analysis's "no entry function `main`". *)
 let load_program f path =
   match f (Applang.Parser.parse_program (read_file path)) with
   | v -> Ok v
+  | exception Invalid_argument msg -> Error msg
   | exception e -> Error (Printexc.to_string e)
 
 (* an optional file, loaded when its flag was given *)

@@ -41,6 +41,8 @@ let analyze ?(entry = "main") program =
     ~attrs:(fun () -> [ ("entry", entry) ])
     (fun () ->
       let front = Front.build program in
+      if not (List.mem_assoc entry front.Front.cfgs) then
+        invalid_arg (Printf.sprintf "no entry function `%s`" entry);
       let ctms =
         Trace_.with_span "analysis.forecast" (fun () -> Forecast.ctms front.Front.pruned)
       in

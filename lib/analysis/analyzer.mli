@@ -25,7 +25,8 @@ val analyze : ?entry:string -> Applang.Ast.program -> t
 (** Full static phase: the {!Front} end, then the probability forecast
     (on the pruned graphs) and the aggregation. [entry] defaults to
     ["main"].
-    @raise Invalid_argument when [entry] is not defined. *)
+    @raise Invalid_argument ["no entry function `main`"] (naming
+    [entry]) when [entry] is not defined. *)
 
 val block_of_call : t -> Applang.Ast.expr -> int option
 (** Block id of a (physical) [Call] sub-expression of the program. *)

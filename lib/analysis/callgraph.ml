@@ -35,14 +35,15 @@ let functions t = t.order
 let callees t name = match SM.find_opt name t.callees with Some l -> l | None -> []
 let callers t name = match SM.find_opt name t.callers with Some l -> l | None -> []
 
-let reachable cfgs ~entry =
-  if not (List.mem_assoc entry cfgs) then SS.of_list (List.map fst cfgs)
+let reachable_in t ~entry =
+  if not (List.mem entry t.order) then SS.of_list t.order
   else
-    let cg = build cfgs in
     let rec visit seen f =
-      if SS.mem f seen then seen else List.fold_left visit (SS.add f seen) (callees cg f)
+      if SS.mem f seen then seen else List.fold_left visit (SS.add f seen) (callees t f)
     in
     visit SS.empty entry
+
+let reachable cfgs ~entry = reachable_in (build cfgs) ~entry
 
 (* Tarjan's algorithm; the natural output order (a component is emitted
    only after everything it reaches) is exactly leaf-first. *)

@@ -13,9 +13,13 @@ val callees : t -> string -> string list
 
 val callers : t -> string -> string list
 
-val reachable : (string * Cfg.t) list -> entry:string -> Set.Make(String).t
+val reachable_in : t -> entry:string -> Set.Make(String).t
 (** The functions reachable from [entry] through user calls, [entry]
     included; every function when [entry] is not among them. *)
+
+val reachable : (string * Cfg.t) list -> entry:string -> Set.Make(String).t
+(** [reachable_in] on the graph of [cfgs], built for the call: for CFGs
+    whose graph nothing else builds, such as the pruned ones. *)
 
 val sccs : t -> string list list
 (** Strongly connected components in reverse topological order of the

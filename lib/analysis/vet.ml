@@ -194,7 +194,7 @@ let dominators cfgs =
 
 let stage ?(entry = "main") { Front.cfgs; pruned; callgraph; _ } =
   let dom = dominators cfgs in
-  let live = Callgraph.reachable cfgs ~entry in
+  let live = Callgraph.reachable_in callgraph ~entry in
   let static_queries = lazy (Qstatic.infer ~entry pruned) in
   { entry; cfgs; pruned; callgraph; live; dom; facts = facts ~live ~dom cfgs; static_queries }
 

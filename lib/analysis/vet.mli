@@ -59,7 +59,7 @@ type stage = {
   cfgs : (string * Cfg.t) list;  (** labelled, as built: checks and facts *)
   pruned : (string * Cfg.t) list;  (** their {!Prune}d view *)
   callgraph : Callgraph.t;  (** over [cfgs]: the automaton's *)
-  live : Set.Make(String).t;  (** {!Callgraph.reachable} from [entry] on [cfgs] *)
+  live : Set.Make(String).t;  (** {!Callgraph.reachable_in} [callgraph] from [entry] *)
   dom : Cfg.t -> Dominator.t;  (** each tree computed on its first lookup *)
   facts : facts;  (** with [entry] absent, every function is a root *)
   static_queries : Qstatic.result Lazy.t;  (** the one {!Qstatic.infer}, on [pruned] *)

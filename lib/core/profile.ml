@@ -60,14 +60,9 @@ let encode_or_fail index (w : Window.t) =
   | Some codes -> codes
   | None -> invalid_arg "Profile.train: training window outside alphabet"
 
-(* Per-symbol scores of encoded windows, in one batch call (bit-for-bit
-   [Hmm.per_symbol_score]). *)
-let scores model weighted = Hmm.per_symbol_scores model (Array.of_list (List.map fst weighted))
-
-(* Weighted mean per-symbol score over deduplicated windows, with the
-   per-window scores it averages. *)
-let mean_score model weighted =
-  let window_scores = scores model weighted in
+(* Weighted mean per-symbol score over deduplicated windows, from their
+   scores. *)
+let mean_score weighted window_scores =
   let num = ref 0.0 and den = ref 0.0 in
   List.iteri
     (fun k (_, w) ->
@@ -83,7 +78,7 @@ let mean_score model weighted =
         den := !den +. w
       end)
     weighted;
-  ((if !den = 0.0 then neg_infinity else !num /. !den), window_scores)
+  if !den = 0.0 then neg_infinity else !num /. !den
 
 let train ?(params = default_params) ~analysis windows =
   Otrace.with_span "profile.train"
@@ -141,51 +136,66 @@ let train ?(params = default_params) ~analysis windows =
   in
   let train_weighted = encode_weighted training in
   let csds_weighted = if csds = [] then train_weighted else encode_weighted csds in
+  (* One pass over the training and CSDS windows, its table rebuilt for
+     each model: the model's CSDS score, its training windows' scores
+     and, when the loop goes on, the step to the next model. *)
+  let train_codes = Array.of_list train_weighted in
+  let csds_codes = Array.of_list (List.map fst csds_weighted) in
+  let split = Array.length train_codes in
+  let evaluate pass =
+    let all = Hmm.Pass.scores pass in
+    let csds_scores = Array.sub all split (Array.length all - split) in
+    (mean_score csds_weighted csds_scores, Array.sub all 0 split, csds_scores)
+  in
   (* Baum-Welch rounds with CSDS-based early stopping; keep the best
-     model seen (the paper stops on no improvement), and its CSDS window
+     model seen (the paper stops on no improvement), and its window
      scores for the threshold pass. *)
-  let score0, csds_scores0 = mean_score model0 csds_weighted in
+  let pass =
+    Otrace.with_span "profile.prefix_table" (fun () ->
+        Hmm.Pass.create model0 ~weighted:train_codes ~extra:csds_codes)
+  in
+  let score0, train_scores0, csds_scores0 = evaluate pass in
   let best_model = ref model0 in
   let best_score = ref score0 in
-  let best_csds_scores = ref csds_scores0 in
+  let best_scores = ref (train_scores0, csds_scores0) in
   let history = ref [ score0 ] in
   let rounds = ref 0 in
   let no_improvement = ref 0 in
-  let model = ref model0 in
-  while !rounds < params.max_rounds && !no_improvement < params.patience do
-    incr rounds;
-    let csds_trace = ref nan in
-    let next, csds_scores =
-      (* one span per Baum-Welch round: the CSDS log-likelihood
-         trajectory, readable straight off the trace dump *)
-      Otrace.with_span "profile.bw_round"
-        ~attrs:(fun () ->
-          [
-            ("round", string_of_int !rounds);
-            ("csds_score", Printf.sprintf "%.6f" !csds_trace);
-          ])
-        (fun () ->
-          let next, _ = Hmm.baum_welch_step !model train_weighted in
-          let s, csds_scores = mean_score next csds_weighted in
-          csds_trace := s;
-          (next, csds_scores))
-    in
-    model := next;
-    let s = !csds_trace in
-    history := s :: !history;
-    if s > !best_score +. 1e-6 then begin
-      best_score := s;
-      best_model := next;
-      best_csds_scores := csds_scores;
-      no_improvement := 0
-    end
-    else incr no_improvement
-  done;
+  Fun.protect ~finally:(fun () -> Hmm.Pass.release pass) (fun () ->
+      while !rounds < params.max_rounds && !no_improvement < params.patience do
+        incr rounds;
+        let csds_trace = ref nan in
+        let next, train_scores, csds_scores =
+          (* one span per Baum-Welch round: the CSDS log-likelihood
+             trajectory, readable straight off the trace dump *)
+          Otrace.with_span "profile.bw_round"
+            ~attrs:(fun () ->
+              [
+                ("round", string_of_int !rounds);
+                ("csds_score", Printf.sprintf "%.6f" !csds_trace);
+              ])
+            (fun () ->
+              let next, _ = Otrace.with_span "profile.e_step" (fun () -> Hmm.Pass.step pass) in
+              Otrace.with_span "profile.prefix_table" (fun () -> Hmm.Pass.rebuild pass next);
+              let s, train_scores, csds_scores = evaluate pass in
+              csds_trace := s;
+              (next, train_scores, csds_scores))
+        in
+        let s = !csds_trace in
+        history := s :: !history;
+        if s > !best_score +. 1e-6 then begin
+          best_score := s;
+          best_model := next;
+          best_scores := (train_scores, csds_scores);
+          no_improvement := 0
+        end
+        else incr no_improvement
+      done);
   let final_model = !best_model in
   let threshold =
     Otrace.with_span "profile.threshold" (fun () ->
-        let all_scores = Array.append (scores final_model train_weighted) !best_csds_scores in
-        Threshold.select params.threshold_strategy all_scores)
+        let train_scores, csds_scores = !best_scores in
+        Threshold.select params.threshold_strategy (Array.append train_scores csds_scores))
   in
   let known_pairs = Hashtbl.create 256 in
   List.iter
@@ -229,7 +239,7 @@ let extend t windows =
   else begin
     let rounds = max 1 (t.params.max_rounds / 4) in
     let model, _ = Hmm.fit ~max_iterations:rounds t.model weighted in
-    let new_scores = scores model weighted in
+    let new_scores = Hmm.per_symbol_scores model (Array.of_list (List.map fst weighted)) in
     (* The threshold may only move down here: new legitimate behaviour
        widens the normal region, it never shrinks it. *)
     let candidate = Threshold.select t.params.threshold_strategy new_scores in

@@ -88,49 +88,6 @@ external propagate : float array -> float array -> float array -> unit
   = "adprom_hmm_propagate"
 [@@noalloc]
 
-(* [e_step a b pi obs off weights a_acc b_acc pi_acc ll]: the E-step of
-   [baum_welch_step] over the windows [obs.(off.(w)) .. obs.(off.(w+1) - 1)]
-   of weights [weights], on the flat tables of A, B and π; adds into the
-   zeroed flat accumulators and stores the weighted log-likelihood in
-   [ll.(0)]. Every observation must lie in [\[0, m)]. *)
-external e_step :
-  float array ->
-  float array ->
-  float array ->
-  int array ->
-  int array ->
-  float array ->
-  float array ->
-  float array ->
-  float array ->
-  float array ->
-  unit = "adprom_hmm_e_step_byte" "adprom_hmm_e_step"
-
-(* [window_scores a b pi obs off scores]: [scores.(w) <-] the per-symbol
-   score of the window [obs.(off.(w)) .. obs.(off.(w+1) - 1)], by the
-   operations [Compiled.per_symbol_score] does on it, with each prefix
-   the sorted windows share computed once, on every allowed CPU. Every
-   observation must lie in [\[0, m)]. *)
-external window_scores :
-  float array -> float array -> float array -> int array -> int array -> float array -> unit
-  = "adprom_hmm_window_scores_byte" "adprom_hmm_window_scores"
-
-(* The C entry points read the tables by [n] and [m], and every
-   observation, unchecked: refuse a record whose tables do not have the
-   sizes [n] and [m] give them, or an observation outside [\[0, m)],
-   then lay the windows end to end with their offsets. *)
-let flatten_windows name t windows =
-  let n = t.n and m = t.m in
-  if
-    Array.length t.a.Matrix.data <> n * n
-    || Array.length t.b.Matrix.data <> n * m
-    || Array.length t.pi <> n
-  then invalid_arg (name ^ ": inconsistent dimensions");
-  Array.iter (check_observations t) windows;
-  let off = Array.make (Array.length windows + 1) 0 in
-  Array.iteri (fun w obs -> off.(w + 1) <- off.(w) + Array.length obs) windows;
-  (Array.concat (Array.to_list windows), off)
-
 (* Scaled forward pass: [alpha.(t).(i)] is normalized per step and
    [scale.(t)] holds the pre-normalization sums, so
    [log P(O) = sum (log scale.(t))]. A zero scale means the prefix is
@@ -360,12 +317,6 @@ let per_symbol_score t obs =
   let len = Array.length obs in
   if len = 0 then 0.0 else log_likelihood t obs /. float_of_int len
 
-let per_symbol_scores t windows =
-  let obs, off = flatten_windows "Hmm.per_symbol_scores" t windows in
-  let scores = Array.make (Array.length windows) 0.0 in
-  window_scores t.a.Matrix.data t.b.Matrix.data t.pi obs off scores;
-  scores
-
 (* Scaled backward pass sharing the forward scaling factors, so
    gamma/xi can be formed from products of the two without overflow. *)
 let backward t obs scale =
@@ -445,30 +396,106 @@ let normalize_with_floor row =
     let denom = s +. (smoothing_epsilon *. float_of_int k) in
     Array.map (fun v -> (v +. smoothing_epsilon) /. denom) row
 
-(* One EM iteration. The E-step runs in C ([e_step]) over every window
-   at once, on every allowed CPU; it gives every accumulator the same
-   floating-point operations, in the same order, as the textbook step
-   over [forward]/[backward], so the re-estimated model is bit-for-bit
-   the same. OCaml range-checks the observations first, flattens the
-   windows and normalises the accumulators. *)
+(* The C side of a pass, in [hmm_kernels.c]: [pass_layout obs off n m]
+   lays out the windows [obs.(off.(w)) .. obs.(off.(w+1) - 1)], numbers
+   their distinct prefixes and returns a table for models of [n] states
+   and [m] symbols; [pass_build table a b pi scores] fills it with the
+   rows of the model with flat tables [a], [b], [pi] and stores each
+   window's per-symbol score in [scores]; [pass_step table weights a_acc
+   b_acc pi_acc ll] adds the E-step of the first windows, one per
+   weight, into the zeroed flat accumulators and stores the weighted
+   log-likelihood in [ll.(0)]; [pass_release] unmaps the table, once. *)
+type table
+
+external pass_layout : int array -> int array -> int -> int -> table = "adprom_hmm_pass_layout"
+
+external pass_build : table -> float array -> float array -> float array -> float array -> unit
+  = "adprom_hmm_pass_build"
+
+external pass_step :
+  table -> float array -> float array -> float array -> float array -> float array -> unit
+  = "adprom_hmm_pass_step_byte" "adprom_hmm_pass_step"
+
+external pass_release : table -> unit = "adprom_hmm_pass_release" [@@noalloc]
+
+module Pass = struct
+  type model = t
+
+  type t = {
+    table : table;
+    weights : float array;
+    mutable model : model;  (* whose rows the table holds *)
+    mutable scores : float array;
+  }
+
+  (* The C side reads the tables by [n] and [m] unchecked: refuse a
+     record whose tables do not have the sizes [n] and [m] give them. *)
+  let rebuild p (model : model) =
+    let n = p.model.n and m = p.model.m in
+    if
+      model.n <> n
+      || model.m <> m
+      || Array.length model.a.Matrix.data <> n * n
+      || Array.length model.b.Matrix.data <> n * m
+      || Array.length model.pi <> n
+    then invalid_arg "Hmm.Pass: inconsistent dimensions";
+    let scores = Array.make (Array.length p.scores) 0.0 in
+    pass_build p.table model.a.Matrix.data model.b.Matrix.data model.pi scores;
+    p.model <- model;
+    p.scores <- scores
+
+  let release p = pass_release p.table
+
+  let create (model : model) ~weighted ~extra =
+    let all = Array.append (Array.map fst weighted) extra in
+    Array.iter (check_observations model) all;
+    let off = Array.make (Array.length all + 1) 0 in
+    Array.iteri (fun w obs -> off.(w + 1) <- off.(w) + Array.length obs) all;
+    let table = pass_layout (Array.concat (Array.to_list all)) off model.n model.m in
+    let p =
+      { table; weights = Array.map snd weighted; model; scores = Array.make (Array.length all) 0.0 }
+    in
+    (try rebuild p model
+     with e ->
+       release p;
+       raise e);
+    p
+
+  let scores p = p.scores
+
+  (* One EM iteration: the C E-step, then OCaml normalises the
+     accumulators. *)
+  let step p =
+    let n = p.model.n and m = p.model.m in
+    let a_acc = Array.make (n * n) 0.0 and b_acc = Array.make (n * m) 0.0 in
+    let pi_acc = Array.make n 0.0 and loglik = [| 0.0 |] in
+    pass_step p.table p.weights a_acc b_acc pi_acc loglik;
+    let normalized acc k =
+      Matrix.of_arrays (Array.init n (fun i -> normalize_with_floor (Array.sub acc (i * k) k)))
+    in
+    ( {
+        p.model with
+        a = normalized a_acc n;
+        b = normalized b_acc m;
+        pi = normalize_with_floor pi_acc;
+      },
+      loglik.(0) )
+end
+
+(* A pass of its own, released once read. *)
+let with_pass t ~weighted ~extra f =
+  let p = Pass.create t ~weighted ~extra in
+  Fun.protect ~finally:(fun () -> Pass.release p) (fun () -> f p)
+
+let per_symbol_scores t windows = with_pass t ~weighted:[||] ~extra:windows Pass.scores
+
 let baum_welch_step t weighted =
-  let n = t.n and m = t.m in
-  let windows = Array.of_list weighted in
-  let obs, off = flatten_windows "Hmm.baum_welch_step" t (Array.map fst windows) in
-  let weights = Array.map snd windows in
-  let a_acc = Array.make (n * n) 0.0 and b_acc = Array.make (n * m) 0.0 in
-  let pi_acc = Array.make n 0.0 and loglik = [| 0.0 |] in
-  e_step t.a.Matrix.data t.b.Matrix.data t.pi obs off weights a_acc b_acc pi_acc loglik;
-  let normalized acc k =
-    Matrix.of_arrays (Array.init n (fun i -> normalize_with_floor (Array.sub acc (i * k) k)))
-  in
-  ({ t with a = normalized a_acc n; b = normalized b_acc m; pi = normalize_with_floor pi_acc },
-   loglik.(0))
+  with_pass t ~weighted:(Array.of_list weighted) ~extra:[||] Pass.step
 
 let fit ~max_iterations t weighted =
   let total_weight = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 weighted in
   let scaled_tol = 1e-4 *. Float.max 1.0 total_weight in
-  let rec loop model prev_ll history iter =
+  let rec loop model prev_ll history iter pass =
     if iter >= max_iterations then (model, List.rev history)
     else
       let ll_trace = ref nan in
@@ -480,14 +507,15 @@ let fit ~max_iterations t weighted =
               ("log_likelihood", Printf.sprintf "%.6f" !ll_trace);
             ])
           (fun () ->
-            let r = baum_welch_step model weighted in
+            if iter > 0 then Pass.rebuild pass model;
+            let r = Pass.step pass in
             ll_trace := snd r;
             r)
       in
       let history = ll :: history in
       match prev_ll with
       | Some p when ll -. p < scaled_tol -> (model', List.rev history)
-      | Some _ | None -> loop model' (Some ll) history (iter + 1)
+      | Some _ | None -> loop model' (Some ll) history (iter + 1) pass
   in
   Adprom_obs.Trace.with_span "hmm.fit"
     ~attrs:(fun () ->
@@ -496,4 +524,5 @@ let fit ~max_iterations t weighted =
         ("states", string_of_int t.n);
         ("symbols", string_of_int t.m);
       ])
-    (fun () -> loop t None [] 0)
+    (fun () ->
+      with_pass t ~weighted:(Array.of_list weighted) ~extra:[||] (loop t None [] 0))

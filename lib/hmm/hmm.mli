@@ -44,18 +44,8 @@ val per_symbol_score : t -> int array -> float
 
 val per_symbol_scores : t -> int array array -> float array
 (** [per_symbol_scores t windows] is [Array.map (per_symbol_score t)
-    windows], bit for bit, in one C call: training's window scoring
-    (the CSDS score of every round, the threshold pass,
-    [Profile.extend]). The call sorts the windows lexicographically and
-    walks them in that order, so each window starts from the forward
-    rows of its longest common prefix with the window before it. A
-    forward row depends only on the prefix it ends, and each window's
-    score takes exactly the operations {!Compiled.per_symbol_score}
-    does on it, so sharing changes no bit. Threads claim fixed runs of
-    the sorted order, each from an empty stack of rows, so the scores
-    depend on neither the thread count nor the run size. The threads
-    start and join inside the call as {!baum_welch_step}'s do: one per
-    CPU in the affinity mask, never an OCaml domain.
+    windows], bit for bit: the scores of a {!Pass} over [windows]
+    alone, which is released before the return.
     @raise Invalid_argument on an observation outside [\[0, m)], or
     when A, B or [pi] does not have the size [n] and [m] give it,
     before any thread starts. *)
@@ -132,24 +122,82 @@ val baum_welch_step : t -> (int array * float) list -> t * float
     transition rows are floored by a small epsilon and renormalized so
     unseen events keep non-zero mass. Sequences impossible under the
     current model are skipped; every sequence is still range-checked.
-
-    The E-step runs in one C call on as many threads as the caller's
-    CPU affinity mask allows (capped at the number of sequences):
-    POSIX threads created and joined inside the call, never OCaml
-    domains, so the process can still [Unix.fork] afterwards. The
-    sequences go in blocks of at most about 1 MiB of scratch; in each
-    block the threads first split the sequences (forward, backward, γ,
-    ξ normaliser), then the state rows of the accumulators. Every
-    accumulator element takes the same floating-point operations, in
-    the same order (sequence order, then step order), as the textbook
-    step over {!forward} and {!backward}, and the log-likelihood is
-    summed in sequence order: the result is bit-for-bit equal to it,
-    whatever the thread count. The calling domain holds the runtime
-    lock throughout, so other domains wait for the step before a
-    stop-the-world collection. Every observation is range-checked
-    before the call.
+    It is {!Pass.step} on a pass over the sequences alone, released
+    before the return.
     @raise Invalid_argument on an observation outside [\[0, m)], or
     when A, B or [pi] does not have the size [n] and [m] give it. *)
+
+(** Training's work on one model, on one table: the scaled forward row
+    of every distinct prefix of a set of windows, computed once each,
+    and, read off it, every window's per-symbol score and, on request,
+    the E-step of one Baum-Welch iteration over the weighted ones.
+    [Profile.train] builds one table per model: its convergence score,
+    its training windows' scores for the threshold, and the step to the
+    next model all come from it.
+
+    A forward row depends only on the prefix it ends, and each table
+    row takes the operations one step of {!Compiled.per_symbol_score}
+    takes, so reading a window's rows off the table changes no bit:
+    the scores are bit for bit {!per_symbol_score}, and the step bit
+    for bit the textbook E-step over {!forward} and {!backward}. A scale
+    that is not positive (or NaN) makes the prefix impossible: a window
+    through it scores [neg_infinity] and adds nothing to the step.
+
+    The table and the step run in C on as many threads as the caller's
+    CPU affinity mask allows: POSIX threads created and joined inside
+    the call, never OCaml domains, so the process can still
+    [Unix.fork] afterwards. The table's threads claim whole subtrees of
+    the prefix tree, and each row is written once from rows already
+    final. The step takes the windows in blocks of at most about 1 MiB
+    of scratch; in each block the threads first split the windows
+    (backward pass, γ, ξ normaliser), then the state rows of the
+    accumulators, so every accumulator element takes its terms in
+    window order, then step order, and the log-likelihood is summed in
+    window order. No bit depends on the thread count. The calling
+    domain holds the runtime lock throughout, so other domains wait for
+    the call before a stop-the-world collection.
+
+    The table lives outside the OCaml heap, in one anonymous mapping
+    that every model's build reuses and {!release} unmaps, so its pages
+    go back to the OS at once (the handle's finaliser releases a pass
+    never released). Banking's training uses about 3.3 MB of it. A pass
+    is not thread-safe. *)
+module Pass : sig
+  type model := t
+
+  type t
+
+  val create : model -> weighted:(int array * float) array -> extra:int array array -> t
+  (** [create t ~weighted ~extra] lays out the [weighted] windows, which
+      {!step} steps over, and the [extra] ones, which are only scored,
+      numbers their distinct prefixes (a window in both is one path of
+      the prefix tree), and builds [t]'s table.
+      @raise Invalid_argument on an observation outside [\[0, m)], or
+      when A, B or [pi] does not have the size [n] and [m] give it,
+      before any thread starts. *)
+
+  val rebuild : t -> model -> unit
+  (** The table of another model of the same size, in place: the
+      windows' layout and the mapping are kept.
+      @raise Invalid_argument when the model's [n] or [m] differs from
+      the pass's, or its tables do not have the size they give them,
+      or once the pass is released. *)
+
+  val scores : t -> float array
+  (** The per-symbol score of every window under the pass's current
+      model, the weighted ones first, in the order {!create} was given
+      them. A {!rebuild} makes a new array. *)
+
+  val step : t -> model * float
+  (** {!baum_welch_step} of the pass's current model over its weighted
+      windows: the re-estimated model and the current model's total
+      weighted log-likelihood.
+      @raise Invalid_argument once the pass is released. *)
+
+  val release : t -> unit
+  (** Unmaps the table; {!scores} stays readable. Releasing twice does
+      nothing. *)
+end
 
 val fit : max_iterations:int -> t -> (int array * float) list -> t * float list
 (** Iterate [baum_welch_step] until the total log-likelihood improves by

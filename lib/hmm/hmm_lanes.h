@@ -1,5 +1,5 @@
 /* The lane-generic kernels of hmm_kernels.c: the forward step, the
-   backward row sums, the batch scorer's runs and the E-step's blocks.
+   backward row sums, the prefix table's tasks and the E-step's blocks.
    hmm_kernels.c includes this file once per width, with LANES defined
    as 2 (SSE2 on x86-64, NEON on arm64) and, on x86-64, again as 4
    under an AVX2 target. Each inclusion defines its functions with the
@@ -8,10 +8,11 @@
    The width changes only how many independent outputs one instruction
    computes: every output adds its terms one at a time, in the order the
    reference does, so both builds give the same bits. The widest tile
-   holds eight accumulators; the remainder takes one tile each of half,
-   a quarter and an eighth of that as it needs, then, in the 4-lane
-   build, the 2-lane build's one-vector tile (the pair tile), then a
-   last odd column. */
+   holds eight accumulators (four for each of the two state rows phase
+   B's ξ update takes at once); the remainder takes one tile each of
+   half, a quarter and an eighth of that as it needs, then, in the
+   4-lane build, the 2-lane build's one-vector tile (the pair tile),
+   then a last odd column. */
 
 #define LANE_PASTE_(a, b) a##b
 #define LANE_PASTE(a, b) LANE_PASTE_(a, b)
@@ -114,137 +115,74 @@ static void LANE_FN(row_sums)(const double *at, const double *x, double *sums, s
   LANE_FN(weighted_rows)(0, n, at, x, sums, n);
 }
 
-/* Scores the sorted windows [k0, k1). Below [depth], the stack holds the
-   normalised forward rows and partial log-likelihoods of the previous
-   window's prefix, every step of which had a positive scale; [dead]
-   says that the previous window's step [depth] had not. */
-static void LANE_FN(score_run)(const struct scorer *s, const struct score_worker *wk,
-                               size_t k0, size_t k1)
+/* Builds the table's rows of the nodes [v0, v1), every parent of
+   which is either among them, below, or a depth-0 node. */
+static void LANE_FN(build_task)(struct table *t, size_t v0, size_t v1)
 {
-  const size_t n = s->n;
-  double *alpha = wk->alpha, *ll = wk->ll;
-  size_t depth = 0;
-  int dead = 0;
-  for (size_t k = k0; k < k1; k++) {
-    const size_t *obs = s->sorted[k].obs, len = s->sorted[k].len;
-    size_t common = 0;
-    if (k > k0) {
-      const struct window_key *prev = &s->sorted[k - 1];
-      const size_t limit = len < prev->len ? len : prev->len;
-      while (common < limit && prev->obs[common] == obs[common]) common++;
+  const size_t n = t->n;
+  for (size_t v = v0; v < v1; v++) {
+    const size_t p = t->parent[v];
+    t->dead[v] = t->dead[p];
+    if (t->dead[v]) continue;
+    double *row = t->rows + (v * n);
+    const double *b = t->bt + (t->sym[v] * n);
+    LANE_FN(propagate)(t->a, t->rows + (p * n), row, n);
+    double s = 0.0;
+    for (size_t j = 0; j < n; j++) {
+      double x = row[j] * b[j];
+      row[j] = x;
+      s += x;
     }
-    if (dead && common > depth) {
-      /* it shares the step that made the previous window impossible */
-      s->scores[s->sorted[k].w] = -INFINITY;
-      continue;
-    }
-    if (common < depth) depth = common;
-    dead = 0;
-    for (; depth < len; depth++) {
-      double *row = alpha + (depth * n);
-      const double *b = s->bt + (obs[depth] * n);
-      double total = 0.0;
-      if (depth == 0)
-        for (size_t i = 0; i < n; i++) {
-          double v = s->pi[i] * b[i];
-          row[i] = v;
-          total += v;
-        }
-      else {
-        LANE_FN(propagate)(s->a, row - n, row, n);
-        for (size_t j = 0; j < n; j++) {
-          double v = row[j] * b[j];
-          row[j] = v;
-          total += v;
-        }
-      }
-      if (!(total > 0.0)) {
-        dead = 1;
-        break;
-      }
-      for (size_t j = 0; j < n; j++) row[j] = row[j] / total;
-      ll[depth] = (depth > 0 ? ll[depth - 1] : 0.0) + log(total);
-    }
-    s->scores[s->sorted[k].w] =
-      len == 0 ? 0.0 : dead ? -INFINITY : ll[len - 1] / (double)len;
+    t->dead[v] = !(s > 0.0);
+    if (t->dead[v]) continue;
+    for (size_t j = 0; j < n; j++) row[j] = row[j] / s;
+    t->scale[v] = s;
+    t->ll[v] = t->ll[p] + log(s);
   }
 }
 
-static void LANE_FN(score_runs)(void *arg)
+static void LANE_FN(build_tasks)(void *arg)
 {
-  const struct score_worker *wk = arg;
-  struct scorer *s = wk->s;
+  struct table *t = *(struct table **)arg;
   for (;;) {
-    const size_t k0 = atomic_fetch_add(&s->next_run, SCORE_RUN);
-    if (k0 >= s->windows) break;
-    LANE_FN(score_run)(s, wk, k0, k0 + SCORE_RUN < s->windows ? k0 + SCORE_RUN : s->windows);
+    const size_t k = atomic_fetch_add(&t->next_task, 1);
+    if (k >= t->tasks) break;
+    LANE_FN(build_task)(t, t->task[2 * k], t->task[(2 * k) + 1]);
   }
 }
 
 /* Phase A for window [w] of the block starting at window [w0]: the
-   arithmetic of the OCaml reference, operation for operation. */
+   arithmetic of the OCaml reference's backward pass, γ and ξ,
+   operation for operation, over the table's forward rows. */
 static void LANE_FN(window_pass)(const struct estep *e, const struct worker *wk, size_t w0,
                                  size_t w)
 {
-  const size_t n = e->n, base = e->off[w], len = e->off[w + 1] - base;
-  const size_t *obs = e->obs + base;
-  double *alpha = wk->alpha, *scale = wk->scale;
-  e->possible[w] = 0;
-  if (len == 0) return;
-  /* forward: once a prefix is impossible the remaining scales are 0 */
-  const double *b0 = e->bt + (obs[0] * n);
-  double s0 = 0.0;
-  for (size_t i = 0; i < n; i++) {
-    double v = e->pi[i] * b0[i];
-    alpha[i] = v;
-    s0 += v;
-  }
-  scale[0] = s0;
-  if (s0 > 0.0)
-    for (size_t i = 0; i < n; i++) alpha[i] = alpha[i] / s0;
-  for (size_t st = 1; st < len; st++) {
-    if (!(scale[st - 1] > 0.0)) {
-      for (; st < len; st++) scale[st] = 0.0;
-      break;
-    }
-    double *cur = alpha + (st * n);
-    const double *b = e->bt + (obs[st] * n);
-    LANE_FN(propagate)(e->a, cur - n, cur, n);
-    double total = 0.0;
-    for (size_t j = 0; j < n; j++) {
-      double v = cur[j] * b[j];
-      cur[j] = v;
-      total += v;
-    }
-    scale[st] = total;
-    if (total > 0.0)
-      for (size_t j = 0; j < n; j++) cur[j] = cur[j] / total;
-  }
-  for (size_t st = 0; st < len; st++)
-    if (scale[st] <= 0.0) return;
-  double ll = 0.0;
-  for (size_t st = 0; st < len; st++) ll += log(scale[st]);
-  e->ll[w] = ll;
-  e->possible[w] = 1;
+  if (!e->possible[w]) return;
+  const struct table *t = e->t;
+  const size_t n = t->n, base = t->off[w], len = t->off[w + 1] - base;
+  const size_t *obs = t->obs + base, *node = t->node + base;
 
   /* backward, with γ and the ξ terms of each step as soon as β_t is
      known; no scale is <= 0 here, so the reference's guards skip
      nothing */
   const double weight = e->weight[w];
-  const size_t t0 = base - e->off[w0];
+  const size_t t0 = base - t->off[w0];
   double *wg = e->wg + (t0 * n), *coef = e->coef + (t0 * n);
   unsigned char *gflag = e->gflag + t0;
   double *next = wk->beta, *cur = wk->beta + n, *rsum = wk->rsum;
-  const double last_beta = 1.0 / scale[len - 1];
+  const double last_beta = 1.0 / t->scale[node[len - 1]];
   for (size_t i = 0; i < n; i++) cur[i] = last_beta;
   for (size_t st = len; st-- > 0;) {
-    const double *al = alpha + (st * n);
+    const double *al = t->rows + (node[st] * n);
+    /* the table's rows lie apart: fetch the next step's early */
+    if (st > 0)
+      for (size_t i = 0; i < n; i += 8) __builtin_prefetch(t->rows + (node[st - 1] * n) + i);
     if (st + 1 < len) {
       double *x = e->bb + ((t0 + st) * n);
-      const double *b = e->bt + (obs[st + 1] * n);
+      const double *b = t->bt + (obs[st + 1] * n);
       for (size_t j = 0; j < n; j++) x[j] = b[j] * next[j];
-      LANE_FN(row_sums)(e->at, x, rsum, n);
-      const double inv = 1.0 / scale[st];
+      LANE_FN(row_sums)(t->at, x, rsum, n);
+      const double inv = 1.0 / t->scale[node[st]];
       for (size_t i = 0; i < n; i++) cur[i] = rsum[i] * inv;
       /* ξ normaliser from the row sums before the scale */
       double s = 0.0;
@@ -265,49 +203,69 @@ static void LANE_FN(window_pass)(const struct estep *e, const struct worker *wk,
     gflag[st] = s > 0.0;
     if (s > 0.0)
       for (size_t i = 0; i < n; i++) wg[(i * len) + st] = weight * (rsum[i] / s);
-    double *t = next;
+    double *tmp = next;
     next = cur;
-    cur = t;
+    cur = tmp;
   }
 }
 
-/* Phase B's ξ update of a_acc[i][j0 .. j0+LANES·nv): for each window of
-   [w0, w1) and each of its steps whose coefficient is positive, in that
-   order, row[j] += (coef · a_i[j]) · bb[j]; lanes across j. */
+/* Phase B's ξ update of rows i .. i+nr-1 of a_acc, columns [j0,
+   j0+LANES·nv): for each window of [w0, w1) and each of its steps, in
+   that order, every row r whose coefficient is positive takes
+   a_acc[r][j] += (coef · a_r[j]) · bb[j]; lanes across j. The rows of
+   a pair share each load of bb, which phase B otherwise reads once per
+   row; each element still takes its own terms in its own order. */
 static inline __attribute__((always_inline)) void
-LANE_FN(xi_tile)(const int nv, const struct estep *e, size_t w0, size_t w1, size_t i,
-                 double *row, size_t j0)
+LANE_FN(xi_tile)(const int nr, const int nv, const struct estep *e, size_t w0, size_t w1,
+                 size_t i, size_t j0)
 {
-  const size_t n = e->n;
-  const double *ai = e->a + (i * n) + j0;
-  VEC acc[8];
-  for (int k = 0; k < nv; k++) acc[k] = LANE_FN(load)(row + j0 + (LANES * k));
+  const struct table *t = e->t;
+  const size_t n = t->n;
+  const double *ai[2];
+  double *row[2];
+  VEC acc[2][8];
+  for (int r = 0; r < nr; r++) {
+    ai[r] = t->a + ((i + r) * n) + j0;
+    row[r] = e->a_acc + ((i + r) * n) + j0;
+    for (int k = 0; k < nv; k++) acc[r][k] = LANE_FN(load)(row[r] + (LANES * k));
+  }
   for (size_t w = w0; w < w1; w++) {
     if (!e->possible[w]) continue;
-    const size_t len = e->off[w + 1] - e->off[w], t0 = e->off[w] - e->off[w0];
+    const size_t len = t->off[w + 1] - t->off[w], t0 = t->off[w] - t->off[w0];
     const double *coef = e->coef + (t0 * n) + (i * len);
     const double *bb = e->bb + (t0 * n) + j0;
     for (size_t st = 0; st + 1 < len; st++) {
-      double c = coef[st];
-      if (!(c > 0.0)) continue;
+      double c[2];
+      int any = 0;
+      for (int r = 0; r < nr; r++) {
+        c[r] = coef[(r * len) + st];
+        any |= c[r] > 0.0;
+      }
+      if (!any) continue;
       const double *x = bb + (st * n);
-      VEC cv = LANE_FN(splat)(c);
-      for (int k = 0; k < nv; k++)
-        acc[k] += (cv * LANE_FN(load)(ai + (LANES * k))) * LANE_FN(load)(x + (LANES * k));
+      VEC xv[8];
+      for (int k = 0; k < nv; k++) xv[k] = LANE_FN(load)(x + (LANES * k));
+      for (int r = 0; r < nr; r++) {
+        if (!(c[r] > 0.0)) continue;
+        VEC cv = LANE_FN(splat)(c[r]);
+        for (int k = 0; k < nv; k++)
+          acc[r][k] += (cv * LANE_FN(load)(ai[r] + (LANES * k))) * xv[k];
+      }
     }
   }
-  for (int k = 0; k < nv; k++) LANE_FN(store)(row + j0 + (LANES * k), acc[k]);
+  for (int r = 0; r < nr; r++)
+    for (int k = 0; k < nv; k++) LANE_FN(store)(row[r] + (LANES * k), acc[r][k]);
 }
 
-static void LANE_FN(xi_col)(const struct estep *e, size_t w0, size_t w1, size_t i,
-                            double *row, size_t j)
+static void LANE_FN(xi_col)(const struct estep *e, size_t w0, size_t w1, size_t i, size_t j)
 {
-  const size_t n = e->n;
-  const double aij = e->a[(i * n) + j];
-  double acc = row[j];
+  const struct table *t = e->t;
+  const size_t n = t->n;
+  const double aij = t->a[(i * n) + j];
+  double acc = e->a_acc[(i * n) + j];
   for (size_t w = w0; w < w1; w++) {
     if (!e->possible[w]) continue;
-    const size_t len = e->off[w + 1] - e->off[w], t0 = e->off[w] - e->off[w0];
+    const size_t len = t->off[w + 1] - t->off[w], t0 = t->off[w] - t->off[w0];
     const double *coef = e->coef + (t0 * n) + (i * len);
     const double *bb = e->bb + (t0 * n) + j;
     for (size_t st = 0; st + 1 < len; st++) {
@@ -316,45 +274,50 @@ static void LANE_FN(xi_col)(const struct estep *e, size_t w0, size_t w1, size_t 
       acc += (c * aij) * bb[st * n];
     }
   }
-  row[j] = acc;
+  e->a_acc[(i * n) + j] = acc;
 }
 
-/* Phase B for row [i] over the windows [w0, w1). */
-static void LANE_FN(row_pass)(const struct estep *e, size_t w0, size_t w1, size_t i)
+/* Phase B for the [nr] rows from [i] over the windows [w0, w1): their
+   γ terms, then their ξ terms, one tile of columns at a time. A single
+   row takes eight-vector tiles, a pair four-vector ones, so that the
+   accumulators stay in registers. */
+static inline __attribute__((always_inline)) void
+LANE_FN(rows_pass)(const int nr, const struct estep *e, size_t w0, size_t w1, size_t i)
 {
-  const size_t n = e->n, m = e->m;
-  double *brow = e->b_acc + (i * m);
-  for (size_t w = w0; w < w1; w++) {
-    if (!e->possible[w]) continue;
-    const size_t base = e->off[w], len = e->off[w + 1] - base, t0 = base - e->off[w0];
-    const double *wg = e->wg + (t0 * n) + (i * len);
-    const unsigned char *gflag = e->gflag + t0;
-    for (size_t st = 0; st < len; st++)
-      if (gflag[st]) brow[e->obs[base + st]] += wg[st];
-    if (gflag[0]) e->pi_acc[i] += wg[0];
+  const struct table *t = e->t;
+  const size_t n = t->n, m = t->m;
+  for (size_t r = i; r < i + nr; r++) {
+    double *brow = e->b_acc + (r * m);
+    for (size_t w = w0; w < w1; w++) {
+      if (!e->possible[w]) continue;
+      const size_t base = t->off[w], len = t->off[w + 1] - base, t0 = base - t->off[w0];
+      const double *wg = e->wg + (t0 * n) + (r * len);
+      const unsigned char *gflag = e->gflag + t0;
+      for (size_t st = 0; st < len; st++)
+        if (gflag[st]) brow[t->obs[base + st]] += wg[st];
+      if (gflag[0]) e->pi_acc[r] += wg[0];
+    }
   }
-  double *row = e->a_acc + (i * n);
   size_t j0 = 0;
-  for (; j0 + (8 * LANES) <= n; j0 += 8 * LANES) LANE_FN(xi_tile)(8, e, w0, w1, i, row, j0);
-  if (j0 + (4 * LANES) <= n) {
-    LANE_FN(xi_tile)(4, e, w0, w1, i, row, j0);
-    j0 += 4 * LANES;
-  }
+  if (nr == 1)
+    for (; j0 + (8 * LANES) <= n; j0 += 8 * LANES) LANE_FN(xi_tile)(1, 8, e, w0, w1, i, j0);
+  for (; j0 + (4 * LANES) <= n; j0 += 4 * LANES) LANE_FN(xi_tile)(nr, 4, e, w0, w1, i, j0);
   if (j0 + (2 * LANES) <= n) {
-    LANE_FN(xi_tile)(2, e, w0, w1, i, row, j0);
+    LANE_FN(xi_tile)(nr, 2, e, w0, w1, i, j0);
     j0 += 2 * LANES;
   }
   if (j0 + LANES <= n) {
-    LANE_FN(xi_tile)(1, e, w0, w1, i, row, j0);
+    LANE_FN(xi_tile)(nr, 1, e, w0, w1, i, j0);
     j0 += LANES;
   }
 #if LANES > 2
   if (j0 + 2 <= n) {
-    xi_tile_2(1, e, w0, w1, i, row, j0);
+    xi_tile_2(nr, 1, e, w0, w1, i, j0);
     j0 += 2;
   }
 #endif
-  if (j0 < n) LANE_FN(xi_col)(e, w0, w1, i, row, j0);
+  if (j0 < n)
+    for (size_t r = i; r < i + nr; r++) LANE_FN(xi_col)(e, w0, w1, r, j0);
 }
 
 static void LANE_FN(run_blocks)(void *arg)
@@ -371,9 +334,11 @@ static void LANE_FN(run_blocks)(void *arg)
     barrier_wait(&e->bar);
     for (;;) {
       size_t r0 = atomic_fetch_add(&e->next_row[k], ROW_CHUNK);
-      if (r0 >= e->n) break;
-      size_t r1 = r0 + ROW_CHUNK < e->n ? r0 + ROW_CHUNK : e->n;
-      for (size_t i = r0; i < r1; i++) LANE_FN(row_pass)(e, w0, w1, i);
+      if (r0 >= e->t->n) break;
+      size_t r1 = r0 + ROW_CHUNK < e->t->n ? r0 + ROW_CHUNK : e->t->n;
+      size_t i = r0;
+      for (; i + 2 <= r1; i += 2) LANE_FN(rows_pass)(2, e, w0, w1, i);
+      if (i < r1) LANE_FN(rows_pass)(1, e, w0, w1, i);
     }
     barrier_wait(&e->bar);
   }

@@ -442,11 +442,10 @@ let prop_compiled_matches_reference =
 
 (* Windows over a 2- or 3-symbol alphabet, so that many share prefixes,
    with duplicates, prefixes and extensions of earlier windows, and the
-   empty window. The batch is cut into fixed runs of 32 sorted windows
-   shared among the allowed CPUs: counts from 1 to 3 leave fewer
-   windows than threads, and up to 200 give several runs. State counts
-   reach every tile path of both builds, as above. Sparse models make
-   some prefixes impossible. *)
+   empty window. The prefix table's subtrees are shared among the
+   allowed CPUs: counts from 1 to 3 leave fewer subtrees than threads,
+   and up to 200 give many. State counts reach every tile path of both
+   builds, as above. Sparse models make some prefixes impossible. *)
 let window_batch_gen =
   QCheck2.Gen.(
     map
@@ -480,6 +479,93 @@ let prop_per_symbol_scores_matches_reference =
       same_floats
         (Hmm.per_symbol_scores model windows)
         (Array.map (Hmm.per_symbol_score model) windows))
+
+(* Training's pass: weighted windows and extra ones drawn from one pool
+   over a 2- to 4-symbol alphabet, so that they share prefixes heavily,
+   with duplicates within and across the two sets, empty windows,
+   prefixes and extensions of each other. Half the models emit one
+   symbol from no state, so every window holding it is impossible from
+   there on; sparse models make other prefixes impossible. Each pass is
+   checked on its first model, then rebuilt in place for a second one.
+   Up to 150 weighted windows at n >= 36 cross E-step blocks. *)
+let pass_gen =
+  QCheck2.Gen.(
+    map
+      (fun (seed, (n, m, count)) ->
+        let rng = Rng.create seed in
+        let model () =
+          let sparsity = [| 0.0; 0.15; 0.4 |].(Rng.int rng 3) in
+          let t = sparse_model rng ~n ~m ~sparsity in
+          if Rng.int rng 2 = 0 then begin
+            let mute = Rng.int rng m in
+            for i = 0 to n - 1 do
+              Matrix.set t.Hmm.b i mute 0.0
+            done
+          end;
+          t
+        in
+        let fresh () = Array.init (Rng.int rng 13) (fun _ -> Rng.int rng m) in
+        let pool = Array.make (1 + count) [||] in
+        for k = 1 to count do
+          let earlier = pool.(Rng.int rng k) in
+          pool.(k) <-
+            (match Rng.int rng 4 with
+            | 0 -> earlier
+            | 1 -> Array.sub earlier 0 (Rng.int rng (Array.length earlier + 1))
+            | 2 -> Array.append earlier (fresh ())
+            | _ -> fresh ())
+        done;
+        let pick () = pool.(Rng.int rng (Array.length pool)) in
+        let weighted =
+          Array.init (Rng.int rng (count + 1)) (fun _ -> (pick (), 0.25 +. Rng.float rng 4.0))
+        in
+        let extra = Array.init (Rng.int rng (count + 1)) (fun _ -> pick ()) in
+        let first = model () in
+        (first, model (), weighted, extra))
+      (pair (int_range 0 1_000_000)
+         (oneof
+            [
+              triple state_counts (int_range 2 4) (int_range 0 3);
+              triple state_counts (int_range 2 4) (int_range 4 60);
+              triple (int_range 36 40) (int_range 2 4) (int_range 120 150);
+            ])))
+
+let pass_print (_, _, weighted, extra) =
+  Printf.sprintf "%d weighted, %d extra windows" (Array.length weighted) (Array.length extra)
+
+(* [check pass model] on the pass's first model, then on the second
+   after a rebuild. *)
+let on_both_models check (first, second, weighted, extra) =
+  let pass = Hmm.Pass.create first ~weighted ~extra in
+  Fun.protect
+    ~finally:(fun () -> Hmm.Pass.release pass)
+    (fun () ->
+      check pass first
+      &&
+      (Hmm.Pass.rebuild pass second;
+       check pass second))
+
+let prop_pass_scores_match_reference =
+  QCheck2.Test.make ~name:"Pass.scores = per_symbol_score per window, bit for bit" ~count:200
+    ~print:pass_print pass_gen (fun ((_, _, weighted, extra) as case) ->
+      let windows = Array.append (Array.map fst weighted) extra in
+      on_both_models
+        (fun pass model ->
+          same_floats (Hmm.Pass.scores pass) (Array.map (Hmm.per_symbol_score model) windows))
+        case)
+
+let prop_pass_step_matches_reference =
+  QCheck2.Test.make ~name:"Pass.step = row-at-a-time reference, bit for bit" ~count:200
+    ~print:pass_print pass_gen (fun ((_, _, weighted, _) as case) ->
+      on_both_models
+        (fun pass model ->
+          let t1, ll1 = Hmm.Pass.step pass in
+          let t2, ll2 = reference_baum_welch_step model (Array.to_list weighted) in
+          same_bits ll1 ll2
+          && same_floats t1.Hmm.a.Matrix.data t2.Hmm.a.Matrix.data
+          && same_floats t1.Hmm.b.Matrix.data t2.Hmm.b.Matrix.data
+          && same_floats t1.Hmm.pi t2.Hmm.pi)
+        case)
 
 (* After a 2, the walk is in state 1, which never emits 1 and never
    leaves: [0; 2; 1] and everything under it is impossible at step 2.
@@ -669,6 +755,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
           QCheck_alcotest.to_alcotest prop_compiled_step_surprisals_matches_reference;
           QCheck_alcotest.to_alcotest prop_per_symbol_scores_matches_reference;
+          QCheck_alcotest.to_alcotest prop_pass_scores_match_reference;
+          QCheck_alcotest.to_alcotest prop_pass_step_matches_reference;
           Alcotest.test_case "per_symbol_scores under an impossible prefix" `Quick
             test_per_symbol_scores_impossible_prefix;
           Alcotest.test_case "per_symbol_scores rejects out-of-range observations" `Quick

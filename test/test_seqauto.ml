@@ -309,7 +309,9 @@ let test_build_allocation () =
 
 (* A daemon's start compiles the gate and vets the profile against it:
    on gen-wide, with the benchmark's training parameters, that measured
-   856,148 minor words in the calling domain, held to 1.0 M (9.0 M
+   808,028 minor words in the calling domain, held to 1.0 M (831,873
+   while the stage rebuilt the front end's call graph for its reachable
+   set, 856,148 with a second reachability walk per start; 9.0 M
    with the list minimizer, the per-member bitset walk and nested-list
    bigrams; 1.96 M with a finding per impossible bigram and each
    function's dominators computed three times; 1.42 M while the vet ran
